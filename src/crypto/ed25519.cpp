@@ -447,8 +447,27 @@ DynTable ge_dyn_table(const Ge& p) {
   return t;
 }
 
+// The affine forms of pts[0..N) with one field inversion (Montgomery's
+// trick: invert the product of every Z, then peel each factor off it).
+template <int N>
+void batch_to_precomp(const Ge* pts, GePrecomp* out) {
+  Fe prefix[N];  // prefix[i] = z_0 * ... * z_i
+  prefix[0] = pts[0].z;
+  for (int i = 1; i < N; ++i) prefix[i] = fe_mul(prefix[i - 1], pts[i].z);
+  Fe inv = fe_invert(prefix[N - 1]);
+
+  for (int i = N - 1; i >= 0; --i) {
+    const Fe zi = i == 0 ? inv : fe_mul(inv, prefix[i - 1]);
+    inv = fe_mul(inv, pts[i].z);
+    const Fe x = fe_mul(pts[i].x, zi);
+    const Fe y = fe_mul(pts[i].y, zi);
+    out[i] = GePrecomp{fe_carry(fe_add(y, x)), fe_carry(fe_sub(y, x)),
+                       fe_mul(fe_mul(x, y), fe_2d())};
+  }
+}
+
 // Odd multiples {B, 3B, ..., 63B} of the base point in affine form,
-// built once (Montgomery batch inversion turns 32 Z-inversions into 1).
+// built once; the verification chains below read it.
 struct BaseTable {
   GePrecomp mult[kBaseTableSize];
 };
@@ -460,41 +479,77 @@ const BaseTable& base_table() {
     const Ge b2 = ge_double(ge_base());
     const GeCached b2c = ge_cache(b2);
     for (int i = 1; i < kBaseTableSize; ++i) pts[i] = ge_add_cached(pts[i - 1], b2c);
-
-    Fe prefix[kBaseTableSize];  // prefix[i] = z_0 * ... * z_i
-    prefix[0] = pts[0].z;
-    for (int i = 1; i < kBaseTableSize; ++i) prefix[i] = fe_mul(prefix[i - 1], pts[i].z);
-    Fe inv = fe_invert(prefix[kBaseTableSize - 1]);
-
     BaseTable t;
-    for (int i = kBaseTableSize - 1; i >= 0; --i) {
-      const Fe zi = i == 0 ? inv : fe_mul(inv, prefix[i - 1]);
-      inv = fe_mul(inv, pts[i].z);
-      const Fe x = fe_mul(pts[i].x, zi);
-      const Fe y = fe_mul(pts[i].y, zi);
-      t.mult[i] = GePrecomp{fe_carry(fe_add(y, x)), fe_carry(fe_sub(y, x)),
-                            fe_mul(fe_mul(x, y), fe_2d())};
-    }
+    batch_to_precomp<kBaseTableSize>(pts, t.mult);
     return t;
   }();
   return table;
 }
 
-// r = [scalar]B via the static base table (w = 7 wNAF: ~253 doublings
-// plus ~36 mixed additions, versus 256 doublings + ~128 additions for
-// the plain ladder this replaces).
-Ge ge_scalarmult_base(const std::uint8_t scalar[32]) {
-  signed char naf[257];
-  slide(naf, scalar, kWindowBase);
-  const BaseTable& bt = base_table();
-  int i = 256;
-  while (i >= 0 && !naf[i]) --i;
-  Ge r = ge_identity();
-  for (; i >= 0; --i) {
-    r = ge_double(r);
-    if (naf[i] > 0) r = ge_add_precomp(r, bt.mult[naf[i] >> 1]);
-    else if (naf[i] < 0) r = ge_sub_precomp(r, bt.mult[(-naf[i]) >> 1]);
+// Fixed-base comb for [a]B, the multiply of signing and key expansion.
+// Written in signed radix 16, a = sum e[i] 16^i with |e[i]| <= 8, so
+//   [a]B = 16 * sum_{i odd} [e[i]] 256^(i/2) B + sum_{i even} [e[i]] 256^(i/2) B.
+// One table row per power 256^k holds its multiples 1..8, and a multiply
+// is at most 64 mixed additions and 4 doublings, against the ~253
+// doublings of a base-point wNAF chain.
+constexpr int kCombRows = 32;  // 256^k B for k = 0..31
+constexpr int kCombCols = 8;   // multiples 1..8 of each
+
+// mult[k * kCombCols + j] = (j + 1) 256^k B in affine form (30 KiB),
+// built once with one batched inversion.
+struct CombTable {
+  GePrecomp mult[kCombRows * kCombCols];
+};
+
+const CombTable& comb_table() {
+  static const CombTable table = [] {
+    Ge pts[kCombRows * kCombCols];
+    Ge p = ge_base();
+    for (int k = 0; k < kCombRows; ++k) {
+      Ge* row = &pts[k * kCombCols];
+      const GeCached pc = ge_cache(p);
+      row[0] = p;
+      for (int j = 1; j < kCombCols; ++j) row[j] = ge_add_cached(row[j - 1], pc);
+      for (int d = 0; d < 8; ++d) p = ge_double(p);
+    }
+    CombTable t;
+    batch_to_precomp<kCombRows * kCombCols>(pts, t.mult);
+    return t;
+  }();
+  return table;
+}
+
+// Signed radix-16 digits of a little-endian scalar below 2^255:
+// e[0..62] in [-8, 7], e[63] in [0, 8], and sum e[i] 16^i == scalar.
+void radix16(signed char e[64], const std::uint8_t a[32]) {
+  for (int i = 0; i < 32; ++i) {
+    e[2 * i] = static_cast<signed char>(a[i] & 15);
+    e[2 * i + 1] = static_cast<signed char>(a[i] >> 4);
   }
+  int carry = 0;
+  for (int i = 0; i < 63; ++i) {
+    const int d = e[i] + carry;
+    carry = (d + 8) >> 4;
+    e[i] = static_cast<signed char>(d - (carry << 4));
+  }
+  e[63] = static_cast<signed char>(e[63] + carry);
+}
+
+// r = [scalar]B for a scalar below 2^255, which clamped secret scalars
+// and reduced nonces both are.
+Ge ge_scalarmult_base(const std::uint8_t scalar[32]) {
+  signed char e[64];
+  radix16(e, scalar);
+  const CombTable& ct = comb_table();
+  Ge r = ge_identity();
+  const auto add_digit = [&](int i) {
+    const GePrecomp* row = &ct.mult[(i / 2) * kCombCols];
+    if (e[i] > 0) r = ge_add_precomp(r, row[e[i] - 1]);
+    else if (e[i] < 0) r = ge_sub_precomp(r, row[-e[i] - 1]);
+  };
+  for (int i = 1; i < 64; i += 2) add_digit(i);
+  for (int i = 0; i < 4; ++i) r = ge_double(r);
+  for (int i = 0; i < 64; i += 2) add_digit(i);
   return r;
 }
 
@@ -771,28 +826,19 @@ Digest512 hash3(ByteView a, ByteView b, ByteView c) {
 
 }  // namespace
 
-PublicKeyBytes derive_public(const Seed& seed) {
-  Digest512 h = Sha512::digest(ByteView{seed.data(), seed.size()});
-  std::uint8_t a[32];
-  std::memcpy(a, h.data(), 32);
-  clamp(a);
-  const Ge A = ge_scalarmult_base(a);
-  PublicKeyBytes out;
-  ge_compress(out.data(), A);
-  return out;
+ExpandedKey expand(const Seed& seed) {
+  const Digest512 h = Sha512::digest(ByteView{seed});
+  ExpandedKey key{};
+  std::memcpy(key.scalar.data(), h.data(), 32);
+  clamp(key.scalar.data());
+  std::memcpy(key.prefix.data(), h.data() + 32, 32);
+  ge_compress(key.pub.data(), ge_scalarmult_base(key.scalar.data()));
+  return key;
 }
 
-SignatureBytes sign(const Seed& seed, ByteView msg) {
-  Digest512 h = Sha512::digest(ByteView{seed.data(), seed.size()});
-  std::uint8_t a_bytes[32];
-  std::memcpy(a_bytes, h.data(), 32);
-  clamp(a_bytes);
-  const ByteView prefix{h.data() + 32, 32};
-
-  const PublicKeyBytes pub = derive_public(seed);
-
+SignatureBytes sign(const ExpandedKey& key, ByteView msg) {
   // r = SHA512(prefix || msg) mod L
-  const Digest512 rh = hash3(prefix, msg, {});
+  const Digest512 rh = hash3(ByteView{key.prefix}, msg, {});
   const U256 r = sc_reduce_bytes(rh.data(), rh.size());
   std::uint8_t r_bytes[32];
   sc_to_bytes(r_bytes, r);
@@ -802,12 +848,11 @@ SignatureBytes sign(const Seed& seed, ByteView msg) {
   ge_compress(sig.data(), R);
 
   // k = SHA512(R || A || msg) mod L
-  const Digest512 kh =
-      hash3(ByteView{sig.data(), 32}, ByteView{pub.data(), pub.size()}, msg);
+  const Digest512 kh = hash3(ByteView{sig.data(), 32}, ByteView{key.pub}, msg);
   const U256 k = sc_reduce_bytes(kh.data(), kh.size());
 
   // S = (r + k * a) mod L
-  const U256 a = sc_reduce_bytes(a_bytes, 32);
+  const U256 a = sc_reduce_bytes(key.scalar.data(), 32);
   const U256 s = sc_add(r, sc_mul(k, a));
   sc_to_bytes(sig.data() + 32, s);
   return sig;

@@ -21,11 +21,20 @@ using Seed = std::array<std::uint8_t, 32>;
 using PublicKeyBytes = std::array<std::uint8_t, 32>;
 using SignatureBytes = std::array<std::uint8_t, 64>;
 
-/// Derives the public key for a 32-byte seed (RFC 8032 §5.1.5).
-[[nodiscard]] PublicKeyBytes derive_public(const Seed& seed);
+/// A signing key expanded from its 32-byte seed (RFC 8032 §5.1.5):
+/// SHA-512(seed) split into the clamped secret scalar and the nonce
+/// prefix, plus the public key [scalar]B.  Expanding once per key
+/// leaves one base-point multiply and two SHA-512s per signature.
+struct ExpandedKey {
+  std::array<std::uint8_t, 32> scalar;  ///< clamped, little-endian
+  std::array<std::uint8_t, 32> prefix;  ///< hashed with the message into the nonce
+  PublicKeyBytes pub;
+};
 
-/// Signs `msg` with the given seed (RFC 8032 §5.1.6).
-[[nodiscard]] SignatureBytes sign(const Seed& seed, ByteView msg);
+[[nodiscard]] ExpandedKey expand(const Seed& seed);
+
+/// Signs `msg` (RFC 8032 §5.1.6).
+[[nodiscard]] SignatureBytes sign(const ExpandedKey& key, ByteView msg);
 
 /// Verifies a signature (RFC 8032 §5.1.7, cofactorless, strict S < L).
 [[nodiscard]] bool verify(const PublicKeyBytes& pub, ByteView msg, const SignatureBytes& sig);

@@ -14,13 +14,13 @@ PrivateKey PrivateKey::from_label(std::string_view label) {
 
 PrivateKey PrivateKey::from_seed(const ed25519::Seed& seed) {
   PrivateKey k;
-  k.seed_ = seed;
-  k.pub_ = PublicKey(ed25519::derive_public(seed));
+  k.key_ = ed25519::expand(seed);
+  k.pub_ = PublicKey(k.key_.pub);
   return k;
 }
 
 Signature PrivateKey::sign(ByteView msg) const {
-  return Signature(ed25519::sign(seed_, msg));
+  return Signature(ed25519::sign(key_, msg));
 }
 
 bool verify(const PublicKey& pub, ByteView msg, const Signature& sig) {

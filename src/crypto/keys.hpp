@@ -55,8 +55,9 @@ class Signature {
   ed25519::SignatureBytes raw_{};
 };
 
-/// A signing key.  Holds the 32-byte seed; the public key is derived
-/// once on construction.
+/// A signing key.  Holds the key expanded from its seed on construction
+/// (secret scalar, nonce prefix and public key), so signing never
+/// re-hashes the seed or re-derives the public key.
 class PrivateKey {
  public:
   /// Deterministic key for tests/simulations: seed = SHA-256(label).
@@ -69,8 +70,8 @@ class PrivateKey {
  private:
   PrivateKey() = default;
 
-  ed25519::Seed seed_{};
-  PublicKey pub_;
+  ed25519::ExpandedKey key_{};
+  PublicKey pub_;  ///< key_.pub, wrapped
 };
 
 /// Verifies `sig` over `msg` under `pub`.

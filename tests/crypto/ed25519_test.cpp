@@ -5,9 +5,13 @@
 #include <gtest/gtest.h>
 
 #include "common/bytes.hpp"
+#include "crypto/sha256.hpp"
+#include "rfc8032_vectors.hpp"
 
 namespace bmg::crypto::ed25519 {
 namespace {
+
+using rfc8032::kVectors;
 
 Seed seed_from_hex(std::string_view hex) {
   const Bytes b = from_hex(hex);
@@ -16,80 +20,25 @@ Seed seed_from_hex(std::string_view hex) {
   return s;
 }
 
-struct Rfc8032Vector {
-  const char* name;
-  const char* seed_hex;
-  const char* pub_hex;
-  const char* msg_hex;
-  const char* sig_hex;
-};
+// Deterministic test randomness (xorshift64).
+struct XorShift {
+  std::uint64_t state;
 
-const Rfc8032Vector kVectors[] = {
-    {"TEST1_empty",
-     "9d61b19deffd5a60ba844af492ec2cc44449c5697b326919703bac031cae7f60",
-     "d75a980182b10ab7d54bfed3c964073a0ee172f3daa62325af021a68f707511a", "",
-     "e5564300c360ac729086e2cc806e828a84877f1eb8e5d974d873e06522490155"
-     "5fb8821590a33bacc61e39701cf9b46bd25bf5f0595bbe24655141438e7a100b"},
-    {"TEST2_one_byte",
-     "4ccd089b28ff96da9db6c346ec114e0f5b8a319f35aba624da8cf6ed4fb8a6fb",
-     "3d4017c3e843895a92b70aa74d1b7ebc9c982ccf2ec4968cc0cd55f12af4660c", "72",
-     "92a009a9f0d4cab8720e820b5f642540a2b27b5416503f8fb3762223ebdb69da"
-     "085ac1e43e15996e458f3613d0f11d8c387b2eaeb4302aeeb00d291612bb0c00"},
-    {"TEST3_two_bytes",
-     "c5aa8df43f9f837bedb7442f31dcb7b166d38535076f094b85ce3a2e0b4458f7",
-     "fc51cd8e6218a1a38da47ed00230f0580816ed13ba3303ac5deb911548908025", "af82",
-     "6291d657deec24024827e69c3abe01a30ce548a284743a445e3680d7db5ac3ac"
-     "18ff9b538d16f290ae67f760984dc6594a7c15e9716ed28dc027beceea1ec40a"},
-    {"TEST1024_long",
-     "f5e5767cf153319517630f226876b86c8160cc583bc013744c6bf255f5cc0ee5",
-     "278117fc144c72340f67d0f2316e8386ceffbf2b2428c9c51fef7c597f1d426e",
-     "08b8b2b733424243760fe426a4b54908632110a66c2f6591eabd3345e3e4eb98"
-     "fa6e264bf09efe12ee50f8f54e9f77b1e355f6c50544e23fb1433ddf73be84d8"
-     "79de7c0046dc4996d9e773f4bc9efe5738829adb26c81b37c93a1b270b20329d"
-     "658675fc6ea534e0810a4432826bf58c941efb65d57a338bbd2e26640f89ffbc"
-     "1a858efcb8550ee3a5e1998bd177e93a7363c344fe6b199ee5d02e82d522c4fe"
-     "ba15452f80288a821a579116ec6dad2b3b310da903401aa62100ab5d1a36553e"
-     "06203b33890cc9b832f79ef80560ccb9a39ce767967ed628c6ad573cb116dbef"
-     "efd75499da96bd68a8a97b928a8bbc103b6621fcde2beca1231d206be6cd9ec7"
-     "aff6f6c94fcd7204ed3455c68c83f4a41da4af2b74ef5c53f1d8ac70bdcb7ed1"
-     "85ce81bd84359d44254d95629e9855a94a7c1958d1f8ada5d0532ed8a5aa3fb2"
-     "d17ba70eb6248e594e1a2297acbbb39d502f1a8c6eb6f1ce22b3de1a1f40cc24"
-     "554119a831a9aad6079cad88425de6bde1a9187ebb6092cf67bf2b13fd65f270"
-     "88d78b7e883c8759d2c4f5c65adb7553878ad575f9fad878e80a0c9ba63bcbcc"
-     "2732e69485bbc9c90bfbd62481d9089beccf80cfe2df16a2cf65bd92dd597b07"
-     "07e0917af48bbb75fed413d238f5555a7a569d80c3414a8d0859dc65a46128ba"
-     "b27af87a71314f318c782b23ebfe808b82b0ce26401d2e22f04d83d1255dc51a"
-     "ddd3b75a2b1ae0784504df543af8969be3ea7082ff7fc9888c144da2af58429e"
-     "c96031dbcad3dad9af0dcbaaaf268cb8fcffead94f3c7ca495e056a9b47acdb7"
-     "51fb73e666c6c655ade8297297d07ad1ba5e43f1bca32301651339e22904cc8c"
-     "42f58c30c04aafdb038dda0847dd988dcda6f3bfd15c4b4c4525004aa06eeff8"
-     "ca61783aacec57fb3d1f92b0fe2fd1a85f6724517b65e614ad6808d6f6ee34df"
-     "f7310fdc82aebfd904b01e1dc54b2927094b2db68d6f903b68401adebf5a7e08"
-     "d78ff4ef5d63653a65040cf9bfd4aca7984a74d37145986780fc0b16ac451649"
-     "de6188a7dbdf191f64b5fc5e2ab47b57f7f7276cd419c17a3ca8e1b939ae49e4"
-     "88acba6b965610b5480109c8b17b80e1b7b750dfc7598d5d5011fd2dcc5600a3"
-     "2ef5b52a1ecc820e308aa342721aac0943bf6686b64b2579376504ccc493d97e"
-     "6aed3fb0f9cd71a43dd497f01f17c0e2cb3797aa2a2f256656168e6c496afc5f"
-     "b93246f6b1116398a346f1a641f3b041e989f7914f90cc2c7fff357876e506b5"
-     "0d334ba77c225bc307ba537152f3f1610e4eafe595f6d9d90d11faa933a15ef1"
-     "369546868a7f3a45a96768d40fd9d03412c091c6315cf4fde7cb68606937380d"
-     "b2eaaa707b4c4185c32eddcdd306705e4dc1ffc872eeee475a64dfac86aba41c"
-     "0618983f8741c5ef68d3a101e8a3b8cac60c905c15fc910840b94c00a0b9d0",
-     "0aab4c900501b3e24d7cdf4663326a3a87df5e4843b2cbdb67cbf6e460fec350"
-     "aa5371b1508f9f4528ecea23c436d94b5e8fcd4f681e30a6ac00a9704a188a03"},
-    {"TEST_SHA_abc",
-     "833fe62409237b9d62ec77587520911e9a759cec1d19755b7da901b96dca3d42",
-     "ec172b93ad5e563bf4932c70e1245034c35467ef2efd4d64ebf819683467e2bf",
-     "ddaf35a193617abacc417349ae20413112e6fa4e89a97ea20a9eeee64b55d39a"
-     "2192992a274fc1a836ba3c23a3feebbd454d4423643ce80e2a9ac94fa54ca49f",
-     "dc2a4459e7369633a52b1bf277839a00201009a3efbf3ecb69bea2186c26b589"
-     "09351fc9ac90b3ecfdfbc7c66431e0303dca179c138ac17ad9bef1177331a704"},
+  std::uint64_t next() {
+    state ^= state << 13;
+    state ^= state >> 7;
+    state ^= state << 17;
+    return state;
+  }
+  void fill(std::uint8_t* out, std::size_t n) {
+    for (std::size_t i = 0; i < n; ++i) out[i] = static_cast<std::uint8_t>(next());
+  }
 };
 
 TEST(Ed25519, Rfc8032KeyDerivation) {
   for (const auto& v : kVectors) {
     const Seed seed = seed_from_hex(v.seed_hex);
-    const PublicKeyBytes pub = derive_public(seed);
+    const PublicKeyBytes pub = expand(seed).pub;
     EXPECT_EQ(to_hex(ByteView{pub}), v.pub_hex) << v.name;
   }
 }
@@ -98,7 +47,7 @@ TEST(Ed25519, Rfc8032Sign) {
   for (const auto& v : kVectors) {
     const Seed seed = seed_from_hex(v.seed_hex);
     const Bytes msg = from_hex(v.msg_hex);
-    const SignatureBytes sig = sign(seed, msg);
+    const SignatureBytes sig = sign(expand(seed), msg);
     EXPECT_EQ(to_hex(ByteView{sig}), v.sig_hex) << v.name;
   }
 }
@@ -116,20 +65,20 @@ TEST(Ed25519, Rfc8032Verify) {
 }
 
 TEST(Ed25519, RejectsTamperedMessage) {
-  const Seed seed = seed_from_hex(kVectors[2].seed_hex);
-  const PublicKeyBytes pub = derive_public(seed);
+  const ExpandedKey key = expand(seed_from_hex(kVectors[2].seed_hex));
+  const PublicKeyBytes pub = key.pub;
   const Bytes msg = from_hex("af82");
-  const SignatureBytes sig = sign(seed, msg);
+  const SignatureBytes sig = sign(key, msg);
   Bytes bad = msg;
   bad[0] ^= 0x01;
   EXPECT_FALSE(verify(pub, bad, sig));
 }
 
 TEST(Ed25519, RejectsTamperedSignature) {
-  const Seed seed = seed_from_hex(kVectors[2].seed_hex);
-  const PublicKeyBytes pub = derive_public(seed);
+  const ExpandedKey key = expand(seed_from_hex(kVectors[2].seed_hex));
+  const PublicKeyBytes pub = key.pub;
   const Bytes msg = from_hex("af82");
-  SignatureBytes sig = sign(seed, msg);
+  SignatureBytes sig = sign(key, msg);
   for (std::size_t i : {0u, 31u, 32u, 63u}) {
     SignatureBytes bad = sig;
     bad[i] ^= 0x40;
@@ -138,20 +87,20 @@ TEST(Ed25519, RejectsTamperedSignature) {
 }
 
 TEST(Ed25519, RejectsWrongKey) {
-  const Seed s1 = seed_from_hex(kVectors[0].seed_hex);
-  const Seed s2 = seed_from_hex(kVectors[1].seed_hex);
+  const ExpandedKey k1 = expand(seed_from_hex(kVectors[0].seed_hex));
+  const ExpandedKey k2 = expand(seed_from_hex(kVectors[1].seed_hex));
   const Bytes msg = bytes_of("hello");
-  const SignatureBytes sig = sign(s1, msg);
-  EXPECT_TRUE(verify(derive_public(s1), msg, sig));
-  EXPECT_FALSE(verify(derive_public(s2), msg, sig));
+  const SignatureBytes sig = sign(k1, msg);
+  EXPECT_TRUE(verify(k1.pub, msg, sig));
+  EXPECT_FALSE(verify(k2.pub, msg, sig));
 }
 
 TEST(Ed25519, RejectsNonCanonicalS) {
   // S' = S + L is a valid equation solution but must be rejected.
-  const Seed seed = seed_from_hex(kVectors[1].seed_hex);
-  const PublicKeyBytes pub = derive_public(seed);
+  const ExpandedKey key = expand(seed_from_hex(kVectors[1].seed_hex));
+  const PublicKeyBytes pub = key.pub;
   const Bytes msg = from_hex("72");
-  SignatureBytes sig = sign(seed, msg);
+  SignatureBytes sig = sign(key, msg);
 
   // L little-endian.
   const Bytes ell = from_hex(
@@ -168,19 +117,19 @@ TEST(Ed25519, RejectsNonCanonicalS) {
 }
 
 TEST(Ed25519, SignIsDeterministic) {
-  const Seed seed = seed_from_hex(kVectors[0].seed_hex);
+  const ExpandedKey key = expand(seed_from_hex(kVectors[0].seed_hex));
   const Bytes msg = bytes_of("determinism");
-  EXPECT_EQ(to_hex(ByteView{sign(seed, msg)}), to_hex(ByteView{sign(seed, msg)}));
+  EXPECT_EQ(to_hex(ByteView{sign(key, msg)}), to_hex(ByteView{sign(key, msg)}));
 }
 
 TEST(Ed25519, RejectsAllZeroSignature) {
-  const Seed seed = seed_from_hex(kVectors[0].seed_hex);
-  const PublicKeyBytes pub = derive_public(seed);
+  const ExpandedKey key = expand(seed_from_hex(kVectors[0].seed_hex));
+  const PublicKeyBytes pub = key.pub;
   const SignatureBytes zero{};
   EXPECT_FALSE(verify(pub, bytes_of("any message"), zero));
   // And an all-zero public key against a real signature.
   const Bytes msg = bytes_of("any message");
-  const SignatureBytes sig = sign(seed, msg);
+  const SignatureBytes sig = sign(key, msg);
   const PublicKeyBytes zero_pub{};
   EXPECT_FALSE(verify(zero_pub, msg, sig));
 }
@@ -192,8 +141,9 @@ TEST(Ed25519, BatchAcceptsAllValid) {
   for (int i = 0; i < 16; ++i) {
     Seed seed{};
     seed[0] = static_cast<std::uint8_t>(i + 1);
+    const ExpandedKey key = expand(seed);
     msgs.push_back(bytes_of("batch-msg-" + std::to_string(i)));
-    items.push_back({derive_public(seed), ByteView{msgs.back()}, sign(seed, msgs.back())});
+    items.push_back({key.pub, ByteView{msgs.back()}, sign(key, msgs.back())});
   }
   const std::vector<bool> ok = verify_batch(items);
   ASSERT_EQ(ok.size(), items.size());
@@ -204,8 +154,9 @@ TEST(Ed25519, BatchEmptyAndSingle) {
   EXPECT_TRUE(verify_batch({}).empty());
   Seed seed{};
   seed[0] = 9;
+  const ExpandedKey key = expand(seed);
   const Bytes msg = bytes_of("solo");
-  const VerifyItem good{derive_public(seed), ByteView{msg}, sign(seed, msg)};
+  const VerifyItem good{key.pub, ByteView{msg}, sign(key, msg)};
   EXPECT_EQ(verify_batch({&good, 1}), std::vector<bool>{true});
   VerifyItem bad = good;
   bad.sig[10] ^= 1;
@@ -218,13 +169,8 @@ TEST(Ed25519, BatchEmptyAndSingle) {
 // (tampered sig halves, tampered message, wrong key, non-canonical S,
 // all-zero signature).
 TEST(Ed25519, BatchMatchesSingleVerifyProperty) {
-  std::uint64_t rng = 0x2b992ddfa23249d6ULL;  // fixed seed: deterministic test
-  auto next = [&rng]() {
-    rng ^= rng << 13;
-    rng ^= rng >> 7;
-    rng ^= rng << 17;
-    return rng;
-  };
+  XorShift rng{0x2b992ddfa23249d6ULL};
+  const auto next = [&rng] { return rng.next(); };
 
   const Bytes ell = from_hex(
       "edd3f55c1a631258d69cf7a2def9de1400000000000000000000000000000010");
@@ -243,8 +189,9 @@ TEST(Ed25519, BatchMatchesSingleVerifyProperty) {
           seed[static_cast<std::size_t>(b * 8 + j)] =
               static_cast<std::uint8_t>(w >> (8 * j));
       }
+      const ExpandedKey key = expand(seed);
       msgs[i] = bytes_of("prop-" + std::to_string(round) + "-" + std::to_string(i));
-      items[i] = {derive_public(seed), ByteView{msgs[i]}, sign(seed, msgs[i])};
+      items[i] = {key.pub, ByteView{msgs[i]}, sign(key, msgs[i])};
 
       switch (next() % 8) {
         case 0:  // tampered R half
@@ -260,7 +207,7 @@ TEST(Ed25519, BatchMatchesSingleVerifyProperty) {
           Seed other{};
           other[0] = static_cast<std::uint8_t>(next());
           other[1] = 0xEE;
-          items[i].pub = derive_public(other);
+          items[i].pub = expand(other).pub;
           break;
         }
         case 4: {  // non-canonical S' = S + L
@@ -288,18 +235,52 @@ TEST(Ed25519, BatchMatchesSingleVerifyProperty) {
   }
 }
 
+// Random keys and messages of 0 to 300 bytes.  Signing and key
+// expansion run the radix-16 comb; verify and verify_batch recompute
+// [S]B through the w = 7 wNAF Straus chains, so a wrong comb digit,
+// carry or table entry fails here.
 TEST(Ed25519, ManyRandomRoundTrips) {
-  for (int i = 0; i < 16; ++i) {
+  constexpr std::size_t kTrips = 1000;
+  XorShift rng{0x243f6a8885a308d3ULL};
+  std::vector<Bytes> msgs(kTrips);
+  std::vector<VerifyItem> items(kTrips);
+  for (std::size_t i = 0; i < kTrips; ++i) {
     Seed seed{};
-    seed[0] = static_cast<std::uint8_t>(i * 17 + 1);
-    seed[31] = static_cast<std::uint8_t>(i);
-    const PublicKeyBytes pub = derive_public(seed);
-    Bytes msg = bytes_of("msg-" + std::to_string(i));
-    const SignatureBytes sig = sign(seed, msg);
-    EXPECT_TRUE(verify(pub, msg, sig)) << i;
-    msg.push_back(0x00);
-    EXPECT_FALSE(verify(pub, msg, sig)) << i;
+    rng.fill(seed.data(), seed.size());
+    msgs[i].resize(rng.next() % 301);
+    rng.fill(msgs[i].data(), msgs[i].size());
+    const ExpandedKey key = expand(seed);
+    items[i] = {key.pub, ByteView{msgs[i]}, sign(key, msgs[i])};
+    EXPECT_TRUE(verify(key.pub, msgs[i], items[i].sig)) << i;
+    Bytes longer = msgs[i];
+    longer.push_back(0x00);
+    EXPECT_FALSE(verify(key.pub, longer, items[i].sig)) << i;
   }
+  const std::vector<bool> ok = verify_batch(items);
+  ASSERT_EQ(ok.size(), kTrips);
+  for (std::size_t i = 0; i < kTrips; ++i) EXPECT_TRUE(ok[i]) << i;
+}
+
+// Byte identity of key expansion and signing: SHA-256 over pub || sig
+// for 512 deterministic (seed, message) pairs.  The constant was
+// computed at commit 99017aa, where signing took the seed, re-derived
+// the public key on every call and ran the w = 7 wNAF base-point
+// chain, before the expanded key and the radix-16 comb replaced them.
+TEST(Ed25519, SignaturesMatchParentDigest) {
+  XorShift rng{0x6a09e667f3bcc908ULL};
+  Sha256 h;
+  for (int i = 0; i < 512; ++i) {
+    Seed seed{};
+    rng.fill(seed.data(), seed.size());
+    Bytes msg(rng.next() % 301);
+    rng.fill(msg.data(), msg.size());
+    const ExpandedKey key = expand(seed);
+    const SignatureBytes sig = sign(key, msg);
+    h.update(ByteView{key.pub});
+    h.update(ByteView{sig});
+  }
+  EXPECT_EQ(to_hex(h.finish().view()),
+            "03c006b4afba46f570ab01f6847ec82303312f8c4530123d2d8423b5ad73e407");
 }
 
 }  // namespace

@@ -5,9 +5,22 @@
 #include <unordered_set>
 
 #include "common/bytes.hpp"
+#include "rfc8032_vectors.hpp"
 
 namespace bmg::crypto {
 namespace {
+
+// The wrapper caches the expanded key, so pin its output to RFC 8032.
+TEST(Keys, FromSeedMatchesRfc8032) {
+  for (const auto& v : rfc8032::kVectors) {
+    const Bytes seed_b = from_hex(v.seed_hex);
+    ed25519::Seed seed{};
+    std::copy(seed_b.begin(), seed_b.end(), seed.begin());
+    const PrivateKey k = PrivateKey::from_seed(seed);
+    EXPECT_EQ(k.public_key().hex(), v.pub_hex) << v.name;
+    EXPECT_EQ(k.sign(from_hex(v.msg_hex)).hex(), v.sig_hex) << v.name;
+  }
+}
 
 TEST(Keys, LabelDerivationIsDeterministic) {
   const PrivateKey a = PrivateKey::from_label("validator-1");
