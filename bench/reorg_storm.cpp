@@ -17,8 +17,10 @@
 // byte-identical at every --shard-workers count.  The invariant
 // auditor runs in every cell and a violation fails the binary.
 //
-//   reorg_storm [--seeds N] [--days D] [--seed S] [--shard-workers W]
+//   reorg_storm [--grid-seeds N] [--days D] [--seed S] [--shard-workers W]
 //               [--timing-csv PATH]
+//
+// --grid-seeds N runs seeds S..S+N-1 (default 2 seeds from --seed 42).
 #include <cstdio>
 #include <string>
 

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <memory>
 #include <stdexcept>
+#include <tuple>
+#include <utility>
 
 namespace bmg::guest {
 
@@ -22,26 +24,18 @@ GuestContract::GuestContract(GuestConfig cfg,
     : cfg_(std::move(cfg)),
       module_(store_, cfg_.ack_seal_lag),
       transfer_(module_, bank_, "transfer"),
-      genesis_validators_(std::move(genesis_validators)),
-      genesis_counterparty_validators_(std::move(counterparty_validators)),
       treasury_(crypto::PrivateKey::from_label(cfg_.chain_id + ":treasury").public_key()),
       vault_(crypto::PrivateKey::from_label(cfg_.chain_id + ":stake-vault").public_key()),
       burn_(crypto::PrivateKey::from_label(cfg_.chain_id + ":burn").public_key()) {
-  init_genesis();
-}
-
-void GuestContract::init_genesis() {
-  // Light client of the counterparty, embedded in the contract.  A
-  // copy of the genesis validator set goes in so a later fork reset
-  // can rebuild an identical client.
+  // Light client of the counterparty, embedded in the contract.
   auto client = std::make_unique<ibc::QuorumLightClient>(
-      cfg_.counterparty_chain_id, genesis_counterparty_validators_);
+      cfg_.counterparty_chain_id, std::move(counterparty_validators));
   counterparty_client_ = client.get();
   counterparty_client_id_ = module_.add_client(std::move(client));
   module_.set_self_identity(cfg_.chain_id, [this] { return epoch_->hash(); });
 
   // Genesis validators are pre-staked candidates.
-  for (const auto& v : genesis_validators_) candidates_[v.key] = Candidate{v.stake};
+  for (const auto& v : genesis_validators) candidates_[v.key] = Candidate{v.stake};
   epoch_ = std::make_shared<const ibc::ValidatorSet>(select_validators());
   if (epoch_->empty())
     throw std::invalid_argument("guest contract: empty genesis validator set");
@@ -54,45 +48,58 @@ void GuestContract::init_genesis() {
   snapshots_[0] = store_.snapshot();
 }
 
-void GuestContract::fork_capture_baseline() {
-  if (blocks_.size() != 1)
-    throw std::logic_error(
-        "guest: fork baseline must be captured before any block is produced");
-  baseline_bank_ = bank_;
+GuestContract::~GuestContract() = default;
+
+// --- fork checkpoints ---------------------------------------------------------
+
+namespace {
+/// std::tuple<T...> for a std::tie result std::tuple<T&...>.
+template <typename Tied>
+struct ValuesOf;
+template <typename... T>
+struct ValuesOf<std::tuple<T&...>> {
+  using type = std::tuple<T...>;
+};
+}  // namespace
+
+struct GuestContract::Checkpoint {
+  trie::SealableTrie store;
+  ibc::IbcModule::State ibc;
+  ValuesOf<decltype(std::declval<GuestContract&>().tx_members())>::type members;
+  /// blocks_ is saved as an undo log instead of a copy: its length at
+  /// the checkpoint, plus the original of every older record changed
+  /// since (mutable_block), so a checkpoint costs O(1) however long
+  /// the chain grows.
+  std::size_t block_count = 0;
+  std::map<ibc::Height, GuestBlock> changed_blocks;
+};
+
+void GuestContract::fork_checkpoint() {
+  // The checkpoint keeps the live trie itself and the live side goes on
+  // with the clone.  Every rooted block's snapshot is then published
+  // from the one trie lineage that rollbacks return to, so retained
+  // snapshots share pages copy-on-write instead of each pinning a
+  // private store.
+  trie::SealableTrie live = store_.clone();
+  checkpoint_ = std::make_unique<Checkpoint>(Checkpoint{
+      std::move(store_), module_.checkpoint(), tx_members(), blocks_.size(), {}});
+  store_ = std::move(live);
 }
 
-void GuestContract::fork_reset_to_baseline() {
-  // Snapshots hold copy-on-write views into store_'s pages: drop them
-  // before the trie they reference.
-  snapshots_.clear();
-  store_ = trie::SealableTrie();
-  // module_ holds a reference to store_ and transfer_'s constructor
-  // binds its port into module_, so both are reconstructed in place, in
-  // that order.  Member addresses must not change — agents and the
-  // deployment hold references into this contract.
-  std::destroy_at(&module_);
-  std::construct_at(&module_, store_, cfg_.ack_seal_lag);
-  bank_ = baseline_bank_;
-  std::destroy_at(&transfer_);
-  std::construct_at(&transfer_, module_, bank_, ibc::PortId("transfer"));
-  counterparty_client_ = nullptr;
-  counterparty_client_id_ = {};
-  blocks_.clear();
-  pruned_below_ = 0;
-  pending_packets_.clear();
-  epoch_.reset();
-  epoch_start_host_slot_ = 0;
-  candidates_.clear();
-  banned_.clear();
-  withdrawals_.clear();
-  pending_update_.reset();
-  buffers_.clear();
-  ack_log_.clear();
-  fees_collected_ = 0;
-  rewards_paid_ = 0;
-  last_client_update_time_ = -1e18;
-  terminated_ = false;
-  init_genesis();
+void GuestContract::fork_rollback() {
+  if (!checkpoint_) throw std::logic_error("guest: fork rollback without a checkpoint");
+  // module_ and transfer_ hold references to store_ and bank_, so both
+  // are assigned in place: member addresses never change, and agents
+  // and the deployment hold references into this contract too.
+  store_ = std::move(checkpoint_->store);
+  module_.restore(std::move(checkpoint_->ibc));
+  tx_members() = std::move(checkpoint_->members);
+  blocks_.erase(blocks_.begin() + static_cast<std::ptrdiff_t>(checkpoint_->block_count),
+                blocks_.end());
+  for (auto& [h, block] : checkpoint_->changed_blocks) blocks_[h] = std::move(block);
+  checkpoint_.reset();
+  counterparty_client_ =
+      &dynamic_cast<ibc::QuorumLightClient&>(module_.client(counterparty_client_id_));
 }
 
 void GuestContract::execute(host::TxContext& ctx, ByteView instruction_data) {
@@ -158,7 +165,7 @@ ibc::ValidatorSet GuestContract::select_validators() const {
 
 void GuestContract::op_generate_block(host::TxContext& ctx) {
   ctx.consume_cu(kCuBlockOps);
-  GuestBlock& head_block = blocks_.back();
+  const GuestBlock& head_block = blocks_.back();
   if (!head_block.finalised)
     throw host::TxError("generate_block: head is not finalised");
 
@@ -192,7 +199,7 @@ void GuestContract::op_generate_block(host::TxContext& ctx) {
   if (block.header.height > cfg_.block_history_window) {
     const ibc::Height limit = block.header.height - cfg_.block_history_window;
     while (pruned_below_ < limit) {
-      GuestBlock& old = blocks_[pruned_below_];
+      GuestBlock& old = mutable_block(pruned_below_);
       old.signers.clear();
       old.packets.clear();
       old.packets.shrink_to_fit();
@@ -249,7 +256,7 @@ void GuestContract::op_sign(host::TxContext& ctx, Decoder& d) {
 
   if (height >= blocks_.size()) throw host::TxError("sign: invalid height");
   if (height < pruned_below_) throw host::TxError("sign: block record pruned");
-  GuestBlock& block = blocks_[height];
+  const GuestBlock& block = blocks_[height];
 
   if (!block.signing_set->contains(pubkey))
     throw host::TxError("sign: not an active validator");
@@ -268,9 +275,11 @@ void GuestContract::op_sign(host::TxContext& ctx, Decoder& d) {
   }
   if (found == nullptr) throw host::TxError("sign: no verified signature for block");
 
-  block.signers.emplace(pubkey, *found);
-  if (!block.finalised && block.signed_stake() >= block.signing_set->quorum_stake())
-    finalise_block(ctx, block);
+  GuestBlock& signed_block = mutable_block(height);
+  signed_block.signers.emplace(pubkey, *found);
+  if (!signed_block.finalised &&
+      signed_block.signed_stake() >= signed_block.signing_set->quorum_stake())
+    finalise_block(ctx, signed_block);
 }
 
 // --- packet flow ----------------------------------------------------------------
@@ -760,6 +769,12 @@ void GuestContract::op_self_destruct(host::TxContext& ctx) {
 }
 
 // --- introspection ----------------------------------------------------------------------
+
+GuestBlock& GuestContract::mutable_block(ibc::Height h) {
+  if (checkpoint_ && h < checkpoint_->block_count)
+    checkpoint_->changed_blocks.try_emplace(h, blocks_[h]);
+  return blocks_[h];
+}
 
 const GuestBlock& GuestContract::block_at(ibc::Height h) const {
   if (h >= blocks_.size())

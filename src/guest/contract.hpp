@@ -14,6 +14,7 @@
 #include <memory>
 #include <optional>
 #include <set>
+#include <tuple>
 #include <vector>
 
 #include "guest/block.hpp"
@@ -69,13 +70,19 @@ class GuestContract final : public host::Program {
  public:
   GuestContract(GuestConfig cfg, std::vector<ibc::ValidatorInfo> genesis_validators,
                 ibc::ValidatorSet counterparty_validators);
+  ~GuestContract() override;
 
   // host::Program:
   void execute(host::TxContext& ctx, ByteView instruction_data) override;
   [[nodiscard]] std::size_t account_bytes() const override;
   [[nodiscard]] bool fork_supported() const override { return true; }
-  void fork_capture_baseline() override;
-  void fork_reset_to_baseline() override;
+  /// Copies the trie (SealableTrie::clone), the IBC module's
+  /// transaction-mutable state and every member tx_members() ties, and
+  /// starts an undo log for the block records.
+  void fork_checkpoint() override;
+  /// Moves the checkpoint back in.  Snapshots published since keep the
+  /// store they were taken from alive, so they stay readable.
+  void fork_rollback() override;
 
   // --- off-chain read API (account reads are free on the host) --------
   [[nodiscard]] const GuestBlock& head() const { return blocks_.back(); }
@@ -213,10 +220,9 @@ class GuestContract final : public host::Program {
 
   [[nodiscard]] Bytes take_buffer(host::TxContext& ctx, std::uint64_t buffer_id);
   [[nodiscard]] ibc::ValidatorSet select_validators() const;
-  /// Shared between the constructor and fork_reset_to_baseline():
-  /// installs the counterparty light client, genesis candidates, the
-  /// first epoch and the genesis block into freshly-reset members.
-  void init_genesis();
+  /// blocks_[h] for writing.  While a fork checkpoint exists, first
+  /// saves the record's checkpoint-time original into its undo log.
+  [[nodiscard]] GuestBlock& mutable_block(ibc::Height h);
   void finalise_block(host::TxContext& ctx, GuestBlock& block);
   void collect_send_fee(host::TxContext& ctx);
   void record_sent_packet(host::TxContext& ctx, const ibc::Packet& packet);
@@ -232,6 +238,8 @@ class GuestContract final : public host::Program {
   ibc::QuorumLightClient* counterparty_client_ = nullptr;
   ibc::ClientId counterparty_client_id_;
 
+  /// Block records.  Every write to an existing record goes through
+  /// mutable_block(), which the fork checkpoint's undo log relies on.
   std::vector<GuestBlock> blocks_;
   ibc::Height pruned_below_ = 0;  ///< heights below this hold headers only
   /// Copy-on-write snapshots per committed block — O(page-table) to
@@ -254,15 +262,6 @@ class GuestContract final : public host::Program {
   std::map<std::pair<std::string, std::uint64_t>, Bytes> buffers_;
   std::map<std::tuple<ibc::PortId, ibc::ChannelId, std::uint64_t>, Bytes> ack_log_;
 
-  /// Construction-time inputs, retained so a host fork rollback can
-  /// rebuild genesis state from scratch (the constructor moves them
-  /// into the live structures).
-  std::vector<ibc::ValidatorInfo> genesis_validators_;
-  ibc::ValidatorSet genesis_counterparty_validators_;
-  /// Bank ledger as of Chain::start() (pre-start mints included);
-  /// restored verbatim before the fork journal replays.
-  ibc::Bank baseline_bank_;
-
   crypto::PublicKey treasury_;
   crypto::PublicKey vault_;
   crypto::PublicKey burn_;
@@ -270,6 +269,19 @@ class GuestContract final : public host::Program {
   std::uint64_t rewards_paid_ = 0;
   double last_client_update_time_ = -1e18;  ///< §VI-C rate limiting
   bool terminated_ = false;                 ///< §VI-A self-destruction
+
+  /// Every member a transaction can change besides store_, module_ and
+  /// blocks_ (which the checkpoint handles separately), tied in one
+  /// place so the fork checkpoint copies all of them.  New
+  /// transaction-mutable state belongs here.
+  auto tx_members() {
+    return std::tie(bank_, pruned_below_, snapshots_, pending_packets_, epoch_,
+                    epoch_start_host_slot_, candidates_, banned_, withdrawals_,
+                    pending_update_, buffers_, ack_log_, fees_collected_, rewards_paid_,
+                    last_client_update_time_, terminated_);
+  }
+  struct Checkpoint;
+  std::unique_ptr<Checkpoint> checkpoint_;
 };
 
 }  // namespace bmg::guest

@@ -88,14 +88,8 @@ void Chain::start() {
         throw std::runtime_error("chain: program '" + name +
                                  "' does not support fork mode "
                                  "(fork_supported() == false)");
-      prog->fork_capture_baseline();
     }
-    baseline_.balances = balances_;
-    baseline_.rent_deposits = rent_deposits_;
-    baseline_.payer_stats = payer_stats_;
-    baseline_.executed = executed_;
-    baseline_.failed = failed_;
-    baseline_.fee_spiked = fault_counters_.fee_spiked;
+    take_checkpoint(0);
   }
   sim_.after(cfg_.slot_seconds, [this] { on_slot(); });
 }
@@ -569,28 +563,22 @@ void Chain::perform_reorg(std::uint64_t depth) {
     it = journal_.erase(it);
   }
 
-  // 4. Rewind the ledger and every program to the start() baseline.
-  balances_ = baseline_.balances;
-  rent_deposits_ = baseline_.rent_deposits;
-  payer_stats_ = baseline_.payer_stats;
-  executed_ = baseline_.executed;
-  failed_ = baseline_.failed;
-  fault_counters_.fee_spiked = baseline_.fee_spiked;
-  for (auto& [name, prog] : programs_) prog->fork_reset_to_baseline();
+  // 4. Rewind the ledger and every program to the checkpoint, taken at
+  // a rooted slot C no reorg can reach.
+  rollback_to_checkpoint();
 
-  // 5. Silent genesis replay of the surviving prefix: identical inputs
-  // against identical state must reproduce the journalled outcome —
-  // any divergence means the rollback itself is broken, so fail loud.
-  for (const auto& [s, txs] : journal_) {
-    for (const JournalTx& jt : txs) {
-      PendingTx ptx{jt.tx, {}, UINT64_MAX};
-      const TxResult r = execute_tx_at(ptx, jt.result.slot, jt.result.time,
-                                       ExecMode::kSilentReplay, jt.sig_ok);
-      if (r.success != jt.result.success || r.cu_used != jt.result.cu_used)
-        throw std::logic_error("chain: fork replay diverged from journal at slot " +
-                               std::to_string(s));
-    }
-  }
+  // 5. Silent replay of the surviving journal.  (C, R] brings the state
+  // to the newest rooted slot R, where the checkpoint moves forward and
+  // the journal behind it is pruned; (R, first_retracted) then rebuilds
+  // the unrooted prefix the winning fork extends.  A reorg thus replays
+  // the slots rooted since the previous one plus fewer than
+  // rooted_lag_slots more, which keeps a run's replay linear in
+  // simulated time.
+  const std::uint64_t rooted = rooted_slot();
+  replay_journal(checkpoint_.slot + 1, rooted);
+  take_checkpoint(rooted);
+  prune_journal();
+  replay_journal(rooted + 1, first_retracted - 1);
 
   // 6. Winning fork: per-tx survival draw; survivors re-execute
   // visibly at their original coordinates (their events and result
@@ -613,6 +601,55 @@ void Chain::perform_reorg(std::uint64_t depth) {
       }
     }
   }
+}
+
+void Chain::take_checkpoint(std::uint64_t slot) {
+  checkpoint_.slot = slot;
+  checkpoint_.balances = balances_;
+  checkpoint_.rent_deposits = rent_deposits_;
+  checkpoint_.payer_stats = payer_stats_;
+  checkpoint_.executed = executed_;
+  checkpoint_.failed = failed_;
+  checkpoint_.fee_spiked = fault_counters_.fee_spiked;
+  for (auto& [name, prog] : programs_) prog->fork_checkpoint();
+}
+
+void Chain::rollback_to_checkpoint() {
+  // Moved, not copied: perform_reorg re-checkpoints before the next
+  // rollback can happen.
+  balances_ = std::move(checkpoint_.balances);
+  rent_deposits_ = std::move(checkpoint_.rent_deposits);
+  payer_stats_ = std::move(checkpoint_.payer_stats);
+  executed_ = checkpoint_.executed;
+  failed_ = checkpoint_.failed;
+  fault_counters_.fee_spiked = checkpoint_.fee_spiked;
+  for (auto& [name, prog] : programs_) prog->fork_rollback();
+}
+
+void Chain::replay_journal(std::uint64_t first, std::uint64_t last) {
+  // Identical inputs against identical state must reproduce the
+  // journalled outcome; any divergence means the rollback itself is
+  // broken, so fail loud.
+  for (auto it = journal_.lower_bound(first); it != journal_.end() && it->first <= last;
+       ++it) {
+    for (const JournalTx& jt : it->second) {
+      PendingTx ptx{jt.tx, {}, UINT64_MAX};
+      const TxResult r = execute_tx_at(ptx, jt.result.slot, jt.result.time,
+                                       ExecMode::kSilentReplay, jt.sig_ok);
+      if (r.success != jt.result.success || r.cu_used != jt.result.cu_used)
+        throw std::logic_error("chain: fork replay diverged from journal at slot " +
+                               std::to_string(it->first));
+    }
+  }
+}
+
+void Chain::prune_journal() {
+  // Nothing at or behind the checkpoint is replayed again; an entry
+  // survives only while some deferred subscriber's cursor has not
+  // passed it.
+  std::uint64_t keep_from = checkpoint_.slot + 1;
+  for (const DeferredSub& sub : deferred_subs_) keep_from = std::min(keep_from, sub.cursor);
+  journal_.erase(journal_.begin(), journal_.lower_bound(keep_from));
 }
 
 const Chain::PayerStats& Chain::payer_stats(const crypto::PublicKey& who) const {

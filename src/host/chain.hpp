@@ -232,6 +232,16 @@ class Chain {
   // --- fork machinery (armed chains only) ------------------------------
   void maybe_trigger_reorg();
   void perform_reorg(std::uint64_t depth);
+  /// Checkpoints the ledger and every program as of the end of `slot`.
+  void take_checkpoint(std::uint64_t slot);
+  /// Restores the ledger and every program to the last checkpoint.
+  void rollback_to_checkpoint();
+  /// Silently re-executes the journal over slots [first, last], failing
+  /// loud if any transaction's outcome differs from its journal entry.
+  void replay_journal(std::uint64_t first, std::uint64_t last);
+  /// Drops journal entries behind the checkpoint that every deferred
+  /// subscriber has already been delivered.
+  void prune_journal();
   /// Deliver journal events to confirmed/rooted subscribers whose
   /// target advanced, then fire matured rooted waits.  Inline at the
   /// end of every slot.
@@ -264,17 +274,22 @@ class Chain {
   // --- fork state ------------------------------------------------------
   bool fork_mode_ = false;
   std::uint64_t fork_epoch_ = 0;
-  /// Per-slot execution journal (armed chains only).  Never pruned:
-  /// rollback is genesis replay, O(executed history) per reorg — fine
-  /// for chaos-window runs, documented in DESIGN §15.
+  /// Per-slot execution journal (armed chains only): every transaction
+  /// executed after the checkpoint, which a rollback replays, plus older
+  /// entries a confirmed or rooted subscriber has not been delivered
+  /// yet.  Pruned behind the checkpoint on every reorg (DESIGN §15).
   std::map<std::uint64_t, std::vector<JournalTx>> journal_;
   std::vector<DeferredSub> deferred_subs_;
   /// Processed subscribers that asked for retraction callbacks.
   std::vector<std::pair<std::string, EventHandler>> processed_retract_;
   std::map<RootedWaitId, RootedWait> rooted_waits_;
   RootedWaitId next_rooted_wait_ = 1;
-  /// Chain-ledger baseline captured at start() for genesis replay.
-  struct Baseline {
+  /// Ledger half of the fork checkpoint (each program keeps its own):
+  /// the state as of the end of `slot`, a rooted slot.  Taken at
+  /// start() (slot 0) and moved forward to the rooted slot on every
+  /// reorg, so a rollback replays only what rooted since the last one.
+  struct Checkpoint {
+    std::uint64_t slot = 0;
     std::map<crypto::PublicKey, std::uint64_t> balances;
     std::map<crypto::PublicKey, std::uint64_t> rent_deposits;
     std::map<crypto::PublicKey, PayerStats> payer_stats;
@@ -282,7 +297,7 @@ class Chain {
     std::uint64_t failed = 0;
     std::uint64_t fee_spiked = 0;
   };
-  Baseline baseline_;
+  Checkpoint checkpoint_;
 
   friend class TxContext;
   /// Event/transfer buffers for the transaction being executed.

@@ -108,13 +108,17 @@ class Program {
   /// chain armed with reorg windows refuses to start with programs
   /// that cannot (Chain::start throws).
   [[nodiscard]] virtual bool fork_supported() const { return false; }
-  /// Called once at Chain::start() on an armed chain, before any
-  /// transaction executes: snapshot the genesis-equivalent state the
-  /// chain will reset to before replaying the journal.
-  virtual void fork_capture_baseline() {}
-  /// Rewind all program state to the captured baseline.  The chain
-  /// then silently re-executes the journalled winning-fork prefix.
-  virtual void fork_reset_to_baseline() {}
+  /// Save an independent copy of all program state: transactions
+  /// executed afterwards must not change it.  An armed chain calls this
+  /// at Chain::start(), before any transaction executes, and again
+  /// during every reorg once replay has brought the state to the newest
+  /// rooted slot.
+  virtual void fork_checkpoint() {}
+  /// Restore the state saved by the last fork_checkpoint().  The chain
+  /// then silently re-executes the journal behind the checkpoint and
+  /// checkpoints again before it can roll back again, so this may move
+  /// the saved state back instead of copying it.
+  virtual void fork_rollback() {}
 };
 
 }  // namespace bmg::host

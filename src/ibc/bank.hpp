@@ -25,7 +25,7 @@ class Bank {
   [[nodiscard]] std::uint64_t balance(const Account& who, const Denom& denom) const;
   [[nodiscard]] std::uint64_t total_supply(const Denom& denom) const;
 
-  /// Full ledger views, for fork baselines and convergence digests.
+  /// Full ledger views, for convergence digests.
   [[nodiscard]] const std::map<std::pair<Account, Denom>, std::uint64_t>& balances()
       const noexcept {
     return balances_;

@@ -45,6 +45,10 @@ class LightClient {
   [[nodiscard]] virtual std::string tracked_chain_id() const { return {}; }
   /// Hash of the validator set this client currently trusts.
   [[nodiscard]] virtual Hash32 tracked_validator_set_hash() const { return {}; }
+
+  /// Independent deep copy (IbcModule::checkpoint): updating either
+  /// client never changes the other.
+  [[nodiscard]] virtual std::unique_ptr<LightClient> clone() const = 0;
 };
 
 /// Trivial client for unit tests: accepts pre-seeded consensus states
@@ -65,6 +69,9 @@ class TrustingLightClient final : public LightClient {
   }
   [[nodiscard]] Height latest_height() const override { return latest_; }
   [[nodiscard]] std::string client_type() const override { return "trusting"; }
+  [[nodiscard]] std::unique_ptr<LightClient> clone() const override {
+    return std::make_unique<TrustingLightClient>(*this);
+  }
 
  private:
   std::map<Height, ConsensusState> states_;

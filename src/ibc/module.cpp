@@ -699,4 +699,28 @@ IbcModule::ChannelSequences IbcModule::sequences(const PortId& port,
   return s;
 }
 
+IbcModule::State IbcModule::checkpoint() const {
+  State s;
+  for (const auto& [id, client] : clients_) s.clients.emplace(id, client->clone());
+  s.connections = connections_;
+  s.channels = channels_;
+  s.sent_packets = sent_packets_;
+  s.ack_log = ack_log_;
+  s.next_client = next_client_;
+  s.next_connection = next_connection_;
+  s.next_channel = next_channel_;
+  return s;
+}
+
+void IbcModule::restore(State state) {
+  clients_ = std::move(state.clients);
+  connections_ = std::move(state.connections);
+  channels_ = std::move(state.channels);
+  sent_packets_ = std::move(state.sent_packets);
+  ack_log_ = std::move(state.ack_log);
+  next_client_ = state.next_client;
+  next_connection_ = state.next_connection;
+  next_channel_ = state.next_channel;
+}
+
 }  // namespace bmg::ibc

@@ -233,6 +233,20 @@ class IbcModule {
   [[nodiscard]] ChannelSequences sequences(const PortId& port,
                                            const ChannelId& channel) const;
 
+  // -- fork checkpoints ----------------------------------------------------
+  /// Everything a transaction can change in the module: clients,
+  /// connection and channel ends, sent packets, the ack log and the id
+  /// counters.  The store reference, port bindings, self identity and
+  /// packet listener are not part of it; they stay bound to the live
+  /// chain.
+  struct State;
+  /// Independent deep copy of the transaction-mutable state (light
+  /// clients through LightClient::clone()).
+  [[nodiscard]] State checkpoint() const;
+  /// Replaces the transaction-mutable state with `state`.  References
+  /// into the old clients and records are invalidated.
+  void restore(State state);
+
  private:
   struct ChannelRecord {
     ChannelEnd end;
@@ -290,6 +304,17 @@ class IbcModule {
   std::uint64_t next_client_ = 0;
   std::uint64_t next_connection_ = 0;
   std::uint64_t next_channel_ = 0;
+};
+
+struct IbcModule::State {
+  std::map<ClientId, std::unique_ptr<LightClient>> clients;
+  std::map<ConnectionId, ConnectionEnd> connections;
+  std::map<std::pair<PortId, ChannelId>, ChannelRecord> channels;
+  std::map<std::tuple<PortId, ChannelId, std::uint64_t>, Packet> sent_packets;
+  std::map<std::tuple<PortId, ChannelId, std::uint64_t>, Acknowledgement> ack_log;
+  std::uint64_t next_client = 0;
+  std::uint64_t next_connection = 0;
+  std::uint64_t next_channel = 0;
 };
 
 }  // namespace bmg::ibc

@@ -12,6 +12,7 @@
 
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <optional>
 #include <unordered_map>
 #include <vector>
@@ -161,6 +162,9 @@ class QuorumLightClient final : public LightClient {
   [[nodiscard]] std::string tracked_chain_id() const override { return chain_id_; }
   [[nodiscard]] Hash32 tracked_validator_set_hash() const override {
     return validators_.hash();
+  }
+  [[nodiscard]] std::unique_ptr<LightClient> clone() const override {
+    return std::make_unique<QuorumLightClient>(*this);
   }
 
   [[nodiscard]] const ValidatorSet& validators() const noexcept { return validators_; }

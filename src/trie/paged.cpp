@@ -4,7 +4,8 @@
 
 namespace bmg::trie {
 
-StoreCore::StoreCore(const PageStoreConfig& cfg) : store_(PageStore::create(cfg)) {
+StoreCore::StoreCore(const PageStoreConfig& cfg)
+    : cfg_(cfg), store_(PageStore::create(cfg)) {
   static constexpr std::uint32_t kRecSize[kNumKinds] = {
       sizeof(LeafRec), sizeof(BranchRec), sizeof(ExtRec)};
   for (std::size_t k = 0; k < kNumKinds; ++k) {
@@ -14,6 +15,29 @@ StoreCore::StoreCore(const PageStoreConfig& cfg) : store_(PageStore::create(cfg)
     if (arenas_[k].slots_per_page == 0)
       throw std::invalid_argument("StoreCore: page_bytes smaller than one record");
   }
+}
+
+std::shared_ptr<StoreCore> StoreCore::clone() const {
+  PageStoreConfig cfg = cfg_;
+  cfg.file_path.clear();  // two stores must never share one spill file
+  auto out = std::make_shared<StoreCore>(cfg);
+  out->arenas_ = arenas_;
+  for (std::size_t k = 0; k < kNumKinds; ++k) {
+    const auto kind = static_cast<NodeKind>(k);
+    for (std::uint32_t logical = 0; logical < arenas_[k].live.size(); ++logical) {
+      const TableChunk::Entry en = table_entry(tables_, kind, logical);
+      if (en.phys == kNoPage) continue;
+      const PageId phys = out->store_->alloc();
+      // One page pinned per side at a time keeps a file-backed copy
+      // inside its resident bound.
+      const PagePin src(*store_, en.phys);
+      PagePin dst(*out->store_, phys);
+      dst.mark_dirty();
+      std::memcpy(dst.data(), src.data(), store_->page_bytes());
+      out->set_table_entry(kind, logical, {phys, out->epoch_});
+    }
+  }
+  return out;
 }
 
 TableChunk::Entry StoreCore::table_entry(const TableSet& tables, NodeKind k,

@@ -261,6 +261,14 @@ class StoreCore {
   StoreCore(const StoreCore&) = delete;
   StoreCore& operator=(const StoreCore&) = delete;
 
+  /// Deep copy of the live state into a fresh store: every mapped page
+  /// is copied byte-for-byte under its logical id and the slot
+  /// allocator (live counts, free lists, bump cursor) is duplicated, so
+  /// the copy hands out exactly the node ids the source would.  No
+  /// snapshot epoch carries over: the copy starts unshared, and a
+  /// file-backed source clones into an anonymous spill file.
+  [[nodiscard]] std::shared_ptr<StoreCore> clone() const;
+
   [[nodiscard]] PageStore& store() noexcept { return *store_; }
   [[nodiscard]] const TableSet& live_tables() const noexcept { return tables_; }
   [[nodiscard]] PageStoreStats page_stats() const { return store_->stats(); }
@@ -350,6 +358,7 @@ class StoreCore {
   /// whose mapping was created in `birth`.
   [[nodiscard]] bool shared_with_snapshot(std::uint32_t birth) const;
 
+  PageStoreConfig cfg_;
   std::shared_ptr<PageStore> store_;
   std::array<Arena, kNumKinds> arenas_;
   TableSet tables_;

@@ -550,7 +550,7 @@ void SealableTrie::commit() {
 }
 
 // ---------------------------------------------------------------------------
-// Snapshots
+// Snapshots and clones
 
 TrieSnapshot SealableTrie::snapshot() {
   commit();
@@ -562,6 +562,13 @@ TrieSnapshot SealableTrie::snapshot() {
   impl->trie_stats = stats_;
   impl->epoch = pub.epoch;
   return TrieSnapshot(std::move(impl));
+}
+
+SealableTrie SealableTrie::clone() const {
+  SealableTrie copy(core_->clone());
+  copy.root_ = root_;
+  copy.stats_ = stats_;
+  return copy;
 }
 
 // ---------------------------------------------------------------------------

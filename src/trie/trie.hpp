@@ -56,8 +56,10 @@ class SealableTrie {
       : core_(std::make_shared<StoreCore>(cfg)) {}
 
   // Not copyable: per-block state capture is snapshot()'s job and is
-  // O(pages/1024) instead of a deep copy.  Movable; a moved-from trie
-  // may only be destroyed or assigned to.
+  // O(pages/1024) instead of a deep copy; clone() is the explicit deep
+  // copy.  Movable; a moved-from trie may only be destroyed or assigned
+  // to.  Snapshots published before a trie is destroyed or assigned
+  // over keep their own store alive and stay readable.
   SealableTrie(const SealableTrie&) = delete;
   SealableTrie& operator=(const SealableTrie&) = delete;
   SealableTrie(SealableTrie&&) noexcept = default;
@@ -103,6 +105,12 @@ class SealableTrie {
   /// of this trie or its destruction.
   [[nodiscard]] TrieSnapshot snapshot();
 
+  /// Deep copy of the live trie, uncommitted writes included, into a
+  /// fresh store (StoreCore::clone).  It shares nothing with this trie
+  /// or its snapshots, so a write to either never shows in the other.
+  /// O(live pages); the guest contract's fork checkpoint takes one.
+  [[nodiscard]] SealableTrie clone() const;
+
   [[nodiscard]] TrieStats stats() const { return stats_; }
 
   /// Backing-store counters: pages allocated/freed/resident, spill
@@ -122,6 +130,8 @@ class SealableTrie {
 
  private:
   friend class TrieSnapshot;
+
+  explicit SealableTrie(std::shared_ptr<StoreCore> core) : core_(std::move(core)) {}
 
   [[nodiscard]] std::uint32_t alloc_leaf(OpPins& pins, ByteView suffix,
                                          const Hash32& value);

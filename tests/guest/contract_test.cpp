@@ -5,8 +5,12 @@
 
 #include <gtest/gtest.h>
 
+#include <sstream>
+
+#include "audit/auditor.hpp"
 #include "guest/instructions.hpp"
 #include "host/chain.hpp"
+#include "relayer/deployment.hpp"
 
 namespace bmg::guest {
 namespace {
@@ -613,6 +617,133 @@ TEST_F(GuestContractTest, BannedValidatorCannotStake) {
                   .success);
   const auto res = submit(ix::stake(100), offender.public_key());
   EXPECT_FALSE(res.success);
+}
+
+// --- fork checkpoint round trip ---------------------------------------------
+
+/// Every off-chain read surface of the contract, one line each.
+std::string read_surfaces(relayer::Deployment& d, const std::vector<PublicKey>& accounts,
+                          ibc::Height max_height) {
+  GuestContract& g = d.guest();
+  std::ostringstream out;
+  out << "root " << g.store().root_hash().hex() << "\nhead " << g.head().hash().hex()
+      << "\nfinalised " << g.last_finalised_height() << "\n";
+  for (ibc::Height h = 0; h < g.block_count(); ++h)
+    out << "block " << h << " finalised " << g.block_at(h).finalised << " signers "
+        << g.block_at(h).signers.size() << "\n";
+  if (const auto upd = g.pending_update_info()) {
+    out << "update " << upd->height << " power " << upd->verified_power;
+    for (const PublicKey& k : upd->seen) out << " " << k.hex();
+    out << "\n";
+  }
+  for (const PublicKey& who : accounts) {
+    out << "account " << who.hex() << " stake " << g.stake_of(who) << " buffers";
+    for (const std::uint64_t id : g.staging_buffers_of(who))
+      out << " " << id << ":" << g.staging_buffer_size(who, id).value_or(0);
+    out << "\n";
+  }
+  out << "fees " << g.fees_collected() << " rewards " << g.rewards_paid() << "\nbank "
+      << audit::token_state_digest(g.bank()) << "\nclient "
+      << g.counterparty_client().latest_height() << "\n";
+  const auto seq = g.ibc().sequences("transfer", d.guest_channel());
+  out << "seq " << seq.next_send << " " << seq.next_recv << " " << seq.resolved_watermark
+      << " " << seq.receipts_watermark << " " << seq.acks_watermark << "\n";
+  const ibc::IbcModule& m = g.ibc();
+  for (std::uint64_t n = 1; n <= 16; ++n) {
+    if (const auto ack = g.ack_log("transfer", d.guest_channel(), n))
+      out << "ack " << n << " " << to_hex(ack->encode()) << "\n";
+    if (const auto ack = m.ack_for("transfer", d.guest_channel(), n))
+      out << "module ack " << n << " " << to_hex(ack->encode()) << "\n";
+    out << "packet " << n << " received " << m.packet_received("transfer", d.guest_channel(), n)
+        << " pending " << m.packet_pending("transfer", d.guest_channel(), n) << " sent "
+        << (m.sent_packet("transfer", d.guest_channel(), n) != nullptr) << "\n";
+  }
+  for (ibc::Height h = 0; h <= max_height; ++h)
+    if (const auto r = g.snapshot_root_at(h)) out << "snapshot " << h << " " << r->hex() << "\n";
+  return out.str();
+}
+
+TEST(GuestCheckpoint, RollbackRestoresEveryReadSurface) {
+  // Traffic, then a checkpoint taken mid light-client update, then a
+  // send, a receive, client-update chunks, staking, staging uploads and
+  // block generation and signing.  fork_rollback() must put every read
+  // surface back.  The host's replay self-check compares only success
+  // and CU per transaction, so this is what catches a member the
+  // checkpoint forgets.
+  relayer::DeploymentConfig cfg;
+  cfg.seed = 31;
+  cfg.guest.delta_seconds = 60.0;
+  for (int i = 0; i < 4; ++i) {
+    relayer::ValidatorProfile p;
+    p.name = "ckpt-val-" + std::to_string(i);
+    p.stake = 100;
+    // The last validator signs well after the other three reach
+    // quorum, so finalised blocks keep taking late signatures.
+    p.latency = i < 3 ? sim::LatencyProfile::from_quantiles(2.0, 3.0, 0.4)
+                      : sim::LatencyProfile::from_quantiles(200.0, 250.0, 100.0);
+    p.fee = host::FeePolicy::priority(1'000'000);
+    cfg.validators.push_back(std::move(p));
+  }
+  cfg.counterparty.num_validators = 10;
+  cfg.counterparty.block_interval_s = 6.0;
+  relayer::Deployment d(cfg);
+  d.open_ibc();
+  GuestContract& g = d.guest();
+
+  const PrivateKey staker = PrivateKey::from_label("ckpt-staker");
+  d.host().airdrop(staker.public_key(), 10 * host::kLamportsPerSol);
+  const auto submit = [&](host::Instruction ix) {
+    host::Transaction tx;
+    tx.payer = staker.public_key();
+    tx.instructions.push_back(std::move(ix));
+    tx.fee = host::FeePolicy::bundle(host::usd_to_lamports(1.0));
+    d.host().submit(std::move(tx));
+  };
+  submit(ix::stake(1'000));
+  submit(ix::chunk_upload(1, 0, bytes_of("staged before")));
+  (void)d.send_transfer_from_guest(20, host::FeePolicy::priority(5'000'000));
+  (void)d.send_transfer_from_cp(10);
+  d.run_for(60.0);
+  (void)d.send_transfer_from_cp(11);
+  // Checkpoint while a client update is half done and the head block
+  // still waits for signatures, so both change afterwards.
+  ASSERT_TRUE(d.run_until(
+      [&] {
+        return g.pending_update_info().has_value() &&
+               g.head().signers.size() < cfg.validators.size();
+      },
+      600.0));
+
+  std::vector<PublicKey> accounts{staker.public_key(), d.relayer().payer()};
+  for (const auto& v : d.validators()) accounts.push_back(v->pubkey());
+  const ibc::Height horizon = g.block_count() + 64;
+  const std::string at_checkpoint = read_surfaces(d, accounts, horizon);
+  const auto seq = g.ibc().sequences("transfer", d.guest_channel());
+  const std::size_t blocks = g.block_count();
+  const ibc::Height client = g.counterparty_client().latest_height();
+  const ibc::Height head = g.head().header.height;
+  g.fork_checkpoint();
+
+  submit(ix::stake(2'000));
+  submit(ix::chunk_upload(2, 0, bytes_of("staged after")));
+  (void)d.send_transfer_from_guest(30, host::FeePolicy::priority(5'000'000));
+  ASSERT_TRUE(d.run_until(
+      [&] {
+        const auto now = g.ibc().sequences("transfer", d.guest_channel());
+        return now.next_send > seq.next_send &&
+               now.receipts_watermark > seq.receipts_watermark &&
+               g.counterparty_client().latest_height() > client &&
+               g.last_finalised_height() > blocks &&
+               g.block_at(head).signers.size() == cfg.validators.size() &&
+               g.stake_of(staker.public_key()) > 1'000 &&
+               g.staging_buffers_of(staker.public_key()).size() == 2 &&
+               !g.pending_update_info().has_value();
+      },
+      3000.0));
+  ASSERT_NE(read_surfaces(d, accounts, horizon), at_checkpoint);
+
+  g.fork_rollback();
+  EXPECT_EQ(read_surfaces(d, accounts, horizon), at_checkpoint);
 }
 
 }  // namespace

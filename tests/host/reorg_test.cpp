@@ -1,5 +1,6 @@
-// Fork/reorg machinery unit tests: arming rules, journal-verified
-// rollback + genesis replay, depth clamping against the rooted slot,
+// Fork/reorg machinery unit tests: arming rules, rollback to the
+// rolling rooted checkpoint with journal-verified replay, the linear
+// replay bound of long storms, depth clamping against the rooted slot,
 // retraction callbacks, commitment-aware delivery, rooted waits and
 // the survival draw.  A depth-0 window or an untouched plan must leave
 // the chain byte-identical to the linear seed behaviour.
@@ -7,9 +8,11 @@
 
 #include <stdexcept>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "common/codec.hpp"
+#include "crypto/sha256.hpp"
 #include "host/chain.hpp"
 #include "host/constants.hpp"
 
@@ -19,18 +22,26 @@ namespace {
 using crypto::PrivateKey;
 using crypto::PublicKey;
 
-/// Rollback-capable counter program: op 0 bumps the counter and emits
-/// a "bump" event; op 1 burns CU.  The baseline snapshot is the
-/// counter value at Chain::start().
+/// Rollback-capable counter program: op 0 bumps the counter, folds the
+/// bump's slot into an order-sensitive hash chain and emits a "bump"
+/// event; op 1 burns CU.  The checkpoint holds the counter and the hash
+/// chain; `executions` counts every execute() call, live or replayed,
+/// and survives rollbacks on purpose.
 class ForkProgram : public Program {
  public:
   void execute(TxContext& ctx, ByteView data) override {
+    ++executions;
     Decoder d(data);
     switch (d.u8()) {
-      case 0:
+      case 0: {
         ++counter;
+        Encoder link;
+        link.raw(chain.view());
+        link.u64(ctx.slot());
+        chain = crypto::Sha256::digest(link.out());
         ctx.emit_event("bump", bytes_of("x"));
         break;
+      }
       case 1:
         ctx.consume_cu(d.u64());
         break;
@@ -39,13 +50,15 @@ class ForkProgram : public Program {
     }
   }
   [[nodiscard]] bool fork_supported() const override { return true; }
-  void fork_capture_baseline() override { baseline_ = counter; }
-  void fork_reset_to_baseline() override { counter = baseline_; }
+  void fork_checkpoint() override { saved_ = {counter, chain}; }
+  void fork_rollback() override { std::tie(counter, chain) = saved_; }
 
   int counter = 0;
+  Hash32 chain{};
+  std::uint64_t executions = 0;
 
  private:
-  int baseline_ = 0;
+  std::pair<int, Hash32> saved_;
 };
 
 /// Linear-only program, for the arming guard test.
@@ -176,7 +189,7 @@ TEST(Reorg, StormRollsBackAndReplaysToConvergence) {
 
   // Every transaction executed (possibly several times across forks),
   // yet the replayed program state holds exactly one logical bump per
-  // transaction: rollback + genesis replay converged.
+  // transaction: rollback + checkpoint replay converged.
   EXPECT_EQ(h.prog().counter, n);
   // Deliveries minus retractions likewise settles at one visible event
   // per transaction.
@@ -184,6 +197,59 @@ TEST(Reorg, StormRollsBackAndReplaysToConvergence) {
   EXPECT_EQ(delivered.size() - retracted.size(), static_cast<std::size_t>(n));
   // Epoch counter moved in lockstep with the reorgs.
   EXPECT_EQ(h.chain.fork_epoch(), fc.reorgs_triggered);
+}
+
+TEST(Reorg, LongStormReplaysOnlyTheUnrootedSuffix) {
+  // One bump per slot for 1,200 slots under a storm that forks nearly
+  // every slot.  A rollback restores the rooted checkpoint and replays
+  // only the slots rooted since the previous reorg plus the unrooted
+  // suffix, so every execution fits a bound linear in the run.  A
+  // rollback that replays from genesis re-executes the whole journal on
+  // every reorg and overshoots this bound by more than 10x.
+  constexpr std::uint64_t kLag = 8;
+  constexpr std::uint64_t kMaxDepth = 4;
+  constexpr int kBumps = 1200;
+  struct Outcome {
+    Hash32 chain;
+    int counter = 0;
+    std::uint64_t executions = 0;
+    std::uint64_t reorgs = 0;
+    std::uint64_t slots = 0;
+  };
+  const auto run = [&](bool storm) {
+    ChainConfig cfg = armed_config(kLag);
+    cfg.p_include_bundle = 1.0;  // each bump lands in the next slot
+    Harness h(cfg);
+    h.chain.start();
+    if (storm)
+      h.chain.fault_plan().reorg(1.0, kBumps * kSlotSeconds, kMaxDepth,
+                                 /*probability=*/0.9, /*survival=*/1.0);
+    for (int i = 0; i < kBumps; ++i) {
+      h.submit_bump();
+      h.sim.run_until(h.sim.now() + kSlotSeconds);
+    }
+    h.sim.run_until(h.sim.now() + 10.0);
+    return Outcome{h.prog().chain, h.prog().counter, h.prog().executions,
+                   h.chain.fault_counters().reorgs_triggered, h.chain.slot()};
+  };
+  const Outcome calm = run(false);
+  const Outcome storm = run(true);
+
+  ASSERT_EQ(calm.counter, kBumps);
+  ASSERT_EQ(calm.reorgs, 0u);
+  EXPECT_EQ(calm.executions, static_cast<std::uint64_t>(kBumps));
+  ASSERT_GT(storm.reorgs, static_cast<std::uint64_t>(kBumps) / 2);
+  EXPECT_EQ(storm.counter, kBumps);
+  EXPECT_EQ(storm.chain, calm.chain);
+
+  // Per reorg: the slots rooted since the previous one (summing to at
+  // most the run's slots), fewer than kLag unrooted slots, and at most
+  // kMaxDepth re-executed on the winning fork — one bump each.
+  const std::uint64_t bound =
+      calm.executions + storm.reorgs * (kLag + kMaxDepth) + storm.slots;
+  EXPECT_LE(storm.executions, bound)
+      << "executions " << storm.executions << " vs linear bound " << bound << " ("
+      << static_cast<double>(storm.executions) / static_cast<double>(bound) << "x)";
 }
 
 TEST(Reorg, DepthClampedByRootedSlot) {

@@ -15,6 +15,7 @@
 
 #include "adversary/campaign.hpp"
 #include "audit/auditor.hpp"
+#include "crypto/sha256.hpp"
 #include "relayer/deployment.hpp"
 
 namespace bmg::relayer {
@@ -310,6 +311,46 @@ TEST(ReorgChaos, SameSeedReproducesIdenticalStormTrace) {
                            audit::token_state_digest(d.guest().bank()));
   };
   EXPECT_EQ(run_once(), run_once());
+}
+
+TEST(ReorgChaos, LossyStormTranscriptIsPinned) {
+  // Fixed seed, deliberately independent of BMG_CHAOS_SEED: a lossy
+  // storm long enough for hundreds of reorgs, folded into one digest of
+  // everything a rollback rebuilds or steers.  The constant was
+  // computed with the genesis-replay rollback that preceded the rolling
+  // checkpoint, so it pins that the checkpoint path reproduces the old
+  // transcript exactly.
+  Deployment d(reorg_config(/*seed=*/7331, /*fork_aware=*/true));
+  d.open_ibc();
+  const double t0 = d.sim().now();
+  d.host().fault_plan().reorg(t0 + 5.0, t0 + 605.0, /*max_depth=*/4,
+                              /*probability=*/0.25, /*survival=*/0.8);
+  for (int i = 0; i < 6; ++i) {
+    (void)d.send_transfer_from_cp(10 + static_cast<std::uint64_t>(i));
+    (void)d.send_transfer_from_guest(100 + static_cast<std::uint64_t>(i),
+                                     host::FeePolicy::priority(5'000'000));
+    d.run_for(100.0);
+  }
+  d.run_for(300.0);
+
+  const host::FaultCounters& fc = d.host().fault_counters();
+  ASSERT_GE(fc.reorgs_triggered, 200u);
+  ASSERT_GT(fc.txs_reorged_out, 0u);
+  std::string transcript;
+  for (const std::uint64_t v :
+       {d.sim().events_processed(), fc.congestion_delayed, fc.outage_deferred,
+        fc.outage_expired, fc.blackholed, fc.duplicated, fc.fee_spiked,
+        fc.reorgs_triggered, fc.slots_rolled_back, fc.txs_replayed,
+        fc.txs_reorged_out, d.host().fork_epoch(),
+        d.relayer().pipeline().retries_total(),
+        d.relayer().pipeline().reorged_out_total(),
+        d.relayer().pipeline().reorg_repairs(),
+        static_cast<std::uint64_t>(d.guest().block_count())})
+    transcript += std::to_string(v) + ",";
+  transcript += d.guest().store().root_hash().hex() + "," + banks_digest(d);
+  EXPECT_EQ(crypto::Sha256::digest(bytes_of(transcript)).hex().substr(0, 16),
+            "6cbda36ecfee03ae")
+      << transcript;
 }
 
 }  // namespace

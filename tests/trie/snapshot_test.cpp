@@ -4,9 +4,11 @@
 
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/parallel.hpp"
+#include "common/rng.hpp"
 #include "crypto/sha256.hpp"
 #include "trie/trie.hpp"
 
@@ -175,6 +177,172 @@ TEST(TrieSnapshot, FileBackedSnapshotsSurviveEvictionChurn) {
     const VerifyOutcome vo = verify_proof(root, k, snap.prove(k));
     ASSERT_EQ(vo.kind, VerifyOutcome::Kind::kFound) << i;
     EXPECT_EQ(vo.value, val("1"));
+  }
+}
+
+// --- clone() -----------------------------------------------------------
+
+/// One random trie operation, replayable on any trie: insert a fresh
+/// key, overwrite or seal an earlier one, or commit.  Returns an
+/// outcome code so two tries fed the same operation can be compared
+/// even where an operation is rejected (a sealed region swallowed the
+/// key).
+struct TrieOp {
+  enum Kind { kSet, kSeal, kCommit } kind = kSet;
+  Bytes key;
+  Hash32 value{};
+
+  int apply(SealableTrie& t) const {
+    try {
+      switch (kind) {
+        case kSet:
+          t.set(key, value);
+          break;
+        case kSeal:
+          t.seal(key);
+          break;
+        case kCommit:
+          t.commit();
+          break;
+      }
+      return 0;
+    } catch (const SealedError&) {
+      return 1;
+    } catch (const NotFoundError&) {
+      return 2;
+    }
+  }
+};
+
+/// Keys are sealed oldest first, as the IBC layer seals sequences,
+/// always leaving the newest 16 live so the trie never seals shut.
+struct OpSource {
+  Rng rng{0xC10E};
+  std::vector<Bytes> keys;
+  std::size_t sealed = 0;
+
+  std::vector<TrieOp> next(int n) {
+    std::vector<TrieOp> ops;
+    for (int i = 0; i < n; ++i) {
+      TrieOp op;
+      op.value = val("v" + std::to_string(rng.uniform_int(1u << 30)));
+      const std::uint64_t roll = rng.uniform_int(100);
+      if (roll < 20 && sealed + 16 < keys.size()) {
+        op.kind = TrieOp::kSeal;
+        op.key = keys[sealed++];
+      } else if (roll < 40 && sealed < keys.size()) {
+        op.key = keys[sealed + rng.uniform_int(keys.size() - sealed)];
+      } else if (roll < 45) {
+        op.kind = TrieOp::kCommit;
+      } else {
+        op.key = key_of("clone-" + std::to_string(keys.size()));
+        keys.push_back(op.key);
+      }
+      ops.push_back(std::move(op));
+    }
+    return ops;
+  }
+};
+
+/// Roots, stats, page accounting, lookups and proofs of `a` and `b`
+/// agree for every key either ever held.
+void expect_same_trie(const SealableTrie& a, const SealableTrie& b,
+                      const std::vector<Bytes>& keys) {
+  a.debug_check_stats();
+  b.debug_check_stats();
+  ASSERT_EQ(a.root_hash(), b.root_hash());
+  ASSERT_EQ(a.stats(), b.stats());
+  for (const Bytes& k : keys) {
+    Hash32 va, vb;
+    const Lookup la = a.get(k, &va);
+    ASSERT_EQ(la, b.get(k, &vb));
+    if (la == Lookup::kFound) {
+      ASSERT_EQ(va, vb);
+    }
+    if (la == Lookup::kSealed) {
+      EXPECT_THROW((void)b.prove(k), SealedError);
+      continue;
+    }
+    ASSERT_EQ(a.prove(k).serialize(), b.prove(k).serialize());
+  }
+}
+
+/// A key whose insertion no sealed region swallows.
+Bytes insertable_key(const SealableTrie& t, const std::string& tag) {
+  for (int attempt = 0;; ++attempt) {
+    Bytes k = key_of(tag + "-" + std::to_string(attempt));
+    if (t.get(k) == Lookup::kAbsent) return k;
+  }
+}
+
+TEST(TrieSnapshot, CloneIsAnIndependentDeepCopy) {
+  // 2 KiB pages hold 3 branches or 20 leaves, so every trie spans
+  // dozens of pages; every fourth round is file-backed with 8 frames
+  // resident.
+  PageStoreConfig small;
+  small.page_bytes = 2048;
+  PageStoreConfig spilled = tiny_file_cfg();
+  spilled.page_bytes = 2048;
+  for (int round = 0; round < 12; ++round) {
+    OpSource source;
+    source.rng = Rng(0xC10E + static_cast<std::uint64_t>(round));
+    SealableTrie src(round % 4 == 3 ? spilled : small);
+    for (const TrieOp& op : source.next(60 + static_cast<int>(source.rng.uniform_int(240))))
+      (void)op.apply(src);
+    // Half the rounds clone with a write still uncommitted.
+    src.commit();
+    if (round % 2 == 0) {
+      source.keys.push_back(insertable_key(src, "dirty-" + std::to_string(round)));
+      src.set(source.keys.back(), val("dirty"));
+    }
+    ASSERT_EQ(src.has_uncommitted(), round % 2 == 0);
+    SealableTrie copy = src.clone();
+    EXPECT_EQ(copy.has_uncommitted(), round % 2 == 0);
+    expect_same_trie(src, copy, source.keys);
+
+    // Isolation, both directions: a write to one trie never shows in
+    // the other.  The last write then lands on both, so they converge.
+    const Hash32 src_root = src.root_hash();
+    const Bytes fresh = insertable_key(src, "isolated-" + std::to_string(round));
+    copy.set(fresh, val("copy-side"));
+    EXPECT_EQ(src.get(fresh), Lookup::kAbsent);
+    EXPECT_EQ(src.root_hash(), src_root);
+    src.set(fresh, val("src-side"));
+    Hash32 seen;
+    ASSERT_EQ(copy.get(fresh, &seen), Lookup::kFound);
+    EXPECT_EQ(seen, val("copy-side"));
+    copy.set(fresh, val("src-side"));
+    source.keys.push_back(fresh);
+    expect_same_trie(src, copy, source.keys);
+
+    // Identical further histories stay identical.
+    for (const TrieOp& op : source.next(80)) ASSERT_EQ(op.apply(src), op.apply(copy));
+    expect_same_trie(src, copy, source.keys);
+
+    // The guest's rollback: a snapshot published by the live trie, then
+    // the live trie move-assigned from a clone.  The snapshot keeps its
+    // own store and still reads and proves.
+    const TrieSnapshot snap = src.snapshot();
+    const Hash32 snap_root = snap.root_hash();
+    std::vector<std::pair<Bytes, Hash32>> present;
+    for (const Bytes& k : source.keys) {
+      Hash32 v;
+      if (src.get(k, &v) == Lookup::kFound) present.emplace_back(k, v);
+    }
+    ASSERT_FALSE(present.empty());
+    src = copy.clone();
+    for (const TrieOp& op : source.next(80)) (void)op.apply(src);
+    src.commit();
+    src.debug_check_stats();
+    EXPECT_EQ(snap.root_hash(), snap_root);
+    for (const auto& [k, v] : present) {
+      Hash32 got;
+      ASSERT_EQ(snap.get(k, &got), Lookup::kFound);
+      EXPECT_EQ(got, v);
+      const VerifyOutcome vo = verify_proof(snap_root, k, snap.prove(k));
+      ASSERT_EQ(vo.kind, VerifyOutcome::Kind::kFound);
+      EXPECT_EQ(vo.value, v);
+    }
   }
 }
 
