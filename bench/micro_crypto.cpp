@@ -109,7 +109,35 @@ void BM_Ed25519VerifyBatch(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(n));
 }
-BENCHMARK(BM_Ed25519VerifyBatch)->Arg(1)->Arg(8)->Arg(32)->Arg(128);
+// 4 and 17 are the shapes the workloads send: a light-client update
+// transaction carries 4 commit signatures, and the counterparty's
+// client of the guest checks 17 at a time.
+BENCHMARK(BM_Ed25519VerifyBatch)->Arg(1)->Arg(4)->Arg(8)->Arg(17)->Arg(32)->Arg(128);
+
+// Single verifies that always miss the per-thread key memo: the keys
+// cycle through four times its capacity, so every call decodes its
+// key and builds its tables.  This is a key's first-sighting cost.
+void BM_Ed25519VerifyColdKey(benchmark::State& state) {
+  struct Signed {
+    crypto::ed25519::PublicKeyBytes pub;
+    crypto::ed25519::SignatureBytes sig;
+  };
+  static const Bytes msg = bytes_of("a guest block digest: 32 bytes..");
+  static const std::vector<Signed> keys = [] {
+    std::vector<Signed> out(4 * crypto::ed25519::kKeyMemoCapacity);
+    for (std::size_t i = 0; i < out.size(); ++i) {
+      const crypto::PrivateKey key = crypto::PrivateKey::from_label("cold-" + std::to_string(i));
+      out[i] = {key.public_key().raw(), key.sign(msg).raw()};
+    }
+    return out;
+  }();
+  std::size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(crypto::ed25519::verify(keys[i].pub, msg, keys[i].sig));
+    i = (i + 1) % keys.size();
+  }
+}
+BENCHMARK(BM_Ed25519VerifyColdKey);
 
 // The same work done one verify at a time — the baseline the batch
 // amortization is measured against.

@@ -1,5 +1,6 @@
 #include "crypto/ed25519.hpp"
 
+#include <algorithm>
 #include <cstring>
 
 #include "common/parallel.hpp"
@@ -82,7 +83,36 @@ Fe fe_mul(const Fe& a, const Fe& b) {
   return r;
 }
 
-Fe fe_sq(const Fe& a) { return fe_mul(a, a); }
+// a^2 with 15 products instead of fe_mul's 25: each cross term a_i a_j
+// is taken once and doubled.  The column sums equal fe_mul(a, a)'s
+// exactly, so the result is bit-identical.
+Fe fe_sq(const Fe& a) {
+  using u128 = unsigned __int128;
+  const std::uint64_t a0 = a.v[0], a1 = a.v[1], a2 = a.v[2], a3 = a.v[3], a4 = a.v[4];
+  const std::uint64_t a0_2 = 2 * a0, a1_2 = 2 * a1, a2_2 = 2 * a2, a3_2 = 2 * a3;
+  const std::uint64_t a3_19 = 19 * a3, a4_19 = 19 * a4;
+
+  u128 t0 = (u128)a0 * a0 + (u128)a1_2 * a4_19 + (u128)a2_2 * a3_19;
+  u128 t1 = (u128)a0_2 * a1 + (u128)a2_2 * a4_19 + (u128)a3 * a3_19;
+  u128 t2 = (u128)a0_2 * a2 + (u128)a1 * a1 + (u128)a3_2 * a4_19;
+  u128 t3 = (u128)a0_2 * a3 + (u128)a1_2 * a2 + (u128)a4 * a4_19;
+  u128 t4 = (u128)a0_2 * a4 + (u128)a1_2 * a3 + (u128)a2 * a2;
+
+  Fe r;
+  std::uint64_t c;
+  r.v[0] = (std::uint64_t)t0 & kMask51; c = (std::uint64_t)(t0 >> 51);
+  t1 += c;
+  r.v[1] = (std::uint64_t)t1 & kMask51; c = (std::uint64_t)(t1 >> 51);
+  t2 += c;
+  r.v[2] = (std::uint64_t)t2 & kMask51; c = (std::uint64_t)(t2 >> 51);
+  t3 += c;
+  r.v[3] = (std::uint64_t)t3 & kMask51; c = (std::uint64_t)(t3 >> 51);
+  t4 += c;
+  r.v[4] = (std::uint64_t)t4 & kMask51; c = (std::uint64_t)(t4 >> 51);
+  r.v[0] += c * 19;
+  c = r.v[0] >> 51; r.v[0] &= kMask51; r.v[1] += c;
+  return r;
+}
 
 Fe fe_neg(const Fe& a) { return fe_carry(fe_sub(fe_zero(), a)); }
 
@@ -242,18 +272,22 @@ struct Ge {
 
 Ge ge_identity() { return Ge{fe_zero(), fe_one(), fe_one(), fe_zero()}; }
 
-// dbl-2008-hwcd for a = -1.
-Ge ge_double(const Ge& p) {
-  const Fe a = fe_sq(p.x);
-  const Fe b = fe_sq(p.y);
-  const Fe c = fe_carry(fe_add(fe_sq(p.z), fe_sq(p.z)));
-  const Fe d = fe_neg(a);
-  const Fe xy = fe_carry(fe_add(p.x, p.y));
-  const Fe e = fe_carry(fe_sub(fe_carry(fe_sub(fe_sq(xy), a)), b));
-  const Fe g = fe_carry(fe_add(d, b));
-  const Fe f = fe_carry(fe_sub(g, c));
-  const Fe h = fe_carry(fe_sub(d, b));
-  return Ge{fe_mul(e, f), fe_mul(g, h), fe_mul(f, g), fe_mul(e, h)};
+// dbl-2008-hwcd for a = -1, arranged as in ref10 (every coordinate
+// comes out negated, which is the same projective point).  Doubling
+// reads only X, Y and Z, so a doubling whose result is only doubled
+// again, compressed or identity-tested can pass need_t = false and
+// skip the multiplication for T, which is then left zero.
+Ge ge_double(const Ge& p, bool need_t = true) {
+  const Fe xx = fe_sq(p.x);
+  const Fe yy = fe_sq(p.y);
+  const Fe zz = fe_sq(p.z);
+  const Fe zz2 = fe_carry(fe_add(zz, zz));                           // 2Z^2
+  const Fe sum = fe_carry(fe_add(yy, xx));                           // Y^2 + X^2
+  const Fe diff = fe_carry(fe_sub(yy, xx));                          // Y^2 - X^2
+  const Fe xy2 = fe_carry(fe_sub(fe_sq(fe_carry(fe_add(p.x, p.y))), sum));  // 2XY
+  const Fe f = fe_carry(fe_sub(zz2, diff));
+  return Ge{fe_mul(xy2, f), fe_mul(sum, diff), fe_mul(diff, f),
+            need_t ? fe_mul(xy2, sum) : fe_zero()};
 }
 
 Ge ge_neg(const Ge& p) { return Ge{fe_neg(p.x), p.y, p.z, fe_neg(p.t)}; }
@@ -397,53 +431,74 @@ const Ge& ge_base() {
 // no timing side channel.
 // ---------------------------------------------------------------------------
 
-// Digits of the dynamic (per-point) window: odd, |digit| <= 15 (w = 5).
+// Digits of the per-point windows: odd, |digit| <= 15 (w = 5).
 constexpr int kWindowDyn = 5;
-// Digits of the static base-point window: odd, |digit| <= 63 (w = 7).
+constexpr int kDynTableSize = 1 << (kWindowDyn - 2);  // odd multiples 1P..15P
+// Digits of the static base-point windows: odd, |digit| <= 63 (w = 7).
 constexpr int kWindowBase = 7;
-constexpr int kBaseTableSize = 1 << (kWindowBase - 2);  // odd multiples 1B..63B
+constexpr int kBaseTableSize = 1 << (kWindowBase - 2);  // odd multiples 1P..63P
 
-// Signed sliding-window recoding of a little-endian scalar (< 2^253):
-// r[0..256] with r[i] zero or odd, |r[i]| < 2^(w-1), and
-// sum r[i] 2^i == scalar.
-void slide(signed char* r, const std::uint8_t a[32], int w) {
-  for (int i = 0; i < 256; ++i) r[i] = 1 & (a[i >> 3] >> (i & 7));
-  r[256] = 0;
-  const int bound = 1 << (w - 1);
-  for (int i = 0; i < 256; ++i) {
-    if (!r[i]) continue;
-    for (int b = 1; b < w && i + b <= 256; ++b) {
-      if (!r[i + b]) continue;
-      if (r[i] + (r[i + b] << b) <= bound - 1) {
-        r[i] += static_cast<signed char>(r[i + b] << b);
-        r[i + b] = 0;
-      } else if (r[i] - (r[i + b] << b) >= -(bound - 1)) {
-        r[i] -= static_cast<signed char>(r[i + b] << b);
-        // Borrowed a subtraction: carry +1 upward.
-        for (int k = i + b; k <= 256; ++k) {
-          if (!r[k]) {
-            r[k] = 1;
-            break;
-          }
-          r[k] = 0;
-        }
-      } else {
-        break;
-      }
+// Verification splits every scalar at 2^128 and moves the high half
+// onto a table of [2^128]P, so its chains are ~129 doublings long
+// instead of ~253.
+constexpr int kHalfBits = 128;
+// wNAF digits of a scalar below 2^128 sit at positions 0..128.
+constexpr int kNafLen = kHalfBits + 1;
+
+using u128 = unsigned __int128;
+
+// Width-w NAF of a scalar below 2^128: each naf[i] is zero or odd with
+// |naf[i]| < 2^(w-1), nonzero digits are at least w positions apart,
+// and sum naf[i] 2^i == scalar.  Scans only up to the scalar's top bit
+// and returns one past its highest nonzero digit (0 for zero).
+int wnaf(signed char naf[kNafLen], u128 scalar, int w) {
+  std::memset(naf, 0, kNafLen);
+  const int width = 1 << w;
+  int pos = 0, carry = 0, top = 0;
+  while (carry != 0 || (pos < kHalfBits && (scalar >> pos) != 0)) {
+    const int bits =
+        pos < kHalfBits ? static_cast<int>(static_cast<std::uint64_t>(scalar >> pos) & (width - 1))
+                        : 0;
+    const int window = carry + bits;
+    if ((window & 1) == 0) {
+      ++pos;
+      continue;
     }
+    carry = window >= width / 2 ? 1 : 0;
+    naf[pos] = static_cast<signed char>(window - carry * width);
+    top = pos + 1;
+    pos += w;
   }
+  return top;
 }
 
-// Odd multiples {P, 3P, 5P, ..., 15P} in cached form, for w = 5 wNAF.
+// P, 3P, 5P, ..., (2n - 1)P.
+void ge_odd_multiples(const Ge& p, Ge* out, int n) {
+  const GeCached p2 = ge_cache(ge_double(p));
+  out[0] = p;
+  for (int i = 1; i < n; ++i) out[i] = ge_add_cached(out[i - 1], p2);
+}
+
+Ge ge_double_n(Ge p, int n) {
+  for (int i = 0; i < n; ++i) p = ge_double(p, i == n - 1);
+  return p;
+}
+
+// [8]P == O: P lies in the small-order (torsion) subgroup.
+bool ge_is_small_order(const Ge& p) { return ge_is_identity(ge_double_n(p, 3)); }
+
+// Odd multiples {P, 3P, ..., 15P} in cached form: the table of a point
+// used in one chain only, where converting to affine would cost an
+// inversion.
 struct DynTable {
-  GeCached mult[8];
+  GeCached mult[kDynTableSize];
 };
 
 DynTable ge_dyn_table(const Ge& p) {
+  Ge pts[kDynTableSize];
+  ge_odd_multiples(p, pts, kDynTableSize);
   DynTable t;
-  t.mult[0] = ge_cache(p);
-  const Ge p2 = ge_double(p);
-  for (int i = 1; i < 8; ++i) t.mult[i] = ge_cache(ge_add_cached(p2, t.mult[i - 1]));
+  for (int i = 0; i < kDynTableSize; ++i) t.mult[i] = ge_cache(pts[i]);
   return t;
 }
 
@@ -466,23 +521,28 @@ void batch_to_precomp(const Ge* pts, GePrecomp* out) {
   }
 }
 
-// Odd multiples {B, 3B, ..., 63B} of the base point in affine form,
-// built once; the verification chains below read it.
+// Odd multiples {P, 3P, ..., 63P} of a fixed point in affine form.
 struct BaseTable {
   GePrecomp mult[kBaseTableSize];
 };
 
+BaseTable make_base_table(const Ge& p) {
+  Ge pts[kBaseTableSize];
+  ge_odd_multiples(p, pts, kBaseTableSize);
+  BaseTable t;
+  batch_to_precomp<kBaseTableSize>(pts, t.mult);
+  return t;
+}
+
+// The tables of B and of [2^128]B, built once: verification reads them
+// for the low and the high half of its base-point scalar.
 const BaseTable& base_table() {
-  static const BaseTable table = [] {
-    Ge pts[kBaseTableSize];
-    pts[0] = ge_base();
-    const Ge b2 = ge_double(ge_base());
-    const GeCached b2c = ge_cache(b2);
-    for (int i = 1; i < kBaseTableSize; ++i) pts[i] = ge_add_cached(pts[i - 1], b2c);
-    BaseTable t;
-    batch_to_precomp<kBaseTableSize>(pts, t.mult);
-    return t;
-  }();
+  static const BaseTable table = make_base_table(ge_base());
+  return table;
+}
+
+const BaseTable& base128_table() {
+  static const BaseTable table = make_base_table(ge_double_n(ge_base(), kHalfBits));
   return table;
 }
 
@@ -510,7 +570,7 @@ const CombTable& comb_table() {
       const GeCached pc = ge_cache(p);
       row[0] = p;
       for (int j = 1; j < kCombCols; ++j) row[j] = ge_add_cached(row[j - 1], pc);
-      for (int d = 0; d < 8; ++d) p = ge_double(p);
+      for (int d = 0; d < 8; ++d) p = ge_double(p, d == 7);
     }
     CombTable t;
     batch_to_precomp<kCombRows * kCombCols>(pts, t.mult);
@@ -548,75 +608,8 @@ Ge ge_scalarmult_base(const std::uint8_t scalar[32]) {
     else if (e[i] < 0) r = ge_sub_precomp(r, row[-e[i] - 1]);
   };
   for (int i = 1; i < 64; i += 2) add_digit(i);
-  for (int i = 0; i < 4; ++i) r = ge_double(r);
+  for (int i = 0; i < 4; ++i) r = ge_double(r, i == 3);
   for (int i = 0; i < 64; i += 2) add_digit(i);
-  return r;
-}
-
-// r = [a]A + [b]B (Straus/Shamir: one shared doubling chain).
-Ge ge_double_scalarmult(const std::uint8_t a[32], const Ge& A, const std::uint8_t b[32]) {
-  signed char anaf[257], bnaf[257];
-  slide(anaf, a, kWindowDyn);
-  slide(bnaf, b, kWindowBase);
-  const DynTable at = ge_dyn_table(A);
-  const BaseTable& bt = base_table();
-  int i = 256;
-  while (i >= 0 && !anaf[i] && !bnaf[i]) --i;
-  Ge r = ge_identity();
-  for (; i >= 0; --i) {
-    r = ge_double(r);
-    if (anaf[i] > 0) r = ge_add_cached(r, at.mult[anaf[i] >> 1]);
-    else if (anaf[i] < 0) r = ge_sub_cached(r, at.mult[(-anaf[i]) >> 1]);
-    if (bnaf[i] > 0) r = ge_add_precomp(r, bt.mult[bnaf[i] >> 1]);
-    else if (bnaf[i] < 0) r = ge_sub_precomp(r, bt.mult[(-bnaf[i]) >> 1]);
-  }
-  return r;
-}
-
-// r = [base_scalar]B + sum [scalars[j]]points[j] — generalized Straus
-// for batch verification.  One doubling chain regardless of how many
-// points are combined.
-struct MsmEntry {
-  Ge point;
-  std::uint8_t scalar[32];
-};
-
-Ge ge_multi_scalarmult(const std::uint8_t base_scalar[32],
-                       const std::vector<MsmEntry>& entries) {
-  const std::size_t n = entries.size();
-  // Reused per thread: one MSM runs per batch-verify shard, and the
-  // working set (NAF digits + per-point tables) would otherwise be two
-  // fresh heap blocks per call.
-  thread_local std::vector<std::array<signed char, 257>> nafs;
-  thread_local std::vector<DynTable> tables;
-  nafs.assign(n, {});
-  tables.resize(n);
-  for (std::size_t j = 0; j < n; ++j) {
-    slide(nafs[j].data(), entries[j].scalar, kWindowDyn);
-    tables[j] = ge_dyn_table(entries[j].point);
-  }
-  signed char bnaf[257];
-  slide(bnaf, base_scalar, kWindowBase);
-  const BaseTable& bt = base_table();
-
-  int i = 256;
-  for (; i >= 0; --i) {
-    if (bnaf[i]) break;
-    bool any = false;
-    for (std::size_t j = 0; j < n && !any; ++j) any = nafs[j][static_cast<std::size_t>(i)] != 0;
-    if (any) break;
-  }
-  Ge r = ge_identity();
-  for (; i >= 0; --i) {
-    r = ge_double(r);
-    for (std::size_t j = 0; j < n; ++j) {
-      const signed char d = nafs[j][static_cast<std::size_t>(i)];
-      if (d > 0) r = ge_add_cached(r, tables[j].mult[d >> 1]);
-      else if (d < 0) r = ge_sub_cached(r, tables[j].mult[(-d) >> 1]);
-    }
-    if (bnaf[i] > 0) r = ge_add_precomp(r, bt.mult[bnaf[i] >> 1]);
-    else if (bnaf[i] < 0) r = ge_sub_precomp(r, bt.mult[(-bnaf[i]) >> 1]);
-  }
   return r;
 }
 
@@ -860,81 +853,219 @@ SignatureBytes sign(const ExpandedKey& key, ByteView msg) {
 
 namespace {
 
-// Everything `verify` rejects before touching the curve equation, plus
-// the decoded values the equation needs.  Shared by the single and
-// batched paths so both enforce identical rules.
-struct DecodedSig {
-  Ge A;       // the public key
-  Ge R;       // the signature's commitment point
-  U256 k;     // SHA512(R || A || msg) mod L
-  U256 s;     // the signature scalar
+// ---------------------------------------------------------------------------
+// Verification: one Straus loop over table terms with 128-bit scalars.
+// ---------------------------------------------------------------------------
+
+u128 sc_lo(const U256& a) { return (u128)a.w[1] << 64 | a.w[0]; }
+u128 sc_hi(const U256& a) { return (u128)a.w[3] << 64 | a.w[2]; }
+
+// One term [scalar]P of a multi-scalar product, scalar below 2^128:
+// the scalar's wNAF digits and P's odd multiples, affine or cached.
+struct StrausTerm {
+  signed char naf[kNafLen];
+  const GePrecomp* affine;
+  const GeCached* cached;
 };
 
-bool decode_for_verify(const PublicKeyBytes& pub, ByteView msg, const SignatureBytes& sig,
-                       DecodedSig& out) {
-  if (!sc_is_canonical(sig.data() + 32)) return false;
-  if (!ge_decompress(out.A, pub.data())) return false;
-  if (!ge_decompress(out.R, sig.data())) return false;
-  const Digest512 kh =
-      hash3(ByteView{sig.data(), 32}, ByteView{pub.data(), pub.size()}, msg);
-  out.k = sc_reduce_bytes(kh.data(), kh.size());
-  out.s = sc_from_bytes(sig.data() + 32);
-  return true;
+// Points `t` at `table`; returns one past the top digit.
+int set_term(StrausTerm& t, u128 scalar, const GePrecomp* table, int w) {
+  t.affine = table;
+  t.cached = nullptr;
+  return wnaf(t.naf, scalar, w);
 }
 
-// The cofactorless check [S]B == R + [k]A, given decoded inputs.
-bool check_equation(const DecodedSig& d, const std::uint8_t* r_bytes) {
-  std::uint8_t k_bytes[32], s_bytes[32];
-  sc_to_bytes(k_bytes, d.k);
-  sc_to_bytes(s_bytes, d.s);
-  // [S]B + [k](-A) must compress back to the signature's R bytes.  R
-  // decompressed canonically, so byte equality == point equality.
-  const Ge lhs = ge_double_scalarmult(k_bytes, ge_neg(d.A), s_bytes);
-  std::uint8_t lhs_bytes[32];
-  ge_compress(lhs_bytes, lhs);
-  return std::memcmp(lhs_bytes, r_bytes, 32) == 0;
+int set_term(StrausTerm& t, u128 scalar, const GeCached* table, int w) {
+  t.affine = nullptr;
+  t.cached = table;
+  return wnaf(t.naf, scalar, w);
+}
+
+// The sum of every term, whose digits all sit below position `top`:
+// one doubling chain shared by all of them.
+Ge ge_straus(std::span<const StrausTerm> terms, int top) {
+  Ge r = ge_identity();
+  for (int i = top - 1; i >= 0; --i) {
+    const bool adds = std::any_of(terms.begin(), terms.end(),
+                                  [i](const StrausTerm& t) { return t.naf[i] != 0; });
+    r = ge_double(r, adds || i == 0);
+    for (const StrausTerm& t : terms) {
+      const int d = t.naf[i];
+      if (d > 0) {
+        r = t.affine ? ge_add_precomp(r, t.affine[d >> 1]) : ge_add_cached(r, t.cached[d >> 1]);
+      } else if (d < 0) {
+        r = t.affine ? ge_sub_precomp(r, t.affine[-d >> 1]) : ge_sub_cached(r, t.cached[-d >> 1]);
+      }
+    }
+  }
+  return r;
+}
+
+// Odd multiples of -A and of -[2^128]A in affine form (1,920 bytes),
+// which the low and high halves of [k]A read.
+struct KeyTables {
+  GePrecomp mult[2 * kDynTableSize];
+
+  const GePrecomp* neg_a() const { return mult; }
+  const GePrecomp* neg_a128() const { return mult + kDynTableSize; }
+};
+
+void build_key_tables(const Ge& a, KeyTables& out) {
+  Ge pts[2 * kDynTableSize];
+  const Ge neg_a = ge_neg(a);
+  ge_odd_multiples(neg_a, pts, kDynTableSize);
+  ge_odd_multiples(ge_double_n(neg_a, kHalfBits), pts + kDynTableSize, kDynTableSize);
+  batch_to_precomp<2 * kDynTableSize>(pts, out.mult);
+}
+
+// One thread's decoded public keys: whether the 32 bytes decompress
+// canonically and, if so, their KeyTables.  Light clients check the
+// same validator keys on every header, so a key is decoded and its
+// 128 doublings are paid once per thread.  Entries are stored in one
+// block of kKeyMemoCapacity allocated on first use; make_room clears
+// the memo wholesale, and only at the top of a call, so no table a
+// call holds is freed under it.  Each thread owns its memo: no locks.
+class KeyMemo {
+ public:
+  // Clears the memo unless `n` more keys fit.
+  void make_room(std::size_t n) {
+    if (entries_.size() + n <= kKeyMemoCapacity) return;
+    entries_.clear();
+    slots_.fill(0);
+  }
+
+  // The tables of `pub`, or null if it is not a valid point encoding.
+  // A new key needs room, which the caller made with make_room.
+  const KeyTables* find(const PublicKeyBytes& pub) {
+    std::size_t s = slot_of(pub);
+    for (; slots_[s] != 0; s = (s + 1) % kSlots) {
+      const Entry& e = entries_[slots_[s] - 1];
+      if (e.pub == pub) return e.valid ? &e.tables : nullptr;
+    }
+    if (entries_.capacity() == 0) entries_.reserve(kKeyMemoCapacity);
+    Entry& e = entries_.emplace_back();
+    e.pub = pub;
+    Ge a{};
+    e.valid = ge_decompress(a, pub.data());
+    if (e.valid) build_key_tables(a, e.tables);
+    slots_[s] = static_cast<std::uint16_t>(entries_.size());
+    return e.valid ? &e.tables : nullptr;
+  }
+
+ private:
+  struct Entry {
+    PublicKeyBytes pub;
+    bool valid;
+    KeyTables tables;
+  };
+
+  // Linear probing, at most half full.
+  static constexpr std::size_t kSlots = 2 * kKeyMemoCapacity;
+
+  static std::size_t slot_of(const PublicKeyBytes& pub) {
+    std::uint64_t h = 0;
+    for (std::size_t i = 0; i < 32; i += 8) {
+      std::uint64_t w = 0;
+      std::memcpy(&w, pub.data() + i, 8);
+      h = (h ^ w) * 0x9E3779B97F4A7C15ULL;
+    }
+    return static_cast<std::size_t>(h >> 32) % kSlots;
+  }
+
+  std::vector<Entry> entries_;
+  std::array<std::uint16_t, kSlots> slots_{};  // 1 + index into entries_; 0 is empty
+};
+
+KeyMemo& key_memo() {
+  thread_local KeyMemo memo;
+  return memo;
+}
+
+// k = SHA512(R || A || msg) mod L.
+U256 challenge(const PublicKeyBytes& pub, ByteView msg, const SignatureBytes& sig) {
+  const Digest512 kh =
+      hash3(ByteView{sig.data(), 32}, ByteView{pub.data(), pub.size()}, msg);
+  return sc_reduce_bytes(kh.data(), kh.size());
+}
+
+// The cofactored check [8][S]B == [8]R + [8][k]A (RFC 8032 §5.1.7) for
+// a canonical S and a decoded key.  [S]B - [k]A comes from one chain
+// over four terms: S and k split at 2^128 onto B, [2^128]B, -A and
+// -[2^128]A.  If it compresses to R's bytes the equation holds, and no
+// invalid or non-canonical encoding equals a compression, so only a
+// mismatch decodes R and tests whether the difference is small-order.
+bool check_single(const KeyTables& key, const U256& s, const U256& k,
+                  const std::uint8_t r_bytes[32]) {
+  StrausTerm terms[4];
+  const int top = std::max({set_term(terms[0], sc_lo(s), base_table().mult, kWindowBase),
+                            set_term(terms[1], sc_hi(s), base128_table().mult, kWindowBase),
+                            set_term(terms[2], sc_lo(k), key.neg_a(), kWindowDyn),
+                            set_term(terms[3], sc_hi(k), key.neg_a128(), kWindowDyn)});
+  const Ge p = ge_straus(terms, top);
+  std::uint8_t p_bytes[32];
+  ge_compress(p_bytes, p);
+  if (std::memcmp(p_bytes, r_bytes, 32) == 0) return true;
+  Ge r{};
+  if (!ge_decompress(r, r_bytes)) return false;
+  return ge_is_small_order(ge_sub_cached(p, ge_cache(r)));
 }
 
 }  // namespace
 
 bool verify(const PublicKeyBytes& pub, ByteView msg, const SignatureBytes& sig) {
-  DecodedSig d;
-  if (!decode_for_verify(pub, msg, sig, d)) return false;
-  return check_equation(d, sig.data());
+  KeyMemo& memo = key_memo();
+  memo.make_room(1);
+  if (!sc_is_canonical(sig.data() + 32)) return false;
+  const KeyTables* key = memo.find(pub);
+  if (key == nullptr) return false;
+  return check_single(*key, sc_from_bytes(sig.data() + 32), challenge(pub, msg, sig),
+                      sig.data());
 }
 
 namespace {
 
-/// The random-linear-combination batch check over one contiguous run
-/// of items, writing 0/1 verdicts into `ok[0..items.size())`.  This is
-/// the whole pre-executor verify_batch body; the public entry point
-/// shards large batches into independent runs of this.  A run's
-/// verdicts equal per-item `verify` results whether the combined
-/// equation passes (all candidates valid) or fails (per-item
-/// fallback), so the bitmap does not depend on where run boundaries
-/// fall.
-void verify_batch_range(std::span<const VerifyItem> items, std::uint8_t* ok) {
+/// The random-linear-combination batch check over one run of at most
+/// kKeyMemoCapacity items, writing 0/1 verdicts into
+/// `ok[0..items.size())`.  A run's verdicts equal per-item `verify`
+/// results whether the combined equation passes (all candidates valid)
+/// or fails (per-item fallback), so the bitmap does not depend on
+/// where run boundaries fall.
+void verify_batch_run(std::span<const VerifyItem> items, std::uint8_t* ok) {
   for (std::size_t i = 0; i < items.size(); ++i) ok[i] = 0;
   if (items.empty()) return;
+  KeyMemo& memo = key_memo();
+  memo.make_room(items.size());
 
-  // Pre-checks: canonical S, canonical point encodings, k derivation.
-  // Items failing here are definitively invalid and excluded from the
-  // combined equation.
+  // Pre-checks: canonical S, a decodable key, and, when equations
+  // combine, a decodable R.  Items failing here are definitively
+  // invalid and excluded from the combined equation.
   struct Candidate {
     std::size_t idx;
-    DecodedSig d;
+    const KeyTables* key;
+    U256 s;
+    U256 k;
+    Ge r;
   };
   thread_local std::vector<Candidate> cand;
   cand.clear();
   cand.reserve(items.size());
+  const bool combine = items.size() > 1;
   for (std::size_t i = 0; i < items.size(); ++i) {
-    DecodedSig d;
-    if (decode_for_verify(items[i].pub, items[i].msg, items[i].sig, d))
-      cand.push_back({i, d});
+    const VerifyItem& it = items[i];
+    if (!sc_is_canonical(it.sig.data() + 32)) continue;
+    Candidate c{};
+    c.idx = i;
+    c.key = memo.find(it.pub);
+    if (c.key == nullptr) continue;
+    if (combine && !ge_decompress(c.r, it.sig.data())) continue;
+    c.s = sc_from_bytes(it.sig.data() + 32);
+    c.k = challenge(it.pub, it.msg, it.sig);
+    cand.push_back(c);
   }
   if (cand.empty()) return;
   if (cand.size() == 1) {
-    ok[cand[0].idx] = check_equation(cand[0].d, items[cand[0].idx].sig.data()) ? 1 : 0;
+    const Candidate& c = cand[0];
+    ok[c.idx] = check_single(*c.key, c.s, c.k, items[c.idx].sig.data()) ? 1 : 0;
     return;
   }
 
@@ -950,17 +1081,20 @@ void verify_batch_range(std::span<const VerifyItem> items, std::uint8_t* ok) {
     transcript.update(ByteView{items[c.idx].pub.data(), 32});
     transcript.update(ByteView{items[c.idx].sig.data(), 64});
     std::uint8_t k_bytes[32];
-    sc_to_bytes(k_bytes, c.d.k);
+    sc_to_bytes(k_bytes, c.k);
     transcript.update(ByteView{k_bytes, 32});
   }
   const Digest512 root = transcript.finish();
 
-  // Combined equation: [sum z_i S_i]B + sum [z_i](-R_i) + sum [z_i k_i](-A_i)
-  // must be the identity.
+  // Combined equation: [8]([sum z_i S_i]B + sum [z_i](-R_i) +
+  // sum [z_i k_i](-A_i)) must be the identity.  Every scalar is at most
+  // 128 bits: z_i as is, the others split at 2^128.
+  thread_local std::vector<DynTable> r_tables;
+  thread_local std::vector<StrausTerm> terms;
+  r_tables.resize(cand.size());
+  terms.resize(2 + 3 * cand.size());
   U256 b_comb = {{0, 0, 0, 0}};
-  thread_local std::vector<MsmEntry> entries;
-  entries.clear();
-  entries.reserve(cand.size() * 2);
+  int top = 0;
   for (std::size_t j = 0; j < cand.size(); ++j) {
     Sha512 zh;
     zh.update(ByteView{root.data(), root.size()});
@@ -975,20 +1109,18 @@ void verify_batch_range(std::span<const VerifyItem> items, std::uint8_t* ok) {
     if (all_zero) z_bytes[0] = 1;
     const U256 z = sc_from_bytes(z_bytes);
 
-    const DecodedSig& d = cand[j].d;
-    b_comb = sc_add(b_comb, sc_mul(z, d.s));
-    MsmEntry er;
-    er.point = ge_neg(d.R);
-    sc_to_bytes(er.scalar, z);
-    entries.push_back(er);
-    MsmEntry ea;
-    ea.point = ge_neg(d.A);
-    sc_to_bytes(ea.scalar, sc_mul(z, d.k));
-    entries.push_back(ea);
+    const Candidate& c = cand[j];
+    b_comb = sc_add(b_comb, sc_mul(z, c.s));
+    const U256 zk = sc_mul(z, c.k);
+    r_tables[j] = ge_dyn_table(ge_neg(c.r));
+    StrausTerm* t = &terms[2 + 3 * j];
+    top = std::max({top, set_term(t[0], sc_lo(z), r_tables[j].mult, kWindowDyn),
+                    set_term(t[1], sc_lo(zk), c.key->neg_a(), kWindowDyn),
+                    set_term(t[2], sc_hi(zk), c.key->neg_a128(), kWindowDyn)});
   }
-  std::uint8_t b_bytes[32];
-  sc_to_bytes(b_bytes, b_comb);
-  if (ge_is_identity(ge_multi_scalarmult(b_bytes, entries))) {
+  top = std::max({top, set_term(terms[0], sc_lo(b_comb), base_table().mult, kWindowBase),
+                  set_term(terms[1], sc_hi(b_comb), base128_table().mult, kWindowBase)});
+  if (ge_is_small_order(ge_straus(terms, top))) {
     for (const Candidate& c : cand) ok[c.idx] = 1;
     return;
   }
@@ -996,7 +1128,16 @@ void verify_batch_range(std::span<const VerifyItem> items, std::uint8_t* ok) {
   // At least one signature is bad: fall back to per-item verification
   // so the caller learns which.
   for (const Candidate& c : cand)
-    ok[c.idx] = check_equation(c.d, items[c.idx].sig.data()) ? 1 : 0;
+    ok[c.idx] = check_single(*c.key, c.s, c.k, items[c.idx].sig.data()) ? 1 : 0;
+}
+
+/// One shard of verify_batch: runs of at most kKeyMemoCapacity items,
+/// so every key of a run fits in the memo at once.
+void verify_batch_range(std::span<const VerifyItem> items, std::uint8_t* ok) {
+  for (std::size_t begin = 0; begin < items.size(); begin += kKeyMemoCapacity) {
+    const std::size_t n = std::min(kKeyMemoCapacity, items.size() - begin);
+    verify_batch_run(items.subspan(begin, n), ok + begin);
+  }
 }
 
 /// Below this, one combined equation on one core beats the fork-join

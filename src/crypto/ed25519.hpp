@@ -8,6 +8,7 @@
 #pragma once
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <span>
@@ -36,8 +37,14 @@ struct ExpandedKey {
 /// Signs `msg` (RFC 8032 §5.1.6).
 [[nodiscard]] SignatureBytes sign(const ExpandedKey& key, ByteView msg);
 
-/// Verifies a signature (RFC 8032 §5.1.7, cofactorless, strict S < L).
+/// Verifies a signature (RFC 8032 §5.1.7): strict S < L, canonical
+/// point encodings, and the cofactored equation [8][S]B = [8]R + [8][k]A.
 [[nodiscard]] bool verify(const PublicKeyBytes& pub, ByteView msg, const SignatureBytes& sig);
+
+/// Public keys per thread whose decoded verification tables `verify`
+/// and `verify_batch` keep between calls (about 1.9 KiB each).  The
+/// memo is cleared wholesale when a call might overflow it.
+inline constexpr std::size_t kKeyMemoCapacity = 1024;
 
 /// One signature of a batch; `msg` must stay alive for the call.
 struct VerifyItem {
@@ -49,13 +56,16 @@ struct VerifyItem {
 /// Batch verification of many (pub, msg, sig) triples at once.
 ///
 /// The fast path checks one random-linear-combination equation
-///   [sum z_i S_i] B  ==  sum [z_i] R_i + sum [z_i k_i] A_i
+///   [8][sum z_i S_i] B  ==  [8](sum [z_i] R_i + sum [z_i k_i] A_i)
 /// with per-item 128-bit coefficients z_i derived Fiat–Shamir style
-/// from the batch itself, sharing a single doubling chain across every
-/// point (Straus).  If the combined check fails, each item is
-/// re-verified individually so callers still learn *which* signature
-/// is bad.  Accepts exactly the signatures `verify` accepts (same
-/// canonical-S, canonical-encoding and cofactorless-equation rules).
+/// from the batch itself.  Every scalar is split at 2^128 onto tables
+/// of B, [2^128]B, A_i and [2^128]A_i, so all points share one
+/// doubling chain of at most ~129 steps (Straus).  If the combined
+/// check fails, each item is re-verified individually so callers still
+/// learn *which* signature is bad.  Accepts exactly the signatures
+/// `verify` accepts (same canonical-S, canonical-encoding and
+/// cofactored-equation rules); the cofactor makes this hold for keys
+/// and R values with a small-order component too.
 [[nodiscard]] std::vector<bool> verify_batch(std::span<const VerifyItem> items);
 
 }  // namespace bmg::crypto::ed25519

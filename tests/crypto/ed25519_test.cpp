@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <thread>
+
 #include "common/bytes.hpp"
 #include "crypto/sha256.hpp"
 #include "rfc8032_vectors.hpp"
@@ -237,8 +239,9 @@ TEST(Ed25519, BatchMatchesSingleVerifyProperty) {
 
 // Random keys and messages of 0 to 300 bytes.  Signing and key
 // expansion run the radix-16 comb; verify and verify_batch recompute
-// [S]B through the w = 7 wNAF Straus chains, so a wrong comb digit,
-// carry or table entry fails here.
+// [S]B from its halves on the w = 7 tables of B and [2^128]B in a
+// 128-bit Straus chain, so a wrong comb digit, carry or table entry
+// fails here, and so does a wrong split or per-key [2^128]A table.
 TEST(Ed25519, ManyRandomRoundTrips) {
   constexpr std::size_t kTrips = 1000;
   XorShift rng{0x243f6a8885a308d3ULL};
@@ -281,6 +284,221 @@ TEST(Ed25519, SignaturesMatchParentDigest) {
   }
   EXPECT_EQ(to_hex(h.finish().view()),
             "03c006b4afba46f570ab01f6847ec82303312f8c4530123d2d8423b5ad73e407");
+}
+
+
+// p = 2^255 - 19, little-endian: the field modulus point encodings are
+// reduced against.
+constexpr std::array<std::uint8_t, 32> kFieldP = {
+    0xed, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff,
+    0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff,
+    0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f};
+
+// The group order L, little-endian.
+constexpr std::array<std::uint8_t, 32> kOrderL = {
+    0xed, 0xd3, 0xf5, 0x5c, 0x1a, 0x63, 0x12, 0x58, 0xd6, 0x9c, 0xf7,
+    0xa2, 0xde, 0xf9, 0xde, 0x14, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x10};
+
+// A + T for the order-2 point T = (0, -1): (x, y) + T = (-x, -y), so
+// the encoding's y becomes p - y and its sign bit flips.
+PublicKeyBytes lace_with_order2(const PublicKeyBytes& pub) {
+  PublicKeyBytes out{};
+  int borrow = 0;
+  for (std::size_t i = 0; i < 32; ++i) {
+    const int y = i == 31 ? (pub[i] & 0x7f) : pub[i];
+    const int d = kFieldP[i] - y - borrow;
+    out[i] = static_cast<std::uint8_t>(d);
+    borrow = d < 0 ? 1 : 0;
+  }
+  out[31] = static_cast<std::uint8_t>((out[31] & 0x7f) | ((pub[31] ^ 0x80) & 0x80));
+  return out;
+}
+
+// A signature under a key laced with a small-order point satisfies
+// the cofactored equation [8][S]B = [8]R + [8][k]A but, for about half
+// of the messages, not the cofactorless one.  A random-linear-
+// combination batch cancels the torsion term whenever its coefficient
+// is even, so a cofactorless batch accepted signatures its own
+// single-signature check rejected.  Both paths now use the cofactored
+// equation and accept every one.
+TEST(Ed25519, BatchAgreesWithVerifyOnTorsionLacedKeys) {
+  XorShift rng{0x3c6ef372fe94f82bULL};
+  Seed seed{};
+  rng.fill(seed.data(), seed.size());
+  ExpandedKey laced = expand(seed);
+  laced.pub = lace_with_order2(laced.pub);
+
+  std::vector<ExpandedKey> honest(3);
+  for (ExpandedKey& k : honest) {
+    rng.fill(seed.data(), seed.size());
+    k = expand(seed);
+  }
+
+  int accepted = 0;
+  for (int i = 0; i < 256; ++i) {
+    const Bytes msg = bytes_of("laced-" + std::to_string(i));
+    std::vector<VerifyItem> batch;
+    batch.push_back({laced.pub, ByteView{msg}, sign(laced, msg)});
+    for (const ExpandedKey& k : honest) batch.push_back({k.pub, ByteView{msg}, sign(k, msg)});
+    const bool single = verify(batch[0].pub, batch[0].msg, batch[0].sig);
+    const std::vector<bool> got = verify_batch(batch);
+    EXPECT_EQ(got[0], single) << "message " << i;
+    for (std::size_t j = 1; j < batch.size(); ++j) EXPECT_TRUE(got[j]) << "message " << i;
+    accepted += single ? 1 : 0;
+  }
+  EXPECT_EQ(accepted, 256);
+}
+
+// A deterministic corpus of honest and mutated triples for the
+// verdict digest below: 2,040 triples (30 blocks of 68, a multiple of
+// both batch shapes 4 and 17) over 1,100 keys.  Even blocks are all
+// honest, so the combined batch equation also passes; odd blocks draw
+// from the six mutation arms of BatchMatchesSingleVerifyProperty plus
+// hand-made encodings: R and A with y >= p, R and A encoding x = 0
+// with the sign bit set, S = L, and the identity as R.  Torsion-laced
+// keys are left out: the cofactored equation accepts them on purpose.
+struct VerdictCorpus {
+  static constexpr std::size_t kKeys = 1100;
+  static constexpr std::size_t kBlock = 68;
+  static constexpr std::size_t kTriples = 30 * kBlock;
+
+  std::vector<Bytes> msgs;
+  std::vector<VerifyItem> items;
+};
+
+VerdictCorpus make_verdict_corpus() {
+  XorShift rng{0xbb67ae8584caa73bULL};
+  std::vector<ExpandedKey> keys(VerdictCorpus::kKeys);
+  for (ExpandedKey& k : keys) {
+    Seed seed{};
+    rng.fill(seed.data(), seed.size());
+    k = expand(seed);
+  }
+  // p + t for t <= 18 (non-canonical y), with a random sign bit.
+  const auto y_at_least_p = [&rng](std::uint8_t out[32]) {
+    std::copy(kFieldP.begin(), kFieldP.end(), out);
+    out[0] = static_cast<std::uint8_t>(out[0] + rng.next() % 19);
+    if (rng.next() & 1) out[31] |= 0x80;
+  };
+  // y = 1 or y = p - 1, the two points with x = 0, with the sign bit set.
+  const auto negative_zero_x = [&rng](std::uint8_t out[32]) {
+    std::fill(out, out + 32, 0);
+    if (rng.next() & 1) {
+      out[0] = 1;
+    } else {
+      std::copy(kFieldP.begin(), kFieldP.end(), out);
+      out[0] -= 1;
+    }
+    out[31] |= 0x80;
+  };
+
+  VerdictCorpus c;
+  c.msgs.resize(VerdictCorpus::kTriples);
+  c.items.resize(VerdictCorpus::kTriples);
+  for (std::size_t i = 0; i < VerdictCorpus::kTriples; ++i) {
+    const ExpandedKey& key = keys[i % VerdictCorpus::kKeys];
+    Bytes& msg = c.msgs[i];
+    msg.resize(rng.next() % 65);
+    rng.fill(msg.data(), msg.size());
+    VerifyItem& it = c.items[i];
+    it.pub = key.pub;
+    it.sig = sign(key, msg);
+    if ((i / VerdictCorpus::kBlock) % 2 == 0) continue;
+
+    switch (rng.next() % 16) {
+      case 0:  // tampered R half
+        it.sig[rng.next() % 32] ^= static_cast<std::uint8_t>(1 + rng.next() % 255);
+        break;
+      case 1:  // tampered S half
+        it.sig[32 + rng.next() % 32] ^= static_cast<std::uint8_t>(1 + rng.next() % 255);
+        break;
+      case 2:  // wrong message
+        msg.push_back(static_cast<std::uint8_t>(rng.next()));
+        break;
+      case 3:  // wrong key
+        it.pub = keys[(i + 1 + rng.next() % (VerdictCorpus::kKeys - 1)) % VerdictCorpus::kKeys].pub;
+        break;
+      case 4: {  // non-canonical S' = S + L
+        unsigned carry = 0;
+        for (std::size_t b = 0; b < 32; ++b) {
+          const unsigned sum = it.sig[32 + b] + kOrderL[b] + carry;
+          it.sig[32 + b] = static_cast<std::uint8_t>(sum);
+          carry = sum >> 8;
+        }
+        break;
+      }
+      case 5:  // all-zero signature
+        it.sig = SignatureBytes{};
+        break;
+      case 6:
+        y_at_least_p(it.sig.data());
+        break;
+      case 7:
+        y_at_least_p(it.pub.data());
+        break;
+      case 8:
+        negative_zero_x(it.sig.data());
+        break;
+      case 9:
+        negative_zero_x(it.pub.data());
+        break;
+      case 10:  // S = L
+        std::copy(kOrderL.begin(), kOrderL.end(), it.sig.begin() + 32);
+        break;
+      case 11:  // the identity (0, 1) as R
+        std::fill(it.sig.begin(), it.sig.begin() + 32, 0);
+        it.sig[0] = 1;
+        break;
+      default:  // leave valid (four of sixteen arms)
+        break;
+    }
+  }
+  for (std::size_t i = 0; i < VerdictCorpus::kTriples; ++i) c.items[i].msg = ByteView{c.msgs[i]};
+  return c;
+}
+
+// SHA-256 over the corpus verdicts of verify, then of verify_batch on
+// the corpus cut into batches of 1, 4 and 17.
+std::string verdict_digest(const std::vector<VerifyItem>& items) {
+  Sha256 h;
+  Bytes verdicts(items.size());
+  for (std::size_t i = 0; i < items.size(); ++i)
+    verdicts[i] = verify(items[i].pub, items[i].msg, items[i].sig) ? 1 : 0;
+  h.update(verdicts);
+  const std::span<const VerifyItem> all{items};
+  for (const std::size_t size : {1, 4, 17}) {
+    for (std::size_t begin = 0; begin < items.size(); begin += size) {
+      const std::size_t n = std::min(size, items.size() - begin);
+      const std::vector<bool> got = verify_batch(all.subspan(begin, n));
+      for (std::size_t j = 0; j < n; ++j) verdicts[begin + j] = got[j] ? 1 : 0;
+    }
+    h.update(verdicts);
+  }
+  return to_hex(h.finish().view());
+}
+
+// Verdict identity of verify and verify_batch.  The constant was
+// computed at commit 44ac822, before the verify path was rebuilt
+// around per-key [2^128]A tables and split 128-bit chains, where both
+// ran the cofactorless equation over full-length w = 7 / w = 5 wNAF
+// Straus chains.  The corpus runs cold, again with the key memo warm
+// (it holds fewer keys than the corpus, so it is cleared on the way),
+// and on four threads at once, each with its own memo.
+TEST(Ed25519, VerdictsMatchParentDigest) {
+  static_assert(VerdictCorpus::kKeys > kKeyMemoCapacity);
+  constexpr std::string_view kParent =
+      "b63321e82887d0b811420b580f282eae8101ea968f70f502f8a3f436bc9ba14f";
+  const VerdictCorpus c = make_verdict_corpus();
+  EXPECT_EQ(verdict_digest(c.items), kParent) << "cold";
+  EXPECT_EQ(verdict_digest(c.items), kParent) << "memoized";
+
+  std::array<std::string, 4> got;
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < got.size(); ++t)
+    threads.emplace_back([&c, &got, t] { got[t] = verdict_digest(c.items); });
+  for (std::thread& t : threads) t.join();
+  for (std::size_t t = 0; t < got.size(); ++t) EXPECT_EQ(got[t], kParent) << "thread " << t;
 }
 
 }  // namespace

@@ -206,7 +206,9 @@ TEST(SignedQuorumHeaderView, AgreesWithOwningDecode) {
                 0);
     }
     EXPECT_EQ(v.next_validators.has_value(), with_next);
-    if (with_next) EXPECT_EQ(v.next_validators->to_owned(), *sh.next_validators);
+    if (with_next) {
+      EXPECT_EQ(v.next_validators->to_owned(), *sh.next_validators);
+    }
 
     const SignedQuorumHeader owned = v.to_owned();
     EXPECT_EQ(owned.encode(), wire);

@@ -140,7 +140,9 @@ TEST(ReorgChaos, StormConvergesToReorgFreeTokenState) {
                                   /*max_depth=*/4, /*probability=*/0.10);
     const WorkloadResult w = run_fixed_workload(d);
     EXPECT_TRUE(w.delivered);
-    if (storm) EXPECT_GT(d.host().fault_counters().reorgs_triggered, 0u);
+    if (storm) {
+      EXPECT_GT(d.host().fault_counters().reorgs_triggered, 0u);
+    }
     auditor.check_now("final");
     EXPECT_TRUE(auditor.clean()) << auditor.report();
     return banks_digest(d);
