@@ -3,6 +3,7 @@
 #include <benchmark/benchmark.h>
 
 #include "common/bytes.hpp"
+#include "common/parallel.hpp"
 #include "crypto/ed25519.hpp"
 #include "crypto/keys.hpp"
 #include "crypto/sha256.hpp"
@@ -89,7 +90,10 @@ BENCHMARK(BM_Ed25519Verify);
 
 // Batched verification at several batch sizes.  Per-signature time is
 // the headline number: `time / batch` here vs. BM_Ed25519Verify shows
-// the amortization from the shared Straus doubling chain.
+// the amortization from the shared Straus doubling chain.  The loop runs
+// in a SerialRegion, as every simulation cell runs verification: batches
+// of 17 or more would otherwise fork shards onto pool threads, whose
+// CPU time this benchmark's main-thread clock does not count.
 void BM_Ed25519VerifyBatch(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   std::vector<Bytes> msgs;
@@ -103,6 +107,7 @@ void BM_Ed25519VerifyBatch(benchmark::State& state) {
     const crypto::Signature sig = key.sign(msgs.back());
     items.push_back({key.public_key().raw(), ByteView{msgs.back()}, sig.raw()});
   }
+  const parallel::SerialRegion serial;
   for (auto _ : state) {
     benchmark::DoNotOptimize(crypto::ed25519::verify_batch(items));
   }

@@ -12,38 +12,82 @@ namespace {
 
 // ---------------------------------------------------------------------------
 // Field arithmetic mod p = 2^255 - 19, radix-2^51 representation.
+//
+// Reduction is lazy.  fe_mul and fe_sq accept limbs up to kMulInMax
+// (2^54 - 1) and return limbs up to kMulOutMax (2^51 + 2^13 - 1).
+// fe_add and fe_sub do not carry; fe_sub adds 4p limb-wise, so its
+// result stays non-negative while the subtrahend's limbs are at most
+// the bias's.  A sum or difference of two products can therefore go
+// straight into the next product, and only an operand that would break
+// one of these bounds is carried.  The static_asserts below check each
+// bound on its worst case in 128-bit arithmetic: a wrapped limb is
+// unsigned overflow, which no sanitizer reports.
 // ---------------------------------------------------------------------------
 
 struct Fe {
   std::uint64_t v[5];
 };
 
+using u128 = unsigned __int128;
+
 constexpr std::uint64_t kMask51 = (1ULL << 51) - 1;
+// fe_sub's bias 4p: 4(2^51 - 19) on limb 0, 4(2^51 - 1) on the others.
+constexpr std::uint64_t kBias0 = 4 * ((1ULL << 51) - 19);
+constexpr std::uint64_t kBias = 4 * ((1ULL << 51) - 1);
+
+// The limb bounds of the contract, as inclusive maxima.
+constexpr u128 kMulInMax = (u128{1} << 54) - 1;
+constexpr u128 kMulOutMax = (u128{1} << 51) + (u128{1} << 13) - 1;
+constexpr u128 kCarryOutMax = u128{1} << 51;  // fe_carry of limbs below 2^63
+constexpr u128 kSumMax = 2 * kMulOutMax;       // a + b of two products
+constexpr u128 kDiffMax = kMulOutMax + kBias;  // a - b of two products
+
+// fe_mul and fe_sq at input limbs kMulInMax.  Column i sums i + 1
+// products and 4 - i products scaled by 19 (fe_sq's columns equal
+// fe_mul's), plus the carry out of column i - 1.
+constexpr u128 mul_column_max(int i) {
+  const u128 carry_in = i == 0 ? 0 : mul_column_max(i - 1) >> 51;
+  return static_cast<u128>(i + 1 + 19 * (4 - i)) * kMulInMax * kMulInMax + carry_in;
+}
+// Limb 0 once column 4's carry folds back times 19; limb 0's own carry
+// then lands on limb 1, the largest limb returned.
+constexpr u128 kMulFoldMax = kMask51 + 19 * (mul_column_max(4) >> 51);
+constexpr u128 kU64Max = ~std::uint64_t{0};
+static_assert(19 * kMulInMax <= kU64Max && 2 * kMulInMax <= kU64Max,
+              "the 19 b_j and 2 a_j factors fit 64 bits");
+static_assert(mul_column_max(0) < (u128{1} << 115) && mul_column_max(1) < (u128{1} << 115) &&
+                  mul_column_max(2) < (u128{1} << 115) && mul_column_max(3) < (u128{1} << 115) &&
+                  mul_column_max(4) < (u128{1} << 115),
+              "column sums fit 128 bits and their carries 64");
+static_assert(kMulFoldMax <= kU64Max && kMask51 + (kMulFoldMax >> 51) <= kMulOutMax,
+              "fe_mul and fe_sq return limbs up to kMulOutMax");
+// What the group formulas rely on: a product, a carried value or a
+// point coordinate may be subtracted, and a sum or difference of two
+// products may be multiplied.
+static_assert(kMulOutMax <= kBias0 && kCarryOutMax <= kMulOutMax);
+static_assert(kSumMax <= kMulInMax && kDiffMax <= kMulInMax);
 
 Fe fe_zero() { return Fe{{0, 0, 0, 0, 0}}; }
 Fe fe_one() { return Fe{{1, 0, 0, 0, 0}}; }
 
 Fe fe_from_u64(std::uint64_t x) { return Fe{{x & kMask51, x >> 51, 0, 0, 0}}; }
 
-Fe fe_add(const Fe& a, const Fe& b) {
+[[gnu::always_inline]] inline Fe fe_add(const Fe& a, const Fe& b) {
   Fe r;
   for (int i = 0; i < 5; ++i) r.v[i] = a.v[i] + b.v[i];
   return r;
 }
 
-// a - b with a 4p bias added limb-wise so limbs stay non-negative.
-Fe fe_sub(const Fe& a, const Fe& b) {
+// a - b + 4p; b's limbs must be at most kBias0.
+[[gnu::always_inline]] inline Fe fe_sub(const Fe& a, const Fe& b) {
   Fe r;
-  r.v[0] = a.v[0] + 0xFFFFFFFFFFFDAULL * 2 - b.v[0];
-  r.v[1] = a.v[1] + 0xFFFFFFFFFFFFEULL * 2 - b.v[1];
-  r.v[2] = a.v[2] + 0xFFFFFFFFFFFFEULL * 2 - b.v[2];
-  r.v[3] = a.v[3] + 0xFFFFFFFFFFFFEULL * 2 - b.v[3];
-  r.v[4] = a.v[4] + 0xFFFFFFFFFFFFEULL * 2 - b.v[4];
+  r.v[0] = a.v[0] + kBias0 - b.v[0];
+  for (int i = 1; i < 5; ++i) r.v[i] = a.v[i] + kBias - b.v[i];
   return r;
 }
 
-// Weak reduction: bring limbs below ~2^52.
-Fe fe_carry(const Fe& a) {
+// Weak reduction: limbs below 2^63 come out at most 2^51.
+[[gnu::always_inline]] inline Fe fe_carry(const Fe& a) {
   Fe r = a;
   std::uint64_t c;
   c = r.v[0] >> 51; r.v[0] &= kMask51; r.v[1] += c;
@@ -55,18 +99,8 @@ Fe fe_carry(const Fe& a) {
   return r;
 }
 
-Fe fe_mul(const Fe& a, const Fe& b) {
-  using u128 = unsigned __int128;
-  const std::uint64_t a0 = a.v[0], a1 = a.v[1], a2 = a.v[2], a3 = a.v[3], a4 = a.v[4];
-  const std::uint64_t b0 = b.v[0], b1 = b.v[1], b2 = b.v[2], b3 = b.v[3], b4 = b.v[4];
-  const std::uint64_t b1_19 = b1 * 19, b2_19 = b2 * 19, b3_19 = b3 * 19, b4_19 = b4 * 19;
-
-  u128 t0 = (u128)a0 * b0 + (u128)a1 * b4_19 + (u128)a2 * b3_19 + (u128)a3 * b2_19 + (u128)a4 * b1_19;
-  u128 t1 = (u128)a0 * b1 + (u128)a1 * b0 + (u128)a2 * b4_19 + (u128)a3 * b3_19 + (u128)a4 * b2_19;
-  u128 t2 = (u128)a0 * b2 + (u128)a1 * b1 + (u128)a2 * b0 + (u128)a3 * b4_19 + (u128)a4 * b3_19;
-  u128 t3 = (u128)a0 * b3 + (u128)a1 * b2 + (u128)a2 * b1 + (u128)a3 * b0 + (u128)a4 * b4_19;
-  u128 t4 = (u128)a0 * b4 + (u128)a1 * b3 + (u128)a2 * b2 + (u128)a3 * b1 + (u128)a4 * b0;
-
+// The carry chain shared by fe_mul and fe_sq.
+[[gnu::always_inline]] inline Fe fe_reduce_columns(u128 t0, u128 t1, u128 t2, u128 t3, u128 t4) {
   Fe r;
   std::uint64_t c;
   r.v[0] = (std::uint64_t)t0 & kMask51; c = (std::uint64_t)(t0 >> 51);
@@ -83,35 +117,32 @@ Fe fe_mul(const Fe& a, const Fe& b) {
   return r;
 }
 
+[[gnu::always_inline]] inline Fe fe_mul(const Fe& a, const Fe& b) {
+  const std::uint64_t a0 = a.v[0], a1 = a.v[1], a2 = a.v[2], a3 = a.v[3], a4 = a.v[4];
+  const std::uint64_t b0 = b.v[0], b1 = b.v[1], b2 = b.v[2], b3 = b.v[3], b4 = b.v[4];
+  const std::uint64_t b1_19 = b1 * 19, b2_19 = b2 * 19, b3_19 = b3 * 19, b4_19 = b4 * 19;
+
+  return fe_reduce_columns(
+      (u128)a0 * b0 + (u128)a1 * b4_19 + (u128)a2 * b3_19 + (u128)a3 * b2_19 + (u128)a4 * b1_19,
+      (u128)a0 * b1 + (u128)a1 * b0 + (u128)a2 * b4_19 + (u128)a3 * b3_19 + (u128)a4 * b2_19,
+      (u128)a0 * b2 + (u128)a1 * b1 + (u128)a2 * b0 + (u128)a3 * b4_19 + (u128)a4 * b3_19,
+      (u128)a0 * b3 + (u128)a1 * b2 + (u128)a2 * b1 + (u128)a3 * b0 + (u128)a4 * b4_19,
+      (u128)a0 * b4 + (u128)a1 * b3 + (u128)a2 * b2 + (u128)a3 * b1 + (u128)a4 * b0);
+}
+
 // a^2 with 15 products instead of fe_mul's 25: each cross term a_i a_j
 // is taken once and doubled.  The column sums equal fe_mul(a, a)'s
 // exactly, so the result is bit-identical.
-Fe fe_sq(const Fe& a) {
-  using u128 = unsigned __int128;
+[[gnu::always_inline]] inline Fe fe_sq(const Fe& a) {
   const std::uint64_t a0 = a.v[0], a1 = a.v[1], a2 = a.v[2], a3 = a.v[3], a4 = a.v[4];
   const std::uint64_t a0_2 = 2 * a0, a1_2 = 2 * a1, a2_2 = 2 * a2, a3_2 = 2 * a3;
   const std::uint64_t a3_19 = 19 * a3, a4_19 = 19 * a4;
 
-  u128 t0 = (u128)a0 * a0 + (u128)a1_2 * a4_19 + (u128)a2_2 * a3_19;
-  u128 t1 = (u128)a0_2 * a1 + (u128)a2_2 * a4_19 + (u128)a3 * a3_19;
-  u128 t2 = (u128)a0_2 * a2 + (u128)a1 * a1 + (u128)a3_2 * a4_19;
-  u128 t3 = (u128)a0_2 * a3 + (u128)a1_2 * a2 + (u128)a4 * a4_19;
-  u128 t4 = (u128)a0_2 * a4 + (u128)a1_2 * a3 + (u128)a2 * a2;
-
-  Fe r;
-  std::uint64_t c;
-  r.v[0] = (std::uint64_t)t0 & kMask51; c = (std::uint64_t)(t0 >> 51);
-  t1 += c;
-  r.v[1] = (std::uint64_t)t1 & kMask51; c = (std::uint64_t)(t1 >> 51);
-  t2 += c;
-  r.v[2] = (std::uint64_t)t2 & kMask51; c = (std::uint64_t)(t2 >> 51);
-  t3 += c;
-  r.v[3] = (std::uint64_t)t3 & kMask51; c = (std::uint64_t)(t3 >> 51);
-  t4 += c;
-  r.v[4] = (std::uint64_t)t4 & kMask51; c = (std::uint64_t)(t4 >> 51);
-  r.v[0] += c * 19;
-  c = r.v[0] >> 51; r.v[0] &= kMask51; r.v[1] += c;
-  return r;
+  return fe_reduce_columns((u128)a0 * a0 + (u128)a1_2 * a4_19 + (u128)a2_2 * a3_19,
+                           (u128)a0_2 * a1 + (u128)a2_2 * a4_19 + (u128)a3 * a3_19,
+                           (u128)a0_2 * a2 + (u128)a1 * a1 + (u128)a3_2 * a4_19,
+                           (u128)a0_2 * a3 + (u128)a1_2 * a2 + (u128)a4 * a4_19,
+                           (u128)a0_2 * a4 + (u128)a1_2 * a3 + (u128)a2 * a2);
 }
 
 Fe fe_neg(const Fe& a) { return fe_carry(fe_sub(fe_zero(), a)); }
@@ -246,7 +277,7 @@ const Fe& fe_d() {
 }
 
 const Fe& fe_2d() {
-  static const Fe d2 = fe_carry(fe_add(fe_d(), fe_d()));
+  static const Fe d2 = fe_add(fe_d(), fe_d());
   return d2;
 }
 
@@ -277,15 +308,21 @@ Ge ge_identity() { return Ge{fe_zero(), fe_one(), fe_one(), fe_zero()}; }
 // reads only X, Y and Z, so a doubling whose result is only doubled
 // again, compressed or identity-tested can pass need_t = false and
 // skip the multiplication for T, which is then left zero.
+//
+// Y^2 - X^2 is the one operand carried: it is subtracted from 2Z^2, and
+// uncarried its limbs (up to kDiffMax) could exceed fe_sub's bias.
 Ge ge_double(const Ge& p, bool need_t = true) {
+  static_assert(kDiffMax > kBias0, "uncarried, Y^2 - X^2 could not be subtracted");
+  static_assert(kSumMax <= kBias0 && kSumMax + kBias <= kMulInMax,
+                "Y^2 + X^2 can be subtracted, and 2Z^2 minus a carried value multiplied");
   const Fe xx = fe_sq(p.x);
   const Fe yy = fe_sq(p.y);
   const Fe zz = fe_sq(p.z);
-  const Fe zz2 = fe_carry(fe_add(zz, zz));                           // 2Z^2
-  const Fe sum = fe_carry(fe_add(yy, xx));                           // Y^2 + X^2
-  const Fe diff = fe_carry(fe_sub(yy, xx));                          // Y^2 - X^2
-  const Fe xy2 = fe_carry(fe_sub(fe_sq(fe_carry(fe_add(p.x, p.y))), sum));  // 2XY
-  const Fe f = fe_carry(fe_sub(zz2, diff));
+  const Fe zz2 = fe_add(zz, zz);                           // 2Z^2
+  const Fe sum = fe_add(yy, xx);                           // Y^2 + X^2
+  const Fe diff = fe_carry(fe_sub(yy, xx));                // Y^2 - X^2
+  const Fe xy2 = fe_sub(fe_sq(fe_add(p.x, p.y)), sum);     // 2XY
+  const Fe f = fe_sub(zz2, diff);
   return Ge{fe_mul(xy2, f), fe_mul(sum, diff), fe_mul(diff, f),
             need_t ? fe_mul(xy2, sum) : fe_zero()};
 }
@@ -301,33 +338,39 @@ struct GeCached {
 };
 
 GeCached ge_cache(const Ge& p) {
-  return GeCached{fe_carry(fe_add(p.y, p.x)), fe_carry(fe_sub(p.y, p.x)), p.z,
-                  fe_mul(p.t, fe_2d())};
+  return GeCached{fe_add(p.y, p.x), fe_sub(p.y, p.x), p.z, fe_mul(p.t, fe_2d())};
 }
 
+// The four addition formulas below carry nothing.  Their operands are
+// point coordinates and products (at most kMulOutMax), table entries
+// (a product, or Y+X and Y-X of a point: at most kSumMax and kDiffMax),
+// and sums and differences of two products; every difference subtracts
+// a coordinate or a product.  The contract's static_asserts show that
+// each operand fits fe_mul and each subtrahend fe_sub's bias.
+
 Ge ge_add_cached(const Ge& p, const GeCached& q) {
-  const Fe a = fe_mul(fe_carry(fe_sub(p.y, p.x)), q.y_minus_x);
-  const Fe b = fe_mul(fe_carry(fe_add(p.y, p.x)), q.y_plus_x);
+  const Fe a = fe_mul(fe_sub(p.y, p.x), q.y_minus_x);
+  const Fe b = fe_mul(fe_add(p.y, p.x), q.y_plus_x);
   const Fe c = fe_mul(p.t, q.t2d);
-  const Fe d = fe_mul(fe_carry(fe_add(p.z, p.z)), q.z);
-  const Fe e = fe_carry(fe_sub(b, a));
-  const Fe f = fe_carry(fe_sub(d, c));
-  const Fe g = fe_carry(fe_add(d, c));
-  const Fe h = fe_carry(fe_add(b, a));
+  const Fe d = fe_mul(fe_add(p.z, p.z), q.z);
+  const Fe e = fe_sub(b, a);
+  const Fe f = fe_sub(d, c);
+  const Fe g = fe_add(d, c);
+  const Fe h = fe_add(b, a);
   return Ge{fe_mul(e, f), fe_mul(g, h), fe_mul(f, g), fe_mul(e, h)};
 }
 
 // p - q: addition with q negated, i.e. (Y+X, Y-X) swapped and 2dT sign
 // flipped (which turns F = D - C, G = D + C into F = D + C, G = D - C).
 Ge ge_sub_cached(const Ge& p, const GeCached& q) {
-  const Fe a = fe_mul(fe_carry(fe_sub(p.y, p.x)), q.y_plus_x);
-  const Fe b = fe_mul(fe_carry(fe_add(p.y, p.x)), q.y_minus_x);
+  const Fe a = fe_mul(fe_sub(p.y, p.x), q.y_plus_x);
+  const Fe b = fe_mul(fe_add(p.y, p.x), q.y_minus_x);
   const Fe c = fe_mul(p.t, q.t2d);
-  const Fe d = fe_mul(fe_carry(fe_add(p.z, p.z)), q.z);
-  const Fe e = fe_carry(fe_sub(b, a));
-  const Fe f = fe_carry(fe_add(d, c));
-  const Fe g = fe_carry(fe_sub(d, c));
-  const Fe h = fe_carry(fe_add(b, a));
+  const Fe d = fe_mul(fe_add(p.z, p.z), q.z);
+  const Fe e = fe_sub(b, a);
+  const Fe f = fe_add(d, c);
+  const Fe g = fe_sub(d, c);
+  const Fe h = fe_add(b, a);
   return Ge{fe_mul(e, f), fe_mul(g, h), fe_mul(f, g), fe_mul(e, h)};
 }
 
@@ -338,26 +381,26 @@ struct GePrecomp {
 };
 
 Ge ge_add_precomp(const Ge& p, const GePrecomp& q) {
-  const Fe a = fe_mul(fe_carry(fe_sub(p.y, p.x)), q.y_minus_x);
-  const Fe b = fe_mul(fe_carry(fe_add(p.y, p.x)), q.y_plus_x);
+  const Fe a = fe_mul(fe_sub(p.y, p.x), q.y_minus_x);
+  const Fe b = fe_mul(fe_add(p.y, p.x), q.y_plus_x);
   const Fe c = fe_mul(p.t, q.xy2d);
-  const Fe d = fe_carry(fe_add(p.z, p.z));
-  const Fe e = fe_carry(fe_sub(b, a));
-  const Fe f = fe_carry(fe_sub(d, c));
-  const Fe g = fe_carry(fe_add(d, c));
-  const Fe h = fe_carry(fe_add(b, a));
+  const Fe d = fe_add(p.z, p.z);
+  const Fe e = fe_sub(b, a);
+  const Fe f = fe_sub(d, c);
+  const Fe g = fe_add(d, c);
+  const Fe h = fe_add(b, a);
   return Ge{fe_mul(e, f), fe_mul(g, h), fe_mul(f, g), fe_mul(e, h)};
 }
 
 Ge ge_sub_precomp(const Ge& p, const GePrecomp& q) {
-  const Fe a = fe_mul(fe_carry(fe_sub(p.y, p.x)), q.y_plus_x);
-  const Fe b = fe_mul(fe_carry(fe_add(p.y, p.x)), q.y_minus_x);
+  const Fe a = fe_mul(fe_sub(p.y, p.x), q.y_plus_x);
+  const Fe b = fe_mul(fe_add(p.y, p.x), q.y_minus_x);
   const Fe c = fe_mul(p.t, q.xy2d);
-  const Fe d = fe_carry(fe_add(p.z, p.z));
-  const Fe e = fe_carry(fe_sub(b, a));
-  const Fe f = fe_carry(fe_add(d, c));
-  const Fe g = fe_carry(fe_sub(d, c));
-  const Fe h = fe_carry(fe_add(b, a));
+  const Fe d = fe_add(p.z, p.z);
+  const Fe e = fe_sub(b, a);
+  const Fe f = fe_add(d, c);
+  const Fe g = fe_sub(d, c);
+  const Fe h = fe_add(b, a);
   return Ge{fe_mul(e, f), fe_mul(g, h), fe_mul(f, g), fe_mul(e, h)};
 }
 
@@ -383,8 +426,8 @@ bool ge_decompress(Ge& out, const std::uint8_t in[32]) {
 
   // x^2 = (y^2 - 1) / (d y^2 + 1)
   const Fe y2 = fe_sq(y);
-  const Fe u = fe_carry(fe_sub(y2, fe_one()));
-  const Fe v = fe_carry(fe_add(fe_mul(fe_d(), y2), fe_one()));
+  const Fe u = fe_carry(fe_sub(y2, fe_one()));  // carried: fe_neg subtracts it
+  const Fe v = fe_add(fe_mul(fe_d(), y2), fe_one());
   // candidate x = u v^3 (u v^7)^((p-5)/8)
   const Fe v3 = fe_mul(fe_sq(v), v);
   const Fe v7 = fe_mul(fe_sq(v3), v);
@@ -445,8 +488,6 @@ constexpr int kHalfBits = 128;
 // wNAF digits of a scalar below 2^128 sit at positions 0..128.
 constexpr int kNafLen = kHalfBits + 1;
 
-using u128 = unsigned __int128;
-
 // Width-w NAF of a scalar below 2^128: each naf[i] is zero or odd with
 // |naf[i]| < 2^(w-1), nonzero digits are at least w positions apart,
 // and sum naf[i] 2^i == scalar.  Scans only up to the scalar's top bit
@@ -502,22 +543,21 @@ DynTable ge_dyn_table(const Ge& p) {
   return t;
 }
 
-// The affine forms of pts[0..N) with one field inversion (Montgomery's
+// The affine forms of `pts` with one field inversion (Montgomery's
 // trick: invert the product of every Z, then peel each factor off it).
-template <int N>
-void batch_to_precomp(const Ge* pts, GePrecomp* out) {
-  Fe prefix[N];  // prefix[i] = z_0 * ... * z_i
-  prefix[0] = pts[0].z;
-  for (int i = 1; i < N; ++i) prefix[i] = fe_mul(prefix[i - 1], pts[i].z);
-  Fe inv = fe_invert(prefix[N - 1]);
+// The running products z_0 * ... * z_i wait in out[i].xy2d until
+// entry i is written, so no scratch space is needed.
+void batch_to_precomp(std::span<const Ge> pts, GePrecomp* out) {
+  out[0].xy2d = pts[0].z;
+  for (std::size_t i = 1; i < pts.size(); ++i) out[i].xy2d = fe_mul(out[i - 1].xy2d, pts[i].z);
+  Fe inv = fe_invert(out[pts.size() - 1].xy2d);
 
-  for (int i = N - 1; i >= 0; --i) {
-    const Fe zi = i == 0 ? inv : fe_mul(inv, prefix[i - 1]);
+  for (std::size_t i = pts.size(); i-- > 0;) {
+    const Fe zi = i == 0 ? inv : fe_mul(inv, out[i - 1].xy2d);
     inv = fe_mul(inv, pts[i].z);
     const Fe x = fe_mul(pts[i].x, zi);
     const Fe y = fe_mul(pts[i].y, zi);
-    out[i] = GePrecomp{fe_carry(fe_add(y, x)), fe_carry(fe_sub(y, x)),
-                       fe_mul(fe_mul(x, y), fe_2d())};
+    out[i] = GePrecomp{fe_add(y, x), fe_sub(y, x), fe_mul(fe_mul(x, y), fe_2d())};
   }
 }
 
@@ -530,7 +570,7 @@ BaseTable make_base_table(const Ge& p) {
   Ge pts[kBaseTableSize];
   ge_odd_multiples(p, pts, kBaseTableSize);
   BaseTable t;
-  batch_to_precomp<kBaseTableSize>(pts, t.mult);
+  batch_to_precomp(pts, t.mult);
   return t;
 }
 
@@ -547,69 +587,64 @@ const BaseTable& base128_table() {
 }
 
 // Fixed-base comb for [a]B, the multiply of signing and key expansion.
-// Written in signed radix 16, a = sum e[i] 16^i with |e[i]| <= 8, so
-//   [a]B = 16 * sum_{i odd} [e[i]] 256^(i/2) B + sum_{i even} [e[i]] 256^(i/2) B.
-// One table row per power 256^k holds its multiples 1..8, and a multiply
-// is at most 64 mixed additions and 4 doublings, against the ~253
-// doublings of a base-point wNAF chain.
-constexpr int kCombRows = 32;  // 256^k B for k = 0..31
-constexpr int kCombCols = 8;   // multiples 1..8 of each
+// Written in signed radix 256, a = sum e[i] 256^i with |e[i]| <= 128, so
+//   [a]B = 256 * sum_{i odd} [e[i]] 65536^(i/2) B + sum_{i even} [e[i]] 65536^(i/2) B.
+// One table row per power 65536^k holds its multiples 1..128, and a
+// multiply is at most 32 mixed additions and 8 doublings, against the
+// ~253 doublings of a base-point wNAF chain.
+constexpr int kCombRows = 16;   // 65536^k B for k = 0..15
+constexpr int kCombCols = 128;  // multiples 1..128 of each
 
-// mult[k * kCombCols + j] = (j + 1) 256^k B in affine form (30 KiB),
-// built once with one batched inversion.
-struct CombTable {
-  GePrecomp mult[kCombRows * kCombCols];
-};
-
-const CombTable& comb_table() {
-  static const CombTable table = [] {
-    Ge pts[kCombRows * kCombCols];
+// Entry k * kCombCols + j is (j + 1) 65536^k B in affine form.  The
+// 240 KiB table and the 320 KiB of projective points it is made from
+// live on the heap, and it is built once, with one batched inversion.
+const GePrecomp* comb_table() {
+  static const std::vector<GePrecomp> table = [] {
+    std::vector<Ge> pts(kCombRows * kCombCols);
     Ge p = ge_base();
     for (int k = 0; k < kCombRows; ++k) {
       Ge* row = &pts[k * kCombCols];
       const GeCached pc = ge_cache(p);
       row[0] = p;
       for (int j = 1; j < kCombCols; ++j) row[j] = ge_add_cached(row[j - 1], pc);
-      for (int d = 0; d < 8; ++d) p = ge_double(p, d == 7);
+      p = ge_double_n(p, 16);
     }
-    CombTable t;
-    batch_to_precomp<kCombRows * kCombCols>(pts, t.mult);
+    std::vector<GePrecomp> t(pts.size());
+    batch_to_precomp(pts, t.data());
     return t;
   }();
-  return table;
+  return table.data();
 }
 
-// Signed radix-16 digits of a little-endian scalar below 2^255:
-// e[0..62] in [-8, 7], e[63] in [0, 8], and sum e[i] 16^i == scalar.
-void radix16(signed char e[64], const std::uint8_t a[32]) {
-  for (int i = 0; i < 32; ++i) {
-    e[2 * i] = static_cast<signed char>(a[i] & 15);
-    e[2 * i + 1] = static_cast<signed char>(a[i] >> 4);
-  }
+// Signed radix-256 digits of a little-endian scalar below 2^255:
+// e[0..30] in [-128, 127], e[31] in [0, 128], and sum e[i] 256^i ==
+// scalar.  A byte plus the carry into it becomes d - 256 with a carry
+// out when d >= 128; the top byte is below 128 and keeps its carry.
+void radix256(int e[32], const std::uint8_t a[32]) {
   int carry = 0;
-  for (int i = 0; i < 63; ++i) {
-    const int d = e[i] + carry;
-    carry = (d + 8) >> 4;
-    e[i] = static_cast<signed char>(d - (carry << 4));
+  for (int i = 0; i < 31; ++i) {
+    const int d = a[i] + carry;
+    carry = d >= 128 ? 1 : 0;
+    e[i] = d - (carry << 8);
   }
-  e[63] = static_cast<signed char>(e[63] + carry);
+  e[31] = a[31] + carry;
 }
 
 // r = [scalar]B for a scalar below 2^255, which clamped secret scalars
 // and reduced nonces both are.
 Ge ge_scalarmult_base(const std::uint8_t scalar[32]) {
-  signed char e[64];
-  radix16(e, scalar);
-  const CombTable& ct = comb_table();
+  int e[32];
+  radix256(e, scalar);
+  const GePrecomp* ct = comb_table();
   Ge r = ge_identity();
   const auto add_digit = [&](int i) {
-    const GePrecomp* row = &ct.mult[(i / 2) * kCombCols];
+    const GePrecomp* row = ct + (i / 2) * kCombCols;
     if (e[i] > 0) r = ge_add_precomp(r, row[e[i] - 1]);
     else if (e[i] < 0) r = ge_sub_precomp(r, row[-e[i] - 1]);
   };
-  for (int i = 1; i < 64; i += 2) add_digit(i);
-  for (int i = 0; i < 4; ++i) r = ge_double(r, i == 3);
-  for (int i = 0; i < 64; i += 2) add_digit(i);
+  for (int i = 1; i < 32; i += 2) add_digit(i);
+  r = ge_double_n(r, 8);
+  for (int i = 0; i < 32; i += 2) add_digit(i);
   return r;
 }
 
@@ -915,7 +950,7 @@ void build_key_tables(const Ge& a, KeyTables& out) {
   const Ge neg_a = ge_neg(a);
   ge_odd_multiples(neg_a, pts, kDynTableSize);
   ge_odd_multiples(ge_double_n(neg_a, kHalfBits), pts + kDynTableSize, kDynTableSize);
-  batch_to_precomp<2 * kDynTableSize>(pts, out.mult);
+  batch_to_precomp(pts, out.mult);
 }
 
 // One thread's decoded public keys: whether the 32 bytes decompress

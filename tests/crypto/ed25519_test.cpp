@@ -4,10 +4,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
 #include <thread>
 
 #include "common/bytes.hpp"
 #include "crypto/sha256.hpp"
+#include "crypto/sha512.hpp"
 #include "rfc8032_vectors.hpp"
 
 namespace bmg::crypto::ed25519 {
@@ -237,31 +240,121 @@ TEST(Ed25519, BatchMatchesSingleVerifyProperty) {
   }
 }
 
+// The group order L, little-endian.
+constexpr std::array<std::uint8_t, 32> kOrderL = {
+    0xed, 0xd3, 0xf5, 0x5c, 0x1a, 0x63, 0x12, 0x58, 0xd6, 0x9c, 0xf7,
+    0xa2, 0xde, 0xf9, 0xde, 0x14, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x10};
+
+// The signed radix-256 digits the signing comb uses for a scalar below
+// 2^255: e[0..30] in [-128, 127], e[31] in [0, 128].
+std::array<int, 32> radix256_digits(const std::uint8_t* a) {
+  std::array<int, 32> e{};
+  int carry = 0;
+  for (int i = 0; i < 31; ++i) {
+    const int d = a[i] + carry;
+    carry = d >= 128 ? 1 : 0;
+    e[i] = d - 256 * carry;
+  }
+  e[31] = a[31] + carry;
+  return e;
+}
+
+bool has_digit_minus_128(const std::array<int, 32>& e) {
+  return std::find(e.begin(), e.end(), -128) != e.end();
+}
+
+// A 64-byte little-endian hash mod L by binary long division, apart
+// from the library's Montgomery reduction.
+std::array<std::uint8_t, 32> reduce_mod_order(const Digest512& h) {
+  std::array<std::uint8_t, 32> r{};
+  for (int bit = 511; bit >= 0; --bit) {
+    int carry = (h[bit / 8] >> (bit % 8)) & 1;
+    for (std::uint8_t& b : r) {
+      const int v = (b << 1) | carry;
+      b = static_cast<std::uint8_t>(v);
+      carry = v >> 8;
+    }
+    const bool below_l =
+        std::lexicographical_compare(r.rbegin(), r.rend(), kOrderL.rbegin(), kOrderL.rend());
+    if (below_l) continue;
+    int borrow = 0;
+    for (std::size_t i = 0; i < 32; ++i) {
+      const int d = r[i] - kOrderL[i] - borrow;
+      r[i] = static_cast<std::uint8_t>(d);
+      borrow = d < 0 ? 1 : 0;
+    }
+  }
+  return r;
+}
+
+// The nonce r = SHA-512(prefix || msg) mod L that signing multiplies B by.
+std::array<std::uint8_t, 32> nonce_of(const ExpandedKey& key, ByteView msg) {
+  Sha512 h;
+  h.update(ByteView{key.prefix});
+  h.update(msg);
+  return reduce_mod_order(h.finish());
+}
+
 // Random keys and messages of 0 to 300 bytes.  Signing and key
-// expansion run the radix-16 comb; verify and verify_batch recompute
+// expansion run the radix-256 comb; verify and verify_batch recompute
 // [S]B from its halves on the w = 7 tables of B and [2^128]B in a
 // 128-bit Straus chain, so a wrong comb digit, carry or table entry
 // fails here, and so does a wrong split or per-key [2^128]A table.
+// Deterministic inputs add the comb's digit edges, each asserted hit:
+// a clamped scalar whose top byte 0x7F takes a carry into digit 128,
+// and a secret scalar and a nonce each with a -128 digit.
 TEST(Ed25519, ManyRandomRoundTrips) {
   constexpr std::size_t kTrips = 1000;
+  constexpr std::size_t kEdges = 3;
   XorShift rng{0x243f6a8885a308d3ULL};
-  std::vector<Bytes> msgs(kTrips);
-  std::vector<VerifyItem> items(kTrips);
-  for (std::size_t i = 0; i < kTrips; ++i) {
-    Seed seed{};
-    rng.fill(seed.data(), seed.size());
-    msgs[i].resize(rng.next() % 301);
-    rng.fill(msgs[i].data(), msgs[i].size());
+  std::vector<Bytes> msgs;
+  std::vector<VerifyItem> items;
+  msgs.reserve(kTrips + kEdges);
+  items.reserve(kTrips + kEdges);
+  const auto round_trip = [&](const Seed& seed, Bytes msg) {
     const ExpandedKey key = expand(seed);
-    items[i] = {key.pub, ByteView{msgs[i]}, sign(key, msgs[i])};
+    msgs.push_back(std::move(msg));
+    items.push_back({key.pub, ByteView{msgs.back()}, sign(key, msgs.back())});
+    const std::size_t i = items.size() - 1;
     EXPECT_TRUE(verify(key.pub, msgs[i], items[i].sig)) << i;
     Bytes longer = msgs[i];
     longer.push_back(0x00);
     EXPECT_FALSE(verify(key.pub, longer, items[i].sig)) << i;
+  };
+  for (std::size_t i = 0; i < kTrips; ++i) {
+    Seed seed{};
+    rng.fill(seed.data(), seed.size());
+    Bytes msg(rng.next() % 301);
+    rng.fill(msg.data(), msg.size());
+    round_trip(seed, std::move(msg));
   }
+
+  bool top_128 = false, scalar_minus_128 = false, nonce_minus_128 = false;
+  for (std::uint64_t n = 0; n < 4096 && !(top_128 && scalar_minus_128 && nonce_minus_128); ++n) {
+    Seed seed{};
+    for (int b = 0; b < 8; ++b) seed[b] = static_cast<std::uint8_t>(n >> (8 * b));
+    const ExpandedKey key = expand(seed);
+    const std::array<int, 32> e = radix256_digits(key.scalar.data());
+    const Bytes msg = bytes_of("comb digit edge " + std::to_string(n));
+    if (!top_128 && e[31] == 128) {
+      top_128 = true;
+      round_trip(seed, msg);
+    } else if (!scalar_minus_128 && has_digit_minus_128(e)) {
+      scalar_minus_128 = true;
+      round_trip(seed, msg);
+    } else if (!nonce_minus_128 && has_digit_minus_128(radix256_digits(nonce_of(key, msg).data()))) {
+      nonce_minus_128 = true;
+      round_trip(seed, msg);
+    }
+  }
+  ASSERT_TRUE(top_128);
+  ASSERT_TRUE(scalar_minus_128);
+  ASSERT_TRUE(nonce_minus_128);
+
   const std::vector<bool> ok = verify_batch(items);
-  ASSERT_EQ(ok.size(), kTrips);
-  for (std::size_t i = 0; i < kTrips; ++i) EXPECT_TRUE(ok[i]) << i;
+  ASSERT_EQ(ok.size(), kTrips + kEdges);
+  for (std::size_t i = 0; i < ok.size(); ++i) EXPECT_TRUE(ok[i]) << i;
 }
 
 // Byte identity of key expansion and signing: SHA-256 over pub || sig
@@ -293,12 +386,6 @@ constexpr std::array<std::uint8_t, 32> kFieldP = {
     0xed, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff,
     0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff,
     0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f};
-
-// The group order L, little-endian.
-constexpr std::array<std::uint8_t, 32> kOrderL = {
-    0xed, 0xd3, 0xf5, 0x5c, 0x1a, 0x63, 0x12, 0x58, 0xd6, 0x9c, 0xf7,
-    0xa2, 0xde, 0xf9, 0xde, 0x14, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
-    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x10};
 
 // A + T for the order-2 point T = (0, -1): (x, y) + T = (-x, -y), so
 // the encoding's y becomes p - y and its sign bit flips.
