@@ -78,6 +78,9 @@ void BM_Ed25519Sign(benchmark::State& state) {
 }
 BENCHMARK(BM_Ed25519Sign);
 
+// The key turns warm (ed25519::kWarmKeyUses) within the first
+// iterations, so this times the comb path: one comb multiply and one
+// inversion per verify.
 void BM_Ed25519Verify(benchmark::State& state) {
   const crypto::PrivateKey key = crypto::PrivateKey::from_label("bench");
   const Bytes msg = bytes_of("a guest block digest: 32 bytes..");
@@ -89,11 +92,14 @@ void BM_Ed25519Verify(benchmark::State& state) {
 BENCHMARK(BM_Ed25519Verify);
 
 // Batched verification at several batch sizes.  Per-signature time is
-// the headline number: `time / batch` here vs. BM_Ed25519Verify shows
-// the amortization from the shared Straus doubling chain.  The loop runs
-// in a SerialRegion, as every simulation cell runs verification: batches
-// of 17 or more would otherwise fork shards onto pool threads, whose
-// CPU time this benchmark's main-thread clock does not count.
+// the headline number.  The keys repeat every iteration, so they turn
+// warm within the first iterations and this times the comb path: each
+// item's own comb multiply, with one inversion shared by the batch.
+// `time / batch` here vs. BM_Ed25519Verify shows what sharing that
+// inversion saves.  The loop runs in a SerialRegion, as every
+// simulation cell runs verification: batches of 17 or more would
+// otherwise fork shards onto pool threads, whose CPU time this
+// benchmark's main-thread clock does not count.
 void BM_Ed25519VerifyBatch(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   std::vector<Bytes> msgs;
@@ -121,7 +127,10 @@ BENCHMARK(BM_Ed25519VerifyBatch)->Arg(1)->Arg(4)->Arg(8)->Arg(17)->Arg(32)->Arg(
 
 // Single verifies that always miss the per-thread key memo: the keys
 // cycle through four times its capacity, so every call decodes its
-// key and builds its tables.  This is a key's first-sighting cost.
+// key and builds its tables.  This is a key's first-sighting cost.  It
+// stays one only because key uses are counted per memo lifetime: no
+// key is used kWarmKeyUses times before the memo clears, so none gets
+// a comb.  Counted over the process, every key would turn warm.
 void BM_Ed25519VerifyColdKey(benchmark::State& state) {
   struct Signed {
     crypto::ed25519::PublicKeyBytes pub;

@@ -42,9 +42,20 @@ struct ExpandedKey {
 [[nodiscard]] bool verify(const PublicKeyBytes& pub, ByteView msg, const SignatureBytes& sig);
 
 /// Public keys per thread whose decoded verification tables `verify`
-/// and `verify_batch` keep between calls (about 1.9 KiB each).  The
-/// memo is cleared wholesale when a call might overflow it.
+/// and `verify_batch` keep between calls (about 1.9 KiB each), and the
+/// most warm keys whose 15 KiB fixed-base combs one process-wide cache
+/// holds (15 MiB at most).  A thread's memo is cleared wholesale when a
+/// call might overflow it; the comb cache is never cleared, and once
+/// it is full further keys stay on the memo's tables.
 inline constexpr std::size_t kKeyMemoCapacity = 1024;
+
+/// A key is warm once its comb is in the process-wide cache.  A thread
+/// takes a published comb on any use of the key and builds it on the
+/// key's kWarmKeyUses-th use since its memo last cleared.  A build costs
+/// what six to ten uses on the comb save, and one channel handshake
+/// uses each validator key two or three times, so a handshake builds
+/// none.
+inline constexpr std::size_t kWarmKeyUses = 16;
 
 /// One signature of a batch; `msg` must stay alive for the call.
 struct VerifyItem {
@@ -55,15 +66,19 @@ struct VerifyItem {
 
 /// Batch verification of many (pub, msg, sig) triples at once.
 ///
-/// The fast path checks one random-linear-combination equation
+/// An item whose key is warm (see kWarmKeyUses) is checked on its own:
+/// [S]B - [k]A comes from fixed-base combs of B and of -A, and the
+/// results of all warm items are compressed with one shared field
+/// inversion and compared with their R bytes.  The other items check
+/// one random-linear-combination equation
 ///   [8][sum z_i S_i] B  ==  [8](sum [z_i] R_i + sum [z_i k_i] A_i)
 /// with per-item 128-bit coefficients z_i derived Fiat–Shamir style
-/// from the batch itself.  Every scalar is split at 2^128 onto tables
-/// of B, [2^128]B, A_i and [2^128]A_i, so all points share one
-/// doubling chain of at most ~129 steps (Straus).  If the combined
-/// check fails, each item is re-verified individually so callers still
-/// learn *which* signature is bad.  Accepts exactly the signatures
-/// `verify` accepts (same canonical-S, canonical-encoding and
+/// from them.  Every scalar is split at 2^128 onto tables of B,
+/// [2^128]B, A_i and [2^128]A_i, so all points share one doubling
+/// chain of at most ~129 steps (Straus).  If the combined check fails,
+/// each item is re-verified individually so callers still learn
+/// *which* signature is bad.  Accepts exactly the signatures `verify`
+/// accepts (same canonical-S, canonical-encoding and
 /// cofactored-equation rules); the cofactor makes this hold for keys
 /// and R values with a small-order component too.
 [[nodiscard]] std::vector<bool> verify_batch(std::span<const VerifyItem> items);

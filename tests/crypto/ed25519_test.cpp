@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <string>
 #include <thread>
 
@@ -450,6 +451,7 @@ struct VerdictCorpus {
   static constexpr std::size_t kBlock = 68;
   static constexpr std::size_t kTriples = 30 * kBlock;
 
+  std::vector<ExpandedKey> keys;
   std::vector<Bytes> msgs;
   std::vector<VerifyItem> items;
 };
@@ -542,6 +544,7 @@ VerdictCorpus make_verdict_corpus() {
     }
   }
   for (std::size_t i = 0; i < VerdictCorpus::kTriples; ++i) c.items[i].msg = ByteView{c.msgs[i]};
+  c.keys = std::move(keys);
   return c;
 }
 
@@ -571,7 +574,11 @@ std::string verdict_digest(const std::vector<VerifyItem>& items) {
 // ran the cofactorless equation over full-length w = 7 / w = 5 wNAF
 // Straus chains.  The corpus runs cold, again with the key memo warm
 // (it holds fewer keys than the corpus, so it is cleared on the way),
-// and on four threads at once, each with its own memo.
+// and then with the keys warm: each key's honest signature is verified
+// past kWarmKeyUses first.  The comb cache holds fewer keys than the
+// corpus, so that digest checks some keys on combs and the rest on the
+// memo's tables.  Last, the corpus runs on four threads at once, each
+// with its own memo and all sharing the combs.
 TEST(Ed25519, VerdictsMatchParentDigest) {
   static_assert(VerdictCorpus::kKeys > kKeyMemoCapacity);
   constexpr std::string_view kParent =
@@ -580,12 +587,64 @@ TEST(Ed25519, VerdictsMatchParentDigest) {
   EXPECT_EQ(verdict_digest(c.items), kParent) << "cold";
   EXPECT_EQ(verdict_digest(c.items), kParent) << "memoized";
 
+  // One use more than kWarmKeyUses: a key whose first use fills the
+  // memo loses that count when the next call clears it.
+  const Bytes warm_msg = bytes_of("warm");
+  std::size_t warm_accepted = 0;
+  for (const ExpandedKey& key : c.keys) {
+    const SignatureBytes sig = sign(key, warm_msg);
+    for (std::size_t u = 0; u <= kWarmKeyUses; ++u)
+      warm_accepted += verify(key.pub, warm_msg, sig) ? 1 : 0;
+  }
+  EXPECT_EQ(verdict_digest(c.items), kParent) << "warm";
+  EXPECT_EQ(warm_accepted, c.keys.size() * (kWarmKeyUses + 1));
+
   std::array<std::string, 4> got;
   std::vector<std::thread> threads;
   for (std::size_t t = 0; t < got.size(); ++t)
     threads.emplace_back([&c, &got, t] { got[t] = verdict_digest(c.items); });
   for (std::thread& t : threads) t.join();
   for (std::size_t t = 0; t < got.size(); ++t) EXPECT_EQ(got[t], kParent) << "thread " << t;
+}
+
+// Four threads verify batches over the same fresh keys at once, past
+// kWarmKeyUses, so all of them reach the keys' build threshold together
+// and race to publish each comb while the others read the cache.  One
+// signature is tampered; every call on every thread must return the
+// expected verdicts.  Run under TSan in CI.
+TEST(Ed25519, CombCacheRace) {
+  constexpr std::size_t kItems = 8;  // below the fork-join threshold
+  constexpr std::size_t kTampered = 3;
+  XorShift rng{0xa54ff53a5f1d36f1ULL};
+  std::vector<Bytes> msgs(kItems);
+  std::vector<VerifyItem> items(kItems);
+  for (std::size_t i = 0; i < kItems; ++i) {
+    Seed seed{};
+    rng.fill(seed.data(), seed.size());
+    const ExpandedKey key = expand(seed);
+    msgs[i] = bytes_of("comb-race-" + std::to_string(i));
+    items[i] = {key.pub, ByteView{msgs[i]}, sign(key, msgs[i])};
+  }
+  items[kTampered].sig[40] ^= 0x20;
+  std::vector<bool> expected(kItems, true);
+  expected[kTampered] = false;
+
+  std::array<std::size_t, 4> wrong{};
+  std::atomic<std::size_t> ready{0};
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < wrong.size(); ++t) {
+    threads.emplace_back([&, t] {
+      ready.fetch_add(1);
+      while (ready.load() < wrong.size()) std::this_thread::yield();
+      for (std::size_t round = 0; round < 2 * kWarmKeyUses; ++round) {
+        if (verify_batch(items) != expected) ++wrong[t];
+        const VerifyItem& it = items[round % kItems];
+        if (verify(it.pub, it.msg, it.sig) != expected[round % kItems]) ++wrong[t];
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  for (std::size_t t = 0; t < wrong.size(); ++t) EXPECT_EQ(wrong[t], 0u) << "thread " << t;
 }
 
 }  // namespace
