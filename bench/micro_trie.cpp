@@ -214,8 +214,7 @@ void BM_TrieSnapshotPublish(benchmark::State& state) {
 BENCHMARK(BM_TrieSnapshotPublish)->Arg(10000);
 
 void BM_TrieProveBatch(benchmark::State& state) {
-  // Sharded batch proving against one snapshot (index-ordered, so the
-  // output is thread-count invariant).
+  // Batch proving against one snapshot, on the calling thread.
   const auto n = static_cast<std::uint64_t>(state.range(0));
   trie::SealableTrie t = prefilled(n);
   const trie::TrieSnapshot snap = t.snapshot();

@@ -11,17 +11,14 @@
 // part of the artifact).
 //
 //   scenario_runner [--seeds N] [--days D] [--shard-workers W]
-//                   [--timing-csv PATH] [--threads T] [--adversary NAME]
+//                   [--timing-csv PATH] [--adversary NAME]
 //                   [--reorg NAME] [--commitment processed|rooted]
 //
 //   --seeds N          seeds 42..42+N-1 per Δ point (default 4)
 //   --days D           simulated days per scenario (default 0.05)
 //   --shard-workers W  shard workers (default: BMG_SHARD_WORKERS or
-//                      hardware); cells serialize their intra-cell
-//                      fork-join regions inline
+//                      hardware); each cell runs on one worker
 //   --timing-csv PATH  per-cell wall/CPU timing rows (see grid.hpp)
-//   --threads T        fork-join threads — only reaches kernels when
-//                      the run is serial (kept for compatibility)
 //   --adversary NAME   attach the named shipped AdversaryPlan scenario
 //                      (adversary/scenarios.hpp) to every cell and
 //                      append the per-action counter columns.  Without
@@ -48,7 +45,6 @@
 #include "adversary/scenarios.hpp"
 #include "audit/auditor.hpp"
 #include "bench_common.hpp"
-#include "common/parallel.hpp"
 #include "common/stats.hpp"
 #include "grid.hpp"
 
@@ -191,9 +187,6 @@ int main(int argc, char** argv) {
           bench::parse_positive_long("scenario_runner", "--shard-workers", argv[++i])));
     } else if (std::strcmp(argv[i], "--timing-csv") == 0 && i + 1 < argc) {
       timing_csv = argv[++i];
-    } else if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-      parallel::set_thread_count(static_cast<std::size_t>(
-          bench::parse_positive_long("scenario_runner", "--threads", argv[++i])));
     } else if (std::strcmp(argv[i], "--adversary") == 0 && i + 1 < argc) {
       adversary = argv[++i];
     } else if (std::strcmp(argv[i], "--reorg") == 0 && i + 1 < argc) {
@@ -213,7 +206,7 @@ int main(int argc, char** argv) {
       std::fprintf(stderr,
                    "scenario_runner: unknown or incomplete option '%s'\n"
                    "usage: scenario_runner [--seeds N] [--days D] [--shard-workers W] "
-                   "[--timing-csv PATH] [--threads T] [--adversary NAME] "
+                   "[--timing-csv PATH] [--adversary NAME] "
                    "[--reorg NAME] [--commitment processed|rooted]\n",
                    argv[i]);
       return 2;

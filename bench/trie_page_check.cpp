@@ -2,12 +2,11 @@
 //
 // Runs one deterministic workload — inserts, overwrites, seals,
 // block-cadence commits, snapshot publishes and batched proofs — on
-// every combination of page-store backend (in-RAM, file-backed with a
-// tiny resident set) and worker thread count (1, 2, 8), and digests
-// each run: every checkpoint root and every serialized proof byte
-// feeds one SHA-256.  All combinations must produce the same digest;
-// any divergence means page layout, eviction order or parallel shard
-// boundaries leaked into commitments, and the driver exits 1.
+// each page-store backend (in-RAM, file-backed with a tiny resident
+// set), and digests each run: every checkpoint root and every
+// serialized proof byte feeds one SHA-256.  Both backends must produce
+// the same digest; any divergence means page layout or eviction order
+// leaked into commitments, and the check exits 1.
 //
 // Flags (strictly validated):
 //   --steps N   workload steps (default 4000)
@@ -17,7 +16,6 @@
 #include <string>
 #include <vector>
 
-#include "common/parallel.hpp"
 #include "common/rng.hpp"
 #include "crypto/sha256.hpp"
 #include "parse.hpp"
@@ -40,17 +38,15 @@ Hash32 val(std::uint64_t v) {
   return crypto::Sha256::digest(e.out());
 }
 
-struct Combo {
+struct Backend {
   const char* name;
   trie::PageStoreConfig cfg;
-  std::size_t threads;
 };
 
 /// One full workload run; returns the digest over every checkpoint
 /// root and proof byte.
-Hash32 run_combo(const Combo& combo, std::size_t steps, std::uint64_t seed) {
-  parallel::set_thread_count(combo.threads);
-  trie::SealableTrie t{combo.cfg};
+Hash32 run_backend(const Backend& backend, std::size_t steps, std::uint64_t seed) {
+  trie::SealableTrie t{backend.cfg};
   Rng rng(seed);
   std::vector<std::uint64_t> live;
   std::uint64_t next = 0;
@@ -125,28 +121,23 @@ int main(int argc, char** argv) {
   file.page_bytes = 2048;
   file.max_resident_pages = 8;  // constant eviction churn
 
-  const Combo combos[] = {
-      {"mem/t1", mem, 1},  {"mem/t2", mem, 2},  {"mem/t8", mem, 8},
-      {"file/t1", file, 1}, {"file/t2", file, 2}, {"file/t8", file, 8},
-  };
+  const Backend backends[] = {{"mem", mem}, {"file", file}};
 
-  const std::size_t saved = bmg::parallel::thread_count();
   bool ok = true;
   Hash32 reference;
   std::printf("trie page determinism: steps=%zu seed=%llu\n", steps,
               static_cast<unsigned long long>(seed));
-  for (std::size_t i = 0; i < std::size(combos); ++i) {
-    const Hash32 d = run_combo(combos[i], steps, seed);
-    std::printf("  %-8s %s\n", combos[i].name, d.hex().c_str());
+  for (std::size_t i = 0; i < std::size(backends); ++i) {
+    const Hash32 d = run_backend(backends[i], steps, seed);
+    std::printf("  %-8s %s\n", backends[i].name, d.hex().c_str());
     if (i == 0) {
       reference = d;
     } else if (!(d == reference)) {
-      std::printf("  ^ MISMATCH vs %s\n", combos[0].name);
+      std::printf("  ^ MISMATCH vs %s\n", backends[0].name);
       ok = false;
     }
   }
-  bmg::parallel::set_thread_count(saved);
-  std::printf(ok ? "OK: all backends and thread counts agree byte-for-byte\n"
-                 : "FAIL: commitments depend on backend or thread count\n");
+  std::printf(ok ? "OK: both backends agree byte-for-byte\n"
+                 : "FAIL: commitments depend on the page backend\n");
   return ok ? 0 : 1;
 }

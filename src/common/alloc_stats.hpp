@@ -14,17 +14,16 @@
 //
 // Counters exist at two granularities.  The process-global relaxed
 // atomics back snapshot(); they are exact as long as the measured
-// region is single-threaded (the recording methodology pins
-// BMG_THREADS=1).  For sharded runs — several whole simulations in
-// flight on distinct shard workers — the global counters still sum
-// correctly but cannot attribute traffic, so every counter is also
-// kept in plain thread_local storage read by thread_snapshot(): a
-// shard cell runs entirely on one worker thread (its fork-join
-// regions serialize inline), so a before/after thread_snapshot()
-// delta is exact per-cell accounting with zero cross-shard bleed, and
-// per-cell deltas aggregate to the budget check (alloc_relay_loop
-// --shard-workers).  Frees are charged to the thread that frees;
-// per-cell *alloc* counts — what the budget enforces — are exact.
+// region is single-threaded, as one simulation is.  For sharded runs —
+// several whole simulations in flight on distinct shard workers — the
+// global counters still sum correctly but cannot attribute traffic,
+// so every counter is also kept in plain thread_local storage read by
+// thread_snapshot(): a shard cell runs entirely on one worker thread,
+// so a before/after thread_snapshot() delta is exact per-cell
+// accounting with zero cross-shard bleed, and per-cell deltas
+// aggregate to the budget check (alloc_relay_loop --shard-workers).
+// Frees are charged to the thread that frees; per-cell *alloc* counts
+// — what the budget enforces — are exact.
 #pragma once
 
 #include <cstddef>

@@ -15,7 +15,7 @@
 //    Encoder must not grow across a nested scope's lifetime: the inner
 //    scope's rewind would reclaim the grown buffer.
 //  - Arenas are not thread-safe; `scratch_arena()` is thread_local so
-//    fork-join workers each get their own.
+//    shard workers each get their own.
 #pragma once
 
 #include <cstddef>
@@ -101,7 +101,7 @@ class ArenaScope {
 
 /// The per-thread event-scoped scratch arena.  Hot functions that need
 /// transient buffers take an ArenaScope on this and leave no trace.
-/// thread_local keeps fork-join workers independent, so using it never
+/// thread_local keeps shard workers independent, so using it never
 /// perturbs cross-thread determinism.
 [[nodiscard]] Arena& scratch_arena();
 

@@ -13,7 +13,6 @@
 #include <thread>
 
 #include "common/arena.hpp"
-#include "common/parallel.hpp"
 
 namespace bmg::shard {
 
@@ -82,18 +81,13 @@ struct GridJob {
     st.worker = worker;
     const auto wall0 = std::chrono::steady_clock::now();
     const double cpu0 = thread_cpu_seconds();
-    {
-      // Intra-cell fork-join regions run inline: the cell is the unit
-      // of parallelism and must compute the same bytes on any worker.
-      parallel::SerialRegion serial;
-      t_in_cell = true;
-      try {
-        (*fn)(cell);
-      } catch (...) {
-        errors[cell] = std::current_exception();
-      }
-      t_in_cell = false;
+    t_in_cell = true;
+    try {
+      (*fn)(cell);
+    } catch (...) {
+      errors[cell] = std::current_exception();
     }
+    t_in_cell = false;
     st.cpu_s = thread_cpu_seconds() - cpu0;
     st.wall_s = std::chrono::duration_cast<std::chrono::duration<double>>(
                     std::chrono::steady_clock::now() - wall0)
@@ -107,10 +101,9 @@ struct GridJob {
   }
 };
 
-/// The persistent shard-worker pool — same lifecycle pattern as the
-/// fork-join Pool (parallel.cpp), but the two never share threads:
-/// shard workers host whole simulations, fork-join workers host
-/// kernel shards.
+/// The persistent shard-worker pool.  Workers park on a condition
+/// variable between grids; the submitting thread joins each grid as
+/// worker 0.
 class ShardPool {
  public:
   static ShardPool& instance() {

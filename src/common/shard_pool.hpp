@@ -1,23 +1,13 @@
-// Shard-per-deployment execution layer.
+// Shard-per-deployment execution layer, the stack's only thread pool.
 //
-// The fork-join executor (common/parallel.hpp) parallelises *within*
-// one deterministic event loop — but BENCH_pr4 showed that loop is
-// inherently serial, so wall-clock stays flat however many threads the
-// kernels borrow.  Independent deployments, on the other hand, are
-// embarrassingly parallel: a scenario grid cell owns its complete
+// One deterministic event loop is inherently serial, so the scaling
+// axis is whole simulations: a scenario grid cell owns its complete
 // simulation (scheduler, chains, agents, RNG streams) and shares no
 // mutable state with any other cell.  The shard pool runs those cells
-// on persistent worker threads, one whole simulation per cell.
-//
-// Distinct from the fork-join pool by design:
-//
-//   * the fork-join pool keeps serving intra-block kernels for
-//     single-deployment drivers, tests and the figure benches;
-//   * inside a shard cell, every parallel_for serializes inline
-//     (parallel::SerialRegion) — the scaling axis is cells, and the
-//     cell's working set stays on its worker's core;
-//   * worker count comes from BMG_SHARD_WORKERS / --shard-workers,
-//     independent of BMG_THREADS.
+// on persistent worker threads, one whole simulation per cell, and
+// each cell runs every kernel (batch verify, batch SHA-256, trie
+// commit, batch proving) serially on its worker.  Worker count comes
+// from BMG_SHARD_WORKERS / --shard-workers.
 //
 // Determinism.  Cells are dealt out of an atomic counter (which
 // *worker* runs which cell is the only scheduling freedom), every cell

@@ -5,7 +5,6 @@
 #include <cstring>
 #include <memory>
 
-#include "common/parallel.hpp"
 #include "crypto/sha512.hpp"
 
 namespace bmg::crypto::ed25519 {
@@ -1343,19 +1342,6 @@ void verify_batch_run(std::span<const VerifyItem> items, std::uint8_t* ok) {
     ok[c.idx] = check_single(*c.key, c.s, c.k, items[c.idx].sig.data()) ? 1 : 0;
 }
 
-/// One shard of verify_batch: runs of at most kKeyMemoCapacity items,
-/// so every key of a run fits in the memo at once.
-void verify_batch_range(std::span<const VerifyItem> items, std::uint8_t* ok) {
-  for (std::size_t begin = 0; begin < items.size(); begin += kKeyMemoCapacity) {
-    const std::size_t n = std::min(kKeyMemoCapacity, items.size() - begin);
-    verify_batch_run(items.subspan(begin, n), ok + begin);
-  }
-}
-
-/// Below this, one combined equation on one core beats the fork-join
-/// dispatch plus the per-shard doubling chains.
-constexpr std::size_t kParallelVerifyMin = 16;
-
 }  // namespace
 
 bool verify(const PublicKeyBytes& pub, ByteView msg, const SignatureBytes& sig) {
@@ -1367,20 +1353,12 @@ bool verify(const PublicKeyBytes& pub, ByteView msg, const SignatureBytes& sig) 
 
 std::vector<bool> verify_batch(std::span<const VerifyItem> items) {
   const std::size_t n = items.size();
-  // Shards write disjoint byte ranges of `flags` (vector<bool> is
-  // bit-packed and would race); the final conversion is index-ordered.
+  // Runs of at most kKeyMemoCapacity items, so every key of a run fits
+  // in the memo at once.
   std::vector<std::uint8_t> flags(n, 0);
-  if (n < kParallelVerifyMin) {
-    verify_batch_range(items, flags.data());
-  } else {
-    // Static contiguous shards, each running the full RLC batch check
-    // with its per-shard fallback preserved.  With one thread the
-    // executor runs a single shard inline — the exact serial path.
-    parallel::parallel_for(n, kParallelVerifyMin,
-                           [&](std::size_t begin, std::size_t end, std::size_t) {
-                             verify_batch_range(items.subspan(begin, end - begin),
-                                                flags.data() + begin);
-                           });
+  for (std::size_t begin = 0; begin < n; begin += kKeyMemoCapacity) {
+    const std::size_t len = std::min(kKeyMemoCapacity, n - begin);
+    verify_batch_run(items.subspan(begin, len), flags.data() + begin);
   }
   std::vector<bool> ok(n);
   for (std::size_t i = 0; i < n; ++i) ok[i] = flags[i] != 0;

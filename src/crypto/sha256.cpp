@@ -5,7 +5,6 @@
 #include <stdexcept>
 #include <vector>
 
-#include "common/parallel.hpp"
 #include "crypto/sha256_impl.hpp"
 
 namespace bmg::crypto {
@@ -215,39 +214,12 @@ Hash32 sha256_pair(const Hash32& a, const Hash32& b) noexcept {
   return Sha256::digest(ByteView{buf, 64});
 }
 
-namespace {
-
-/// Hashes msgs[begin..end) into out[begin..end) with the dispatched
-/// single-process policy — the pre-executor sha256_batch body.
-void batch_range(const ByteView* msgs, std::size_t begin, std::size_t end,
-                 Hash32* out) {
-  const std::size_t n = end - begin;
-  if (n >= 8 && active_batch_policy() == BatchPolicy::kAvx2) {
-    batch_avx2(msgs + begin, n, out + begin);
-    return;
-  }
-  for (std::size_t i = begin; i < end; ++i) out[i] = Sha256::digest(msgs[i]);
-}
-
-/// Below this the fork-join dispatch overhead dwarfs the hashing.
-constexpr std::size_t kParallelBatchMin = 64;
-
-}  // namespace
-
 void sha256_batch(const ByteView* msgs, std::size_t n, Hash32* out) {
-  // Each message's digest depends only on its own bytes, so sharding
-  // the batch across workers is byte-identical to the serial loop for
-  // any thread count.  Small batches, threads == 1, and calls from
-  // inside a parallel region (e.g. the trie's sharded commit) take the
-  // serial path inside parallel_for.
-  if (n < kParallelBatchMin) {
-    batch_range(msgs, 0, n, out);
+  if (n >= 8 && active_batch_policy() == BatchPolicy::kAvx2) {
+    batch_avx2(msgs, n, out);
     return;
   }
-  parallel::parallel_for(n, kParallelBatchMin,
-                         [&](std::size_t begin, std::size_t end, std::size_t) {
-                           batch_range(msgs, begin, end, out);
-                         });
+  for (std::size_t i = 0; i < n; ++i) out[i] = Sha256::digest(msgs[i]);
 }
 
 Hash32 sha256_digest_with(Sha256Impl impl, ByteView data) {

@@ -45,9 +45,9 @@ struct DomainEq {
 
 /// sha256(domain), memoised.  The live set of (port, channel) and
 /// client/connection identifiers is tiny and stable, so after warm-up
-/// every key build skips the hash.  thread_local keeps fork-join
-/// workers lock-free and the cache is pure (same domain -> same tag),
-/// so threading cannot perturb results.
+/// every key build skips the hash.  thread_local keeps shard workers
+/// lock-free and the cache is pure (same domain -> same tag), so which
+/// worker runs a cell cannot perturb results.
 const Hash32& domain_tag(ByteView domain) {
   thread_local std::unordered_map<Bytes, Hash32, DomainHash, DomainEq> cache;
   const auto it = cache.find(domain);

@@ -19,8 +19,7 @@
 //
 // Page contents are identical across backends by construction — the
 // store never interprets record bytes — which is what the trie-page
-// determinism CI job (roots + proofs diffed across backends and
-// thread counts) pins.
+// determinism CI job (roots + proofs diffed across backends) pins.
 //
 // Thread safety: all methods are safe to call concurrently.  A pinned
 // page is never evicted or moved, so the returned frame pointer stays

@@ -2,8 +2,6 @@
 
 #include <utility>
 
-#include "common/parallel.hpp"
-
 namespace bmg::trie {
 
 const TrieSnapshot::Impl& TrieSnapshot::impl() const {
@@ -58,10 +56,6 @@ std::future<std::vector<Proof>> ProofService::submit(TrieSnapshot snapshot,
 }
 
 void ProofService::run() {
-  // The worker stays off the fork-join pool: its proving inlines any
-  // nested parallel_for, leaving the single dispatch slot to the
-  // committing thread it runs concurrently with.
-  parallel::SerialRegion serial;
   for (;;) {
     Job job;
     {
@@ -82,17 +76,7 @@ void ProofService::run() {
 std::vector<Proof> ProofService::prove_batch(const TrieSnapshot& snapshot,
                                              const std::vector<Bytes>& keys) {
   std::vector<Proof> out(keys.size());
-  constexpr std::size_t kMinPerShard = 16;
-  if (keys.size() >= 2 * kMinPerShard && parallel::thread_count() > 1 &&
-      !parallel::in_parallel_region()) {
-    parallel::parallel_for(keys.size(), kMinPerShard,
-                           [&](std::size_t begin, std::size_t end, std::size_t) {
-                             for (std::size_t i = begin; i < end; ++i)
-                               out[i] = snapshot.prove(keys[i]);
-                           });
-  } else {
-    for (std::size_t i = 0; i < keys.size(); ++i) out[i] = snapshot.prove(keys[i]);
-  }
+  for (std::size_t i = 0; i < keys.size(); ++i) out[i] = snapshot.prove(keys[i]);
   return out;
 }
 

@@ -14,9 +14,8 @@
 // submit() hands a (snapshot, keys) batch to a worker and returns a
 // future, so relayers can have the previous block's proofs built
 // while the next block commits.  The static prove_batch() is the
-// synchronous form and shards the keys across the bmg::parallel pool;
-// results are ordered by key index, keeping output independent of
-// thread count.
+// synchronous form, run on the calling thread; both return proofs in
+// key order.
 #pragma once
 
 #include <condition_variable>
@@ -91,9 +90,8 @@ class ProofService {
   [[nodiscard]] std::future<std::vector<Proof>> submit(TrieSnapshot snapshot,
                                                        std::vector<Bytes> keys);
 
-  /// Synchronous batch proving, sharded across the bmg::parallel pool
-  /// when it is free.  Output is indexed by key, so the bytes are
-  /// identical for any thread count.
+  /// Synchronous batch proving on the calling thread: one proof per
+  /// key, in key order; a SealedError on any key fails the batch.
   [[nodiscard]] static std::vector<Proof> prove_batch(const TrieSnapshot& snapshot,
                                                      const std::vector<Bytes>& keys);
 

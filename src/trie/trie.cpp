@@ -4,7 +4,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/parallel.hpp"
 #include "crypto/sha256.hpp"
 #include "trie/snapshot.hpp"
 
@@ -485,12 +484,7 @@ void SealableTrie::commit() {
   // Deepest level first, so every child hash is final before its
   // parent's preimage is built.  Nodes within one level are
   // independent — siblings or cousins — so a level is hashed as one
-  // multi-lane SHA-256 batch, and a wide level further shards
-  // preimage building + hashing across the fork-join workers.  Shards
-  // write disjoint RefRec objects and read only already-final child
-  // hashes, so the committed hashes are byte-identical for any thread
-  // count.
-  constexpr std::size_t kParallelLevelMin = 64;
+  // multi-lane SHA-256 batch.
   Bytes scratch;
   std::vector<std::pair<std::size_t, std::size_t>> spans;
   std::vector<ByteView> views;
@@ -504,29 +498,6 @@ void SealableTrie::commit() {
       Item& it = level[0];
       it.ref->hash = rec_hash(kind_of(it.ref->node), it.rec);
       it.ref->set_dirty(false);
-    } else if (n >= kParallelLevelMin && parallel::thread_count() > 1 &&
-               !parallel::in_parallel_region()) {
-      parallel::parallel_for(
-          n, kParallelLevelMin, [&](std::size_t begin, std::size_t end, std::size_t) {
-            // Per-shard scratch; the nested sha256_batch serializes.
-            Bytes pre;
-            std::vector<std::pair<std::size_t, std::size_t>> offs;
-            offs.reserve(end - begin);
-            for (std::size_t i = begin; i < end; ++i) {
-              const std::size_t off = pre.size();
-              append_rec_preimage(pre, kind_of(level[i].ref->node), level[i].rec);
-              offs.emplace_back(off, pre.size() - off);
-            }
-            std::vector<ByteView> v(end - begin);
-            std::vector<Hash32> h(end - begin);
-            for (std::size_t i = 0; i < v.size(); ++i)
-              v[i] = ByteView{pre.data() + offs[i].first, offs[i].second};
-            crypto::sha256_batch(v.data(), v.size(), h.data());
-            for (std::size_t i = 0; i < v.size(); ++i) {
-              level[begin + i].ref->hash = h[i];
-              level[begin + i].ref->set_dirty(false);
-            }
-          });
     } else {
       scratch.clear();
       spans.clear();

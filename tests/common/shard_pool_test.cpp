@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "common/arena.hpp"
-#include "common/parallel.hpp"
 
 namespace bmg {
 namespace {
@@ -71,23 +70,6 @@ TEST_F(ShardPoolTest, InShardCellFlag) {
   (void)shard::run_cells(1, [&](std::size_t) { seen = shard::in_shard_cell(); });
   EXPECT_TRUE(seen);
   EXPECT_FALSE(shard::in_shard_cell());
-}
-
-TEST_F(ShardPoolTest, IntraCellParallelForSerializesInline) {
-  // Inside a cell the fork-join executor must not fan out: the cell is
-  // the unit of parallelism.  parallel_for still computes the right
-  // answer, on the calling thread alone.
-  shard::set_worker_count(4);
-  std::vector<std::vector<std::size_t>> shards_seen(8);
-  (void)shard::run_cells(8, [&](std::size_t c) {
-    parallel::parallel_for(100, 1, [&](std::size_t b, std::size_t e, std::size_t shard) {
-      for (std::size_t i = b; i < e; ++i) shards_seen[c].push_back(shard);
-    });
-  });
-  for (std::size_t c = 0; c < 8; ++c) {
-    ASSERT_EQ(shards_seen[c].size(), 100u) << c;
-    for (const std::size_t s : shards_seen[c]) EXPECT_EQ(s, 0u);
-  }
 }
 
 TEST_F(ShardPoolTest, NestedRunCellsSerializesInline) {

@@ -10,6 +10,7 @@
 #include <thread>
 
 #include "common/bytes.hpp"
+#include "crypto/keys.hpp"
 #include "crypto/sha256.hpp"
 #include "crypto/sha512.hpp"
 #include "rfc8032_vectors.hpp"
@@ -239,6 +240,27 @@ TEST(Ed25519, BatchMatchesSingleVerifyProperty) {
     for (std::size_t i = 0; i < n; ++i)
       EXPECT_EQ(got[i], expected[i]) << "round " << round << " item " << i;
   }
+}
+
+// 200 cold keys with every 17th signature corrupted.  No other test
+// hands verify_batch more than 17 items with bad signatures: the
+// combined equation fails, and the per-item fallback must flag exactly
+// the corrupted items.
+TEST(Ed25519, BatchFallbackFlagsScatteredCorruptions) {
+  constexpr int kN = 200;
+  std::vector<Hash32> digests;
+  std::vector<VerifyItem> items;
+  digests.reserve(kN);  // ByteViews into elements must survive push_back
+  for (int i = 0; i < kN; ++i) {
+    const PrivateKey key = PrivateKey::from_label("inv-" + std::to_string(i));
+    digests.push_back(Sha256::digest(bytes_of("m" + std::to_string(i))));
+    items.push_back({key.public_key().raw(), digests.back().view(),
+                     key.sign(digests.back().view()).raw()});
+  }
+  for (int i = 0; i < kN; i += 17) items[static_cast<std::size_t>(i)].sig[5] ^= 0x40;
+  const std::vector<bool> ok = verify_batch(items);
+  ASSERT_EQ(ok.size(), items.size());
+  for (int i = 0; i < kN; ++i) EXPECT_EQ(ok[static_cast<std::size_t>(i)], i % 17 != 0) << i;
 }
 
 // The group order L, little-endian.
@@ -613,7 +635,7 @@ TEST(Ed25519, VerdictsMatchParentDigest) {
 // signature is tampered; every call on every thread must return the
 // expected verdicts.  Run under TSan in CI.
 TEST(Ed25519, CombCacheRace) {
-  constexpr std::size_t kItems = 8;  // below the fork-join threshold
+  constexpr std::size_t kItems = 8;
   constexpr std::size_t kTampered = 3;
   XorShift rng{0xa54ff53a5f1d36f1ULL};
   std::vector<Bytes> msgs(kItems);

@@ -7,7 +7,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/parallel.hpp"
 #include "common/rng.hpp"
 #include "crypto/sha256.hpp"
 #include "trie/trie.hpp"
@@ -404,25 +403,6 @@ TEST(ProofService, SealedKeyFailsTheBatch) {
   ProofService service;
   auto fut = service.submit(snap, {key_of("a"), key_of("b")});
   EXPECT_THROW((void)fut.get(), SealedError);
-}
-
-TEST(ProofService, BatchResultsAreThreadCountInvariant) {
-  SealableTrie t;
-  for (int i = 0; i < 200; ++i) t.set(key_of("t" + std::to_string(i)), val("v"));
-  const TrieSnapshot snap = t.snapshot();
-  std::vector<Bytes> keys;
-  for (int i = 0; i < 200; ++i) keys.push_back(key_of("t" + std::to_string(i)));
-
-  const std::size_t saved = parallel::thread_count();
-  parallel::set_thread_count(1);
-  const std::vector<Proof> serial = ProofService::prove_batch(snap, keys);
-  parallel::set_thread_count(8);
-  const std::vector<Proof> wide = ProofService::prove_batch(snap, keys);
-  parallel::set_thread_count(saved);
-
-  ASSERT_EQ(serial.size(), wide.size());
-  for (std::size_t i = 0; i < serial.size(); ++i)
-    ASSERT_EQ(serial[i].serialize(), wide[i].serialize()) << i;
 }
 
 }  // namespace
