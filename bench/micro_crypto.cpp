@@ -4,6 +4,7 @@
 
 #include "common/bytes.hpp"
 #include "crypto/ed25519.hpp"
+#include "crypto/ed25519_impl.hpp"
 #include "crypto/keys.hpp"
 #include "crypto/sha256.hpp"
 #include "crypto/sha512.hpp"
@@ -184,6 +185,25 @@ void BM_Ed25519DerivePublic(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_Ed25519DerivePublic);
+
+// One field inversion mod p, the step that compresses each signature's
+// R, each verify run's results and each key table.  Its running time
+// depends on the input, so the inputs cycle through 256 pseudo-random
+// field elements.
+void BM_Ed25519FieldInvert(benchmark::State& state) {
+  std::vector<Hash32> inputs(256);
+  for (std::size_t i = 0; i < inputs.size(); ++i)
+    inputs[i] = crypto::Sha256::digest(bytes_of("field element " + std::to_string(i)));
+  std::uint8_t out[32];
+  std::size_t i = 0;
+  for (auto _ : state) {
+    crypto::ed25519::detail::fe_invert_bytes(out, inputs[i].bytes.data());
+    benchmark::DoNotOptimize(out);
+    benchmark::ClobberMemory();
+    i = (i + 1) % inputs.size();
+  }
+}
+BENCHMARK(BM_Ed25519FieldInvert);
 
 }  // namespace
 

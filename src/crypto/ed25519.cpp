@@ -2,9 +2,11 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cstring>
 #include <memory>
 
+#include "crypto/ed25519_impl.hpp"
 #include "crypto/sha512.hpp"
 
 namespace bmg::crypto::ed25519 {
@@ -148,8 +150,8 @@ Fe fe_from_u64(std::uint64_t x) { return Fe{{x & kMask51, x >> 51, 0, 0, 0}}; }
 
 Fe fe_neg(const Fe& a) { return fe_carry(fe_sub(fe_zero(), a)); }
 
-// Full (canonical) reduction to [0, p).
-void fe_to_bytes(std::uint8_t out[32], const Fe& a) {
+// Full (canonical) reduction to [0, p), as four little-endian 64-bit words.
+void fe_to_words(std::uint64_t w[4], const Fe& a) {
   // Repeated carries fully radix-normalize the limbs (each pass moves a
   // possible +1 excess one limb further; six passes guarantee all limbs
   // are <= 2^51 - 1, i.e. the value is in [0, 2^255)).
@@ -171,15 +173,20 @@ void fe_to_bytes(std::uint8_t out[32], const Fe& a) {
   c = l3 >> 51; l3 &= kMask51; l4 += c;
   l4 &= kMask51;
 
-  const std::uint64_t w0 = l0 | (l1 << 51);
-  const std::uint64_t w1 = (l1 >> 13) | (l2 << 38);
-  const std::uint64_t w2 = (l2 >> 26) | (l3 << 25);
-  const std::uint64_t w3 = (l3 >> 39) | (l4 << 12);
+  w[0] = l0 | (l1 << 51);
+  w[1] = (l1 >> 13) | (l2 << 38);
+  w[2] = (l2 >> 26) | (l3 << 25);
+  w[3] = (l3 >> 39) | (l4 << 12);
+}
+
+void fe_to_bytes(std::uint8_t out[32], const Fe& a) {
+  std::uint64_t w[4];
+  fe_to_words(w, a);
   for (int i = 0; i < 8; ++i) {
-    out[i] = (std::uint8_t)(w0 >> (8 * i));
-    out[8 + i] = (std::uint8_t)(w1 >> (8 * i));
-    out[16 + i] = (std::uint8_t)(w2 >> (8 * i));
-    out[24 + i] = (std::uint8_t)(w3 >> (8 * i));
+    out[i] = (std::uint8_t)(w[0] >> (8 * i));
+    out[8 + i] = (std::uint8_t)(w[1] >> (8 * i));
+    out[16 + i] = (std::uint8_t)(w[2] >> (8 * i));
+    out[24 + i] = (std::uint8_t)(w[3] >> (8 * i));
   }
 }
 
@@ -236,12 +243,12 @@ Fe fe_sqn(Fe a, int n) {
   return a;
 }
 
-// Shared prefix of the two exponentiation chains below (the classic
-// curve25519 addition chain): computes a^(2^250 - 1) and a^11.
-void fe_pow_ladder(const Fe& a, Fe& pow250m1, Fe& a11) {
+// a^((p - 5) / 8) = a^(2^252 - 3), used for the decompression sqrt
+// (the classic curve25519 addition chain).
+Fe fe_pow_p58(const Fe& a) {
   const Fe a2 = fe_sq(a);                                // a^2
   const Fe a9 = fe_mul(a, fe_sqn(a2, 2));                // a^9
-  a11 = fe_mul(a9, a2);                                  // a^11
+  const Fe a11 = fe_mul(a9, a2);                         // a^11
   const Fe p5 = fe_mul(fe_sq(a11), a9);                  // a^(2^5 - 1)
   const Fe p10 = fe_mul(fe_sqn(p5, 5), p5);              // a^(2^10 - 1)
   const Fe p20 = fe_mul(fe_sqn(p10, 10), p10);           // a^(2^20 - 1)
@@ -249,22 +256,201 @@ void fe_pow_ladder(const Fe& a, Fe& pow250m1, Fe& a11) {
   const Fe p50 = fe_mul(fe_sqn(p40, 10), p10);           // a^(2^50 - 1)
   const Fe p100 = fe_mul(fe_sqn(p50, 50), p50);          // a^(2^100 - 1)
   const Fe p200 = fe_mul(fe_sqn(p100, 100), p100);       // a^(2^200 - 1)
-  pow250m1 = fe_mul(fe_sqn(p200, 50), p50);              // a^(2^250 - 1)
-}
-
-// a^(p - 2) = a^(2^255 - 21) — ~254 squarings + 12 multiplications,
-// roughly half the cost of the generic square-and-multiply ladder.
-Fe fe_invert(const Fe& a) {
-  Fe p250, a11;
-  fe_pow_ladder(a, p250, a11);
-  return fe_mul(fe_sqn(p250, 5), a11);  // (2^250-1)*2^5 + 11 = 2^255 - 21
-}
-
-// a^((p - 5) / 8) = a^(2^252 - 3), used for the decompression sqrt.
-Fe fe_pow_p58(const Fe& a) {
-  Fe p250, a11;
-  fe_pow_ladder(a, p250, a11);
+  const Fe p250 = fe_mul(fe_sqn(p200, 50), p50);         // a^(2^250 - 1)
   return fe_mul(fe_sqn(p250, 2), a);  // (2^250-1)*2^2 + 1 = 2^252 - 3
+}
+
+// ---------------------------------------------------------------------------
+// Inversion mod p: Bernstein and Yang's safegcd ("Fast constant-time gcd
+// computation and modular inversion", CHES 2019) in the variable-time
+// form of libsecp256k1's modinv64_var.
+//
+// Divsteps take (f, g) = (p, x) to g = 0 and f = ±1.  The same steps
+// applied mod p to (d, e) = (0, 1) keep d x = f and e x = g, so they
+// end with d = ±1/x.  The steps run in batches of 62 on the low words
+// of f and g alone; each batch yields a 2x2 matrix, which is then
+// applied to the full values.  Bernstein and Yang bound the steps for
+// 255-bit inputs by 738, so there are at most 12 batches.  Like the
+// combs and Straus chains below, which branch on secret digits, this
+// runs in variable time: the simulation's threat model has no timing
+// side channel.
+// ---------------------------------------------------------------------------
+
+// sum v[i] 2^(62 i).  Between batches, every limb of d and e but the
+// top one is in [0, 2^62); the top one carries the sign.
+struct Signed62 {
+  std::int64_t v[5];
+};
+
+using i128 = __int128;
+
+constexpr std::uint64_t kMask62 = ~std::uint64_t{0} >> 2;
+// p = 2^255 - 19 = -19 + 128 * 2^248.
+constexpr Signed62 kP62 = {{-19, 0, 0, 0, 128}};
+
+// 1/a mod 2^64 for odd a: a is its own inverse mod 8, and each Newton
+// step x (2 - a x) doubles the number of correct low bits.
+constexpr std::uint64_t inverse_mod_2_64(std::uint64_t a) {
+  std::uint64_t x = a;
+  for (int i = 0; i < 5; ++i) x *= 2 - a * x;
+  return x;
+}
+// 1/p mod 2^62; p = -19 mod 2^62.
+constexpr std::uint64_t kPInv62 = inverse_mod_2_64(std::uint64_t{0} - 19) & kMask62;
+static_assert(((std::uint64_t{0} - 19) * kPInv62 & kMask62) == 1);
+
+// 62 divsteps: (f, g) becomes (u f + v g, q f + r g) / 2^62.
+struct Transition {
+  std::int64_t u, v, q, r;
+};
+
+// Runs 62 divsteps on the low words of f (odd) and g, with eta = -delta,
+// and returns the new eta.  A run of zero bits in g is shifted out in
+// one go, and an odd g has up to 6 low bits (right after a swap) or 4
+// cancelled at once by adding w f.  The matrix is computed mod 2^64;
+// its entries stay within 2^62 in magnitude.
+std::int64_t divsteps_62(std::int64_t eta, std::uint64_t f, std::uint64_t g, Transition& t) {
+  std::uint64_t u = 1, v = 0, q = 0, r = 1;
+  int left = 62;
+  for (;;) {
+    // A sentinel bit at position `left` stops the count there.
+    const int zeros = std::countr_zero(g | (~std::uint64_t{0} << left));
+    g >>= zeros;
+    u <<= zeros;
+    v <<= zeros;
+    eta -= zeros;
+    left -= zeros;
+    if (left == 0) break;
+    std::uint64_t w, m;
+    if (eta < 0) {
+      // (f, g) becomes (g, -f), and eta its negation.
+      eta = -eta;
+      std::uint64_t tmp = f;
+      f = g;
+      g = 0 - tmp;
+      tmp = u;
+      u = q;
+      q = 0 - tmp;
+      tmp = v;
+      v = r;
+      r = 0 - tmp;
+      w = f * g * (f * f - 2);  // -g/f mod 64
+      m = 63;
+    } else {
+      w = 0 - (f + (((f + 1) & 4) << 1)) * g;  // -g/f mod 16
+      m = 15;
+    }
+    // Cancel no more bits than steps are left, nor than eta + 1: after
+    // that many the swap branch would be taken again.
+    const int limit = static_cast<int>(std::min<std::int64_t>(eta + 1, left));
+    w &= m & (~std::uint64_t{0} >> (64 - limit));
+    g += f * w;
+    q += u * w;
+    r += v * w;
+  }
+  t = Transition{static_cast<std::int64_t>(u), static_cast<std::int64_t>(v),
+                 static_cast<std::int64_t>(q), static_cast<std::int64_t>(r)};
+  return eta;
+}
+
+// (d, e) <- t (d, e) / 2^62 mod p, each kept in (-2p, p).  Adding md p
+// and me p, where md and me come from 1/p mod 2^62, clears the low 62
+// bits so the division is a shift; their u p, v p, q p, r p terms for a
+// negative d or e keep the results in range.
+void update_de(Signed62& d, Signed62& e, const Transition& t) {
+  const std::int64_t sd = d.v[4] >> 63, se = e.v[4] >> 63;  // -1 if negative
+  std::int64_t md = (t.u & sd) + (t.v & se);
+  std::int64_t me = (t.q & sd) + (t.r & se);
+  i128 cd = (i128)t.u * d.v[0] + (i128)t.v * e.v[0];
+  i128 ce = (i128)t.q * d.v[0] + (i128)t.r * e.v[0];
+  md -= static_cast<std::int64_t>(
+      (kPInv62 * static_cast<std::uint64_t>(cd) + static_cast<std::uint64_t>(md)) & kMask62);
+  me -= static_cast<std::int64_t>(
+      (kPInv62 * static_cast<std::uint64_t>(ce) + static_cast<std::uint64_t>(me)) & kMask62);
+  cd = (cd + (i128)kP62.v[0] * md) >> 62;
+  ce = (ce + (i128)kP62.v[0] * me) >> 62;
+  for (int i = 1; i < 5; ++i) {
+    cd += (i128)t.u * d.v[i] + (i128)t.v * e.v[i] + (i128)kP62.v[i] * md;
+    ce += (i128)t.q * d.v[i] + (i128)t.r * e.v[i] + (i128)kP62.v[i] * me;
+    d.v[i - 1] = static_cast<std::int64_t>(static_cast<std::uint64_t>(cd) & kMask62);
+    e.v[i - 1] = static_cast<std::int64_t>(static_cast<std::uint64_t>(ce) & kMask62);
+    cd >>= 62;
+    ce >>= 62;
+  }
+  d.v[4] = static_cast<std::int64_t>(cd);
+  e.v[4] = static_cast<std::int64_t>(ce);
+}
+
+// (f, g) <- t (f, g) / 2^62 on their low `len` limbs; the division is
+// exact.
+void update_fg(int len, Signed62& f, Signed62& g, const Transition& t) {
+  i128 cf = ((i128)t.u * f.v[0] + (i128)t.v * g.v[0]) >> 62;
+  i128 cg = ((i128)t.q * f.v[0] + (i128)t.r * g.v[0]) >> 62;
+  for (int i = 1; i < len; ++i) {
+    cf += (i128)t.u * f.v[i] + (i128)t.v * g.v[i];
+    cg += (i128)t.q * f.v[i] + (i128)t.r * g.v[i];
+    f.v[i - 1] = static_cast<std::int64_t>(static_cast<std::uint64_t>(cf) & kMask62);
+    g.v[i - 1] = static_cast<std::int64_t>(static_cast<std::uint64_t>(cg) & kMask62);
+    cf >>= 62;
+    cg >>= 62;
+  }
+  f.v[len - 1] = static_cast<std::int64_t>(cf);
+  g.v[len - 1] = static_cast<std::int64_t>(cg);
+}
+
+// 1/a mod p, canonical; 0 maps to 0.
+Fe fe_invert(const Fe& a) {
+  std::uint64_t w[4];
+  fe_to_words(w, a);
+  Signed62 d{{0, 0, 0, 0, 0}}, e{{1, 0, 0, 0, 0}}, f = kP62;
+  Signed62 g{{static_cast<std::int64_t>(w[0] & kMask62),
+              static_cast<std::int64_t>((w[0] >> 62 | w[1] << 2) & kMask62),
+              static_cast<std::int64_t>((w[1] >> 60 | w[2] << 4) & kMask62),
+              static_cast<std::int64_t>((w[2] >> 58 | w[3] << 6) & kMask62),
+              static_cast<std::int64_t>(w[3] >> 56)}};
+  std::int64_t eta = -1;  // delta = 1
+  int len = 5;            // limbs of f and g still in use
+  for (;;) {
+    Transition t;
+    eta = divsteps_62(eta, static_cast<std::uint64_t>(f.v[0]), static_cast<std::uint64_t>(g.v[0]), t);
+    update_de(d, e, t);
+    update_fg(len, f, g, t);
+    if (std::all_of(g.v, g.v + len, [](std::int64_t x) { return x == 0; })) break;
+    // Once the top limbs of f and g hold only their signs, fold them
+    // into the limbs below.
+    const std::int64_t fn = f.v[len - 1], gn = g.v[len - 1];
+    if (len > 1 && (fn == 0 || fn == -1) && (gn == 0 || gn == -1)) {
+      f.v[len - 2] |= static_cast<std::int64_t>(static_cast<std::uint64_t>(fn) << 62);
+      g.v[len - 2] |= static_cast<std::int64_t>(static_cast<std::uint64_t>(gn) << 62);
+      --len;
+    }
+  }
+
+  // f = ±1 now (or ±p for a = 0, where d stayed 0), so 1/a = d f.
+  // Bring d from (-2p, p) to [0, p), negating it on the way if f < 0.
+  const auto add_p_if_negative = [&d] {
+    if (d.v[4] >= 0) return;
+    for (int i = 0; i < 5; ++i) d.v[i] += kP62.v[i];
+  };
+  const auto carry = [&d] {
+    for (int i = 0; i < 4; ++i) {
+      d.v[i + 1] += d.v[i] >> 62;
+      d.v[i] &= static_cast<std::int64_t>(kMask62);
+    }
+  };
+  add_p_if_negative();
+  if (f.v[len - 1] < 0) {
+    for (std::int64_t& x : d.v) x = -x;
+  }
+  carry();
+  add_p_if_negative();
+  carry();
+
+  const auto d0 = static_cast<std::uint64_t>(d.v[0]), d1 = static_cast<std::uint64_t>(d.v[1]),
+             d2 = static_cast<std::uint64_t>(d.v[2]), d3 = static_cast<std::uint64_t>(d.v[3]),
+             d4 = static_cast<std::uint64_t>(d.v[4]);
+  return Fe{{d0 & kMask51, (d0 >> 51 | d1 << 11) & kMask51, (d1 >> 40 | d2 << 22) & kMask51,
+             (d2 >> 29 | d3 << 33) & kMask51, (d3 >> 18 | d4 << 44) & kMask51}};
 }
 
 const Fe& fe_d() {
@@ -876,6 +1062,10 @@ Digest512 hash3(ByteView a, ByteView b, ByteView c) {
 }
 
 }  // namespace
+
+void detail::fe_invert_bytes(std::uint8_t out[32], const std::uint8_t in[32]) {
+  fe_to_bytes(out, fe_invert(fe_from_bytes(in)));
+}
 
 ExpandedKey expand(const Seed& seed) {
   const Digest512 h = Sha512::digest(ByteView{seed});

@@ -10,6 +10,7 @@
 #include <thread>
 
 #include "common/bytes.hpp"
+#include "crypto/ed25519_impl.hpp"
 #include "crypto/keys.hpp"
 #include "crypto/sha256.hpp"
 #include "crypto/sha512.hpp"
@@ -458,6 +459,104 @@ TEST(Ed25519, BatchAgreesWithVerifyOnTorsionLacedKeys) {
     accepted += single ? 1 : 0;
   }
   EXPECT_EQ(accepted, 256);
+}
+
+// A field element as four little-endian 64-bit words.
+using Words = std::array<std::uint64_t, 4>;
+
+Words words_of(const std::uint8_t b[32]) {
+  Words w{};
+  for (int i = 31; i >= 0; --i) w[i / 8] = (w[i / 8] << 8) | b[i];
+  return w;
+}
+
+bool below_p(const Words& x) {
+  const Words p = words_of(kFieldP.data());
+  return std::lexicographical_compare(x.rbegin(), x.rend(), p.rbegin(), p.rend());
+}
+
+// x y mod p for x, y below 2^256, apart from the library's field code:
+// a schoolbook 512-bit product, its high half folded onto the low one
+// with 2^256 = 38 (mod p) until nothing carries out, then p subtracted
+// until the result is below it.
+Words mul_mod_p(const Words& x, const Words& y) {
+  using u128 = unsigned __int128;
+  std::uint64_t t[8] = {};
+  for (int i = 0; i < 4; ++i) {
+    u128 c = 0;
+    for (int j = 0; j < 4; ++j) {
+      c += static_cast<u128>(x[i]) * y[j] + t[i + j];
+      t[i + j] = static_cast<std::uint64_t>(c);
+      c >>= 64;
+    }
+    t[i + 4] = static_cast<std::uint64_t>(c);
+  }
+  Words r{};
+  u128 c = 0;
+  for (int i = 0; i < 4; ++i) {
+    c += static_cast<u128>(t[i + 4]) * 38 + t[i];
+    r[i] = static_cast<std::uint64_t>(c);
+    c >>= 64;
+  }
+  while (c != 0) {
+    c *= 38;
+    for (int i = 0; i < 4; ++i) {
+      c += r[i];
+      r[i] = static_cast<std::uint64_t>(c);
+      c >>= 64;
+    }
+  }
+  const Words p = words_of(kFieldP.data());
+  while (!below_p(r)) {
+    std::uint64_t borrow = 0;
+    for (int i = 0; i < 4; ++i) {
+      const u128 d = static_cast<u128>(r[i]) - p[i] - borrow;
+      r[i] = static_cast<std::uint64_t>(d);
+      borrow = static_cast<std::uint64_t>(d >> 64) & 1;
+    }
+  }
+  return r;
+}
+
+// The field inversion behind every signature, verify run and table
+// build, against the product above: each output is canonical, x times
+// it is 1 mod p, and x = 0 mod p gives 0.  Inputs are the small and
+// near-p edges, every non-canonical encoding p..2^255 - 1, every power
+// of two below 2^255, and random values below 2^255.
+TEST(Ed25519, FieldInverseMatchesReference) {
+  constexpr Words kZero{0, 0, 0, 0};
+  constexpr Words kOne{1, 0, 0, 0};
+  const Words p = words_of(kFieldP.data());
+  std::vector<Words> inputs = {kZero, kOne, {2, 0, 0, 0}};
+  Words pm1 = p;
+  pm1[0] -= 1;
+  inputs.push_back(pm1);
+  Words half = pm1;  // (p - 1) / 2
+  for (int i = 0; i < 4; ++i) half[i] = (half[i] >> 1) | (i < 3 ? half[i + 1] << 63 : 0);
+  inputs.push_back(half);
+  for (std::uint64_t k = 0; k < 19; ++k) inputs.push_back({p[0] + k, p[1], p[2], p[3]});
+  for (int b = 0; b < 255; ++b) {
+    Words x = kZero;
+    x[b / 64] = std::uint64_t{1} << (b % 64);
+    inputs.push_back(x);
+  }
+  XorShift rng{0x510e527fade682d1ULL};
+  for (int i = 0; i < 100000; ++i) {
+    Words x{rng.next(), rng.next(), rng.next(), rng.next()};
+    x[3] >>= 1;
+    inputs.push_back(x);
+  }
+
+  for (const Words& x : inputs) {
+    std::uint8_t in[32], out[32];
+    for (int i = 0; i < 32; ++i) in[i] = static_cast<std::uint8_t>(x[i / 8] >> (8 * (i % 8)));
+    detail::fe_invert_bytes(out, in);
+    const Words inv = words_of(out);
+    ASSERT_TRUE(below_p(inv)) << to_hex(ByteView{in, 32});
+    const Words expected = mul_mod_p(x, kOne) == kZero ? kZero : kOne;
+    const Words got = expected == kZero ? inv : mul_mod_p(x, inv);
+    ASSERT_EQ(got, expected) << to_hex(ByteView{in, 32});
+  }
 }
 
 // A deterministic corpus of honest and mutated triples for the
