@@ -2,14 +2,12 @@
 // generation/verification costs, plus proof sizes (what a relayer pays
 // to ship in transaction bytes).
 //
-// PR 9 additions: the paged-store tiers (in-RAM vs file-backed LRU)
-// and the concurrent proof service — proofs generated against a
-// published snapshot while the next block's writes commit.
+// PR 9 additions: paged inserts, the per-block snapshot publish and
+// batch proving against a published snapshot.
 //
 // Flags (strictly validated; anything else is handed to
 // google-benchmark):
 //   --page-bytes N      page size for the paged benches (default 16384)
-//   --resident-pages N  resident LRU frames for the file tier (default 256)
 #include <benchmark/benchmark.h>
 
 #include <cstring>
@@ -25,15 +23,6 @@ namespace {
 using namespace bmg;
 
 std::size_t g_page_bytes = 16 * 1024;
-std::size_t g_resident_pages = 256;
-
-trie::PageStoreConfig page_cfg(trie::PageStoreConfig::Backend backend) {
-  trie::PageStoreConfig cfg;
-  cfg.backend = backend;
-  cfg.page_bytes = g_page_bytes;
-  cfg.max_resident_pages = g_resident_pages;
-  return cfg;
-}
 
 Bytes key_of(std::uint64_t i) {
   Encoder e;
@@ -162,18 +151,15 @@ void BM_ProofByteSize(benchmark::State& state) {
 }
 BENCHMARK(BM_ProofByteSize)->Arg(64)->Arg(1000)->Arg(100000);
 
-// --- PR 9: paged tiers and the concurrent proof service ----------------
+// --- PR 9: paged inserts, snapshot publish and batch proving ----------
 
-void paged_insert_commit(benchmark::State& state,
-                         trie::PageStoreConfig::Backend backend) {
-  // n inserts with a 128-write block cadence on the paged store.  The
-  // file tier pays eviction + re-fault on top; the delta between the
-  // two tiers is the out-of-core cost at this resident-set size.
+void BM_TriePagedInsert(benchmark::State& state) {
+  // n inserts with a 128-write block cadence at --page-bytes pages.
   const auto n = static_cast<std::uint64_t>(state.range(0));
   Hash32 v;
   v.bytes[0] = 1;
   for (auto _ : state) {
-    trie::SealableTrie t{page_cfg(backend)};
+    trie::SealableTrie t{trie::PageStoreConfig{g_page_bytes}};
     for (std::uint64_t i = 0; i < n; ++i) {
       t.set(key_of(i), v);
       if ((i + 1) % 128 == 0) t.commit();
@@ -183,21 +169,12 @@ void paged_insert_commit(benchmark::State& state,
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(n));
 }
-
-void BM_TriePagedInsertMem(benchmark::State& state) {
-  paged_insert_commit(state, trie::PageStoreConfig::Backend::kMemory);
-}
-BENCHMARK(BM_TriePagedInsertMem)->Arg(10000)->Arg(100000);
-
-void BM_TriePagedInsertFile(benchmark::State& state) {
-  paged_insert_commit(state, trie::PageStoreConfig::Backend::kFile);
-}
-BENCHMARK(BM_TriePagedInsertFile)->Arg(10000)->Arg(100000);
+BENCHMARK(BM_TriePagedInsert)->Arg(10000)->Arg(100000);
 
 void BM_TrieSnapshotPublish(benchmark::State& state) {
   // The per-block snapshot handoff: one write, one commit, one
   // publish.  This is the whole cost the guest/counterparty chains add
-  // per block to let the proof service read the frozen state.
+  // per block to let proofs read the frozen state.
   const auto n = static_cast<std::uint64_t>(state.range(0));
   trie::SealableTrie t = prefilled(n);
   t.commit();
@@ -228,32 +205,6 @@ void BM_TrieProveBatch(benchmark::State& state) {
 }
 BENCHMARK(BM_TrieProveBatch)->Arg(10000)->Arg(100000);
 
-void BM_TrieProofConcurrent(benchmark::State& state) {
-  // The tentpole overlap: a proof batch runs on the service worker
-  // against block h's snapshot while the main thread writes and
-  // commits block h+1.  Real time is the honest clock here — the whole
-  // point is that the two overlap.
-  const auto n = static_cast<std::uint64_t>(state.range(0));
-  trie::SealableTrie t = prefilled(n);
-  t.commit();
-  trie::ProofService service;
-  std::vector<Bytes> keys;
-  keys.reserve(256);
-  for (std::uint64_t i = 0; i < 256; ++i) keys.push_back(key_of((i * 37) % n));
-  Hash32 v;
-  std::uint64_t block = 0;
-  for (auto _ : state) {
-    auto fut = service.submit(t.snapshot(), keys);
-    // Next block commits while the worker proves.
-    v.bytes[0] = static_cast<std::uint8_t>(++block);
-    for (std::uint64_t i = 0; i < n; i += 16) t.set(key_of(i), v);
-    t.commit();
-    benchmark::DoNotOptimize(fut.get());
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * 256);
-}
-BENCHMARK(BM_TrieProofConcurrent)->Arg(10000)->UseRealTime();
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -272,9 +223,6 @@ int main(int argc, char** argv) {
     if (std::strcmp(argv[i], "--page-bytes") == 0)
       g_page_bytes = static_cast<std::size_t>(
           bmg::bench::parse_positive_long(argv[0], "--page-bytes", next()));
-    else if (std::strcmp(argv[i], "--resident-pages") == 0)
-      g_resident_pages = static_cast<std::size_t>(
-          bmg::bench::parse_positive_long(argv[0], "--resident-pages", next()));
     else
       rest.push_back(argv[i]);
   }

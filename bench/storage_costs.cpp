@@ -2,11 +2,10 @@
 // deposit (~14.6 k$), how many key-value pairs fit (paper: >72k), and
 // how the sealable trie keeps long-term usage bounded.
 //
-// PR 9 extension — the paged out-of-core tier: a storage-growth vs
-// seal-rate sweep over the file-backed PageStore, reporting pages
-// allocated/freed, spill high-water and residency so sealing shows up
-// as *reclaimed pages*, not just smaller byte counters.  Scale with
-// --page-entries (EXPERIMENTS.md documents the 10^8-entry recipe).
+// PR 9 extension — the paged trie: a storage-growth vs seal-rate
+// sweep over the PageStore, reporting pages allocated/freed/live so
+// sealing shows up as *reclaimed pages*, not just smaller byte
+// counters.  Scale with --page-entries.
 //
 // Flags (all strictly validated; bad input exits 2):
 //   --churn-packets N   packets in the sealing-churn section (default 200000)
@@ -15,8 +14,6 @@
 //   --per-block N       writes per block for the deferred cadence (default 128)
 //   --page-entries N    entries per cell of the page-tier sweep (default 1000000)
 //   --page-bytes N      page size for the sweep (default 16384)
-//   --resident-pages N  resident LRU frames for the sweep (default 4096)
-//   --page-backend S    mem | file (default file)
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -42,8 +39,8 @@ Bytes page_key(std::uint64_t i) {
 /// fraction `seal_rate` — the window-pruning pattern, where history
 /// behind the in-flight window is retired wholesale.  Contiguously
 /// allocated leaf/branch pages of the sealed region drain completely
-/// and are freed (hole-punched on the file tier).  Returns wall
-/// seconds; page counters are read off the trie afterwards.
+/// and are freed.  Returns wall seconds; page counters are read off
+/// the trie afterwards.
 double run_seal_rate_cell(trie::SealableTrie& t, std::size_t entries,
                           double seal_rate) {
   Hash32 v;
@@ -76,7 +73,6 @@ int main(int argc, char** argv) {
   std::size_t per_block = 128;
   std::size_t page_entries = 1'000'000;
   trie::PageStoreConfig page_cfg;
-  page_cfg.backend = trie::PageStoreConfig::Backend::kFile;
   for (int i = 1; i < argc; ++i) {
     const auto next = [&]() -> const char* {
       if (i + 1 >= argc) {
@@ -103,28 +99,13 @@ int main(int argc, char** argv) {
     else if (std::strcmp(argv[i], "--page-bytes") == 0)
       page_cfg.page_bytes = static_cast<std::size_t>(
           bench::parse_positive_long(prog, "--page-bytes", next()));
-    else if (std::strcmp(argv[i], "--resident-pages") == 0)
-      page_cfg.max_resident_pages = static_cast<std::size_t>(
-          bench::parse_positive_long(prog, "--resident-pages", next()));
-    else if (std::strcmp(argv[i], "--page-backend") == 0) {
-      const char* b = next();
-      if (std::strcmp(b, "mem") == 0)
-        page_cfg.backend = trie::PageStoreConfig::Backend::kMemory;
-      else if (std::strcmp(b, "file") == 0)
-        page_cfg.backend = trie::PageStoreConfig::Backend::kFile;
-      else {
-        std::fprintf(stderr, "%s: --page-backend expects mem|file, got '%s'\n", prog,
-                     b);
-        return 2;
-      }
-    }
     // Remaining flags (--seed, --days, ...) belong to bench::Args below.
   }
 
   const bench::Args args = bench::Args::parse(
       argc, argv, 0.0,
       {"--churn-packets", "--window", "--cadence-writes", "--per-block",
-       "--page-entries", "--page-bytes", "--resident-pages", "--page-backend"});
+       "--page-entries", "--page-bytes"});
   bench::print_header("Section V-D: storage costs", args);
 
   // Rent for the largest possible account.
@@ -199,31 +180,24 @@ int main(int argc, char** argv) {
   // Same insert stream at four seal rates on the paged store.  The
   // column to watch is pages_freed: with the old slab design a sealed
   // subtree shrank byte counters but the arena never returned memory;
-  // here fully-sealed pages are freed (and hole-punched out of the
-  // spill file), so reclamation scales with the seal rate while the
-  // allocation count stays flat.
-  const char* backend_name =
-      page_cfg.backend == trie::PageStoreConfig::Backend::kFile ? "file" : "mem";
-  std::printf("\npaged storage tier: growth vs seal rate  (backend=%s  page=%zuB  "
-              "resident=%zu  entries=%zu)\n",
-              backend_name, page_cfg.page_bytes, page_cfg.max_resident_pages,
-              page_entries);
-  std::printf("%10s %12s %12s %12s %14s %14s %12s %10s\n", "seal rate", "pages alloc",
-              "pages freed", "pages live", "resident MiB", "spill MiB", "ops/s",
-              "freed/Mop");
+  // here fully-sealed pages are freed, so reclamation scales with the
+  // seal rate while the allocation count stays flat.
+  std::printf("\npaged storage tier: growth vs seal rate  (page=%zuB  entries=%zu)\n",
+              page_cfg.page_bytes, page_entries);
+  std::printf("%10s %12s %12s %12s %14s %12s %10s\n", "seal rate", "pages alloc",
+              "pages freed", "pages live", "live MiB", "ops/s", "freed/Mop");
   const double rates[] = {0.0, 0.50, 0.90, 0.99};
   for (const double r : rates) {
     trie::SealableTrie t{page_cfg};
     const double secs = run_seal_rate_cell(t, page_entries, r);
     const trie::PageStoreStats ps = t.page_stats();
     const double ops = static_cast<double>(page_entries) * (1.0 + r);
-    std::printf("%10.2f %12zu %12zu %12zu %14.2f %14.2f %12.0f %10.1f\n", r,
+    std::printf("%10.2f %12zu %12zu %12zu %14.2f %12.0f %10.1f\n", r,
                 ps.pages_allocated, ps.pages_freed, ps.pages_live,
-                static_cast<double>(ps.resident_bytes()) / (1024.0 * 1024.0),
-                static_cast<double>(ps.spill_bytes) / (1024.0 * 1024.0), ops / secs,
+                static_cast<double>(ps.live_bytes()) / (1024.0 * 1024.0), ops / secs,
                 1e6 * static_cast<double>(ps.pages_freed) / ops);
   }
   std::printf("  => pages freed scales with the seal rate; live pages (and hence\n"
-              "     residency + spill) track the unsealed window, not history.\n");
+              "     memory) track the unsealed window, not history.\n");
   return 0;
 }

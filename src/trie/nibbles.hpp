@@ -21,7 +21,7 @@ namespace bmg::trie {
 /// Nibbles each, so the inline buffer is what lets a whole-trie copy
 /// (the per-block proof snapshot) run without one heap allocation per
 /// node.  Longer paths (only reachable by decoding an adversarial
-/// proof, whose u16 count field can claim up to 65535) spill to the
+/// proof, whose u16 count field can claim up to 65535) move to the
 /// heap and keep working.
 class Nibbles {
  public:
@@ -41,10 +41,10 @@ class Nibbles {
   [[nodiscard]] bool empty() const noexcept { return size_ == 0; }
 
   [[nodiscard]] const std::uint8_t* data() const noexcept {
-    return spilled() ? spill_.data() : buf_.data();
+    return on_heap() ? heap_.data() : buf_.data();
   }
   [[nodiscard]] std::uint8_t* data() noexcept {
-    return spilled() ? spill_.data() : buf_.data();
+    return on_heap() ? heap_.data() : buf_.data();
   }
   [[nodiscard]] const_iterator begin() const noexcept { return data(); }
   [[nodiscard]] const_iterator end() const noexcept { return data() + size_; }
@@ -55,17 +55,17 @@ class Nibbles {
   [[nodiscard]] std::uint8_t& operator[](std::size_t i) noexcept { return data()[i]; }
 
   void reserve(std::size_t n) {
-    if (n > kInline) spill_.reserve(n);
+    if (n > kInline) heap_.reserve(n);
   }
 
   void push_back(std::uint8_t nib) {
-    if (size_ == kInline && spill_.empty()) {
-      // First spill: migrate the inline prefix so the sequence stays
+    if (size_ == kInline && heap_.empty()) {
+      // First overflow: migrate the inline prefix so the sequence stays
       // contiguous in one buffer.
-      spill_.assign(buf_.begin(), buf_.end());
+      heap_.assign(buf_.begin(), buf_.end());
     }
-    if (spilled() || size_ >= kInline) {
-      spill_.push_back(nib);
+    if (on_heap() || size_ >= kInline) {
+      heap_.push_back(nib);
     } else {
       buf_[size_] = nib;
     }
@@ -78,11 +78,11 @@ class Nibbles {
   }
 
  private:
-  [[nodiscard]] bool spilled() const noexcept { return size_ > kInline; }
+  [[nodiscard]] bool on_heap() const noexcept { return size_ > kInline; }
 
   std::array<std::uint8_t, kInline> buf_;  // intentionally uninitialised
   std::uint32_t size_ = 0;
-  std::vector<std::uint8_t> spill_;  ///< holds ALL nibbles once size_ > kInline
+  std::vector<std::uint8_t> heap_;  ///< holds ALL nibbles once size_ > kInline
 };
 
 /// Expands a byte string into its nibble path.

@@ -1,305 +1,61 @@
 #include "trie/page_store.hpp"
 
-#include <atomic>
-#include <cstdio>
 #include <cstring>
-#include <list>
-#include <mutex>
 #include <stdexcept>
-#include <unordered_map>
-#include <vector>
-
-#include <fcntl.h>
-#include <unistd.h>
 
 namespace bmg::trie {
 
-namespace {
-
-class InMemoryPageStore final : public PageStore {
- public:
-  explicit InMemoryPageStore(const PageStoreConfig& cfg) : PageStore(cfg.page_bytes) {
-    auto table = std::make_unique<std::uint8_t*[]>(kInitialCap);
-    table_.store(table.get(), std::memory_order_release);
-    cap_ = kInitialCap;
-    retired_tables_.push_back(std::move(table));
-  }
-
-  PageId alloc() override {
-    std::lock_guard<std::mutex> lock(mu_);
-    ++stats_.pages_allocated;
-    ++stats_.pages_live;
-    if (!free_.empty()) {
-      const PageId id = free_.back();
-      free_.pop_back();
-      // Same buffer, recycled id: no reader can still reference it
-      // (epoch reclamation in StoreCore), so the pointer stays stable
-      // and pin() stays lock-free.
-      std::memset(pages_[id].get(), 0, page_bytes());
-      return id;
-    }
-    const auto id = static_cast<PageId>(pages_.size());
-    if (pages_.size() == cap_) grow();
-    pages_.push_back(std::make_unique<std::uint8_t[]>(page_bytes()));
-    std::memset(pages_.back().get(), 0, page_bytes());
-    table_.load(std::memory_order_relaxed)[id] = pages_.back().get();
-    return id;
-  }
-
-  void free_page(PageId page) override {
-    std::lock_guard<std::mutex> lock(mu_);
-    ++stats_.pages_freed;
-    --stats_.pages_live;
-    free_.push_back(page);
-  }
-
-  std::uint8_t* pin(PageId page) override {
-    // Lock-free: this is the hottest call in the trie (every node
-    // access).  A page's buffer pointer never changes once its id is
-    // published — grows swap in a copied table, recycled ids keep
-    // their buffer — and the id handoff (trie mutation order, fork
-    // join, snapshot publish) provides the happens-before for the
-    // slot's contents.
-    return table_.load(std::memory_order_acquire)[page];
-  }
-
-  void unpin(PageId, bool) override {}
-
-  PageStoreStats stats() const override {
-    std::lock_guard<std::mutex> lock(mu_);
-    PageStoreStats s = stats_;
-    s.page_bytes = page_bytes();
-    s.resident_pages = s.pages_live;
-    return s;
-  }
-
- private:
-  static constexpr std::size_t kInitialCap = 64;
-
-  /// Doubles the pointer table.  The old table is retired, not freed:
-  /// a concurrent pin() may still be reading it, and every entry it
-  /// holds stays valid because buffer pointers are stable.
-  void grow() {
-    auto bigger = std::make_unique<std::uint8_t*[]>(cap_ * 2);
-    std::uint8_t** old = table_.load(std::memory_order_relaxed);
-    std::memcpy(bigger.get(), old, cap_ * sizeof(std::uint8_t*));
-    table_.store(bigger.get(), std::memory_order_release);
-    cap_ *= 2;
-    retired_tables_.push_back(std::move(bigger));
-  }
-
-  mutable std::mutex mu_;
-  std::vector<std::unique_ptr<std::uint8_t[]>> pages_;  ///< buffer owner, by id
-  std::atomic<std::uint8_t**> table_{nullptr};          ///< lock-free id -> buffer
-  std::size_t cap_ = 0;
-  std::vector<std::unique_ptr<std::uint8_t*[]>> retired_tables_;
-  std::vector<PageId> free_;
-  PageStoreStats stats_;
-};
-
-/// Bounded-residency backend: an LRU of page frames over an unlinked
-/// spill file.  Eviction picks the least-recently-pinned unpinned
-/// frame, writing it out only when dirty.
-class FilePageStore final : public PageStore {
- public:
-  explicit FilePageStore(const PageStoreConfig& cfg)
-      : PageStore(cfg.page_bytes),
-        capacity_(cfg.max_resident_pages == 0 ? 1 : cfg.max_resident_pages) {
-    if (cfg.file_path.empty()) {
-      std::FILE* f = std::tmpfile();
-      if (f == nullptr) throw std::runtime_error("FilePageStore: tmpfile() failed");
-      // Keep our own descriptor; the FILE's buffering is never used.
-      fd_ = ::dup(::fileno(f));
-      std::fclose(f);
-    } else {
-      fd_ = ::open(cfg.file_path.c_str(), O_RDWR | O_CREAT | O_TRUNC, 0600);
-    }
-    if (fd_ < 0) throw std::runtime_error("FilePageStore: cannot open spill file");
-  }
-
-  ~FilePageStore() override {
-    if (fd_ >= 0) ::close(fd_);
-  }
-
-  PageId alloc() override {
-    std::lock_guard<std::mutex> lock(mu_);
-    ++stats_.pages_allocated;
-    ++stats_.pages_live;
-    PageId id;
-    if (!free_.empty()) {
-      id = free_.back();
-      free_.pop_back();
-    } else {
-      id = next_page_++;
-    }
-    // A fresh page starts resident and dirty (all-zero frame); it only
-    // touches the file if it survives long enough to be evicted.
-    Frame& f = ensure_frame(id, /*load=*/false);
-    std::memset(f.data.get(), 0, page_bytes());
-    f.dirty = true;
-    return id;
-  }
-
-  void free_page(PageId page) override {
-    std::lock_guard<std::mutex> lock(mu_);
-    ++stats_.pages_freed;
-    --stats_.pages_live;
-    const auto it = frames_.find(page);
-    if (it != frames_.end() && it->second.pins > 0) {
-      // Freed while an operation still pins it (e.g. sealing emptied
-      // the page mid-walk).  Defer the drop — and the id's reuse —
-      // until the last unpin so outstanding frame pointers stay valid.
-      it->second.doomed = true;
-      return;
-    }
-    if (it != frames_.end()) {
-      lru_.erase(it->second.lru_pos);
-      frames_.erase(it);
-    }
-    finish_free(page);
-  }
-
-  std::uint8_t* pin(PageId page) override {
-    std::lock_guard<std::mutex> lock(mu_);
-    Frame& f = ensure_frame(page, /*load=*/true);
-    if (f.pins++ == 0) ++stats_.pinned_pages;
-    // Most-recently-used position.
-    lru_.splice(lru_.begin(), lru_, f.lru_pos);
-    return f.data.get();
-  }
-
-  void unpin(PageId page, bool dirty) override {
-    std::lock_guard<std::mutex> lock(mu_);
-    Frame& f = frames_.at(page);
-    if (dirty) f.dirty = true;
-    if (--f.pins == 0) {
-      --stats_.pinned_pages;
-      if (f.doomed) {
-        lru_.erase(f.lru_pos);
-        frames_.erase(page);
-        finish_free(page);
-        return;
-      }
-    }
-    evict_to_capacity();
-  }
-
-  PageStoreStats stats() const override {
-    std::lock_guard<std::mutex> lock(mu_);
-    PageStoreStats s = stats_;
-    s.page_bytes = page_bytes();
-    s.resident_pages = frames_.size();
-    return s;
-  }
-
- private:
-  struct Frame {
-    std::unique_ptr<std::uint8_t[]> data;
-    std::list<PageId>::iterator lru_pos;
-    std::uint32_t pins = 0;
-    bool dirty = false;
-    bool doomed = false;  ///< freed while pinned; dropped on last unpin
-  };
-
-  /// Frame (if any) already dropped: reclaim the extent and make the
-  /// id reusable.
-  void finish_free(PageId page) {
-    punch(page);
-    if (written_.size() > page) written_[page] = false;
-    free_.push_back(page);
-  }
-
-  [[nodiscard]] off_t offset_of(PageId page) const {
-    return static_cast<off_t>(page) * static_cast<off_t>(page_bytes());
-  }
-
-  Frame& ensure_frame(PageId page, bool load) {
-    const auto it = frames_.find(page);
-    if (it != frames_.end()) return it->second;
-    Frame f;
-    f.data = std::make_unique<std::uint8_t[]>(page_bytes());
-    if (load) {
-      ++stats_.faults;
-      if (written_.size() > page && written_[page]) {
-        const ssize_t n = ::pread(fd_, f.data.get(), page_bytes(), offset_of(page));
-        if (n != static_cast<ssize_t>(page_bytes()))
-          throw std::runtime_error("FilePageStore: short read from spill file");
-      } else {
-        // Never evicted: the page was freshly allocated and dropped…
-        // which cannot happen (fresh pages are dirty and flush on
-        // eviction).  Zero-fill keeps the failure mode defined.
-        std::memset(f.data.get(), 0, page_bytes());
-      }
-    }
-    lru_.push_front(page);
-    f.lru_pos = lru_.begin();
-    Frame& placed = frames_.emplace(page, std::move(f)).first->second;
-    evict_to_capacity(page);
-    return placed;
-  }
-
-  /// Drops least-recently-used unpinned frames until within capacity.
-  /// Pinned frames (and `protect`, a frame placed but not yet pinned)
-  /// are skipped — a pin outranks the residency bound.
-  void evict_to_capacity(PageId protect = kNoPage) {
-    if (frames_.size() <= capacity_) return;
-    for (auto it = lru_.end(); it != lru_.begin() && frames_.size() > capacity_;) {
-      --it;
-      const PageId victim = *it;
-      if (victim == protect) continue;
-      Frame& f = frames_.at(victim);
-      if (f.pins > 0) continue;
-      if (f.dirty) flush(victim, f);
-      it = lru_.erase(it);
-      frames_.erase(victim);
-      ++stats_.evictions;
-    }
-  }
-
-  void flush(PageId page, Frame& f) {
-    const ssize_t n = ::pwrite(fd_, f.data.get(), page_bytes(), offset_of(page));
-    if (n != static_cast<ssize_t>(page_bytes()))
-      throw std::runtime_error("FilePageStore: short write to spill file");
-    if (written_.size() <= page) written_.resize(page + 1, false);
-    written_[page] = true;
-    f.dirty = false;
-    const std::size_t high = static_cast<std::size_t>(offset_of(page)) + page_bytes();
-    if (high > stats_.spill_bytes) stats_.spill_bytes = high;
-  }
-
-  /// Returns a freed page's file extent to the filesystem where
-  /// supported; counted either way so "pages freed" is observable.
-  void punch(PageId page) {
-#ifdef FALLOC_FL_PUNCH_HOLE
-    if (written_.size() > page && written_[page]) {
-      if (::fallocate(fd_, FALLOC_FL_PUNCH_HOLE | FALLOC_FL_KEEP_SIZE, offset_of(page),
-                      static_cast<off_t>(page_bytes())) == 0)
-        ++stats_.holes_punched;
-    }
-#else
-    (void)page;
-#endif
-  }
-
-  mutable std::mutex mu_;
-  int fd_ = -1;
-  std::size_t capacity_;
-  PageId next_page_ = 0;
-  std::vector<PageId> free_;
-  std::vector<bool> written_;  ///< pages with valid on-disk contents
-  std::unordered_map<PageId, Frame> frames_;
-  std::list<PageId> lru_;  ///< front = most recently pinned
-  PageStoreStats stats_;
-};
-
-}  // namespace
-
-std::unique_ptr<PageStore> PageStore::create(const PageStoreConfig& cfg) {
-  if (cfg.page_bytes < 256)
+PageStore::PageStore(const PageStoreConfig& cfg) : page_bytes_(cfg.page_bytes) {
+  if (page_bytes_ < 256)
     throw std::invalid_argument("PageStore: page_bytes must be >= 256");
-  if (cfg.backend == PageStoreConfig::Backend::kFile)
-    return std::make_unique<FilePageStore>(cfg);
-  return std::make_unique<InMemoryPageStore>(cfg);
+  auto table = std::make_unique<std::uint8_t*[]>(kInitialCap);
+  table_.store(table.get(), std::memory_order_release);
+  cap_ = kInitialCap;
+  retired_tables_.push_back(std::move(table));
+}
+
+PageId PageStore::alloc() {
+  std::lock_guard<std::mutex> lock(mu_);
+  ++stats_.pages_allocated;
+  ++stats_.pages_live;
+  if (!free_.empty()) {
+    const PageId id = free_.back();
+    free_.pop_back();
+    // Same buffer, recycled id: no reader can still reference it
+    // (epoch reclamation in StoreCore), so the pointer stays stable
+    // and page() stays lock-free.
+    std::memset(pages_[id].get(), 0, page_bytes_);
+    return id;
+  }
+  const auto id = static_cast<PageId>(pages_.size());
+  if (pages_.size() == cap_) grow();
+  pages_.push_back(std::make_unique<std::uint8_t[]>(page_bytes_));
+  std::memset(pages_.back().get(), 0, page_bytes_);
+  table_.load(std::memory_order_relaxed)[id] = pages_.back().get();
+  return id;
+}
+
+void PageStore::free_page(PageId page) {
+  std::lock_guard<std::mutex> lock(mu_);
+  ++stats_.pages_freed;
+  --stats_.pages_live;
+  free_.push_back(page);
+}
+
+PageStoreStats PageStore::stats() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  PageStoreStats s = stats_;
+  s.page_bytes = page_bytes_;
+  return s;
+}
+
+void PageStore::grow() {
+  auto bigger = std::make_unique<std::uint8_t*[]>(cap_ * 2);
+  std::uint8_t** old = table_.load(std::memory_order_relaxed);
+  std::memcpy(bigger.get(), old, cap_ * sizeof(std::uint8_t*));
+  table_.store(bigger.get(), std::memory_order_release);
+  cap_ *= 2;
+  retired_tables_.push_back(std::move(bigger));
 }
 
 }  // namespace bmg::trie

@@ -4,36 +4,28 @@
 
 namespace bmg::trie {
 
-StoreCore::StoreCore(const PageStoreConfig& cfg)
-    : cfg_(cfg), store_(PageStore::create(cfg)) {
+StoreCore::StoreCore(const PageStoreConfig& cfg) : store_(cfg) {
   static constexpr std::uint32_t kRecSize[kNumKinds] = {
       sizeof(LeafRec), sizeof(BranchRec), sizeof(ExtRec)};
   for (std::size_t k = 0; k < kNumKinds; ++k) {
     arenas_[k].rec_size = kRecSize[k];
     arenas_[k].slots_per_page =
-        static_cast<std::uint32_t>(store_->page_bytes() / kRecSize[k]);
+        static_cast<std::uint32_t>(store_.page_bytes() / kRecSize[k]);
     if (arenas_[k].slots_per_page == 0)
       throw std::invalid_argument("StoreCore: page_bytes smaller than one record");
   }
 }
 
 std::shared_ptr<StoreCore> StoreCore::clone() const {
-  PageStoreConfig cfg = cfg_;
-  cfg.file_path.clear();  // two stores must never share one spill file
-  auto out = std::make_shared<StoreCore>(cfg);
+  auto out = std::make_shared<StoreCore>(PageStoreConfig{store_.page_bytes()});
   out->arenas_ = arenas_;
   for (std::size_t k = 0; k < kNumKinds; ++k) {
     const auto kind = static_cast<NodeKind>(k);
     for (std::uint32_t logical = 0; logical < arenas_[k].live.size(); ++logical) {
       const TableChunk::Entry en = table_entry(tables_, kind, logical);
       if (en.phys == kNoPage) continue;
-      const PageId phys = out->store_->alloc();
-      // One page pinned per side at a time keeps a file-backed copy
-      // inside its resident bound.
-      const PagePin src(*store_, en.phys);
-      PagePin dst(*out->store_, phys);
-      dst.mark_dirty();
-      std::memcpy(dst.data(), src.data(), store_->page_bytes());
+      const PageId phys = out->store_.alloc();
+      std::memcpy(out->store_.page(phys), store_.page(en.phys), store_.page_bytes());
       out->set_table_entry(kind, logical, {phys, out->epoch_});
     }
   }
@@ -74,7 +66,7 @@ std::uint32_t StoreCore::new_logical_page(NodeKind k) {
     a.live.push_back(0);
     a.gen.push_back(0);
   }
-  const PageId phys = store_->alloc();
+  const PageId phys = store_.alloc();
   set_table_entry(k, logical, {phys, epoch_});
   return logical;
 }
@@ -89,7 +81,7 @@ void StoreCore::retire_phys(PageId phys, std::uint32_t birth) {
   const auto it = live_epochs_.lower_bound(birth);
   if (it == live_epochs_.end()) {
     // No live snapshot can reference the page: reclaim immediately.
-    store_->free_page(phys);
+    store_.free_page(phys);
     return;
   }
   pending_.push_back({phys, birth, epoch_});
@@ -145,17 +137,17 @@ void StoreCore::free_slot(std::uint32_t node_id) {
   a.free_slots.push_back((static_cast<std::uint64_t>(a.gen[logical]) << 32) | idx);
 }
 
-const std::uint8_t* StoreCore::read_rec(const TableSet& tables, std::uint32_t node_id,
-                                        OpPins& pins) const {
+const std::uint8_t* StoreCore::read_rec(const TableSet& tables,
+                                        std::uint32_t node_id) const {
   const NodeKind kind = kind_of(node_id);
   const Arena& a = arenas_[kind];
   const std::uint32_t idx = index_of(node_id);
   const TableChunk::Entry en = table_entry(tables, kind, idx / a.slots_per_page);
-  const std::uint8_t* base = pins.acquire(en.phys, /*write=*/false);
-  return base + static_cast<std::size_t>(idx % a.slots_per_page) * a.rec_size;
+  return store_.page(en.phys) +
+         static_cast<std::size_t>(idx % a.slots_per_page) * a.rec_size;
 }
 
-std::uint8_t* StoreCore::write_rec(std::uint32_t node_id, OpPins& pins) {
+std::uint8_t* StoreCore::write_rec(std::uint32_t node_id) {
   const NodeKind kind = kind_of(node_id);
   const Arena& a = arenas_[kind];
   const std::uint32_t idx = index_of(node_id);
@@ -166,16 +158,14 @@ std::uint8_t* StoreCore::write_rec(std::uint32_t node_id, OpPins& pins) {
     // page, so the live side moves to a private copy.
     if (expect_no_cow_)
       throw std::logic_error("trie: page copy during commit (dirty ref on shared page)");
-    const PageId fresh = store_->alloc();
-    const std::uint8_t* src = pins.acquire(en.phys, /*write=*/false);
-    std::uint8_t* dst = pins.acquire(fresh, /*write=*/true);
-    std::memcpy(dst, src, store_->page_bytes());
+    const PageId fresh = store_.alloc();
+    std::memcpy(store_.page(fresh), store_.page(en.phys), store_.page_bytes());
     set_table_entry(kind, logical, {fresh, epoch_});
     retire_phys(en.phys, en.birth);
     en = {fresh, epoch_};
   }
-  std::uint8_t* base = pins.acquire(en.phys, /*write=*/true);
-  return base + static_cast<std::size_t>(idx % a.slots_per_page) * a.rec_size;
+  return store_.page(en.phys) +
+         static_cast<std::size_t>(idx % a.slots_per_page) * a.rec_size;
 }
 
 StoreCore::Published StoreCore::publish() {
@@ -198,7 +188,7 @@ void StoreCore::release_epoch(std::uint32_t epoch) {
   for (PendingFree& p : pending_) {
     const auto e = live_epochs_.lower_bound(p.birth);
     if (e == live_epochs_.end() || *e >= p.retire) {
-      store_->free_page(p.phys);
+      store_.free_page(p.phys);
     } else {
       pending_[kept++] = p;
     }
@@ -250,17 +240,14 @@ void StoreCore::debug_check_pages(
 // Shared read walkers
 
 namespace {
-const LeafRec& leaf_at(const StoreCore& core, const TableSet& t, std::uint32_t id,
-                       OpPins& pins) {
-  return *reinterpret_cast<const LeafRec*>(core.read_rec(t, id, pins));
+const LeafRec& leaf_at(const StoreCore& core, const TableSet& t, std::uint32_t id) {
+  return *reinterpret_cast<const LeafRec*>(core.read_rec(t, id));
 }
-const BranchRec& branch_at(const StoreCore& core, const TableSet& t, std::uint32_t id,
-                           OpPins& pins) {
-  return *reinterpret_cast<const BranchRec*>(core.read_rec(t, id, pins));
+const BranchRec& branch_at(const StoreCore& core, const TableSet& t, std::uint32_t id) {
+  return *reinterpret_cast<const BranchRec*>(core.read_rec(t, id));
 }
-const ExtRec& ext_at(const StoreCore& core, const TableSet& t, std::uint32_t id,
-                     OpPins& pins) {
-  return *reinterpret_cast<const ExtRec*>(core.read_rec(t, id, pins));
+const ExtRec& ext_at(const StoreCore& core, const TableSet& t, std::uint32_t id) {
+  return *reinterpret_cast<const ExtRec*>(core.read_rec(t, id));
 }
 }  // namespace
 
@@ -269,14 +256,13 @@ Lookup walk_get(const StoreCore& core, const TableSet& tables, const RefRec& roo
   const Nibbles nibs = to_nibbles(key);
   const ByteView path{nibs.data(), nibs.size()};
   std::size_t pos = 0;
-  OpPins pins(const_cast<StoreCore&>(core).store());
   RefRec ref = root;
   while (true) {
     if (ref.sealed()) return Lookup::kSealed;
     if (ref.is_empty()) return Lookup::kAbsent;
     switch (kind_of(ref.node)) {
       case kLeaf: {
-        const LeafRec& leaf = leaf_at(core, tables, ref.node, pins);
+        const LeafRec& leaf = leaf_at(core, tables, ref.node);
         const ByteView rest = path.subspan(pos);
         if (leaf.suffix.size() == rest.size() &&
             common_prefix_span(leaf.suffix.view(), rest) == rest.size()) {
@@ -286,14 +272,14 @@ Lookup walk_get(const StoreCore& core, const TableSet& tables, const RefRec& roo
         return Lookup::kAbsent;
       }
       case kBranch: {
-        const BranchRec& branch = branch_at(core, tables, ref.node, pins);
+        const BranchRec& branch = branch_at(core, tables, ref.node);
         if (pos >= path.size()) return Lookup::kAbsent;
         ref = branch.children[path[pos]];
         ++pos;
         break;
       }
       default: {
-        const ExtRec& ext = ext_at(core, tables, ref.node, pins);
+        const ExtRec& ext = ext_at(core, tables, ref.node);
         const std::size_t cp = common_prefix_span(ext.path.view(), path.subspan(pos));
         if (cp != ext.path.size()) return Lookup::kAbsent;
         pos += cp;
@@ -309,7 +295,6 @@ Proof walk_prove(const StoreCore& core, const TableSet& tables, const RefRec& ro
   const Nibbles nibs = to_nibbles(key);
   const ByteView path{nibs.data(), nibs.size()};
   std::size_t pos = 0;
-  OpPins pins(const_cast<StoreCore&>(core).store());
   Proof proof;
 
   RefRec ref = root;
@@ -318,14 +303,14 @@ Proof walk_prove(const StoreCore& core, const TableSet& tables, const RefRec& ro
     if (ref.is_empty()) return proof;  // absence; possibly empty proof for empty trie
     switch (kind_of(ref.node)) {
       case kLeaf: {
-        const LeafRec& leaf = leaf_at(core, tables, ref.node, pins);
+        const LeafRec& leaf = leaf_at(core, tables, ref.node);
         proof.nodes.emplace_back(
             ProofLeaf{Nibbles(leaf.suffix.nibs, leaf.suffix.nibs + leaf.suffix.len),
                       leaf.value});
         return proof;
       }
       case kBranch: {
-        const BranchRec& branch = branch_at(core, tables, ref.node, pins);
+        const BranchRec& branch = branch_at(core, tables, ref.node);
         ProofBranch pb;
         for (std::size_t i = 0; i < 16; ++i)
           if (!branch.children[i].is_empty()) pb.children[i] = branch.children[i].hash;
@@ -338,7 +323,7 @@ Proof walk_prove(const StoreCore& core, const TableSet& tables, const RefRec& ro
         break;
       }
       default: {
-        const ExtRec& ext = ext_at(core, tables, ref.node, pins);
+        const ExtRec& ext = ext_at(core, tables, ref.node);
         proof.nodes.emplace_back(
             ProofExtension{Nibbles(ext.path.nibs, ext.path.nibs + ext.path.len),
                            ext.child.hash});

@@ -5,15 +5,14 @@
 //
 //   * POD node records (LeafRec/BranchRec/ExtRec) that live inside
 //     fixed-size pages owned by a PageStore (page_store.hpp).  Records
-//     are trivially copyable so a page can be spilled to disk and read
-//     back byte-for-byte.  Node ids keep the historical packing — kind
-//     in the top 2 bits, a 30-bit slot index below — where the slot
-//     index is `logical_page * slots_per_page + slot`.
+//     are trivially copyable so a page can be copied byte-for-byte
+//     (copy-on-write, clone).  Node ids keep the historical packing —
+//     kind in the top 2 bits, a 30-bit slot index below — where the
+//     slot index is `logical_page * slots_per_page + slot`.
 //   * StoreCore: per-kind paged arenas with a chunked copy-on-write
 //     logical→physical page table, epoch-based snapshot visibility,
 //     and deferred physical-page reclamation.  Fully emptied pages
-//     (everything on them sealed) are returned to the PageStore — and
-//     hole-punched out of the spill file by the file backend — which
+//     (everything on them sealed) are returned to the PageStore, which
 //     is what turns the paper's sealing claim (§III-A) into measured
 //     space reclamation.
 //   * Shared read walkers (walk_get / walk_prove) used by both the
@@ -30,14 +29,19 @@
 // them, otherwise they sit on a pending list swept as snapshot epochs
 // are released.
 //
+// Record pointers: a page's buffer never moves while its id is
+// allocated, so read_rec/write_rec hand out plain pointers.  A
+// write_rec may copy the page (COW); earlier pointers into it then
+// still read the old bytes, so callers re-resolve a node after
+// anything that may have written it.
+//
 // Thread model: all *mutations* (set/seal/commit/publish/alloc/free)
 // happen on one thread — the trie owner's.  Snapshot *reads* may run
 // concurrently on any thread: they resolve pages through their own
-// table copy, touch only pages the copy references (which the live
-// side never writes again, by COW), and pin frames through the
-// mutex-protected PageStore.  The epoch registry and pending-free list
-// are mutex-protected because snapshot destructors run on reader
-// threads.
+// table copy and touch only pages the copy references, which the live
+// side never writes again (COW) and never frees while the snapshot
+// lives.  The epoch registry and pending-free list are
+// mutex-protected because snapshot destructors run on reader threads.
 #pragma once
 
 #include <array>
@@ -160,7 +164,7 @@ struct RefRec {
 /// Fixed-capacity nibble path.  64 nibbles covers a 32-byte (hashed)
 /// key, the longest path the IBC layer ever stores; set()/seal()
 /// reject longer keys so a record never needs out-of-line storage and
-/// stays spillable as raw bytes.
+/// stays copyable as raw bytes.
 struct PathRec {
   static constexpr std::size_t kMaxNibbles = 64;
   std::uint32_t len = 0;
@@ -222,33 +226,6 @@ struct TableChunk {
 using TableSet = std::array<std::vector<std::shared_ptr<TableChunk>>, kNumKinds>;
 
 // ---------------------------------------------------------------------------
-// Operation-scoped pin cache
-
-/// Pins physical pages for the duration of one trie operation so
-/// record pointers stay stable across the whole call (the file-backed
-/// store never evicts or moves a pinned frame).  Each distinct page is
-/// pinned once; everything is released when the OpPins goes out of
-/// scope.
-class OpPins {
- public:
-  explicit OpPins(PageStore& store) : store_(&store) {}
-  OpPins(const OpPins&) = delete;
-  OpPins& operator=(const OpPins&) = delete;
-  ~OpPins() = default;
-
-  [[nodiscard]] std::uint8_t* acquire(PageId phys, bool write) {
-    auto [it, fresh] = pins_.try_emplace(phys);
-    if (fresh) it->second = PagePin(*store_, phys);
-    if (write) it->second.mark_dirty();
-    return it->second.data();
-  }
-
- private:
-  PageStore* store_;
-  std::unordered_map<PageId, PagePin> pins_;
-};
-
-// ---------------------------------------------------------------------------
 // StoreCore
 
 /// The paged arena allocator + snapshot machinery shared (via
@@ -265,13 +242,11 @@ class StoreCore {
   /// is copied byte-for-byte under its logical id and the slot
   /// allocator (live counts, free lists, bump cursor) is duplicated, so
   /// the copy hands out exactly the node ids the source would.  No
-  /// snapshot epoch carries over: the copy starts unshared, and a
-  /// file-backed source clones into an anonymous spill file.
+  /// snapshot epoch carries over: the copy starts unshared.
   [[nodiscard]] std::shared_ptr<StoreCore> clone() const;
 
-  [[nodiscard]] PageStore& store() noexcept { return *store_; }
   [[nodiscard]] const TableSet& live_tables() const noexcept { return tables_; }
-  [[nodiscard]] PageStoreStats page_stats() const { return store_->stats(); }
+  [[nodiscard]] PageStoreStats page_stats() const { return store_.stats(); }
 
   /// Allocates a slot for a `kind` record and returns the packed node
   /// id.  The record bytes are whatever the page holds — the caller
@@ -284,15 +259,14 @@ class StoreCore {
   void free_slot(std::uint32_t node_id);
 
   /// Read access to a record through an arbitrary table set (the live
-  /// one or a snapshot's copy).  The pointer stays valid while `pins`
-  /// is alive.
-  [[nodiscard]] const std::uint8_t* read_rec(const TableSet& tables, std::uint32_t node_id,
-                                             OpPins& pins) const;
+  /// one or a snapshot's copy).
+  [[nodiscard]] const std::uint8_t* read_rec(const TableSet& tables,
+                                             std::uint32_t node_id) const;
 
   /// Write access through the live tables.  Copies the page first if
   /// any live snapshot can see it (shadow paging), so snapshot readers
   /// never observe the mutation.
-  [[nodiscard]] std::uint8_t* write_rec(std::uint32_t node_id, OpPins& pins);
+  [[nodiscard]] std::uint8_t* write_rec(std::uint32_t node_id);
 
   /// Registers the current epoch as a published snapshot and returns
   /// (epoch, frozen table copy).  The caller pairs it with the root
@@ -358,8 +332,7 @@ class StoreCore {
   /// whose mapping was created in `birth`.
   [[nodiscard]] bool shared_with_snapshot(std::uint32_t birth) const;
 
-  PageStoreConfig cfg_;
-  std::shared_ptr<PageStore> store_;
+  PageStore store_;
   std::array<Arena, kNumKinds> arenas_;
   TableSet tables_;
   std::uint32_t epoch_ = 1;  ///< current mutation window

@@ -1,4 +1,4 @@
-// Immutable trie snapshots and the concurrent proof service.
+// Immutable trie snapshots and batch proving.
 //
 // TrieSnapshot is the per-committed-root view published by
 // SealableTrie::snapshot() (shadow paging: a frozen copy of the
@@ -10,19 +10,10 @@
 // block, and the proofs produced are byte-identical to what the live
 // trie would have produced at that root.
 //
-// ProofService runs proof generation off the block-producing thread:
-// submit() hands a (snapshot, keys) batch to a worker and returns a
-// future, so relayers can have the previous block's proofs built
-// while the next block commits.  The static prove_batch() is the
-// synchronous form, run on the calling thread; both return proofs in
-// key order.
+// ProofService::prove_batch proves a batch of keys against one
+// snapshot on the calling thread and returns the proofs in key order.
 #pragma once
 
-#include <condition_variable>
-#include <deque>
-#include <future>
-#include <mutex>
-#include <thread>
 #include <vector>
 
 #include "trie/trie.hpp"
@@ -75,40 +66,13 @@ class TrieSnapshot {
   std::shared_ptr<const Impl> impl_;
 };
 
-/// Background proof generation against immutable snapshots.  One
-/// worker thread drains submitted batches in FIFO order; each batch
-/// resolves its future with proofs in key order (or the first error).
+/// Batch proof generation against immutable snapshots.
 class ProofService {
  public:
-  ProofService();
-  ~ProofService();
-  ProofService(const ProofService&) = delete;
-  ProofService& operator=(const ProofService&) = delete;
-
-  /// Enqueues a proof batch.  The returned future yields one proof per
-  /// key, in key order; a SealedError on any key fails the batch.
-  [[nodiscard]] std::future<std::vector<Proof>> submit(TrieSnapshot snapshot,
-                                                       std::vector<Bytes> keys);
-
-  /// Synchronous batch proving on the calling thread: one proof per
-  /// key, in key order; a SealedError on any key fails the batch.
+  /// Proves every key on the calling thread: one proof per key, in
+  /// key order; a SealedError on any key fails the batch.
   [[nodiscard]] static std::vector<Proof> prove_batch(const TrieSnapshot& snapshot,
                                                      const std::vector<Bytes>& keys);
-
- private:
-  struct Job {
-    TrieSnapshot snapshot;
-    std::vector<Bytes> keys;
-    std::promise<std::vector<Proof>> done;
-  };
-
-  void run();
-
-  std::mutex mu_;
-  std::condition_variable cv_;
-  std::deque<Job> queue_;
-  bool stop_ = false;
-  std::thread worker_;
 };
 
 }  // namespace bmg::trie

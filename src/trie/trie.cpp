@@ -75,44 +75,42 @@ Hash32 rec_hash(NodeKind kind, const std::uint8_t* rec) {
 // ---------------------------------------------------------------------------
 // Allocation and stats
 
-std::uint32_t SealableTrie::alloc_leaf(OpPins& pins, ByteView suffix,
-                                       const Hash32& value) {
+std::uint32_t SealableTrie::alloc_leaf(ByteView suffix, const Hash32& value) {
   const std::uint32_t id = core_->alloc_slot(kLeaf);
-  LeafRec& n = as_leaf(core_->write_rec(id, pins));
+  LeafRec& n = as_leaf(core_->write_rec(id));
   n.suffix.assign(suffix.data(), suffix.size());
   n.value = value;
-  add_node_stats(pins, id);
+  add_node_stats(id);
   return id;
 }
 
-std::uint32_t SealableTrie::alloc_branch_pair(OpPins& pins, std::uint8_t nib_a,
-                                              RefRec ref_a, std::uint8_t nib_b,
-                                              RefRec ref_b) {
+std::uint32_t SealableTrie::alloc_branch_pair(std::uint8_t nib_a, RefRec ref_a,
+                                              std::uint8_t nib_b, RefRec ref_b) {
   const std::uint32_t id = core_->alloc_slot(kBranch);
-  BranchRec& n = as_branch(core_->write_rec(id, pins));
+  BranchRec& n = as_branch(core_->write_rec(id));
   n = BranchRec{};  // slot may be recycled: clear previous occupant
   n.children[nib_a] = ref_a;
   n.children[nib_b] = ref_b;
-  add_node_stats(pins, id);
+  add_node_stats(id);
   return id;
 }
 
-std::uint32_t SealableTrie::alloc_ext(OpPins& pins, ByteView path, RefRec child) {
+std::uint32_t SealableTrie::alloc_ext(ByteView path, RefRec child) {
   const std::uint32_t id = core_->alloc_slot(kExt);
-  ExtRec& n = as_ext(core_->write_rec(id, pins));
+  ExtRec& n = as_ext(core_->write_rec(id));
   n.path.assign(path.data(), path.size());
   n.child = child;
-  add_node_stats(pins, id);
+  add_node_stats(id);
   return id;
 }
 
-void SealableTrie::free_node(OpPins& pins, std::uint32_t node_id) {
-  sub_node_stats(pins, node_id);
+void SealableTrie::free_node(std::uint32_t node_id) {
+  sub_node_stats(node_id);
   core_->free_slot(node_id);
 }
 
-void SealableTrie::add_node_stats(OpPins& pins, std::uint32_t node_id) {
-  const std::uint8_t* rec = core_->read_rec(core_->live_tables(), node_id, pins);
+void SealableTrie::add_node_stats(std::uint32_t node_id) {
+  const std::uint8_t* rec = core_->read_rec(core_->live_tables(), node_id);
   switch (kind_of(node_id)) {
     case kLeaf: {
       const LeafRec& n = as_leaf(rec);
@@ -140,8 +138,8 @@ void SealableTrie::add_node_stats(OpPins& pins, std::uint32_t node_id) {
   }
 }
 
-void SealableTrie::sub_node_stats(OpPins& pins, std::uint32_t node_id) {
-  const std::uint8_t* rec = core_->read_rec(core_->live_tables(), node_id, pins);
+void SealableTrie::sub_node_stats(std::uint32_t node_id) {
+  const std::uint8_t* rec = core_->read_rec(core_->live_tables(), node_id);
   switch (kind_of(node_id)) {
     case kLeaf: {
       const LeafRec& n = as_leaf(rec);
@@ -169,9 +167,8 @@ void SealableTrie::sub_node_stats(OpPins& pins, std::uint32_t node_id) {
   }
 }
 
-Hash32 SealableTrie::node_hash(OpPins& pins, std::uint32_t node_id) const {
-  return rec_hash(kind_of(node_id),
-                  core_->read_rec(core_->live_tables(), node_id, pins));
+Hash32 SealableTrie::node_hash(std::uint32_t node_id) const {
+  return rec_hash(kind_of(node_id), core_->read_rec(core_->live_tables(), node_id));
 }
 
 // ---------------------------------------------------------------------------
@@ -203,28 +200,27 @@ void SealableTrie::set(ByteView key, const Hash32& value) {
   const Nibbles nibs = to_nibbles(key);
   if (nibs.size() > PathRec::kMaxNibbles)
     throw TrieError("set: key longer than 32 bytes (hash commitment paths)");
-  OpPins pins(core_->store());
-  root_ = set_rec(pins, root_, ByteView{nibs.data(), nibs.size()}, 0, value);
+  root_ = set_rec(root_, ByteView{nibs.data(), nibs.size()}, 0, value);
 }
 
-RefRec SealableTrie::set_rec(OpPins& pins, RefRec ref, ByteView path, std::size_t pos,
+RefRec SealableTrie::set_rec(RefRec ref, ByteView path, std::size_t pos,
                              const Hash32& value) {
   if (ref.sealed()) throw SealedError("set: key path crosses a sealed region");
 
   if (ref.is_empty())
-    return RefRec::live_dirty(alloc_leaf(pins, path.subspan(pos), value));
+    return RefRec::live_dirty(alloc_leaf(path.subspan(pos), value));
 
   switch (kind_of(ref.node)) {
     case kLeaf: {
       // Copy the suffix out: the record may move (copy-on-write) or be
       // rewritten below.
       const PathRec old_suffix =
-          as_leaf(core_->read_rec(core_->live_tables(), ref.node, pins)).suffix;
+          as_leaf(core_->read_rec(core_->live_tables(), ref.node)).suffix;
       const ByteView rest = path.subspan(pos);
       const std::size_t cp = common_prefix_span(old_suffix.view(), rest);
       if (cp == old_suffix.size() && cp == rest.size()) {
         // Same key: update in place; the hash is recomputed at commit.
-        as_leaf(core_->write_rec(ref.node, pins)).value = value;
+        as_leaf(core_->write_rec(ref.node)).value = value;
         ref.set_dirty(true);
         return ref;
       }
@@ -236,20 +232,18 @@ RefRec SealableTrie::set_rec(OpPins& pins, RefRec ref, ByteView path, std::size_
       const std::uint8_t new_nib = rest[cp];
 
       // Shorten the existing leaf (reuse its slot).
-      sub_node_stats(pins, ref.node);
-      as_leaf(core_->write_rec(ref.node, pins))
+      sub_node_stats(ref.node);
+      as_leaf(core_->write_rec(ref.node))
           .suffix.assign(old_suffix.nibs + cp + 1, old_suffix.size() - cp - 1);
-      add_node_stats(pins, ref.node);
+      add_node_stats(ref.node);
       const RefRec old_ref = RefRec::live_dirty(ref.node);
 
-      const RefRec new_ref =
-          RefRec::live_dirty(alloc_leaf(pins, rest.subspan(cp + 1), value));
-      const RefRec branch_ref = RefRec::live_dirty(
-          alloc_branch_pair(pins, old_nib, old_ref, new_nib, new_ref));
+      const RefRec new_ref = RefRec::live_dirty(alloc_leaf(rest.subspan(cp + 1), value));
+      const RefRec branch_ref =
+          RefRec::live_dirty(alloc_branch_pair(old_nib, old_ref, new_nib, new_ref));
 
       if (cp == 0) return branch_ref;
-      return RefRec::live_dirty(
-          alloc_ext(pins, ByteView{old_suffix.nibs, cp}, branch_ref));
+      return RefRec::live_dirty(alloc_ext(ByteView{old_suffix.nibs, cp}, branch_ref));
     }
 
     case kBranch: {
@@ -258,10 +252,10 @@ RefRec SealableTrie::set_rec(OpPins& pins, RefRec ref, ByteView path, std::size_
       const std::uint8_t nib = path[pos];
       const std::uint32_t node_id = ref.node;
       const RefRec child =
-          as_branch(core_->read_rec(core_->live_tables(), node_id, pins)).children[nib];
-      const RefRec updated = set_rec(pins, child, path, pos + 1, value);
+          as_branch(core_->read_rec(core_->live_tables(), node_id)).children[nib];
+      const RefRec updated = set_rec(child, path, pos + 1, value);
       // Recursion may have copied pages; re-resolve before writing.
-      BranchRec& fresh = as_branch(core_->write_rec(node_id, pins));
+      BranchRec& fresh = as_branch(core_->write_rec(node_id));
       if (fresh.children[nib].is_empty()) stats_.byte_size += 33;
       fresh.children[nib] = updated;
       ref.set_dirty(true);
@@ -269,14 +263,13 @@ RefRec SealableTrie::set_rec(OpPins& pins, RefRec ref, ByteView path, std::size_
     }
 
     default: {
-      const ExtRec old_ext =
-          as_ext(core_->read_rec(core_->live_tables(), ref.node, pins));
+      const ExtRec old_ext = as_ext(core_->read_rec(core_->live_tables(), ref.node));
       const ByteView rest = path.subspan(pos);
       const std::size_t cp = common_prefix_span(old_ext.path.view(), rest);
       if (cp == old_ext.path.size()) {
         const std::uint32_t node_id = ref.node;
-        const RefRec updated = set_rec(pins, old_ext.child, path, pos + cp, value);
-        as_ext(core_->write_rec(node_id, pins)).child = updated;
+        const RefRec updated = set_rec(old_ext.child, path, pos + cp, value);
+        as_ext(core_->write_rec(node_id)).child = updated;
         ref.set_dirty(true);
         return ref;
       }
@@ -292,24 +285,22 @@ RefRec SealableTrie::set_rec(OpPins& pins, RefRec ref, ByteView path, std::size_
       if (old_tail == 0) {
         // The branch points directly at the old extension's child.
         old_side = old_ext.child;
-        free_node(pins, ref.node);
+        free_node(ref.node);
       } else {
         // Reuse this slot as the shortened extension.
-        sub_node_stats(pins, ref.node);
-        as_ext(core_->write_rec(ref.node, pins))
+        sub_node_stats(ref.node);
+        as_ext(core_->write_rec(ref.node))
             .path.assign(old_ext.path.nibs + cp + 1, old_tail);
-        add_node_stats(pins, ref.node);
+        add_node_stats(ref.node);
         old_side = RefRec::live_dirty(ref.node);
       }
 
-      const RefRec new_ref =
-          RefRec::live_dirty(alloc_leaf(pins, rest.subspan(cp + 1), value));
-      const RefRec branch_ref = RefRec::live_dirty(
-          alloc_branch_pair(pins, old_nib, old_side, new_nib, new_ref));
+      const RefRec new_ref = RefRec::live_dirty(alloc_leaf(rest.subspan(cp + 1), value));
+      const RefRec branch_ref =
+          RefRec::live_dirty(alloc_branch_pair(old_nib, old_side, new_nib, new_ref));
 
       if (cp == 0) return branch_ref;
-      return RefRec::live_dirty(
-          alloc_ext(pins, ByteView{old_ext.path.nibs, cp}, branch_ref));
+      return RefRec::live_dirty(alloc_ext(ByteView{old_ext.path.nibs, cp}, branch_ref));
     }
   }
 }
@@ -321,7 +312,6 @@ void SealableTrie::seal(ByteView key) {
   const Nibbles nibs = to_nibbles(key);
   const ByteView path{nibs.data(), nibs.size()};
   std::size_t pos = 0;
-  OpPins pins(core_->store());
 
   // Walk down, recording the chain of (node id, child slot) so we can
   // propagate sealing upward.  Slot -1 means "extension child".  The
@@ -341,7 +331,7 @@ void SealableTrie::seal(ByteView key) {
     bool done = false;
     switch (kind_of(ref->node)) {
       case kLeaf: {
-        const LeafRec& leaf = as_leaf(core_->write_rec(ref->node, pins));
+        const LeafRec& leaf = as_leaf(core_->write_rec(ref->node));
         const ByteView rest = path.subspan(pos);
         if (leaf.suffix.size() != rest.size() ||
             common_prefix_span(leaf.suffix.view(), rest) != rest.size())
@@ -350,7 +340,7 @@ void SealableTrie::seal(ByteView key) {
         break;
       }
       case kBranch: {
-        BranchRec& branch = as_branch(core_->write_rec(ref->node, pins));
+        BranchRec& branch = as_branch(core_->write_rec(ref->node));
         if (pos >= path.size()) throw NotFoundError("seal: key not present");
         chain.push_back({ref->node, path[pos]});
         ref = &branch.children[path[pos]];
@@ -358,7 +348,7 @@ void SealableTrie::seal(ByteView key) {
         break;
       }
       default: {
-        ExtRec& ext = as_ext(core_->write_rec(ref->node, pins));
+        ExtRec& ext = as_ext(core_->write_rec(ref->node));
         const std::size_t cp = common_prefix_span(ext.path.view(), path.subspan(pos));
         if (cp != ext.path.size()) throw NotFoundError("seal: key not present");
         chain.push_back({ref->node, -1});
@@ -374,10 +364,10 @@ void SealableTrie::seal(ByteView key) {
   // A dirty ref's recorded hash is stale, so fix it before the node's
   // contents disappear — sealing must preserve the (future) root.
   if (ref->dirty()) {
-    ref->hash = node_hash(pins, ref->node);
+    ref->hash = node_hash(ref->node);
     ref->set_dirty(false);
   }
-  free_node(pins, ref->node);
+  free_node(ref->node);
   ref->node = kNilNode;
   ref->set_sealed(true);
   ++stats_.sealed_refs;
@@ -392,7 +382,7 @@ void SealableTrie::seal(ByteView key) {
     if (kind_of(step.node) == kBranch) {
       seal_this = true;
       const BranchRec& branch =
-          as_branch(core_->read_rec(core_->live_tables(), step.node, pins));
+          as_branch(core_->read_rec(core_->live_tables(), step.node));
       for (const RefRec& child : branch.children) {
         if (child.is_empty()) continue;
         if (!child.sealed()) {
@@ -402,7 +392,7 @@ void SealableTrie::seal(ByteView key) {
       }
     } else {
       seal_this =
-          as_ext(core_->read_rec(core_->live_tables(), step.node, pins)).child.sealed();
+          as_ext(core_->read_rec(core_->live_tables(), step.node)).child.sealed();
     }
     if (!seal_this) break;
 
@@ -413,19 +403,19 @@ void SealableTrie::seal(ByteView key) {
     } else {
       const Step parent = chain.back();
       if (parent.slot >= 0) {
-        owner = &as_branch(core_->write_rec(parent.node, pins))
+        owner = &as_branch(core_->write_rec(parent.node))
                      .children[static_cast<std::size_t>(parent.slot)];
       } else {
-        owner = &as_ext(core_->write_rec(parent.node, pins)).child;
+        owner = &as_ext(core_->write_rec(parent.node)).child;
       }
     }
     // All children of this node are sealed with valid hashes, so its
     // own hash can be finalized on the spot if it was pending.
     if (owner->dirty()) {
-      owner->hash = node_hash(pins, step.node);
+      owner->hash = node_hash(step.node);
       owner->set_dirty(false);
     }
-    free_node(pins, step.node);
+    free_node(step.node);
     owner->node = kNilNode;
     owner->set_sealed(true);
     ++stats_.sealed_refs;
@@ -438,7 +428,6 @@ void SealableTrie::seal(ByteView key) {
 void SealableTrie::commit() {
   if (!root_.dirty()) return;
 
-  OpPins pins(core_->store());
   // Dirty refs only exist on pages already private to this epoch
   // window (the write that marked them dirty copied the page if
   // needed), so resolving them below cannot trigger a page copy —
@@ -463,7 +452,7 @@ void SealableTrie::commit() {
   while (!stack.empty()) {
     const Pending it = stack.back();
     stack.pop_back();
-    std::uint8_t* rec = core_->write_rec(it.ref->node, pins);
+    std::uint8_t* rec = core_->write_rec(it.ref->node);
     if (levels.size() <= it.depth) levels.resize(it.depth + 1);
     levels[it.depth].push_back({it.ref, rec});
     switch (kind_of(it.ref->node)) {
@@ -548,7 +537,6 @@ SealableTrie SealableTrie::clone() const {
 TrieStats SealableTrie::recompute_stats(
     std::array<std::unordered_map<std::uint32_t, std::uint32_t>, kNumKinds>* occupancy)
     const {
-  OpPins pins(core_->store());
   TrieStats s;
   const auto note = [&](std::uint32_t id) {
     if (occupancy == nullptr) return;
@@ -563,7 +551,7 @@ TrieStats SealableTrie::recompute_stats(
     const std::uint32_t id = stack.back();
     stack.pop_back();
     note(id);
-    const std::uint8_t* rec = core_->read_rec(core_->live_tables(), id, pins);
+    const std::uint8_t* rec = core_->read_rec(core_->live_tables(), id);
     switch (kind_of(id)) {
       case kLeaf: {
         const LeafRec& n = as_leaf(rec);

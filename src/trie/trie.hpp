@@ -20,14 +20,12 @@
 // stay oblivious; batch writers get the speedup for free.
 //
 // Nodes live in paged arenas (paged.hpp) behind a PageStore
-// (page_store.hpp): fixed-size pages of contiguous same-kind records,
-// in RAM by default or spilled to disk through an LRU of frames for
-// tries that outgrow memory.  Sealing is real reclamation — a fully
-// sealed page is returned to the store (and hole-punched out of the
-// spill file).  `snapshot()` publishes an immutable, cheaply copyable
-// TrieSnapshot of the committed state via shadow paging; snapshot
-// reads (get/prove) may run on other threads while this trie keeps
-// mutating.
+// (page_store.hpp): fixed-size in-RAM pages of contiguous same-kind
+// records.  Sealing is real reclamation — a fully sealed page is
+// returned to the store.  `snapshot()` publishes an immutable, cheaply
+// copyable TrieSnapshot of the committed state via shadow paging;
+// snapshot reads (get/prove) may run on other threads while this trie
+// keeps mutating.
 //
 // Keys must be prefix-free (no key may be a prefix of another) and at
 // most 32 bytes; the IBC layer guarantees both by hashing commitment
@@ -50,8 +48,8 @@ class SealableTrie {
 
   /// In-RAM paged storage with default page size.
   SealableTrie() : SealableTrie(PageStoreConfig{}) {}
-  /// Storage per `cfg` — file-backed with a bounded resident set for
-  /// out-of-core tries, or tiny pages to stress boundaries in tests.
+  /// Storage with `cfg`'s page size — tiny pages stress page
+  /// boundaries in tests.
   explicit SealableTrie(const PageStoreConfig& cfg)
       : core_(std::make_shared<StoreCore>(cfg)) {}
 
@@ -113,8 +111,8 @@ class SealableTrie {
 
   [[nodiscard]] TrieStats stats() const { return stats_; }
 
-  /// Backing-store counters: pages allocated/freed/resident, spill
-  /// traffic.  "pages freed vs seal rate" comes from here.
+  /// Backing-store counters: pages allocated/freed/live.  "pages freed
+  /// vs seal rate" comes from here.
   [[nodiscard]] PageStoreStats page_stats() const { return core_->page_stats(); }
   /// Physical pages retired but parked until snapshots release them.
   [[nodiscard]] std::size_t pending_free_pages() const {
@@ -133,20 +131,17 @@ class SealableTrie {
 
   explicit SealableTrie(std::shared_ptr<StoreCore> core) : core_(std::move(core)) {}
 
-  [[nodiscard]] std::uint32_t alloc_leaf(OpPins& pins, ByteView suffix,
-                                         const Hash32& value);
-  [[nodiscard]] std::uint32_t alloc_branch_pair(OpPins& pins, std::uint8_t nib_a,
-                                                RefRec ref_a, std::uint8_t nib_b,
-                                                RefRec ref_b);
-  [[nodiscard]] std::uint32_t alloc_ext(OpPins& pins, ByteView path, RefRec child);
-  void free_node(OpPins& pins, std::uint32_t node_id);
-  void add_node_stats(OpPins& pins, std::uint32_t node_id);
-  void sub_node_stats(OpPins& pins, std::uint32_t node_id);
+  [[nodiscard]] std::uint32_t alloc_leaf(ByteView suffix, const Hash32& value);
+  [[nodiscard]] std::uint32_t alloc_branch_pair(std::uint8_t nib_a, RefRec ref_a,
+                                                std::uint8_t nib_b, RefRec ref_b);
+  [[nodiscard]] std::uint32_t alloc_ext(ByteView path, RefRec child);
+  void free_node(std::uint32_t node_id);
+  void add_node_stats(std::uint32_t node_id);
+  void sub_node_stats(std::uint32_t node_id);
 
-  [[nodiscard]] Hash32 node_hash(OpPins& pins, std::uint32_t node_id) const;
+  [[nodiscard]] Hash32 node_hash(std::uint32_t node_id) const;
 
-  RefRec set_rec(OpPins& pins, RefRec ref, ByteView path, std::size_t pos,
-                 const Hash32& value);
+  RefRec set_rec(RefRec ref, ByteView path, std::size_t pos, const Hash32& value);
   void ensure_committed() const;
   [[nodiscard]] TrieStats recompute_stats(
       std::array<std::unordered_map<std::uint32_t, std::uint32_t>, kNumKinds>*

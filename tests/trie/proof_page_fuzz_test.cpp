@@ -9,8 +9,7 @@
 //
 //   1. membership/non-membership proofs verify at every churn step,
 //   2. serialized proofs reject truncation and single-byte flips,
-//   3. roots and proof bytes are identical across the in-RAM and
-//      file-backed stores and across page sizes.
+//   3. roots and proof bytes are identical across page sizes.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -39,22 +38,13 @@ Bytes seq_key(std::uint64_t tag, std::uint64_t seq) {
   return e.take();
 }
 
-PageStoreConfig cfg_of(PageStoreConfig::Backend backend, std::size_t page_bytes,
-                       std::size_t resident = 16) {
-  PageStoreConfig cfg;
-  cfg.backend = backend;
-  cfg.page_bytes = page_bytes;
-  cfg.max_resident_pages = resident;
-  return cfg;
-}
-
 class PagedProofFuzz : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(PagedProofFuzz, ProofsVerifyAcrossPageSplits) {
   // 1 KiB pages hold only a handful of records per kind (one branch!), so this
   // churn constantly opens fresh pages and splits spines across them.
   Rng rng(GetParam());
-  SealableTrie t{cfg_of(PageStoreConfig::Backend::kMemory, 1024)};
+  SealableTrie t{PageStoreConfig{1024}};
   std::vector<std::uint64_t> live;
   std::uint64_t next = 0;
   for (int step = 0; step < 30; ++step) {
@@ -86,7 +76,7 @@ TEST_P(PagedProofFuzz, SealedRegionEdgesStayProvable) {
   // whose sibling refs are sealed stubs on pages that may since have
   // been recycled for new nodes.
   Rng rng(GetParam() * 7 + 1);
-  SealableTrie t{cfg_of(PageStoreConfig::Backend::kFile, 1024, 8)};
+  SealableTrie t{PageStoreConfig{1024}};
   constexpr std::uint64_t kWindow = 12;
   std::uint64_t sealed_below = 0, next = 0;
   for (int step = 0; step < 250; ++step) {
@@ -116,7 +106,7 @@ TEST_P(PagedProofFuzz, SealedRegionEdgesStayProvable) {
 
 TEST_P(PagedProofFuzz, SnapshotAndLiveDivergenceKeepsBothProvable) {
   Rng rng(GetParam() * 31 + 5);
-  SealableTrie t{cfg_of(PageStoreConfig::Backend::kMemory, 1024)};
+  SealableTrie t{PageStoreConfig{1024}};
   for (std::uint64_t i = 0; i < 80; ++i) t.set(key_of(i), val(i));
   const Hash32 snap_root = t.root_hash();
   const TrieSnapshot snap = t.snapshot();
@@ -158,7 +148,7 @@ TEST_P(PagedProofFuzz, SnapshotAndLiveDivergenceKeepsBothProvable) {
 
 TEST_P(PagedProofFuzz, SerializedProofsRejectTruncationAndBitFlips) {
   Rng rng(GetParam() * 131 + 17);
-  SealableTrie t{cfg_of(PageStoreConfig::Backend::kMemory, 1024)};
+  SealableTrie t{PageStoreConfig{1024}};
   for (std::uint64_t i = 0; i < 128; ++i) t.set(key_of(i), val(i));
   const Hash32 root = t.root_hash();
 
@@ -204,16 +194,14 @@ TEST_P(PagedProofFuzz, SerializedProofsRejectTruncationAndBitFlips) {
   }
 }
 
-TEST_P(PagedProofFuzz, BackendsAndPageSizesAgreeByteForByte) {
-  // The same workload on four configurations: roots and every
-  // serialized proof must be identical — node ids and page layout
-  // never leak into commitments.
+TEST_P(PagedProofFuzz, PageSizesAgreeByteForByte) {
+  // The same workload at three page sizes: roots and every serialized
+  // proof must be identical — node ids and page layout never leak
+  // into commitments.
   Rng rng(GetParam() * 997 + 3);
   std::vector<SealableTrie> tries;
-  tries.emplace_back(cfg_of(PageStoreConfig::Backend::kMemory, 1024));
-  tries.emplace_back(cfg_of(PageStoreConfig::Backend::kMemory, 8192));
-  tries.emplace_back(cfg_of(PageStoreConfig::Backend::kFile, 1024, 8));
-  tries.emplace_back(cfg_of(PageStoreConfig::Backend::kFile, 2048, 4));
+  for (const std::size_t page_bytes : {1024, 2048, 8192})
+    tries.emplace_back(PageStoreConfig{page_bytes});
 
   std::uint64_t next = 0;
   std::vector<std::uint64_t> live;

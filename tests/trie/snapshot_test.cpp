@@ -4,6 +4,7 @@
 
 #include <optional>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -21,14 +22,6 @@ Hash32 val(std::string_view s) { return Sha256::digest(bytes_of(s)); }
 Bytes key_of(std::string_view s) {
   const Hash32 h = Sha256::digest(bytes_of(s));
   return Bytes(h.bytes.begin(), h.bytes.end());
-}
-
-PageStoreConfig tiny_file_cfg() {
-  PageStoreConfig cfg;
-  cfg.backend = PageStoreConfig::Backend::kFile;
-  cfg.page_bytes = 1024;
-  cfg.max_resident_pages = 8;
-  return cfg;
 }
 
 TEST(TrieSnapshot, NullSnapshotThrows) {
@@ -162,23 +155,6 @@ TEST(TrieSnapshot, ManySnapshotsEachServeTheirOwnHeight) {
   EXPECT_EQ(t.pending_free_pages(), 0u);
 }
 
-TEST(TrieSnapshot, FileBackedSnapshotsSurviveEvictionChurn) {
-  SealableTrie t{tiny_file_cfg()};
-  for (int i = 0; i < 300; ++i) t.set(key_of("f" + std::to_string(i)), val("1"));
-  const Hash32 root = t.root_hash();
-  const TrieSnapshot snap = t.snapshot();
-  // Push far more state through the tiny resident set.
-  for (int i = 300; i < 900; ++i) t.set(key_of("f" + std::to_string(i)), val("2"));
-  t.commit();
-  EXPECT_EQ(snap.root_hash(), root);
-  for (int i = 0; i < 300; i += 17) {
-    const Bytes k = key_of("f" + std::to_string(i));
-    const VerifyOutcome vo = verify_proof(root, k, snap.prove(k));
-    ASSERT_EQ(vo.kind, VerifyOutcome::Kind::kFound) << i;
-    EXPECT_EQ(vo.value, val("1"));
-  }
-}
-
 // --- clone() -----------------------------------------------------------
 
 /// One random trie operation, replayable on any trie: insert a fresh
@@ -276,16 +252,12 @@ Bytes insertable_key(const SealableTrie& t, const std::string& tag) {
 
 TEST(TrieSnapshot, CloneIsAnIndependentDeepCopy) {
   // 2 KiB pages hold 3 branches or 20 leaves, so every trie spans
-  // dozens of pages; every fourth round is file-backed with 8 frames
-  // resident.
-  PageStoreConfig small;
-  small.page_bytes = 2048;
-  PageStoreConfig spilled = tiny_file_cfg();
-  spilled.page_bytes = 2048;
+  // dozens of pages; every fourth round runs on 1 KiB pages, one
+  // branch per page.
   for (int round = 0; round < 12; ++round) {
     OpSource source;
     source.rng = Rng(0xC10E + static_cast<std::uint64_t>(round));
-    SealableTrie src(round % 4 == 3 ? spilled : small);
+    SealableTrie src(PageStoreConfig{round % 4 == 3 ? 1024u : 2048u});
     for (const TrieOp& op : source.next(60 + static_cast<int>(source.rng.uniform_int(240))))
       (void)op.apply(src);
     // Half the rounds clone with a write still uncommitted.
@@ -345,7 +317,7 @@ TEST(TrieSnapshot, CloneIsAnIndependentDeepCopy) {
   }
 }
 
-// --- ProofService ------------------------------------------------------
+// --- Batch proving -----------------------------------------------------
 
 TEST(ProofService, BatchMatchesSerialProving) {
   SealableTrie t;
@@ -360,49 +332,54 @@ TEST(ProofService, BatchMatchesSerialProving) {
     ASSERT_EQ(batch[i].serialize(), snap.prove(keys[i]).serialize()) << i;
 }
 
-TEST(ProofService, ProvesConcurrentlyWithCommits) {
-  SealableTrie t;
-  for (int i = 0; i < 512; ++i) t.set(key_of("c" + std::to_string(i)), val("0"));
-  t.commit();
-
-  ProofService service;
-  std::vector<std::future<std::vector<Proof>>> futures;
-  std::vector<Hash32> roots;
-  std::vector<std::vector<Bytes>> key_batches;
-  // Interleave: publish a snapshot, hand its proof batch to the
-  // service, and immediately start mutating/committing the next block
-  // while the worker proves against the frozen pages.
-  for (int block = 0; block < 8; ++block) {
-    const TrieSnapshot snap = t.snapshot();
-    roots.push_back(snap.root_hash());
-    std::vector<Bytes> keys;
-    for (int i = 0; i < 64; ++i)
-      keys.push_back(key_of("c" + std::to_string((block * 37 + i) % 512)));
-    key_batches.push_back(keys);
-    futures.push_back(service.submit(snap, std::move(keys)));
-    for (int i = 0; i < 512; i += 3)
-      t.set(key_of("c" + std::to_string(i)), val("b" + std::to_string(block)));
-    t.commit();
-  }
-  for (std::size_t b = 0; b < futures.size(); ++b) {
-    const std::vector<Proof> proofs = futures[b].get();
-    ASSERT_EQ(proofs.size(), key_batches[b].size());
-    for (std::size_t i = 0; i < proofs.size(); ++i) {
-      const VerifyOutcome vo = verify_proof(roots[b], key_batches[b][i], proofs[i]);
-      ASSERT_EQ(vo.kind, VerifyOutcome::Kind::kFound) << "block " << b << " key " << i;
-    }
-  }
-}
-
 TEST(ProofService, SealedKeyFailsTheBatch) {
   SealableTrie t;
   t.set(key_of("a"), val("1"));
   t.set(key_of("b"), val("2"));
   t.seal(key_of("a"));
   const TrieSnapshot snap = t.snapshot();
-  ProofService service;
-  auto fut = service.submit(snap, {key_of("a"), key_of("b")});
-  EXPECT_THROW((void)fut.get(), SealedError);
+  EXPECT_THROW((void)ProofService::prove_batch(snap, {key_of("a"), key_of("b")}),
+               SealedError);
+}
+
+TEST(TrieSnapshot, ProvesConcurrentlyWithCommits) {
+  SealableTrie t;
+  for (int i = 0; i < 512; ++i) t.set(key_of("c" + std::to_string(i)), val("0"));
+  t.commit();
+
+  // Interleave: publish a snapshot, hand its proof batch to a prover
+  // thread, and immediately start mutating and committing the next
+  // block while that thread proves against the frozen pages.  A batch
+  // that throws leaves its slot empty, which fails the size check.
+  std::vector<std::vector<Proof>> proofs(8);
+  std::vector<Hash32> roots;
+  std::vector<std::vector<Bytes>> key_batches;
+  std::vector<std::jthread> provers;  // declared last: joined before the rest go
+  for (std::size_t block = 0; block < 8; ++block) {
+    const TrieSnapshot snap = t.snapshot();
+    roots.push_back(snap.root_hash());
+    std::vector<Bytes> keys;
+    for (std::size_t i = 0; i < 64; ++i)
+      keys.push_back(key_of("c" + std::to_string((block * 37 + i) % 512)));
+    key_batches.push_back(keys);
+    provers.emplace_back([snap, keys = std::move(keys), out = &proofs[block]] {
+      try {
+        *out = ProofService::prove_batch(snap, keys);
+      } catch (const TrieError&) {
+      }
+    });
+    for (int i = 0; i < 512; i += 3)
+      t.set(key_of("c" + std::to_string(i)), val("b" + std::to_string(block)));
+    t.commit();
+  }
+  for (std::jthread& p : provers) p.join();
+  for (std::size_t b = 0; b < proofs.size(); ++b) {
+    ASSERT_EQ(proofs[b].size(), key_batches[b].size());
+    for (std::size_t i = 0; i < proofs[b].size(); ++i) {
+      const VerifyOutcome vo = verify_proof(roots[b], key_batches[b][i], proofs[b][i]);
+      ASSERT_EQ(vo.kind, VerifyOutcome::Kind::kFound) << "block " << b << " key " << i;
+    }
+  }
 }
 
 }  // namespace

@@ -126,16 +126,12 @@ TEST_P(TrieModelTest, LongRandomRunAgreesWithModel) {
   run_long_random_model(GetParam(), trie);
 }
 
-TEST_P(TrieModelTest, LongRandomRunAgreesWithModelFileBackedTinyPages) {
-  // Same model sweep with 1 KiB pages and an 8-frame resident set:
-  // every spine walk churns the LRU, and page splits/evictions happen
-  // constantly.  Behaviour (and every root) must be identical to the
-  // in-RAM run by construction.
-  PageStoreConfig cfg;
-  cfg.backend = PageStoreConfig::Backend::kFile;
-  cfg.page_bytes = 1024;
-  cfg.max_resident_pages = 8;
-  SealableTrie trie{cfg};
+TEST_P(TrieModelTest, LongRandomRunAgreesWithModelTinyPages) {
+  // Same model sweep with 1 KiB pages (one branch record per page):
+  // page splits, retirements and recycled page ids happen constantly.
+  // Behaviour (and every root) must be identical to the 16 KiB run by
+  // construction.
+  SealableTrie trie{PageStoreConfig{1024}};
   run_long_random_model(GetParam(), trie);
 }
 
