@@ -1,7 +1,7 @@
 // Shared grid execution for the evaluation harnesses (PR 7).
 //
-// Every grid-capable driver — scenario_runner, the fig2/fig6 grid
-// modes, the parameter-sweep ablations — has the same shape: a static
+// Every grid-capable driver — scenario_runner's presets, the fig2/fig6
+// grid modes, the parameter-sweep ablations — has the same shape: a static
 // list of independent cells, each a complete deterministic simulation,
 // whose formatted output must appear on stdout in grid order and be
 // byte-identical at every worker count.  This header hoists the one
@@ -42,6 +42,32 @@ namespace bmg::bench {
 struct CellOutput {
   std::string table;
   audit::Verdict verdict;
+};
+
+/// A deployment under audit, as every scoreboard cell and
+/// restart_recovery build it: the InvariantAuditor re-checks
+/// conservation / sequence / commit-root / client-height invariants
+/// after every block from before `open_ibc` on, and watches the guest's
+/// client on the counterparty and the SOL/PICA transfer lane.  It runs
+/// inline inside existing event handlers, so the artifact is
+/// byte-identical with or without it.  Not copyable: the auditor holds
+/// references into the deployment.
+struct AuditedDeployment {
+  relayer::Deployment deployment;
+  audit::InvariantAuditor auditor;
+
+  explicit AuditedDeployment(const relayer::DeploymentConfig& cfg)
+      : deployment(cfg),
+        auditor(deployment.sim(), deployment.host(), deployment.guest(),
+                deployment.cp()) {
+    auditor.start();
+    deployment.open_ibc();
+    auditor.watch_client(deployment.guest_client_on_cp());
+    auditor.watch_transfer_lane(audit::TransferLane{
+        deployment.guest_channel(), deployment.cp_channel(), "SOL", "PICA"});
+  }
+  AuditedDeployment(const AuditedDeployment&) = delete;
+  AuditedDeployment& operator=(const AuditedDeployment&) = delete;
 };
 
 struct GridResult {

@@ -18,8 +18,7 @@
 
 #include <stdexcept>
 
-#include "audit/auditor.hpp"
-#include "bench_common.hpp"
+#include "grid.hpp"
 
 namespace {
 
@@ -35,14 +34,8 @@ struct RunResult {
 RunResult run_once(int phase_pct, std::uint64_t seed) {
   relayer::DeploymentConfig cfg = bench::paper_config(seed);
   cfg.guest.delta_seconds = 600.0;
-  relayer::Deployment d(cfg);
-
-  audit::InvariantAuditor auditor(d.sim(), d.host(), d.guest(), d.cp());
-  auditor.start();
-  d.open_ibc();
-  auditor.watch_client(d.guest_client_on_cp());
-  auditor.watch_transfer_lane(
-      audit::TransferLane{d.guest_channel(), d.cp_channel(), "SOL", "PICA"});
+  bench::AuditedDeployment audited(cfg);
+  relayer::Deployment& d = audited.deployment;
 
   const ibc::Packet packet = d.send_transfer_from_cp(50);
   const auto delivered = [&] {
@@ -83,8 +76,8 @@ RunResult run_once(int phase_pct, std::uint64_t seed) {
   out.recovery_s = d.sim().now() - restarted_at;
   out.redriven = r.pipeline().redriven_total();
 
-  if (!auditor.clean())
-    throw std::runtime_error("restart_recovery: " + auditor.report());
+  if (!audited.auditor.clean())
+    throw std::runtime_error("restart_recovery: " + audited.auditor.report());
   return out;
 }
 

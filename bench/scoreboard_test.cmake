@@ -1,0 +1,53 @@
+# Scoreboard byte-identity oracle: runs scenario_runner's presets,
+# requires exit 0 and compares the SHA-256 of each stdout with the
+# pinned transcript, then checks that bad input exits 2.
+#
+#   cmake -DRUNNER=path/to/scenario_runner -P bench/scoreboard_test.cmake
+#
+# A digest may change only with the simulated behaviour it pins: re-pin
+# it in that change and say why in CHANGES.md.
+
+function(expect_digest digest)
+  execute_process(COMMAND ${RUNNER} ${ARGN}
+                  OUTPUT_VARIABLE out ERROR_VARIABLE err RESULT_VARIABLE rc)
+  string(SHA256 got "${out}")
+  string(JOIN " " args ${ARGN})
+  if(NOT rc EQUAL 0)
+    message(SEND_ERROR "scenario_runner ${args}: exit ${rc}\n${err}")
+  elseif(NOT got STREQUAL digest)
+    message(SEND_ERROR "scenario_runner ${args}: stdout SHA-256 ${got}, expected ${digest}")
+  endif()
+endfunction()
+
+function(expect_exit_2)
+  execute_process(COMMAND ${RUNNER} ${ARGN}
+                  OUTPUT_QUIET ERROR_VARIABLE err RESULT_VARIABLE rc)
+  string(JOIN " " args ${ARGN})
+  if(NOT rc EQUAL 2 OR err STREQUAL "")
+    message(SEND_ERROR "scenario_runner ${args}: exit ${rc}, expected 2 with a message")
+  endif()
+endfunction()
+
+expect_digest(aee36ed3c25a56745a75a6aa083478a69a0cee752a5d68f63d076a373c6abaf4
+              --seeds 2 --days 0.02)
+expect_digest(a0b833cf9506c9fd2083939ee0ea1ca83887f0bd4afe36ba3940bbd4601950c7
+              --seeds 2 --days 0.02 --reorg storm --adversary equivocate)
+expect_digest(8c3f581ea15c530efdb1c49a03fa91fa5be4655426f266434c21500a38fe8a93
+              --seeds 2 --days 0.02 --reorg lossy --commitment rooted)
+expect_digest(6d2fa5fdfc3fc8f35aac1a4dd8dc85a142159c726605845aedbdb79ed9ce892d
+              --preset reorg-storm --seeds 2 --days 0.01)
+expect_digest(68534aee6b74dd6d097bece7ca14b1df12c1ee659fc32f535ac49a2855100815
+              --preset adversary-campaign --seeds 1)
+
+expect_exit_2(--preset no-such-preset)
+foreach(preset delta reorg-storm adversary-campaign)
+  # The seed cap + 1, a count that overflows int, one that wraps to 1.
+  foreach(seeds 10001 3000000000 4294967297)
+    expect_exit_2(--preset ${preset} --seeds ${seeds})
+  endforeach()
+endforeach()
+# Flags that do not apply to the chosen preset.
+expect_exit_2(--preset reorg-storm --reorg storm)
+expect_exit_2(--preset adversary-campaign --commitment rooted)
+expect_exit_2(--preset reorg-storm --adversary equivocate)
+expect_exit_2(--preset adversary-campaign --days 0.02)
