@@ -23,8 +23,8 @@ namespace bmg::bench {
 ///   --seed N           RNG seed (default 42)
 ///   --shard-workers W  shard-pool workers for grid-capable drivers
 ///                      (default: BMG_SHARD_WORKERS or hardware)
-///   --grid-seeds N     figure drivers: run an N-seed grid instead of
-///                      the single classic run (0 = classic mode)
+///   --grid-seeds N     figure drivers: run an N-seed grid (N ≤
+///                      kMaxSeeds) instead of the single classic run
 ///   --timing-csv PATH  write per-cell wall/CPU timing rows to PATH
 ///                      (timing is never part of the stdout artifact)
 struct Args {
@@ -58,8 +58,7 @@ struct Args {
         shard::set_worker_count(static_cast<std::size_t>(
             parse_positive_long(prog, "--shard-workers", value())));
       else if (std::strcmp(argv[i], "--grid-seeds") == 0)
-        a.grid_seeds =
-            static_cast<long>(parse_uint64(prog, "--grid-seeds", value()));
+        a.grid_seeds = parse_seed_count(prog, "--grid-seeds", value());
       else if (std::strcmp(argv[i], "--timing-csv") == 0)
         a.timing_csv = value();
       else {

@@ -39,12 +39,11 @@ void BM_Sha256Backend(benchmark::State& state) {
 }
 BENCHMARK(BM_Sha256Backend)
     ->ArgsProduct({{static_cast<long>(crypto::Sha256Impl::kScalar),
-                    static_cast<long>(crypto::Sha256Impl::kShaNi),
-                    static_cast<long>(crypto::Sha256Impl::kAvx2)},
+                    static_cast<long>(crypto::Sha256Impl::kShaNi)},
                    {256, 65536}});
 
-// The multi-way batch API the trie's deferred commit() drives: many
-// short fixed-shape preimages hashed in one call.
+// The batch API the trie's deferred commit() drives: many short
+// fixed-shape preimages hashed in one call.
 void BM_Sha256Batch(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   std::vector<Bytes> msgs(n, Bytes(107, 0xAB));  // ~ext/leaf preimage size

@@ -21,6 +21,22 @@ inline long parse_positive_long(const char* prog, const char* flag, const char* 
   return v;
 }
 
+/// Grids run 1–8 seeds; the cap turns a typo into an error instead of
+/// an allocation failure or a silently truncated grid.
+inline constexpr long kMaxSeeds = 10'000;
+
+/// Seed count of a grid (`--seeds`, `--grid-seeds`): an integer in
+/// [1, kMaxSeeds].
+inline long parse_seed_count(const char* prog, const char* flag, const char* text) {
+  const long v = parse_positive_long(prog, flag, text);
+  if (v > kMaxSeeds) {
+    std::fprintf(stderr, "%s: %s expects at most %ld, got '%s'\n", prog, flag, kMaxSeeds,
+                 text);
+    std::exit(2);
+  }
+  return v;
+}
+
 /// Strictly positive decimal with the same rejection rules.
 inline double parse_positive_double(const char* prog, const char* flag,
                                     const char* text) {

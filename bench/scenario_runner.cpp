@@ -28,7 +28,7 @@
 //                       cp->guest sends into it, drain; scores liveness
 //                       (every send received and acked) and slashing.
 // --seeds N runs seeds 42..42+N-1 (default 4 for delta, else 2; at most
-// kMaxSeeds).  A flag that does not apply to the preset exits 2.
+// bench::kMaxSeeds).  A flag that does not apply to the preset exits 2.
 #include <cstdio>
 #include <cstring>
 #include <functional>
@@ -50,10 +50,6 @@ using namespace bmg;
 
 enum class Preset { kDelta, kReorgStorm, kAdversaryCampaign };
 constexpr const char* kPresetNames[] = {"delta", "reorg-storm", "adversary-campaign"};
-
-/// Callers run 1–4 seeds; the cap turns a typo into an error instead of
-/// an allocation failure or a silently truncated grid.
-constexpr long kMaxSeeds = 10'000;
 
 /// Shipped reorg storms for --reorg.  Depths stay below the default
 /// rooted lag (32 slots) so every storm is resolvable.
@@ -345,12 +341,7 @@ int main(int argc, char** argv) {
     if (std::strcmp(flag, "--preset") == 0) {
       preset_name = value;
     } else if (std::strcmp(flag, "--seeds") == 0) {
-      seeds = bench::parse_positive_long("scenario_runner", "--seeds", value);
-      if (seeds > kMaxSeeds) {
-        std::fprintf(stderr, "scenario_runner: --seeds expects at most %ld, got '%s'\n",
-                     kMaxSeeds, value);
-        return 2;
-      }
+      seeds = bench::parse_seed_count("scenario_runner", "--seeds", value);
     } else if (std::strcmp(flag, "--days") == 0) {
       days = bench::parse_positive_double("scenario_runner", "--days", value);
     } else if (std::strcmp(flag, "--shard-workers") == 0) {

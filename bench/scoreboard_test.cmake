@@ -1,8 +1,10 @@
 # Scoreboard byte-identity oracle: runs scenario_runner's presets,
 # requires exit 0 and compares the SHA-256 of each stdout with the
-# pinned transcript, then checks that bad input exits 2.
+# pinned transcript, then checks that bad input to the runner and to
+# the figure drivers' grid mode exits 2.
 #
-#   cmake -DRUNNER=path/to/scenario_runner -P bench/scoreboard_test.cmake
+#   cmake -DRUNNER=path/to/scenario_runner -DFIG2=path/to/fig2_send_latency \
+#         -DFIG6=path/to/fig6_block_interval -P bench/scoreboard_test.cmake
 #
 # A digest may change only with the simulated behaviour it pins: re-pin
 # it in that change and say why in CHANGES.md.
@@ -19,12 +21,13 @@ function(expect_digest digest)
   endif()
 endfunction()
 
-function(expect_exit_2)
-  execute_process(COMMAND ${RUNNER} ${ARGN}
+function(expect_exit_2 binary)
+  execute_process(COMMAND ${binary} ${ARGN}
                   OUTPUT_QUIET ERROR_VARIABLE err RESULT_VARIABLE rc)
   string(JOIN " " args ${ARGN})
+  get_filename_component(name ${binary} NAME)
   if(NOT rc EQUAL 2 OR err STREQUAL "")
-    message(SEND_ERROR "scenario_runner ${args}: exit ${rc}, expected 2 with a message")
+    message(SEND_ERROR "${name} ${args}: exit ${rc}, expected 2 with a message")
   endif()
 endfunction()
 
@@ -39,15 +42,23 @@ expect_digest(6d2fa5fdfc3fc8f35aac1a4dd8dc85a142159c726605845aedbdb79ed9ce892d
 expect_digest(68534aee6b74dd6d097bece7ca14b1df12c1ee659fc32f535ac49a2855100815
               --preset adversary-campaign --seeds 1)
 
-expect_exit_2(--preset no-such-preset)
+expect_exit_2(${RUNNER} --preset no-such-preset)
 foreach(preset delta reorg-storm adversary-campaign)
   # The seed cap + 1, a count that overflows int, one that wraps to 1.
   foreach(seeds 10001 3000000000 4294967297)
-    expect_exit_2(--preset ${preset} --seeds ${seeds})
+    expect_exit_2(${RUNNER} --preset ${preset} --seeds ${seeds})
   endforeach()
 endforeach()
 # Flags that do not apply to the chosen preset.
-expect_exit_2(--preset reorg-storm --reorg storm)
-expect_exit_2(--preset adversary-campaign --commitment rooted)
-expect_exit_2(--preset reorg-storm --adversary equivocate)
-expect_exit_2(--preset adversary-campaign --days 0.02)
+expect_exit_2(${RUNNER} --preset reorg-storm --reorg storm)
+expect_exit_2(${RUNNER} --preset adversary-campaign --commitment rooted)
+expect_exit_2(${RUNNER} --preset reorg-storm --adversary equivocate)
+expect_exit_2(${RUNNER} --preset adversary-campaign --days 0.02)
+# The figure drivers' grid mode shares the runner's seed cap: the cap
+# + 1, a count whose grid would exhaust memory, and UINT64_MAX, which
+# overflows a long.
+foreach(fig ${FIG2} ${FIG6})
+  foreach(seeds 10001 3000000000 18446744073709551615)
+    expect_exit_2(${fig} --grid-seeds ${seeds})
+  endforeach()
+endforeach()

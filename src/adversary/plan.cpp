@@ -11,19 +11,6 @@ bool window_open(const AdversaryWindow& w, double t) noexcept {
 }
 }  // namespace
 
-const char* adversary_kind_name(AdversaryKind kind) noexcept {
-  switch (kind) {
-    case AdversaryKind::kEquivocate: return "equivocate";
-    case AdversaryKind::kForkSign: return "fork-sign";
-    case AdversaryKind::kCollude: return "collude";
-    case AdversaryKind::kUpdateClobber: return "update-clobber";
-    case AdversaryKind::kAckWithhold: return "ack-withhold";
-    case AdversaryKind::kStaleReplay: return "stale-replay";
-    case AdversaryKind::kFeeSpam: return "fee-spam";
-  }
-  return "unknown";
-}
-
 const char* AdversaryCounters::csv_header() noexcept {
   return "equivocations,fork_signs,collusion_headers,fork_pushes_rejected,"
          "fork_pushes_accepted,forged_packet_mints,updates_clobbered,front_runs,"
@@ -47,12 +34,6 @@ std::string AdversaryCounters::csv_row() const {
                 static_cast<unsigned long long>(stale_replays),
                 static_cast<unsigned long long>(spam_txs));
   return buf;
-}
-
-std::uint64_t AdversaryCounters::total() const noexcept {
-  return equivocations + fork_signs + collusion_headers + fork_pushes_rejected +
-         fork_pushes_accepted + forged_packet_mints + updates_clobbered + front_runs +
-         acks_withheld + acks_released + stale_replays + spam_txs;
 }
 
 AdversaryPlan& AdversaryPlan::equivocate(double start, double end, int validators,
@@ -133,11 +114,6 @@ AdversaryPlan& AdversaryPlan::fee_spam(double start, double end, double fee_mult
   return *this;
 }
 
-AdversaryPlan& AdversaryPlan::clear() {
-  windows_.clear();
-  return *this;
-}
-
 int AdversaryPlan::byzantine_validators() const noexcept {
   int n = 0;
   for (const auto& w : windows_)
@@ -152,10 +128,6 @@ int AdversaryPlan::clique_size() const noexcept {
     if (w.kind == AdversaryKind::kCollude) n = std::max(n, w.agents);
   return n;
 }
-
-bool AdversaryPlan::has_byzantine() const noexcept { return byzantine_validators() > 0; }
-
-bool AdversaryPlan::has_collusion() const noexcept { return clique_size() > 0; }
 
 bool AdversaryPlan::has_griefing() const noexcept {
   return std::any_of(windows_.begin(), windows_.end(), [](const AdversaryWindow& w) {

@@ -37,8 +37,6 @@ enum class AdversaryKind : std::uint8_t {
   kFeeSpam = 6,        ///< sustained priority-fee pressure on the host
 };
 
-[[nodiscard]] const char* adversary_kind_name(AdversaryKind kind) noexcept;
-
 /// One scripted attack window.  Field meaning depends on `kind`; unused
 /// fields keep their defaults.
 struct AdversaryWindow {
@@ -81,7 +79,6 @@ struct AdversaryCounters {
   /// Comma-separated column names matching `csv_row()`, for CSV headers.
   [[nodiscard]] static const char* csv_header() noexcept;
   [[nodiscard]] std::string csv_row() const;
-  [[nodiscard]] std::uint64_t total() const noexcept;
 };
 
 class AdversaryPlan {
@@ -124,8 +121,6 @@ class AdversaryPlan {
   AdversaryPlan& fee_spam(double start, double end, double fee_multiplier,
                           double inclusion_factor, double interval_s = 30.0);
 
-  AdversaryPlan& clear();
-
   // -- Introspection -------------------------------------------------
 
   [[nodiscard]] bool empty() const noexcept { return windows_.empty(); }
@@ -139,8 +134,6 @@ class AdversaryPlan {
   /// Max clique size over collusion windows.
   [[nodiscard]] int clique_size() const noexcept;
 
-  [[nodiscard]] bool has_byzantine() const noexcept;
-  [[nodiscard]] bool has_collusion() const noexcept;
   [[nodiscard]] bool has_griefing() const noexcept;
   [[nodiscard]] bool has_fee_attack() const noexcept;
 

@@ -3,38 +3,26 @@
 #include <cstring>
 
 #include "common/alloc_stats.hpp"
-#include "common/arena.hpp"
 
 namespace bmg {
-
-Encoder::Encoder(Arena& arena, std::size_t size_hint) : arena_(&arena) {
-  if (size_hint != 0) {
-    data_ = arena_->alloc_bytes(size_hint);
-    cap_ = size_hint;
-  }
-}
 
 void Encoder::ensure(std::size_t more) {
   if (cap_ - size_ >= more) return;
   std::size_t cap = cap_ < 16 ? 32 : cap_ * 2;
   if (cap < size_ + more) cap = size_ + more;
-  if (arena_ != nullptr) {
-    data_ = arena_->grow(data_, cap_, cap);
-  } else {
-    // Owning mode, or caller-buffer mode spilling to the heap.  resize
-    // (not reserve) so data_ may legally point at [0, cap).
-    own_.resize(cap);
-    if (scratch_ != nullptr) {
-      std::memcpy(own_.data(), scratch_, size_);
-      scratch_ = nullptr;
-    }
-    data_ = own_.data();
+  // Owning mode, or caller-buffer mode spilling to the heap.  resize
+  // (not reserve) so data_ may legally point at [0, cap).
+  own_.resize(cap);
+  if (scratch_ != nullptr) {
+    std::memcpy(own_.data(), scratch_, size_);
+    scratch_ = nullptr;
   }
+  data_ = own_.data();
   cap_ = cap;
 }
 
 Bytes Encoder::take() {
-  if (arena_ == nullptr && scratch_ == nullptr) {
+  if (scratch_ == nullptr) {
     own_.resize(size_);
     Bytes result = std::move(own_);
     own_ = Bytes();

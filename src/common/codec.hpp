@@ -21,20 +21,15 @@
 
 namespace bmg {
 
-class Arena;
-
 /// Thrown by Decoder on truncated or malformed input.
 class CodecError : public std::runtime_error {
  public:
   explicit CodecError(const std::string& what) : std::runtime_error(what) {}
 };
 
-/// Append-only encoder with three storage modes:
+/// Append-only encoder with two storage modes:
 ///  - owning (default): writes into an internal heap buffer; `take()`
 ///    moves it out as `Bytes`.
-///  - arena-backed: writes into `Arena` memory; the output (`out()`)
-///    lives until the arena scope resets.  One pointer bump per
-///    growth, no heap traffic.
 ///  - caller buffer: writes into a caller-provided span (typically
 ///    stack storage); spills to an internal heap buffer only if the
 ///    output outgrows it.
@@ -46,9 +41,6 @@ class Encoder {
   Encoder() = default;
   /// Owning mode, pre-sized for `size_hint` bytes of output.
   explicit Encoder(std::size_t size_hint) { ensure(size_hint); }
-  /// Arena mode.  The encoder (and its `out()` view) must not outlive
-  /// the arena scope it was created under.
-  explicit Encoder(Arena& arena, std::size_t size_hint = 0);
   /// Caller-buffer mode over `scratch`.
   explicit Encoder(std::span<std::uint8_t> scratch)
       : data_(scratch.data()), cap_(scratch.size()), scratch_(scratch.data()) {}
@@ -73,11 +65,11 @@ class Encoder {
   Encoder& boolean(bool v);
 
   /// The encoded output.  Valid until the next append (growth may move
-  /// the buffer) and, in arena mode, until the arena scope resets.
+  /// the buffer).
   [[nodiscard]] ByteView out() const noexcept { return {data_, size_}; }
   /// Moves the output out as owning Bytes.  In owning mode this is the
-  /// no-copy move of the internal buffer; in arena/caller-buffer mode
-  /// it copies (prefer `out()` there).
+  /// no-copy move of the internal buffer; in caller-buffer mode it
+  /// copies (prefer `out()` there).
   [[nodiscard]] Bytes take();
   [[nodiscard]] std::size_t size() const noexcept { return size_; }
 
@@ -94,7 +86,6 @@ class Encoder {
   std::uint8_t* data_ = nullptr;
   std::size_t size_ = 0;
   std::size_t cap_ = 0;
-  Arena* arena_ = nullptr;            ///< arena mode
   std::uint8_t* scratch_ = nullptr;   ///< caller-buffer mode
   Bytes own_;                         ///< owning-mode / spill storage
 };

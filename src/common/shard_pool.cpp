@@ -6,13 +6,10 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
-#include <cstdio>
 #include <cstdlib>
 #include <exception>
 #include <mutex>
 #include <thread>
-
-#include "common/arena.hpp"
 
 namespace bmg::shard {
 
@@ -44,25 +41,6 @@ std::size_t default_worker_count() {
   return 0.0;
 }
 
-/// Cell-boundary guard over the thread_local surfaces.  A non-empty
-/// scratch arena at a cell boundary means an ArenaScope (or a bare
-/// alloc_bytes) leaked across the boundary — the next cell would bump
-/// over live bytes of the previous owner, a silent cross-shard bleed.
-/// That is a programming error, never data-dependent, so fail loudly.
-void guard_scratch_arena(const char* when, std::size_t cell) {
-  Arena& a = scratch_arena();
-  if (a.bytes_used() != 0) {
-    std::fprintf(stderr,
-                 "shard_pool: scratch arena holds %zu bytes %s cell %zu — an "
-                 "ArenaScope leaked across a shard boundary\n",
-                 a.bytes_used(), when, cell);
-    std::abort();
-  }
-  // Reclaim wholesale but keep chunk storage: successive cells on this
-  // worker reuse the same slabs (no heap churn between grid cells).
-  a.reset();
-}
-
 /// One grid dispatch: cells are dealt from `next`; results go to
 /// caller-indexed slots, so scheduling freedom never reaches the
 /// artifact.
@@ -75,7 +53,6 @@ struct GridJob {
   std::vector<CellStats> stats;            // indexed by cell
 
   void run_cell(std::size_t cell, std::size_t worker) noexcept {
-    guard_scratch_arena("entering", cell);
     CellStats& st = stats[cell];
     st.cell = cell;
     st.worker = worker;
@@ -92,7 +69,6 @@ struct GridJob {
     st.wall_s = std::chrono::duration_cast<std::chrono::duration<double>>(
                     std::chrono::steady_clock::now() - wall0)
                     .count();
-    guard_scratch_arena("leaving", cell);
   }
 
   void drain(std::size_t worker) noexcept {

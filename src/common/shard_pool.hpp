@@ -19,13 +19,7 @@
 //
 // Memory.  Admission is shard-count-limited: at most worker_count()
 // cells are in flight, which bounds peak memory to W live simulations
-// regardless of grid size.  Between cells a worker keeps its
-// thread_local scratch-arena chunks (arena/slab reuse — a warm worker
-// stops touching the heap for scratch), and the pool *guards* the
-// thread_local surfaces at every cell boundary: a scratch-arena scope
-// that leaks across a cell is a determinism hazard (one cell's
-// rewound buffers aliasing the next cell's) and aborts the run with a
-// diagnostic rather than silently bleeding state.
+// regardless of grid size.
 #pragma once
 
 #include <cstddef>
@@ -70,11 +64,6 @@ using CellFn = std::function<void(std::size_t cell)>;
 /// cell throws, the exception from the *lowest-indexed* failing cell
 /// is rethrown after the join (deterministic error propagation);
 /// remaining cells still run.
-///
-/// The calling thread must not hold a live scratch-arena scope: the
-/// pool asserts `scratch_arena().bytes_used() == 0` at every cell
-/// boundary and resets the arena (keeping its chunks) so cells start
-/// clean and reuse each other's storage.
 std::vector<CellStats> run_cells(std::size_t n, const CellFn& fn);
 
 }  // namespace bmg::shard

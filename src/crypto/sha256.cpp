@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstring>
 #include <stdexcept>
-#include <vector>
 
 #include "crypto/sha256_impl.hpp"
 
@@ -39,9 +38,6 @@ Hash32 state_to_hash(const std::uint32_t state[8]) noexcept {
   return out;
 }
 
-/// Padded length in 64-byte blocks of an n-byte message.
-std::size_t padded_blocks(std::size_t n) noexcept { return (n + 1 + 8 + 63) / 64; }
-
 /// One-shot digest through a specific compression function: whole
 /// blocks go straight from the input, the tail is padded on the stack.
 Hash32 oneshot(CompressFn compress, ByteView data) noexcept {
@@ -63,74 +59,6 @@ Hash32 oneshot(CompressFn compress, ByteView data) noexcept {
   return state_to_hash(state);
 }
 
-/// Writes the fully padded form of `msg` into `out` (padded_blocks(msg)*64 bytes).
-void pad_into(std::uint8_t* out, ByteView msg) noexcept {
-  const std::size_t blocks = padded_blocks(msg.size());
-  if (!msg.empty()) std::memcpy(out, msg.data(), msg.size());
-  std::memset(out + msg.size(), 0, blocks * 64 - msg.size());
-  out[msg.size()] = 0x80;
-  const std::uint64_t bit_len = static_cast<std::uint64_t>(msg.size()) * 8;
-  for (int i = 0; i < 8; ++i)
-    out[blocks * 64 - 8 + i] = static_cast<std::uint8_t>(bit_len >> (56 - 8 * i));
-}
-
-/// Hashes a group of messages that all pad to `nblocks` blocks using
-/// the AVX2 8-lane kernel; `idx` holds their positions in the batch.
-void batch_avx2_group(const ByteView* msgs, Hash32* out, const std::uint32_t* idx,
-                      std::size_t count, std::size_t nblocks,
-                      std::vector<std::uint8_t>& scratch) {
-  scratch.resize(8 * nblocks * 64);
-  std::size_t done = 0;
-  while (count - done >= 8) {
-    const std::uint8_t* lanes[8];
-    for (std::size_t l = 0; l < 8; ++l) {
-      std::uint8_t* slot = scratch.data() + l * nblocks * 64;
-      pad_into(slot, msgs[idx[done + l]]);
-      lanes[l] = slot;
-    }
-    Hash32 digests[8];
-    detail::sha256_avx2_x8(lanes, nblocks, digests);
-    for (std::size_t l = 0; l < 8; ++l) out[idx[done + l]] = digests[l];
-    done += 8;
-  }
-  for (; done < count; ++done) out[idx[done]] = Sha256::digest(msgs[idx[done]]);
-}
-
-/// Batch via AVX2 lanes: group messages by padded block count so each
-/// 8-lane dispatch runs equal-length lanes.
-void batch_avx2(const ByteView* msgs, std::size_t n, Hash32* out) {
-  // Sort indices by block count (counting via a small map of buckets).
-  std::vector<std::uint32_t> idx(n);
-  for (std::size_t i = 0; i < n; ++i) idx[i] = static_cast<std::uint32_t>(i);
-  std::sort(idx.begin(), idx.end(), [&](std::uint32_t a, std::uint32_t b) {
-    return padded_blocks(msgs[a].size()) < padded_blocks(msgs[b].size());
-  });
-  std::vector<std::uint8_t> scratch;
-  std::size_t start = 0;
-  while (start < n) {
-    const std::size_t nblocks = padded_blocks(msgs[idx[start]].size());
-    std::size_t end = start + 1;
-    while (end < n && padded_blocks(msgs[idx[end]].size()) == nblocks) ++end;
-    batch_avx2_group(msgs, out, idx.data() + start, end - start, nblocks, scratch);
-    start = end;
-  }
-}
-
-enum class BatchPolicy { kSerial, kAvx2 };
-
-/// SHA-NI single-stream beats 8-lane AVX2 on cores that have it (≈2-4x
-/// lower cycles/byte), so multi-lane batching only pays when the CPU
-/// lacks the SHA extensions.
-BatchPolicy resolve_batch_policy() noexcept {
-  if (!detail::cpu_has_sha_ni() && detail::cpu_has_avx2()) return BatchPolicy::kAvx2;
-  return BatchPolicy::kSerial;
-}
-
-BatchPolicy active_batch_policy() noexcept {
-  static const BatchPolicy p = resolve_batch_policy();
-  return p;
-}
-
 }  // namespace
 
 bool sha256_impl_available(Sha256Impl impl) noexcept {
@@ -139,15 +67,8 @@ bool sha256_impl_available(Sha256Impl impl) noexcept {
       return true;
     case Sha256Impl::kShaNi:
       return detail::cpu_has_sha_ni();
-    case Sha256Impl::kAvx2:
-      return detail::cpu_has_avx2();
   }
   return false;
-}
-
-Sha256Impl sha256_active_impl() noexcept {
-  return active_compress() == &detail::compress_shani ? Sha256Impl::kShaNi
-                                                      : Sha256Impl::kScalar;
 }
 
 void Sha256::reset() noexcept {
@@ -215,10 +136,6 @@ Hash32 sha256_pair(const Hash32& a, const Hash32& b) noexcept {
 }
 
 void sha256_batch(const ByteView* msgs, std::size_t n, Hash32* out) {
-  if (n >= 8 && active_batch_policy() == BatchPolicy::kAvx2) {
-    batch_avx2(msgs, n, out);
-    return;
-  }
   for (std::size_t i = 0; i < n; ++i) out[i] = Sha256::digest(msgs[i]);
 }
 
@@ -230,29 +147,12 @@ Hash32 sha256_digest_with(Sha256Impl impl, ByteView data) {
       return oneshot(&detail::compress_scalar, data);
     case Sha256Impl::kShaNi:
       return oneshot(&detail::compress_shani, data);
-    case Sha256Impl::kAvx2: {
-      // Single-stream via the 8-lane kernel: replicate across lanes.
-      const std::size_t nblocks = padded_blocks(data.size());
-      std::vector<std::uint8_t> padded(nblocks * 64);
-      pad_into(padded.data(), data);
-      const std::uint8_t* lanes[8];
-      for (auto& lane : lanes) lane = padded.data();
-      Hash32 digests[8];
-      detail::sha256_avx2_x8(lanes, nblocks, digests);
-      return digests[0];
-    }
   }
   throw std::runtime_error("sha256: unknown backend");
 }
 
 void sha256_batch_with(Sha256Impl impl, const ByteView* msgs, std::size_t n,
                        Hash32* out) {
-  if (!sha256_impl_available(impl))
-    throw std::runtime_error("sha256: backend unavailable on this CPU");
-  if (impl == Sha256Impl::kAvx2) {
-    batch_avx2(msgs, n, out);
-    return;
-  }
   for (std::size_t i = 0; i < n; ++i) out[i] = sha256_digest_with(impl, msgs[i]);
 }
 

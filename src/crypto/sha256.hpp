@@ -5,10 +5,8 @@
 //
 // The compression function is runtime-dispatched: SHA-NI (x86 SHA
 // extensions) when the CPU has it, otherwise a portable scalar
-// implementation.  An additional AVX2 8-lane mode hashes independent
-// messages in parallel; `sha256_batch` uses it to amortize the trie's
-// deferred-commit rehash over sibling subtrees.  All fast paths
-// byte-match the scalar fallback (property-tested).
+// implementation.  SHA-NI byte-matches the scalar fallback
+// (property-tested against it).
 #pragma once
 
 #include <array>
@@ -21,14 +19,11 @@ namespace bmg::crypto {
 /// Which SHA-256 backend to run.  kScalar is always available.
 enum class Sha256Impl : std::uint8_t {
   kScalar = 0,  ///< portable C++ (the reference implementation)
-  kShaNi = 1,   ///< x86 SHA extensions, single stream
-  kAvx2 = 2,    ///< AVX2, 8 interleaved lanes (batch API only)
+  kShaNi = 1,   ///< x86 SHA extensions
 };
 
 /// True if `impl` can run on this CPU.
 [[nodiscard]] bool sha256_impl_available(Sha256Impl impl) noexcept;
-/// Backend the runtime dispatcher selected for single-stream hashing.
-[[nodiscard]] Sha256Impl sha256_active_impl() noexcept;
 
 class Sha256 {
  public:
@@ -56,10 +51,8 @@ class Sha256 {
 /// sha256(a || b) — common pattern for combining two hashes.
 [[nodiscard]] Hash32 sha256_pair(const Hash32& a, const Hash32& b) noexcept;
 
-/// Hashes `n` independent messages into `out[0..n)`.  Dispatches to
-/// the AVX2 8-lane mode (grouping messages with equal padded block
-/// counts) when that is the fastest available backend, otherwise
-/// hashes each message with the best single-stream backend.
+/// Hashes `n` independent messages into `out[0..n)`, each with
+/// `Sha256::digest`.
 void sha256_batch(const ByteView* msgs, std::size_t n, Hash32* out);
 
 /// Testing/benchmark hooks: force a specific backend.  Throws

@@ -1,11 +1,10 @@
 // Private interface between the SHA-256 front end (sha256.cpp) and
-// the SIMD backends (sha256_x86.cpp).  Not installed, not part of the
+// the SHA-NI backend (sha256_x86.cpp).  Not installed, not part of the
 // public crypto API.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-
-#include "common/bytes.hpp"
 
 namespace bmg::crypto::detail {
 
@@ -29,14 +28,10 @@ inline constexpr std::uint32_t kSha256Round[64] = {
 void compress_scalar(std::uint32_t state[8], const std::uint8_t* blocks,
                      std::size_t n) noexcept;
 
-// x86 backends (stubs returning false / trapping on other targets).
+// x86 SHA-NI backend (a stub reporting the feature absent on other
+// targets).
 [[nodiscard]] bool cpu_has_sha_ni() noexcept;
-[[nodiscard]] bool cpu_has_avx2() noexcept;
 void compress_shani(std::uint32_t state[8], const std::uint8_t* blocks,
                     std::size_t n) noexcept;
-/// Hashes 8 fully padded equal-length messages (`nblocks` 64-byte
-/// blocks each) in parallel AVX2 lanes.
-void sha256_avx2_x8(const std::uint8_t* const msgs[8], std::size_t nblocks,
-                    Hash32 out[8]) noexcept;
 
 }  // namespace bmg::crypto::detail

@@ -1,14 +1,11 @@
-// x86 SHA-256 backends: SHA-NI single-stream compression and an AVX2
-// 8-lane message-parallel kernel.  Both are compiled with per-function
-// target attributes so the rest of the build needs no -m flags, and
-// both are guarded by runtime CPUID checks — callers must consult
-// cpu_has_sha_ni()/cpu_has_avx2() first.
+// x86 SHA-256 backend: SHA-NI compression.  It is compiled with a
+// per-function target attribute so the rest of the build needs no -m
+// flags, and guarded by a runtime CPUID check — callers must consult
+// cpu_has_sha_ni() first.
 //
 // On non-x86 targets this file compiles to "feature absent" stubs and
 // the portable scalar path in sha256.cpp is used everywhere.
 #include "crypto/sha256_impl.hpp"
-
-#include <cstdlib>
 
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
 #define BMG_SHA_X86 1
@@ -25,14 +22,6 @@ bool cpu_has_sha_ni() noexcept {
   static const bool ok = [] {
     __builtin_cpu_init();
     return __builtin_cpu_supports("sha") && __builtin_cpu_supports("sse4.1") != 0;
-  }();
-  return ok;
-}
-
-bool cpu_has_avx2() noexcept {
-  static const bool ok = [] {
-    __builtin_cpu_init();
-    return __builtin_cpu_supports("avx2") != 0;
   }();
   return ok;
 }
@@ -185,113 +174,14 @@ __attribute__((target("sha,sse4.1"))) void compress_shani(
   _mm_storeu_si128(reinterpret_cast<__m128i*>(&state[4]), state1);
 }
 
-namespace {
-
-__attribute__((target("avx2"))) inline __m256i rotr8(__m256i x, int n) noexcept {
-  return _mm256_or_si256(_mm256_srli_epi32(x, n), _mm256_slli_epi32(x, 32 - n));
-}
-
-__attribute__((target("avx2"))) inline __m256i load_words(
-    const std::uint8_t* const msgs[8], std::size_t block, int t) noexcept {
-  const auto be = [](const std::uint8_t* p) {
-    std::uint32_t v;
-    __builtin_memcpy(&v, p, 4);
-    return static_cast<int>(__builtin_bswap32(v));
-  };
-  const std::size_t off = block * 64 + static_cast<std::size_t>(t) * 4;
-  // Lane i of the vector holds message i's word t.
-  return _mm256_set_epi32(be(msgs[7] + off), be(msgs[6] + off), be(msgs[5] + off),
-                          be(msgs[4] + off), be(msgs[3] + off), be(msgs[2] + off),
-                          be(msgs[1] + off), be(msgs[0] + off));
-}
-
-}  // namespace
-
-__attribute__((target("avx2"))) void sha256_avx2_x8(
-    const std::uint8_t* const msgs[8], std::size_t nblocks, Hash32 out[8]) noexcept {
-  // One state word per vector, one message per 32-bit lane.
-  __m256i s[8];
-  for (int j = 0; j < 8; ++j) s[j] = _mm256_set1_epi32(static_cast<int>(kSha256Init[j]));
-
-  for (std::size_t blk = 0; blk < nblocks; ++blk) {
-    __m256i w[64];
-    for (int t = 0; t < 16; ++t) w[t] = load_words(msgs, blk, t);
-    for (int t = 16; t < 64; ++t) {
-      const __m256i s0 = _mm256_xor_si256(
-          _mm256_xor_si256(rotr8(w[t - 15], 7), rotr8(w[t - 15], 18)),
-          _mm256_srli_epi32(w[t - 15], 3));
-      const __m256i s1 = _mm256_xor_si256(
-          _mm256_xor_si256(rotr8(w[t - 2], 17), rotr8(w[t - 2], 19)),
-          _mm256_srli_epi32(w[t - 2], 10));
-      w[t] = _mm256_add_epi32(_mm256_add_epi32(w[t - 16], s0),
-                              _mm256_add_epi32(w[t - 7], s1));
-    }
-
-    __m256i a = s[0], b = s[1], c = s[2], d = s[3];
-    __m256i e = s[4], f = s[5], g = s[6], h = s[7];
-
-    for (int t = 0; t < 64; ++t) {
-      const __m256i big_s1 =
-          _mm256_xor_si256(_mm256_xor_si256(rotr8(e, 6), rotr8(e, 11)), rotr8(e, 25));
-      const __m256i ch =
-          _mm256_xor_si256(_mm256_and_si256(e, f), _mm256_andnot_si256(e, g));
-      const __m256i t1 = _mm256_add_epi32(
-          _mm256_add_epi32(_mm256_add_epi32(h, big_s1), ch),
-          _mm256_add_epi32(_mm256_set1_epi32(static_cast<int>(kSha256Round[t])), w[t]));
-      const __m256i big_s0 =
-          _mm256_xor_si256(_mm256_xor_si256(rotr8(a, 2), rotr8(a, 13)), rotr8(a, 22));
-      const __m256i maj = _mm256_xor_si256(
-          _mm256_xor_si256(_mm256_and_si256(a, b), _mm256_and_si256(a, c)),
-          _mm256_and_si256(b, c));
-      const __m256i t2 = _mm256_add_epi32(big_s0, maj);
-      h = g;
-      g = f;
-      f = e;
-      e = _mm256_add_epi32(d, t1);
-      d = c;
-      c = b;
-      b = a;
-      a = _mm256_add_epi32(t1, t2);
-    }
-
-    s[0] = _mm256_add_epi32(s[0], a);
-    s[1] = _mm256_add_epi32(s[1], b);
-    s[2] = _mm256_add_epi32(s[2], c);
-    s[3] = _mm256_add_epi32(s[3], d);
-    s[4] = _mm256_add_epi32(s[4], e);
-    s[5] = _mm256_add_epi32(s[5], f);
-    s[6] = _mm256_add_epi32(s[6], g);
-    s[7] = _mm256_add_epi32(s[7], h);
-  }
-
-  // Transpose back: lane i's eight state words become digest i.
-  alignas(32) std::uint32_t words[8][8];  // [state word][lane]
-  for (int j = 0; j < 8; ++j)
-    _mm256_store_si256(reinterpret_cast<__m256i*>(words[j]), s[j]);
-  for (int lane = 0; lane < 8; ++lane) {
-    for (int j = 0; j < 8; ++j) {
-      const std::uint32_t v = words[j][lane];
-      out[lane].bytes[static_cast<std::size_t>(j * 4)] = static_cast<std::uint8_t>(v >> 24);
-      out[lane].bytes[static_cast<std::size_t>(j * 4 + 1)] = static_cast<std::uint8_t>(v >> 16);
-      out[lane].bytes[static_cast<std::size_t>(j * 4 + 2)] = static_cast<std::uint8_t>(v >> 8);
-      out[lane].bytes[static_cast<std::size_t>(j * 4 + 3)] = static_cast<std::uint8_t>(v);
-    }
-  }
-}
-
 #else  // !BMG_SHA_X86
 
 bool cpu_has_sha_ni() noexcept { return false; }
-bool cpu_has_avx2() noexcept { return false; }
 
 void compress_shani(std::uint32_t state[8], const std::uint8_t* data,
                     std::size_t nblocks) noexcept {
   // Unreachable: callers gate on cpu_has_sha_ni().
   compress_scalar(state, data, nblocks);
-}
-
-void sha256_avx2_x8(const std::uint8_t* const[8], std::size_t, Hash32[8]) noexcept {
-  std::abort();  // unreachable: callers gate on cpu_has_avx2()
 }
 
 #endif  // BMG_SHA_X86

@@ -671,9 +671,10 @@ void GuestContract::op_handshake(host::TxContext& ctx, Decoder& d) {
         const ibc::PortId port = b.str();
         const ibc::ConnectionId conn = b.str();
         const ibc::PortId cp_port = b.str();
-        const auto order = static_cast<ibc::ChannelOrder>(b.u8());
+        if (b.u8() != ibc::kUnorderedChannel)
+          throw host::TxError("handshake: only unordered channels are supported");
         b.expect_done();
-        const ibc::ChannelId id = module_.chan_open_init(port, conn, cp_port, order);
+        const ibc::ChannelId id = module_.chan_open_init(port, conn, cp_port);
         ctx.emit_event("ChanOpenInit", bytes_of(id));
         return;
       }
@@ -685,10 +686,11 @@ void GuestContract::op_handshake(host::TxContext& ctx, Decoder& d) {
         const auto end = ibc::ChannelEnd::decode(b.bytes());
         const ibc::Height h = b.u64();
         const auto proof = trie::Proof::deserialize(b.bytes());
-        const auto order = static_cast<ibc::ChannelOrder>(b.u8());
+        if (b.u8() != ibc::kUnorderedChannel)
+          throw host::TxError("handshake: only unordered channels are supported");
         b.expect_done();
         const ibc::ChannelId id =
-            module_.chan_open_try(port, conn, cp_port, cp_chan, end, h, proof, order);
+            module_.chan_open_try(port, conn, cp_port, cp_chan, end, h, proof);
         ctx.emit_event("ChanOpenTry", bytes_of(id));
         return;
       }

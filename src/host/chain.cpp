@@ -3,14 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
-#include "crypto/sha256.hpp"
-
 namespace bmg::host {
-
-Hash32 TxContext::sha256(ByteView data) {
-  consume_cu(kCuSha256Base + kCuSha256PerByte * data.size());
-  return crypto::Sha256::digest(data);
-}
 
 void TxContext::emit_event(std::string name, Bytes data) {
   chain_.tx_event_buffer_.push_back(
@@ -73,8 +66,6 @@ std::uint64_t Chain::rent_deposits(const crypto::PublicKey& payer) const {
   const auto it = rent_deposits_.find(payer);
   return it == rent_deposits_.end() ? 0 : it->second;
 }
-
-double Chain::time() const noexcept { return sim_.now(); }
 
 void Chain::start() {
   if (started_) return;

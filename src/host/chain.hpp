@@ -154,7 +154,6 @@ class Chain {
   void cancel_rooted(RootedWaitId id);
 
   [[nodiscard]] std::uint64_t slot() const noexcept { return slot_; }
-  [[nodiscard]] double time() const noexcept;
 
   // -- accounting -----------------------------------------------------
   struct PayerStats {

@@ -38,9 +38,6 @@ inline constexpr std::uint64_t kLamportsPerSignature = 5000;
 /// 3480 lamports/byte-year; 10 MiB => ~73 SOL ~= 14.6 k$ (§V-D).
 inline constexpr std::uint64_t kRentLamportsPerByte = 6960;
 
-/// Compute-unit costs of metered syscalls.
-inline constexpr std::uint64_t kCuSha256Base = 85;
-inline constexpr std::uint64_t kCuSha256PerByte = 1;
 /// Per-signature cost charged for Ed25519 pre-compile verification.
 inline constexpr std::uint64_t kCuEd25519PerSig = 30'000;
 /// Flat per-instruction dispatch cost.

@@ -35,7 +35,7 @@ class AccountSizeExceeded : public TxError {
 class Chain;
 
 /// Per-transaction execution context handed to programs.  Provides
-/// metered syscalls, the verified pre-compile signatures, event
+/// compute metering, the verified pre-compile signatures, event
 /// emission and block introspection.
 class TxContext {
  public:
@@ -49,9 +49,6 @@ class TxContext {
     if (cu_used_ > max_cu_) throw ComputeBudgetExceeded();
   }
   [[nodiscard]] std::uint64_t cu_used() const noexcept { return cu_used_; }
-
-  /// Metered SHA-256 syscall.
-  [[nodiscard]] Hash32 sha256(ByteView data);
 
   /// Signatures verified by the runtime's Ed25519 pre-compile before
   /// execution started.  Contracts trust these (Solana's instruction

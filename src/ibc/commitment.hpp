@@ -29,7 +29,6 @@ enum class KeyKind : std::uint8_t {
   kPacketCommitment = 0x01,  ///< sender side: packet sent
   kPacketReceipt = 0x02,     ///< receiver side: packet delivered
   kPacketAck = 0x03,         ///< receiver side: acknowledgement written
-  kNextSequenceRecv = 0x04,  ///< ordered channels: next expected sequence (seq = 0)
   kChannel = 0x10,           ///< channel end commitment (seq = 0)
   kConnection = 0x11,        ///< connection end commitment (seq = 0)
   kClientState = 0x12,       ///< light client state commitment (seq = 0)

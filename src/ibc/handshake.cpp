@@ -30,7 +30,7 @@ Hash32 ConnectionEnd::commitment() const { return crypto::Sha256::digest(encode(
 Bytes ChannelEnd::encode() const {
   Encoder e;
   e.u8(static_cast<std::uint8_t>(state))
-      .u8(static_cast<std::uint8_t>(order))
+      .u8(kUnorderedChannel)
       .str(connection)
       .str(counterparty_port)
       .str(counterparty_channel);
@@ -41,7 +41,8 @@ ChannelEnd ChannelEnd::decode(ByteView wire) {
   Decoder d(wire);
   ChannelEnd c;
   c.state = static_cast<ChannelState>(d.u8());
-  c.order = static_cast<ChannelOrder>(d.u8());
+  if (d.u8() != kUnorderedChannel)
+    throw CodecError("channel end: order byte is not unordered");
   c.connection = d.str();
   c.counterparty_port = d.str();
   c.counterparty_channel = d.str();

@@ -27,24 +27,17 @@ struct ConnectionEnd {
   friend bool operator==(const ConnectionEnd&, const ConnectionEnd&) = default;
 };
 
-enum class ChannelState : std::uint8_t {
-  kInit = 1,
-  kTryOpen = 2,
-  kOpen = 3,
-  kClosed = 4,
-};
+enum class ChannelState : std::uint8_t { kInit = 1, kTryOpen = 2, kOpen = 3 };
 
-/// ICS-4 channel ordering.  Unordered channels deliver packets in any
-/// order and guard replays with receipts; ordered channels enforce
-/// strictly sequential delivery and close on timeout.
-enum class ChannelOrder : std::uint8_t {
-  kUnordered = 1,
-  kOrdered = 2,
-};
+/// ICS-4 order byte of an unordered channel, the only kind this stack
+/// opens: the paper deploys one unordered ICS-20 channel, which
+/// delivers packets in any order and guards replays with receipts.
+/// Channel ends and the guest's ChanOpenInit / ChanOpenTry instruction
+/// data still carry the byte; their decoders reject any other value.
+inline constexpr std::uint8_t kUnorderedChannel = 1;
 
 struct ChannelEnd {
   ChannelState state = ChannelState::kInit;
-  ChannelOrder order = ChannelOrder::kUnordered;
   ConnectionId connection;
   PortId counterparty_port;
   ChannelId counterparty_channel;  ///< empty until learned

@@ -1,8 +1,5 @@
 #include "ibc/module.hpp"
 
-#include <array>
-#include <span>
-
 #include "crypto/sha256.hpp"
 
 namespace bmg::ibc {
@@ -139,15 +136,6 @@ void IbcModule::store_channel(const PortId& port, const ChannelId& id,
     it->second.end = end;
   }
   store_.set(channel_key(port, id), end.commitment());
-
-  // Ordered channels commit their next-sequence-recv from the moment
-  // they open, so even the first packet's timeout is provable.
-  if (end.order == ChannelOrder::kOrdered && end.state == ChannelState::kOpen) {
-    Encoder nr;
-    nr.u64(channels_.at({port, id}).next_recv);
-    store_.set(packet_key(KeyKind::kNextSequenceRecv, port, id, 0),
-               crypto::Sha256::digest(nr.out()));
-  }
 }
 
 // --- connection handshake ----------------------------------------------------
@@ -241,15 +229,13 @@ void IbcModule::conn_open_confirm(const ConnectionId& connection_id,
 // --- channel handshake --------------------------------------------------------
 
 ChannelId IbcModule::chan_open_init(const PortId& port, const ConnectionId& connection_id,
-                                    const PortId& counterparty_port,
-                                    ChannelOrder order) {
+                                    const PortId& counterparty_port) {
   const ConnectionEnd& conn = connection(connection_id);
   if (conn.state != ConnectionState::kOpen)
     throw IbcError("chan_open_init: connection not open");
   const ChannelId id = "channel-" + std::to_string(next_channel_++);
   ChannelEnd end;
   end.state = ChannelState::kInit;
-  end.order = order;
   end.connection = connection_id;
   end.counterparty_port = counterparty_port;
   store_channel(port, id, end);
@@ -260,15 +246,12 @@ ChannelId IbcModule::chan_open_try(const PortId& port, const ConnectionId& conne
                                    const PortId& counterparty_port,
                                    const ChannelId& counterparty_channel,
                                    const ChannelEnd& counterparty_end,
-                                   Height proof_height, const trie::Proof& proof,
-                                   ChannelOrder order) {
+                                   Height proof_height, const trie::Proof& proof) {
   const ConnectionEnd& conn = connection(connection_id);
   if (conn.state != ConnectionState::kOpen)
     throw IbcError("chan_open_try: connection not open");
   if (counterparty_end.state != ChannelState::kInit)
     throw IbcError("chan_open_try: counterparty end not in INIT");
-  if (counterparty_end.order != order)
-    throw IbcError("chan_open_try: channel ordering mismatch");
   if (counterparty_end.counterparty_port != port)
     throw IbcError("chan_open_try: counterparty end names a different port");
 
@@ -279,7 +262,6 @@ ChannelId IbcModule::chan_open_try(const PortId& port, const ConnectionId& conne
   const ChannelId id = "channel-" + std::to_string(next_channel_++);
   ChannelEnd end;
   end.state = ChannelState::kTryOpen;
-  end.order = order;
   end.connection = connection_id;
   end.counterparty_port = counterparty_port;
   end.counterparty_channel = counterparty_channel;
@@ -330,32 +312,6 @@ void IbcModule::chan_open_confirm(const PortId& port, const ChannelId& channel_i
   store_channel(port, channel_id, end);
 }
 
-void IbcModule::chan_close_init(const PortId& port, const ChannelId& channel_id) {
-  ChannelRecord& rec = channel_record(port, channel_id);
-  if (rec.end.state != ChannelState::kOpen)
-    throw IbcError("chan_close_init: channel not open");
-  ChannelEnd end = rec.end;
-  end.state = ChannelState::kClosed;
-  store_channel(port, channel_id, end);
-}
-
-void IbcModule::chan_close_confirm(const PortId& port, const ChannelId& channel_id,
-                                   const ChannelEnd& counterparty_end,
-                                   Height proof_height, const trie::Proof& proof) {
-  ChannelRecord& rec = channel_record(port, channel_id);
-  if (rec.end.state != ChannelState::kOpen)
-    throw IbcError("chan_close_confirm: channel not open");
-  if (counterparty_end.state != ChannelState::kClosed)
-    throw IbcError("chan_close_confirm: counterparty end not CLOSED");
-  const ConnectionEnd& conn = connection(rec.end.connection);
-  verify_membership(conn, proof_height, proof,
-                    channel_key(rec.end.counterparty_port, rec.end.counterparty_channel),
-                    counterparty_end.commitment(), "chan_close_confirm");
-  ChannelEnd end = rec.end;
-  end.state = ChannelState::kClosed;
-  store_channel(port, channel_id, end);
-}
-
 // --- packets -----------------------------------------------------------------
 
 Packet IbcModule::send_packet(const PortId& port, const ChannelId& channel_id,
@@ -402,22 +358,12 @@ Acknowledgement IbcModule::recv_packet(const Packet& packet, Height proof_height
   if (packet.timeout_timestamp != 0 && self_time >= packet.timeout_timestamp)
     throw IbcError("recv_packet: packet timed out (timestamp)");
 
-  const bool ordered = rec.end.order == ChannelOrder::kOrdered;
-
-  // Double-delivery guard.  Unordered channels use the sealable-trie
-  // receipt mechanism of §III-A (a sealed receipt is just as blocking
-  // as a live one); ordered channels enforce strict sequencing.
+  // Double-delivery guard: the sealable-trie receipt mechanism of
+  // §III-A (a sealed receipt is just as blocking as a live one).
   const auto receipt_key = packet_key(KeyKind::kPacketReceipt, packet.dest_port,
                                        packet.dest_channel, packet.sequence);
-  if (ordered) {
-    if (packet.sequence != rec.next_recv)
-      throw IbcError("recv_packet: out-of-order delivery on ordered channel (want " +
-                     std::to_string(rec.next_recv) + ", got " +
-                     std::to_string(packet.sequence) + ")");
-  } else {
-    if (store_.get(receipt_key) != trie::SealableTrie::Lookup::kAbsent)
-      throw IbcError("recv_packet: packet already delivered");
-  }
+  if (store_.get(receipt_key) != trie::SealableTrie::Lookup::kAbsent)
+    throw IbcError("recv_packet: packet already delivered");
 
   // Verify the sender's commitment.
   const ConnectionEnd& conn = connection(rec.end.connection);
@@ -434,31 +380,17 @@ Acknowledgement IbcModule::recv_packet(const Packet& packet, Height proof_height
     ack = Acknowledgement::fail(e.what());
   }
 
-  // Record the delivery.  Ordered channels commit the bumped
-  // next-sequence-recv (updated in place, nothing to seal); unordered
-  // channels write a receipt and seal behind the watermark.
-  if (ordered) {
-    ++rec.next_recv;
-    std::array<std::uint8_t, 8> nr_buf;
-    Encoder nr{std::span<std::uint8_t>(nr_buf)};
-    nr.u64(rec.next_recv);
-    store_.set(packet_key(KeyKind::kNextSequenceRecv, packet.dest_port,
-                          packet.dest_channel, 0),
-               crypto::Sha256::digest(nr.out()));
-  } else {
-    store_.set(receipt_key, crypto::Sha256::digest(bytes_of("receipt")));
-  }
+  // Record the delivery: a receipt, sealed behind the watermark.
+  store_.set(receipt_key, crypto::Sha256::digest(bytes_of("receipt")));
   store_.set(packet_key(KeyKind::kPacketAck, packet.dest_port, packet.dest_channel,
                         packet.sequence),
              ack.commitment());
   ack_log_[std::make_tuple(packet.dest_port, packet.dest_channel, packet.sequence)] =
       ack;
   rec.receipts.mark(packet.sequence);
-  if (!ordered) {
-    for (const std::uint64_t seq : rec.receipts.drain_sealable())
-      store_.seal(packet_key(KeyKind::kPacketReceipt, packet.dest_port,
-                             packet.dest_channel, seq));
-  }
+  for (const std::uint64_t seq : rec.receipts.drain_sealable())
+    store_.seal(packet_key(KeyKind::kPacketReceipt, packet.dest_port,
+                           packet.dest_channel, seq));
   // Acks seal on the same watermark but lagged, so relayers can still
   // prove recently-written acknowledgements to the counterparty.
   rec.acks.mark(packet.sequence);
@@ -507,8 +439,6 @@ void IbcModule::acknowledge_packet(const Packet& packet, const Acknowledgement& 
 void IbcModule::timeout_packet(const Packet& packet, Height proof_height,
                                const trie::Proof& receipt_absence_proof) {
   ChannelRecord& rec = channel_record(packet.source_port, packet.source_channel);
-  if (rec.end.order == ChannelOrder::kOrdered)
-    throw IbcError("timeout_packet: use timeout_packet_ordered for ordered channels");
 
   const auto ckey = packet_key(KeyKind::kPacketCommitment, packet.source_port,
                                 packet.source_channel, packet.sequence);
@@ -539,60 +469,6 @@ void IbcModule::timeout_packet(const Packet& packet, Height proof_height,
   sent_packets_.erase(
       std::make_tuple(packet.source_port, packet.source_channel, packet.sequence));
   app_for(packet.source_port).on_timeout(packet);
-}
-
-void IbcModule::timeout_packet_ordered(const Packet& packet,
-                                       std::uint64_t claimed_next_recv,
-                                       Height proof_height, const trie::Proof& proof) {
-  ChannelRecord& rec = channel_record(packet.source_port, packet.source_channel);
-  if (rec.end.order != ChannelOrder::kOrdered)
-    throw IbcError("timeout_packet_ordered: channel is unordered");
-
-  const auto ckey = packet_key(KeyKind::kPacketCommitment, packet.source_port,
-                                packet.source_channel, packet.sequence);
-  Hash32 committed;
-  if (store_.get(ckey, &committed) != trie::SealableTrie::Lookup::kFound)
-    throw IbcError("timeout_packet_ordered: no pending commitment");
-  if (committed != packet.compute_commitment())
-    throw IbcError("timeout_packet_ordered: packet does not match commitment");
-  if (rec.resolved_commitments.is_marked(packet.sequence))
-    throw IbcError("timeout_packet_ordered: already resolved");
-
-  const ConnectionEnd& conn = connection(rec.end.connection);
-  const ConsensusState cs = consensus_for(conn, proof_height, "timeout_packet_ordered");
-  const bool height_passed =
-      packet.timeout_height != 0 && proof_height >= packet.timeout_height;
-  const bool time_passed =
-      packet.timeout_timestamp != 0 && cs.timestamp >= packet.timeout_timestamp;
-  if (!height_passed && !time_passed)
-    throw IbcError("timeout_packet_ordered: timeout has not passed at proof height");
-  if (claimed_next_recv > packet.sequence)
-    throw IbcError("timeout_packet_ordered: packet was already delivered");
-
-  // The counterparty commits H(next_recv) at a fixed key; verify the
-  // claimed value against it.
-  std::array<std::uint8_t, 8> nr_buf;
-  Encoder nr{std::span<std::uint8_t>(nr_buf)};
-  nr.u64(claimed_next_recv);
-  verify_membership(conn, proof_height, proof,
-                    packet_key(KeyKind::kNextSequenceRecv, packet.dest_port,
-                               packet.dest_channel, 0),
-                    crypto::Sha256::digest(nr.out()), "timeout_packet_ordered");
-
-  rec.resolved_commitments.mark(packet.sequence);
-  seal_resolved(packet.source_port, packet.source_channel, rec);
-  sent_packets_.erase(
-      std::make_tuple(packet.source_port, packet.source_channel, packet.sequence));
-  // ICS-4: a timed-out ordered channel closes.
-  ChannelEnd end = rec.end;
-  end.state = ChannelState::kClosed;
-  store_channel(packet.source_port, packet.source_channel, end);
-  app_for(packet.source_port).on_timeout(packet);
-}
-
-std::uint64_t IbcModule::next_recv_sequence(const PortId& port,
-                                            const ChannelId& id) const {
-  return channel_record(port, id).next_recv;
 }
 
 // --- apps / lookup -------------------------------------------------------------
@@ -692,7 +568,6 @@ IbcModule::ChannelSequences IbcModule::sequences(const PortId& port,
   const ChannelRecord& rec = channel_record(port, channel);
   ChannelSequences s;
   s.next_send = rec.next_send;
-  s.next_recv = rec.next_recv;
   s.resolved_watermark = rec.resolved_commitments.watermark();
   s.receipts_watermark = rec.receipts.watermark();
   s.acks_watermark = rec.acks.watermark();

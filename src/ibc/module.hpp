@@ -111,14 +111,12 @@ class IbcModule {
 
   // -- channel handshake (ICS-4) ----------------------------------------
   ChannelId chan_open_init(const PortId& port, const ConnectionId& connection,
-                           const PortId& counterparty_port,
-                           ChannelOrder order = ChannelOrder::kUnordered);
+                           const PortId& counterparty_port);
   ChannelId chan_open_try(const PortId& port, const ConnectionId& connection,
                           const PortId& counterparty_port,
                           const ChannelId& counterparty_channel,
                           const ChannelEnd& counterparty_end, Height proof_height,
-                          const trie::Proof& proof,
-                          ChannelOrder order = ChannelOrder::kUnordered);
+                          const trie::Proof& proof);
   void chan_open_ack(const PortId& port, const ChannelId& channel,
                      const ChannelId& counterparty_channel,
                      const ChannelEnd& counterparty_end, Height proof_height,
@@ -126,13 +124,6 @@ class IbcModule {
   void chan_open_confirm(const PortId& port, const ChannelId& channel,
                          const ChannelEnd& counterparty_end, Height proof_height,
                          const trie::Proof& proof);
-
-  /// Closes this end of a channel (apps or governance initiate).
-  void chan_close_init(const PortId& port, const ChannelId& channel);
-  /// Closes this end after proving the counterparty closed theirs.
-  void chan_close_confirm(const PortId& port, const ChannelId& channel,
-                          const ChannelEnd& counterparty_end, Height proof_height,
-                          const trie::Proof& proof);
 
   // -- packet flow (ICS-4, unordered channels) ---------------------------
   /// Commits an outgoing packet; returns it with the assigned sequence
@@ -154,20 +145,10 @@ class IbcModule {
                           Height proof_height, const trie::Proof& proof);
 
   /// Proves the packet was never delivered before its timeout and
-  /// releases it (refunds etc. via the app callback).  Unordered
-  /// channels prove the *absence* of the receipt.
+  /// releases it (refunds etc. via the app callback): the proof shows
+  /// the *absence* of the counterparty's receipt.
   void timeout_packet(const Packet& packet, Height proof_height,
                       const trie::Proof& receipt_absence_proof);
-
-  /// Ordered-channel timeout: proves the counterparty's
-  /// next-sequence-recv is still <= the packet's sequence.  Per ICS-4
-  /// a timed-out ordered channel closes.
-  void timeout_packet_ordered(const Packet& packet, std::uint64_t claimed_next_recv,
-                              Height proof_height, const trie::Proof& proof);
-
-  /// Next sequence this chain expects to receive on an ordered channel.
-  [[nodiscard]] std::uint64_t next_recv_sequence(const PortId& port,
-                                                 const ChannelId& id) const;
 
   // -- apps ---------------------------------------------------------------
   void bind_port(const PortId& port, IbcApp* app);
@@ -225,7 +206,6 @@ class IbcModule {
   /// auditor's monotonicity surface).
   struct ChannelSequences {
     std::uint64_t next_send = 1;
-    std::uint64_t next_recv = 1;
     std::uint64_t resolved_watermark = 0;
     std::uint64_t receipts_watermark = 0;
     std::uint64_t acks_watermark = 0;
@@ -251,7 +231,6 @@ class IbcModule {
   struct ChannelRecord {
     ChannelEnd end;
     std::uint64_t next_send = 1;
-    std::uint64_t next_recv = 1;  ///< ordered channels only
     SeqTracker resolved_commitments;  ///< acked or timed-out outgoing packets
     SeqTracker receipts;              ///< delivered incoming packets
     SeqTracker acks;                  ///< written acknowledgements (lagged sealing)

@@ -22,11 +22,6 @@ void ValidatorSet::add(crypto::PublicKey key, std::uint64_t stake) {
   invalidate();
 }
 
-void ValidatorSet::assign(std::vector<ValidatorInfo> validators) {
-  validators_ = std::move(validators);
-  invalidate();
-}
-
 std::uint64_t ValidatorSet::total_stake() const {
   if (!total_stake_) {
     std::uint64_t sum = 0;

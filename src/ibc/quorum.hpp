@@ -58,8 +58,6 @@ class ValidatorSet {
 
   /// Appends one validator.  Invalidates the caches.
   void add(crypto::PublicKey key, std::uint64_t stake);
-  /// Replaces the whole set.  Invalidates the caches.
-  void assign(std::vector<ValidatorInfo> validators);
 
   [[nodiscard]] std::uint64_t total_stake() const;
   /// Stake strictly required to finalise: > 2/3 of total.

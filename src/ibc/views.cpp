@@ -1,8 +1,6 @@
 #include "ibc/views.hpp"
 
-#include <array>
 #include <cstring>
-#include <span>
 
 #include "common/codec.hpp"
 #include "crypto/sha256.hpp"
@@ -16,67 +14,6 @@ namespace {
   return v;
 }
 }  // namespace
-
-PacketView PacketView::parse(ByteView wire) {
-  Decoder d(wire);
-  PacketView v;
-  v.sequence = d.u64();
-  v.source_port = d.str_view();
-  v.source_channel = d.str_view();
-  v.dest_port = d.str_view();
-  v.dest_channel = d.str_view();
-  v.data = d.bytes_view();
-  v.timeout_height = d.u64();
-  v.timeout_micros = d.u64();
-  d.expect_done();
-  v.wire = wire;
-  return v;
-}
-
-Hash32 PacketView::commitment() const {
-  const Hash32 data_hash = crypto::Sha256::digest(data);
-  std::array<std::uint8_t, 8 + 8 + 32> preimage;
-  Encoder e{std::span<std::uint8_t>(preimage)};
-  e.u64(timeout_height).u64(timeout_micros).hash(data_hash);
-  return crypto::Sha256::digest(e.out());
-}
-
-Packet PacketView::to_owned() const {
-  Packet p;
-  p.sequence = sequence;
-  p.source_port = PortId(source_port);
-  p.source_channel = ChannelId(source_channel);
-  p.dest_port = PortId(dest_port);
-  p.dest_channel = ChannelId(dest_channel);
-  p.data = Bytes(data.begin(), data.end());
-  p.timeout_height = timeout_height;
-  p.timeout_timestamp = timeout_timestamp();
-  return p;
-}
-
-AckView AckView::parse(ByteView wire) {
-  Decoder d(wire);
-  AckView v;
-  v.success = d.boolean();
-  if (v.success) {
-    v.result = d.bytes_view();
-  } else {
-    v.error = d.str_view();
-  }
-  d.expect_done();
-  v.wire = wire;
-  return v;
-}
-
-Hash32 AckView::commitment() const { return crypto::Sha256::digest(wire); }
-
-Acknowledgement AckView::to_owned() const {
-  Acknowledgement a;
-  a.success = success;
-  a.result = Bytes(result.begin(), result.end());
-  a.error = std::string(error);
-  return a;
-}
 
 QuorumHeaderView QuorumHeaderView::parse(ByteView wire) {
   Decoder d(wire);
@@ -124,8 +61,6 @@ ValidatorSetView ValidatorSetView::parse(ByteView wire) {
 std::uint64_t ValidatorSetView::stake_at(std::uint32_t i) const noexcept {
   return read_u64_be(records.data() + std::size_t{40} * i + 32);
 }
-
-Hash32 ValidatorSetView::hash() const { return crypto::Sha256::digest(wire); }
 
 ValidatorSet ValidatorSetView::to_owned() const {
   std::vector<ValidatorInfo> vals;

@@ -1,12 +1,14 @@
 // Flat zero-copy decode views over wire bytes (the per-event hot path).
 //
-// The owning decode structs (`Packet::decode`, `SignedQuorumHeader::
-// decode`, ...) copy every field onto the heap.  On the hot path —
-// a relayer or light client that reads a blob once, checks it, and
-// hashes it — those copies are pure overhead.  Each view here parses
-// the same wire format but *borrows* the input: variable-length fields
-// become string_view/ByteView into the original buffer, fixed fields
-// are decoded by value, and every bound (including trailing bytes and
+// The owning decode structs (`SignedQuorumHeader::decode`,
+// `ValidatorSet::decode`) copy every field onto the heap.  On the hot
+// path — a light client that reads a header once, checks it, and
+// hashes it — those copies are pure overhead.  `QuorumLightClient::
+// update` parses through the views here: a signed header, its header
+// and its next validator set.  Each view parses the same wire format
+// but *borrows* the input: variable-length fields become
+// string_view/ByteView into the original buffer, fixed fields are
+// decoded by value, and every bound (including trailing bytes and
 // nested-blob exactness) is verified once at `parse()`, which throws
 // CodecError — never UB — on malformed input.
 //
@@ -26,46 +28,9 @@
 
 #include "common/bytes.hpp"
 #include "crypto/keys.hpp"
-#include "ibc/packet.hpp"
 #include "ibc/quorum.hpp"
 
 namespace bmg::ibc {
-
-/// Zero-copy mirror of `Packet`.
-struct PacketView {
-  std::uint64_t sequence = 0;
-  std::string_view source_port;
-  std::string_view source_channel;
-  std::string_view dest_port;
-  std::string_view dest_channel;
-  ByteView data;
-  Height timeout_height = 0;
-  std::uint64_t timeout_micros = 0;
-  /// The full wire encoding this view was parsed from.
-  ByteView wire;
-
-  [[nodiscard]] static PacketView parse(ByteView wire);
-  [[nodiscard]] Timestamp timeout_timestamp() const noexcept {
-    return static_cast<double>(timeout_micros) / 1e6;
-  }
-  /// Same value as `Packet::commitment()` on the decoded packet.
-  [[nodiscard]] Hash32 commitment() const;
-  [[nodiscard]] Packet to_owned() const;
-};
-
-/// Zero-copy mirror of `Acknowledgement`.
-struct AckView {
-  bool success = false;
-  ByteView result;
-  std::string_view error;
-  ByteView wire;
-
-  [[nodiscard]] static AckView parse(ByteView wire);
-  /// Same value as `Acknowledgement::commitment()`: the codec is
-  /// canonical, so this is just sha256(wire).
-  [[nodiscard]] Hash32 commitment() const;
-  [[nodiscard]] Acknowledgement to_owned() const;
-};
 
 /// Zero-copy mirror of `QuorumHeader`.
 struct QuorumHeaderView {
@@ -100,8 +65,6 @@ struct ValidatorSetView {
     return records.subspan(std::size_t{40} * i, 32);
   }
   [[nodiscard]] std::uint64_t stake_at(std::uint32_t i) const noexcept;
-  /// sha256(wire) — equals `ValidatorSet::hash()` of the decoded set.
-  [[nodiscard]] Hash32 hash() const;
   [[nodiscard]] ValidatorSet to_owned() const;
 };
 

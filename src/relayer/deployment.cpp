@@ -314,7 +314,7 @@ void Deployment::open_ibc() {
     Encoder e;
     e.u8(static_cast<std::uint8_t>(guest::HandshakeOp::kChanOpenInit));
     e.str("transfer").str(guest_conn_).str("transfer");
-    e.u8(static_cast<std::uint8_t>(ibc::ChannelOrder::kUnordered));
+    e.u8(ibc::kUnorderedChannel);
     guest_handshake_call(e.out());
     guest_channel_ = last_event_id_;
   }

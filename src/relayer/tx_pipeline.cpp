@@ -38,11 +38,6 @@ void ErrorLog::push(RelayError e) {
   size_ = std::min(size_ + 1, ring_.size());
 }
 
-void ErrorLog::clear() {
-  head_ = 0;
-  size_ = 0;
-}
-
 std::uint64_t ErrorLog::total_of(RelayErrorKind kind) const {
   return kind_totals_[static_cast<std::size_t>(kind)];
 }

@@ -83,7 +83,6 @@ class ErrorLog {
   explicit ErrorLog(std::size_t capacity = 64);
 
   void push(RelayError e);
-  void clear();
 
   [[nodiscard]] std::size_t size() const noexcept { return size_; }
   [[nodiscard]] std::size_t capacity() const noexcept { return ring_.size(); }

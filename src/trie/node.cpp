@@ -89,10 +89,6 @@ void append_leaf_preimage(Bytes& out, ByteView suffix_nibbles, const Hash32& val
   out.insert(out.end(), value.bytes.begin(), value.bytes.end());
 }
 
-void append_leaf_preimage(Bytes& out, const Nibbles& suffix, const Hash32& value) {
-  append_leaf_preimage(out, ByteView{suffix.data(), suffix.size()}, value);
-}
-
 void append_branch_preimage(Bytes& out,
                             const std::array<std::optional<Hash32>, 16>& children) {
   out.push_back(kTagBranch);
@@ -111,10 +107,6 @@ void append_extension_preimage(Bytes& out, ByteView path_nibbles, const Hash32& 
   out.push_back(static_cast<std::uint8_t>(path_nibbles.size()));
   out.insert(out.end(), path_nibbles.begin(), path_nibbles.end());
   out.insert(out.end(), child.bytes.begin(), child.bytes.end());
-}
-
-void append_extension_preimage(Bytes& out, const Nibbles& path, const Hash32& child) {
-  append_extension_preimage(out, ByteView{path.data(), path.size()}, child);
 }
 
 Hash32 hash_proof_node(const ProofNode& node) {

@@ -34,10 +34,8 @@ namespace bmg::trie {
 /// Append the canonical hash preimage (the exact bytes the hashers
 /// above digest) to `out`.  The trie's deferred commit() uses these to
 /// build a level's worth of preimages and hash them as one batch.
-void append_leaf_preimage(Bytes& out, const Nibbles& suffix, const Hash32& value);
 void append_branch_preimage(Bytes& out,
                             const std::array<std::optional<Hash32>, 16>& children);
-void append_extension_preimage(Bytes& out, const Nibbles& path, const Hash32& child);
 void append_leaf_preimage(Bytes& out, ByteView suffix_nibbles, const Hash32& value);
 void append_extension_preimage(Bytes& out, ByteView path_nibbles, const Hash32& child);
 

@@ -23,8 +23,6 @@ Proof TrieSnapshot::prove(ByteView key) const {
   return walk_prove(*im.core, im.tables, im.root, key);
 }
 
-TrieStats TrieSnapshot::stats() const { return impl().trie_stats; }
-
 // ---------------------------------------------------------------------------
 // ProofService
 

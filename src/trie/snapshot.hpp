@@ -39,9 +39,6 @@ class TrieSnapshot {
   /// SealedError if the path enters a sealed region.
   [[nodiscard]] Proof prove(ByteView key) const;
 
-  /// Storage accounting as of the snapshot.
-  [[nodiscard]] TrieStats stats() const;
-
  private:
   friend class SealableTrie;
 
@@ -49,7 +46,6 @@ class TrieSnapshot {
     std::shared_ptr<StoreCore> core;
     TableSet tables;
     RefRec root;
-    TrieStats trie_stats;
     std::uint32_t epoch = 0;
 
     ~Impl() {

@@ -472,8 +472,8 @@ void SealableTrie::commit() {
 
   // Deepest level first, so every child hash is final before its
   // parent's preimage is built.  Nodes within one level are
-  // independent — siblings or cousins — so a level is hashed as one
-  // multi-lane SHA-256 batch.
+  // independent — siblings or cousins — so a level is hashed in one
+  // sha256_batch call.
   Bytes scratch;
   std::vector<std::pair<std::size_t, std::size_t>> spans;
   std::vector<ByteView> views;
@@ -519,7 +519,6 @@ TrieSnapshot SealableTrie::snapshot() {
   impl->core = core_;
   impl->tables = std::move(pub.tables);
   impl->root = root_;
-  impl->trie_stats = stats_;
   impl->epoch = pub.epoch;
   return TrieSnapshot(std::move(impl));
 }

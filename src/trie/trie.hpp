@@ -13,8 +13,8 @@
 //
 // Writes are committed lazily: `set()` and `seal()` only mark the
 // modified spine dirty, and `commit()` recomputes the dirty hashes
-// bottom-up, batching independent siblings through the multi-lane
-// SHA-256 backend.  This mirrors the paper's Alg. 1, where the state
+// bottom-up, hashing the independent nodes of each depth in one
+// `sha256_batch` call.  This mirrors the paper's Alg. 1, where the state
 // root is committed once per guest block (GenerateBlock), not once
 // per write.  `root_hash()` and `prove()` auto-commit, so callers can
 // stay oblivious; batch writers get the speedup for free.

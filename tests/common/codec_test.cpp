@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cstdint>
+#include <span>
+
 namespace bmg {
 namespace {
 
@@ -77,6 +81,16 @@ TEST(Codec, RawPassThrough) {
   e.raw(Bytes{1, 2, 3});
   Decoder d(e.out());
   EXPECT_EQ(d.raw(3), (Bytes{1, 2, 3}));
+}
+
+TEST(ScratchEncoder, SpillsToHeapBeyondScratch) {
+  std::array<std::uint8_t, 16> scratch;
+  Encoder e{std::span<std::uint8_t>(scratch)};
+  Bytes big(200, 0xee);
+  e.bytes(big);  // exceeds the stack buffer -> transparent heap spill
+  Decoder d(e.out());
+  EXPECT_EQ(d.bytes(), big);
+  d.expect_done();
 }
 
 }  // namespace

@@ -8,8 +8,6 @@
 #include <string>
 #include <vector>
 
-#include "common/arena.hpp"
-
 namespace bmg {
 namespace {
 
@@ -113,28 +111,6 @@ TEST_F(ShardPoolTest, RemainingCellsRunAfterAFailure) {
   EXPECT_EQ(std::accumulate(ran.begin(), ran.end(), 0), 12);
 }
 
-TEST_F(ShardPoolTest, ScratchArenaUsableAndRecycledAcrossCells) {
-  // Cells may use the scratch arena freely as long as every scope
-  // closes before the cell ends; the pool resets (not frees) between
-  // cells so warm workers reuse their slabs.
-  shard::set_worker_count(2);
-  std::vector<std::size_t> sums(16, 0);
-  (void)shard::run_cells(sums.size(), [&](std::size_t c) {
-    ArenaScope scope(scratch_arena());
-    auto* p = scratch_arena().alloc_bytes(1024);
-    for (std::size_t i = 0; i < 1024; ++i) p[i] = static_cast<unsigned char>(c + i);
-    std::size_t s = 0;
-    for (std::size_t i = 0; i < 1024; ++i) s += p[i];
-    sums[c] = s;
-  });
-  for (std::size_t c = 0; c < sums.size(); ++c) {
-    std::size_t expect = 0;
-    for (std::size_t i = 0; i < 1024; ++i)
-      expect += static_cast<unsigned char>(c + i);
-    EXPECT_EQ(sums[c], expect) << c;
-  }
-}
-
 TEST_F(ShardPoolTest, CellStatsRecordTimings) {
   shard::set_worker_count(1);
   const auto stats = shard::run_cells(3, [&](std::size_t) {
@@ -151,22 +127,6 @@ TEST_F(ShardPoolTest, CellStatsRecordTimings) {
 TEST_F(ShardPoolTest, ZeroCellsIsANoop) {
   shard::set_worker_count(4);
   EXPECT_TRUE(shard::run_cells(0, [&](std::size_t) { FAIL(); }).empty());
-}
-
-using ShardPoolDeathTest = ShardPoolTest;
-
-TEST_F(ShardPoolDeathTest, LeakedArenaScopeAbortsAtCellBoundary) {
-  // An ArenaScope (or bare alloc) that survives past the cell body is
-  // a cross-shard bleed: the guard must abort, not carry on.
-  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-  shard::set_worker_count(1);
-  EXPECT_DEATH(
-      {
-        (void)shard::run_cells(1, [&](std::size_t) {
-          (void)scratch_arena().alloc_bytes(64);  // no scope: leaks
-        });
-      },
-      "leaked across a shard boundary");
 }
 
 }  // namespace

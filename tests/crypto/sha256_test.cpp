@@ -113,14 +113,13 @@ TEST(Sha256, MultiMegabyteMatchesOneShot) {
 
 // --- fast-path vs scalar property tests ------------------------------------
 //
-// Whatever SIMD backends this CPU offers must agree byte-for-byte with
-// the portable scalar implementation on random inputs of every length
+// SHA-NI, where this CPU offers it, must agree byte-for-byte with the
+// portable scalar implementation on random inputs of every length
 // class: sub-block, padding edges, multi-block, and large.
 
 std::vector<Sha256Impl> available_accelerated() {
   std::vector<Sha256Impl> impls;
-  for (Sha256Impl impl : {Sha256Impl::kShaNi, Sha256Impl::kAvx2})
-    if (sha256_impl_available(impl)) impls.push_back(impl);
+  if (sha256_impl_available(Sha256Impl::kShaNi)) impls.push_back(Sha256Impl::kShaNi);
   return impls;
 }
 
@@ -154,10 +153,9 @@ TEST(Sha256FastPath, AcceleratedMatchesScalarAtPaddingEdges) {
 }
 
 TEST(Sha256FastPath, BatchMatchesSerialDigests) {
-  // The multi-way batch API (used by the trie's deferred commit) must
-  // produce exactly the per-message digests, for any batch size and a
-  // mix of message lengths — including the lane-grouping edge cases
-  // around multiples of 8.
+  // The batch API (used by the trie's deferred commit) must produce
+  // exactly the per-message digests, for any batch size and a mix of
+  // message lengths.
   Rng rng(0xb47c4);
   for (const std::size_t n : {1u, 2u, 7u, 8u, 9u, 15u, 16u, 23u, 64u}) {
     std::vector<Bytes> msgs(n);
@@ -180,13 +178,11 @@ TEST(Sha256FastPath, ForcedBatchBackendsMatchScalar) {
   std::vector<Bytes> msgs(n);
   std::vector<ByteView> views(n);
   for (std::size_t i = 0; i < n; ++i) {
-    // Repeat lengths so the AVX2 grouping gets full 8-wide lanes.
     msgs[i].resize(40 + 30 * (i % 3));
     for (auto& b : msgs[i]) b = static_cast<std::uint8_t>(rng.next());
     views[i] = msgs[i];
   }
-  for (Sha256Impl impl :
-       {Sha256Impl::kScalar, Sha256Impl::kShaNi, Sha256Impl::kAvx2}) {
+  for (Sha256Impl impl : {Sha256Impl::kScalar, Sha256Impl::kShaNi}) {
     if (!sha256_impl_available(impl)) continue;
     std::vector<Hash32> out(n);
     sha256_batch_with(impl, views.data(), n, out.data());
@@ -198,9 +194,8 @@ TEST(Sha256FastPath, ForcedBatchBackendsMatchScalar) {
 
 TEST(Sha256FastPath, UnavailableBackendThrows) {
   // The testing hooks must refuse rather than silently fall back.
-  for (Sha256Impl impl : {Sha256Impl::kShaNi, Sha256Impl::kAvx2}) {
-    if (sha256_impl_available(impl)) continue;
-    EXPECT_THROW((void)sha256_digest_with(impl, {}), std::runtime_error);
+  if (!sha256_impl_available(Sha256Impl::kShaNi)) {
+    EXPECT_THROW((void)sha256_digest_with(Sha256Impl::kShaNi, {}), std::runtime_error);
   }
   EXPECT_TRUE(sha256_impl_available(Sha256Impl::kScalar));
 }

@@ -646,7 +646,7 @@ std::string read_surfaces(relayer::Deployment& d, const std::vector<PublicKey>& 
       << audit::token_state_digest(g.bank()) << "\nclient "
       << g.counterparty_client().latest_height() << "\n";
   const auto seq = g.ibc().sequences("transfer", d.guest_channel());
-  out << "seq " << seq.next_send << " " << seq.next_recv << " " << seq.resolved_watermark
+  out << "seq " << seq.next_send << " " << seq.resolved_watermark
       << " " << seq.receipts_watermark << " " << seq.acks_watermark << "\n";
   const ibc::IbcModule& m = g.ibc();
   for (std::uint64_t n = 1; n <= 16; ++n) {

@@ -38,7 +38,6 @@ TEST_F(NegativeTest, UnknownConnectionThrows) {
 TEST_F(NegativeTest, UnknownChannelThrows) {
   EXPECT_THROW((void)module.channel("transfer", "channel-9"), IbcError);
   EXPECT_THROW((void)module.next_send_sequence("transfer", "channel-9"), IbcError);
-  EXPECT_THROW(module.chan_close_init("transfer", "channel-9"), IbcError);
 }
 
 TEST_F(NegativeTest, ChannelOnUnopenedConnectionRejected) {

