@@ -77,6 +77,26 @@ void BM_Ed25519Sign(benchmark::State& state) {
 }
 BENCHMARK(BM_Ed25519Sign);
 
+// One counterparty commit: n validator keys sign one digest in one
+// call, eight nonce multiplies at a time where the CPU has AVX-512
+// IFMA.  Per-signature time against BM_Ed25519Sign is what batching
+// the commit saves.
+void BM_Ed25519SignBatch(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  std::vector<crypto::PrivateKey> keys;
+  for (std::size_t i = 0; i < n; ++i)
+    keys.push_back(crypto::PrivateKey::from_label("commit-" + std::to_string(i)));
+  std::vector<const crypto::PrivateKey*> ptrs;
+  for (const crypto::PrivateKey& k : keys) ptrs.push_back(&k);
+  const Bytes msg = bytes_of("a guest block digest: 32 bytes..");
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(crypto::sign_all(ptrs, msg));
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(n));
+}
+BENCHMARK(BM_Ed25519SignBatch)->Arg(136);
+
 // The key turns warm (ed25519::kWarmKeyUses) within the first
 // iterations, so this times the comb path: one comb multiply and one
 // inversion per verify.
@@ -119,6 +139,42 @@ void BM_Ed25519VerifyBatch(benchmark::State& state) {
 // transaction carries 4 commit signatures, and the counterparty's
 // client of the guest checks 17 at a time.
 BENCHMARK(BM_Ed25519VerifyBatch)->Arg(1)->Arg(4)->Arg(8)->Arg(17)->Arg(32)->Arg(128);
+
+// Warm batches on each backend verify_batch can pick: the scalar comb,
+// or eight lanes of AVX-512 IFMA (BM_Ed25519VerifyBatch reports
+// whichever this CPU runs).  On the lanes one warm item spreads over
+// all eight, four take two each, eight fill them, and 17 are two full
+// passes and a lone item.
+void BM_Ed25519VerifyBatchBackend(benchmark::State& state) {
+  const auto backend = static_cast<crypto::ed25519::detail::Backend>(state.range(0));
+  if (!crypto::ed25519::detail::backend_available(backend)) {
+    state.SkipWithError("backend not available on this CPU");
+    return;
+  }
+  const auto n = static_cast<std::size_t>(state.range(1));
+  std::vector<Bytes> msgs;
+  std::vector<crypto::ed25519::VerifyItem> items;
+  msgs.reserve(n);
+  items.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    const crypto::PrivateKey key =
+        crypto::PrivateKey::from_label("batch-" + std::to_string(i));
+    msgs.push_back(bytes_of("a guest block digest: 32 bytes.."));
+    const crypto::Signature sig = key.sign(msgs.back());
+    items.push_back({key.public_key().raw(), ByteView{msgs.back()}, sig.raw()});
+  }
+  for (std::size_t u = 0; u <= crypto::ed25519::kWarmKeyUses; ++u)
+    benchmark::DoNotOptimize(crypto::ed25519::verify_batch(items));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(crypto::ed25519::detail::verify_batch_with(backend, items));
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(n));
+}
+BENCHMARK(BM_Ed25519VerifyBatchBackend)
+    ->ArgsProduct({{static_cast<long>(crypto::ed25519::detail::Backend::kScalar),
+                    static_cast<long>(crypto::ed25519::detail::Backend::kIfma)},
+                   {1, 4, 8, 17}});
 
 // Single verifies that always miss the per-thread key memo: the keys
 // cycle through four times its capacity, so every call decodes its

@@ -106,9 +106,13 @@ const ibc::SignedQuorumHeader& CounterpartyChain::header_at(ibc::Height h) const
   sh.header = pending->second.header;
   // Cached on the header we hand out, so verifiers reuse the digest.
   const Hash32 digest = sh.signing_digest();
-  for (const std::size_t i : pending->second.signer_indices)
-    sh.signatures.emplace_back(validator_keys_[i].public_key(),
-                               validator_keys_[i].sign(digest.view()));
+  const std::vector<std::size_t>& signers = pending->second.signer_indices;
+  std::vector<const crypto::PrivateKey*> keys(signers.size());
+  for (std::size_t j = 0; j < signers.size(); ++j) keys[j] = &validator_keys_[signers[j]];
+  const std::vector<crypto::Signature> sigs = crypto::sign_all(keys, digest.view());
+  sh.signatures.reserve(signers.size());
+  for (std::size_t j = 0; j < signers.size(); ++j)
+    sh.signatures.emplace_back(keys[j]->public_key(), sigs[j]);
   unsigned_headers_.erase(pending);
   return headers_.emplace(h, std::move(sh)).first->second;
 }

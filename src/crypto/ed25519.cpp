@@ -5,11 +5,28 @@
 #include <bit>
 #include <cstring>
 #include <memory>
+#include <stdexcept>
 
 #include "crypto/ed25519_impl.hpp"
 #include "crypto/sha512.hpp"
 
+// The eight-lane backend compiles its functions for AVX-512 IFMA one by
+// one (BMG_LANE_FN), so the rest of the build needs no -m flags; see
+// "The AVX-512 IFMA backend" below.  Other targets get the scalar code
+// only.
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
+#define BMG_ED25519_LANES 1
+#include <immintrin.h>
+#define BMG_LANE_FN __attribute__((target("avx512f,avx512ifma")))
+#define BMG_LANE_INLINE __attribute__((target("avx512f,avx512ifma"), always_inline)) inline
+#else
+#define BMG_ED25519_LANES 0
+#define BMG_LANE_FN
+#endif
+
 namespace bmg::crypto::ed25519 {
+
+using detail::Backend;
 
 namespace {
 
@@ -530,9 +547,10 @@ GeCached ge_cache(const Ge& p) {
 
 // The four addition formulas below carry nothing.  Their operands are
 // point coordinates and products (at most kMulOutMax), table entries
-// (a product, or Y+X and Y-X of a point: at most kSumMax and kDiffMax),
-// and sums and differences of two products; every difference subtracts
-// a coordinate or a product.  The contract's static_asserts show that
+// (cached ones: a product, or Y+X and Y-X of a point, at most kSumMax
+// and kDiffMax; affine ones are carried, at most kCarryOutMax), and
+// sums and differences of two products; every difference subtracts a
+// coordinate or a product.  The contract's static_asserts show that
 // each operand fits fe_mul and each subtrahend fe_sub's bias.
 
 Ge ge_add_cached(const Ge& p, const GeCached& q) {
@@ -563,6 +581,8 @@ Ge ge_sub_cached(const Ge& p, const GeCached& q) {
 
 // An affine precomputed point (Z = 1 implicit): (y+x, y-x, 2dxy).
 // Mixed addition against these drops one field multiplication (no Z2).
+// Entries are stored carried (batch_to_precomp), so the lane backend
+// can gather them straight into its products.
 struct GePrecomp {
   Fe y_plus_x, y_minus_x, xy2d;
 };
@@ -747,14 +767,17 @@ void batch_invert_z(std::span<const Ge> pts, Fe* zi) {
   zi[0] = inv;
 }
 
-// The affine forms of `pts`, with one field inversion.
+// The affine forms of `pts`, with one field inversion.  Every limb is
+// carried to at most kCarryOutMax: tighter than the scalar formulas
+// need, and within what an IFMA multiplier reads.
 void batch_to_precomp(std::span<const Ge> pts, GePrecomp* out) {
   std::vector<Fe> zi(pts.size());
   batch_invert_z(pts, zi.data());
   for (std::size_t i = 0; i < pts.size(); ++i) {
     const Fe x = fe_mul(pts[i].x, zi[i]);
     const Fe y = fe_mul(pts[i].y, zi[i]);
-    out[i] = GePrecomp{fe_add(y, x), fe_sub(y, x), fe_mul(fe_mul(x, y), fe_2d())};
+    out[i] = GePrecomp{fe_carry(fe_add(y, x)), fe_carry(fe_sub(y, x)),
+                       fe_carry(fe_mul(fe_mul(x, y), fe_2d()))};
   }
 }
 
@@ -819,17 +842,21 @@ const GePrecomp* comb_table() {
   return table.data();
 }
 
-// r + [d]P or r - [-d]P, with row[j] = (j + 1)P; a zero digit adds nothing.
-[[gnu::always_inline]] inline void ge_add_digit(Ge& r, const GePrecomp* row, int d) {
-  if (d > 0) r = ge_add_precomp(r, row[d - 1]);
-  else if (d < 0) r = ge_sub_precomp(r, row[-d - 1]);
-}
+// A comb multiply on one accumulator.  A multiply is a list of terms
+// [d]P, in digit groups each followed by its doublings; base_terms and
+// warm_terms list them once for this and for the lanes' LaneDealer.
+struct ScalarComb {
+  Ge r = ge_identity();
 
-// r + sum [e[i]] 65536^(i/2) B over i = first, first + 2, ..., below 32.
-void add_base_digits(Ge& r, const int e[32], int first) {
-  const GePrecomp* ct = comb_table();
-  for (int i = first; i < 32; i += 2) ge_add_digit(r, ct + (i / 2) * kCombCols, e[i]);
-}
+  // r + [d]P or r - [-d]P, with row[j] = (j + 1)P; a zero digit adds
+  // nothing.
+  [[gnu::always_inline]] void add(const GePrecomp* row, int d) {
+    if (d > 0) r = ge_add_precomp(r, row[d - 1]);
+    else if (d < 0) r = ge_sub_precomp(r, row[-d - 1]);
+  }
+
+  void end_group(int doublings) { r = ge_double_n(r, doublings); }
+};
 
 // Signed radix-256 digits of a little-endian scalar below 2^255:
 // e[0..30] in [-128, 127], e[31] in [0, 128], and sum e[i] 256^i ==
@@ -845,17 +872,452 @@ void radix256(int e[32], const std::uint8_t a[32]) {
   e[31] = a[31] + carry;
 }
 
-// r = [scalar]B for a scalar below 2^255, which clamped secret scalars
-// and reduced nonces both are.
-Ge ge_scalarmult_base(const std::uint8_t scalar[32]) {
+// [scalar]B for a scalar below 2^255, which clamped secret scalars
+// and reduced nonces both are: the odd digits, eight doublings, then
+// the even digits.
+constexpr int kBaseTerms = 32;
+
+template <class Comb>
+void base_terms(Comb& comb, const std::uint8_t scalar[32]) {
   int e[32];
   radix256(e, scalar);
-  Ge r = ge_identity();
-  add_base_digits(r, e, 1);
-  r = ge_double_n(r, 8);
-  add_base_digits(r, e, 0);
+  const GePrecomp* ct = comb_table();
+  for (int i = 1; i < 32; i += 2) comb.add(ct + (i / 2) * kCombCols, e[i]);
+  comb.end_group(8);
+  for (int i = 0; i < 32; i += 2) comb.add(ct + (i / 2) * kCombCols, e[i]);
+  comb.end_group(0);
+}
+
+Ge ge_scalarmult_base(const std::uint8_t scalar[32]) {
+  ScalarComb comb;
+  base_terms(comb, scalar);
+  return comb.r;
+}
+
+// ---------------------------------------------------------------------------
+// Eight comb multiplies at once.  A lane pass runs up to eight
+// independent multiplies in lockstep, one per 64-bit lane of the
+// AVX-512 IFMA backend below: at each step every lane adds one table
+// entry of its own, and the lanes double together between digit
+// groups.  Full passes carry eight multiplies.  A remainder of r < 8
+// spreads each multiply over 8 / r lanes (8 for one, 4 for two, 2 for
+// three or four, 1 for five to seven): the lanes share out its terms,
+// run the same doublings, and their partial points are summed
+// afterwards.  Even a lone multiply on eight lanes beats the scalar
+// comb (EXPERIMENTS.md, "Ed25519 on eight IFMA lanes").
+// ---------------------------------------------------------------------------
+
+constexpr int kLanes = 8;
+
+// The entry a lane adds for a zero digit: the identity (1, 1, 0).  Lane
+// steps address entries by byte offset from it, so a zeroed step adds
+// the identity in every lane.
+constexpr GePrecomp kIdentityPrecomp{Fe{{1, 0, 0, 0, 0}}, Fe{{1, 0, 0, 0, 0}},
+                                     Fe{{0, 0, 0, 0, 0}}};
+static_assert(sizeof(GePrecomp) == 15 * sizeof(std::uint64_t), "an entry is 15 gatherable limbs");
+
+// One step of a pass: each lane's entry, whether the lane subtracts it,
+// and how many doublings follow the addition.
+struct LaneStep {
+  std::uint64_t off[kLanes];  // byte offsets from kIdentityPrecomp
+  std::uint8_t neg;           // bit i: lane i subtracts
+  std::uint8_t doublings;
+};
+
+// A warm verify item is 96 terms (warm_terms), all on one lane when
+// eight items share the pass.
+constexpr int kMaxLaneSteps = 96;
+
+// Runs `steps` from the identity in every lane and stores the eight
+// lane points in out[0..8).
+BMG_LANE_FN void lane_comb(const LaneStep* steps, int count, Ge out[kLanes]);
+
+// Deals one multiply's terms to lanes [first, first + per) of a pass's
+// steps: term t of a group goes to lane first + t % per at the group's
+// step t / per.  Every group's size is a multiple of per.
+class LaneDealer {
+ public:
+  LaneDealer(LaneStep* steps, int first, int per) : steps_(steps), first_(first), per_(per) {}
+
+  // Adds [digit]P, with row[j] = (j + 1)P; a zero digit leaves the
+  // identity entry in place.
+  void add(const GePrecomp* row, int digit) {
+    LaneStep& s = steps_[group_ + t_ / per_];
+    const int lane = first_ + t_ % per_;
+    ++t_;
+    if (digit == 0) return;
+    const GePrecomp* e = row + (digit > 0 ? digit : -digit) - 1;
+    s.off[lane] = reinterpret_cast<std::uintptr_t>(e) -
+                  reinterpret_cast<std::uintptr_t>(&kIdentityPrecomp);
+    if (digit < 0) s.neg = static_cast<std::uint8_t>(s.neg | 1u << lane);
+  }
+
+  // Ends a digit group; `doublings` follow its last step.
+  void end_group(int doublings) {
+    group_ += t_ / per_;
+    t_ = 0;
+    steps_[group_ - 1].doublings = static_cast<std::uint8_t>(doublings);
+  }
+
+ private:
+  LaneStep* steps_;
+  int first_, per_;
+  int group_ = 0;  // first step of the open group
+  int t_ = 0;      // terms dealt into it
+};
+
+// out[i] for i < n: n comb multiplies of `terms` terms each.
+// `deal(i, comb)` lists multiply i's terms in digit groups.
+template <class Deal>
+void run_lanes(std::size_t n, int terms, const Deal& deal, Ge* out) {
+  LaneStep steps[kMaxLaneSteps];
+  for (std::size_t i = 0; i < n; i += kLanes) {
+    const std::size_t items = std::min<std::size_t>(n - i, kLanes);
+    const int per = kLanes / static_cast<int>(items);
+    const int count = terms / per;
+    std::memset(steps, 0, sizeof(LaneStep) * static_cast<std::size_t>(count));
+    for (std::size_t j = 0; j < items; ++j) {
+      LaneDealer dealer(steps, static_cast<int>(j) * per, per);
+      deal(i + j, dealer);
+    }
+    Ge lanes[kLanes];
+    lane_comb(steps, count, lanes);
+    for (std::size_t j = 0; j < items; ++j) {
+      const Ge* part = lanes + j * static_cast<std::size_t>(per);
+      Ge p = part[0];
+      for (int q = 1; q < per; ++q) p = ge_add_cached(p, ge_cache(part[q]));
+      out[i + j] = p;
+    }
+  }
+}
+
+// out[i] for i < n on `backend`, as run_lanes.
+template <class Deal>
+void run_combs(Backend backend, std::size_t n, int terms, const Deal& deal, Ge* out) {
+  if (backend == Backend::kIfma) {
+    run_lanes(n, terms, deal, out);
+    return;
+  }
+  for (std::size_t i = 0; i < n; ++i) {
+    ScalarComb comb;
+    deal(i, comb);
+    out[i] = comb.r;
+  }
+}
+
+#if BMG_ED25519_LANES
+
+// ---------------------------------------------------------------------------
+// The AVX-512 IFMA backend.  A lane element is eight field elements in
+// the radix 2^51 of Fe, limb i of each in one __m512i.  vpmadd52luq and
+// vpmadd52huq add the low and the high 52 bits of the 104-bit product
+// of two 52-bit limbs; in radix 2^51 the high half of column c belongs
+// to column c + 1, doubled.  Columns 5..9 then fold onto 0..4 times 19,
+// and one carry chain, as in fe_reduce_columns, leaves every limb at
+// most kLaneMulOutMax.
+//
+// IFMA reads bits 0..51 of each multiplicand and ignores the rest, so
+// a limb past 2^52 - 1 is truncated without a trace.  Unlike the scalar
+// formulas, every sum and difference is therefore carried (fe8_carry)
+// before it reaches a product; coordinates, products and the carried
+// table entries go in as they are.  The static_asserts check each bound
+// on its worst case in 128-bit arithmetic.
+//
+// Every function here carries the target attribute, and callers
+// consult cpu_has_ifma() first.  They hold no lambdas: a lambda does not
+// inherit its function's target.
+// ---------------------------------------------------------------------------
+
+constexpr u128 kLaneMulInMax = (u128{1} << 52) - 1;  // what a multiplier reads
+constexpr u128 kLaneHiMax = kLaneMulInMax * kLaneMulInMax >> 52;
+
+// Products per column c of a 5 x 5 limb product, c = 0..8.
+constexpr u128 lane_products(int c) { return c < 0 || c > 8 ? 0 : c <= 4 ? c + 1 : 9 - c; }
+// Column c: its low halves plus twice column c - 1's high halves.
+constexpr u128 lane_column_max(int c) {
+  return lane_products(c) * kLaneMulInMax + 2 * lane_products(c - 1) * kLaneHiMax;
+}
+// Column c of 0..4 once column c + 5 folds onto it.
+constexpr u128 lane_fold_max(int c) { return lane_column_max(c) + 19 * lane_column_max(c + 5); }
+// The carry into column c of the chain.
+constexpr u128 lane_carry_in(int c) {
+  return c == 0 ? 0 : (lane_fold_max(c - 1) + lane_carry_in(c - 1)) >> 51;
+}
+// Limb 0 once the carry out of column 4 folds back times 19; its own
+// carry then lands on limb 1, the largest limb returned.
+constexpr u128 kLaneFoldMax = kMask51 + 19 * ((lane_fold_max(4) + lane_carry_in(4)) >> 51);
+constexpr u128 kLaneMulOutMax = kMask51 + (kLaneFoldMax >> 51);
+static_assert(lane_fold_max(0) + lane_carry_in(0) <= kU64Max &&
+                  lane_fold_max(1) + lane_carry_in(1) <= kU64Max &&
+                  lane_fold_max(2) + lane_carry_in(2) <= kU64Max &&
+                  lane_fold_max(3) + lane_carry_in(3) <= kU64Max &&
+                  lane_fold_max(4) + lane_carry_in(4) <= kU64Max,
+              "folded columns and their carries fit 64 bits");
+static_assert(kLaneFoldMax < (u128{1} << 52) && kLaneMulOutMax == (u128{1} << 51),
+              "fe8_mul and fe8_sq return limbs up to 2^51");
+
+// fe8_carry's input: a sum of a product and 2Z (at most three
+// products' worth), or a difference whose minuend is at most
+// kLaneSumMax and whose subtrahend fits the 4p bias.
+constexpr u128 kLaneSumMax = 2 * kLaneMulOutMax;
+constexpr u128 kLaneCarryInMax = kLaneSumMax + kBias;
+// Each limb keeps its low 51 bits and gains the carry out of the limb
+// below; limb 0 gains 19 times limb 4's.
+constexpr u128 kLaneCarryOutMax = kMask51 + 19 * (kLaneCarryInMax >> 51);
+static_assert(kLaneSumMax + kLaneMulOutMax <= kLaneCarryInMax);
+static_assert(kLaneMulOutMax <= kLaneMulInMax && kLaneCarryOutMax <= kLaneMulInMax &&
+                  kCarryOutMax <= kLaneMulInMax,
+              "coordinates, products, carried values and table entries fit a multiplier");
+static_assert(kLaneMulOutMax <= kBias0 && kLaneCarryOutMax <= kBias0,
+              "products and carried values can be subtracted");
+static_assert(kLaneMulOutMax <= kMulOutMax, "lane points satisfy the scalar contract");
+
+struct Fe8 {
+  __m512i v[5];
+};
+
+struct Ge8 {
+  Fe8 x, y, z, t;
+};
+
+BMG_LANE_INLINE __m512i lane_splat(std::uint64_t x) {
+  return _mm512_set1_epi64(static_cast<long long>(x));
+}
+
+// Shifts by a constant, written with vector operators: GCC 12's
+// _mm512_srli_epi64 and _mm512_slli_epi64 start from an undefined
+// vector and draw a false -Wmaybe-uninitialized.
+using U64x8 = std::uint64_t __attribute__((vector_size(64)));
+
+BMG_LANE_INLINE __m512i shr(__m512i x, int n) { return (__m512i)((U64x8)x >> n); }
+BMG_LANE_INLINE __m512i shl(__m512i x, int n) { return (__m512i)((U64x8)x << n); }
+
+BMG_LANE_INLINE Fe8 fe8_small(std::uint64_t x) {
+  const __m512i z = _mm512_setzero_si512();
+  return Fe8{{lane_splat(x), z, z, z, z}};
+}
+
+BMG_LANE_INLINE __m512i times19(__m512i x) {
+  return _mm512_add_epi64(_mm512_add_epi64(x, shl(x, 1)), shl(x, 4));
+}
+
+BMG_LANE_INLINE Fe8 fe8_add(const Fe8& a, const Fe8& b) {
+  return Fe8{{_mm512_add_epi64(a.v[0], b.v[0]), _mm512_add_epi64(a.v[1], b.v[1]),
+              _mm512_add_epi64(a.v[2], b.v[2]), _mm512_add_epi64(a.v[3], b.v[3]),
+              _mm512_add_epi64(a.v[4], b.v[4])}};
+}
+
+// a - b + 4p, as fe_sub.
+BMG_LANE_INLINE Fe8 fe8_sub(const Fe8& a, const Fe8& b) {
+  const __m512i bias0 = lane_splat(kBias0), bias = lane_splat(kBias);
+  return Fe8{{_mm512_sub_epi64(_mm512_add_epi64(a.v[0], bias0), b.v[0]),
+              _mm512_sub_epi64(_mm512_add_epi64(a.v[1], bias), b.v[1]),
+              _mm512_sub_epi64(_mm512_add_epi64(a.v[2], bias), b.v[2]),
+              _mm512_sub_epi64(_mm512_add_epi64(a.v[3], bias), b.v[3]),
+              _mm512_sub_epi64(_mm512_add_epi64(a.v[4], bias), b.v[4])}};
+}
+
+// One carry step on every limb at once: limbs up to kLaneCarryInMax
+// come out at most kLaneCarryOutMax.
+BMG_LANE_INLINE Fe8 fe8_carry(const Fe8& a) {
+  const __m512i mask = lane_splat(kMask51);
+  const __m512i c0 = shr(a.v[0], 51), c1 = shr(a.v[1], 51),
+                c2 = shr(a.v[2], 51), c3 = shr(a.v[3], 51),
+                c4 = shr(a.v[4], 51);
+  return Fe8{{_mm512_add_epi64(_mm512_and_si512(a.v[0], mask), times19(c4)),
+              _mm512_add_epi64(_mm512_and_si512(a.v[1], mask), c0),
+              _mm512_add_epi64(_mm512_and_si512(a.v[2], mask), c1),
+              _mm512_add_epi64(_mm512_and_si512(a.v[3], mask), c2),
+              _mm512_add_epi64(_mm512_and_si512(a.v[4], mask), c3)}};
+}
+
+// b in the lanes of `mask`, a in the others.
+BMG_LANE_INLINE Fe8 fe8_blend(__mmask8 mask, const Fe8& a, const Fe8& b) {
+  return Fe8{{_mm512_mask_blend_epi64(mask, a.v[0], b.v[0]),
+              _mm512_mask_blend_epi64(mask, a.v[1], b.v[1]),
+              _mm512_mask_blend_epi64(mask, a.v[2], b.v[2]),
+              _mm512_mask_blend_epi64(mask, a.v[3], b.v[3]),
+              _mm512_mask_blend_epi64(mask, a.v[4], b.v[4])}};
+}
+
+// Low and high halves of the products in each of the nine columns.
+struct Columns {
+  __m512i lo[9], hi[9];
+};
+
+BMG_LANE_INLINE void mac(Columns& c, int col, __m512i a, __m512i b) {
+  c.lo[col] = _mm512_madd52lo_epu64(c.lo[col], a, b);
+  c.hi[col] = _mm512_madd52hi_epu64(c.hi[col], a, b);
+}
+
+BMG_LANE_INLINE Columns columns_zero() {
+  const __m512i z = _mm512_setzero_si512();
+  return Columns{{z, z, z, z, z, z, z, z, z}, {z, z, z, z, z, z, z, z, z}};
+}
+
+// Column k: its low halves plus twice the high halves of column k - 1.
+BMG_LANE_INLINE __m512i column(const Columns& c, int k) {
+  const __m512i hi = k == 0 ? _mm512_setzero_si512() : c.hi[k - 1];
+  const __m512i lo = k == 9 ? _mm512_setzero_si512() : c.lo[k];
+  return _mm512_add_epi64(lo, _mm512_add_epi64(hi, hi));
+}
+
+// The fold and carry chain shared by fe8_mul and fe8_sq.
+BMG_LANE_INLINE Fe8 fe8_reduce(const Columns& c) {
+  const __m512i mask = lane_splat(kMask51);
+  __m512i t0 = _mm512_add_epi64(column(c, 0), times19(column(c, 5)));
+  __m512i t1 = _mm512_add_epi64(column(c, 1), times19(column(c, 6)));
+  __m512i t2 = _mm512_add_epi64(column(c, 2), times19(column(c, 7)));
+  __m512i t3 = _mm512_add_epi64(column(c, 3), times19(column(c, 8)));
+  __m512i t4 = _mm512_add_epi64(column(c, 4), times19(column(c, 9)));
+  Fe8 r;
+  __m512i k;
+  r.v[0] = _mm512_and_si512(t0, mask); k = shr(t0, 51);
+  t1 = _mm512_add_epi64(t1, k);
+  r.v[1] = _mm512_and_si512(t1, mask); k = shr(t1, 51);
+  t2 = _mm512_add_epi64(t2, k);
+  r.v[2] = _mm512_and_si512(t2, mask); k = shr(t2, 51);
+  t3 = _mm512_add_epi64(t3, k);
+  r.v[3] = _mm512_and_si512(t3, mask); k = shr(t3, 51);
+  t4 = _mm512_add_epi64(t4, k);
+  r.v[4] = _mm512_and_si512(t4, mask); k = shr(t4, 51);
+  r.v[0] = _mm512_add_epi64(r.v[0], times19(k));
+  k = shr(r.v[0], 51);
+  r.v[0] = _mm512_and_si512(r.v[0], mask);
+  r.v[1] = _mm512_add_epi64(r.v[1], k);
   return r;
 }
+
+BMG_LANE_INLINE Fe8 fe8_mul(const Fe8& a, const Fe8& b) {
+  Columns c = columns_zero();
+  mac(c, 0, a.v[0], b.v[0]);
+  mac(c, 1, a.v[0], b.v[1]); mac(c, 1, a.v[1], b.v[0]);
+  mac(c, 2, a.v[0], b.v[2]); mac(c, 2, a.v[1], b.v[1]); mac(c, 2, a.v[2], b.v[0]);
+  mac(c, 3, a.v[0], b.v[3]); mac(c, 3, a.v[1], b.v[2]); mac(c, 3, a.v[2], b.v[1]);
+  mac(c, 3, a.v[3], b.v[0]);
+  mac(c, 4, a.v[0], b.v[4]); mac(c, 4, a.v[1], b.v[3]); mac(c, 4, a.v[2], b.v[2]);
+  mac(c, 4, a.v[3], b.v[1]); mac(c, 4, a.v[4], b.v[0]);
+  mac(c, 5, a.v[1], b.v[4]); mac(c, 5, a.v[2], b.v[3]); mac(c, 5, a.v[3], b.v[2]);
+  mac(c, 5, a.v[4], b.v[1]);
+  mac(c, 6, a.v[2], b.v[4]); mac(c, 6, a.v[3], b.v[3]); mac(c, 6, a.v[4], b.v[2]);
+  mac(c, 7, a.v[3], b.v[4]); mac(c, 7, a.v[4], b.v[3]);
+  mac(c, 8, a.v[4], b.v[4]);
+  return fe8_reduce(c);
+}
+
+BMG_LANE_INLINE void twice(Columns& c, int col) {
+  c.lo[col] = _mm512_add_epi64(c.lo[col], c.lo[col]);
+  c.hi[col] = _mm512_add_epi64(c.hi[col], c.hi[col]);
+}
+
+// a^2 with 15 products: the cross terms a_i a_j are summed once and
+// doubled, which gives fe8_mul(a, a)'s columns exactly.
+BMG_LANE_INLINE Fe8 fe8_sq(const Fe8& a) {
+  Columns c = columns_zero();
+  mac(c, 1, a.v[0], a.v[1]);
+  mac(c, 2, a.v[0], a.v[2]);
+  mac(c, 3, a.v[0], a.v[3]); mac(c, 3, a.v[1], a.v[2]);
+  mac(c, 4, a.v[0], a.v[4]); mac(c, 4, a.v[1], a.v[3]);
+  mac(c, 5, a.v[1], a.v[4]); mac(c, 5, a.v[2], a.v[3]);
+  mac(c, 6, a.v[2], a.v[4]);
+  mac(c, 7, a.v[3], a.v[4]);
+  twice(c, 1); twice(c, 2); twice(c, 3); twice(c, 4); twice(c, 5); twice(c, 6); twice(c, 7);
+  mac(c, 0, a.v[0], a.v[0]);
+  mac(c, 2, a.v[1], a.v[1]);
+  mac(c, 4, a.v[2], a.v[2]);
+  mac(c, 6, a.v[3], a.v[3]);
+  mac(c, 8, a.v[4], a.v[4]);
+  return fe8_reduce(c);
+}
+
+// ge_double lane-wise, with every sum and difference carried.
+BMG_LANE_INLINE Ge8 ge8_double(const Ge8& p, bool need_t) {
+  const Fe8 xx = fe8_sq(p.x);
+  const Fe8 yy = fe8_sq(p.y);
+  const Fe8 zz = fe8_sq(p.z);
+  const Fe8 zz2 = fe8_add(zz, zz);                                          // 2Z^2
+  const Fe8 sum = fe8_carry(fe8_add(yy, xx));                               // Y^2 + X^2
+  const Fe8 diff = fe8_carry(fe8_sub(yy, xx));                              // Y^2 - X^2
+  const Fe8 xy2 = fe8_carry(fe8_sub(fe8_sq(fe8_carry(fe8_add(p.x, p.y))), sum));  // 2XY
+  const Fe8 f = fe8_carry(fe8_sub(zz2, diff));
+  return Ge8{fe8_mul(xy2, f), fe8_mul(sum, diff), fe8_mul(diff, f),
+             need_t ? fe8_mul(xy2, sum) : fe8_small(0)};
+}
+
+// Limb q of the 15 of every lane's entry, gathered at byte offset
+// `off` from kIdentityPrecomp.
+BMG_LANE_INLINE __m512i gather_limb(__m512i off, int q) {
+  const auto* base = reinterpret_cast<const unsigned char*>(&kIdentityPrecomp) + 8 * q;
+  return _mm512_mask_i64gather_epi64(_mm512_setzero_si512(), 0xFF, off, base, 1);
+}
+
+// ge_add_precomp lane-wise, and ge_sub_precomp in the lanes of `neg`:
+// there y+x and y-x trade places, and so do D + C and D - C.
+BMG_LANE_INLINE Ge8 ge8_add_entries(const Ge8& p, __m512i off, __mmask8 neg) {
+  Fe8 ypx, ymx, xy2d;
+  ypx.v[0] = gather_limb(off, 0);
+  ypx.v[1] = gather_limb(off, 1);
+  ypx.v[2] = gather_limb(off, 2);
+  ypx.v[3] = gather_limb(off, 3);
+  ypx.v[4] = gather_limb(off, 4);
+  ymx.v[0] = gather_limb(off, 5);
+  ymx.v[1] = gather_limb(off, 6);
+  ymx.v[2] = gather_limb(off, 7);
+  ymx.v[3] = gather_limb(off, 8);
+  ymx.v[4] = gather_limb(off, 9);
+  xy2d.v[0] = gather_limb(off, 10);
+  xy2d.v[1] = gather_limb(off, 11);
+  xy2d.v[2] = gather_limb(off, 12);
+  xy2d.v[3] = gather_limb(off, 13);
+  xy2d.v[4] = gather_limb(off, 14);
+  const Fe8 a = fe8_mul(fe8_carry(fe8_sub(p.y, p.x)), fe8_blend(neg, ymx, ypx));
+  const Fe8 b = fe8_mul(fe8_carry(fe8_add(p.y, p.x)), fe8_blend(neg, ypx, ymx));
+  const Fe8 c = fe8_mul(p.t, xy2d);
+  const Fe8 d = fe8_add(p.z, p.z);
+  const Fe8 e = fe8_carry(fe8_sub(b, a));
+  const Fe8 d_minus_c = fe8_carry(fe8_sub(d, c));
+  const Fe8 d_plus_c = fe8_carry(fe8_add(d, c));
+  const Fe8 f = fe8_blend(neg, d_minus_c, d_plus_c);
+  const Fe8 g = fe8_blend(neg, d_plus_c, d_minus_c);
+  const Fe8 h = fe8_carry(fe8_add(b, a));
+  return Ge8{fe8_mul(e, f), fe8_mul(g, h), fe8_mul(f, g), fe8_mul(e, h)};
+}
+
+// Coordinate `coord` of out[0..8) from the lanes of `a`.
+BMG_LANE_INLINE void fe8_store(const Fe8& a, Ge out[kLanes], Fe Ge::*coord) {
+  alignas(64) std::uint64_t w[5][kLanes];
+  for (int i = 0; i < 5; ++i) _mm512_store_si512(w[i], a.v[i]);
+  for (int lane = 0; lane < kLanes; ++lane)
+    for (int i = 0; i < 5; ++i) (out[lane].*coord).v[i] = w[i][lane];
+}
+
+BMG_LANE_FN void lane_comb(const LaneStep* steps, int count, Ge out[kLanes]) {
+  Ge8 r{fe8_small(0), fe8_small(1), fe8_small(1), fe8_small(0)};
+  for (int s = 0; s < count; ++s) {
+    r = ge8_add_entries(r, _mm512_loadu_si512(steps[s].off), steps[s].neg);
+    for (int d = 0; d < steps[s].doublings; ++d) r = ge8_double(r, d + 1 == steps[s].doublings);
+  }
+  fe8_store(r.x, out, &Ge::x);
+  fe8_store(r.y, out, &Ge::y);
+  fe8_store(r.z, out, &Ge::z);
+  fe8_store(r.t, out, &Ge::t);
+}
+
+bool cpu_has_ifma() {
+  static const bool ok = [] {
+    __builtin_cpu_init();
+    return __builtin_cpu_supports("avx512f") && __builtin_cpu_supports("avx512ifma");
+  }();
+  return ok;
+}
+
+#else  // !BMG_ED25519_LANES
+
+void lane_comb(const LaneStep*, int, Ge*) { __builtin_trap(); }
+
+bool cpu_has_ifma() { return false; }
+
+#endif  // BMG_ED25519_LANES
 
 // ---------------------------------------------------------------------------
 // Scalar arithmetic mod L = 2^252 + 27742317777372353535851937790883648493.
@@ -1077,28 +1539,6 @@ ExpandedKey expand(const Seed& seed) {
   return key;
 }
 
-SignatureBytes sign(const ExpandedKey& key, ByteView msg) {
-  // r = SHA512(prefix || msg) mod L
-  const Digest512 rh = hash3(ByteView{key.prefix}, msg, {});
-  const U256 r = sc_reduce_bytes(rh.data(), rh.size());
-  std::uint8_t r_bytes[32];
-  sc_to_bytes(r_bytes, r);
-
-  const Ge R = ge_scalarmult_base(r_bytes);
-  SignatureBytes sig{};
-  ge_compress(sig.data(), R);
-
-  // k = SHA512(R || A || msg) mod L
-  const Digest512 kh = hash3(ByteView{sig.data(), 32}, ByteView{key.pub}, msg);
-  const U256 k = sc_reduce_bytes(kh.data(), kh.size());
-
-  // S = (r + k * a) mod L
-  const U256 a = sc_reduce_bytes(key.scalar.data(), 32);
-  const U256 s = sc_add(r, sc_mul(k, a));
-  sc_to_bytes(sig.data() + 32, s);
-  return sig;
-}
-
 namespace {
 
 // ---------------------------------------------------------------------------
@@ -1194,27 +1634,29 @@ void radix16(int e[64], const U256& k) {
   e[63] = static_cast<int>(k.w[3] >> 60) + carry;
 }
 
-// [S]B - [k]A for a warm key, S and k below L, on one accumulator.
-// k's digit i = 4m + c is row m of the comb of -A, so
+// [S]B - [k]A for a warm key, S and k below L.  k's digit i = 4m + c
+// is row m of the comb of -A, so
 //   [k](-A) = sum_c 16^c sum_m [e[4m + c]] 65536^m (-A),
 // added by c from 3 down to 0 with four doublings between groups.
 // S's odd radix-256 digits join group 2, eight doublings before the
-// end, and its even digits group 0, as in ge_scalarmult_base.  At most
-// 96 mixed additions and 12 doublings.
-Ge comb_point(const KeyComb& comb, const std::uint8_t s[32], const U256& k) {
+// end, and its even digits group 0, as in base_terms.  At most 96
+// mixed additions and 12 doublings.
+constexpr int kWarmTerms = 4 * kKeyCombRows + 32;
+static_assert(kWarmTerms == kMaxLaneSteps);
+
+template <class Comb>
+void warm_terms(Comb& comb, const KeyComb& key, const std::uint8_t s[32], const U256& k) {
   int ek[64];
   int es[32];
   radix16(ek, k);
   radix256(es, s);
-  Ge r = ge_identity();
+  const GePrecomp* ct = comb_table();
   for (int c = 3; c >= 0; --c) {
-    for (int m = 0; m < kKeyCombRows; ++m)
-      ge_add_digit(r, comb.mult + m * kKeyCombCols, ek[4 * m + c]);
-    if (c == 2) add_base_digits(r, es, 1);
-    if (c == 0) add_base_digits(r, es, 0);
-    if (c > 0) r = ge_double_n(r, 4);
+    for (int m = 0; m < kKeyCombRows; ++m) comb.add(key.mult + m * kKeyCombCols, ek[4 * m + c]);
+    if (c == 2 || c == 0)
+      for (int i = c / 2; i < 32; i += 2) comb.add(ct + (i / 2) * kCombCols, es[i]);
+    comb.end_group(c > 0 ? 4 : 0);
   }
-  return r;
 }
 
 // The slot a key hashes to in the memo and the comb cache, each a
@@ -1404,7 +1846,7 @@ bool check_single(const KeyTables& key, const U256& s, const U256& k,
 /// whether the combined equation passes (all candidates valid) or
 /// fails (per-item fallback), so the bitmap does not depend on where
 /// run boundaries fall or on which keys are warm.
-void verify_batch_run(std::span<const VerifyItem> items, std::uint8_t* ok) {
+void verify_batch_run(std::span<const VerifyItem> items, std::uint8_t* ok, Backend backend) {
   for (std::size_t i = 0; i < items.size(); ++i) ok[i] = 0;
   if (items.empty()) return;
   KeyMemo& memo = key_memo();
@@ -1420,15 +1862,18 @@ void verify_batch_run(std::span<const VerifyItem> items, std::uint8_t* ok) {
     U256 k;
     Ge r;
   };
+  struct Warm {
+    std::size_t idx;
+    const KeyComb* comb;
+    U256 k;
+  };
   thread_local std::vector<Candidate> cand;
-  thread_local std::vector<std::size_t> warm_idx;
+  thread_local std::vector<Warm> warm;
   thread_local std::vector<Ge> warm_p;
   cand.clear();
-  warm_idx.clear();
-  warm_p.clear();
+  warm.clear();
   cand.reserve(items.size());
-  warm_idx.reserve(items.size());
-  warm_p.reserve(items.size());
+  warm.reserve(items.size());
   for (std::size_t i = 0; i < items.size(); ++i) {
     const VerifyItem& it = items[i];
     if (!sc_is_canonical(it.sig.data() + 32)) continue;
@@ -1436,22 +1881,27 @@ void verify_batch_run(std::span<const VerifyItem> items, std::uint8_t* ok) {
     if (key == nullptr) continue;
     const U256 k = challenge(it.pub, it.msg, it.sig);
     if (key->comb != nullptr) {
-      warm_idx.push_back(i);
-      warm_p.push_back(comb_point(*key->comb, it.sig.data() + 32, k));
+      warm.push_back({i, key->comb, k});
     } else {
       cand.push_back({i, &key->tables, sc_from_bytes(it.sig.data() + 32), k, {}});
     }
   }
 
-  // Every warm P is compressed with one shared inversion.
-  if (!warm_p.empty()) {
+  // The warm Ps, eight lanes at a time where the CPU has them, are
+  // compressed with one shared inversion.
+  if (!warm.empty()) {
+    warm_p.resize(warm.size());
+    const auto deal = [&](std::size_t j, auto& comb) {
+      warm_terms(comb, *warm[j].comb, items[warm[j].idx].sig.data() + 32, warm[j].k);
+    };
+    run_combs(backend, warm.size(), kWarmTerms, deal, warm_p.data());
     thread_local std::vector<Fe> zi;
     zi.resize(warm_p.size());
     batch_invert_z(warm_p, zi.data());
     for (std::size_t j = 0; j < warm_p.size(); ++j) {
       std::uint8_t p_bytes[32];
       ge_compress(p_bytes, warm_p[j], zi[j]);
-      ok[warm_idx[j]] = matches_r(warm_p[j], p_bytes, items[warm_idx[j]].sig.data()) ? 1 : 0;
+      ok[warm[j].idx] = matches_r(warm_p[j], p_bytes, items[warm[j].idx].sig.data()) ? 1 : 0;
     }
   }
 
@@ -1532,27 +1982,103 @@ void verify_batch_run(std::span<const VerifyItem> items, std::uint8_t* ok) {
     ok[c.idx] = check_single(*c.key, c.s, c.k, items[c.idx].sig.data()) ? 1 : 0;
 }
 
-}  // namespace
-
-bool verify(const PublicKeyBytes& pub, ByteView msg, const SignatureBytes& sig) {
-  const VerifyItem item{pub, msg, sig};
-  std::uint8_t ok = 0;
-  verify_batch_run({&item, 1}, &ok);
-  return ok != 0;
+// Signs `msg` with every key: the nonces' [r]B eight lanes at a time
+// where the CPU has them, and every R compressed with one inversion.
+void sign_batch_on(Backend backend, std::span<const ExpandedKey* const> keys, ByteView msg,
+                   std::span<SignatureBytes> out) {
+  const std::size_t n = keys.size();
+  if (n == 0) return;
+  struct Nonce {
+    U256 r;
+    std::uint8_t bytes[32];
+  };
+  thread_local std::vector<Nonce> nonce;
+  thread_local std::vector<Ge> big_r;
+  thread_local std::vector<Fe> zi;
+  nonce.resize(n);
+  big_r.resize(n);
+  zi.resize(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    // r = SHA512(prefix || msg) mod L
+    const Digest512 rh = hash3(ByteView{keys[i]->prefix}, msg, {});
+    nonce[i].r = sc_reduce_bytes(rh.data(), rh.size());
+    sc_to_bytes(nonce[i].bytes, nonce[i].r);
+  }
+  const auto deal = [&](std::size_t i, auto& comb) { base_terms(comb, nonce[i].bytes); };
+  run_combs(backend, n, kBaseTerms, deal, big_r.data());
+  batch_invert_z(big_r, zi.data());
+  for (std::size_t i = 0; i < n; ++i) {
+    const ExpandedKey& key = *keys[i];
+    SignatureBytes& sig = out[i];
+    ge_compress(sig.data(), big_r[i], zi[i]);
+    // S = (r + k * a) mod L, k = SHA512(R || A || msg) mod L
+    const U256 k = challenge(key.pub, msg, sig);
+    const U256 a = sc_reduce_bytes(key.scalar.data(), 32);
+    sc_to_bytes(sig.data() + 32, sc_add(nonce[i].r, sc_mul(k, a)));
+  }
 }
 
-std::vector<bool> verify_batch(std::span<const VerifyItem> items) {
+std::vector<bool> verify_batch_on(Backend backend, std::span<const VerifyItem> items) {
   const std::size_t n = items.size();
   // Runs of at most kKeyMemoCapacity items, so every key of a run fits
   // in the memo at once.
   std::vector<std::uint8_t> flags(n, 0);
   for (std::size_t begin = 0; begin < n; begin += kKeyMemoCapacity) {
     const std::size_t len = std::min(kKeyMemoCapacity, n - begin);
-    verify_batch_run(items.subspan(begin, len), flags.data() + begin);
+    verify_batch_run(items.subspan(begin, len), flags.data() + begin, backend);
   }
   std::vector<bool> ok(n);
   for (std::size_t i = 0; i < n; ++i) ok[i] = flags[i] != 0;
   return ok;
 }
+
+// The lane backend where the CPU has IFMA, else the scalar code.
+Backend default_backend() { return cpu_has_ifma() ? Backend::kIfma : Backend::kScalar; }
+
+Backend checked(Backend backend) {
+  if (!detail::backend_available(backend))
+    throw std::runtime_error("ed25519: backend not available on this CPU");
+  return backend;
+}
+
+}  // namespace
+
+SignatureBytes sign(const ExpandedKey& key, ByteView msg) {
+  const ExpandedKey* keys[1] = {&key};
+  SignatureBytes sig{};
+  sign_batch_on(default_backend(), keys, msg, {&sig, 1});
+  return sig;
+}
+
+void sign_batch(std::span<const ExpandedKey* const> keys, ByteView msg,
+                std::span<SignatureBytes> out) {
+  sign_batch_on(default_backend(), keys, msg, out);
+}
+
+bool verify(const PublicKeyBytes& pub, ByteView msg, const SignatureBytes& sig) {
+  const VerifyItem item{pub, msg, sig};
+  std::uint8_t ok = 0;
+  verify_batch_run({&item, 1}, &ok, default_backend());
+  return ok != 0;
+}
+
+std::vector<bool> verify_batch(std::span<const VerifyItem> items) {
+  return verify_batch_on(default_backend(), items);
+}
+
+bool detail::backend_available(Backend backend) noexcept {
+  return backend == Backend::kScalar || cpu_has_ifma();
+}
+
+void detail::sign_batch_with(Backend backend, std::span<const ExpandedKey* const> keys,
+                             ByteView msg, std::span<SignatureBytes> out) {
+  sign_batch_on(checked(backend), keys, msg, out);
+}
+
+std::vector<bool> detail::verify_batch_with(Backend backend, std::span<const VerifyItem> items) {
+  return verify_batch_on(checked(backend), items);
+}
+
+bool detail::has_comb(const PublicKeyBytes& pub) { return comb_cache().find(pub) != nullptr; }
 
 }  // namespace bmg::crypto::ed25519

@@ -37,6 +37,16 @@ struct ExpandedKey {
 /// Signs `msg` (RFC 8032 §5.1.6).
 [[nodiscard]] SignatureBytes sign(const ExpandedKey& key, ByteView msg);
 
+/// Signs one `msg` with every key, as a chain's validators sign one
+/// commit: out[i] == sign(*keys[i], msg) byte for byte, and `out`
+/// holds keys.size() signatures.  On a CPU with AVX-512 IFMA the nonce
+/// multiplies [r]B run eight keys at a time, one per vector lane, and
+/// a remainder of r < 8 keys spreads each over 8 / r lanes; every R is
+/// then compressed with one shared field inversion.  `sign` is this
+/// call with one key.
+void sign_batch(std::span<const ExpandedKey* const> keys, ByteView msg,
+                std::span<SignatureBytes> out);
+
 /// Verifies a signature (RFC 8032 §5.1.7): strict S < L, canonical
 /// point encodings, and the cofactored equation [8][S]B = [8]R + [8][k]A.
 [[nodiscard]] bool verify(const PublicKeyBytes& pub, ByteView msg, const SignatureBytes& sig);
@@ -69,7 +79,11 @@ struct VerifyItem {
 /// An item whose key is warm (see kWarmKeyUses) is checked on its own:
 /// [S]B - [k]A comes from fixed-base combs of B and of -A, and the
 /// results of all warm items are compressed with one shared field
-/// inversion and compared with their R bytes.  The other items check
+/// inversion and compared with their R bytes.  On a CPU with AVX-512
+/// IFMA the warm items' comb multiplies run eight at a time, one per
+/// vector lane, and a remainder of r < 8 spreads each over 8 / r
+/// lanes (a lone item, as in `verify`, over all eight).  The other
+/// items check
 /// one random-linear-combination equation
 ///   [8][sum z_i S_i] B  ==  [8](sum [z_i] R_i + sum [z_i k_i] A_i)
 /// with per-item 128-bit coefficients z_i derived Fiat–Shamir style

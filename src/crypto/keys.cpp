@@ -23,6 +23,14 @@ Signature PrivateKey::sign(ByteView msg) const {
   return Signature(ed25519::sign(key_, msg));
 }
 
+std::vector<Signature> sign_all(std::span<const PrivateKey* const> keys, ByteView msg) {
+  std::vector<const ed25519::ExpandedKey*> expanded(keys.size());
+  for (std::size_t i = 0; i < keys.size(); ++i) expanded[i] = &keys[i]->key_;
+  std::vector<ed25519::SignatureBytes> raw(keys.size());
+  ed25519::sign_batch(expanded, msg, raw);
+  return {raw.begin(), raw.end()};
+}
+
 bool verify(const PublicKey& pub, ByteView msg, const Signature& sig) {
   return ed25519::verify(pub.raw(), msg, sig.raw());
 }

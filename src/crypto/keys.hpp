@@ -7,7 +7,9 @@
 
 #include <compare>
 #include <cstdint>
+#include <span>
 #include <string>
+#include <vector>
 
 #include "common/bytes.hpp"
 #include "crypto/ed25519.hpp"
@@ -55,6 +57,16 @@ class Signature {
   ed25519::SignatureBytes raw_{};
 };
 
+class PrivateKey;
+
+/// Signs `msg` with every key of `keys`: element i equals
+/// keys[i]->sign(msg).  A chain's validators signing one commit go
+/// through here in one call, which runs ed25519::sign_batch: eight
+/// nonce multiplies at a time on CPUs with AVX-512 IFMA and one field
+/// inversion for all of them.
+[[nodiscard]] std::vector<Signature> sign_all(std::span<const PrivateKey* const> keys,
+                                              ByteView msg);
+
 /// A signing key.  Holds the key expanded from its seed on construction
 /// (secret scalar, nonce prefix and public key), so signing never
 /// re-hashes the seed or re-derives the public key.
@@ -65,9 +77,12 @@ class PrivateKey {
   [[nodiscard]] static PrivateKey from_seed(const ed25519::Seed& seed);
 
   [[nodiscard]] const PublicKey& public_key() const noexcept { return pub_; }
+  /// One signature; see sign_all for many keys over one message.
   [[nodiscard]] Signature sign(ByteView msg) const;
 
  private:
+  friend std::vector<Signature> sign_all(std::span<const PrivateKey* const> keys, ByteView msg);
+
   PrivateKey() = default;
 
   ed25519::ExpandedKey key_{};

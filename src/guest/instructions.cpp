@@ -1,5 +1,8 @@
 #include "guest/instructions.hpp"
 
+#include <stdexcept>
+#include <string>
+
 #include "host/constants.hpp"
 
 namespace bmg::guest::ix {
@@ -100,7 +103,13 @@ host::Instruction self_destruct() { return make(Op::kSelfDestruct, {}); }
 
 std::size_t max_chunk_bytes(std::size_t max_tx_size) {
   // Envelope + op tag + buffer id + offset + length prefix.
-  return max_tx_size - host::kTxEnvelopeBytes - 8 - 1 - 8 - 4 - 4 - 16;
+  constexpr std::size_t kOverhead = host::kTxEnvelopeBytes + 8 + 1 + 8 + 4 + 4 + 16;
+  // No room for a byte: chunking would never advance, or would wrap.
+  if (max_tx_size <= kOverhead)
+    throw std::invalid_argument("chunk_payload: max_tx_size " + std::to_string(max_tx_size) +
+                                " leaves no room past the " + std::to_string(kOverhead) +
+                                "-byte chunk overhead");
+  return max_tx_size - kOverhead;
 }
 
 std::vector<Bytes> chunk_payload(ByteView blob, std::size_t max_tx_size) {

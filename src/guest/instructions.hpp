@@ -90,10 +90,14 @@ namespace ix {
 
 /// Splits `blob` into chunks that fit a host transaction alongside the
 /// ChunkUpload framing.  `max_tx_size` defaults to Solana's limit.
+/// Throws std::invalid_argument if the framing leaves no room for a
+/// byte (see max_chunk_bytes).
 [[nodiscard]] std::vector<Bytes> chunk_payload(
     ByteView blob, std::size_t max_tx_size = host::kMaxTransactionSize);
 
 /// Bytes of buffer payload that fit in one chunk-upload transaction.
+/// Throws std::invalid_argument if `max_tx_size` is at or below the
+/// framing's 241 bytes.
 [[nodiscard]] std::size_t max_chunk_bytes(
     std::size_t max_tx_size = host::kMaxTransactionSize);
 

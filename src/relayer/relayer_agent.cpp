@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <memory>
 #include <set>
+#include <stdexcept>
 
 namespace bmg::relayer {
 
@@ -29,6 +30,9 @@ RelayerAgent::RelayerAgent(sim::Simulation& sim, host::Chain& host,
       payer_(std::move(payer)),
       cfg_(cfg),
       pipeline_(sim, host, Rng(mix_seed(cfg.pipeline_seed, payer_)), cfg.pipeline) {
+  // With no signature per transaction an update sequence never ends.
+  if (cfg_.sigs_per_update_tx < 1)
+    throw std::invalid_argument("relayer: sigs_per_update_tx must be at least 1");
   timer_owner_ = sim_.register_agent();
 }
 

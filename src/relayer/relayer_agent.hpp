@@ -29,7 +29,8 @@ struct RelayerConfig {
   host::FeePolicy fee = host::FeePolicy::base();
   /// Ed25519 pre-compile verifications per host transaction.  Real
   /// Tendermint commits sign per-validator vote payloads (~200 bytes
-  /// each), which caps this near 4 within the 1232-byte limit.
+  /// each), which caps this near 4 within the 1232-byte limit.  The
+  /// constructor throws std::invalid_argument below 1.
   int sigs_per_update_tx = 4;
   /// Event-polling latency before the relayer reacts.
   double poll_latency_s = 0.3;

@@ -5,7 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <atomic>
+#include <stdexcept>
 #include <string>
 #include <thread>
 
@@ -459,6 +461,192 @@ TEST(Ed25519, BatchAgreesWithVerifyOnTorsionLacedKeys) {
     accepted += single ? 1 : 0;
   }
   EXPECT_EQ(accepted, 256);
+}
+
+// --- both backends ---------------------------------------------------------
+//
+// sign_batch and verify_batch's warm path run eight comb multiplies at
+// once on CPUs with AVX-512 IFMA.  Each case below runs on each backend
+// through the private hook; the lane cases skip without IFMA.  They sit
+// before VerdictsMatchParentDigest, which fills the comb cache, so that
+// their own keys still turn warm when one process runs them all.
+
+constexpr std::string_view kNoLanes = "no AVX-512 IFMA on this CPU";
+
+bool lanes_available() { return detail::backend_available(detail::Backend::kIfma); }
+
+// 136 keys, a counterparty commit, signing one digest, in batches of
+// 0 to 136: on the IFMA backend 1, 2, 3, 4 and 7 spread each key over
+// 8, 4, 2, 2 and 1 lanes, 8 fills them, 9 adds a lone key, and 136 is
+// 17 full passes.  Every signature must equal the key's own on the
+// scalar backend, and so must the public sign and sign_batch.  The
+// first key's nonce for the digest has a -128 digit.  Nonces are below
+// L, so the comb's top digit 128 only arises in expand, which stays
+// scalar.
+void expect_sign_batch_matches_sign(detail::Backend backend) {
+  const Bytes msg = bytes_of("a counterparty commit digest....");
+  std::vector<ExpandedKey> keys;
+  for (std::uint64_t n = 0; n < 4096 && keys.empty(); ++n) {
+    Seed seed{};
+    for (int b = 0; b < 8; ++b) seed[b] = static_cast<std::uint8_t>(n >> (8 * b));
+    seed[31] = 0x5a;
+    const ExpandedKey key = expand(seed);
+    if (has_digit_minus_128(radix256_digits(nonce_of(key, msg).data()))) keys.push_back(key);
+  }
+  ASSERT_EQ(keys.size(), 1u);
+  XorShift rng{0x9b05688c2b3e6c1fULL};
+  while (keys.size() < 136) {
+    Seed seed{};
+    rng.fill(seed.data(), seed.size());
+    keys.push_back(expand(seed));
+  }
+  std::vector<const ExpandedKey*> ptrs;
+  for (const ExpandedKey& k : keys) ptrs.push_back(&k);
+  std::vector<SignatureBytes> expected(keys.size());
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    detail::sign_batch_with(detail::Backend::kScalar, std::span{ptrs}.subspan(i, 1), msg,
+                            {&expected[i], 1});
+    EXPECT_EQ(to_hex(ByteView{sign(keys[i], msg)}), to_hex(ByteView{expected[i]})) << i;
+  }
+
+  for (const std::size_t n : {0, 1, 2, 3, 4, 7, 8, 9, 136}) {
+    std::vector<SignatureBytes> out(n);
+    detail::sign_batch_with(backend, std::span{ptrs}.first(n), msg, out);
+    for (std::size_t i = 0; i < n; ++i)
+      EXPECT_EQ(to_hex(ByteView{out[i]}), to_hex(ByteView{expected[i]}))
+          << "n " << n << " key " << i;
+  }
+  std::vector<SignatureBytes> out(ptrs.size());
+  sign_batch(ptrs, msg, out);
+  for (std::size_t i = 0; i < ptrs.size(); ++i)
+    EXPECT_EQ(to_hex(ByteView{out[i]}), to_hex(ByteView{expected[i]})) << "key " << i;
+}
+
+TEST(Ed25519, ScalarSignBatchMatchesSign) {
+  expect_sign_batch_matches_sign(detail::Backend::kScalar);
+}
+
+TEST(Ed25519, LanesSignBatchMatchesSign) {
+  if (!lanes_available()) GTEST_SKIP() << kNoLanes;
+  expect_sign_batch_matches_sign(detail::Backend::kIfma);
+}
+
+// Whether k's signed radix-16 digits, which the warm path reads its
+// key comb by (e[0..62] in [-8, 7]), include -8.
+bool has_digit_minus_8(const std::array<std::uint8_t, 32>& k) {
+  int carry = 0;
+  for (int i = 0; i < 63; ++i) {
+    const int d = ((k[i / 2] >> (4 * (i % 2))) & 15) + carry;
+    carry = d >= 8 ? 1 : 0;
+    if (d == 8) return true;
+  }
+  return false;
+}
+
+// k = SHA512(R || A || msg) mod L.
+std::array<std::uint8_t, 32> challenge_of(const VerifyItem& it) {
+  Sha512 h;
+  h.update(ByteView{it.sig.data(), 32});
+  h.update(ByteView{it.pub});
+  h.update(it.msg);
+  return reduce_mod_order(h.finish());
+}
+
+// verify_batch on 20 warm keys, one of them torsion-laced, for every
+// batch size 1..20 with one bad item at every position: a tampered R, a
+// tampered S or a non-canonical S in turn.  On the IFMA backend every
+// batch runs lane passes: full passes of eight, and remainders spread
+// over one, two, four or eight lanes per item.  Item 0's S has
+// a -128 digit, and some item's k a -8 digit.  Verdicts must equal
+// each item's own on the scalar backend, which the public verify must
+// match too, and on the lane backend also verify_batch on the scalar
+// one.
+void expect_warm_verdicts(detail::Backend backend) {
+  constexpr std::size_t kKeys = 20;
+  constexpr std::size_t kLaced = 5;
+  XorShift rng{0x1f83d9ab5be0cd19ULL};
+  std::vector<ExpandedKey> keys(kKeys);
+  for (ExpandedKey& k : keys) {
+    Seed seed{};
+    rng.fill(seed.data(), seed.size());
+    k = expand(seed);
+  }
+  keys[kLaced].pub = lace_with_order2(keys[kLaced].pub);
+
+  std::vector<Bytes> msgs(kKeys);
+  std::vector<VerifyItem> honest(kKeys);
+  for (std::size_t i = 0; i < kKeys; ++i) {
+    for (int attempt = 0;; ++attempt) {
+      msgs[i] = bytes_of("warm lane " + std::to_string(i) + "/" + std::to_string(attempt));
+      honest[i] = {keys[i].pub, ByteView{msgs[i]}, sign(keys[i], msgs[i])};
+      std::array<std::uint8_t, 32> s{};
+      std::copy(honest[i].sig.begin() + 32, honest[i].sig.end(), s.begin());
+      if (i != 0 || has_digit_minus_128(radix256_digits(s.data()))) break;
+      ASSERT_LT(attempt, 4096);
+    }
+  }
+  EXPECT_TRUE(std::any_of(honest.begin(), honest.end(), [](const VerifyItem& it) {
+    return has_digit_minus_8(challenge_of(it));
+  }));
+
+  for (const VerifyItem& it : honest) {
+    for (std::size_t u = 0; u <= kWarmKeyUses; ++u) ASSERT_TRUE(verify(it.pub, it.msg, it.sig));
+    ASSERT_TRUE(detail::has_comb(it.pub)) << "comb cache full: keys stay cold";
+  }
+
+  for (std::size_t n = 1; n <= kKeys; ++n) {
+    for (std::size_t bad = 0; bad < n; ++bad) {
+      std::vector<VerifyItem> items(honest.begin(),
+                                    honest.begin() + static_cast<std::ptrdiff_t>(n));
+      SignatureBytes& sig = items[bad].sig;
+      switch ((n + bad) % 3) {
+        case 0:  // tampered R
+          sig[7] ^= 0x04;
+          break;
+        case 1:  // tampered S, still canonical
+          sig[35] ^= 0x10;
+          break;
+        default: {  // non-canonical S' = S + L
+          unsigned carry = 0;
+          for (std::size_t b = 0; b < 32; ++b) {
+            const unsigned sum = sig[32 + b] + kOrderL[b] + carry;
+            sig[32 + b] = static_cast<std::uint8_t>(sum);
+            carry = sum >> 8;
+          }
+        }
+      }
+      std::vector<bool> expected(n);
+      for (std::size_t i = 0; i < n; ++i) {
+        expected[i] = detail::verify_batch_with(detail::Backend::kScalar, {&items[i], 1})[0];
+        EXPECT_EQ(verify(items[i].pub, items[i].msg, items[i].sig), expected[i]) << i;
+      }
+      ASSERT_FALSE(expected[bad]);
+      ASSERT_EQ(std::count(expected.begin(), expected.end(), true),
+                static_cast<std::ptrdiff_t>(n - 1));
+      EXPECT_EQ(detail::verify_batch_with(backend, items), expected) << "n " << n << " bad " << bad;
+      if (backend != detail::Backend::kScalar) {
+        EXPECT_EQ(detail::verify_batch_with(backend, items),
+                  detail::verify_batch_with(detail::Backend::kScalar, items))
+            << "n " << n << " bad " << bad;
+      }
+    }
+  }
+}
+
+TEST(Ed25519, ScalarWarmBatchesMatchVerify) {
+  expect_warm_verdicts(detail::Backend::kScalar);
+}
+
+TEST(Ed25519, LanesWarmBatchesMatchScalar) {
+  if (!lanes_available()) GTEST_SKIP() << kNoLanes;
+  expect_warm_verdicts(detail::Backend::kIfma);
+}
+
+TEST(Ed25519, UnavailableBackendThrows) {
+  EXPECT_TRUE(detail::backend_available(detail::Backend::kScalar));
+  if (lanes_available()) GTEST_SKIP() << "AVX-512 IFMA is available";
+  EXPECT_THROW((void)detail::verify_batch_with(detail::Backend::kIfma, {}), std::runtime_error);
+  EXPECT_THROW(detail::sign_batch_with(detail::Backend::kIfma, {}, {}, {}), std::runtime_error);
 }
 
 // A field element as four little-endian 64-bit words.

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <unordered_set>
+#include <vector>
 
 #include "common/bytes.hpp"
 #include "rfc8032_vectors.hpp"
@@ -42,6 +43,21 @@ TEST(Keys, SignVerifyRoundTrip) {
   const Signature sig = k.sign(msg);
   EXPECT_TRUE(verify(k.public_key(), msg, sig));
   EXPECT_FALSE(verify(PrivateKey::from_label("other").public_key(), msg, sig));
+}
+
+// A commit's signers in one call: element i is key i's own signature,
+// and an empty commit gives none.
+TEST(Keys, SignAllMatchesSign) {
+  std::vector<PrivateKey> keys;
+  for (int i = 0; i < 11; ++i)
+    keys.push_back(PrivateKey::from_label("commit-" + std::to_string(i)));
+  std::vector<const PrivateKey*> ptrs;
+  for (const PrivateKey& k : keys) ptrs.push_back(&k);
+  const Bytes msg = bytes_of("commit digest");
+  const std::vector<Signature> sigs = sign_all(ptrs, msg);
+  ASSERT_EQ(sigs.size(), keys.size());
+  for (std::size_t i = 0; i < keys.size(); ++i) EXPECT_EQ(sigs[i], keys[i].sign(msg)) << i;
+  EXPECT_TRUE(sign_all({}, msg).empty());
 }
 
 TEST(Keys, ShortIdIsPrefixOfHex) {

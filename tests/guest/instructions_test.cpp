@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "host/constants.hpp"
 
 namespace bmg::guest {
@@ -53,6 +55,22 @@ TEST(Instructions, EmptyPayloadYieldsOneEmptyChunk) {
   const auto chunks = ix::chunk_payload({});
   ASSERT_EQ(chunks.size(), 1u);
   EXPECT_TRUE(chunks[0].empty());
+}
+
+// At or below the 241 bytes of chunk framing no payload byte fits:
+// chunking used to step by zero bytes there (appending empty chunks
+// until memory ran out), and below it to wrap to one oversize chunk.
+TEST(Instructions, ChunkPayloadRejectsSizeWithoutRoom) {
+  const Bytes blob(10, 0xAB);
+  const std::size_t overhead = host::kMaxTransactionSize - ix::max_chunk_bytes();
+  ASSERT_EQ(overhead, 241u);
+  for (const std::size_t size : {std::size_t{0}, std::size_t{100}, overhead}) {
+    EXPECT_THROW((void)ix::chunk_payload(blob, size), std::invalid_argument) << size;
+    EXPECT_THROW((void)ix::max_chunk_bytes(size), std::invalid_argument) << size;
+  }
+  const auto chunks = ix::chunk_payload(blob, overhead + 1);
+  ASSERT_EQ(chunks.size(), blob.size());
+  for (const Bytes& c : chunks) EXPECT_EQ(c, Bytes(1, 0xAB));
 }
 
 TEST(Instructions, ChunkUploadTransactionFitsSizeLimit) {

@@ -3,6 +3,8 @@
 // batching/dedup and the crank agent.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "relayer/deployment.hpp"
 
 namespace bmg::relayer {
@@ -37,6 +39,20 @@ class RelayerUnit : public ::testing::Test {
 
   Deployment d_;
 };
+
+// With no signature per update transaction, building an update
+// sequence stepped by zero and appended transactions until memory ran
+// out; the relayer now refuses such a config up front.
+TEST(RelayerConfigCheck, ZeroSigsPerUpdateTxThrows) {
+  for (const int sigs : {0, -1}) {
+    DeploymentConfig cfg = unit_config(41);
+    cfg.relayer.sigs_per_update_tx = sigs;
+    EXPECT_THROW(Deployment{cfg}, std::invalid_argument) << sigs;
+  }
+  DeploymentConfig cfg = unit_config(41);
+  cfg.relayer.sigs_per_update_tx = 1;
+  EXPECT_NO_THROW(Deployment{cfg});
+}
 
 TEST_F(RelayerUnit, SubmitSequenceRunsInOrderAndAggregates) {
   std::vector<host::Transaction> txs;
