@@ -23,7 +23,6 @@
 //
 // Budget file format: lines of `key value`, `#` comments.  Keys:
 //   allocs_per_packet_max   (required) ceiling on allocations/packet
-#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -182,13 +181,7 @@ int main(int argc, char** argv) {
   const char* timing_csv = nullptr;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--days") == 0 && i + 1 < argc) {
-      char* end = nullptr;
-      errno = 0;
-      days = std::strtod(argv[++i], &end);
-      if (end == argv[i] || *end != '\0' || errno == ERANGE || !(days > 0)) {
-        std::fprintf(stderr, "alloc_relay_loop: --days expects a positive number\n");
-        return 2;
-      }
+      days = bench::parse_positive_double("alloc_relay_loop", "--days", argv[++i]);
     } else if (std::strcmp(argv[i], "--seed") == 0 && i + 1 < argc) {
       seed = static_cast<std::uint64_t>(std::strtoull(argv[++i], nullptr, 10));
     } else if (std::strcmp(argv[i], "--budget") == 0 && i + 1 < argc) {

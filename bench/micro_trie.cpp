@@ -1,28 +1,19 @@
 // Micro-benchmarks of the sealable trie: insert/lookup/seal and proof
-// generation/verification costs, plus proof sizes (what a relayer pays
-// to ship in transaction bytes).
-//
-// PR 9 additions: paged inserts, the per-block snapshot publish and
-// batch proving against a published snapshot.
-//
-// Flags (strictly validated; anything else is handed to
-// google-benchmark):
-//   --page-bytes N      page size for the paged benches (default 16384)
+// generation/verification costs, proof sizes (what a relayer pays to
+// ship in transaction bytes), inserts at a block cadence, the
+// per-block snapshot publish and batch proving against a published
+// snapshot.
 #include <benchmark/benchmark.h>
 
-#include <cstring>
 #include <vector>
 
 #include "crypto/sha256.hpp"
-#include "parse.hpp"
 #include "trie/snapshot.hpp"
 #include "trie/trie.hpp"
 
 namespace {
 
 using namespace bmg;
-
-std::size_t g_page_bytes = 16 * 1024;
 
 Bytes key_of(std::uint64_t i) {
   Encoder e;
@@ -151,15 +142,15 @@ void BM_ProofByteSize(benchmark::State& state) {
 }
 BENCHMARK(BM_ProofByteSize)->Arg(64)->Arg(1000)->Arg(100000);
 
-// --- PR 9: paged inserts, snapshot publish and batch proving ----------
+// --- Block-cadence inserts, snapshot publish and batch proving --------
 
-void BM_TriePagedInsert(benchmark::State& state) {
-  // n inserts with a 128-write block cadence at --page-bytes pages.
+void BM_TrieBlockCadenceInsert(benchmark::State& state) {
+  // n inserts with a 128-write block cadence.
   const auto n = static_cast<std::uint64_t>(state.range(0));
   Hash32 v;
   v.bytes[0] = 1;
   for (auto _ : state) {
-    trie::SealableTrie t{trie::PageStoreConfig{g_page_bytes}};
+    trie::SealableTrie t;
     for (std::uint64_t i = 0; i < n; ++i) {
       t.set(key_of(i), v);
       if ((i + 1) % 128 == 0) t.commit();
@@ -169,7 +160,7 @@ void BM_TriePagedInsert(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(n));
 }
-BENCHMARK(BM_TriePagedInsert)->Arg(10000)->Arg(100000);
+BENCHMARK(BM_TrieBlockCadenceInsert)->Arg(10000)->Arg(100000);
 
 void BM_TrieSnapshotPublish(benchmark::State& state) {
   // The per-block snapshot handoff: one write, one commit, one
@@ -207,29 +198,4 @@ BENCHMARK(BM_TrieProveBatch)->Arg(10000)->Arg(100000);
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  // Strictly-validated local flags first; the rest goes to
-  // google-benchmark (which rejects what *it* doesn't know).
-  std::vector<char*> rest;
-  rest.push_back(argv[0]);
-  for (int i = 1; i < argc; ++i) {
-    const auto next = [&]() -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "%s: %s needs a value\n", argv[0], argv[i]);
-        std::exit(2);
-      }
-      return argv[++i];
-    };
-    if (std::strcmp(argv[i], "--page-bytes") == 0)
-      g_page_bytes = static_cast<std::size_t>(
-          bmg::bench::parse_positive_long(argv[0], "--page-bytes", next()));
-    else
-      rest.push_back(argv[i]);
-  }
-  int bench_argc = static_cast<int>(rest.size());
-  benchmark::Initialize(&bench_argc, rest.data());
-  if (benchmark::ReportUnrecognizedArguments(bench_argc, rest.data())) return 1;
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  return 0;
-}
+BENCHMARK_MAIN();

@@ -4,6 +4,7 @@
 #pragma once
 
 #include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 
@@ -37,15 +38,17 @@ inline long parse_seed_count(const char* prog, const char* flag, const char* tex
   return v;
 }
 
-/// Strictly positive decimal with the same rejection rules.
+/// Strictly positive, finite decimal with the same rejection rules:
+/// strtod also accepts "inf" and "nan", and a simulated horizon of
+/// `inf` days never ends.
 inline double parse_positive_double(const char* prog, const char* flag,
                                     const char* text) {
   char* end = nullptr;
   errno = 0;
   const double v = std::strtod(text, &end);
-  if (end == text || *end != '\0' || errno == ERANGE || !(v > 0)) {
-    std::fprintf(stderr, "%s: %s expects a positive number, got '%s'\n", prog, flag,
-                 text);
+  if (end == text || *end != '\0' || errno == ERANGE || !(v > 0) || !std::isfinite(v)) {
+    std::fprintf(stderr, "%s: %s expects a positive finite number, got '%s'\n", prog,
+                 flag, text);
     std::exit(2);
   }
   return v;

@@ -1,7 +1,7 @@
 # Scoreboard byte-identity oracle: runs scenario_runner's presets,
 # requires exit 0 and compares the SHA-256 of each stdout with the
 # pinned transcript, then checks that bad input to the runner and to
-# the figure drivers' grid mode exits 2.
+# the figure drivers exits 2.
 #
 #   cmake -DRUNNER=path/to/scenario_runner -DFIG2=path/to/fig2_send_latency \
 #         -DFIG6=path/to/fig6_block_interval -P bench/scoreboard_test.cmake
@@ -54,6 +54,9 @@ expect_exit_2(${RUNNER} --preset reorg-storm --reorg storm)
 expect_exit_2(${RUNNER} --preset adversary-campaign --commitment rooted)
 expect_exit_2(${RUNNER} --preset reorg-storm --adversary equivocate)
 expect_exit_2(${RUNNER} --preset adversary-campaign --days 0.02)
+# A horizon strtod parses but no run reaches.
+expect_exit_2(${RUNNER} --days inf)
+expect_exit_2(${FIG2} --days inf)
 # The figure drivers' grid mode shares the runner's seed cap: the cap
 # + 1, a count whose grid would exhaust memory, and UINT64_MAX, which
 # overflows a long.

@@ -2,18 +2,17 @@
 // deposit (~14.6 k$), how many key-value pairs fit (paper: >72k), and
 // how the sealable trie keeps long-term usage bounded.
 //
-// PR 9 extension — the paged trie: a storage-growth vs seal-rate
-// sweep over the PageStore, reporting pages allocated/freed/live so
-// sealing shows up as *reclaimed pages*, not just smaller byte
-// counters.  Scale with --page-entries.
+// A storage-growth vs seal-rate sweep reports the trie's nodes after
+// inserting, live after sealing and freed, so sealing shows up as
+// released nodes, not just smaller byte counters.  Scale it with
+// --sweep-entries.
 //
 // Flags (all strictly validated; bad input exits 2):
 //   --churn-packets N   packets in the sealing-churn section (default 200000)
 //   --window N          in-flight window for the churn section (default 64)
 //   --cadence-writes N  writes in the commit-cadence section (default 50000)
 //   --per-block N       writes per block for the deferred cadence (default 128)
-//   --page-entries N    entries per cell of the page-tier sweep (default 1000000)
-//   --page-bytes N      page size for the sweep (default 16384)
+//   --sweep-entries N   entries per cell of the seal-rate sweep (default 1000000)
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -28,7 +27,7 @@ namespace {
 
 using namespace bmg;
 
-Bytes page_key(std::uint64_t i) {
+Bytes sweep_key(std::uint64_t i) {
   Encoder e;
   e.u64(0xB3B3).u64(i);
   return e.take();
@@ -37,24 +36,24 @@ Bytes page_key(std::uint64_t i) {
 /// One cell of the sweep: N monotonic inserts (committed once per
 /// 4096 writes, a block cadence), then a bulk seal of the oldest
 /// fraction `seal_rate` — the window-pruning pattern, where history
-/// behind the in-flight window is retired wholesale.  Contiguously
-/// allocated leaf/branch pages of the sealed region drain completely
-/// and are freed.  Returns wall seconds; page counters are read off
-/// the trie afterwards.
-double run_seal_rate_cell(trie::SealableTrie& t, std::size_t entries,
-                          double seal_rate) {
+/// behind the in-flight window is retired wholesale and every node
+/// of the sealed region is freed.  Returns wall seconds; the node
+/// count after the inserts goes to `inserted_nodes`.
+double run_seal_rate_cell(trie::SealableTrie& t, std::size_t entries, double seal_rate,
+                          std::size_t& inserted_nodes) {
   Hash32 v;
   v.bytes[0] = 9;
   const auto sealed = static_cast<std::uint64_t>(
       static_cast<double>(entries) * seal_rate);
   const auto start = std::chrono::steady_clock::now();
   for (std::uint64_t i = 0; i < entries; ++i) {
-    t.set(page_key(i), v);
+    t.set(sweep_key(i), v);
     if ((i + 1) % 4096 == 0) t.commit();
   }
   t.commit();
+  inserted_nodes = t.stats().node_count();
   for (std::uint64_t i = 0; i < sealed; ++i) {
-    t.seal(page_key(i));
+    t.seal(sweep_key(i));
     if ((i + 1) % 4096 == 0) t.commit();
   }
   t.commit();
@@ -71,8 +70,7 @@ int main(int argc, char** argv) {
   std::size_t window = 64;
   std::size_t cadence_writes = 50'000;
   std::size_t per_block = 128;
-  std::size_t page_entries = 1'000'000;
-  trie::PageStoreConfig page_cfg;
+  std::size_t sweep_entries = 1'000'000;
   for (int i = 1; i < argc; ++i) {
     const auto next = [&]() -> const char* {
       if (i + 1 >= argc) {
@@ -93,19 +91,16 @@ int main(int argc, char** argv) {
     else if (std::strcmp(argv[i], "--per-block") == 0)
       per_block = static_cast<std::size_t>(
           bench::parse_positive_long(prog, "--per-block", next()));
-    else if (std::strcmp(argv[i], "--page-entries") == 0)
-      page_entries = static_cast<std::size_t>(
-          bench::parse_positive_long(prog, "--page-entries", next()));
-    else if (std::strcmp(argv[i], "--page-bytes") == 0)
-      page_cfg.page_bytes = static_cast<std::size_t>(
-          bench::parse_positive_long(prog, "--page-bytes", next()));
+    else if (std::strcmp(argv[i], "--sweep-entries") == 0)
+      sweep_entries = static_cast<std::size_t>(
+          bench::parse_positive_long(prog, "--sweep-entries", next()));
     // Remaining flags (--seed, --days, ...) belong to bench::Args below.
   }
 
   const bench::Args args = bench::Args::parse(
       argc, argv, 0.0,
       {"--churn-packets", "--window", "--cadence-writes", "--per-block",
-       "--page-entries", "--page-bytes"});
+       "--sweep-entries"});
   bench::print_header("Section V-D: storage costs", args);
 
   // Rent for the largest possible account.
@@ -175,29 +170,26 @@ int main(int argc, char** argv) {
               static_cast<double>(cadence_writes) / deferred_s / 1e3,
               eager_s / deferred_s);
 
-  // --- PR 9: paged tier — storage growth vs seal rate ------------------
+  // --- Storage growth vs seal rate -------------------------------------
   //
-  // Same insert stream at four seal rates on the paged store.  The
-  // column to watch is pages_freed: with the old slab design a sealed
-  // subtree shrank byte counters but the arena never returned memory;
-  // here fully-sealed pages are freed, so reclamation scales with the
-  // seal rate while the allocation count stays flat.
-  std::printf("\npaged storage tier: growth vs seal rate  (page=%zuB  entries=%zu)\n",
-              page_cfg.page_bytes, page_entries);
-  std::printf("%10s %12s %12s %12s %14s %12s %10s\n", "seal rate", "pages alloc",
-              "pages freed", "pages live", "live MiB", "ops/s", "freed/Mop");
+  // Same insert stream at four seal rates.  The column to watch is
+  // nodes freed: a sealed subtree's nodes are released, so reclamation
+  // scales with the seal rate while the insert count stays flat.
+  std::printf("\nstorage growth vs seal rate  (entries=%zu)\n", sweep_entries);
+  std::printf("%10s %14s %12s %12s %12s %12s\n", "seal rate", "nodes inserted",
+              "nodes live", "nodes freed", "live KiB", "ops/s");
   const double rates[] = {0.0, 0.50, 0.90, 0.99};
   for (const double r : rates) {
-    trie::SealableTrie t{page_cfg};
-    const double secs = run_seal_rate_cell(t, page_entries, r);
-    const trie::PageStoreStats ps = t.page_stats();
-    const double ops = static_cast<double>(page_entries) * (1.0 + r);
-    std::printf("%10.2f %12zu %12zu %12zu %14.2f %12.0f %10.1f\n", r,
-                ps.pages_allocated, ps.pages_freed, ps.pages_live,
-                static_cast<double>(ps.live_bytes()) / (1024.0 * 1024.0), ops / secs,
-                1e6 * static_cast<double>(ps.pages_freed) / ops);
+    trie::SealableTrie t;
+    std::size_t inserted = 0;
+    const double secs = run_seal_rate_cell(t, sweep_entries, r, inserted);
+    const trie::TrieStats st = t.stats();
+    const double ops = static_cast<double>(sweep_entries) * (1.0 + r);
+    std::printf("%10.2f %14zu %12zu %12zu %12.1f %12.0f\n", r, inserted,
+                st.node_count(), inserted - st.node_count(),
+                static_cast<double>(st.byte_size) / 1024.0, ops / secs);
   }
-  std::printf("  => pages freed scales with the seal rate; live pages (and hence\n"
+  std::printf("  => nodes freed scales with the seal rate; live nodes (and hence\n"
               "     memory) track the unsealed window, not history.\n");
   return 0;
 }

@@ -59,13 +59,6 @@ bool ct_equal(ByteView a, ByteView b) noexcept {
   return acc == 0;
 }
 
-Hash32 Hash32::from(ByteView data) {
-  if (data.size() != 32) throw std::invalid_argument("Hash32: need 32 bytes");
-  Hash32 h;
-  std::copy(data.begin(), data.end(), h.bytes.begin());
-  return h;
-}
-
 bool Hash32::is_zero() const noexcept {
   return std::all_of(bytes.begin(), bytes.end(), [](std::uint8_t b) { return b == 0; });
 }

@@ -38,7 +38,6 @@ using ByteView = std::span<const std::uint8_t>;
 struct Hash32 {
   std::array<std::uint8_t, 32> bytes{};
 
-  [[nodiscard]] static Hash32 from(ByteView data);
   [[nodiscard]] ByteView view() const noexcept { return ByteView{bytes}; }
   [[nodiscard]] std::string hex() const { return to_hex(view()); }
   [[nodiscard]] bool is_zero() const noexcept;

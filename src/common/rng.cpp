@@ -102,14 +102,6 @@ double Rng::exponential(double mean) noexcept {
   return -mean * std::log(u);
 }
 
-double Rng::pareto(double xm, double alpha) noexcept {
-  double u;
-  do {
-    u = uniform();
-  } while (u <= 0.0);
-  return xm / std::pow(u, 1.0 / alpha);
-}
-
 bool Rng::chance(double p) noexcept { return uniform() < p; }
 
 Rng Rng::fork() noexcept { return Rng(next() ^ 0xA5A5A5A5DEADBEEFULL); }

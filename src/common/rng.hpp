@@ -56,9 +56,6 @@ class Rng {
   /// Exponential with the given mean (inverse CDF).
   [[nodiscard]] double exponential(double mean) noexcept;
 
-  /// Pareto with scale xm and shape alpha.
-  [[nodiscard]] double pareto(double xm, double alpha) noexcept;
-
   /// Bernoulli with probability p.
   [[nodiscard]] bool chance(double p) noexcept;
 

@@ -19,6 +19,8 @@ namespace {
 /// memory-bound long before it is CPU-bound.
 constexpr std::size_t kMaxWorkers = 64;
 
+/// True while this thread runs a cell body: run_cells then runs a
+/// nested grid inline instead of queueing it behind its own cell.
 thread_local bool t_in_cell = false;
 
 std::size_t default_worker_count() {
@@ -198,8 +200,6 @@ class ShardPool {
 std::size_t worker_count() { return ShardPool::instance().workers(); }
 
 void set_worker_count(std::size_t n) { ShardPool::instance().set_workers(n); }
-
-bool in_shard_cell() noexcept { return t_in_cell; }
 
 std::vector<CellStats> run_cells(std::size_t n, const CellFn& fn) {
   if (n == 0) return {};

@@ -51,9 +51,6 @@ struct CellStats {
 /// first; must not be called from inside a cell.
 void set_worker_count(std::size_t n);
 
-/// True while the calling thread is executing a cell body.
-[[nodiscard]] bool in_shard_cell() noexcept;
-
 /// A cell body: run grid cell `cell` (a complete, isolated
 /// simulation).  Results are returned by writing to caller-owned
 /// storage indexed by `cell` — never to anything shared.

@@ -82,11 +82,8 @@ void CounterpartyChain::produce_block() {
   while (unsigned_headers_.size() > 4096)
     unsigned_headers_.erase(unsigned_headers_.begin());
   while (headers_.size() > 4096) headers_.erase(headers_.begin());
-  // Historical proof basis; reuse the previous snapshot when the state
-  // did not change (the common case between IBC actions).
-  if (!last_snapshot_.valid() || last_snapshot_.root_hash() != store_.root_hash())
-    last_snapshot_ = store_.snapshot();
-  snapshots_[height_] = last_snapshot_;
+  // Historical proof basis: one root copy per block.
+  snapshots_[height_] = store_.snapshot();
   while (snapshots_.size() > 256) snapshots_.erase(snapshots_.begin());
 
   for (const auto& cb : block_callbacks_) cb(height_);

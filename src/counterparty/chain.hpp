@@ -109,12 +109,9 @@ class CounterpartyChain {
   ibc::Height height_ = 0;
   mutable std::map<ibc::Height, PendingCommit> unsigned_headers_;
   mutable std::map<ibc::Height, ibc::SignedQuorumHeader> headers_;
-  /// Recent per-block state snapshots for historical proofs.  Blocks
-  /// whose root did not change share one snapshot (copying a snapshot
-  /// is a shared_ptr copy; publishing one is copy-on-write, not a deep
-  /// trie copy).
+  /// Recent per-block state snapshots for historical proofs (each is
+  /// one root copy sharing the trie's nodes, not a deep trie copy).
   std::map<ibc::Height, trie::TrieSnapshot> snapshots_;
-  trie::TrieSnapshot last_snapshot_;
   std::vector<std::function<void(ibc::Height)>> block_callbacks_;
   /// Per-block participation bitmap, reused across produce_block calls.
   std::vector<bool> in_commit_scratch_;

@@ -75,15 +75,8 @@ struct GuestContract::Checkpoint {
 };
 
 void GuestContract::fork_checkpoint() {
-  // The checkpoint keeps the live trie itself and the live side goes on
-  // with the clone.  Every rooted block's snapshot is then published
-  // from the one trie lineage that rollbacks return to, so retained
-  // snapshots share pages copy-on-write instead of each pinning a
-  // private store.
-  trie::SealableTrie live = store_.clone();
   checkpoint_ = std::make_unique<Checkpoint>(Checkpoint{
-      std::move(store_), module_.checkpoint(), tx_members(), blocks_.size(), {}});
-  store_ = std::move(live);
+      store_.clone(), module_.checkpoint(), tx_members(), blocks_.size(), {}});
 }
 
 void GuestContract::fork_rollback() {

@@ -76,12 +76,12 @@ class GuestContract final : public host::Program {
   void execute(host::TxContext& ctx, ByteView instruction_data) override;
   [[nodiscard]] std::size_t account_bytes() const override;
   [[nodiscard]] bool fork_supported() const override { return true; }
-  /// Copies the trie (SealableTrie::clone), the IBC module's
-  /// transaction-mutable state and every member tx_members() ties, and
-  /// starts an undo log for the block records.
+  /// Copies the trie (SealableTrie::clone, one root copy), the IBC
+  /// module's transaction-mutable state and every member tx_members()
+  /// ties, and starts an undo log for the block records.
   void fork_checkpoint() override;
-  /// Moves the checkpoint back in.  Snapshots published since keep the
-  /// store they were taken from alive, so they stay readable.
+  /// Moves the checkpoint back in.  Snapshots published since keep
+  /// their nodes alive, so they stay readable.
   void fork_rollback() override;
 
   // --- off-chain read API (account reads are free on the host) --------
@@ -242,9 +242,8 @@ class GuestContract final : public host::Program {
   /// mutable_block(), which the fork checkpoint's undo log relies on.
   std::vector<GuestBlock> blocks_;
   ibc::Height pruned_below_ = 0;  ///< heights below this hold headers only
-  /// Copy-on-write snapshots per committed block — O(page-table) to
-  /// publish, not a deep trie copy (the pre-paged design copied every
-  /// node slab per block).
+  /// Copy-on-write snapshots per committed block: each is one root
+  /// copy sharing the trie's nodes, not a deep trie copy.
   std::map<ibc::Height, trie::TrieSnapshot> snapshots_;
   std::vector<ibc::Packet> pending_packets_;
 

@@ -130,7 +130,7 @@ void RelayerAgent::redeliver_guest_packet_to_cp(const ibc::Packet& packet,
                                    packet.source_channel, packet.sequence);
   // One snapshot handle serves both the provability check here and the
   // delivery proof in the deferred callback (the snapshot pins its
-  // pages, so the proof stays byte-identical even after pruning).
+  // nodes, so the proof stays byte-identical even after pruning).
   const trie::TrieSnapshot snap = contract_.snapshot_at(gh);
   bool provable = false;
   try {

@@ -24,10 +24,10 @@ namespace bmg::trie {
 [[nodiscard]] Hash32 hash_branch(const std::array<std::optional<Hash32>, 16>& children);
 [[nodiscard]] Hash32 hash_extension(const Nibbles& path, const Hash32& child);
 
-/// Raw-span variants: the paged storage layer keeps nibble paths as
-/// fixed-size POD records, not Nibbles, so it hashes straight from a
-/// (pointer, length) view of the on-page bytes.  Same preimages, same
-/// hashes — the Nibbles overloads delegate here.
+/// Raw-span variants: trie nodes keep nibble paths in fixed-size
+/// arrays, not Nibbles, so the trie hashes straight from a (pointer,
+/// length) view of them.  Same preimages, same hashes — the Nibbles
+/// overloads delegate here.
 [[nodiscard]] Hash32 hash_leaf(ByteView suffix_nibbles, const Hash32& value);
 [[nodiscard]] Hash32 hash_extension(ByteView path_nibbles, const Hash32& child);
 

@@ -2,26 +2,21 @@
 
 namespace bmg::trie {
 
-const TrieSnapshot::Impl& TrieSnapshot::impl() const {
-  if (impl_ == nullptr) throw TrieError("snapshot: null snapshot");
-  return *impl_;
+const RefRec& TrieSnapshot::root() const {
+  if (!valid_) throw TrieError("snapshot: null snapshot");
+  return root_;
 }
 
 Hash32 TrieSnapshot::root_hash() const {
-  const Impl& im = impl();
-  if (im.root.is_empty()) return Hash32{};
-  return im.root.hash;
+  if (root().is_empty()) return Hash32{};
+  return root_.hash;
 }
 
 Lookup TrieSnapshot::get(ByteView key, Hash32* value_out) const {
-  const Impl& im = impl();
-  return walk_get(*im.core, im.tables, im.root, key, value_out);
+  return walk_get(root(), key, value_out);
 }
 
-Proof TrieSnapshot::prove(ByteView key) const {
-  const Impl& im = impl();
-  return walk_prove(*im.core, im.tables, im.root, key);
-}
+Proof TrieSnapshot::prove(ByteView key) const { return walk_prove(root(), key); }
 
 // ---------------------------------------------------------------------------
 // ProofService

@@ -1,14 +1,14 @@
 // Immutable trie snapshots and batch proving.
 //
 // TrieSnapshot is the per-committed-root view published by
-// SealableTrie::snapshot() (shadow paging: a frozen copy of the
-// chunked page tables plus the root ref — no node data is copied).
+// SealableTrie::snapshot(): a copy of the root ref, sharing every node
+// with the trie.  The trie copies a node before writing it once a
+// snapshot can reach it, so the nodes under a snapshot never change.
 // Copying a snapshot is a shared_ptr copy; the guest contract keeps
 // one per recent block height instead of a deep trie copy per block.
-// A snapshot's pages are immutable by construction, so get()/prove()
-// are safe from any thread while the live trie commits the next
-// block, and the proofs produced are byte-identical to what the live
-// trie would have produced at that root.
+// get()/prove() are safe from any thread while the live trie commits
+// the next block, and the proofs produced are byte-identical to what
+// the live trie would have produced at that root.
 //
 // ProofService::prove_batch proves a batch of keys against one
 // snapshot on the calling thread and returns the proofs in key order.
@@ -25,7 +25,7 @@ class TrieSnapshot {
   /// Null snapshot: valid() is false, reads throw TrieError.
   TrieSnapshot() = default;
 
-  [[nodiscard]] bool valid() const noexcept { return impl_ != nullptr; }
+  [[nodiscard]] bool valid() const noexcept { return valid_; }
 
   /// Root commitment the snapshot was published at (all-zero for a
   /// snapshot of the empty trie).
@@ -42,24 +42,12 @@ class TrieSnapshot {
  private:
   friend class SealableTrie;
 
-  struct Impl {
-    std::shared_ptr<StoreCore> core;
-    TableSet tables;
-    RefRec root;
-    std::uint32_t epoch = 0;
+  explicit TrieSnapshot(RefRec root) : root_(std::move(root)), valid_(true) {}
 
-    ~Impl() {
-      // Releasing the epoch lets the store reclaim pages that were
-      // parked while this snapshot could still reference them.
-      if (core != nullptr) core->release_epoch(epoch);
-    }
-  };
+  [[nodiscard]] const RefRec& root() const;
 
-  explicit TrieSnapshot(std::shared_ptr<const Impl> impl) : impl_(std::move(impl)) {}
-
-  [[nodiscard]] const Impl& impl() const;
-
-  std::shared_ptr<const Impl> impl_;
+  RefRec root_;
+  bool valid_ = false;
 };
 
 /// Batch proof generation against immutable snapshots.

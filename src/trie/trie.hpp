@@ -19,26 +19,175 @@
 // per write.  `root_hash()` and `prove()` auto-commit, so callers can
 // stay oblivious; batch writers get the speedup for free.
 //
-// Nodes live in paged arenas (paged.hpp) behind a PageStore
-// (page_store.hpp): fixed-size in-RAM pages of contiguous same-kind
-// records.  Sealing is real reclamation — a fully sealed page is
-// returned to the store.  `snapshot()` publishes an immutable, cheaply
-// copyable TrieSnapshot of the committed state via shadow paging;
-// snapshot reads (get/prove) may run on other threads while this trie
-// keeps mutating.
+// Nodes are reference-counted copy-on-write heap objects, each stamped
+// with the epoch of the trie that created it.  A trie writes a node in
+// place only during its current epoch; `snapshot()` and `clone()` move
+// it to a fresh epoch, so the next write copies the path from the root
+// down and every node a snapshot or clone reaches stays as it was.  A
+// snapshot or clone therefore costs one root copy, and a sealed node is
+// freed once nothing reaches it.  Snapshot reads (get/prove) may run on
+// other threads while this trie keeps mutating.
 //
 // Keys must be prefix-free (no key may be a prefix of another) and at
 // most 32 bytes; the IBC layer guarantees both by hashing commitment
 // paths.  Violations throw PrefixError / TrieError.
 #pragma once
 
+#include <array>
+#include <cstdint>
+#include <cstring>
 #include <memory>
+#include <stdexcept>
+#include <utility>
 
 #include "common/bytes.hpp"
 #include "trie/node.hpp"
-#include "trie/paged.hpp"
 
 namespace bmg::trie {
+
+class TrieError : public std::runtime_error {
+ public:
+  using std::runtime_error::runtime_error;
+};
+/// Operation would read or modify a sealed region.
+class SealedError : public TrieError {
+ public:
+  using TrieError::TrieError;
+};
+/// Key is a prefix of an existing key or vice versa.
+class PrefixError : public TrieError {
+ public:
+  using TrieError::TrieError;
+};
+/// seal() of a key that is not present.
+class NotFoundError : public TrieError {
+ public:
+  using TrieError::TrieError;
+};
+
+/// Result of a point lookup (shared by the live trie and snapshots).
+enum class Lookup {
+  kFound,   ///< key present, value returned
+  kAbsent,  ///< key not in the trie
+  kSealed,  ///< key's path enters a sealed region: inaccessible
+};
+
+/// Storage accounting (drives the §V-D storage-cost experiment).
+/// Maintained incrementally by the trie; `debug_check_stats()`
+/// recomputes it from the live nodes and verifies the two agree.
+struct TrieStats {
+  std::size_t leaf_count = 0;
+  std::size_t branch_count = 0;
+  std::size_t extension_count = 0;
+  /// Child references whose subtree has been sealed away.
+  std::size_t sealed_refs = 0;
+  /// Approximate serialized size of all live nodes, i.e. what the
+  /// host-chain account actually has to store.
+  std::size_t byte_size = 0;
+  [[nodiscard]] std::size_t node_count() const {
+    return leaf_count + branch_count + extension_count;
+  }
+
+  friend bool operator==(const TrieStats&, const TrieStats&) = default;
+};
+
+// ---------------------------------------------------------------------------
+// Nodes
+
+enum NodeKind : std::uint8_t { kLeaf, kBranch, kExt };
+
+/// Common header of every node.  A node is immutable once its epoch is
+/// no longer the current epoch of the trie that created it, which is
+/// what lets snapshots read it from any thread.
+struct Node {
+  NodeKind kind = kLeaf;
+  std::uint64_t epoch = 0;
+};
+
+/// Child reference: empty, live (points at a node) or sealed (hash
+/// retained, node released).  kDirty marks a live ref whose recorded
+/// hash is stale pending commit(); a dirty ref's ancestors are always
+/// dirty too.
+struct RefRec {
+  static constexpr std::uint8_t kSealedFlag = 1;
+  static constexpr std::uint8_t kDirtyFlag = 2;
+
+  Hash32 hash{};
+  std::shared_ptr<Node> node;
+  std::uint8_t flags = 0;
+
+  [[nodiscard]] bool is_empty() const noexcept {
+    return node == nullptr && (flags & kSealedFlag) == 0;
+  }
+  [[nodiscard]] bool is_live() const noexcept { return node != nullptr; }
+  [[nodiscard]] bool sealed() const noexcept { return (flags & kSealedFlag) != 0; }
+  [[nodiscard]] bool dirty() const noexcept { return (flags & kDirtyFlag) != 0; }
+  void set_sealed(bool v) noexcept {
+    flags = static_cast<std::uint8_t>(v ? (flags | kSealedFlag) : (flags & ~kSealedFlag));
+  }
+  void set_dirty(bool v) noexcept {
+    flags = static_cast<std::uint8_t>(v ? (flags | kDirtyFlag) : (flags & ~kDirtyFlag));
+  }
+
+  [[nodiscard]] static RefRec live_dirty(std::shared_ptr<Node> n) noexcept {
+    RefRec r;
+    r.node = std::move(n);
+    r.flags = kDirtyFlag;
+    return r;
+  }
+};
+
+/// Fixed-capacity nibble path.  64 nibbles covers a 32-byte (hashed)
+/// key, the longest path the IBC layer ever stores; set()/seal()
+/// reject longer keys so a node never needs out-of-line storage.
+struct PathRec {
+  static constexpr std::size_t kMaxNibbles = 64;
+  std::uint32_t len = 0;
+  std::uint8_t nibs[kMaxNibbles] = {};
+
+  [[nodiscard]] ByteView view() const noexcept { return ByteView{nibs, len}; }
+  [[nodiscard]] std::size_t size() const noexcept { return len; }
+
+  void assign(const std::uint8_t* data, std::size_t n) {
+    if (n > kMaxNibbles) throw TrieError("trie: key path exceeds 64 nibbles");
+    len = static_cast<std::uint32_t>(n);
+    if (n != 0) std::memcpy(nibs, data, n);
+  }
+};
+
+struct LeafNode : Node {
+  static constexpr NodeKind kKind = kLeaf;
+  PathRec suffix;
+  Hash32 value;
+};
+struct BranchNode : Node {
+  static constexpr NodeKind kKind = kBranch;
+  std::array<RefRec, 16> children;
+};
+struct ExtNode : Node {
+  static constexpr NodeKind kKind = kExt;
+  PathRec path;
+  RefRec child;
+};
+
+[[nodiscard]] inline std::size_t common_prefix_span(ByteView a, ByteView b) noexcept {
+  const std::size_t n = a.size() < b.size() ? a.size() : b.size();
+  std::size_t i = 0;
+  while (i < n && a[i] == b[i]) ++i;
+  return i;
+}
+
+/// Point lookup against `root`.  Used by both SealableTrie::get and
+/// TrieSnapshot::get, so live and snapshot reads cannot diverge.
+[[nodiscard]] Lookup walk_get(const RefRec& root, ByteView key, Hash32* value_out);
+
+/// (Non-)membership proof for `key` against `root`.  Throws
+/// SealedError if the path enters a sealed region.  The caller must
+/// have committed `root` (snapshots are committed by construction).
+[[nodiscard]] Proof walk_prove(const RefRec& root, ByteView key);
+
+// ---------------------------------------------------------------------------
+// SealableTrie
 
 class TrieSnapshot;
 
@@ -46,27 +195,23 @@ class SealableTrie {
  public:
   using Lookup = trie::Lookup;
 
-  /// In-RAM paged storage with default page size.
-  SealableTrie() : SealableTrie(PageStoreConfig{}) {}
-  /// Storage with `cfg`'s page size — tiny pages stress page
-  /// boundaries in tests.
-  explicit SealableTrie(const PageStoreConfig& cfg)
-      : core_(std::make_shared<StoreCore>(cfg)) {}
+  SealableTrie();
 
-  // Not copyable: per-block state capture is snapshot()'s job and is
-  // O(pages/1024) instead of a deep copy; clone() is the explicit deep
-  // copy.  Movable; a moved-from trie may only be destroyed or assigned
-  // to.  Snapshots published before a trie is destroyed or assigned
-  // over keep their own store alive and stay readable.
+  // Not copyable: per-block state capture is snapshot()'s job and
+  // clone() is the explicit copy, both one root copy.  Movable; a
+  // moved-from trie may only be destroyed or assigned to.  Snapshots
+  // published before a trie is destroyed or assigned over keep their
+  // nodes alive and stay readable.
   SealableTrie(const SealableTrie&) = delete;
   SealableTrie& operator=(const SealableTrie&) = delete;
   SealableTrie(SealableTrie&&) noexcept = default;
   SealableTrie& operator=(SealableTrie&&) noexcept = default;
 
   /// Inserts or updates `key`.  Throws SealedError if the path crosses
-  /// a sealed region, PrefixError on prefix-freedom violations.  The
-  /// modified spine is only marked dirty — no hashing happens until
-  /// commit() (or an auto-committing read).
+  /// a sealed region, PrefixError on prefix-freedom violations; either
+  /// leaves the trie unchanged.  The modified spine is only marked
+  /// dirty — no hashing happens until commit() (or an auto-committing
+  /// read).
   void set(ByteView key, const Hash32& value);
 
   /// Looks up `key`; on kFound stores the value into `*value_out`
@@ -103,53 +248,43 @@ class SealableTrie {
   /// of this trie or its destruction.
   [[nodiscard]] TrieSnapshot snapshot();
 
-  /// Deep copy of the live trie, uncommitted writes included, into a
-  /// fresh store (StoreCore::clone).  It shares nothing with this trie
-  /// or its snapshots, so a write to either never shows in the other.
-  /// O(live pages); the guest contract's fork checkpoint takes one.
+  /// Copy of the live trie, uncommitted writes included.  The copy and
+  /// this trie share every node until one of them writes it, and a
+  /// write to either never shows in the other.  The guest contract's
+  /// fork checkpoint takes one.
   [[nodiscard]] SealableTrie clone() const;
 
   [[nodiscard]] TrieStats stats() const { return stats_; }
 
-  /// Backing-store counters: pages allocated/freed/live.  "pages freed
-  /// vs seal rate" comes from here.
-  [[nodiscard]] PageStoreStats page_stats() const { return core_->page_stats(); }
-  /// Physical pages retired but parked until snapshots release them.
-  [[nodiscard]] std::size_t pending_free_pages() const {
-    return core_->pending_free_pages();
-  }
-
   /// Recomputes TrieStats from the live nodes and throws
   /// std::logic_error if the incrementally maintained counters have
-  /// drifted.  Also cross-checks page residency: per-page live-slot
-  /// counts, mapped-vs-occupied agreement, and physical-page
-  /// uniqueness.  Used by tests and sanitizer runs.
+  /// drifted.  Used by tests and sanitizer runs.
   void debug_check_stats() const;
 
  private:
-  friend class TrieSnapshot;
+  /// The node `ref` points at, made writable: copied into this trie's
+  /// current epoch (and `ref` repointed) unless it already belongs to
+  /// it.  The one write path of the trie.
+  template <typename T>
+  T& own(RefRec& ref);
 
-  explicit SealableTrie(std::shared_ptr<StoreCore> core) : core_(std::move(core)) {}
-
-  [[nodiscard]] std::uint32_t alloc_leaf(ByteView suffix, const Hash32& value);
-  [[nodiscard]] std::uint32_t alloc_branch_pair(std::uint8_t nib_a, RefRec ref_a,
-                                                std::uint8_t nib_b, RefRec ref_b);
-  [[nodiscard]] std::uint32_t alloc_ext(ByteView path, RefRec child);
-  void free_node(std::uint32_t node_id);
-  void add_node_stats(std::uint32_t node_id);
-  void sub_node_stats(std::uint32_t node_id);
-
-  [[nodiscard]] Hash32 node_hash(std::uint32_t node_id) const;
+  template <typename T>
+  [[nodiscard]] std::shared_ptr<T> make_node();
+  [[nodiscard]] RefRec new_leaf(ByteView suffix, const Hash32& value);
+  [[nodiscard]] RefRec new_branch_pair(std::uint8_t nib_a, RefRec ref_a,
+                                       std::uint8_t nib_b, RefRec ref_b);
+  [[nodiscard]] RefRec new_ext(ByteView path, RefRec child);
+  /// Releases `ref`'s node from this trie and marks the ref sealed.
+  void seal_ref(RefRec& ref);
 
   RefRec set_rec(RefRec ref, ByteView path, std::size_t pos, const Hash32& value);
   void ensure_committed() const;
-  [[nodiscard]] TrieStats recompute_stats(
-      std::array<std::unordered_map<std::uint32_t, std::uint32_t>, kNumKinds>*
-          occupancy) const;
 
-  std::shared_ptr<StoreCore> core_;
   RefRec root_;
   TrieStats stats_;
+  /// Nodes stamped with this epoch are private to this trie; clone()
+  /// moves a const source to a fresh one, hence mutable.
+  mutable std::uint64_t epoch_;
 };
 
 }  // namespace bmg::trie

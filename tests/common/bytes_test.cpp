@@ -49,12 +49,6 @@ TEST(Bytes, CtEqual) {
   EXPECT_FALSE(ct_equal(a, d));
 }
 
-TEST(Hash32, FromRejectsWrongSize) {
-  EXPECT_THROW((void)Hash32::from(Bytes(31)), std::invalid_argument);
-  EXPECT_THROW((void)Hash32::from(Bytes(33)), std::invalid_argument);
-  EXPECT_NO_THROW((void)Hash32::from(Bytes(32)));
-}
-
 TEST(Hash32, ZeroDetection) {
   Hash32 h;
   EXPECT_TRUE(h.is_zero());

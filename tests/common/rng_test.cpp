@@ -80,11 +80,6 @@ TEST(Rng, LognormalMedian) {
   EXPECT_NEAR(v[n / 2], std::exp(1.0), 0.1);
 }
 
-TEST(Rng, ParetoLowerBound) {
-  Rng r(23);
-  for (int i = 0; i < 10000; ++i) EXPECT_GE(r.pareto(2.0, 1.5), 2.0);
-}
-
 TEST(Rng, ChanceExtremes) {
   Rng r(29);
   for (int i = 0; i < 100; ++i) {

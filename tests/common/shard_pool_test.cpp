@@ -61,15 +61,6 @@ TEST_F(ShardPoolTest, WorkerCountConfiguration) {
   EXPECT_GE(shard::worker_count(), 1u);
 }
 
-TEST_F(ShardPoolTest, InShardCellFlag) {
-  shard::set_worker_count(2);
-  EXPECT_FALSE(shard::in_shard_cell());
-  bool seen = false;
-  (void)shard::run_cells(1, [&](std::size_t) { seen = shard::in_shard_cell(); });
-  EXPECT_TRUE(seen);
-  EXPECT_FALSE(shard::in_shard_cell());
-}
-
 TEST_F(ShardPoolTest, NestedRunCellsSerializesInline) {
   shard::set_worker_count(4);
   std::vector<int> inner(5, 0);

@@ -95,7 +95,7 @@ TEST(TrieSnapshot, OutlivesTheTrie) {
     for (int i = 0; i < 64; ++i) t.set(key_of(std::to_string(i)), val("v"));
     root = t.root_hash();
     snap = t.snapshot();
-  }  // trie destroyed; the snapshot keeps the store core alive
+  }  // trie destroyed; the snapshot keeps its nodes alive
   ASSERT_TRUE(snap->valid());
   EXPECT_EQ(snap->root_hash(), root);
   Hash32 out;
@@ -110,21 +110,20 @@ TEST(TrieSnapshot, ReleasingSnapshotsReclaimsParkedPages) {
   t.commit();
   {
     const TrieSnapshot snap = t.snapshot();
-    // Overwriting every key forces COW of (almost) every leaf page;
-    // the old physical pages are retired but must stay parked while
-    // the snapshot can still read them.
+    // Overwriting every key copies every node; the snapshot keeps the
+    // originals alive and still reads them.
     for (int i = 0; i < 400; ++i) t.set(key_of(std::to_string(i)), val("b"));
     t.commit();
-    EXPECT_GT(t.pending_free_pages(), 0u);
     Hash32 out;
     ASSERT_EQ(snap.get(key_of("0"), &out), Lookup::kFound);
     EXPECT_EQ(out, val("a"));
   }
-  // Snapshot gone: the next retirement sweep frees the parked pages.
+  // Snapshot gone: the live trie reads and writes on unchanged.
   for (int i = 0; i < 400; ++i) t.set(key_of(std::to_string(i)), val("c"));
-  t.commit();
-  (void)t.snapshot();  // publish+drop advances and sweeps epochs
-  EXPECT_EQ(t.pending_free_pages(), 0u);
+  const TrieSnapshot after = t.snapshot();
+  Hash32 out;
+  ASSERT_EQ(after.get(key_of("399"), &out), Lookup::kFound);
+  EXPECT_EQ(out, val("c"));
   t.debug_check_stats();
 }
 
@@ -148,11 +147,14 @@ TEST(TrieSnapshot, ManySnapshotsEachServeTheirOwnHeight) {
     EXPECT_EQ(snaps[static_cast<std::size_t>(h)].get(key_of(next)), Lookup::kAbsent)
         << h;
   }
-  // Release out of order; the store must sweep whatever becomes free.
+  // Release out of order: the survivors still serve their heights.
   snaps.erase(snaps.begin() + 3, snaps.begin() + 12);
+  ASSERT_EQ(snaps.size(), 7u);
+  EXPECT_EQ(snaps[3].root_hash(), roots[12]);
+  EXPECT_EQ(snaps[3].get(key_of("h12-0")), Lookup::kFound);
+  EXPECT_EQ(snaps[3].get(key_of("h13-0")), Lookup::kAbsent);
   snaps.clear();
-  (void)t.snapshot();
-  EXPECT_EQ(t.pending_free_pages(), 0u);
+  t.debug_check_stats();
 }
 
 // --- clone() -----------------------------------------------------------
@@ -219,8 +221,8 @@ struct OpSource {
   }
 };
 
-/// Roots, stats, page accounting, lookups and proofs of `a` and `b`
-/// agree for every key either ever held.
+/// Roots, stats, lookups and proofs of `a` and `b` agree for every key
+/// either ever held.
 void expect_same_trie(const SealableTrie& a, const SealableTrie& b,
                       const std::vector<Bytes>& keys) {
   a.debug_check_stats();
@@ -251,13 +253,12 @@ Bytes insertable_key(const SealableTrie& t, const std::string& tag) {
 }
 
 TEST(TrieSnapshot, CloneIsAnIndependentDeepCopy) {
-  // 2 KiB pages hold 3 branches or 20 leaves, so every trie spans
-  // dozens of pages; every fourth round runs on 1 KiB pages, one
-  // branch per page.
+  // A clone shares every node with its source, yet must behave as a
+  // deep copy: each side copies what it writes.
   for (int round = 0; round < 12; ++round) {
     OpSource source;
     source.rng = Rng(0xC10E + static_cast<std::uint64_t>(round));
-    SealableTrie src(PageStoreConfig{round % 4 == 3 ? 1024u : 2048u});
+    SealableTrie src;
     for (const TrieOp& op : source.next(60 + static_cast<int>(source.rng.uniform_int(240))))
       (void)op.apply(src);
     // Half the rounds clone with a write still uncommitted.
@@ -292,7 +293,7 @@ TEST(TrieSnapshot, CloneIsAnIndependentDeepCopy) {
 
     // The guest's rollback: a snapshot published by the live trie, then
     // the live trie move-assigned from a clone.  The snapshot keeps its
-    // own store and still reads and proves.
+    // nodes and still reads and proves.
     const TrieSnapshot snap = src.snapshot();
     const Hash32 snap_root = snap.root_hash();
     std::vector<std::pair<Bytes, Hash32>> present;

@@ -95,6 +95,21 @@ TEST(Trie, PrefixViolationThrows) {
   SealableTrie t2;
   t2.set(longer, val("b"));
   EXPECT_THROW(t2.set(shorter, val("a")), PrefixError);
+
+  // Violations found below a branch and an extension leave the trie as
+  // it was: same root, same counters, nothing left dirty.
+  SealableTrie t3;
+  t3.set(Bytes{0x12, 0x34, 0x56}, val("c"));
+  t3.set(Bytes{0x12, 0x35, 0x01}, val("d"));
+  const Hash32 root = t3.root_hash();
+  const TrieStats stats = t3.stats();
+  EXPECT_THROW(t3.set(Bytes{0x12, 0x35, 0x01, 0x77}, val("e")), PrefixError);
+  EXPECT_THROW(t3.set(Bytes{0x12, 0x35}, val("e")), PrefixError);
+  EXPECT_THROW(t3.set(Bytes{0x12}, val("e")), PrefixError);
+  EXPECT_FALSE(t3.has_uncommitted());
+  EXPECT_EQ(t3.root_hash(), root);
+  EXPECT_EQ(t3.stats(), stats);
+  t3.debug_check_stats();
 }
 
 TEST(Trie, DistinctRootsForDistinctContents) {
@@ -251,6 +266,17 @@ TEST(TrieSeal, SetIntoSealedRegionThrows) {
   t.set(key_of("a"), val("1"));
   t.seal(key_of("a"));
   EXPECT_THROW(t.set(key_of("a"), val("2")), SealedError);
+
+  // Below a live branch too, and the failed write leaves nothing dirty.
+  SealableTrie u;
+  u.set(Bytes{0x01, 0x00}, val("1"));
+  u.set(Bytes{0x02, 0x00}, val("2"));
+  u.seal(Bytes{0x01, 0x00});
+  const Hash32 root = u.root_hash();
+  EXPECT_THROW(u.set(Bytes{0x01, 0x00}, val("3")), SealedError);
+  EXPECT_FALSE(u.has_uncommitted());
+  EXPECT_EQ(u.root_hash(), root);
+  u.debug_check_stats();
 }
 
 TEST(TrieSeal, ProveThroughSealedRegionThrows) {
