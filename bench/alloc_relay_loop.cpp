@@ -183,7 +183,7 @@ int main(int argc, char** argv) {
     if (std::strcmp(argv[i], "--days") == 0 && i + 1 < argc) {
       days = bench::parse_positive_double("alloc_relay_loop", "--days", argv[++i]);
     } else if (std::strcmp(argv[i], "--seed") == 0 && i + 1 < argc) {
-      seed = static_cast<std::uint64_t>(std::strtoull(argv[++i], nullptr, 10));
+      seed = bench::parse_uint64("alloc_relay_loop", "--seed", argv[++i]);
     } else if (std::strcmp(argv[i], "--budget") == 0 && i + 1 < argc) {
       budget_path = argv[++i];
     } else if (std::strcmp(argv[i], "--shards") == 0 && i + 1 < argc) {

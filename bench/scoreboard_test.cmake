@@ -1,10 +1,11 @@
 # Scoreboard byte-identity oracle: runs scenario_runner's presets,
 # requires exit 0 and compares the SHA-256 of each stdout with the
-# pinned transcript, then checks that bad input to the runner and to
-# the figure drivers exits 2.
+# pinned transcript, then checks that bad input to the runner, the
+# figure drivers, alloc_relay_loop and relayer_daemon exits 2.
 #
 #   cmake -DRUNNER=path/to/scenario_runner -DFIG2=path/to/fig2_send_latency \
-#         -DFIG6=path/to/fig6_block_interval -P bench/scoreboard_test.cmake
+#         -DFIG6=path/to/fig6_block_interval -DALLOC=path/to/alloc_relay_loop \
+#         -DDAEMON=path/to/relayer_daemon -P bench/scoreboard_test.cmake
 #
 # A digest may change only with the simulated behaviour it pins: re-pin
 # it in that change and say why in CHANGES.md.
@@ -65,3 +66,8 @@ foreach(fig ${FIG2} ${FIG6})
     expect_exit_2(${fig} --grid-seeds ${seeds})
   endforeach()
 endforeach()
+# Arguments a bare strtod/strtoull would take: a horizon that never
+# ends, and text that reads as 0.
+expect_exit_2(${DAEMON} inf)
+expect_exit_2(${DAEMON} abc)
+expect_exit_2(${ALLOC} --seed abc)

@@ -6,14 +6,15 @@
 //   $ ./examples/relayer_daemon            (6 simulated hours)
 //   $ ./examples/relayer_daemon 24         (24 simulated hours)
 #include <cstdio>
-#include <cstdlib>
 
+#include "parse.hpp"
 #include "relayer/deployment.hpp"
 
 using namespace bmg;
 
 int main(int argc, char** argv) {
-  const double hours = argc > 1 ? std::atof(argv[1]) : 6.0;
+  const double hours =
+      argc > 1 ? bench::parse_positive_double("relayer_daemon", "hours", argv[1]) : 6.0;
   std::printf("== relayer daemon: %.0f simulated hours of cross-chain traffic ==\n\n",
               hours);
 

@@ -85,25 +85,17 @@ int main() {
   // A fisherman notices and submits evidence.
   const crypto::PrivateKey fisherman = crypto::PrivateKey::from_label("fisherman");
   d.host().airdrop(fisherman.public_key(), 100 * host::kLamportsPerSol);
-  Encoder ev;
-  ev.raw(offender.public_key().view());
-  ev.u8(2);
-  ev.bytes(fork_a.header.encode());
-  ev.bytes(fork_b.header.encode());
+  const guest::ix::Evidence evidence{offender.public_key(),
+                                     {fork_a.header, fork_b.header}, {}};
   // Chunk-upload the evidence, then submit with the offender's two
   // pre-compile-verified signatures attached.
-  std::uint32_t offset = 0;
-  for (const Bytes& chunk : guest::ix::chunk_payload(ev.out())) {
-    host::Transaction tx;
-    tx.payer = fisherman.public_key();
-    tx.instructions.push_back(guest::ix::chunk_upload(1, offset, chunk));
-    offset += static_cast<std::uint32_t>(chunk.size());
-    (void)submit_and_wait(d, std::move(tx));
-  }
+  std::vector<host::Transaction> txs = guest::ix::staged_call(
+      fisherman.public_key(), host::FeePolicy::base(), 1,
+      guest::ix::evidence_payload(evidence), guest::ix::submit_evidence(1), "", "");
+  host::Transaction evtx = std::move(txs.back());
+  txs.pop_back();
+  for (host::Transaction& tx : txs) (void)submit_and_wait(d, std::move(tx));
   const Hash32 da = fork_a.hash(), db = fork_b.hash();
-  host::Transaction evtx;
-  evtx.payer = fisherman.public_key();
-  evtx.instructions.push_back(guest::ix::submit_evidence(1));
   evtx.sig_verifies.push_back(
       host::SigVerify{offender.public_key(), da, offender.sign(da.view())});
   evtx.sig_verifies.push_back(

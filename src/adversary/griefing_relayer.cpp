@@ -108,35 +108,11 @@ void GriefingRelayerAgent::try_clobber(double t) {
   // slot is overwritten and every already-verified signature is
   // discarded.  One shot per height — the point is griefing, not a
   // permanent wedge (the honest rebuild budget must win in the end).
-  const ibc::SignedQuorumHeader& sh = cp_.header_at(target);
-  Encoder payload(4 + sh.header.byte_size() + 1 +
-                  (sh.next_validators ? 4 + sh.next_validators->byte_size() : 0));
-  payload.u32(static_cast<std::uint32_t>(sh.header.byte_size()));
-  sh.header.encode_into(payload);
-  payload.boolean(sh.next_validators.has_value());
-  if (sh.next_validators) {
-    payload.u32(static_cast<std::uint32_t>(sh.next_validators->byte_size()));
-    sh.next_validators->encode_into(payload);
-  }
-
   const std::uint64_t buffer_id = next_buffer_++;
-  std::vector<host::Transaction> txs;
-  std::uint32_t offset = 0;
-  for (const Bytes& chunk : guest::ix::chunk_payload(payload.out(), cfg_.host_max_tx_size)) {
-    host::Transaction tx;
-    tx.payer = payer_;
-    tx.fee = cfg_.fee;
-    tx.label = "griefer:clobber:chunk";
-    tx.instructions.push_back(guest::ix::chunk_upload(buffer_id, offset, chunk));
-    offset += static_cast<std::uint32_t>(chunk.size());
-    txs.push_back(std::move(tx));
-  }
-  host::Transaction fin;
-  fin.payer = payer_;
-  fin.fee = cfg_.fee;
-  fin.label = "griefer:clobber";
-  fin.instructions.push_back(guest::ix::begin_client_update(buffer_id));
-  txs.push_back(std::move(fin));
+  std::vector<host::Transaction> txs = guest::ix::staged_call(
+      payer_, cfg_.fee, buffer_id, guest::ix::client_update_payload(cp_.header_at(target)),
+      guest::ix::begin_client_update(buffer_id), "griefer:clobber",
+      "griefer:clobber:chunk", cfg_.host_max_tx_size);
 
   clobber_in_flight_ = true;
   pipeline_.submit_sequence(
@@ -245,7 +221,7 @@ void GriefingRelayerAgent::release_ack(const Withheld& w) {
                                   proof).kind == trie::VerifyOutcome::Kind::kFound;
   } catch (const std::exception&) {
   }
-  const auto ack = contract_.ack_log(p.dest_port, p.dest_channel, p.sequence);
+  const auto ack = contract_.ibc().ack_for(p.dest_port, p.dest_channel, p.sequence);
   if (!provable || !ack) {
     withheld_pending_requeue_.push_back(Withheld{p, sim_.now() + cfg_.poll_s});
     return;
@@ -293,31 +269,11 @@ void GriefingRelayerAgent::submit_recv_sequence(const ibc::Packet& packet,
     if (done) done(false);
     return;
   }
-  Encoder payload(4 + packet.wire_size() + 8 + 4 + proof.byte_size());
-  payload.u32(static_cast<std::uint32_t>(packet.wire_size()));
-  packet.encode_into(payload);
-  payload.u64(proof_height);
-  payload.u32(static_cast<std::uint32_t>(proof.byte_size()));
-  proof.serialize_into(payload);
-
   const std::uint64_t buffer_id = next_buffer_++;
-  std::vector<host::Transaction> txs;
-  std::uint32_t offset = 0;
-  for (const Bytes& chunk : guest::ix::chunk_payload(payload.out(), cfg_.host_max_tx_size)) {
-    host::Transaction tx;
-    tx.payer = payer_;
-    tx.fee = cfg_.fee;
-    tx.label = label + ":chunk";
-    tx.instructions.push_back(guest::ix::chunk_upload(buffer_id, offset, chunk));
-    offset += static_cast<std::uint32_t>(chunk.size());
-    txs.push_back(std::move(tx));
-  }
-  host::Transaction fin;
-  fin.payer = payer_;
-  fin.fee = cfg_.fee;
-  fin.label = label;
-  fin.instructions.push_back(guest::ix::receive_packet(buffer_id));
-  txs.push_back(std::move(fin));
+  std::vector<host::Transaction> txs = guest::ix::staged_call(
+      payer_, cfg_.fee, buffer_id,
+      guest::ix::packet_proof_payload(packet, nullptr, proof_height, proof),
+      guest::ix::receive_packet(buffer_id), label, label + ":chunk", cfg_.host_max_tx_size);
 
   pipeline_.submit_sequence(
       std::move(txs),

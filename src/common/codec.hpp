@@ -7,11 +7,12 @@
 //
 // The encoding is *fully canonical*: there is exactly one byte string
 // per value, so the digest of a wire blob equals the digest of its
-// re-encoding.  The zero-copy views in ibc/views.hpp lean on this to
-// hash borrowed wire bytes directly instead of re-encoding.
+// re-encoding.
 #pragma once
 
+#include <array>
 #include <cstdint>
+#include <cstring>
 #include <span>
 #include <stdexcept>
 #include <string>
@@ -110,6 +111,13 @@ class Decoder {
   [[nodiscard]] ByteView view(std::size_t n);
   [[nodiscard]] ByteView bytes_view();
   [[nodiscard]] std::string_view str_view();
+  /// Fixed-width field (a key, a signature) copied out of view(N).
+  template <std::size_t N>
+  [[nodiscard]] std::array<std::uint8_t, N> array() {
+    std::array<std::uint8_t, N> out;
+    std::memcpy(out.data(), view(N).data(), N);
+    return out;
+  }
 
   [[nodiscard]] bool done() const noexcept { return pos_ == data_.size(); }
   [[nodiscard]] std::size_t remaining() const noexcept { return data_.size() - pos_; }

@@ -101,7 +101,6 @@ const ibc::SignedQuorumHeader& CounterpartyChain::header_at(ibc::Height h) const
 
   ibc::SignedQuorumHeader sh;
   sh.header = pending->second.header;
-  // Cached on the header we hand out, so verifiers reuse the digest.
   const Hash32 digest = sh.signing_digest();
   const std::vector<std::size_t>& signers = pending->second.signer_indices;
   std::vector<const crypto::PrivateKey*> keys(signers.size());

@@ -71,59 +71,6 @@ bool sha256_impl_available(Sha256Impl impl) noexcept {
   return false;
 }
 
-void Sha256::reset() noexcept {
-  std::copy(std::begin(detail::kSha256Init), std::end(detail::kSha256Init),
-            state_.begin());
-  total_len_ = 0;
-  buffer_len_ = 0;
-}
-
-void Sha256::process_blocks(const std::uint8_t* blocks, std::size_t n) noexcept {
-  active_compress()(state_.data(), blocks, n);
-}
-
-void Sha256::update(ByteView data) noexcept {
-  total_len_ += data.size();
-  std::size_t pos = 0;
-  if (buffer_len_ > 0) {
-    const std::size_t take = std::min(data.size(), 64 - buffer_len_);
-    std::copy(data.begin(), data.begin() + static_cast<std::ptrdiff_t>(take),
-              buffer_.begin() + static_cast<std::ptrdiff_t>(buffer_len_));
-    buffer_len_ += take;
-    pos = take;
-    if (buffer_len_ == 64) {
-      process_blocks(buffer_.data(), 1);
-      buffer_len_ = 0;
-    }
-  }
-  const std::size_t full = (data.size() - pos) / 64;
-  if (full > 0) {
-    process_blocks(data.data() + pos, full);
-    pos += full * 64;
-  }
-  if (pos < data.size()) {
-    std::copy(data.begin() + static_cast<std::ptrdiff_t>(pos), data.end(), buffer_.begin());
-    buffer_len_ = data.size() - pos;
-  }
-}
-
-Hash32 Sha256::finish() noexcept {
-  const std::uint64_t bit_len = total_len_ * 8;
-  // Padding: 0x80, zeros, 64-bit big-endian length.
-  std::uint8_t pad[72] = {0x80};
-  const std::size_t pad_len =
-      (buffer_len_ < 56) ? (56 - buffer_len_) : (120 - buffer_len_);
-  update(ByteView{pad, pad_len});
-  std::uint8_t len_bytes[8];
-  for (int i = 0; i < 8; ++i)
-    len_bytes[i] = static_cast<std::uint8_t>(bit_len >> (56 - 8 * i));
-  // update() would re-count the length bytes; feed them directly.
-  total_len_ -= pad_len;  // undo the pad length accounting (irrelevant now)
-  std::copy(len_bytes, len_bytes + 8, buffer_.begin() + static_cast<std::ptrdiff_t>(buffer_len_));
-  process_blocks(buffer_.data(), 1);
-  return state_to_hash(state_.data());
-}
-
 Hash32 Sha256::digest(ByteView data) noexcept {
   return oneshot(active_compress(), data);
 }

@@ -9,7 +9,6 @@
 // (property-tested against it).
 #pragma once
 
-#include <array>
 #include <cstdint>
 
 #include "common/bytes.hpp"
@@ -27,25 +26,9 @@ enum class Sha256Impl : std::uint8_t {
 
 class Sha256 {
  public:
-  Sha256() noexcept { reset(); }
-
-  void reset() noexcept;
-  void update(ByteView data) noexcept;
-  /// Finalizes and returns the digest; the object must be reset() before reuse.
-  [[nodiscard]] Hash32 finish() noexcept;
-
-  /// One-shot fast path: pads on the stack and feeds whole blocks
-  /// straight to the compression function, skipping the streaming
-  /// buffer state machine.
+  /// One-shot digest: whole blocks go straight to the compression
+  /// function, the tail is padded on the stack.
   [[nodiscard]] static Hash32 digest(ByteView data) noexcept;
-
- private:
-  void process_blocks(const std::uint8_t* blocks, std::size_t n) noexcept;
-
-  std::array<std::uint32_t, 8> state_{};
-  std::array<std::uint8_t, 64> buffer_{};
-  std::uint64_t total_len_ = 0;
-  std::size_t buffer_len_ = 0;
 };
 
 /// sha256(a || b) — common pattern for combining two hashes.

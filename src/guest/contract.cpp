@@ -350,19 +350,15 @@ void GuestContract::op_chunk_upload(host::TxContext& ctx, Decoder& d) {
 
 void GuestContract::op_receive_packet(host::TxContext& ctx, Decoder& d) {
   const Bytes blob = take_buffer(ctx, d.u64());
-  Decoder b(blob);
-  const ibc::Packet packet = ibc::Packet::decode(b.bytes());
-  const ibc::Height proof_height = b.u64();
-  const trie::Proof proof = trie::Proof::deserialize(b.bytes());
-  b.expect_done();
+  const ix::PacketProof p = ix::decode_packet_proof(blob, /*with_ack=*/false);
+  const ibc::Packet& packet = p.packet;
 
   // Proof verification is a chain of sha256 syscalls on Solana.
-  ctx.consume_cu(kCuRecvBase + 2 * static_cast<std::uint64_t>(proof.byte_size()));
+  ctx.consume_cu(kCuRecvBase + 2 * static_cast<std::uint64_t>(p.proof.byte_size()));
 
   try {
-    const ibc::Acknowledgement ack = module_.recv_packet(
-        packet, proof_height, proof, head().header.height + 1, ctx.time());
-    ack_log_[{packet.dest_port, packet.dest_channel, packet.sequence}] = ack.encode();
+    (void)module_.recv_packet(packet, p.proof_height, p.proof, head().header.height + 1,
+                              ctx.time());
   } catch (const ibc::IbcError& e) {
     throw host::TxError(e.what());
   } catch (const trie::TrieError& e) {
@@ -375,15 +371,10 @@ void GuestContract::op_receive_packet(host::TxContext& ctx, Decoder& d) {
 
 void GuestContract::op_acknowledge_packet(host::TxContext& ctx, Decoder& d) {
   const Bytes blob = take_buffer(ctx, d.u64());
-  Decoder b(blob);
-  const ibc::Packet packet = ibc::Packet::decode(b.bytes());
-  const ibc::Acknowledgement ack = ibc::Acknowledgement::decode(b.bytes());
-  const ibc::Height proof_height = b.u64();
-  const trie::Proof proof = trie::Proof::deserialize(b.bytes());
-  b.expect_done();
-  ctx.consume_cu(kCuRecvBase + 2 * static_cast<std::uint64_t>(proof.byte_size()));
+  const ix::PacketProof p = ix::decode_packet_proof(blob, /*with_ack=*/true);
+  ctx.consume_cu(kCuRecvBase + 2 * static_cast<std::uint64_t>(p.proof.byte_size()));
   try {
-    module_.acknowledge_packet(packet, ack, proof_height, proof);
+    module_.acknowledge_packet(p.packet, *p.ack, p.proof_height, p.proof);
   } catch (const ibc::IbcError& e) {
     throw host::TxError(e.what());
   } catch (const trie::TrieError& e) {
@@ -393,14 +384,10 @@ void GuestContract::op_acknowledge_packet(host::TxContext& ctx, Decoder& d) {
 
 void GuestContract::op_timeout_packet(host::TxContext& ctx, Decoder& d) {
   const Bytes blob = take_buffer(ctx, d.u64());
-  Decoder b(blob);
-  const ibc::Packet packet = ibc::Packet::decode(b.bytes());
-  const ibc::Height proof_height = b.u64();
-  const trie::Proof proof = trie::Proof::deserialize(b.bytes());
-  b.expect_done();
-  ctx.consume_cu(kCuRecvBase + 2 * static_cast<std::uint64_t>(proof.byte_size()));
+  const ix::PacketProof p = ix::decode_packet_proof(blob, /*with_ack=*/false);
+  ctx.consume_cu(kCuRecvBase + 2 * static_cast<std::uint64_t>(p.proof.byte_size()));
   try {
-    module_.timeout_packet(packet, proof_height, proof);
+    module_.timeout_packet(p.packet, p.proof_height, p.proof);
   } catch (const ibc::IbcError& e) {
     throw host::TxError(e.what());
   } catch (const trie::TrieError& e) {
@@ -413,11 +400,10 @@ void GuestContract::op_timeout_packet(host::TxContext& ctx, Decoder& d) {
 void GuestContract::op_begin_client_update(host::TxContext& ctx, Decoder& d) {
   const Bytes blob = take_buffer(ctx, d.u64());
   ctx.consume_cu(10'000 + blob.size());
-  Decoder b(blob);
+  ix::ClientUpdate u = ix::decode_client_update(blob);
   PendingUpdate upd;
-  upd.header = ibc::QuorumHeader::decode(b.bytes());
-  if (b.boolean()) upd.next_validators = ibc::ValidatorSet::decode(b.bytes());
-  b.expect_done();
+  upd.header = std::move(u.header);
+  upd.next_validators = std::move(u.next_validators);
 
   if (upd.header.chain_id != cfg_.counterparty_chain_id)
     throw host::TxError("client_update: wrong chain id");
@@ -541,26 +527,11 @@ void GuestContract::slash(host::TxContext& ctx, const crypto::PublicKey& offende
 void GuestContract::op_submit_evidence(host::TxContext& ctx, Decoder& d) {
   const Bytes blob = take_buffer(ctx, d.u64());
   ctx.consume_cu(20'000 + blob.size());
-  Decoder b(blob);
-  const Bytes key_raw = b.raw(32);
-  crypto::ed25519::PublicKeyBytes pk;
-  std::copy(key_raw.begin(), key_raw.end(), pk.begin());
-  const crypto::PublicKey offender(pk);
-
-  const std::uint8_t count = b.u8();
-  if (count != 1 && count != 2) throw host::TxError("evidence: need 1 or 2 headers");
-  std::vector<ibc::QuorumHeader> headers;
-  for (std::uint8_t i = 0; i < count; ++i)
-    headers.push_back(ibc::QuorumHeader::decode(b.bytes()));
-  // Optional annex: the offender's raw signature per header.  The
-  // contract itself only trusts pre-compile-verified signatures (below),
-  // but the annex makes a staged evidence blob self-contained, so a
-  // fisherman restarting after a crash can rebuild the sig-verify set
-  // from chain state alone and finish the prosecution it already paid
-  // to stage.
-  if (!b.done())
-    for (std::uint8_t i = 0; i < count; ++i) (void)b.raw(64);
-  b.expect_done();
+  // The annex signatures are ignored: only pre-compile-verified
+  // signatures count (below).
+  const ix::Evidence ev = ix::decode_evidence(blob);
+  const crypto::PublicKey& offender = ev.offender;
+  const std::vector<ibc::QuorumHeader>& headers = ev.headers;
 
   // Each header must carry a pre-compile-verified signature by the
   // offender over its digest.
@@ -579,7 +550,7 @@ void GuestContract::op_submit_evidence(host::TxContext& ctx, Decoder& d) {
   }
 
   bool misbehaved = false;
-  if (count == 2) {
+  if (headers.size() == 2) {
     // Two different blocks signed at the same height (§III-C case 1).
     misbehaved = headers[0].height == headers[1].height &&
                  headers[0].signing_digest() != headers[1].signing_digest();
@@ -788,13 +759,6 @@ trie::TrieSnapshot GuestContract::snapshot_at(ibc::Height h) const {
   const auto it = snapshots_.find(h);
   if (it == snapshots_.end()) return {};
   return it->second;
-}
-
-std::optional<ibc::Acknowledgement> GuestContract::ack_log(
-    const ibc::PortId& port, const ibc::ChannelId& channel, std::uint64_t seq) const {
-  const auto it = ack_log_.find({port, channel, seq});
-  if (it == ack_log_.end()) return std::nullopt;
-  return ibc::Acknowledgement::decode(it->second);
 }
 
 ibc::Height GuestContract::last_finalised_height() const {

@@ -115,11 +115,6 @@ class GuestContract final : public host::Program {
   /// the contract commits the next block.
   [[nodiscard]] trie::TrieSnapshot snapshot_at(ibc::Height h) const;
 
-  /// The acknowledgement this chain wrote for a delivered packet
-  /// (off-chain read; relayers ship it back to the counterparty).
-  [[nodiscard]] std::optional<ibc::Acknowledgement> ack_log(
-      const ibc::PortId& port, const ibc::ChannelId& channel, std::uint64_t seq) const;
-
   /// §VI-A: true once the contract has self-destructed.
   [[nodiscard]] bool terminated() const noexcept { return terminated_; }
 
@@ -259,7 +254,6 @@ class GuestContract final : public host::Program {
 
   std::optional<PendingUpdate> pending_update_;
   std::map<std::pair<std::string, std::uint64_t>, Bytes> buffers_;
-  std::map<std::tuple<ibc::PortId, ibc::ChannelId, std::uint64_t>, Bytes> ack_log_;
 
   crypto::PublicKey treasury_;
   crypto::PublicKey vault_;
@@ -276,7 +270,7 @@ class GuestContract final : public host::Program {
   auto tx_members() {
     return std::tie(bank_, pruned_below_, snapshots_, pending_packets_, epoch_,
                     epoch_start_host_slot_, candidates_, banned_, withdrawals_,
-                    pending_update_, buffers_, ack_log_, fees_collected_, rewards_paid_,
+                    pending_update_, buffers_, fees_collected_, rewards_paid_,
                     last_client_update_time_, terminated_);
   }
   struct Checkpoint;

@@ -10,12 +10,16 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "common/codec.hpp"
 #include "host/transaction.hpp"
+#include "ibc/packet.hpp"
+#include "ibc/quorum.hpp"
 #include "ibc/types.hpp"
+#include "trie/node.hpp"
 
 namespace bmg::guest {
 
@@ -100,6 +104,61 @@ namespace ix {
 /// framing's 241 bytes.
 [[nodiscard]] std::size_t max_chunk_bytes(
     std::size_t max_tx_size = host::kMaxTransactionSize);
+
+/// The transactions of one staged call: `payload` chunk-uploaded into
+/// staging buffer `buffer_id` (labelled `chunk_label`), then `final_ix`,
+/// which consumes the buffer (labelled `label`), all paid by `payer` at
+/// `fee`.
+[[nodiscard]] std::vector<host::Transaction> staged_call(
+    const crypto::PublicKey& payer, const host::FeePolicy& fee, std::uint64_t buffer_id,
+    ByteView payload, host::Instruction final_ix, const std::string& label,
+    const std::string& chunk_label, std::size_t max_tx_size = host::kMaxTransactionSize);
+
+// --- staged payloads ------------------------------------------------------
+// Each payload an actor stages for a buffer-consuming instruction has
+// one encoder and one decoder, here.  Decoders throw CodecError on
+// malformed bytes.
+
+/// BeginClientUpdate: a counterparty header and, when the validator set
+/// rotates at it, the next set.  The signatures travel separately, as
+/// pre-compile verifications.
+struct ClientUpdate {
+  ibc::QuorumHeader header;
+  std::optional<ibc::ValidatorSet> next_validators;
+};
+[[nodiscard]] Bytes client_update_payload(const ibc::SignedQuorumHeader& sh);
+[[nodiscard]] ClientUpdate decode_client_update(ByteView payload);
+
+/// ReceivePacket and TimeoutPacket (no acknowledgement) and
+/// AcknowledgePacket (with one): a packet and the proof, at
+/// `proof_height` on the counterparty, that it was sent, received or
+/// acknowledged there.
+struct PacketProof {
+  ibc::Packet packet;
+  std::optional<ibc::Acknowledgement> ack;
+  ibc::Height proof_height = 0;
+  trie::Proof proof;
+};
+[[nodiscard]] Bytes packet_proof_payload(const ibc::Packet& packet,
+                                         const ibc::Acknowledgement* ack,
+                                         ibc::Height proof_height, const trie::Proof& proof);
+[[nodiscard]] PacketProof decode_packet_proof(ByteView payload, bool with_ack);
+
+/// SubmitEvidence: the offender, the one or two guest headers it signed,
+/// and optionally the annex, its signature over each header.  The
+/// contract trusts only pre-compile-verified signatures; the annex makes
+/// the staged blob self-contained, so a fisherman restarting after a
+/// crash can rebuild the verification set from chain state alone.
+struct Evidence {
+  crypto::PublicKey offender;
+  std::vector<ibc::QuorumHeader> headers;
+  /// Empty, or one signature per header.
+  std::vector<crypto::Signature> signatures;
+};
+[[nodiscard]] Bytes evidence_payload(const Evidence& evidence);
+/// Also throws host::TxError("evidence: need 1 or 2 headers"), the
+/// contract's rejection, when the header count is neither.
+[[nodiscard]] Evidence decode_evidence(ByteView payload);
 
 }  // namespace ix
 }  // namespace bmg::guest

@@ -280,7 +280,7 @@ void Chain::on_slot() {
   }
 
   if (fork_mode_) {
-    deliver_deferred();
+    deliver_rooted();
     fire_rooted_waits();
   }
   sim_.after(cfg_.slot_seconds, [this] { on_slot(); });
@@ -409,9 +409,9 @@ TxResult Chain::execute_tx_at(PendingTx& ptx, std::uint64_t slot, double time,
 
   if (mode != ExecMode::kSilentReplay && ptx.on_result) ptx.on_result(res);
 
-  // Journal the execution for fork replay and deferred commitment
-  // delivery.  Silent replays reconstruct state for entries already in
-  // the journal; live and winning-fork executions (re)append theirs.
+  // Journal the execution for fork replay and rooted delivery.  Silent
+  // replays reconstruct state for entries already in the journal; live
+  // and winning-fork executions (re)append theirs.
   if (fork_mode_ && mode != ExecMode::kSilentReplay)
     journal_[slot].push_back(JournalTx{std::move(ptx.tx), std::move(ptx.on_result),
                                        res, std::move(events), sig_ok});
@@ -422,26 +422,17 @@ void Chain::subscribe(const std::string& program, EventHandler handler) {
   subscribers_[program].push_back(std::move(handler));
 }
 
-void Chain::subscribe(const std::string& program, EventHandler handler,
-                      SubscribeOptions options) {
+void Chain::subscribe_rooted(const std::string& program, EventHandler handler) {
   // Armed now, or guaranteed to arm at start() — subscriptions are
   // routinely registered before slot production begins.
   const bool armed = fork_mode_ || (!started_ && (cfg_.fork_aware ||
                                                   cfg_.fault.has_reorg_windows()));
-  if (!armed || options.level == Commitment::kProcessed) {
-    if (armed && options.on_retract)
-      processed_retract_.emplace_back(program, std::move(options.on_retract));
+  if (!armed) {
     subscribers_[program].push_back(std::move(handler));
     return;
   }
-  DeferredSub sub;
-  sub.program = program;
-  sub.handler = std::move(handler);
-  sub.on_retract = std::move(options.on_retract);
-  sub.level = options.level;
-  sub.confirmations = std::max<std::uint64_t>(1, options.confirmations);
-  sub.cursor = deferred_target(sub) + 1;  // no history replay on subscribe
-  deferred_subs_.push_back(std::move(sub));
+  // No history replay on subscribe.
+  rooted_subs_.push_back(RootedSub{program, std::move(handler), rooted_slot() + 1});
 }
 
 Chain::RootedWaitId Chain::when_rooted(std::uint64_t slot, std::function<void()> fn) {
@@ -461,23 +452,18 @@ void Chain::cancel_rooted(RootedWaitId id) {
   if (id != 0) rooted_waits_.erase(id);
 }
 
-std::uint64_t Chain::deferred_target(const DeferredSub& sub) const {
-  if (sub.level == Commitment::kRooted) return rooted_slot();
-  return slot_ > sub.confirmations ? slot_ - sub.confirmations : 0;
-}
-
-void Chain::deliver_deferred() {
+void Chain::deliver_rooted() {
+  const std::uint64_t target = rooted_slot();
   // Index loop: a handler may add subscriptions, invalidating
-  // references into deferred_subs_.
-  for (std::size_t i = 0; i < deferred_subs_.size(); ++i) {
-    const std::uint64_t target = deferred_target(deferred_subs_[i]);
-    if (deferred_subs_[i].cursor > target) continue;
-    for (auto it = journal_.lower_bound(deferred_subs_[i].cursor);
+  // references into rooted_subs_.
+  for (std::size_t i = 0; i < rooted_subs_.size(); ++i) {
+    if (rooted_subs_[i].cursor > target) continue;
+    for (auto it = journal_.lower_bound(rooted_subs_[i].cursor);
          it != journal_.end() && it->first <= target; ++it)
       for (const JournalTx& jt : it->second)
         for (const Event& ev : jt.events)
-          if (ev.program == deferred_subs_[i].program) deferred_subs_[i].handler(ev);
-    deferred_subs_[i].cursor = target + 1;
+          if (ev.program == rooted_subs_[i].program) rooted_subs_[i].handler(ev);
+    rooted_subs_[i].cursor = target + 1;
   }
 }
 
@@ -518,29 +504,9 @@ void Chain::perform_reorg(std::uint64_t depth) {
   const std::uint64_t first_retracted = slot_ - depth;  // retract [first_retracted, slot_-1]
   const double now = sim_.now();
 
-  // 1. Retraction callbacks, newest first, before anything rewinds —
-  // subscribers observe the pre-rollback chain while being told which
-  // of their events are about to be taken back.
-  const auto retract_range = [&](std::uint64_t lo, std::uint64_t hi,
-                                 const std::string& program,
-                                 const EventHandler& on_retract) {
-    std::vector<const std::vector<JournalTx>*> slots;
-    for (auto it = journal_.lower_bound(lo); it != journal_.end() && it->first <= hi;
-         ++it)
-      slots.push_back(&it->second);
-    for (auto sit = slots.rbegin(); sit != slots.rend(); ++sit)
-      for (auto jt = (*sit)->rbegin(); jt != (*sit)->rend(); ++jt)
-        for (auto ev = jt->events.rbegin(); ev != jt->events.rend(); ++ev)
-          if (ev->program == program) on_retract(*ev);
-  };
-  for (const auto& [program, on_retract] : processed_retract_)
-    retract_range(first_retracted, slot_ - 1, program, on_retract);
-  for (DeferredSub& sub : deferred_subs_) {
-    if (sub.cursor <= first_retracted) continue;  // never saw the retracted slots
-    if (sub.on_retract)
-      retract_range(first_retracted, sub.cursor - 1, sub.program, sub.on_retract);
-    sub.cursor = first_retracted;
-  }
+  // 1. Rooted subscribers need no repair: a reorg reaches only unrooted
+  // slots, and a rooted cursor never passes rooted_slot() + 1, so it
+  // never passes first_retracted.
 
   // 2. New fork epoch.
   ++fork_epoch_;
@@ -636,10 +602,10 @@ void Chain::replay_journal(std::uint64_t first, std::uint64_t last) {
 
 void Chain::prune_journal() {
   // Nothing at or behind the checkpoint is replayed again; an entry
-  // survives only while some deferred subscriber's cursor has not
+  // survives only while some rooted subscriber's cursor has not
   // passed it.
   std::uint64_t keep_from = checkpoint_.slot + 1;
-  for (const DeferredSub& sub : deferred_subs_) keep_from = std::min(keep_from, sub.cursor);
+  for (const RootedSub& sub : rooted_subs_) keep_from = std::min(keep_from, sub.cursor);
   journal_.erase(journal_.begin(), journal_.lower_bound(keep_from));
 }
 

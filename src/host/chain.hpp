@@ -31,26 +31,11 @@ struct Event {
   Bytes data;
 };
 
-/// How much finality a subscriber (or pipeline) demands before acting
-/// on chain state — mirroring Solana's commitment levels.
+/// How much finality a pipeline demands before acting on chain state —
+/// two of Solana's commitment levels.
 enum class Commitment : std::uint8_t {
   kProcessed,  ///< optimistic tip: instant delivery, may be retracted
-  kConfirmed,  ///< delivered once the slot is `confirmations` slots old
   kRooted,     ///< delivered once the slot can no longer be reorged
-};
-
-/// Options for commitment-aware Chain::subscribe.  On a chain that is
-/// not fork-aware every level degenerates to processed (blocks are
-/// final the instant they are produced), which keeps non-fork runs
-/// byte-identical to the seed.
-struct SubscribeOptions {
-  Commitment level = Commitment::kProcessed;
-  /// kConfirmed only: how many slots old an event must be.
-  std::uint64_t confirmations = 1;
-  /// kProcessed only: invoked (newest first) for every already
-  /// delivered event retracted by a reorg.  Confirmed subscribers get
-  /// retractions only when a reorg reaches deeper than their lag.
-  std::function<void(const Event&)> on_retract;
 };
 
 /// Tunables of the inclusion model: probability a pending transaction
@@ -125,14 +110,15 @@ class Chain {
   /// executed or dropped.  Oversized transactions fail immediately.
   void submit(Transaction tx, ResultHandler on_result = {});
 
+  /// Processed subscription: `handler` sees each event inline at
+  /// execution, and again whenever a reorg replays its transaction.
   void subscribe(const std::string& program, EventHandler handler);
-  /// Commitment-aware subscription.  On a non-fork-aware chain all
-  /// levels deliver inline at execution (processed semantics) and no
-  /// retraction ever fires; on a fork-aware chain confirmed/rooted
-  /// events are delivered from the journal once old enough, inline at
-  /// slot boundaries (no extra simulation events either way).
-  void subscribe(const std::string& program, EventHandler handler,
-                 SubscribeOptions options);
+  /// Rooted subscription.  On a non-fork-aware chain it is a processed
+  /// one (blocks are final the instant they are produced); on a
+  /// fork-aware chain events are delivered from the journal once their
+  /// slot roots, inline at slot boundaries, exactly once each (no extra
+  /// simulation events either way).
+  void subscribe_rooted(const std::string& program, EventHandler handler);
 
   // --- fork/finality introspection -----------------------------------
   /// Newest slot that can no longer be reorged.
@@ -186,7 +172,7 @@ class Chain {
 
   /// One executed transaction as recorded for fork replay: enough to
   /// re-execute it silently (rebuilding program state bit-for-bit) or
-  /// visibly (winning fork), and to feed deferred commitment delivery.
+  /// visibly (winning fork), and to feed rooted delivery.
   struct JournalTx {
     Transaction tx;
     ResultHandler on_result;
@@ -195,13 +181,10 @@ class Chain {
     bool sig_ok = true;         ///< pre-compile verdict (replay skips crypto)
   };
 
-  /// A deferred (confirmed/rooted) subscriber with its delivery cursor.
-  struct DeferredSub {
+  /// A rooted subscriber on an armed chain, with its delivery cursor.
+  struct RootedSub {
     std::string program;
     EventHandler handler;
-    EventHandler on_retract;
-    Commitment level = Commitment::kConfirmed;
-    std::uint64_t confirmations = 1;
     std::uint64_t cursor = 1;  ///< next journal slot to deliver
   };
 
@@ -238,15 +221,14 @@ class Chain {
   /// Silently re-executes the journal over slots [first, last], failing
   /// loud if any transaction's outcome differs from its journal entry.
   void replay_journal(std::uint64_t first, std::uint64_t last);
-  /// Drops journal entries behind the checkpoint that every deferred
+  /// Drops journal entries behind the checkpoint that every rooted
   /// subscriber has already been delivered.
   void prune_journal();
-  /// Deliver journal events to confirmed/rooted subscribers whose
-  /// target advanced, then fire matured rooted waits.  Inline at the
-  /// end of every slot.
-  void deliver_deferred();
+  /// Deliver journal events of newly rooted slots to rooted
+  /// subscribers, then fire matured rooted waits.  Inline at the end of
+  /// every slot.
+  void deliver_rooted();
   void fire_rooted_waits();
-  [[nodiscard]] std::uint64_t deferred_target(const DeferredSub& sub) const;
 
   sim::Simulation& sim_;
   Rng rng_;
@@ -275,12 +257,10 @@ class Chain {
   std::uint64_t fork_epoch_ = 0;
   /// Per-slot execution journal (armed chains only): every transaction
   /// executed after the checkpoint, which a rollback replays, plus older
-  /// entries a confirmed or rooted subscriber has not been delivered
+  /// entries a rooted subscriber has not been delivered
   /// yet.  Pruned behind the checkpoint on every reorg (DESIGN §15).
   std::map<std::uint64_t, std::vector<JournalTx>> journal_;
-  std::vector<DeferredSub> deferred_subs_;
-  /// Processed subscribers that asked for retraction callbacks.
-  std::vector<std::pair<std::string, EventHandler>> processed_retract_;
+  std::vector<RootedSub> rooted_subs_;
   std::map<RootedWaitId, RootedWait> rooted_waits_;
   RootedWaitId next_rooted_wait_ = 1;
   /// Ledger half of the fork checkpoint (each program keeps its own):

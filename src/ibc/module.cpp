@@ -370,7 +370,7 @@ Acknowledgement IbcModule::recv_packet(const Packet& packet, Height proof_height
   verify_membership(conn, proof_height, proof,
                     packet_key(KeyKind::kPacketCommitment, packet.source_port,
                                packet.source_channel, packet.sequence),
-                    packet.compute_commitment(), "recv_packet");
+                    packet.commitment(), "recv_packet");
 
   // Deliver to the application; app failures become error acks.
   Acknowledgement ack;
@@ -418,7 +418,7 @@ void IbcModule::acknowledge_packet(const Packet& packet, const Acknowledgement& 
   Hash32 committed;
   if (store_.get(ckey, &committed) != trie::SealableTrie::Lookup::kFound)
     throw IbcError("acknowledge_packet: no pending commitment");
-  if (committed != packet.compute_commitment())
+  if (committed != packet.commitment())
     throw IbcError("acknowledge_packet: packet does not match commitment");
   if (rec.resolved_commitments.is_marked(packet.sequence))
     throw IbcError("acknowledge_packet: already resolved");
@@ -445,7 +445,7 @@ void IbcModule::timeout_packet(const Packet& packet, Height proof_height,
   Hash32 committed;
   if (store_.get(ckey, &committed) != trie::SealableTrie::Lookup::kFound)
     throw IbcError("timeout_packet: no pending commitment");
-  if (committed != packet.compute_commitment())
+  if (committed != packet.commitment())
     throw IbcError("timeout_packet: packet does not match commitment");
   if (rec.resolved_commitments.is_marked(packet.sequence))
     throw IbcError("timeout_packet: already resolved");

@@ -53,17 +53,12 @@ Packet Packet::decode(ByteView wire) {
   return p;
 }
 
-Hash32 Packet::compute_commitment() const {
+Hash32 Packet::commitment() const {
   const Hash32 data_hash = crypto::Sha256::digest(data);
   std::array<std::uint8_t, 8 + 8 + 32> preimage;
   Encoder e{std::span<std::uint8_t>(preimage)};
   e.u64(timeout_height).u64(timestamp_micros(timeout_timestamp)).hash(data_hash);
   return crypto::Sha256::digest(e.out());
-}
-
-const Hash32& Packet::commitment() const {
-  if (!commitment_) commitment_ = compute_commitment();
-  return *commitment_;
 }
 
 std::size_t Acknowledgement::wire_size() const noexcept {

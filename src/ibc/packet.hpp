@@ -2,8 +2,6 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
-#include <utility>
 
 #include "common/bytes.hpp"
 #include "ibc/types.hpp"
@@ -37,82 +35,9 @@ struct Packet {
 
   /// The value committed on the sender chain:
   /// sha256(timeout_height || timeout_timestamp || sha256(data)).
-  /// Hashed once and cached — a packet is committed, proven, received,
-  /// and acknowledged with the same bytes, so repeated relays stop
-  /// re-hashing identical preimages.  Packets are value objects: built
-  /// or decoded, then only read.  Mutating a field after the first
-  /// commitment() call is a bug (same rule as SignedQuorumHeader's
-  /// cached signing digest).
-  [[nodiscard]] const Hash32& commitment() const;
-  /// Recomputes the commitment from the current field values, ignoring
-  /// (and not touching) the memo.  Verification at trust boundaries
-  /// (recv/ack/timeout) uses this so a caller-tampered packet can never
-  /// ride in on a stale cache — e.g. NRVO can carry send_packet's memo
-  /// into the caller's object, bypassing the cache-dropping copy/move.
-  [[nodiscard]] Hash32 compute_commitment() const;
+  [[nodiscard]] Hash32 commitment() const;
 
-  // Copies and moves drop the memoised commitment: the usual reason to
-  // take a packet out of its resting place is to derive a modified one
-  // (tests, adversarial relays), and a carried-over cache would
-  // silently serve the old hash.  The memoisation pays off where it
-  // matters — a packet parked in a queue or map has commitment() asked
-  // of it many times between moves.
-  Packet() = default;
-  Packet(Packet&& o) noexcept
-      : sequence(o.sequence),
-        source_port(std::move(o.source_port)),
-        source_channel(std::move(o.source_channel)),
-        dest_port(std::move(o.dest_port)),
-        dest_channel(std::move(o.dest_channel)),
-        data(std::move(o.data)),
-        timeout_height(o.timeout_height),
-        timeout_timestamp(o.timeout_timestamp) {}
-  Packet& operator=(Packet&& o) noexcept {
-    sequence = o.sequence;
-    source_port = std::move(o.source_port);
-    source_channel = std::move(o.source_channel);
-    dest_port = std::move(o.dest_port);
-    dest_channel = std::move(o.dest_channel);
-    data = std::move(o.data);
-    timeout_height = o.timeout_height;
-    timeout_timestamp = o.timeout_timestamp;
-    commitment_.reset();
-    return *this;
-  }
-  Packet(const Packet& o)
-      : sequence(o.sequence),
-        source_port(o.source_port),
-        source_channel(o.source_channel),
-        dest_port(o.dest_port),
-        dest_channel(o.dest_channel),
-        data(o.data),
-        timeout_height(o.timeout_height),
-        timeout_timestamp(o.timeout_timestamp) {}
-  Packet& operator=(const Packet& o) {
-    if (this != &o) {
-      sequence = o.sequence;
-      source_port = o.source_port;
-      source_channel = o.source_channel;
-      dest_port = o.dest_port;
-      dest_channel = o.dest_channel;
-      data = o.data;
-      timeout_height = o.timeout_height;
-      timeout_timestamp = o.timeout_timestamp;
-      commitment_.reset();
-    }
-    return *this;
-  }
-
-  friend bool operator==(const Packet& a, const Packet& b) {
-    return a.sequence == b.sequence && a.source_port == b.source_port &&
-           a.source_channel == b.source_channel && a.dest_port == b.dest_port &&
-           a.dest_channel == b.dest_channel && a.data == b.data &&
-           a.timeout_height == b.timeout_height &&
-           a.timeout_timestamp == b.timeout_timestamp;
-  }
-
- private:
-  mutable std::optional<Hash32> commitment_;
+  friend bool operator==(const Packet&, const Packet&) = default;
 };
 
 /// Standard acknowledgement envelope: success with app bytes, or error

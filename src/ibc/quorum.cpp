@@ -1,13 +1,11 @@
 #include "ibc/quorum.hpp"
 
 #include <algorithm>
-#include <cstring>
 #include <unordered_set>
 
 #include "common/codec.hpp"
 #include "crypto/ed25519.hpp"
 #include "crypto/sha256.hpp"
-#include "ibc/views.hpp"
 
 namespace bmg::ibc {
 
@@ -75,10 +73,7 @@ ValidatorSet ValidatorSet::decode(ByteView wire) {
   vals.reserve(n);
   for (std::uint32_t i = 0; i < n; ++i) {
     ValidatorInfo v;
-    const Bytes raw = d.raw(32);
-    crypto::ed25519::PublicKeyBytes pk;
-    std::copy(raw.begin(), raw.end(), pk.begin());
-    v.key = crypto::PublicKey(pk);
+    v.key = crypto::PublicKey(d.array<32>());
     v.stake = d.u64();
     vals.push_back(v);
   }
@@ -156,18 +151,17 @@ void SignedQuorumHeader::encode_into(Encoder& e) const {
 SignedQuorumHeader SignedQuorumHeader::decode(ByteView wire) {
   Decoder d(wire);
   SignedQuorumHeader sh;
-  sh.header = QuorumHeader::decode(d.bytes());
+  sh.header = QuorumHeader::decode(d.bytes_view());
   const std::uint32_t n = d.u32();
+  // Bound the reserve by the bytes actually present (96 per key and
+  // signature): a hostile count fails as truncation.
+  if (n > d.remaining() / 96) throw CodecError("decoder: truncated input");
+  sh.signatures.reserve(n);
   for (std::uint32_t i = 0; i < n; ++i) {
-    const Bytes key_raw = d.raw(32);
-    crypto::ed25519::PublicKeyBytes pk;
-    std::copy(key_raw.begin(), key_raw.end(), pk.begin());
-    const Bytes sig_raw = d.raw(64);
-    crypto::ed25519::SignatureBytes sig;
-    std::copy(sig_raw.begin(), sig_raw.end(), sig.begin());
-    sh.signatures.emplace_back(crypto::PublicKey(pk), crypto::Signature(sig));
+    const crypto::PublicKey key(d.array<32>());
+    sh.signatures.emplace_back(key, crypto::Signature(d.array<64>()));
   }
-  if (d.boolean()) sh.next_validators = ValidatorSet::decode(d.bytes());
+  if (d.boolean()) sh.next_validators = ValidatorSet::decode(d.bytes_view());
   d.expect_done();
   return sh;
 }
@@ -180,17 +174,12 @@ std::size_t SignedQuorumHeader::byte_size() const noexcept {
   return n;
 }
 
-const Hash32& SignedQuorumHeader::signing_digest() const {
-  if (!digest_) digest_ = header.signing_digest();
-  return *digest_;
-}
-
 QuorumLightClient::QuorumLightClient(std::string chain_id, ValidatorSet genesis_validators)
     : chain_id_(std::move(chain_id)), validators_(std::move(genesis_validators)) {}
 
 std::uint64_t QuorumLightClient::verify_signatures(const SignedQuorumHeader& sh,
                                                    const ValidatorSet& validators) {
-  const Hash32& digest = sh.signing_digest();
+  const Hash32 digest = sh.signing_digest();
   // First pass: membership and uniqueness, before paying for any curve
   // arithmetic.  A header failing these is rejected for free.
   std::uint64_t power = 0;
@@ -214,37 +203,6 @@ std::uint64_t QuorumLightClient::verify_signatures(const SignedQuorumHeader& sh,
   return power;
 }
 
-std::uint64_t QuorumLightClient::verify_signatures(const SignedQuorumHeaderView& sh,
-                                                   const ValidatorSet& validators) {
-  const Hash32 digest = sh.signing_digest();
-  // First pass: membership and uniqueness, before paying for any curve
-  // arithmetic.  A header failing these is rejected for free.
-  std::uint64_t power = 0;
-  std::unordered_set<crypto::PublicKey, crypto::PublicKeyHasher> seen;
-  seen.reserve(sh.signature_count);
-  for (std::uint32_t i = 0; i < sh.signature_count; ++i) {
-    const crypto::PublicKey key = sh.signer_at(i);
-    if (!seen.insert(key).second) throw IbcError("quorum client: duplicate signer");
-    const auto stake = validators.stake_of(key);
-    if (!stake) throw IbcError("quorum client: signer not in validator set");
-    power += *stake;
-  }
-  // Second pass: one batched verification, keys and signatures read
-  // straight out of the wire records.
-  std::vector<crypto::ed25519::VerifyItem> items;
-  items.reserve(sh.signature_count);
-  for (std::uint32_t i = 0; i < sh.signature_count; ++i) {
-    crypto::ed25519::SignatureBytes sig;
-    const ByteView s = sh.signature_at(i);
-    std::memcpy(sig.data(), s.data(), sig.size());
-    items.push_back({sh.signer_at(i).raw(), digest.view(), sig});
-  }
-  const std::vector<bool> ok = crypto::ed25519::verify_batch(items);
-  for (const bool good : ok)
-    if (!good) throw IbcError("quorum client: invalid signature");
-  return power;
-}
-
 void QuorumLightClient::apply(const SignedQuorumHeader& sh) {
   states_[sh.header.height] =
       ConsensusState{sh.header.state_root, sh.header.timestamp};
@@ -254,7 +212,7 @@ void QuorumLightClient::apply(const SignedQuorumHeader& sh) {
 
 void QuorumLightClient::update(ByteView header) {
   if (frozen_) throw IbcError("quorum client: frozen on misbehaviour");
-  const SignedQuorumHeaderView sh = SignedQuorumHeaderView::parse(header);
+  const SignedQuorumHeader sh = SignedQuorumHeader::decode(header);
   if (sh.header.chain_id != chain_id_)
     throw IbcError("quorum client: wrong chain id");
   if (sh.header.height <= latest_)
@@ -266,12 +224,7 @@ void QuorumLightClient::update(ByteView header) {
   const std::uint64_t power = verify_signatures(sh, validators_);
   if (power < validators_.quorum_stake())
     throw IbcError("quorum client: insufficient signing stake");
-  states_[sh.header.height] =
-      ConsensusState{sh.header.state_root, sh.header.timestamp()};
-  latest_ = std::max(latest_, sh.header.height);
-  // Epoch rotation is the one place the set must outlive the event:
-  // materialise an owning copy only now, after full verification.
-  if (sh.next_validators) validators_ = sh.next_validators->to_owned();
+  apply(sh);
 }
 
 void QuorumLightClient::accept_verified(const SignedQuorumHeader& sh) {

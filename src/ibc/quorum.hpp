@@ -28,8 +28,6 @@ class Encoder;
 
 namespace bmg::ibc {
 
-struct SignedQuorumHeaderView;
-
 struct ValidatorInfo {
   crypto::PublicKey key;
   std::uint64_t stake = 0;
@@ -121,18 +119,15 @@ struct SignedQuorumHeader {
 
   [[nodiscard]] Bytes encode() const;
   void encode_into(Encoder& e) const;
+  /// Keys and signatures are read in place off the wire; a signature
+  /// count larger than the bytes present throws CodecError before
+  /// anything is reserved.
   [[nodiscard]] static SignedQuorumHeader decode(ByteView wire);
   /// Serialized size — what a relayer must ship on-chain.  Computed
   /// arithmetically from the wire format; never allocates.
   [[nodiscard]] std::size_t byte_size() const noexcept;
-  /// `header.signing_digest()`, hashed once and cached.  Headers are
-  /// value objects — built or decoded, then only read — so the cache
-  /// never sees `header` change.  Mutating `header` after the first
-  /// call here is a bug.
-  [[nodiscard]] const Hash32& signing_digest() const;
-
- private:
-  mutable std::optional<Hash32> digest_;
+  /// `header.signing_digest()`.
+  [[nodiscard]] Hash32 signing_digest() const { return header.signing_digest(); }
 };
 
 /// Light client verifying quorum headers of one counterparty chain.
@@ -141,11 +136,9 @@ class QuorumLightClient final : public LightClient {
   QuorumLightClient(std::string chain_id, ValidatorSet genesis_validators);
 
   /// One-shot verification (used where compute is unconstrained, e.g.
-  /// the counterparty chain verifying guest headers).  Runs entirely
-  /// over a zero-copy view of `header`: the signing digest is hashed
-  /// straight from the borrowed header blob and signatures are
-  /// verified in place; the only owning decode is the next validator
-  /// set, materialised after full verification on epoch rotation.
+  /// the counterparty chain verifying guest headers): decodes the
+  /// signed header, checks it against the tracked validator set, then
+  /// applies it.
   void update(ByteView header) override;
 
   /// Applies a header whose quorum signatures were *already verified
@@ -172,10 +165,6 @@ class QuorumLightClient final : public LightClient {
   /// Returns the verified stake; throws IbcError on any bad signature
   /// or signer not in the set.
   [[nodiscard]] static std::uint64_t verify_signatures(const SignedQuorumHeader& sh,
-                                                       const ValidatorSet& validators);
-  /// Zero-copy variant over a parsed wire view; same checks, same
-  /// error strings, signatures verified straight off the wire bytes.
-  [[nodiscard]] static std::uint64_t verify_signatures(const SignedQuorumHeaderView& sh,
                                                        const ValidatorSet& validators);
 
   /// ICS-2 misbehaviour: two quorum-signed headers at the same height

@@ -153,24 +153,19 @@ void Deployment::wire_finalisation_tracker() {
   // with the processed subscription above (rooted_at == finalised_at);
   // on a fork-aware host it trails by the rooted lag and is never
   // retracted.
-  host::SubscribeOptions rooted_opts;
-  rooted_opts.level = host::Commitment::kRooted;
-  host_.subscribe(
-      guest::kProgramName,
-      [this](const host::Event& ev) {
-        if (ev.name != guest::GuestContract::kEvFinalisedBlock) return;
-        Decoder d(ev.data);
-        const ibc::Height h = d.u64();
-        if (h >= guest_->block_count()) return;
-        for (const ibc::Packet& p : guest_->block_at(h).packets) {
-          const auto it = sent_.find(p.sequence);
-          if (it != sent_.end() && !it->second->rooted) {
-            it->second->rooted = true;
-            it->second->rooted_at = sim_.now();
-          }
-        }
-      },
-      rooted_opts);
+  host_.subscribe_rooted(guest::kProgramName, [this](const host::Event& ev) {
+    if (ev.name != guest::GuestContract::kEvFinalisedBlock) return;
+    Decoder d(ev.data);
+    const ibc::Height h = d.u64();
+    if (h >= guest_->block_count()) return;
+    for (const ibc::Packet& p : guest_->block_at(h).packets) {
+      const auto it = sent_.find(p.sequence);
+      if (it != sent_.end() && !it->second->rooted) {
+        it->second->rooted = true;
+        it->second->rooted_at = sim_.now();
+      }
+    }
+  });
 }
 
 void Deployment::start() {
@@ -226,10 +221,7 @@ ibc::Height Deployment::wait_cp_block() {
 
 void Deployment::guest_handshake_call(ByteView payload) {
   bool done = false, ok = false;
-  std::uint64_t buffer_id = 0;
-  auto txs = relayer_->chunked_call(payload, guest::ix::handshake(0), &buffer_id,
-                                    "handshake");
-  txs.back().instructions[0] = guest::ix::handshake(buffer_id);
+  auto txs = relayer_->staged_call(payload, guest::ix::handshake, "handshake");
   for (auto& tx : txs) tx.payer = service_payer_;
   relayer_->submit_sequence(std::move(txs),
                             [&](const RelayerAgent::SequenceOutcome& out) {

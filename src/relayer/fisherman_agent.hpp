@@ -146,64 +146,46 @@ class FishermanAgent final : public sim::CrashableAgent {
     if (contract_.is_banned(a.validator)) return;
     if (!prosecuted_.insert(a.validator).second) return;
     note_detection(a.validator);
-    Encoder ev;
-    ev.raw(a.validator.view());
-    ev.u8(2);
-    ev.bytes(a.header.encode());
-    ev.bytes(b.header.encode());
-    // Annex: raw signatures per header, making the staged blob
-    // self-contained for post-crash re-derivation.
-    ev.raw(a.signature.view());
-    ev.raw(b.signature.view());
-    std::vector<host::SigVerify> sigs;
-    const Hash32 da = a.header.signing_digest();
-    const Hash32 db = b.header.signing_digest();
-    sigs.push_back(host::SigVerify{a.validator, da, a.signature});
-    sigs.push_back(host::SigVerify{b.validator, db, b.signature});
-    submit_evidence(ev.take(), std::move(sigs));
+    submit_evidence(guest::ix::Evidence{
+        a.validator, {a.header, b.header}, {a.signature, b.signature}});
   }
 
   void submit_single_header(const SignatureGossip& g) {
     note_detection(g.validator);
-    Encoder ev;
-    ev.raw(g.validator.view());
-    ev.u8(1);
-    ev.bytes(g.header.encode());
-    ev.raw(g.signature.view());
-    const Hash32 digest = g.header.signing_digest();
-    std::vector<host::SigVerify> sigs{
-        host::SigVerify{g.validator, digest, g.signature}};
-    submit_evidence(ev.take(), std::move(sigs));
+    submit_evidence(guest::ix::Evidence{g.validator, {g.header}, {g.signature}});
   }
 
   void note_detection(const crypto::PublicKey& offender) {
     first_detect_.emplace(offender, sim_.now());
   }
 
-  void submit_evidence(Bytes blob, std::vector<host::SigVerify> sigs) {
-    const std::uint64_t buffer_id = next_buffer_++;
-    std::uint32_t offset = 0;
-    std::vector<host::Transaction> txs;
-    for (const Bytes& chunk : guest::ix::chunk_payload(blob)) {
-      host::Transaction tx;
-      tx.payer = payer_;
-      tx.label = "fisherman:chunk";
-      tx.instructions.push_back(guest::ix::chunk_upload(buffer_id, offset, chunk));
-      offset += static_cast<std::uint32_t>(chunk.size());
-      txs.push_back(std::move(tx));
-    }
-    host::Transaction fin;
-    fin.payer = payer_;
-    fin.label = "fisherman:evidence";
-    fin.instructions.push_back(guest::ix::submit_evidence(buffer_id));
-    fin.sig_verifies = std::move(sigs);
-    txs.push_back(std::move(fin));
+  /// The pre-compile verifications SubmitEvidence needs: the offender's
+  /// signature over each header, taken from the evidence's annex.
+  [[nodiscard]] static std::vector<host::SigVerify> sig_verifies(
+      const guest::ix::Evidence& ev) {
+    std::vector<host::SigVerify> sigs;
+    sigs.reserve(ev.headers.size());
+    for (std::size_t i = 0; i < ev.headers.size(); ++i)
+      sigs.push_back(
+          host::SigVerify{ev.offender, ev.headers[i].signing_digest(), ev.signatures[i]});
+    return sigs;
+  }
 
+  void submit_evidence(const guest::ix::Evidence& ev) {
+    const std::uint64_t buffer_id = next_buffer_++;
+    std::vector<host::Transaction> txs = guest::ix::staged_call(
+        payer_, host::FeePolicy::base(), buffer_id, guest::ix::evidence_payload(ev),
+        guest::ix::submit_evidence(buffer_id), "fisherman:evidence", "fisherman:chunk");
+    txs.back().sig_verifies = sig_verifies(ev);
     ++submitted_;
     // Evidence must survive drops and blackholes: a fisherman that
     // gives up on the first lost transaction lets a double-signer keep
     // its stake.  The pipeline retries with backoff and fee escalation
     // until the sequence lands or the budget dead-letters it.
+    submit(std::move(txs));
+  }
+
+  void submit(std::vector<host::Transaction> txs) {
     pipeline_.submit_sequence(
         std::move(txs),
         [this](const SequenceOutcome& out) {
@@ -214,10 +196,10 @@ class FishermanAgent final : public sim::CrashableAgent {
 
   /// Post-crash recovery: the chain remembers what this process forgot.
   /// Any staging buffer of ours still unconsumed is a prosecution that
-  /// never finished — decode it (offender | count | headers | signature
-  /// annex), rebuild the sig-verify set from the annex, and resubmit
-  /// just the finishing submit_evidence transaction (the chunks are
-  /// already on chain; re-uploading them would double-pay).
+  /// never finished — decode its evidence, rebuild the sig-verify set
+  /// from the annex, and resubmit just the finishing submit_evidence
+  /// transaction (the chunks are already on chain; re-uploading them
+  /// would double-pay).
   void rederive_pending_evidence() {
     const std::vector<std::uint64_t> staged = contract_.staging_buffers_of(payer_);
     for (const std::uint64_t id : staged)
@@ -225,51 +207,27 @@ class FishermanAgent final : public sim::CrashableAgent {
     for (const std::uint64_t id : staged) {
       const auto blob = contract_.staging_buffer_bytes(payer_, id);
       if (!blob) continue;
+      guest::ix::Evidence ev;
       try {
-        Decoder b(*blob);
-        const Bytes key_raw = b.raw(32);
-        crypto::ed25519::PublicKeyBytes pk{};
-        std::copy(key_raw.begin(), key_raw.end(), pk.begin());
-        const crypto::PublicKey offender(pk);
-        const std::uint8_t count = b.u8();
-        if (count != 1 && count != 2) continue;
-        std::vector<ibc::QuorumHeader> headers;
-        for (std::uint8_t i = 0; i < count; ++i)
-          headers.push_back(ibc::QuorumHeader::decode(b.bytes()));
-        std::vector<crypto::Signature> annex;
-        for (std::uint8_t i = 0; i < count; ++i) {
-          const Bytes s = b.raw(64);
-          crypto::ed25519::SignatureBytes sb{};
-          std::copy(s.begin(), s.end(), sb.begin());
-          annex.emplace_back(sb);
-        }
-        b.expect_done();
-        if (contract_.is_banned(offender)) continue;
-        if (!prosecuted_.insert(offender).second) continue;
-        std::vector<host::SigVerify> sigs;
-        for (std::uint8_t i = 0; i < count; ++i)
-          sigs.push_back(
-              host::SigVerify{offender, headers[i].signing_digest(), annex[i]});
-        host::Transaction fin;
-        fin.payer = payer_;
-        fin.label = "fisherman:evidence";
-        fin.instructions.push_back(guest::ix::submit_evidence(id));
-        fin.sig_verifies = std::move(sigs);
-        std::vector<host::Transaction> txs;
-        txs.push_back(std::move(fin));
-        ++rederived_;
-        ++submitted_;
-        pipeline_.submit_sequence(
-            std::move(txs),
-            [this](const SequenceOutcome& out) {
-              if (out.ok) ++accepted_;
-            },
-            "fisherman");
+        ev = guest::ix::decode_evidence(*blob);
       } catch (const std::exception&) {
         // Truncated blob: the crash hit mid-upload, before the evidence
         // was fully staged.  Nothing recoverable here.
         continue;
       }
+      if (ev.signatures.size() != ev.headers.size()) continue;  // no annex
+      if (contract_.is_banned(ev.offender)) continue;
+      if (!prosecuted_.insert(ev.offender).second) continue;
+      host::Transaction fin;
+      fin.payer = payer_;
+      fin.label = "fisherman:evidence";
+      fin.instructions.push_back(guest::ix::submit_evidence(id));
+      fin.sig_verifies = sig_verifies(ev);
+      std::vector<host::Transaction> txs;
+      txs.push_back(std::move(fin));
+      ++rederived_;
+      ++submitted_;
+      submit(std::move(txs));
     }
   }
 
@@ -300,47 +258,6 @@ class FishermanAgent final : public sim::CrashableAgent {
   std::uint64_t submitted_ = 0;
   std::uint64_t accepted_ = 0;
   std::uint64_t rederived_ = 0;
-};
-
-/// A validator that behaves normally but, alongside each honest
-/// signature, also signs a forged fork of the block and gossips both —
-/// the misbehaviour class 1 of §III-C.
-class ByzantineValidatorAgent {
- public:
-  ByzantineValidatorAgent(sim::Simulation& sim, host::Chain& host,
-                          guest::GuestContract& contract, crypto::PrivateKey key,
-                          GossipBus& bus)
-      : sim_(sim), host_(host), contract_(contract), key_(std::move(key)), bus_(bus) {}
-
-  void start() {
-    host_.subscribe(guest::kProgramName, [this](const host::Event& ev) {
-      if (ev.name != guest::GuestContract::kEvNewBlock) return;
-      Decoder d(ev.data);
-      const ibc::Height height = d.u64();
-      sim_.after(1.0, [this, height] { equivocate(height); });
-    });
-  }
-
- private:
-  void equivocate(ibc::Height height) {
-    if (height >= contract_.block_count()) return;
-    const guest::GuestBlock& canonical = contract_.block_at(height);
-
-    // Honest signature gossiped (and submittable on-chain)...
-    bus_.publish(SignatureGossip{key_.public_key(), canonical.header,
-                                 key_.sign(canonical.hash().view())});
-    // ...and a signature over a forged variant of the same height.
-    ibc::QuorumHeader forged = canonical.header;
-    forged.state_root.bytes[31] ^= 0xFF;
-    bus_.publish(SignatureGossip{key_.public_key(), forged,
-                                 key_.sign(forged.signing_digest().view())});
-  }
-
-  sim::Simulation& sim_;
-  host::Chain& host_;
-  guest::GuestContract& contract_;
-  crypto::PrivateKey key_;
-  GossipBus& bus_;
 };
 
 }  // namespace bmg::relayer

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <memory>
-#include <set>
 #include <stdexcept>
 
 namespace bmg::relayer {
@@ -46,21 +45,19 @@ void RelayerAgent::start() {
   // pipeline level: the counterparty never rolls back, so exporting
   // guest state that a host reorg could still retract would break
   // conservation permanently.
-  host::SubscribeOptions finalised_opts;
-  finalised_opts.level = host_.fork_mode() ? host::Commitment::kRooted
-                                           : host::Commitment::kProcessed;
-  host_.subscribe(
-      guest::kProgramName,
-      [this](const host::Event& ev) {
-        if (!running_) return;
-        if (ev.name != guest::GuestContract::kEvFinalisedBlock) return;
-        Decoder d(ev.data);
-        const ibc::Height height = d.u64();
-        sim_.after_cancellable(
-            cfg_.poll_latency_s, [this, height] { on_guest_block_finalised(height); },
-            timer_owner_);
-      },
-      finalised_opts);
+  auto on_finalised = [this](const host::Event& ev) {
+    if (!running_) return;
+    if (ev.name != guest::GuestContract::kEvFinalisedBlock) return;
+    Decoder d(ev.data);
+    const ibc::Height height = d.u64();
+    sim_.after_cancellable(
+        cfg_.poll_latency_s, [this, height] { on_guest_block_finalised(height); },
+        timer_owner_);
+  };
+  if (host_.fork_mode())
+    host_.subscribe_rooted(guest::kProgramName, std::move(on_finalised));
+  else
+    host_.subscribe(guest::kProgramName, std::move(on_finalised));
   // Counterparty-sent packets enter the relay queue at the next cp
   // block (when they become provable).
   cp_.ibc().set_packet_listener([this](const ibc::Packet& packet) {
@@ -231,79 +228,18 @@ void RelayerAgent::note_cp_reject(const std::string& label, const std::string& w
       RelayError{RelayErrorKind::kCounterpartyReject, label, what, sim_.now(), 0});
 }
 
-std::vector<host::Transaction> RelayerAgent::chunked_call(ByteView payload,
-                                                          host::Instruction final_ix,
-                                                          std::uint64_t* buffer_id_out,
-                                                          const std::string& label) {
+std::vector<host::Transaction> RelayerAgent::staged_call(
+    ByteView payload, host::Instruction (*op)(std::uint64_t), const std::string& label) {
   const std::uint64_t buffer_id = next_buffer_id_++;
-  if (buffer_id_out != nullptr) *buffer_id_out = buffer_id;
-  std::vector<host::Transaction> txs;
-  std::uint32_t offset = 0;
-  for (const Bytes& chunk : guest::ix::chunk_payload(payload, cfg_.host_max_tx_size)) {
-    host::Transaction tx;
-    tx.payer = payer_;
-    tx.fee = cfg_.fee;
-    tx.label = label + ":chunk";
-    tx.instructions.push_back(guest::ix::chunk_upload(buffer_id, offset, chunk));
-    offset += static_cast<std::uint32_t>(chunk.size());
-    txs.push_back(std::move(tx));
-  }
-  host::Transaction fin;
-  fin.payer = payer_;
-  fin.fee = cfg_.fee;
-  fin.label = label;
-  fin.instructions.push_back(std::move(final_ix));
-  txs.push_back(std::move(fin));
-  return txs;
+  return guest::ix::staged_call(payer_, cfg_.fee, buffer_id, payload, op(buffer_id), label,
+                                label + ":chunk", cfg_.host_max_tx_size);
 }
 
 std::vector<host::Transaction> RelayerAgent::build_update_sequence(
     const ibc::SignedQuorumHeader& sh) {
-  // Buffer payload: header bytes + optional next validator set,
-  // sized exactly and encoded in place (no intermediate buffers).
-  Encoder payload(4 + sh.header.byte_size() + 1 +
-                  (sh.next_validators ? 4 + sh.next_validators->byte_size() : 0));
-  payload.u32(static_cast<std::uint32_t>(sh.header.byte_size()));
-  sh.header.encode_into(payload);
-  payload.boolean(sh.next_validators.has_value());
-  if (sh.next_validators) {
-    payload.u32(static_cast<std::uint32_t>(sh.next_validators->byte_size()));
-    sh.next_validators->encode_into(payload);
-  }
-
-  std::uint64_t buffer_id = 0;
-  std::vector<host::Transaction> txs =
-      chunked_call(payload.out(), guest::ix::begin_client_update(0), &buffer_id,
-                   "lc-update");
-  // chunked_call assigned the real buffer id after we passed 0; rebuild
-  // the final instruction with the correct id.
-  txs.back().instructions[0] = guest::ix::begin_client_update(buffer_id);
-
-  const Hash32& digest = sh.signing_digest();
-  for (std::size_t i = 0; i < sh.signatures.size();
-       i += static_cast<std::size_t>(cfg_.sigs_per_update_tx)) {
-    host::Transaction tx;
-    tx.payer = payer_;
-    tx.fee = cfg_.fee;
-    tx.label = "lc-update:sigs";
-    tx.instructions.push_back(guest::ix::verify_update_signatures());
-    tx.sig_verifies.reserve(std::min(
-        sh.signatures.size() - i, static_cast<std::size_t>(cfg_.sigs_per_update_tx)));
-    for (std::size_t j = i;
-         j < sh.signatures.size() && j < i + static_cast<std::size_t>(cfg_.sigs_per_update_tx);
-         ++j) {
-      tx.sig_verifies.push_back(
-          host::SigVerify{sh.signatures[j].first, digest, sh.signatures[j].second});
-    }
-    txs.push_back(std::move(tx));
-  }
-
-  host::Transaction fin;
-  fin.payer = payer_;
-  fin.fee = cfg_.fee;
-  fin.label = "lc-update:finish";
-  fin.instructions.push_back(guest::ix::finish_client_update());
-  txs.push_back(std::move(fin));
+  std::vector<host::Transaction> txs = staged_call(
+      guest::ix::client_update_payload(sh), guest::ix::begin_client_update, "lc-update");
+  append_update_signatures(txs, sh, {});
   return txs;
 }
 
@@ -313,29 +249,31 @@ std::vector<host::Transaction> RelayerAgent::build_update_resume_sequence(
   // The contract dedups signatures against its pending-update `seen`
   // set and rejects a tx whose signatures are *all* duplicates, so a
   // resume must submit only the not-yet-verified ones.
-  const std::set<crypto::PublicKey> seen(pending.seen.begin(), pending.seen.end());
-  const Hash32& digest = sh.signing_digest();
-
   std::vector<host::Transaction> txs;
-  host::Transaction cur;
-  for (const auto& [pubkey, sig] : sh.signatures) {
-    if (seen.count(pubkey) > 0) continue;
-    cur.sig_verifies.push_back(host::SigVerify{pubkey, digest, sig});
-    if (cur.sig_verifies.size() >= static_cast<std::size_t>(cfg_.sigs_per_update_tx)) {
-      cur.payer = payer_;
-      cur.fee = cfg_.fee;
-      cur.label = "lc-update:sigs";
-      cur.instructions.push_back(guest::ix::verify_update_signatures());
-      txs.push_back(std::move(cur));
-      cur = {};
+  append_update_signatures(txs, sh, pending.seen);
+  return txs;
+}
+
+void RelayerAgent::append_update_signatures(std::vector<host::Transaction>& txs,
+                                            const ibc::SignedQuorumHeader& sh,
+                                            const std::vector<crypto::PublicKey>& seen) {
+  const Hash32 digest = sh.signing_digest();
+  const auto per_tx = static_cast<std::size_t>(cfg_.sigs_per_update_tx);
+  std::size_t in_tx = per_tx;  // signatures in txs.back(); a full tx starts a new one
+  for (std::size_t i = 0; i < sh.signatures.size(); ++i) {
+    const auto& [pubkey, sig] = sh.signatures[i];
+    if (std::binary_search(seen.begin(), seen.end(), pubkey)) continue;
+    if (in_tx == per_tx) {
+      host::Transaction& tx = txs.emplace_back();
+      tx.payer = payer_;
+      tx.fee = cfg_.fee;
+      tx.label = "lc-update:sigs";
+      tx.instructions.push_back(guest::ix::verify_update_signatures());
+      tx.sig_verifies.reserve(std::min(per_tx, sh.signatures.size() - i));
+      in_tx = 0;
     }
-  }
-  if (!cur.sig_verifies.empty()) {
-    cur.payer = payer_;
-    cur.fee = cfg_.fee;
-    cur.label = "lc-update:sigs";
-    cur.instructions.push_back(guest::ix::verify_update_signatures());
-    txs.push_back(std::move(cur));
+    txs.back().sig_verifies.push_back(host::SigVerify{pubkey, digest, sig});
+    ++in_tx;
   }
 
   host::Transaction fin;
@@ -344,7 +282,6 @@ std::vector<host::Transaction> RelayerAgent::build_update_resume_sequence(
   fin.label = "lc-update:finish";
   fin.instructions.push_back(guest::ix::finish_client_update());
   txs.push_back(std::move(fin));
-  return txs;
 }
 
 // --- guest -> counterparty ------------------------------------------------------
@@ -437,7 +374,8 @@ void RelayerAgent::on_guest_block_finalised(ibc::Height height) {
       const auto key = ibc::packet_key(ibc::KeyKind::kPacketAck, p.dest_port,
                                        p.dest_channel, p.sequence);
       try {
-        const auto ack = contract_.ack_log(p.dest_port, p.dest_channel, p.sequence);
+        const auto ack =
+            contract_.ibc().ack_for(p.dest_port, p.dest_channel, p.sequence);
         if (!ack) continue;
         const trie::Proof proof = snap.prove(key);
         cp_.ibc().acknowledge_packet(p, *ack, height, proof);
@@ -514,16 +452,9 @@ void RelayerAgent::deliver_packet_to_guest(const ibc::Packet& packet,
   const auto key = ibc::packet_key(ibc::KeyKind::kPacketCommitment, packet.source_port,
                                    packet.source_channel, packet.sequence);
   const trie::Proof proof = cp_proof(proof_height, key);
-  Encoder payload(4 + packet.wire_size() + 8 + 4 + proof.byte_size());
-  payload.u32(static_cast<std::uint32_t>(packet.wire_size()));
-  packet.encode_into(payload);
-  payload.u64(proof_height);
-  payload.u32(static_cast<std::uint32_t>(proof.byte_size()));
-  proof.serialize_into(payload);
-  std::uint64_t buffer_id = 0;
-  auto txs = chunked_call(payload.out(), guest::ix::receive_packet(0), &buffer_id,
-                          "recv-packet");
-  txs.back().instructions[0] = guest::ix::receive_packet(buffer_id);
+  auto txs =
+      staged_call(guest::ix::packet_proof_payload(packet, nullptr, proof_height, proof),
+                  guest::ix::receive_packet, "recv-packet");
   submit_sequence(
       std::move(txs),
       [this, packet, proof_height, done = std::move(done)](const SequenceOutcome& out) {
@@ -549,19 +480,8 @@ void RelayerAgent::deliver_ack_to_guest(const ibc::Packet& packet,
   const auto key = ibc::packet_key(ibc::KeyKind::kPacketAck, packet.dest_port,
                                    packet.dest_channel, packet.sequence);
   const trie::Proof proof = cp_proof(proof_height, key);
-  Encoder payload(4 + packet.wire_size() + 4 + ack.wire_size() + 8 + 4 +
-                  proof.byte_size());
-  payload.u32(static_cast<std::uint32_t>(packet.wire_size()));
-  packet.encode_into(payload);
-  payload.u32(static_cast<std::uint32_t>(ack.wire_size()));
-  ack.encode_into(payload);
-  payload.u64(proof_height);
-  payload.u32(static_cast<std::uint32_t>(proof.byte_size()));
-  proof.serialize_into(payload);
-  std::uint64_t buffer_id = 0;
-  auto txs = chunked_call(payload.out(), guest::ix::acknowledge_packet(0), &buffer_id,
-                          "ack-packet");
-  txs.back().instructions[0] = guest::ix::acknowledge_packet(buffer_id);
+  auto txs = staged_call(guest::ix::packet_proof_payload(packet, &ack, proof_height, proof),
+                         guest::ix::acknowledge_packet, "ack-packet");
   submit_sequence(
       std::move(txs),
       [this, packet, ack, proof_height, done = std::move(done)](
@@ -582,17 +502,10 @@ void RelayerAgent::deliver_timeout_to_guest(const ibc::Packet& packet,
   const auto key = ibc::packet_key(ibc::KeyKind::kPacketReceipt, packet.dest_port,
                                    packet.dest_channel, packet.sequence);
   const trie::Proof proof = cp_proof(proof_height, key);
-  Encoder payload(4 + packet.wire_size() + 8 + 4 + proof.byte_size());
-  payload.u32(static_cast<std::uint32_t>(packet.wire_size()));
-  packet.encode_into(payload);
-  payload.u64(proof_height);
-  payload.u32(static_cast<std::uint32_t>(proof.byte_size()));
-  proof.serialize_into(payload);
-  std::uint64_t buffer_id = 0;
-  auto txs = chunked_call(payload.out(), guest::ix::timeout_packet(0), &buffer_id,
-                          "timeout-packet");
-  txs.back().instructions[0] = guest::ix::timeout_packet(buffer_id);
-  submit_sequence(std::move(txs), std::move(done));
+  submit_sequence(
+      staged_call(guest::ix::packet_proof_payload(packet, nullptr, proof_height, proof),
+                  guest::ix::timeout_packet, "timeout-packet"),
+      std::move(done));
 }
 
 void RelayerAgent::pump_cp_to_guest() {

@@ -109,12 +109,12 @@ class RelayerAgent final : public sim::CrashableAgent {
   /// mid-sequence resumption), reporting aggregate cost and timing.
   void submit_sequence(std::vector<host::Transaction> txs, SequenceDone done);
 
-  /// Chunk-uploads `payload` into a fresh staging buffer and appends
-  /// `final_ix` consuming it.  Returns the transaction list.
-  [[nodiscard]] std::vector<host::Transaction> chunked_call(ByteView payload,
-                                                            host::Instruction final_ix,
-                                                            std::uint64_t* buffer_id_out,
-                                                            const std::string& label);
+  /// guest::ix::staged_call of `payload` into a fresh staging buffer
+  /// with this relayer's payer, fee and transaction size, ending in
+  /// `op(buffer id)`: chunks labelled `<label>:chunk`, the final
+  /// transaction `label`.
+  [[nodiscard]] std::vector<host::Transaction> staged_call(
+      ByteView payload, host::Instruction (*op)(std::uint64_t), const std::string& label);
 
   /// Builds the full light-client-update transaction sequence for a
   /// counterparty header (chunks + begin + N sig-verify txs + finish).
@@ -155,6 +155,12 @@ class RelayerAgent final : public sim::CrashableAgent {
   void update_guest_client_attempt(ibc::Height cp_height, std::function<void()> done,
                                    int rebuilds_left);
   void note_cp_reject(const std::string& label, const std::string& what);
+  /// Appends one VerifyUpdateSignatures transaction per
+  /// `sigs_per_update_tx` signatures of `sh` whose signer is not in
+  /// `seen` (sorted), then the FinishClientUpdate transaction.
+  void append_update_signatures(std::vector<host::Transaction>& txs,
+                                const ibc::SignedQuorumHeader& sh,
+                                const std::vector<crypto::PublicKey>& seen);
   /// First cp height whose snapshot proves `key`: the latest block if
   /// it already does, else the next one.
   [[nodiscard]] ibc::Height cp_ready_height(ByteView key) const;

@@ -66,7 +66,6 @@ Simulation::TimerId Simulation::at_cancellable(SimTime t, std::function<void()> 
   const TimerId id = ++next_timer_id_;
   pending_timers_.push_back({id, owner});  // ids are monotonic: stays sorted
   ++pending_live_;
-  if (owner != 0) owned_[owner].push_back(id);
   queue_.push_back(Event{std::max(t, now_), next_seq_++, std::move(fn), id});
   std::push_heap(queue_.begin(), queue_.end(), Later{});
   return id;
@@ -85,12 +84,12 @@ bool Simulation::cancel(TimerId id) {
 
 std::size_t Simulation::cancel_agent(AgentId owner) {
   if (owner == 0) return 0;
-  const auto it = owned_.find(owner);
-  if (it == owned_.end()) return 0;
-  std::size_t cancelled = 0;
-  for (const TimerId id : it->second) cancelled += erase_pending(id) ? 1 : 0;
-  it->second.clear();
-  return cancelled;
+  // Collect first: erase_pending may compact pending_timers_.
+  std::vector<TimerId> ids;
+  for (const PendingTimer& t : pending_timers_)
+    if (t.owner == owner) ids.push_back(t.id);
+  for (const TimerId id : ids) erase_pending(id);
+  return ids.size();
 }
 
 bool Simulation::step() {

@@ -9,7 +9,6 @@
 #include <cstdint>
 #include <functional>
 #include <thread>
-#include <unordered_map>
 #include <vector>
 
 namespace bmg::sim {
@@ -56,8 +55,9 @@ class Simulation {
   [[nodiscard]] AgentId register_agent() { return ++next_agent_id_; }
 
   /// Cancels every pending timer owned by `owner` (the sim half of a
-  /// process kill: in-memory timers die with the process).  Returns
-  /// the number of timers actually cancelled.  Id 0 is a no-op.
+  /// process kill: in-memory timers die with the process), found by a
+  /// scan of the pending timers.  Returns the number cancelled.  Id 0
+  /// is a no-op.
   std::size_t cancel_agent(AgentId owner);
 
   /// Whether a cancellable timer is scheduled and not yet fired.
@@ -124,9 +124,6 @@ class Simulation {
   [[nodiscard]] const PendingTimer* find_pending(TimerId id) const;
   /// Tombstones `id` if live; returns whether it was live.
   bool erase_pending(TimerId id);
-  /// Owner -> timers it ever scheduled; entries may be stale (already
-  /// fired or cancelled) and are dropped lazily by cancel_agent().
-  std::unordered_map<AgentId, std::vector<TimerId>> owned_;
   /// Thread the first step() ran on; id{} until then (see
   /// rebind_pump_thread()).
   std::thread::id pump_thread_{};

@@ -390,7 +390,7 @@ TEST(Ed25519, ManyRandomRoundTrips) {
 // chain, before the expanded key and the radix-16 comb replaced them.
 TEST(Ed25519, SignaturesMatchParentDigest) {
   XorShift rng{0x6a09e667f3bcc908ULL};
-  Sha256 h;
+  Bytes transcript;
   for (int i = 0; i < 512; ++i) {
     Seed seed{};
     rng.fill(seed.data(), seed.size());
@@ -398,10 +398,10 @@ TEST(Ed25519, SignaturesMatchParentDigest) {
     rng.fill(msg.data(), msg.size());
     const ExpandedKey key = expand(seed);
     const SignatureBytes sig = sign(key, msg);
-    h.update(ByteView{key.pub});
-    h.update(ByteView{sig});
+    transcript.insert(transcript.end(), key.pub.begin(), key.pub.end());
+    transcript.insert(transcript.end(), sig.begin(), sig.end());
   }
-  EXPECT_EQ(to_hex(h.finish().view()),
+  EXPECT_EQ(to_hex(Sha256::digest(transcript).view()),
             "03c006b4afba46f570ab01f6847ec82303312f8c4530123d2d8423b5ad73e407");
 }
 
@@ -860,11 +860,10 @@ VerdictCorpus make_verdict_corpus() {
 // SHA-256 over the corpus verdicts of verify, then of verify_batch on
 // the corpus cut into batches of 1, 4 and 17.
 std::string verdict_digest(const std::vector<VerifyItem>& items) {
-  Sha256 h;
   Bytes verdicts(items.size());
   for (std::size_t i = 0; i < items.size(); ++i)
     verdicts[i] = verify(items[i].pub, items[i].msg, items[i].sig) ? 1 : 0;
-  h.update(verdicts);
+  Bytes transcript = verdicts;
   const std::span<const VerifyItem> all{items};
   for (const std::size_t size : {1, 4, 17}) {
     for (std::size_t begin = 0; begin < items.size(); begin += size) {
@@ -872,9 +871,9 @@ std::string verdict_digest(const std::vector<VerifyItem>& items) {
       const std::vector<bool> got = verify_batch(all.subspan(begin, n));
       for (std::size_t j = 0; j < n; ++j) verdicts[begin + j] = got[j] ? 1 : 0;
     }
-    h.update(verdicts);
+    transcript.insert(transcript.end(), verdicts.begin(), verdicts.end());
   }
-  return to_hex(h.finish().view());
+  return to_hex(Sha256::digest(transcript).view());
 }
 
 // Verdict identity of verify and verify_batch.  The constant was

@@ -650,8 +650,6 @@ std::string read_surfaces(relayer::Deployment& d, const std::vector<PublicKey>& 
       << " " << seq.receipts_watermark << " " << seq.acks_watermark << "\n";
   const ibc::IbcModule& m = g.ibc();
   for (std::uint64_t n = 1; n <= 16; ++n) {
-    if (const auto ack = g.ack_log("transfer", d.guest_channel(), n))
-      out << "ack " << n << " " << to_hex(ack->encode()) << "\n";
     if (const auto ack = m.ack_for("transfer", d.guest_channel(), n))
       out << "module ack " << n << " " << to_hex(ack->encode()) << "\n";
     out << "packet " << n << " received " << m.packet_received("transfer", d.guest_channel(), n)

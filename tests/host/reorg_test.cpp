@@ -1,9 +1,9 @@
 // Fork/reorg machinery unit tests: arming rules, rollback to the
 // rolling rooted checkpoint with journal-verified replay, the linear
 // replay bound of long storms, depth clamping against the rooted slot,
-// retraction callbacks, commitment-aware delivery, rooted waits and
-// the survival draw.  A depth-0 window or an untouched plan must leave
-// the chain byte-identical to the linear seed behaviour.
+// rooted delivery, rooted waits and the survival draw.  A depth-0
+// window or an untouched plan must leave the chain byte-identical to
+// the linear seed behaviour.
 #include <gtest/gtest.h>
 
 #include <stdexcept>
@@ -115,10 +115,7 @@ TEST(Reorg, UnarmedChainDeliversEveryCommitmentInline) {
   Harness h;
   std::vector<Event> processed, rooted;
   h.chain.subscribe("fork", [&](const Event& ev) { processed.push_back(ev); });
-  SubscribeOptions opts;
-  opts.level = Commitment::kRooted;
-  h.chain.subscribe(
-      "fork", [&](const Event& ev) { rooted.push_back(ev); }, opts);
+  h.chain.subscribe_rooted("fork", [&](const Event& ev) { rooted.push_back(ev); });
   h.chain.start();
   h.submit_bump();
   h.sim.run_until(30.0);
@@ -164,11 +161,6 @@ TEST(Reorg, DepthZeroWindowIsByteIdenticalToSeed) {
 
 TEST(Reorg, StormRollsBackAndReplaysToConvergence) {
   Harness h(armed_config(/*rooted_lag=*/8));
-  std::vector<Event> delivered, retracted;
-  SubscribeOptions opts;  // processed, with retraction callbacks
-  opts.on_retract = [&](const Event& ev) { retracted.push_back(ev); };
-  h.chain.subscribe(
-      "fork", [&](const Event& ev) { delivered.push_back(ev); }, opts);
   h.chain.start();
   // Forks every slot for 40 s, full survival: every retracted tx is
   // re-executed on the winning fork.
@@ -191,10 +183,6 @@ TEST(Reorg, StormRollsBackAndReplaysToConvergence) {
   // yet the replayed program state holds exactly one logical bump per
   // transaction: rollback + checkpoint replay converged.
   EXPECT_EQ(h.prog().counter, n);
-  // Deliveries minus retractions likewise settles at one visible event
-  // per transaction.
-  EXPECT_GT(retracted.size(), 0u);
-  EXPECT_EQ(delivered.size() - retracted.size(), static_cast<std::size_t>(n));
   // Epoch counter moved in lockstep with the reorgs.
   EXPECT_EQ(h.chain.fork_epoch(), fc.reorgs_triggered);
 }
@@ -271,12 +259,7 @@ TEST(Reorg, DepthClampedByRootedSlot) {
 TEST(Reorg, RootedSubscriberNeverSeesRetractions) {
   Harness h(armed_config(/*rooted_lag=*/8));
   std::vector<Event> rooted_seen;
-  int rooted_retracts = 0;
-  SubscribeOptions opts;
-  opts.level = Commitment::kRooted;
-  opts.on_retract = [&](const Event&) { ++rooted_retracts; };
-  h.chain.subscribe(
-      "fork", [&](const Event& ev) { rooted_seen.push_back(ev); }, opts);
+  h.chain.subscribe_rooted("fork", [&](const Event& ev) { rooted_seen.push_back(ev); });
   h.chain.start();
   h.chain.fault_plan().reorg(2.0, 42.0, /*max_depth=*/4, /*probability=*/1.0);
 
@@ -289,35 +272,10 @@ TEST(Reorg, RootedSubscriberNeverSeesRetractions) {
 
   ASSERT_GT(h.chain.fault_counters().reorgs_triggered, 0u);
   // Rooted delivery trails every possible reorg: exactly one delivery
-  // per event, in slot order, and never a retraction.
+  // per event, in slot order.
   EXPECT_EQ(rooted_seen.size(), static_cast<std::size_t>(n));
-  EXPECT_EQ(rooted_retracts, 0);
   for (std::size_t i = 1; i < rooted_seen.size(); ++i)
     EXPECT_GE(rooted_seen[i].slot, rooted_seen[i - 1].slot);
-}
-
-TEST(Reorg, ConfirmedDeliveryLagsByK) {
-  const std::uint64_t k = 5;
-  Harness h(armed_config(/*rooted_lag=*/16));
-  std::vector<std::uint64_t> delivery_slots;  // chain tip when delivered
-  std::vector<std::uint64_t> event_slots;
-  SubscribeOptions opts;
-  opts.level = Commitment::kConfirmed;
-  opts.confirmations = k;
-  h.chain.subscribe(
-      "fork",
-      [&](const Event& ev) {
-        delivery_slots.push_back(h.chain.slot());
-        event_slots.push_back(ev.slot);
-      },
-      opts);
-  h.chain.start();
-  h.submit_bump();
-  h.sim.run_until(30.0);
-
-  ASSERT_EQ(delivery_slots.size(), 1u);
-  EXPECT_GE(delivery_slots[0], event_slots[0] + k);
-  EXPECT_LT(delivery_slots[0], event_slots[0] + 16);  // before rooting
 }
 
 TEST(Reorg, WhenRootedFiresAtLagAndCancelHolds) {

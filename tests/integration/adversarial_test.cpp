@@ -60,13 +60,9 @@ TEST_F(MaliciousRelayer, ForgedPacketRejectedByGuest) {
   // A proof of some *other* key cannot satisfy the forged commitment.
   const auto wrong_key = ibc::channel_key("transfer", d_.cp_channel());
   const trie::Proof proof = d_.cp().prove_at(h, wrong_key);
-  Encoder payload;
-  payload.bytes(forged.encode()).u64(h).bytes(proof.serialize());
-
-  std::uint64_t buffer_id = 0;
-  auto txs = d_.relayer().chunked_call(payload.out(), guest::ix::receive_packet(0),
-                                       &buffer_id, "evil-recv");
-  txs.back().instructions[0] = guest::ix::receive_packet(buffer_id);
+  auto txs = d_.relayer().staged_call(
+      guest::ix::packet_proof_payload(forged, nullptr, h, proof), guest::ix::receive_packet,
+      "evil-recv");
   for (auto& tx : txs) tx.payer = evil_;
 
   bool done = false, ok = true;
@@ -94,14 +90,10 @@ TEST_F(MaliciousRelayer, ForgedHeaderRejectedByUpdateMachinery) {
   forged.state_root.bytes[0] = 0xEE;  // attacker-chosen state
   forged.validator_set_hash = d_.cp().validators().hash();
 
-  Encoder payload;
-  payload.bytes(forged.encode());
-  payload.boolean(false);
-
-  std::uint64_t buffer_id = 0;
-  auto txs = d_.relayer().chunked_call(payload.out(), guest::ix::begin_client_update(0),
-                                       &buffer_id, "evil-update");
-  txs.back().instructions[0] = guest::ix::begin_client_update(buffer_id);
+  ibc::SignedQuorumHeader unsigned_forged;
+  unsigned_forged.header = forged;
+  auto txs = d_.relayer().staged_call(guest::ix::client_update_payload(unsigned_forged),
+                                      guest::ix::begin_client_update, "evil-update");
   // The attacker signs with its own key — not in the validator set.
   const crypto::PrivateKey evil_key = crypto::PrivateKey::from_label("evil-relayer");
   const Hash32 digest = forged.signing_digest();

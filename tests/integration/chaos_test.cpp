@@ -9,7 +9,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <limits>
 
+#include "adversary/byzantine.hpp"
 #include "audit/auditor.hpp"
 #include "relayer/deployment.hpp"
 #include "relayer/fisherman_agent.hpp"
@@ -178,8 +180,12 @@ TEST(Chaos, FishermanEvidenceSurvivesBlackhole) {
   d.host().airdrop(fisher_payer, 100 * host::kLamportsPerSol);
   FishermanAgent fisherman(d.sim(), d.host(), d.guest(), bus, fisher_payer);
   fisherman.start();
-  ByzantineValidatorAgent byzantine(d.sim(), d.host(), d.guest(),
-                                    d.validators()[0]->key(), bus);
+  const adversary::AdversaryPlan plan = adversary::AdversaryPlan().equivocate(
+      0.0, std::numeric_limits<double>::infinity(), /*validators=*/1);
+  adversary::AdversaryCounters counters;
+  adversary::ByzantineValidatorAgent byzantine(d.sim(), d.host(), d.guest(), bus,
+                                               d.validators()[0]->key(), plan,
+                                               counters, /*index=*/0, /*seed=*/0);
   byzantine.start();
 
   // Every fisherman transaction submitted in the first 120 s vanishes.

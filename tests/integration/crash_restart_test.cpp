@@ -13,8 +13,10 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <limits>
 #include <string>
 
+#include "adversary/byzantine.hpp"
 #include "audit/auditor.hpp"
 #include "ibc/transfer.hpp"
 #include "relayer/deployment.hpp"
@@ -327,8 +329,12 @@ TEST(CrashChaos, FishermanRestartDoesNotDoubleProsecute) {
   d.host().airdrop(fisher_payer, 100 * host::kLamportsPerSol);
   FishermanAgent fisherman(d.sim(), d.host(), d.guest(), bus, fisher_payer);
   fisherman.start();
-  ByzantineValidatorAgent byzantine(d.sim(), d.host(), d.guest(),
-                                    d.validators()[0]->key(), bus);
+  const adversary::AdversaryPlan plan = adversary::AdversaryPlan().equivocate(
+      0.0, std::numeric_limits<double>::infinity(), /*validators=*/1);
+  adversary::AdversaryCounters counters;
+  adversary::ByzantineValidatorAgent byzantine(d.sim(), d.host(), d.guest(), bus,
+                                               d.validators()[0]->key(), plan,
+                                               counters, /*index=*/0, /*seed=*/0);
   byzantine.start();
   d.crash_controller().add(fisherman);
   d.start();

@@ -44,10 +44,7 @@ TEST(Deployment, IbcHandshakeOpensBothEnds) {
   Encoder e;
   e.u8(static_cast<std::uint8_t>(guest::HandshakeOp::kChanOpenInit));
   e.str("transfer").str(guest_end.connection).str("transfer").u8(2);
-  std::uint64_t buffer_id = 0;
-  auto txs = d.relayer().chunked_call(e.out(), guest::ix::handshake(0), &buffer_id,
-                                      "handshake");
-  txs.back().instructions[0] = guest::ix::handshake(buffer_id);
+  auto txs = d.relayer().staged_call(e.out(), guest::ix::handshake, "handshake");
   bool done = false;
   bool ok = true;
   d.relayer().submit_sequence(std::move(txs), [&](const SequenceOutcome& out) {

@@ -4,6 +4,9 @@
 // offender and rewards the fisherman.
 #include <gtest/gtest.h>
 
+#include <limits>
+
+#include "adversary/byzantine.hpp"
 #include "relayer/deployment.hpp"
 #include "relayer/fisherman_agent.hpp"
 
@@ -37,8 +40,12 @@ TEST(Fisherman, ByzantineValidatorGetsSlashed) {
   fisherman.start();
 
   // Validator 0 turns Byzantine: equivocates on every new block.
-  ByzantineValidatorAgent byzantine(d.sim(), d.host(), d.guest(),
-                                    d.validators()[0]->key(), bus);
+  const adversary::AdversaryPlan plan = adversary::AdversaryPlan().equivocate(
+      0.0, std::numeric_limits<double>::infinity(), /*validators=*/1);
+  adversary::AdversaryCounters counters;
+  adversary::ByzantineValidatorAgent byzantine(d.sim(), d.host(), d.guest(), bus,
+                                               d.validators()[0]->key(), plan,
+                                               counters, /*index=*/0, /*seed=*/0);
   byzantine.start();
 
   d.start();

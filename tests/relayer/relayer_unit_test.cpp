@@ -98,10 +98,18 @@ TEST_F(RelayerUnit, SubmitSequenceAbortsOnFailure) {
 
 TEST_F(RelayerUnit, ChunkedCallSplitsLargePayloads) {
   const Bytes payload(3000, 0xAB);
-  std::uint64_t buffer_id = 0;
-  auto txs = d_.relayer().chunked_call(payload, guest::ix::receive_packet(0),
-                                       &buffer_id, "test");
+  const auto txs = d_.relayer().staged_call(payload, guest::ix::receive_packet, "test");
+  // Every transaction names one fresh buffer: [op][u64 buffer id]...
+  const auto buffer_of = [](const host::Transaction& tx) {
+    Decoder d(tx.instructions[0].data);
+    (void)d.u8();
+    return d.u64();
+  };
+  const std::uint64_t buffer_id = buffer_of(txs.back());
   EXPECT_GT(buffer_id, 0u);
+  for (const auto& tx : txs) EXPECT_EQ(buffer_of(tx), buffer_id);
+  EXPECT_EQ(txs.back().label, "test");
+  EXPECT_EQ(txs.front().label, "test:chunk");
   const std::size_t chunks =
       (payload.size() + guest::ix::max_chunk_bytes() - 1) / guest::ix::max_chunk_bytes();
   EXPECT_GT(chunks, 1u);

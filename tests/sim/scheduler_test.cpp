@@ -202,6 +202,37 @@ TEST(Simulation, OwnedTimerStillCancellableIndividually) {
   EXPECT_FALSE(fired);
 }
 
+TEST(Simulation, CancelAgentAfterManyFiredTimersSparesOtherOwners) {
+  // 10^5 of one agent's timers fire first (nothing about them may be
+  // left to cancel); then that agent and another hold live timers,
+  // interleaved so that tombstone compaction runs mid-cancel.
+  Simulation s;
+  const Simulation::AgentId alice = s.register_agent();
+  const Simulation::AgentId bob = s.register_agent();
+  int early = 0;
+  for (int i = 0; i < 100'000; ++i) s.after_cancellable(1.0, [&] { ++early; }, alice);
+  s.run_until(2.0);
+  ASSERT_EQ(early, 100'000);
+
+  int alice_fired = 0, bob_fired = 0, ownerless_fired = 0;
+  std::vector<Simulation::TimerId> alice_ids, bob_ids;
+  for (int i = 0; i < 200; ++i) {
+    alice_ids.push_back(s.after_cancellable(5.0, [&] { ++alice_fired; }, alice));
+    if (i % 2 == 0) bob_ids.push_back(s.after_cancellable(5.0, [&] { ++bob_fired; }, bob));
+  }
+  s.after_cancellable(5.0, [&] { ++ownerless_fired; });
+  ASSERT_TRUE(s.cancel(alice_ids[7]));  // one already cancelled by id
+
+  EXPECT_EQ(s.cancel_agent(alice), 199u);
+  for (const Simulation::TimerId id : alice_ids) EXPECT_FALSE(s.timer_pending(id));
+  for (const Simulation::TimerId id : bob_ids) EXPECT_TRUE(s.timer_pending(id));
+  EXPECT_EQ(s.cancel_agent(alice), 0u);
+  s.run();
+  EXPECT_EQ(alice_fired, 0);
+  EXPECT_EQ(bob_fired, 100);
+  EXPECT_EQ(ownerless_fired, 1);
+}
+
 TEST(Simulation, AgentCanRearmTimersAfterCancelAgent) {
   Simulation s;
   const Simulation::AgentId agent = s.register_agent();

@@ -43,7 +43,10 @@ Hash32 workload_digest(std::size_t steps, std::uint64_t seed, std::size_t clone_
   Rng rng(seed);
   std::vector<std::uint64_t> live;
   std::uint64_t next = 0;
-  crypto::Sha256 digest;
+  Bytes transcript;  // hashed once at the end
+  const auto append = [&](ByteView b) {
+    transcript.insert(transcript.end(), b.begin(), b.end());
+  };
   TrieSnapshot prev_snap;
   std::vector<Bytes> prev_keys;
   std::vector<Bytes> prev_wire;
@@ -68,7 +71,7 @@ Hash32 workload_digest(std::size_t steps, std::uint64_t seed, std::size_t clone_
       old.commit();
     }
     if ((step + 1) % 500 != 0) continue;
-    digest.update(t.root_hash().view());
+    append(t.root_hash().view());
     std::size_t moved = 0;
     for (std::size_t i = 0; i < prev_keys.size(); ++i)
       moved += prev_snap.prove(prev_keys[i]).serialize() != prev_wire[i];
@@ -80,12 +83,12 @@ Hash32 workload_digest(std::size_t steps, std::uint64_t seed, std::size_t clone_
     prev_wire.clear();
     for (const Proof& p : ProofService::prove_batch(prev_snap, prev_keys)) {
       prev_wire.push_back(p.serialize());
-      digest.update(prev_wire.back());
+      append(prev_wire.back());
     }
   }
-  digest.update(t.root_hash().view());
+  append(t.root_hash().view());
   t.debug_check_stats();
-  return digest.finish();
+  return crypto::Sha256::digest(transcript);
 }
 
 TEST(TriePages, WorkloadDigestIsPinned) {
