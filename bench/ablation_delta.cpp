@@ -47,7 +47,8 @@ bench::CellOutput run_delta(double delta, const bench::Args& args) {
 
 int main(int argc, char** argv) {
   using namespace bmg;
-  const bench::Args args = bench::Args::parse(argc, argv, /*default_days=*/2.0);
+  const bench::Args args = bench::Args::parse(argc, argv, /*default_days=*/2.0,
+                                              bench::Args::kGrid);
   bench::print_header("Ablation: Delta sweep (empty-block rate vs timestamp freshness)",
                       args);
 

@@ -119,7 +119,9 @@ bench::CellOutput run_cell(std::size_t cell, std::uint64_t seed) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bench::Args args = bench::Args::parse(argc, argv, 0.0);
+  const bench::Args args = bench::Args::parse(
+      argc, argv, 0.0,
+      bench::Args::kSeed | bench::Args::kShardWorkers | bench::Args::kTimingCsv);
   bench::print_header("Ablation: fee policies across congestion levels (§VI-B)", args);
 
   std::printf("%-12s %-18s %10s %10s %10s %8s %10s\n", "congestion", "policy",

@@ -58,7 +58,8 @@ bench::CellOutput run_profile(const HostProfile& hp, const bench::Args& args) {
 
 int main(int argc, char** argv) {
   using namespace bmg;
-  const bench::Args args = bench::Args::parse(argc, argv, /*default_days=*/0.3);
+  const bench::Args args = bench::Args::parse(argc, argv, /*default_days=*/0.3,
+                                              bench::Args::kGrid);
   bench::print_header("Ablation: guest blockchain across host profiles (§VI-D)", args);
 
   host::ChainConfig solana;  // defaults

@@ -97,7 +97,8 @@ bench::CellOutput run_incident(const bench::Args& args) {
 
 int main(int argc, char** argv) {
   using namespace bmg;
-  const bench::Args args = bench::Args::parse(argc, argv, /*default_days=*/0.5);
+  const bench::Args args = bench::Args::parse(argc, argv, /*default_days=*/0.5,
+                                              bench::Args::kGrid);
   bench::print_header(
       "Ablation: quorum margin — finalisation latency vs roster composition", args);
 

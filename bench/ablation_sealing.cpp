@@ -35,7 +35,7 @@ int main(int argc, char** argv) {
           static_cast<std::size_t>(bench::parse_positive_long(prog, "--window", next()));
   }
   const bench::Args args =
-      bench::Args::parse(argc, argv, 0.0, {"--packets", "--window"});
+      bench::Args::parse(argc, argv, 0.0, 0, {"--packets", "--window"});
   bench::print_header("Ablation: sealable trie vs plain trie growth", args);
 
   trie::SealableTrie sealed, plain;

@@ -47,7 +47,8 @@ bench::CellOutput run_point(int sigs_per_tx, const bench::Args& args) {
 
 int main(int argc, char** argv) {
   using namespace bmg;
-  const bench::Args args = bench::Args::parse(argc, argv, /*default_days=*/0.5);
+  const bench::Args args = bench::Args::parse(argc, argv, /*default_days=*/0.5,
+                                              bench::Args::kGrid);
   bench::print_header(
       "Ablation: pre-compile capacity per tx vs light client update shape", args);
 

@@ -27,17 +27,31 @@ namespace bmg::bench {
 ///                      kMaxSeeds) instead of the single classic run
 ///   --timing-csv PATH  write per-cell wall/CPU timing rows to PATH
 ///                      (timing is never part of the stdout artifact)
+/// Each driver names the ones it reads; any other exits 2.
 struct Args {
+  enum Flag : unsigned {
+    kDays = 1u << 0,
+    kSeed = 1u << 1,
+    kShardWorkers = 1u << 2,
+    kGridSeeds = 1u << 3,
+    kTimingCsv = 1u << 4,
+    /// A single deployment: fig3–fig5, table1.
+    kSingleRun = kDays | kSeed,
+    /// A grid of cells on the shard pool.
+    kGrid = kSingleRun | kShardWorkers | kTimingCsv,
+  };
+
   double days = 0;
   std::uint64_t seed = 42;
   long grid_seeds = 0;
   const char* timing_csv = nullptr;
 
-  /// Strict parsing: malformed values and unknown flags exit 2 instead
-  /// of silently running a corrupted configuration.  Drivers with their
-  /// own flag loops list those flags in `extra_value_flags` (each takes
-  /// exactly one value, which is skipped here).
-  static Args parse(int argc, char** argv, double default_days,
+  /// Strict parsing: malformed values, unknown flags and shared flags
+  /// outside `reads` (a mask of Flag bits) exit 2 instead of silently
+  /// running a configuration the caller did not ask for.  Drivers with
+  /// their own flag loops list those flags in `extra_value_flags` (each
+  /// takes exactly one value, which is skipped here).
+  static Args parse(int argc, char** argv, double default_days, unsigned reads,
                     std::initializer_list<const char*> extra_value_flags = {}) {
     Args a;
     a.days = default_days;
@@ -50,16 +64,24 @@ struct Args {
         }
         return argv[++i];
       };
-      if (std::strcmp(argv[i], "--days") == 0)
+      const auto shared = [&](const char* flag, Flag bit) {
+        if (std::strcmp(argv[i], flag) != 0) return false;
+        if ((reads & bit) == 0) {
+          std::fprintf(stderr, "%s: %s does not apply to this driver\n", prog, flag);
+          std::exit(2);
+        }
+        return true;
+      };
+      if (shared("--days", kDays))
         a.days = parse_positive_double(prog, "--days", value());
-      else if (std::strcmp(argv[i], "--seed") == 0)
+      else if (shared("--seed", kSeed))
         a.seed = static_cast<std::uint64_t>(parse_uint64(prog, "--seed", value()));
-      else if (std::strcmp(argv[i], "--shard-workers") == 0)
+      else if (shared("--shard-workers", kShardWorkers))
         shard::set_worker_count(static_cast<std::size_t>(
             parse_positive_long(prog, "--shard-workers", value())));
-      else if (std::strcmp(argv[i], "--grid-seeds") == 0)
+      else if (shared("--grid-seeds", kGridSeeds))
         a.grid_seeds = parse_seed_count(prog, "--grid-seeds", value());
-      else if (std::strcmp(argv[i], "--timing-csv") == 0)
+      else if (shared("--timing-csv", kTimingCsv))
         a.timing_csv = value();
       else {
         bool extra = false;

@@ -39,11 +39,15 @@ bench::CellOutput run_cell(std::size_t cell, const bench::Args& args) {
   }
   const int over21 = static_cast<int>(
       static_cast<double>(latency.count()) * (1.0 - latency.cdf_at(21.0)));
+  // An empty series (nothing finalised yet) prints 0, as empty means do.
+  const auto q = [&latency](double p) {
+    return latency.empty() ? 0.0 : latency.quantile(p);
+  };
 
   char buf[192];
   std::snprintf(buf, sizeof(buf), "%zu,%zu,%d,%.1f,%.1f,%.1f,%.1f,%d\n", cell,
-                workload.records().size(), finalised, latency.quantile(0.5),
-                latency.quantile(0.9), latency.quantile(0.99), latency.max(), over21);
+                workload.records().size(), finalised, q(0.5), q(0.9), q(0.99), q(1.0),
+                over21);
   return bench::CellOutput{buf, {}};
 }
 
@@ -51,7 +55,8 @@ bench::CellOutput run_cell(std::size_t cell, const bench::Args& args) {
 
 int main(int argc, char** argv) {
   using namespace bmg;
-  const bench::Args args = bench::Args::parse(argc, argv, /*default_days=*/7.0);
+  const bench::Args args = bench::Args::parse(
+      argc, argv, /*default_days=*/7.0, bench::Args::kGrid | bench::Args::kGridSeeds);
 
   if (args.grid_seeds > 0) {
     const auto n = static_cast<std::size_t>(args.grid_seeds);
@@ -91,9 +96,10 @@ int main(int argc, char** argv) {
   std::printf("packets sent: %zu, finalised: %d, still pending at horizon: %d\n\n",
               workload.records().size(), finalised, unfinalised);
   std::printf("%s\n", render_cdf(latency, 20, "latency (s)").c_str());
-  std::printf("quantiles:  median=%.1f s   p90=%.1f s   p99=%.1f s   max=%.1f s\n",
-              latency.quantile(0.5), latency.quantile(0.9), latency.quantile(0.99),
-              latency.max());
+  if (!latency.empty())
+    std::printf("quantiles:  median=%.1f s   p90=%.1f s   p99=%.1f s   max=%.1f s\n",
+                latency.quantile(0.5), latency.quantile(0.9), latency.quantile(0.99),
+                latency.max());
 
   const int over21 = static_cast<int>(
       static_cast<double>(latency.count()) * (1.0 - latency.cdf_at(21.0)));

@@ -7,7 +7,8 @@
 
 int main(int argc, char** argv) {
   using namespace bmg;
-  const bench::Args args = bench::Args::parse(argc, argv, /*default_days=*/3.0);
+  const bench::Args args = bench::Args::parse(argc, argv, /*default_days=*/3.0,
+                                              bench::Args::kSingleRun);
   bench::print_header("Fig. 3: cost of sending a packet", args);
 
   relayer::Deployment d(bench::paper_config(args.seed));
@@ -29,14 +30,16 @@ int main(int argc, char** argv) {
   }
 
   std::printf("%s\n", render_histogram(cost, 24, "cost (USD)").c_str());
+  if (cost.empty()) return 0;  // nothing executed: no clusters to report
+  const auto mean = [](const Series& s) { return s.empty() ? 0.0 : s.mean(); };
   const double pr_frac =
       static_cast<double>(priority_cost.count()) / static_cast<double>(cost.count());
   std::printf("clusters:\n");
   std::printf("  priority-fee sends: %5.1f%% of sends, mean %.2f USD  (paper: 17%% at"
               " 1.40 USD)\n",
-              100.0 * pr_frac, priority_cost.mean());
+              100.0 * pr_frac, mean(priority_cost));
   std::printf("  bundle sends      : %5.1f%% of sends, mean %.2f USD  (paper: 83%% at"
               " 3.02 USD)\n",
-              100.0 * (1.0 - pr_frac), bundle_cost.mean());
+              100.0 * (1.0 - pr_frac), mean(bundle_cost));
   return 0;
 }

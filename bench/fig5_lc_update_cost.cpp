@@ -11,7 +11,8 @@
 
 int main(int argc, char** argv) {
   using namespace bmg;
-  const bench::Args args = bench::Args::parse(argc, argv, /*default_days=*/2.0);
+  const bench::Args args = bench::Args::parse(argc, argv, /*default_days=*/2.0,
+                                              bench::Args::kSingleRun);
   bench::print_header("Fig. 5: light client update cost (relayer)", args);
 
   relayer::Deployment d(bench::paper_config(args.seed));

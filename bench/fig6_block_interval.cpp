@@ -55,7 +55,8 @@ bench::CellOutput run_cell(std::size_t cell, const bench::Args& args) {
 
 int main(int argc, char** argv) {
   using namespace bmg;
-  const bench::Args args = bench::Args::parse(argc, argv, /*default_days=*/14.0);
+  const bench::Args args = bench::Args::parse(
+      argc, argv, /*default_days=*/14.0, bench::Args::kGrid | bench::Args::kGridSeeds);
 
   if (args.grid_seeds > 0) {
     const auto n = static_cast<std::size_t>(args.grid_seeds);

@@ -14,11 +14,14 @@
 // --preset picks the cell list and the CSV header:
 //   delta               (default) Δ ∈ {600, 3600} s × seeds, Poisson sends
 //                       every 120 s (guest) and 300 s (cp) for --days
-//                       (0.05).  --adversary attaches a shipped scenario
-//                       (adversary/scenarios.hpp) and appends its counter
-//                       columns; --reorg (kReorgScenarios) and --commitment
-//                       rooted arm the fork-aware host and append the fork
-//                       columns.  Without them no overlay code runs.
+//                       (0.05).  --adversary attaches a shipped campaign
+//                       scenario and appends its counter columns; --reorg
+//                       (a shipped storm) and --commitment rooted arm the
+//                       fork-aware host and append the fork columns.
+//                       Without them no overlay code runs.  Every shipped
+//                       scenario is a named host::FaultPlan
+//                       (adversary/scenarios.hpp) whose windows open
+//                       30 s after the handshake.
 //   reorg-storm         seeds × {baseline, optimistic, rooted} at Δ = 600 s,
 //                       guest sends every 120 s for --days (0.02): the
 //                       linear control, then storm90 at processed and at
@@ -51,27 +54,6 @@ using namespace bmg;
 enum class Preset { kDelta, kReorgStorm, kAdversaryCampaign };
 constexpr const char* kPresetNames[] = {"delta", "reorg-storm", "adversary-campaign"};
 
-/// Shipped reorg storms for --reorg.  Depths stay below the default
-/// rooted lag (32 slots) so every storm is resolvable.
-struct ReorgSpec {
-  const char* name;
-  std::uint64_t max_depth;  ///< per-reorg depth drawn uniformly in [1, max]
-  double probability;       ///< per-slot trigger probability
-  double survival;          ///< per-tx survival onto the winning fork
-};
-constexpr ReorgSpec kReorgScenarios[] = {
-    {"storm", 4, 0.08, 1.0},     // frequent shallow forks, no tx loss
-    {"deep", 12, 0.01, 1.0},     // rare deep reorgs, no tx loss
-    {"lossy", 4, 0.05, 0.85},    // shallow forks dropping ~15% of retracted txs
-    {"storm90", 4, 0.08, 0.90},  // the storm dropping 10%: reorg-storm's
-};
-
-const ReorgSpec* find_reorg(const char* name) {
-  for (const ReorgSpec& r : kReorgScenarios)
-    if (std::strcmp(r.name, name) == 0) return &r;
-  return nullptr;
-}
-
 // Overlay windows open kSettleS after the handshake.  adversary-campaign
 // then attacks for kAttackS and drains for kDrainS: long enough for
 // withheld acks (<= 240 s windows), pipeline retries and prosecutions
@@ -83,23 +65,17 @@ constexpr double kSendEveryS = 90.0;  // adversary-campaign cp->guest cadence
 
 struct Cell {
   std::uint64_t seed = 0;
-  double delta_s = 0;                ///< guest Δ
-  std::string adversary;             ///< shipped scenario attached ("" = none)
-  const ReorgSpec* reorg = nullptr;  ///< storm over the measured span
-  bool rooted = false;               ///< relayer pipeline at rooted commitment
+  double delta_s = 0;     ///< guest Δ
+  std::string adversary;  ///< campaign scenario attached ("" = none)
+  std::string reorg;      ///< storm over the measured span ("" = none)
+  bool rooted = false;    ///< relayer pipeline at rooted commitment
 };
 
-/// Attaches the named shipped scenario with its attack over [start, end)
-/// and, when the scenario composes a crash, kills the fisherman from
-/// start + 120 s to start + 420 s: detection must survive via the
-/// on-chain evidence re-derivation path.
+/// Attaches the named campaign scenario with its attack over [start, end).
 void attach_adversary(relayer::Deployment& d, const std::string& name, double start,
                       double end, std::optional<adversary::Campaign>& campaign) {
   const auto table = adversary::campaign_scenarios(start, end);
-  const adversary::ScenarioSpec* spec = adversary::find_scenario(table, name);
-  if (spec->crash_fisherman)
-    d.host().fault_plan().crash(start + 120.0, start + 420.0, "fisherman");
-  campaign.emplace(d, spec->plan);
+  campaign.emplace(d, adversary::find_scenario(table, name)->plan);
   campaign->start();
 }
 
@@ -113,9 +89,10 @@ std::string run_span(bench::AuditedDeployment& a, Preset preset, std::size_t ind
   std::optional<adversary::Campaign> campaign;
   if (!c.adversary.empty())
     attach_adversary(d, c.adversary, t0 + kSettleS, until, campaign);
-  if (c.reorg != nullptr)
-    d.host().fault_plan().reorg(t0 + kSettleS, until, c.reorg->max_depth,
-                                c.reorg->probability, c.reorg->survival);
+  if (!c.reorg.empty()) {
+    const auto storms = adversary::reorg_scenarios(t0 + kSettleS, until);
+    d.host().fault_plan().append(adversary::find_scenario(storms, c.reorg)->plan);
+  }
   bench::GuestSendWorkload guest_load(d, 120.0, until);
   std::optional<bench::CpSendWorkload> cp_load;
   if (preset == Preset::kDelta) cp_load.emplace(d, 300.0, until);
@@ -146,8 +123,7 @@ std::string run_span(bench::AuditedDeployment& a, Preset preset, std::size_t ind
         rooted_latency.add(r->rooted_at - r->executed_at);
       }
     }
-    const char* mode =
-        c.reorg == nullptr ? "baseline" : c.rooted ? "rooted" : "optimistic";
+    const char* mode = c.reorg.empty() ? "baseline" : c.rooted ? "rooted" : "optimistic";
     std::snprintf(
         buf, sizeof(buf),
         "%zu,%llu,%s,%zu,%zu,%d,%d,%d,%d,%.3f,%.3f,%.4f,%llu,%llu,%llu,%llu,%llu,"
@@ -187,7 +163,7 @@ std::string run_span(bench::AuditedDeployment& a, Preset preset, std::size_t ind
     row += ",";
     row += std::to_string(campaign->offenders_banned());
   }
-  if (c.reorg != nullptr || c.rooted) {
+  if (!c.reorg.empty() || c.rooted) {
     std::snprintf(buf, sizeof(buf), ",%.3f,%llu,%llu,%llu,%llu,%llu",
                   rooted_latency.count() > 0 ? rooted_latency.mean() : 0.0,
                   static_cast<unsigned long long>(fc.reorgs_triggered),
@@ -302,13 +278,13 @@ bench::CellOutput run_campaign(bench::AuditedDeployment& a, std::size_t index,
 bench::CellOutput run_cell(Preset preset, std::size_t index, const Cell& c, double days) {
   relayer::DeploymentConfig cfg = bench::paper_config(c.seed);
   cfg.guest.delta_seconds = c.delta_s;
-  if (c.reorg != nullptr || c.rooted) cfg.host.fork_aware = true;
+  if (!c.reorg.empty() || c.rooted) cfg.host.fork_aware = true;
   if (c.rooted) cfg.relayer.pipeline.commitment = host::Commitment::kRooted;
   bench::AuditedDeployment a(cfg);
   std::string label = "seed " + std::to_string(c.seed) + " delta " +
                       std::to_string(static_cast<long>(c.delta_s));
   if (!c.adversary.empty()) label += " adversary " + c.adversary;
-  if (c.reorg != nullptr) label += std::string(" reorg ") + c.reorg->name;
+  if (!c.reorg.empty()) label += " reorg " + c.reorg;
   if (c.rooted) label += " rooted";
   if (preset == Preset::kAdversaryCampaign) return run_campaign(a, index, c, label);
   return bench::CellOutput{run_span(a, preset, index, c, days), a.auditor.verdict(label)};
@@ -379,11 +355,15 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  const ReorgSpec* reorg = nullptr;
-  if (reorg_name != nullptr && (reorg = find_reorg(reorg_name)) == nullptr) {
+  // Window times are placeholders: each cell rebuilds its tables against
+  // its own post-handshake clock; only the names matter here.
+  if (reorg_name != nullptr &&
+      adversary::find_scenario(adversary::reorg_scenarios(0.0, 1.0), reorg_name) ==
+          nullptr) {
     std::fprintf(stderr, "scenario_runner: unknown reorg scenario '%s'\n", reorg_name);
     return 2;
   }
+  const std::string reorg = reorg_name != nullptr ? reorg_name : "";
   const bool rooted = commitment != nullptr && std::strcmp(commitment, "rooted") == 0;
   if (commitment != nullptr && !rooted && std::strcmp(commitment, "processed") != 0) {
     std::fprintf(stderr,
@@ -391,8 +371,6 @@ int main(int argc, char** argv) {
                  commitment);
     return 2;
   }
-  // Window times are placeholders: each cell rebuilds the table against
-  // its own post-handshake clock; only the names matter here.
   const auto shipped = adversary::campaign_scenarios(0.0, 1.0);
   if (adversary != nullptr && adversary::find_scenario(shipped, adversary) == nullptr) {
     std::fprintf(stderr, "scenario_runner: unknown adversary scenario '%s'\n", adversary);
@@ -417,7 +395,7 @@ int main(int argc, char** argv) {
         header += adversary::AdversaryCounters::csv_header();
         header += ",banned";
       }
-      if (reorg != nullptr || rooted)
+      if (!reorg.empty() || rooted)
         header +=
             ",mean_rooted_latency_s,reorgs,slots_rolled_back,txs_replayed,"
             "txs_reorged_out,pipeline_reorged_out";
@@ -425,10 +403,9 @@ int main(int argc, char** argv) {
     case Preset::kReorgStorm:
       for (long s = 0; s < seeds; ++s) {
         const std::uint64_t seed = 42 + static_cast<std::uint64_t>(s);
-        const ReorgSpec* storm = find_reorg("storm90");
-        grid.push_back(Cell{seed, 600.0, "", nullptr, false});
-        grid.push_back(Cell{seed, 600.0, "", storm, false});
-        grid.push_back(Cell{seed, 600.0, "", storm, true});
+        grid.push_back(Cell{seed, 600.0, "", "", false});
+        grid.push_back(Cell{seed, 600.0, "", "storm90", false});
+        grid.push_back(Cell{seed, 600.0, "", "storm90", true});
       }
       header =
           "cell,seed,mode,blocks,sends,executed,finalised,rooted,lost,"
@@ -440,8 +417,8 @@ int main(int argc, char** argv) {
       for (const adversary::ScenarioSpec& spec : shipped) {
         if (adversary != nullptr && spec.name != adversary) continue;
         for (long s = 0; s < seeds; ++s)
-          grid.push_back(Cell{42 + static_cast<std::uint64_t>(s), 300.0, spec.name,
-                              nullptr, false});
+          grid.push_back(
+              Cell{42 + static_cast<std::uint64_t>(s), 300.0, spec.name, "", false});
       }
       header = std::string("cell,scenario,seed,sends,delivered,acked,recv_mean_s,"
                            "recv_p99_s,") +

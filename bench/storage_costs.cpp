@@ -94,11 +94,12 @@ int main(int argc, char** argv) {
     else if (std::strcmp(argv[i], "--sweep-entries") == 0)
       sweep_entries = static_cast<std::size_t>(
           bench::parse_positive_long(prog, "--sweep-entries", next()));
-    // Remaining flags (--seed, --days, ...) belong to bench::Args below.
+    // Any other flag goes to bench::Args below, which reads none of the
+    // shared ones.
   }
 
   const bench::Args args = bench::Args::parse(
-      argc, argv, 0.0,
+      argc, argv, 0.0, 0,
       {"--churn-packets", "--window", "--cadence-writes", "--per-block",
        "--sweep-entries"});
   bench::print_header("Section V-D: storage costs", args);

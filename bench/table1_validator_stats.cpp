@@ -10,7 +10,8 @@
 
 int main(int argc, char** argv) {
   using namespace bmg;
-  const bench::Args args = bench::Args::parse(argc, argv, /*default_days=*/14.0);
+  const bench::Args args = bench::Args::parse(argc, argv, /*default_days=*/14.0,
+                                              bench::Args::kSingleRun);
   bench::print_header("Table I: validator signing statistics", args);
 
   relayer::Deployment d(bench::paper_config(args.seed));

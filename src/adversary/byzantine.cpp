@@ -16,9 +16,9 @@ constexpr std::uint64_t kCliqueStream = 0xC011'0DE5'7A4Eull;
 
 ByzantineValidatorAgent::ByzantineValidatorAgent(
     sim::Simulation& sim, host::Chain& host, guest::GuestContract& contract,
-    relayer::GossipBus& bus, crypto::PrivateKey key, const AdversaryPlan& plan,
+    relayer::GossipBus& bus, crypto::PrivateKey key, const host::FaultPlan& plan,
     AdversaryCounters& counters, std::size_t index, std::uint64_t seed)
-    : sim_(sim),
+    : CrashableAgent(sim, "byzantine-validator-" + std::to_string(index)),
       host_(host),
       contract_(contract),
       bus_(bus),
@@ -27,13 +27,11 @@ ByzantineValidatorAgent::ByzantineValidatorAgent(
       plan_(plan),
       counters_(counters),
       index_(index),
-      rng_(seed ^ kByzantineStream ^ (0x9E37'79B9'7F4A'7C15ull * (index + 1))),
-      timer_owner_(sim.register_agent()),
-      name_("byzantine-validator-" + std::to_string(index)) {}
+      rng_(seed ^ kByzantineStream ^ (0x9E37'79B9'7F4A'7C15ull * (index + 1))) {}
 
 void ByzantineValidatorAgent::start() {
   host_.subscribe(guest::kProgramName, [this](const host::Event& ev) {
-    if (!running_) return;
+    if (!running()) return;
     if (ev.name != guest::GuestContract::kEvNewBlock) return;
     Decoder d(ev.data);
     const ibc::Height height = d.u64();
@@ -42,26 +40,18 @@ void ByzantineValidatorAgent::start() {
     sim_.after_cancellable(
         0.9 + 0.05 * static_cast<double>(index_),
         [this, height] {
-          if (running_) act(height);
+          if (running()) act(height);
         },
-        timer_owner_);
+        timer_owner());
   });
 }
-
-void ByzantineValidatorAgent::crash() {
-  if (!running_) return;
-  running_ = false;
-  sim_.cancel_agent(timer_owner_);
-}
-
-void ByzantineValidatorAgent::restart() { running_ = true; }
 
 void ByzantineValidatorAgent::act(ibc::Height height) {
   if (height >= contract_.block_count()) return;
   const double t = sim_.now();
   const guest::GuestBlock& canonical = contract_.block_at(height);
 
-  const double eq_rate = plan_.equivocation_rate(t);
+  const double eq_rate = plan_.rate_at(host::FaultKind::kEquivocate, t);
   if (eq_rate > 0.0 && rng_.chance(eq_rate)) {
     // Class 1: the honest signature over the canonical block plus a
     // signature over a forged sibling at the same height.
@@ -74,7 +64,7 @@ void ByzantineValidatorAgent::act(ibc::Height height) {
     ++counters_.equivocations;
   }
 
-  const double fork_rate = plan_.fork_sign_rate(t);
+  const double fork_rate = plan_.rate_at(host::FaultKind::kForkSign, t);
   if (fork_rate > 0.0 && rng_.chance(fork_rate)) {
     // Class 2: a fabricated header far past the head — the shape a
     // validator-set-change fork takes from a light client's viewpoint.
@@ -98,9 +88,9 @@ CollusionClique::CollusionClique(sim::Simulation& sim,
                                  std::vector<crypto::PrivateKey> keys,
                                  ibc::ClientId guest_client_on_cp,
                                  ibc::ChannelId guest_channel, ibc::ChannelId cp_channel,
-                                 const AdversaryPlan& plan, AdversaryCounters& counters,
-                                 std::uint64_t seed)
-    : sim_(sim),
+                                 const host::FaultPlan& plan,
+                                 AdversaryCounters& counters, std::uint64_t seed)
+    : CrashableAgent(sim, "collusion-clique"),
       cp_(cp),
       contract_(contract),
       bus_(bus),
@@ -110,30 +100,21 @@ CollusionClique::CollusionClique(sim::Simulation& sim,
       cp_channel_(std::move(cp_channel)),
       plan_(plan),
       counters_(counters),
-      rng_(seed ^ kCliqueStream),
-      timer_owner_(sim.register_agent()) {}
+      rng_(seed ^ kCliqueStream) {}
 
 void CollusionClique::start() {
   cp_.on_new_block([this](ibc::Height) {
-    if (!running_) return;
-    const double rate = plan_.collusion_rate(sim_.now());
+    if (!running()) return;
+    const double rate = plan_.rate_at(host::FaultKind::kCollude, sim_.now());
     if (rate <= 0.0 || !rng_.chance(rate)) return;
     sim_.after_cancellable(
         0.4,
         [this] {
-          if (running_) attack();
+          if (running()) attack();
         },
-        timer_owner_);
+        timer_owner());
   });
 }
-
-void CollusionClique::crash() {
-  if (!running_) return;
-  running_ = false;
-  sim_.cancel_agent(timer_owner_);
-}
-
-void CollusionClique::restart() { running_ = true; }
 
 std::uint64_t CollusionClique::clique_stake() const {
   std::uint64_t stake = 0;

@@ -1,4 +1,5 @@
-// Byzantine validator agents driven by an AdversaryPlan.
+// Byzantine validator agents driven by the participant windows of a
+// host::FaultPlan.
 //
 // Two shapes of validator misbehaviour from §III-C of the paper:
 //
@@ -27,11 +28,12 @@
 #include <string>
 #include <vector>
 
-#include "adversary/plan.hpp"
+#include "adversary/counters.hpp"
 #include "common/rng.hpp"
 #include "counterparty/chain.hpp"
 #include "guest/contract.hpp"
 #include "host/chain.hpp"
+#include "host/fault.hpp"
 #include "relayer/fisherman_agent.hpp"
 #include "sim/agent.hpp"
 #include "sim/scheduler.hpp"
@@ -42,36 +44,26 @@ class ByzantineValidatorAgent final : public sim::CrashableAgent {
  public:
   ByzantineValidatorAgent(sim::Simulation& sim, host::Chain& host,
                           guest::GuestContract& contract, relayer::GossipBus& bus,
-                          crypto::PrivateKey key, const AdversaryPlan& plan,
+                          crypto::PrivateKey key, const host::FaultPlan& plan,
                           AdversaryCounters& counters, std::size_t index,
                           std::uint64_t seed);
 
   void start();
-
-  // --- sim::CrashableAgent ----------------------------------------------
-  [[nodiscard]] const std::string& agent_name() const override { return name_; }
-  [[nodiscard]] bool running() const override { return running_; }
-  void crash() override;
-  void restart() override;
 
   [[nodiscard]] const crypto::PublicKey& pubkey() const noexcept { return pubkey_; }
 
  private:
   void act(ibc::Height height);
 
-  sim::Simulation& sim_;
   host::Chain& host_;
   guest::GuestContract& contract_;
   relayer::GossipBus& bus_;
   crypto::PrivateKey key_;
   crypto::PublicKey pubkey_;
-  const AdversaryPlan& plan_;
+  const host::FaultPlan& plan_;
   AdversaryCounters& counters_;
   std::size_t index_;
   Rng rng_;
-  sim::Simulation::AgentId timer_owner_;
-  std::string name_;
-  bool running_ = true;
 };
 
 class CollusionClique final : public sim::CrashableAgent {
@@ -80,16 +72,10 @@ class CollusionClique final : public sim::CrashableAgent {
                   guest::GuestContract& contract, relayer::GossipBus& bus,
                   std::vector<crypto::PrivateKey> keys, ibc::ClientId guest_client_on_cp,
                   ibc::ChannelId guest_channel, ibc::ChannelId cp_channel,
-                  const AdversaryPlan& plan, AdversaryCounters& counters,
+                  const host::FaultPlan& plan, AdversaryCounters& counters,
                   std::uint64_t seed);
 
   void start();
-
-  // --- sim::CrashableAgent ----------------------------------------------
-  [[nodiscard]] const std::string& agent_name() const override { return name_; }
-  [[nodiscard]] bool running() const override { return running_; }
-  void crash() override;
-  void restart() override;
 
   /// Sum of the clique members' on-chain stake right now.
   [[nodiscard]] std::uint64_t clique_stake() const;
@@ -97,7 +83,6 @@ class CollusionClique final : public sim::CrashableAgent {
  private:
   void attack();
 
-  sim::Simulation& sim_;
   counterparty::CounterpartyChain& cp_;
   guest::GuestContract& contract_;
   relayer::GossipBus& bus_;
@@ -105,12 +90,9 @@ class CollusionClique final : public sim::CrashableAgent {
   ibc::ClientId client_;
   ibc::ChannelId guest_channel_;
   ibc::ChannelId cp_channel_;
-  const AdversaryPlan& plan_;
+  const host::FaultPlan& plan_;
   AdversaryCounters& counters_;
   Rng rng_;
-  sim::Simulation::AgentId timer_owner_;
-  std::string name_ = "collusion-clique";
-  bool running_ = true;
   std::uint64_t pushes_ = 0;
   std::uint64_t forged_seq_ = 1'000'000'000;  ///< never collides with real sequences
 };

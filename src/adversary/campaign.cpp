@@ -6,18 +6,22 @@
 
 namespace bmg::adversary {
 
-Campaign::Campaign(relayer::Deployment& deployment, AdversaryPlan plan)
+Campaign::Campaign(relayer::Deployment& deployment, host::FaultPlan plan)
     : d_(deployment), plan_(std::move(plan)) {}
 
 void Campaign::start() {
   if (started_) return;
   started_ = true;
-  // Empty plan: attach nothing at all.  No agents, no airdrops, no
-  // subscriptions, no RNG draws — the byte-identity contract.
+  // Empty plan: attach nothing at all.  No windows, no agents, no
+  // airdrops, no subscriptions, no RNG draws — the byte-identity
+  // contract.
   if (plan_.empty()) {
     d_.start();
     return;
   }
+  // Before any agent starts: the agents read their windows from the
+  // host's plan, and FeeAttackerAgent::start already queries it.
+  const host::FaultPlan& plan = d_.host().fault_plan().append(plan_);
   d_.start();
 
   bus_ = std::make_unique<relayer::GossipBus>();
@@ -30,48 +34,50 @@ void Campaign::start() {
 
   const std::uint64_t seed = d_.seed();
 
-  if (const int nbyz = plan_.byzantine_validators(); nbyz > 0) {
+  using host::FaultKind;
+  if (const int nbyz = std::max(plan_.max_agents(FaultKind::kEquivocate),
+                                plan_.max_agents(FaultKind::kForkSign));
+      nbyz > 0) {
     auto keys = pick_validator_keys(static_cast<std::size_t>(nbyz));
     for (std::size_t i = 0; i < keys.size(); ++i) {
       offenders_.push_back(keys[i].public_key());
       byzantine_.push_back(std::make_unique<ByzantineValidatorAgent>(
-          d_.sim(), d_.host(), d_.guest(), *bus_, std::move(keys[i]), plan_,
-          counters_, i, seed));
+          d_.sim(), d_.host(), d_.guest(), *bus_, std::move(keys[i]), plan, counters_,
+          i, seed));
       byzantine_.back()->start();
     }
   }
 
-  if (const int nclique = plan_.clique_size(); nclique > 0) {
+  if (const int nclique = plan_.max_agents(FaultKind::kCollude); nclique > 0) {
     auto keys = pick_validator_keys(static_cast<std::size_t>(nclique));
     for (const auto& k : keys) offenders_.push_back(k.public_key());
     clique_ = std::make_unique<CollusionClique>(
         d_.sim(), d_.cp(), d_.guest(), *bus_, std::move(keys),
-        d_.guest_client_on_cp(), d_.guest_channel(), d_.cp_channel(), plan_,
-        counters_, seed);
+        d_.guest_client_on_cp(), d_.guest_channel(), d_.cp_channel(), plan, counters_,
+        seed);
     clique_->start();
   }
 
-  if (plan_.has_griefing()) {
+  if (plan_.has(FaultKind::kUpdateClobber) || plan_.has(FaultKind::kAckWithhold) ||
+      plan_.has(FaultKind::kStaleReplay)) {
     griefer_payer_ = crypto::PrivateKey::from_label("griefer-relayer").public_key();
     d_.host().airdrop(griefer_payer_, 50'000 * host::kLamportsPerSol);
     griefer_ = std::make_unique<GriefingRelayerAgent>(
         d_.sim(), d_.host(), d_.guest(), d_.cp(), d_.guest_client_on_cp(),
-        griefer_payer_, plan_, counters_, seed);
+        griefer_payer_, plan, counters_, seed);
     griefer_->start();
   }
 
-  if (plan_.has_fee_attack()) {
+  if (plan_.has(FaultKind::kFeeSpam)) {
     fee_payer_ = crypto::PrivateKey::from_label("fee-attacker").public_key();
     d_.host().airdrop(fee_payer_, 100'000 * host::kLamportsPerSol);
     fee_attacker_ = std::make_unique<FeeAttackerAgent>(d_.sim(), d_.host(), fee_payer_,
-                                                       plan_, counters_);
+                                                       plan, counters_);
     fee_attacker_->start();
   }
 
-  plan_.compile_host_faults(d_.host().fault_plan());
-
   // Adversaries are processes too: crash windows naming them (or the
-  // fisherman) now resolve, and any windows the plan compiled in are
+  // fisherman) now resolve, and any crash windows the plan brought are
   // armed.
   relayer::CrashController& ctl = d_.crash_controller();
   ctl.add(*fisherman_);

@@ -1,14 +1,17 @@
-// Campaign: attaches an AdversaryPlan to a relayer::Deployment.
+// Campaign: attaches a scenario's host::FaultPlan to a
+// relayer::Deployment.
 //
-// The Campaign is the adversary layer's Deployment-facing seam.  It
-// owns everything the plan calls for — the gossip bus, a fisherman (the
-// defence), Byzantine validator agents, a collusion clique, a griefing
-// relayer and a fee attacker — selects which roster validators turn
-// Byzantine (silent tail first, so sub-quorum attacks don't starve
-// guest finalisation of signing power), compiles the plan's market
-// effects into the host FaultPlan, and registers every adversarial
-// agent with the deployment's CrashController so PR 5 crash windows
-// compose with attacks.
+// The Campaign is the adversary layer's Deployment-facing seam.  On
+// start() it appends its plan to the host's FaultPlan — so the chain
+// executes the plan's chain faults and the CrashController its crash
+// windows — and builds every agent the plan's participant windows call
+// for: the gossip bus, a fisherman (the defence), Byzantine validator
+// agents, a collusion clique, a griefing relayer and a fee attacker.
+// The agents read their windows from the host's plan at event time.
+// It selects which roster validators turn Byzantine (silent tail
+// first, so sub-quorum attacks don't starve guest finalisation of
+// signing power), and registers every adversarial agent with the
+// deployment's CrashController so crash windows compose with attacks.
 //
 // It also *measures* the prosecution pipeline: a subscription on the
 // guest program's Slashed events joins slashing economics (stake
@@ -16,21 +19,22 @@
 // first-detection timestamps into a time-to-detection series, and
 // attacker spend is read back from Chain::payer_stats.
 //
-// Determinism: `Campaign(d, {})` — an empty plan — constructs nothing,
-// draws nothing and subscribes to nothing; the deployment's transcript
-// is byte-identical to one without a Campaign at all.  Non-empty plans
-// seed every adversary Rng from `deployment seed ^ fixed stream
-// constants`, never from Deployment::rng().
+// Determinism: `Campaign(d, {})` — an empty plan — appends nothing,
+// constructs nothing, draws nothing and subscribes to nothing; the
+// deployment's transcript is byte-identical to one without a Campaign
+// at all.  Non-empty plans seed every adversary Rng from `deployment
+// seed ^ fixed stream constants`, never from Deployment::rng().
 #pragma once
 
 #include <memory>
 #include <vector>
 
 #include "adversary/byzantine.hpp"
+#include "adversary/counters.hpp"
 #include "adversary/fee_attacker.hpp"
 #include "adversary/griefing_relayer.hpp"
-#include "adversary/plan.hpp"
 #include "common/stats.hpp"
+#include "host/fault.hpp"
 #include "relayer/deployment.hpp"
 #include "relayer/fisherman_agent.hpp"
 
@@ -46,14 +50,13 @@ class Campaign {
     std::uint64_t stake_burned = 0;     ///< lamports destroyed
   };
 
-  Campaign(relayer::Deployment& deployment, AdversaryPlan plan);
+  Campaign(relayer::Deployment& deployment, host::FaultPlan plan);
 
-  /// Starts the deployment (idempotent) and, when the plan is
-  /// non-empty, constructs and starts every agent the plan calls for.
+  /// When the plan is non-empty, appends it to the host's FaultPlan;
+  /// then starts the deployment (idempotent) and constructs and starts
+  /// every agent the plan calls for.
   void start();
 
-  [[nodiscard]] bool active() const noexcept { return !plan_.empty(); }
-  [[nodiscard]] const AdversaryPlan& plan() const noexcept { return plan_; }
   [[nodiscard]] const AdversaryCounters& counters() const noexcept { return counters_; }
   [[nodiscard]] const Economics& economics() const noexcept { return economics_; }
   /// Seconds from first fisherman detection to the slash landing.
@@ -84,7 +87,7 @@ class Campaign {
   void subscribe_slash_events();
 
   relayer::Deployment& d_;
-  AdversaryPlan plan_;
+  host::FaultPlan plan_;
   AdversaryCounters counters_;
   Economics economics_;
   Series detection_latency_;

@@ -6,35 +6,23 @@
 namespace bmg::adversary {
 
 FeeAttackerAgent::FeeAttackerAgent(sim::Simulation& sim, host::Chain& host,
-                                   crypto::PublicKey payer, const AdversaryPlan& plan,
+                                   crypto::PublicKey payer,
+                                   const host::FaultPlan& plan,
                                    AdversaryCounters& counters)
-    : sim_(sim),
+    : CrashableAgent(sim, "fee-attacker"),
       host_(host),
       payer_(std::move(payer)),
       plan_(plan),
-      counters_(counters),
-      timer_owner_(sim.register_agent()) {}
+      counters_(counters) {}
 
 void FeeAttackerAgent::start() { schedule_next(); }
-
-void FeeAttackerAgent::crash() {
-  if (!running_) return;
-  running_ = false;
-  sim_.cancel_agent(timer_owner_);
-}
-
-void FeeAttackerAgent::restart() {
-  if (running_) return;
-  running_ = true;
-  schedule_next();
-}
 
 void FeeAttackerAgent::schedule_next() {
   const double t = sim_.now();
   double delay;
-  if (const AdversaryWindow* w = plan_.fee_spam_window(t)) {
-    delay = w->interval_s;
-  } else if (const auto next = plan_.next_window_start(AdversaryKind::kFeeSpam, t)) {
+  if (const host::FaultWindow* w = plan_.open_window(host::FaultKind::kFeeSpam, t)) {
+    delay = w->interval;
+  } else if (const auto next = plan_.next_window_start(host::FaultKind::kFeeSpam, t)) {
     delay = *next - t;
   } else {
     return;  // no further fee-spam windows: the agent goes quiet
@@ -42,15 +30,15 @@ void FeeAttackerAgent::schedule_next() {
   sim_.after_cancellable(
       delay,
       [this] {
-        if (!running_) return;
+        if (!running()) return;
         tick();
         schedule_next();
       },
-      timer_owner_);
+      timer_owner());
 }
 
 void FeeAttackerAgent::tick() {
-  const AdversaryWindow* w = plan_.fee_spam_window(sim_.now());
+  const host::FaultWindow* w = plan_.open_window(host::FaultKind::kFeeSpam, sim_.now());
   if (w == nullptr) return;
   // A bundle-tipped no-op burns top-of-block priority the honest
   // pipelines would otherwise win cheaply.  The instruction fails on
@@ -60,7 +48,7 @@ void FeeAttackerAgent::tick() {
   tx.payer = payer_;
   tx.label = "fee-attacker:spam";
   tx.fee = host::FeePolicy::bundle(
-      host::usd_to_lamports(0.005 * w->fee_multiplier));
+      host::usd_to_lamports(0.005 * w->severity));
   tx.instructions.push_back(guest::ix::withdraw_stake());
   host_.submit(std::move(tx));
   ++counters_.spam_txs;

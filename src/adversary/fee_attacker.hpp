@@ -3,19 +3,18 @@
 // Sustains priority-fee pressure on the host chain so every honest
 // submitter's TxPipeline is forced up its escalation ladder
 // (base → priority → bundle).  The market-wide effects — spiked fee
-// floor, squeezed base-fee inclusion — are chain properties and are
-// compiled from the AdversaryPlan into the host FaultPlan
-// (AdversaryPlan::compile_host_faults); this agent contributes the
-// attacker's own side of the ledger: a stream of bundle-tipped spam
-// transactions whose fees are measurable via Chain::payer_stats, so
-// the campaign can report attack cost against damage done.
+// floor, squeezed base-fee inclusion — are chain properties:
+// host::FaultPlan::fee_spam writes them into the plan as fee-spike and
+// congestion windows next to its kFeeSpam window.  This agent
+// contributes the attacker's own side of the ledger: a stream of
+// bundle-tipped spam transactions, one per kFeeSpam interval, whose
+// fees are measurable via Chain::payer_stats, so the campaign can
+// report attack cost against damage done.
 #pragma once
 
-#include <string>
-
-#include "adversary/plan.hpp"
-#include "guest/contract.hpp"
+#include "adversary/counters.hpp"
 #include "host/chain.hpp"
+#include "host/fault.hpp"
 #include "sim/agent.hpp"
 #include "sim/scheduler.hpp"
 
@@ -24,30 +23,21 @@ namespace bmg::adversary {
 class FeeAttackerAgent final : public sim::CrashableAgent {
  public:
   FeeAttackerAgent(sim::Simulation& sim, host::Chain& host, crypto::PublicKey payer,
-                   const AdversaryPlan& plan, AdversaryCounters& counters);
+                   const host::FaultPlan& plan, AdversaryCounters& counters);
 
   void start();
-
-  // --- sim::CrashableAgent ----------------------------------------------
-  [[nodiscard]] const std::string& agent_name() const override { return name_; }
-  [[nodiscard]] bool running() const override { return running_; }
-  void crash() override;
-  void restart() override;
 
   [[nodiscard]] const crypto::PublicKey& payer() const noexcept { return payer_; }
 
  private:
+  void on_restart() override { schedule_next(); }
   void tick();
   void schedule_next();
 
-  sim::Simulation& sim_;
   host::Chain& host_;
   crypto::PublicKey payer_;
-  const AdversaryPlan& plan_;
+  const host::FaultPlan& plan_;
   AdversaryCounters& counters_;
-  sim::Simulation::AgentId timer_owner_;
-  std::string name_ = "fee-attacker";
-  bool running_ = true;
 };
 
 }  // namespace bmg::adversary

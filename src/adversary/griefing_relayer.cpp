@@ -12,20 +12,14 @@ namespace bmg::adversary {
 namespace {
 constexpr std::uint64_t kGrieferStream = 0x6121'EF3A'11B2ull;
 constexpr std::size_t kReplayAmmo = 8;
-
-std::uint64_t mix_payer(std::uint64_t seed, const crypto::PublicKey& key) {
-  std::uint64_t h = seed ^ kGrieferStream;
-  for (unsigned char b : key.raw()) h = (h ^ b) * 0x1000'0000'01B3ull;
-  return h;
-}
 }  // namespace
 
 GriefingRelayerAgent::GriefingRelayerAgent(
     sim::Simulation& sim, host::Chain& host, guest::GuestContract& contract,
     counterparty::CounterpartyChain& cp, ibc::ClientId guest_client_on_cp,
-    crypto::PublicKey payer, const AdversaryPlan& plan, AdversaryCounters& counters,
+    crypto::PublicKey payer, const host::FaultPlan& plan, AdversaryCounters& counters,
     std::uint64_t seed, GrieferConfig cfg)
-    : sim_(sim),
+    : CrashableAgent(sim, "griefing-relayer"),
       host_(host),
       contract_(contract),
       cp_(cp),
@@ -34,9 +28,10 @@ GriefingRelayerAgent::GriefingRelayerAgent(
       plan_(plan),
       counters_(counters),
       cfg_(std::move(cfg)),
-      rng_(mix_payer(seed, payer_)),
-      pipeline_(sim, host, Rng(mix_payer(seed, payer_) ^ 0xA1B2ull), cfg_.pipeline),
-      timer_owner_(sim.register_agent()) {}
+      rng_(crypto::fold_key(seed ^ kGrieferStream, payer_)),
+      pipeline_(sim, host,
+                Rng(crypto::fold_key(seed ^ kGrieferStream, payer_) ^ 0xA1B2ull),
+                cfg_.pipeline) {}
 
 void GriefingRelayerAgent::start() { schedule_poll(); }
 
@@ -44,17 +39,14 @@ void GriefingRelayerAgent::schedule_poll() {
   sim_.after_cancellable(
       cfg_.poll_s,
       [this] {
-        if (!running_) return;
+        if (!running()) return;
         poll();
         schedule_poll();
       },
-      timer_owner_);
+      timer_owner());
 }
 
-void GriefingRelayerAgent::crash() {
-  if (!running_) return;
-  running_ = false;
-  sim_.cancel_agent(timer_owner_);
+void GriefingRelayerAgent::on_crash() {
   pipeline_.reset();
   clobber_in_flight_ = false;
   handled_.clear();
@@ -65,9 +57,7 @@ void GriefingRelayerAgent::crash() {
   next_buffer_ = 1;
 }
 
-void GriefingRelayerAgent::restart() {
-  if (running_) return;
-  running_ = true;
+void GriefingRelayerAgent::on_restart() {
   // Durable state is on-chain.  Staged buffers fix the next usable
   // buffer id; a packet received on the guest whose commitment is
   // still pending on the counterparty is a withheld ack we (or a
@@ -90,13 +80,14 @@ void GriefingRelayerAgent::restart() {
 void GriefingRelayerAgent::poll() {
   const double t = sim_.now();
   try_clobber(t);
-  if (const auto delay = plan_.ack_withhold_delay(t)) scan_front_run_targets(t, *delay);
+  if (const host::FaultWindow* w = plan_.open_window(host::FaultKind::kAckWithhold, t))
+    scan_front_run_targets(t, w->interval);
   release_due_acks(t);
   try_stale_replay(t);
 }
 
 void GriefingRelayerAgent::try_clobber(double t) {
-  if (!plan_.clobber_active(t)) return;
+  if (plan_.open_window(host::FaultKind::kUpdateClobber, t) == nullptr) return;
   if (clobber_in_flight_) return;
   const auto pending = contract_.pending_update_info();
   if (!pending || pending->verified_power == 0) return;
@@ -242,7 +233,7 @@ void GriefingRelayerAgent::release_ack(const Withheld& w) {
 }
 
 void GriefingRelayerAgent::try_stale_replay(double t) {
-  const double rate = plan_.stale_replay_rate(t);
+  const double rate = plan_.rate_at(host::FaultKind::kStaleReplay, t);
   if (rate <= 0.0 || delivered_.empty()) return;
   if (!rng_.chance(rate)) return;
   const ibc::Packet p =

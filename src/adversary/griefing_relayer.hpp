@@ -4,7 +4,7 @@
 // IBC's any-party-can-relay guarantee cuts both ways — a relayer needs
 // no permission to deliver packets, so it needs none to interfere.
 // The griefer mounts three attacks from the paper's relayer threat
-// surface, each gated by an AdversaryPlan window:
+// surface, each gated by a host::FaultPlan participant window:
 //
 //  * update clobber — the Guest Contract holds a single pending
 //    light-client-update slot, and `begin_client_update` overwrites
@@ -27,7 +27,7 @@
 //
 // All on-host actions ride a private TxPipeline with bundle fees (the
 // griefer pays to win races).  The agent is a CrashableAgent whose
-// restart() re-derives withheld acks from pure on-chain state:
+// on_restart() re-derives withheld acks from pure on-chain state:
 // a packet received on the guest whose commitment is still pending on
 // the counterparty is an ack someone is sitting on.
 #pragma once
@@ -37,11 +37,12 @@
 #include <string>
 #include <vector>
 
-#include "adversary/plan.hpp"
+#include "adversary/counters.hpp"
 #include "common/rng.hpp"
 #include "counterparty/chain.hpp"
 #include "guest/contract.hpp"
 #include "host/chain.hpp"
+#include "host/fault.hpp"
 #include "relayer/tx_pipeline.hpp"
 #include "sim/agent.hpp"
 #include "sim/scheduler.hpp"
@@ -62,16 +63,10 @@ class GriefingRelayerAgent final : public sim::CrashableAgent {
                        guest::GuestContract& contract,
                        counterparty::CounterpartyChain& cp,
                        ibc::ClientId guest_client_on_cp, crypto::PublicKey payer,
-                       const AdversaryPlan& plan, AdversaryCounters& counters,
+                       const host::FaultPlan& plan, AdversaryCounters& counters,
                        std::uint64_t seed, GrieferConfig cfg = {});
 
   void start();
-
-  // --- sim::CrashableAgent ----------------------------------------------
-  [[nodiscard]] const std::string& agent_name() const override { return name_; }
-  [[nodiscard]] bool running() const override { return running_; }
-  void crash() override;
-  void restart() override;
 
   [[nodiscard]] const relayer::TxPipeline& pipeline() const { return pipeline_; }
   [[nodiscard]] const crypto::PublicKey& payer() const noexcept { return payer_; }
@@ -82,6 +77,8 @@ class GriefingRelayerAgent final : public sim::CrashableAgent {
     double release_at = 0;
   };
 
+  void on_crash() override;
+  void on_restart() override;
   void schedule_poll();
   void poll();
   void try_clobber(double t);
@@ -94,20 +91,16 @@ class GriefingRelayerAgent final : public sim::CrashableAgent {
                             const std::string& label,
                             std::function<void(bool)> done);
 
-  sim::Simulation& sim_;
   host::Chain& host_;
   guest::GuestContract& contract_;
   counterparty::CounterpartyChain& cp_;
   ibc::ClientId client_;
   crypto::PublicKey payer_;
-  const AdversaryPlan& plan_;
+  const host::FaultPlan& plan_;
   AdversaryCounters& counters_;
   GrieferConfig cfg_;
   Rng rng_;
   relayer::TxPipeline pipeline_;
-  sim::Simulation::AgentId timer_owner_;
-  std::string name_ = "griefing-relayer";
-  bool running_ = true;
 
   std::uint64_t next_buffer_ = 1;
   bool clobber_in_flight_ = false;

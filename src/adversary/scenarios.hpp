@@ -1,31 +1,30 @@
-// The shipped adversary campaign scenarios.
+// The shipped scenarios: each one a named host::FaultPlan.
 //
-// One spec per threat from the taxonomy (DESIGN §13): each scenario
-// holds ONE kind of attacker at sub-quorum stake, plus a combined
-// scenario and a crash-composition scenario (the fisherman is killed
-// mid-prosecution — the PR 5 crash machinery composing with the
-// adversary layer).  Every shipped scenario must satisfy the standing
-// acceptance bar: the InvariantAuditor never trips, every offender is
-// detected and slashed, and delivery reaches 100% within the liveness
-// budget.  At-quorum collusion — where that bar provably CANNOT hold —
-// lives only in tests (adversary_campaign_test.cpp), which document the
-// safety-loss signature instead.
+// Campaign scenarios hold one threat from the taxonomy (DESIGN §13)
+// each, at sub-quorum stake, plus a combined scenario and a
+// crash-composition scenario whose plan also kills the fisherman
+// mid-prosecution.  Every shipped campaign scenario must satisfy the
+// standing acceptance bar: the InvariantAuditor never trips, every
+// offender is detected and slashed, and delivery reaches 100% within
+// the liveness budget.  At-quorum collusion — where that bar provably
+// CANNOT hold — lives only in tests (adversary_campaign_test.cpp),
+// which document the safety-loss signature instead.
+//
+// Reorg scenarios are fork storms on a fork-aware host.  Their depths
+// stay below the default rooted lag (32 slots), so every storm is
+// resolvable.
 #pragma once
 
 #include <string>
 #include <vector>
 
-#include "adversary/plan.hpp"
+#include "host/fault.hpp"
 
 namespace bmg::adversary {
 
 struct ScenarioSpec {
   std::string name;
-  AdversaryPlan plan;
-  /// Compose a fisherman crash window over the middle of the attack
-  /// (drivers translate this into a host FaultPlan crash window before
-  /// Campaign::start()).
-  bool crash_fisherman = false;
+  host::FaultPlan plan;
 };
 
 /// The shipped campaign grid.  Attack windows span [attack_start,
@@ -34,6 +33,9 @@ struct ScenarioSpec {
 /// attack stops).
 [[nodiscard]] std::vector<ScenarioSpec> campaign_scenarios(double attack_start,
                                                            double attack_end);
+
+/// The shipped fork storms over [start, end).
+[[nodiscard]] std::vector<ScenarioSpec> reorg_scenarios(double start, double end);
 
 /// Looks up a shipped scenario by name; null if unknown.
 [[nodiscard]] const ScenarioSpec* find_scenario(const std::vector<ScenarioSpec>& all,

@@ -82,6 +82,7 @@ double pearson(const std::vector<double>& x, const std::vector<double>& y) {
 }
 
 std::string render_cdf(const Series& s, int points, const std::string& x_label) {
+  if (s.empty()) return "  (no samples)\n";
   std::string out = "  " + x_label + "        CDF\n";
   char line[128];
   for (int i = 1; i <= points; ++i) {

@@ -34,6 +34,14 @@ class PublicKey {
   ed25519::PublicKeyBytes raw_{};
 };
 
+/// Folds `key` into the seed `h` (FNV-1a over its bytes), so agents
+/// that share a starting seed draw independent streams per key.
+[[nodiscard]] inline std::uint64_t fold_key(std::uint64_t h,
+                                            const PublicKey& key) noexcept {
+  for (unsigned char b : key.raw()) h = (h ^ b) * 0x1000'0000'01B3ull;
+  return h;
+}
+
 struct PublicKeyHasher {
   [[nodiscard]] std::size_t operator()(const PublicKey& k) const noexcept {
     std::size_t v = 0;

@@ -88,6 +88,9 @@ class GuestContract final : public host::Program {
   [[nodiscard]] const GuestBlock& head() const { return blocks_.back(); }
   [[nodiscard]] const GuestBlock& block_at(ibc::Height h) const;
   [[nodiscard]] std::size_t block_count() const { return blocks_.size(); }
+  /// Δ: the head age at which GenerateBlock is accepted with no state
+  /// change.
+  [[nodiscard]] double delta_seconds() const noexcept { return cfg_.delta_seconds; }
 
   [[nodiscard]] ibc::IbcModule& ibc() noexcept { return module_; }
   [[nodiscard]] const ibc::IbcModule& ibc() const noexcept { return module_; }

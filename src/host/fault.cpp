@@ -18,10 +18,15 @@ bool active(const FaultWindow& w, double t) { return t >= w.start && t < w.end; 
 FaultPlan& FaultPlan::add(FaultWindow w) {
   if (w.kind == FaultKind::kReorg) {
     if (w.severity >= 1.0) ++reorg_windows_;  // depth-0 windows are inert
-  } else if (w.kind != FaultKind::kCrash) {
+  } else if (w.kind <= FaultKind::kFeeSpike) {
     ++chain_windows_;
   }
   windows_.push_back(std::move(w));
+  return *this;
+}
+
+FaultPlan& FaultPlan::append(const FaultPlan& other) {
+  for (const FaultWindow& w : other.windows_) add(w);
   return *this;
 }
 
@@ -62,11 +67,83 @@ FaultPlan& FaultPlan::reorg(double start, double end, std::uint64_t max_depth,
               probability, std::move(label_prefix), survival});
 }
 
+FaultPlan& FaultPlan::equivocate(double start, double end, int validators,
+                                 double rate) {
+  return add({FaultKind::kEquivocate, start, end, 1.0, rate, {}, 1.0, validators});
+}
+
+FaultPlan& FaultPlan::fork_sign(double start, double end, int validators, double rate) {
+  return add({FaultKind::kForkSign, start, end, 1.0, rate, {}, 1.0, validators});
+}
+
+FaultPlan& FaultPlan::collude(double start, double end, int members, double rate) {
+  return add({FaultKind::kCollude, start, end, 1.0, rate, {}, 1.0, members});
+}
+
+FaultPlan& FaultPlan::update_clobber(double start, double end) {
+  return add({FaultKind::kUpdateClobber, start, end, 1.0, 1.0, {}});
+}
+
+FaultPlan& FaultPlan::ack_withhold(double start, double end, double delay_s) {
+  return add({FaultKind::kAckWithhold, start, end, 1.0, 1.0, {}, 1.0, 1, delay_s});
+}
+
+FaultPlan& FaultPlan::stale_replay(double start, double end, double rate) {
+  return add({FaultKind::kStaleReplay, start, end, 1.0, rate, {}});
+}
+
+FaultPlan& FaultPlan::fee_spam(double start, double end, double fee_multiplier,
+                               double inclusion_factor, double interval_s) {
+  add({FaultKind::kFeeSpam, start, end, fee_multiplier, 1.0, {}, 1.0, 1, interval_s});
+  // The market-wide effects of sustained fee pressure are chain
+  // properties: every submitter pays the spiked fee floor and sees
+  // squeezed inclusion, which is what forces the TxPipeline into
+  // bundle escalation.
+  fee_spike(start, end, fee_multiplier);
+  if (inclusion_factor < 1.0) congestion(start, end, inclusion_factor);
+  return *this;
+}
+
 std::vector<FaultWindow> FaultPlan::crash_windows() const {
   std::vector<FaultWindow> out;
   for (const auto& w : windows_)
     if (w.kind == FaultKind::kCrash) out.push_back(w);
   return out;
+}
+
+double FaultPlan::rate_at(FaultKind kind, double t) const noexcept {
+  double rate = 0.0;
+  for (const auto& w : windows_)
+    if (w.kind == kind && active(w, t)) rate = std::max(rate, w.probability);
+  return rate;
+}
+
+const FaultWindow* FaultPlan::open_window(FaultKind kind, double t) const noexcept {
+  for (const auto& w : windows_)
+    if (w.kind == kind && active(w, t)) return &w;
+  return nullptr;
+}
+
+std::optional<double> FaultPlan::next_window_start(FaultKind kind,
+                                                   double t) const noexcept {
+  std::optional<double> next;
+  for (const auto& w : windows_) {
+    if (w.kind != kind || w.start <= t) continue;
+    if (!next || w.start < *next) next = w.start;
+  }
+  return next;
+}
+
+int FaultPlan::max_agents(FaultKind kind) const noexcept {
+  int n = 0;
+  for (const auto& w : windows_)
+    if (w.kind == kind) n = std::max(n, w.agents);
+  return n;
+}
+
+bool FaultPlan::has(FaultKind kind) const noexcept {
+  return std::any_of(windows_.begin(), windows_.end(),
+                     [kind](const FaultWindow& w) { return w.kind == kind; });
 }
 
 double FaultPlan::congestion_multiplier(double t, const std::string& label) const {

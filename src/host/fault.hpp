@@ -1,4 +1,4 @@
-// Deterministic fault injection for the host chain (chaos testing).
+// Deterministic fault injection: the one scenario script.
 //
 // The paper treats the host as hostile terrain: base-fee inclusion is
 // a coin flip (§V-B), RPC nodes drop transactions, and a light client
@@ -11,22 +11,32 @@
 // chunk-upload / seq-tracker idempotency), and fee spikes inflate the
 // market components of the fee.
 //
-// All randomness is drawn from a dedicated RNG stream owned by the
-// chain (never the inclusion stream), and every fault query is gated
-// on `has_chain_faults()` — a plan with no chain-level windows leaves
-// the chain bit-identical to a chain built without one.  Crash windows
-// (kCrash) are *not* chain faults: they kill and restart agent
-// processes (see sim::CrashableAgent / relayer::CrashController) and
-// never touch the chain's fault RNG stream, so a crash-only plan keeps
-// the chains byte-identical to a faultless run.
+// The same plan scripts the processes and the participants: crash
+// windows kill and restart agents (relayer::CrashController), reorg
+// windows fork the optimistic tip, and the participant kinds
+// (kEquivocate .. kFeeSpam) are read at event time by the adversary
+// agents that adversary::Campaign builds (Byzantine validators, a
+// collusion clique, a griefing relayer, a fee attacker).  A shipped
+// scenario is a named FaultPlan (adversary/scenarios.hpp).
+//
+// All chain randomness is drawn from a dedicated RNG stream owned by
+// the chain (never the inclusion stream), and every fault query is
+// gated on `has_chain_faults()` — a plan with no chain-level windows
+// leaves the chain bit-identical to a chain built without one.  Crash,
+// reorg and participant windows are *not* chain faults: a plan holding
+// only those keeps the submit path and its RNG streams byte-identical
+// to a faultless run.
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
 namespace bmg::host {
 
+/// The first five kinds are chain faults; the rest never count toward
+/// has_chain_faults().
 enum class FaultKind : std::uint8_t {
   kCongestion,  ///< multiply inclusion probabilities by `severity`
   kOutage,      ///< slots produce but include nothing
@@ -35,6 +45,14 @@ enum class FaultKind : std::uint8_t {
   kFeeSpike,    ///< market fee components multiplied by `severity`
   kCrash,       ///< agent process killed at `start`, restarted at `end`
   kReorg,       ///< optimistic tip forks: up to `severity` slots retracted
+  // Participant kinds, read by the adversary agents.
+  kEquivocate,     ///< validators double-sign canonical heights
+  kForkSign,       ///< validators sign fabricated future-height forks
+  kCollude,        ///< clique co-signs forged headers and pushes them
+  kUpdateClobber,  ///< relayer resets in-flight light-client updates
+  kAckWithhold,    ///< relayer front-runs delivery, withholds the ack
+  kStaleReplay,    ///< relayer replays already-delivered packets
+  kFeeSpam,        ///< attacker submits bundle-tipped spam transactions
 };
 
 /// One scheduled fault over the half-open sim-time window [start, end).
@@ -44,8 +62,12 @@ struct FaultWindow {
   double end = 0;
   /// kCongestion: factor on inclusion probability in [0, 1].
   /// kFeeSpike: factor (>= 1) on priority/tip lamports.
+  /// kFeeSpam: the fee multiplier the spam tip scales with.
   double severity = 1.0;
   /// kBlackhole / kDuplicate: per-transaction probability.
+  /// Participant kinds: per-trigger rate (equivocate / fork-sign: per
+  /// canonical block per validator; collude: per counterparty block;
+  /// stale replay: per poll tick).
   double probability = 1.0;
   /// Restricts the fault to transactions whose label starts with this
   /// prefix; empty matches everything.  Outages ignore the filter
@@ -58,6 +80,12 @@ struct FaultWindow {
   /// on the winning fork (1.0 = pure rollback-and-replay; lower values
   /// kill txs, forcing submitters to resubmit across the fork).
   double survival = 1.0;
+  /// kEquivocate / kForkSign: Byzantine validator count.
+  /// kCollude: clique size (stake is the member sum).
+  int agents = 1;
+  /// kAckWithhold: seconds a captured ack is withheld before release.
+  /// kFeeSpam: seconds between spam transactions.
+  double interval = 0.0;
 };
 
 /// How often each fault class actually fired.
@@ -106,6 +134,36 @@ class FaultPlan {
                    double probability = 1.0, double survival = 1.0,
                    std::string label_prefix = {});
 
+  // Participant builders (adversary::Campaign builds their agents).
+  /// `validators` Byzantine validators double-sign each canonical block
+  /// with probability `rate`.
+  FaultPlan& equivocate(double start, double end, int validators, double rate = 1.0);
+  /// `validators` Byzantine validators gossip signatures over
+  /// fabricated future-height headers with probability `rate`.
+  FaultPlan& fork_sign(double start, double end, int validators, double rate = 1.0);
+  /// A clique of `members` validators co-signs forged headers and
+  /// pushes them at the counterparty light client, once per
+  /// counterparty block with probability `rate`.
+  FaultPlan& collude(double start, double end, int members, double rate = 1.0);
+  /// A griefing relayer restarts any in-flight light-client update it
+  /// observes (resets accumulated signature verification).
+  FaultPlan& update_clobber(double start, double end);
+  /// A griefing relayer front-runs packet delivery to the guest and
+  /// withholds the acknowledgement for `delay_s` seconds.
+  FaultPlan& ack_withhold(double start, double end, double delay_s);
+  /// A griefing relayer replays already-delivered packets with
+  /// probability `rate` per poll tick.
+  FaultPlan& stale_replay(double start, double end, double rate);
+  /// Sustained fee-market pressure: a kFeeSpam window (spam every
+  /// `interval_s` seconds), then the market-wide side of the attack as
+  /// chain faults — fee_spike(mult), and congestion(inclusion_factor)
+  /// when that factor is below 1.
+  FaultPlan& fee_spam(double start, double end, double fee_multiplier,
+                      double inclusion_factor, double interval_s = 30.0);
+
+  /// Appends every window of `other`, in order.
+  FaultPlan& append(const FaultPlan& other);
+
   void clear() {
     windows_.clear();
     chain_windows_ = 0;
@@ -113,9 +171,10 @@ class FaultPlan {
   }
   [[nodiscard]] bool empty() const noexcept { return windows_.empty(); }
   [[nodiscard]] std::size_t size() const noexcept { return windows_.size(); }
-  /// Whether any window targets the *chain* (everything but kCrash).
+  /// Whether any window targets the *chain* (kCongestion .. kFeeSpike).
   /// The chain gates its fault machinery — and its fault RNG draws —
-  /// on this, so crash-only plans stay byte-identical to no plan.
+  /// on this, so crash-only and participant-only plans stay
+  /// byte-identical to no plan.
   [[nodiscard]] bool has_chain_faults() const noexcept { return chain_windows_ > 0; }
   /// Whether any *effective* (max_depth >= 1) kReorg window exists.
   /// The chain arms its fork machinery — journalling, deferred
@@ -126,8 +185,22 @@ class FaultPlan {
   [[nodiscard]] const std::vector<FaultWindow>& windows() const noexcept {
     return windows_;
   }
-  /// The kCrash windows only (consumed by relayer::CrashController).
+  /// The kCrash windows only.
   [[nodiscard]] std::vector<FaultWindow> crash_windows() const;
+
+  // --- generic queries (the adversary agents ask these) ----------------
+  /// Largest probability among the windows of `kind` open at `t` (0 if
+  /// none).
+  [[nodiscard]] double rate_at(FaultKind kind, double t) const noexcept;
+  /// The first window of `kind` open at `t`, or null.
+  [[nodiscard]] const FaultWindow* open_window(FaultKind kind, double t) const noexcept;
+  /// Earliest start strictly after `t` among windows of `kind` (idle
+  /// agents sleep until then instead of polling).
+  [[nodiscard]] std::optional<double> next_window_start(FaultKind kind,
+                                                        double t) const noexcept;
+  /// Largest `agents` among windows of `kind` (0 if none).
+  [[nodiscard]] int max_agents(FaultKind kind) const noexcept;
+  [[nodiscard]] bool has(FaultKind kind) const noexcept;
 
   // --- queries (evaluated by the chain) --------------------------------
   /// Product of active congestion severities for a tx labelled `label`.
@@ -148,7 +221,7 @@ class FaultPlan {
 
  private:
   std::vector<FaultWindow> windows_;
-  std::size_t chain_windows_ = 0;  ///< count of non-kCrash, non-kReorg windows
+  std::size_t chain_windows_ = 0;  ///< count of kCongestion .. kFeeSpike windows
   std::size_t reorg_windows_ = 0;  ///< count of kReorg windows with max_depth >= 1
 };
 

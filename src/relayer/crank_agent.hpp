@@ -2,10 +2,11 @@
 //
 // GenerateBlock "can be invoked by anyone (e.g. whenever a host block
 // is produced)" (paper §III-A).  This agent polls the contract state
-// each host slot and submits a GenerateBlock transaction whenever the
-// contract would accept one: the head is finalised and there are
-// pending state changes, the head aged past Δ, or an epoch rotation
-// is due.
+// each host slot and submits a GenerateBlock transaction when the head
+// is finalised and either there are pending state changes or the head
+// aged past Δ.  The contract also accepts GenerateBlock once an epoch
+// rotation is due, but the crank does not check for that: an epoch
+// rotates only with the next block one of the two triggers produces.
 #pragma once
 
 #include <string>
@@ -21,37 +22,24 @@ class CrankAgent final : public sim::CrashableAgent {
  public:
   CrankAgent(sim::Simulation& sim, host::Chain& host, guest::GuestContract& contract,
              crypto::PublicKey payer)
-      : sim_(sim), host_(host), contract_(contract), payer_(std::move(payer)) {
-    timer_owner_ = sim_.register_agent();
-  }
+      : CrashableAgent(sim, "crank"),
+        host_(host),
+        contract_(contract),
+        payer_(std::move(payer)) {}
 
   void start() { schedule_poll(); }
-
-  // --- crash-restart (sim::CrashableAgent) ------------------------------
-  [[nodiscard]] const std::string& agent_name() const override { return name_; }
-  [[nodiscard]] bool running() const override { return running_; }
-  void crash() override {
-    if (!running_) return;
-    running_ = false;
-    ++crash_count_;
-    ++incarnation_;  // a GenerateBlock tx in flight still lands; its
-                     // result handler is stale-guarded below
-    sim_.cancel_agent(timer_owner_);
-  }
-  /// The crank is stateless beyond its poll loop: restart just starts
-  /// polling again.  A pre-crash submission may still land, so the
-  /// worst case is one duplicate GenerateBlock the contract rejects.
-  void restart() override {
-    if (running_) return;
-    running_ = true;
-    in_flight_ = false;
-    schedule_poll();
-  }
-  [[nodiscard]] std::uint64_t crash_count() const noexcept { return crash_count_; }
 
   [[nodiscard]] std::uint64_t blocks_triggered() const { return triggered_; }
 
  private:
+  /// The crank is stateless beyond its poll loop: restart just starts
+  /// polling again.  A pre-crash submission may still land, so the
+  /// worst case is one duplicate GenerateBlock the contract rejects.
+  void on_restart() override {
+    in_flight_ = false;
+    schedule_poll();
+  }
+
   void schedule_poll() {
     sim_.after_cancellable(
         host::kSlotSeconds,
@@ -59,7 +47,7 @@ class CrankAgent final : public sim::CrashableAgent {
           poll();
           schedule_poll();
         },
-        timer_owner_);
+        timer_owner());
   }
 
   void poll() {
@@ -68,8 +56,7 @@ class CrankAgent final : public sim::CrashableAgent {
     if (!head.finalised) return;
     const bool root_changed =
         head.header.state_root != contract_.store().root_hash();
-    const bool aged =
-        sim_.now() - head.header.timestamp >= contract_delta_seconds();
+    const bool aged = sim_.now() - head.header.timestamp >= contract_.delta_seconds();
     if (!root_changed && !aged) return;
 
     in_flight_ = true;
@@ -77,33 +64,19 @@ class CrankAgent final : public sim::CrashableAgent {
     tx.payer = payer_;
     tx.label = "generate-block";
     tx.instructions.push_back(guest::ix::generate_block());
-    const std::uint64_t inc = incarnation_;
-    host_.submit(std::move(tx), [this, inc](const host::TxResult& res) {
-      if (inc != incarnation_) return;  // process died meanwhile
+    const std::uint64_t life = crash_count();
+    host_.submit(std::move(tx), [this, life](const host::TxResult& res) {
+      if (life != crash_count()) return;  // process died meanwhile
       in_flight_ = false;
       if (res.executed && res.success) ++triggered_;
     });
   }
 
-  [[nodiscard]] double contract_delta_seconds() const { return delta_override_; }
-
- public:
-  /// Mirror of the contract's Δ (the crank cannot read private config).
-  void set_delta(double seconds) { delta_override_ = seconds; }
-
- private:
-  sim::Simulation& sim_;
   host::Chain& host_;
   guest::GuestContract& contract_;
   crypto::PublicKey payer_;
-  std::string name_ = "crank";
-  bool running_ = true;
-  std::uint64_t crash_count_ = 0;
-  std::uint64_t incarnation_ = 0;  ///< guards stale host result handlers
-  sim::Simulation::AgentId timer_owner_ = 0;
   bool in_flight_ = false;
   std::uint64_t triggered_ = 0;
-  double delta_override_ = 3600.0;
 };
 
 }  // namespace bmg::relayer

@@ -109,7 +109,6 @@ Deployment::Deployment(DeploymentConfig cfg)
     host_.airdrop(keys[i].public_key(), 1'000 * host::kLamportsPerSol);
   }
   crank_ = std::make_unique<CrankAgent>(sim_, host_, *guest_, service_payer_);
-  crank_->set_delta(cfg_.guest.delta_seconds);
   relayer_ = std::make_unique<RelayerAgent>(sim_, host_, *guest_, cp_,
                                             guest_client_on_cp_,
                                             crypto::PrivateKey::from_label("relayer")

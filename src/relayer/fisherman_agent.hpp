@@ -52,46 +52,20 @@ class FishermanAgent final : public sim::CrashableAgent {
  public:
   FishermanAgent(sim::Simulation& sim, host::Chain& host, guest::GuestContract& contract,
                  GossipBus& bus, crypto::PublicKey payer, PipelineConfig pipeline_cfg = {})
-      : sim_(sim),
+      : CrashableAgent(sim, "fisherman"),
         host_(host),
         contract_(contract),
         bus_(bus),
         payer_(std::move(payer)),
-        pipeline_(sim, host, Rng(fold_payer_seed(payer_)), pipeline_cfg) {}
+        // A stream distinct from the relayers'.
+        pipeline_(sim, host, Rng(crypto::fold_key(0xF15'4E12'3A5Eull, payer_)),
+                  pipeline_cfg) {}
 
   void start() {
     bus_.subscribe([this](const SignatureGossip& g) {
-      if (running_) on_gossip(g);
+      if (running()) on_gossip(g);
     });
   }
-
-  // --- crash-restart (sim::CrashableAgent) ------------------------------
-  [[nodiscard]] const std::string& agent_name() const override { return name_; }
-  [[nodiscard]] bool running() const override { return running_; }
-  /// Observation memory is ephemeral by design: it dies with the
-  /// process.  Equivocations gossiped while down are missed (a real
-  /// fisherman has the same blind spot), but the on-chain ban set is
-  /// durable, so successfully prosecuted offenders stay prosecuted.
-  void crash() override {
-    if (!running_) return;
-    running_ = false;
-    ++crash_count_;
-    pipeline_.reset();
-    observations_.clear();
-    prosecuted_.clear();
-  }
-  /// Observation memory is gone, but anything this fisherman already
-  /// *staged on chain* is not: scan our staging buffers for evidence
-  /// blobs whose prosecution never completed and resubmit the finishing
-  /// transaction.  Without this, a crash inside the prosecution window
-  /// silently loses the evidence — the offender keeps its stake even
-  /// though the proof is sitting on chain, already paid for.
-  void restart() override {
-    if (running_) return;
-    running_ = true;
-    rederive_pending_evidence();
-  }
-  [[nodiscard]] std::uint64_t crash_count() const noexcept { return crash_count_; }
 
   [[nodiscard]] std::uint64_t evidence_submitted() const { return submitted_; }
   [[nodiscard]] std::uint64_t evidence_accepted() const { return accepted_; }
@@ -110,6 +84,23 @@ class FishermanAgent final : public sim::CrashableAgent {
   [[nodiscard]] const TxPipeline& pipeline() const { return pipeline_; }
 
  private:
+  /// Observation memory is ephemeral by design: it dies with the
+  /// process.  Equivocations gossiped while down are missed (a real
+  /// fisherman has the same blind spot), but the on-chain ban set is
+  /// durable, so successfully prosecuted offenders stay prosecuted.
+  void on_crash() override {
+    pipeline_.reset();
+    observations_.clear();
+    prosecuted_.clear();
+  }
+  /// Observation memory is gone, but anything this fisherman already
+  /// *staged on chain* is not: scan our staging buffers for evidence
+  /// blobs whose prosecution never completed and resubmit the finishing
+  /// transaction.  Without this, a crash inside the prosecution window
+  /// silently loses the evidence — the offender keeps its stake even
+  /// though the proof is sitting on chain, already paid for.
+  void on_restart() override { rederive_pending_evidence(); }
+
   void on_gossip(const SignatureGossip& gossip) {
     const auto key = std::make_pair(gossip.validator, gossip.header.height);
     auto& seen = observations_[key];
@@ -231,20 +222,10 @@ class FishermanAgent final : public sim::CrashableAgent {
     }
   }
 
-  [[nodiscard]] static std::uint64_t fold_payer_seed(const crypto::PublicKey& key) {
-    std::uint64_t h = 0xF15'4E12'3A5Eull;  // distinct stream from relayers
-    for (unsigned char b : key.raw()) h = (h ^ b) * 0x1000'0000'01B3ull;
-    return h;
-  }
-
-  sim::Simulation& sim_;
   host::Chain& host_;
   guest::GuestContract& contract_;
   GossipBus& bus_;
   crypto::PublicKey payer_;
-  std::string name_ = "fisherman";
-  bool running_ = true;
-  std::uint64_t crash_count_ = 0;
 
   TxPipeline pipeline_;
 

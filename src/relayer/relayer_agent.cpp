@@ -6,80 +6,63 @@
 
 namespace bmg::relayer {
 
-namespace {
-/// Folds a public key into the pipeline seed so co-deployed relayers
-/// draw independent backoff-jitter streams deterministically.
-std::uint64_t mix_seed(std::uint64_t seed, const crypto::PublicKey& key) {
-  std::uint64_t h = seed;
-  for (unsigned char b : key.raw()) h = (h ^ b) * 0x1000'0000'01B3ull;
-  return h;
-}
-}  // namespace
-
 RelayerAgent::RelayerAgent(sim::Simulation& sim, host::Chain& host,
                            guest::GuestContract& contract,
                            counterparty::CounterpartyChain& cp,
                            ibc::ClientId guest_client_on_cp, crypto::PublicKey payer,
                            RelayerConfig cfg)
-    : sim_(sim),
+    : CrashableAgent(sim, cfg.name),
       host_(host),
       contract_(contract),
       cp_(cp),
       guest_client_on_cp_(std::move(guest_client_on_cp)),
       payer_(std::move(payer)),
       cfg_(cfg),
-      pipeline_(sim, host, Rng(mix_seed(cfg.pipeline_seed, payer_)), cfg.pipeline) {
+      pipeline_(sim, host, Rng(crypto::fold_key(cfg.pipeline_seed, payer_)),
+                cfg.pipeline) {
   // With no signature per transaction an update sequence never ends.
   if (cfg_.sigs_per_update_tx < 1)
     throw std::invalid_argument("relayer: sigs_per_update_tx must be at least 1");
-  timer_owner_ = sim_.register_agent();
 }
 
 void RelayerAgent::start() {
   // Subscriptions are append-only (they live as long as the chains),
-  // so they are registered once and gated on running_: a crashed
+  // so they are registered once and gated on running(): a crashed
   // process simply misses the events fired while it is down.
   //
   // On a fork-aware host the guest→counterparty direction consumes
   // FinalisedBlock at *rooted* commitment regardless of the configured
   // pipeline level: the counterparty never rolls back, so exporting
   // guest state that a host reorg could still retract would break
-  // conservation permanently.
-  auto on_finalised = [this](const host::Event& ev) {
-    if (!running_) return;
+  // conservation permanently.  On a linear host a rooted subscription
+  // is a processed one.
+  host_.subscribe_rooted(guest::kProgramName, [this](const host::Event& ev) {
+    if (!running()) return;
     if (ev.name != guest::GuestContract::kEvFinalisedBlock) return;
     Decoder d(ev.data);
     const ibc::Height height = d.u64();
     sim_.after_cancellable(
         cfg_.poll_latency_s, [this, height] { on_guest_block_finalised(height); },
-        timer_owner_);
-  };
-  if (host_.fork_mode())
-    host_.subscribe_rooted(guest::kProgramName, std::move(on_finalised));
-  else
-    host_.subscribe(guest::kProgramName, std::move(on_finalised));
+        timer_owner());
+  });
   // Counterparty-sent packets enter the relay queue at the next cp
   // block (when they become provable).
   cp_.ibc().set_packet_listener([this](const ibc::Packet& packet) {
-    if (!running_) return;
+    if (!running()) return;
     cp_outgoing_.emplace_back(packet, cp_.height() + 1);
   });
   cp_.on_new_block([this](ibc::Height height) {
-    if (!running_) return;
+    if (!running()) return;
     sim_.after_cancellable(
-        cfg_.poll_latency_s, [this, height] { on_cp_block(height); }, timer_owner_);
+        cfg_.poll_latency_s, [this, height] { on_cp_block(height); }, timer_owner());
   });
 }
 
 // --- crash-restart ------------------------------------------------------------
 
-void RelayerAgent::crash() {
-  if (!running_) return;
-  running_ = false;
-  ++crash_count_;
-  // Every in-memory structure is ephemeral: timers die with the
+void RelayerAgent::on_crash() {
+  // Every in-memory structure is ephemeral: timers died with the
   // process, in-flight pipeline sequences never call back, queues drop.
-  sim_.cancel_agent(timer_owner_);
   pipeline_.reset();
   cp_outgoing_.clear();
   cp_acks_.clear();
@@ -88,15 +71,13 @@ void RelayerAgent::crash() {
   guest_update_in_flight_ = false;
   next_buffer_id_ = 1;
   pipeline_.errors().push(RelayError{RelayErrorKind::kCrashRestart,
-                                     "agent:" + cfg_.name, "process killed",
+                                     "agent:" + agent_name(), "process killed",
                                      sim_.now(), 0});
 }
 
-void RelayerAgent::restart() {
-  if (running_) return;
-  running_ = true;
+void RelayerAgent::on_restart() {
   pipeline_.errors().push(RelayError{RelayErrorKind::kCrashRestart,
-                                     "agent:" + cfg_.name, "process restarted",
+                                     "agent:" + agent_name(), "process restarted",
                                      sim_.now(), 0});
   resync();
 }
@@ -302,7 +283,7 @@ void RelayerAgent::push_guest_header_to_cp(ibc::Height guest_height,
         }
         if (done) done();
       },
-      timer_owner_);
+      timer_owner());
 }
 
 void RelayerAgent::on_guest_block_finalised(ibc::Height height) {

@@ -62,17 +62,6 @@ class RelayerAgent final : public sim::CrashableAgent {
   /// before packets flow, but start() can be called first.
   void start();
 
-  // --- crash-restart (sim::CrashableAgent) -------------------------------
-  [[nodiscard]] const std::string& agent_name() const override { return cfg_.name; }
-  [[nodiscard]] bool running() const override { return running_; }
-  /// Kills the process: every in-memory queue, in-flight pipeline
-  /// sequence and timer is dropped on the floor.  Subscriptions stay
-  /// registered but their handlers no-op while down (missed events).
-  void crash() override;
-  /// Boots a fresh process and resyncs from on-chain state alone.
-  void restart() override;
-  [[nodiscard]] std::uint64_t crash_count() const noexcept { return crash_count_; }
-
   /// Rebuilds the relay queues from authoritative chain state: pending
   /// packet commitments and missing receipts/acks on both chains (via
   /// each module's seq-tracker surface), the contract's staged buffers
@@ -149,6 +138,12 @@ class RelayerAgent final : public sim::CrashableAgent {
                                 SequenceDone done = {});
 
  private:
+  /// Every in-memory queue and in-flight pipeline sequence is dropped
+  /// on the floor.  Subscriptions stay registered but their handlers
+  /// no-op while down (missed events).
+  void on_crash() override;
+  /// Resyncs from on-chain state alone.
+  void on_restart() override;
   void on_guest_block_finalised(ibc::Height height);
   void on_cp_block(ibc::Height height);
   void pump_cp_to_guest();
@@ -171,7 +166,6 @@ class RelayerAgent final : public sim::CrashableAgent {
   /// missed while down, proving against the latest finalised block.
   void redeliver_guest_packet_to_cp(const ibc::Packet& packet, ibc::Height gh);
 
-  sim::Simulation& sim_;
   host::Chain& host_;
   guest::GuestContract& contract_;
   counterparty::CounterpartyChain& cp_;
@@ -179,12 +173,8 @@ class RelayerAgent final : public sim::CrashableAgent {
   crypto::PublicKey payer_;
   RelayerConfig cfg_;
 
-  /// Process liveness.  Ephemeral state below dies with crash();
-  /// everything else the agent needs is reconstructed by resync().
-  bool running_ = true;
-  std::uint64_t crash_count_ = 0;
-  sim::Simulation::AgentId timer_owner_ = 0;
-
+  // Ephemeral state below dies with crash(); everything else the agent
+  // needs is reconstructed by resync().
   std::uint64_t next_buffer_id_ = 1;
 
   // Counterparty-side packets waiting to be relayed into the guest:

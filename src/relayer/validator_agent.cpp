@@ -5,18 +5,16 @@ namespace bmg::relayer {
 ValidatorAgent::ValidatorAgent(sim::Simulation& sim, host::Chain& host,
                                guest::GuestContract& contract, crypto::PrivateKey key,
                                ValidatorProfile profile, Rng rng)
-    : sim_(sim),
+    : CrashableAgent(sim, profile.name),
       host_(host),
       contract_(contract),
       key_(std::move(key)),
       profile_(std::move(profile)),
-      rng_(rng) {
-  timer_owner_ = sim_.register_agent();
-}
+      rng_(rng) {}
 
 void ValidatorAgent::start() {
   host_.subscribe(guest::kProgramName, [this](const host::Event& ev) {
-    if (!running_) return;
+    if (!running()) return;
     if (ev.name != guest::GuestContract::kEvNewBlock) return;
     Decoder d(ev.data);
     const ibc::Height height = d.u64();
@@ -24,20 +22,7 @@ void ValidatorAgent::start() {
   });
 }
 
-void ValidatorAgent::crash() {
-  if (!running_) return;
-  running_ = false;
-  ++crash_count_;
-  ++incarnation_;
-  // Pending signing delays die with the process; a Sign tx already
-  // submitted to the host still lands (the chain has it), but its
-  // result handler is stale-guarded so a dead process records nothing.
-  sim_.cancel_agent(timer_owner_);
-}
-
-void ValidatorAgent::restart() {
-  if (running_) return;
-  running_ = true;
+void ValidatorAgent::on_restart() {
   if (!profile_.active) return;
   if (!contract_.epoch_validators().contains(pubkey())) return;
   // Durable state is entirely on-chain: if the head block is still
@@ -69,16 +54,19 @@ void ValidatorAgent::on_new_block(ibc::Height height, double announced_at) {
         tx.instructions.push_back(guest::ix::sign_block(height, pubkey()));
         tx.sig_verifies.push_back(
             host::SigVerify{pubkey(), digest, key_.sign(digest.view())});
-        const std::uint64_t inc = incarnation_;
+        // Pending signing delays die with the process; a Sign tx
+        // already submitted still lands (the chain has it), but a dead
+        // process records nothing.
+        const std::uint64_t life = crash_count();
         host_.submit(std::move(tx),
-                     [this, announced_at, inc](const host::TxResult& res) {
-                       if (inc != incarnation_) return;  // process died meanwhile
+                     [this, announced_at, life](const host::TxResult& res) {
+                       if (life != crash_count()) return;  // process died meanwhile
                        if (!res.executed || !res.success) return;
                        ++sigs_;
                        latency_.add(res.time - announced_at);
                      });
       },
-      timer_owner_);
+      timer_owner());
 }
 
 }  // namespace bmg::relayer

@@ -35,18 +35,6 @@ class ValidatorAgent final : public sim::CrashableAgent {
   /// Subscribes to NewBlock events; call once after host setup.
   void start();
 
-  // --- crash-restart (sim::CrashableAgent) ------------------------------
-  [[nodiscard]] const std::string& agent_name() const override {
-    return profile_.name;
-  }
-  [[nodiscard]] bool running() const override { return running_; }
-  void crash() override;
-  /// Resync: the only durable obligation is a signature on the current
-  /// unfinalised head — sign it unless the contract already records
-  /// ours (the pre-crash submission may have landed).
-  void restart() override;
-  [[nodiscard]] std::uint64_t crash_count() const noexcept { return crash_count_; }
-
   [[nodiscard]] const crypto::PublicKey& pubkey() const { return key_.public_key(); }
   [[nodiscard]] const ValidatorProfile& profile() const { return profile_; }
   [[nodiscard]] const crypto::PrivateKey& key() const { return key_; }
@@ -59,19 +47,17 @@ class ValidatorAgent final : public sim::CrashableAgent {
   }
 
  private:
+  /// Resync: the only durable obligation is a signature on the current
+  /// unfinalised head — sign it unless the contract already records
+  /// ours (the pre-crash submission may have landed).
+  void on_restart() override;
   void on_new_block(ibc::Height height, double announced_at);
 
-  sim::Simulation& sim_;
   host::Chain& host_;
   guest::GuestContract& contract_;
   crypto::PrivateKey key_;
   ValidatorProfile profile_;
   Rng rng_;
-
-  bool running_ = true;
-  std::uint64_t crash_count_ = 0;
-  std::uint64_t incarnation_ = 0;  ///< guards stale host result handlers
-  sim::Simulation::AgentId timer_owner_ = 0;
 
   std::uint64_t sigs_ = 0;
   Series latency_;

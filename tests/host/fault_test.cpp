@@ -88,6 +88,51 @@ TEST(FaultPlan, MixedPlanSeparatesCrashFromChainWindows) {
   EXPECT_FALSE(plan.has_chain_faults());
 }
 
+// --- participant windows (read by adversary agents, never by the chain) -------
+
+TEST(FaultPlan, ParticipantWindowsAreNotChainFaults) {
+  FaultPlan plan;
+  plan.equivocate(0.0, 10.0, 2)
+      .fork_sign(0.0, 10.0, 1)
+      .collude(0.0, 10.0, 3)
+      .update_clobber(0.0, 10.0)
+      .ack_withhold(0.0, 10.0, 60.0)
+      .stale_replay(0.0, 10.0, 0.5)
+      .crash(0.0, 10.0, "fisherman");
+  EXPECT_EQ(plan.size(), 7u);
+  EXPECT_FALSE(plan.has_chain_faults());
+  EXPECT_FALSE(plan.has_reorg_windows());
+  // Chain-level queries ignore them entirely.
+  EXPECT_DOUBLE_EQ(plan.congestion_multiplier(5.0, ""), 1.0);
+  EXPECT_DOUBLE_EQ(plan.blackhole_probability(5.0, ""), 0.0);
+  EXPECT_DOUBLE_EQ(plan.fee_multiplier(5.0), 1.0);
+  EXPECT_DOUBLE_EQ(plan.reorg_probability(5.0), 0.0);
+}
+
+TEST(FaultPlan, FeeSpamCongestsOnlyBelowFullInclusion) {
+  FaultPlan plan;
+  plan.fee_spam(0.0, 10.0, 3.0, 1.0, 5.0);
+  ASSERT_EQ(plan.size(), 2u);
+  EXPECT_EQ(plan.windows()[0].kind, FaultKind::kFeeSpam);
+  EXPECT_EQ(plan.windows()[1].kind, FaultKind::kFeeSpike);
+  EXPECT_TRUE(plan.has_chain_faults());
+  EXPECT_DOUBLE_EQ(plan.fee_multiplier(5.0), 3.0);
+  EXPECT_DOUBLE_EQ(plan.congestion_multiplier(5.0, ""), 1.0);
+
+  plan.fee_spam(5.0, 15.0, 2.0, 0.5, 5.0);
+  ASSERT_EQ(plan.size(), 5u);
+  EXPECT_EQ(plan.windows()[2].kind, FaultKind::kFeeSpam);
+  EXPECT_EQ(plan.windows()[3].kind, FaultKind::kFeeSpike);
+  EXPECT_EQ(plan.windows()[4].kind, FaultKind::kCongestion);
+  EXPECT_DOUBLE_EQ(plan.fee_multiplier(7.0), 6.0);  // overlapping spikes multiply
+  EXPECT_DOUBLE_EQ(plan.congestion_multiplier(7.0, ""), 0.5);
+  EXPECT_DOUBLE_EQ(plan.congestion_multiplier(15.0, ""), 1.0);
+  // The first open spam window answers the agent's query.
+  ASSERT_NE(plan.open_window(FaultKind::kFeeSpam, 7.0), nullptr);
+  EXPECT_DOUBLE_EQ(plan.open_window(FaultKind::kFeeSpam, 7.0)->severity, 3.0);
+  EXPECT_DOUBLE_EQ(plan.open_window(FaultKind::kFeeSpam, 12.0)->severity, 2.0);
+}
+
 // --- Chain behaviour under faults --------------------------------------------
 
 class CounterProgram : public Program {

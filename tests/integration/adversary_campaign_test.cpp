@@ -1,6 +1,7 @@
-// Adversary campaign suite (PR 8): AdversaryPlan-driven Byzantine
-// validators, collusion cliques, griefing relayers and fee-market
-// attackers running against the full deployment, with the
+// Adversary campaign suite: Byzantine validators, collusion cliques,
+// griefing relayers and fee-market attackers, scripted as participant
+// windows of a host::FaultPlan, running against the full deployment,
+// with the
 // detection -> evidence -> prosecution -> slashing pipeline measured
 // end to end.
 //
@@ -53,52 +54,64 @@ DeploymentConfig adv_config(std::uint64_t seed, int active, int silent,
 // --- plan mechanics --------------------------------------------------------
 
 TEST(AdversaryPlan, BuildersQueriesAndHostCompilation) {
-  AdversaryPlan plan;
+  using host::FaultKind;
+  host::FaultPlan plan;
   EXPECT_TRUE(plan.empty());
-  EXPECT_EQ(plan.byzantine_validators(), 0);
-  EXPECT_EQ(plan.clique_size(), 0);
+  EXPECT_EQ(plan.max_agents(FaultKind::kEquivocate), 0);
+  EXPECT_EQ(plan.max_agents(FaultKind::kCollude), 0);
 
   plan.equivocate(10, 50, 2, 0.5)
+      .equivocate(40, 70, 1, 0.75)
       .fork_sign(20, 60, 3, 0.25)
       .collude(0, 100, 7, 0.4)
       .update_clobber(5, 15)
       .ack_withhold(30, 90, 120.0)
-      .stale_replay(30, 90, 0.1)
-      .fee_spam(40, 80, 6.0, 0.6, 12.0);
+      .stale_replay(30, 90, 0.1);
   EXPECT_EQ(plan.size(), 7u);
-  EXPECT_EQ(plan.byzantine_validators(), 3);  // max over equivocate/fork-sign
-  EXPECT_EQ(plan.clique_size(), 7);
-  EXPECT_TRUE(plan.has_griefing());
-  EXPECT_TRUE(plan.has_fee_attack());
+  EXPECT_EQ(plan.max_agents(FaultKind::kEquivocate), 2);
+  EXPECT_EQ(plan.max_agents(FaultKind::kForkSign), 3);
+  EXPECT_EQ(plan.max_agents(FaultKind::kCollude), 7);
+  EXPECT_TRUE(plan.has(FaultKind::kUpdateClobber));
+  EXPECT_FALSE(plan.has(FaultKind::kFeeSpam));
+  // Participant windows never arm the chain's fault or fork machinery:
+  // a plan of attacks alone keeps every submission on the plain path.
+  EXPECT_FALSE(plan.has_chain_faults());
+  EXPECT_FALSE(plan.has_reorg_windows());
 
-  // Windows are [start, end): open at start, closed at end.
-  EXPECT_DOUBLE_EQ(plan.equivocation_rate(10.0), 0.5);
-  EXPECT_DOUBLE_EQ(plan.equivocation_rate(49.9), 0.5);
-  EXPECT_DOUBLE_EQ(plan.equivocation_rate(50.0), 0.0);
-  EXPECT_DOUBLE_EQ(plan.fork_sign_rate(19.0), 0.0);
-  EXPECT_TRUE(plan.clobber_active(5.0));
-  EXPECT_FALSE(plan.clobber_active(15.0));
-  ASSERT_TRUE(plan.ack_withhold_delay(30.0).has_value());
-  EXPECT_DOUBLE_EQ(*plan.ack_withhold_delay(30.0), 120.0);
-  EXPECT_FALSE(plan.ack_withhold_delay(95.0).has_value());
-  ASSERT_NE(plan.fee_spam_window(40.0), nullptr);
-  EXPECT_DOUBLE_EQ(plan.fee_spam_window(40.0)->fee_multiplier, 6.0);
-  EXPECT_EQ(plan.fee_spam_window(81.0), nullptr);
-  ASSERT_TRUE(plan.next_window_start(AdversaryKind::kFeeSpam, 0.0).has_value());
-  EXPECT_DOUBLE_EQ(*plan.next_window_start(AdversaryKind::kFeeSpam, 0.0), 40.0);
-  EXPECT_FALSE(plan.next_window_start(AdversaryKind::kFeeSpam, 41.0).has_value());
+  // Windows are [start, end): open at start, closed at end; the
+  // largest rate among open windows wins.
+  EXPECT_DOUBLE_EQ(plan.rate_at(FaultKind::kEquivocate, 10.0), 0.5);
+  EXPECT_DOUBLE_EQ(plan.rate_at(FaultKind::kEquivocate, 39.9), 0.5);
+  EXPECT_DOUBLE_EQ(plan.rate_at(FaultKind::kEquivocate, 40.0), 0.75);
+  EXPECT_DOUBLE_EQ(plan.rate_at(FaultKind::kEquivocate, 69.9), 0.75);
+  EXPECT_DOUBLE_EQ(plan.rate_at(FaultKind::kEquivocate, 70.0), 0.0);
+  EXPECT_DOUBLE_EQ(plan.rate_at(FaultKind::kForkSign, 19.0), 0.0);
+  EXPECT_NE(plan.open_window(FaultKind::kUpdateClobber, 5.0), nullptr);
+  EXPECT_EQ(plan.open_window(FaultKind::kUpdateClobber, 15.0), nullptr);
+  ASSERT_NE(plan.open_window(FaultKind::kAckWithhold, 30.0), nullptr);
+  EXPECT_DOUBLE_EQ(plan.open_window(FaultKind::kAckWithhold, 30.0)->interval, 120.0);
+  EXPECT_EQ(plan.open_window(FaultKind::kAckWithhold, 95.0), nullptr);
+  ASSERT_TRUE(plan.next_window_start(FaultKind::kAckWithhold, 0.0).has_value());
+  EXPECT_DOUBLE_EQ(*plan.next_window_start(FaultKind::kAckWithhold, 0.0), 30.0);
+  EXPECT_FALSE(plan.next_window_start(FaultKind::kAckWithhold, 30.0).has_value());
 
-  // Fee-spam market pressure compiles into the PR 3 fault machinery.
-  host::FaultPlan faults;
-  plan.compile_host_faults(faults);
-  EXPECT_FALSE(faults.empty());
-  bool saw_spike = false, saw_congestion = false;
-  for (const auto& w : faults.windows()) {
-    if (w.kind == host::FaultKind::kFeeSpike) saw_spike = true;
-    if (w.kind == host::FaultKind::kCongestion) saw_congestion = true;
-  }
-  EXPECT_TRUE(saw_spike);
-  EXPECT_TRUE(saw_congestion);
+  // Fee spam writes its market pressure as chain faults right behind
+  // its own window: fee spike, then congestion (inclusion below 1).
+  plan.fee_spam(40, 80, 6.0, 0.6, 12.0);
+  ASSERT_EQ(plan.size(), 10u);
+  EXPECT_EQ(plan.windows()[7].kind, FaultKind::kFeeSpam);
+  EXPECT_EQ(plan.windows()[8].kind, FaultKind::kFeeSpike);
+  EXPECT_EQ(plan.windows()[9].kind, FaultKind::kCongestion);
+  EXPECT_TRUE(plan.has_chain_faults());
+  EXPECT_FALSE(plan.has_reorg_windows());
+  ASSERT_NE(plan.open_window(FaultKind::kFeeSpam, 40.0), nullptr);
+  EXPECT_DOUBLE_EQ(plan.open_window(FaultKind::kFeeSpam, 40.0)->severity, 6.0);
+  EXPECT_DOUBLE_EQ(plan.open_window(FaultKind::kFeeSpam, 40.0)->interval, 12.0);
+  EXPECT_EQ(plan.open_window(FaultKind::kFeeSpam, 81.0), nullptr);
+  EXPECT_DOUBLE_EQ(plan.fee_multiplier(40.0), 6.0);
+  EXPECT_DOUBLE_EQ(plan.fee_multiplier(80.0), 1.0);
+  EXPECT_DOUBLE_EQ(plan.congestion_multiplier(79.0, "any"), 0.6);
+  EXPECT_DOUBLE_EQ(plan.congestion_multiplier(39.0, "any"), 1.0);
 }
 
 TEST(AdversaryPlan, CountersCsvHeaderMatchesRowShape) {
@@ -121,7 +134,7 @@ TEST(AdversaryCampaign, EmptyPlanIsByteIdenticalToNoCampaign) {
     Deployment d(adv_config(777, 4, 0));
     std::optional<Campaign> c;
     if (with_campaign) {
-      c.emplace(d, AdversaryPlan{});
+      c.emplace(d, host::FaultPlan{});
       c->start();
     }
     d.open_ibc();
@@ -137,7 +150,7 @@ TEST(AdversaryCampaign, EmptyPlanIsByteIdenticalToNoCampaign) {
 TEST(AdversaryCampaign, SameSeedSameAttackReproducesIdenticalRun) {
   const auto run = [] {
     Deployment d(adv_config(4242, 5, 2));
-    AdversaryPlan plan;
+    host::FaultPlan plan;
     plan.equivocate(0.0, 200.0, 2, 0.7).fork_sign(0.0, 200.0, 2, 0.3);
     Campaign c(d, plan);
     c.start();
@@ -156,7 +169,7 @@ TEST(AdversaryCampaign, EquivocationIsDetectedProsecutedAndSlashed) {
   audit::InvariantAuditor auditor(d.sim(), d.host(), d.guest(), d.cp());
   auditor.start();
 
-  AdversaryPlan plan;
+  host::FaultPlan plan;
   plan.equivocate(0.0, 300.0, 2, 1.0).fork_sign(0.0, 300.0, 2, 0.5);
   Campaign c(d, plan);
   c.start();
@@ -197,7 +210,7 @@ TEST(AdversaryCampaign, CollusionJustBelowQuorumIsRejectedAndSlashed) {
   audit::InvariantAuditor auditor(d.sim(), d.host(), d.guest(), d.cp());
   auditor.start();
 
-  AdversaryPlan plan;
+  host::FaultPlan plan;
   plan.collude(0.0, 400.0, 6, 1.0);
   Campaign c(d, plan);
   c.start();
@@ -240,7 +253,7 @@ TEST(AdversaryCampaign, CollusionAtQuorumIsTheDocumentedSafetyLoss) {
       audit::TransferLane{d.guest_channel(), d.cp_channel(), "SOL", "PICA"});
 
   const double t0 = d.sim().now();
-  AdversaryPlan plan;
+  host::FaultPlan plan;
   plan.collude(t0, t0 + 300.0, 5, 1.0);
   Campaign c(d, plan);
   c.start();
@@ -282,7 +295,7 @@ TEST(AdversaryCampaign, AckWithholdDelaysButNeverStopsDelivery) {
       audit::TransferLane{d.guest_channel(), d.cp_channel(), "SOL", "PICA"});
 
   const double t0 = d.sim().now();
-  AdversaryPlan plan;
+  host::FaultPlan plan;
   plan.ack_withhold(t0, t0 + 400.0, 120.0);
   Campaign c(d, plan);
   c.start();
@@ -328,7 +341,7 @@ TEST(AdversaryCampaign, UpdateClobberIsAbsorbedByThePipeline) {
       audit::TransferLane{d.guest_channel(), d.cp_channel(), "SOL", "PICA"});
 
   const double t0 = d.sim().now();
-  AdversaryPlan plan;
+  host::FaultPlan plan;
   plan.update_clobber(t0, t0 + 300.0);
   Campaign c(d, plan);
   c.start();
@@ -355,7 +368,7 @@ TEST(AdversaryCampaign, StaleReplayIsRejectedWithoutDoubleMint) {
       audit::TransferLane{d.guest_channel(), d.cp_channel(), "SOL", "PICA"});
 
   const double t0 = d.sim().now();
-  AdversaryPlan plan;
+  host::FaultPlan plan;
   // Short withhold makes the griefer a delivering relayer (replay
   // ammunition); the replay window then re-fires delivered packets.
   plan.ack_withhold(t0, t0 + 400.0, 20.0).stale_replay(t0, t0 + 400.0, 0.5);
@@ -391,7 +404,7 @@ TEST(AdversaryCampaign, FeeAttackForcesEscalationButDeliveryCompletes) {
       audit::TransferLane{d.guest_channel(), d.cp_channel(), "SOL", "PICA"});
 
   const double t0 = d.sim().now();
-  AdversaryPlan plan;
+  host::FaultPlan plan;
   plan.fee_spam(t0, t0 + 180.0, 8.0, 0.5, 10.0);
   Campaign c(d, plan);
   c.start();
@@ -417,7 +430,7 @@ TEST(AdversaryCampaign, FeeAttackForcesEscalationButDeliveryCompletes) {
 // Regression for the silent evidence loss: the fisherman stages its
 // evidence in chunks, the finishing submit_evidence tx is blackholed,
 // and a crash window kills the fisherman mid-prosecution.  Before PR 8
-// restart() only flipped running_ = true — the staged evidence (and
+// restart() only flipped the running flag — the staged evidence (and
 // the offender's guilt) evaporated with process memory, because the
 // equivocation window has closed and nothing will ever be re-gossiped.
 // Now restart() re-derives pending prosecutions from on-chain staging
@@ -435,7 +448,7 @@ TEST(AdversaryCampaign, FishermanCrashMidProsecutionRederivesEvidence) {
 
   // One equivocation burst on the first block only — after the window
   // closes there is no second chance via gossip.
-  AdversaryPlan plan;
+  host::FaultPlan plan;
   plan.equivocate(0.0, 30.0, 1, 1.0);
   Campaign c(d, plan);
   c.start();
@@ -467,10 +480,33 @@ TEST(AdversaryScenarios, ShippedTableIsWellFormed) {
   ASSERT_NE(find_scenario(all, "collude-subquorum"), nullptr);
   // The shipped collusion scenario stays below the paper roster's
   // quorum: 7 colluders x 1000 stake vs quorum 16001 of 24000.
-  EXPECT_EQ(find_scenario(all, "collude-subquorum")->plan.clique_size(), 7);
-  ASSERT_NE(find_scenario(all, "equivocate-fisherman-crash"), nullptr);
-  EXPECT_TRUE(find_scenario(all, "equivocate-fisherman-crash")->crash_fisherman);
+  EXPECT_EQ(find_scenario(all, "collude-subquorum")->plan.max_agents(
+                host::FaultKind::kCollude),
+            7);
+  // The crash composition carries its own fisherman crash window, from
+  // attack start + 120 s to + 420 s, and no other.
+  const ScenarioSpec* crash = find_scenario(all, "equivocate-fisherman-crash");
+  ASSERT_NE(crash, nullptr);
+  const auto crashes = crash->plan.crash_windows();
+  ASSERT_EQ(crashes.size(), 1u);
+  EXPECT_DOUBLE_EQ(crashes[0].start, 220.0);
+  EXPECT_DOUBLE_EQ(crashes[0].end, 520.0);
+  EXPECT_EQ(crashes[0].label_prefix, "fisherman");
+  for (const auto& s : all)
+    EXPECT_EQ(s.plan.crash_windows().size(), s.name == crash->name ? 1u : 0u) << s.name;
   EXPECT_EQ(find_scenario(all, "no-such-scenario"), nullptr);
+
+  // The storms: one effective reorg window each, never a chain fault.
+  const auto storms = reorg_scenarios(100.0, 400.0);
+  ASSERT_EQ(storms.size(), 4u);
+  for (const auto& s : storms) {
+    EXPECT_EQ(s.plan.size(), 1u) << s.name;
+    EXPECT_TRUE(s.plan.has_reorg_windows()) << s.name;
+    EXPECT_FALSE(s.plan.has_chain_faults()) << s.name;
+  }
+  ASSERT_NE(find_scenario(storms, "storm90"), nullptr);
+  EXPECT_DOUBLE_EQ(find_scenario(storms, "storm90")->plan.reorg_survival(100.0, ""), 0.9);
+  EXPECT_EQ(find_scenario(storms, "equivocate"), nullptr);
 }
 
 }  // namespace

@@ -329,7 +329,7 @@ TEST(CrashChaos, FishermanRestartDoesNotDoubleProsecute) {
   d.host().airdrop(fisher_payer, 100 * host::kLamportsPerSol);
   FishermanAgent fisherman(d.sim(), d.host(), d.guest(), bus, fisher_payer);
   fisherman.start();
-  const adversary::AdversaryPlan plan = adversary::AdversaryPlan().equivocate(
+  const host::FaultPlan plan = host::FaultPlan().equivocate(
       0.0, std::numeric_limits<double>::infinity(), /*validators=*/1);
   adversary::AdversaryCounters counters;
   adversary::ByzantineValidatorAgent byzantine(d.sim(), d.host(), d.guest(), bus,

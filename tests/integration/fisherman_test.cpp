@@ -40,7 +40,7 @@ TEST(Fisherman, ByzantineValidatorGetsSlashed) {
   fisherman.start();
 
   // Validator 0 turns Byzantine: equivocates on every new block.
-  const adversary::AdversaryPlan plan = adversary::AdversaryPlan().equivocate(
+  const host::FaultPlan plan = host::FaultPlan().equivocate(
       0.0, std::numeric_limits<double>::infinity(), /*validators=*/1);
   adversary::AdversaryCounters counters;
   adversary::ByzantineValidatorAgent byzantine(d.sim(), d.host(), d.guest(), bus,

@@ -217,7 +217,7 @@ TEST(ReorgChaos, StormComposedWithByzantineAdversaryStaysClean) {
   const double t0 = d.sim().now();
   d.host().fault_plan().reorg(t0 + 5.0, t0 + 150.0, /*max_depth=*/3,
                               /*probability=*/0.08);
-  adversary::AdversaryPlan plan;
+  host::FaultPlan plan;
   plan.equivocate(t0 + 10.0, t0 + 120.0, /*validators=*/1, /*rate=*/1.0);
   adversary::Campaign campaign(d, std::move(plan));
   campaign.start();
