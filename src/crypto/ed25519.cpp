@@ -9,6 +9,7 @@
 
 #include "crypto/ed25519_impl.hpp"
 #include "crypto/sha512.hpp"
+#include "crypto/sha512_impl.hpp"
 
 // The eight-lane backend compiles its functions for AVX-512 IFMA one by
 // one (BMG_LANE_FN), so the rest of the build needs no -m flags; see
@@ -26,6 +27,7 @@
 
 namespace bmg::crypto::ed25519 {
 
+using crypto::detail::Sha512Parts;
 using detail::Backend;
 
 namespace {
@@ -1515,12 +1517,39 @@ void clamp(std::uint8_t a[32]) {
   a[31] |= 64;
 }
 
-Digest512 hash3(ByteView a, ByteView b, ByteView c) {
+Digest512 hash3(const Sha512Parts& parts) {
   Sha512 h;
-  h.update(a);
-  h.update(b);
-  h.update(c);
+  for (const ByteView part : parts) h.update(part);
   return h.finish();
+}
+
+// out(i, SHA-512 of parts(i)) for every i < n.  On the lane backend
+// the messages that fit one block hash eight at a time, and a short
+// pass still runs on the eight lanes; longer messages, and every
+// message on the scalar backend, go through hash3.
+template <class Parts, class Out>
+void hash_each(Backend backend, std::size_t n, const Parts& parts, const Out& out) {
+  Sha512Parts pass[kLanes];
+  std::size_t index[kLanes];
+  std::size_t m = 0;
+  const auto run_pass = [&] {
+    Digest512 digests[kLanes];
+    crypto::detail::sha512_lanes({pass, m}, digests);
+    for (std::size_t j = 0; j < m; ++j) out(index[j], digests[j]);
+    m = 0;
+  };
+  for (std::size_t i = 0; i < n; ++i) {
+    const Sha512Parts p = parts(i);
+    if (backend == Backend::kIfma &&
+        p[0].size() + p[1].size() + p[2].size() <= crypto::detail::kSha512OneBlockMax) {
+      pass[m] = p;
+      index[m++] = i;
+      if (m == kLanes) run_pass();
+    } else {
+      out(i, hash3(p));
+    }
+  }
+  if (m > 0) run_pass();
 }
 
 }  // namespace
@@ -1803,12 +1832,13 @@ KeyMemo& key_memo() {
   return memo;
 }
 
-// k = SHA512(R || A || msg) mod L.
-U256 challenge(const PublicKeyBytes& pub, ByteView msg, const SignatureBytes& sig) {
-  const Digest512 kh =
-      hash3(ByteView{sig.data(), 32}, ByteView{pub.data(), pub.size()}, msg);
-  return sc_reduce_bytes(kh.data(), kh.size());
+// The message of k = SHA512(R || A || msg) mod L: one block on the
+// lanes while msg is at most 47 bytes.
+Sha512Parts challenge_parts(const PublicKeyBytes& pub, ByteView msg, const SignatureBytes& sig) {
+  return {ByteView{sig.data(), 32}, ByteView{pub}, msg};
 }
+
+U256 reduce_hash(const Digest512& h) { return sc_reduce_bytes(h.data(), h.size()); }
 
 // The cofactored check [8][S]B == [8]R + [8][k]A (RFC 8032 §5.1.7),
 // given p = [S]B - [k]A and its encoding.  If p compresses to R's
@@ -1879,13 +1909,25 @@ void verify_batch_run(std::span<const VerifyItem> items, std::uint8_t* ok, Backe
     if (!sc_is_canonical(it.sig.data() + 32)) continue;
     const VerifyKey* key = memo.find(it.pub);
     if (key == nullptr) continue;
-    const U256 k = challenge(it.pub, it.msg, it.sig);
     if (key->comb != nullptr) {
-      warm.push_back({i, key->comb, k});
+      warm.push_back({i, key->comb, {}});
     } else {
-      cand.push_back({i, &key->tables, sc_from_bytes(it.sig.data() + 32), k, {}});
+      cand.push_back({i, &key->tables, sc_from_bytes(it.sig.data() + 32), {}, {}});
     }
   }
+
+  // The challenges k of the items that passed, warm and candidate alike,
+  // eight lanes at a time on the lane backend.
+  const std::size_t n_warm = warm.size();
+  hash_each(
+      backend, n_warm + cand.size(),
+      [&](std::size_t j) {
+        const VerifyItem& it = items[j < n_warm ? warm[j].idx : cand[j - n_warm].idx];
+        return challenge_parts(it.pub, it.msg, it.sig);
+      },
+      [&](std::size_t j, const Digest512& kh) {
+        (j < n_warm ? warm[j].k : cand[j - n_warm].k) = reduce_hash(kh);
+      });
 
   // The warm Ps, eight lanes at a time where the CPU has them, are
   // compressed with one shared inversion.
@@ -1982,10 +2024,13 @@ void verify_batch_run(std::span<const VerifyItem> items, std::uint8_t* ok, Backe
     ok[c.idx] = check_single(*c.key, c.s, c.k, items[c.idx].sig.data()) ? 1 : 0;
 }
 
-// Signs `msg` with every key: the nonces' [r]B eight lanes at a time
-// where the CPU has them, and every R compressed with one inversion.
+// Signs `msg` with every key: the nonces' [r]B and their hashes and
+// the challenges eight lanes at a time where the CPU has them, and
+// every R compressed with one inversion.
 void sign_batch_on(Backend backend, std::span<const ExpandedKey* const> keys, ByteView msg,
                    std::span<SignatureBytes> out) {
+  if (out.size() != keys.size())
+    throw std::invalid_argument("ed25519::sign_batch: out must hold one signature per key");
   const std::size_t n = keys.size();
   if (n == 0) return;
   struct Nonce {
@@ -1998,24 +2043,25 @@ void sign_batch_on(Backend backend, std::span<const ExpandedKey* const> keys, By
   nonce.resize(n);
   big_r.resize(n);
   zi.resize(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    // r = SHA512(prefix || msg) mod L
-    const Digest512 rh = hash3(ByteView{keys[i]->prefix}, msg, {});
-    nonce[i].r = sc_reduce_bytes(rh.data(), rh.size());
-    sc_to_bytes(nonce[i].bytes, nonce[i].r);
-  }
+  // r = SHA512(prefix || msg) mod L: one block on the lanes while msg
+  // is at most 79 bytes.
+  hash_each(
+      backend, n, [&](std::size_t i) { return Sha512Parts{ByteView{keys[i]->prefix}, msg, {}}; },
+      [&](std::size_t i, const Digest512& rh) {
+        nonce[i].r = reduce_hash(rh);
+        sc_to_bytes(nonce[i].bytes, nonce[i].r);
+      });
   const auto deal = [&](std::size_t i, auto& comb) { base_terms(comb, nonce[i].bytes); };
   run_combs(backend, n, kBaseTerms, deal, big_r.data());
   batch_invert_z(big_r, zi.data());
-  for (std::size_t i = 0; i < n; ++i) {
-    const ExpandedKey& key = *keys[i];
-    SignatureBytes& sig = out[i];
-    ge_compress(sig.data(), big_r[i], zi[i]);
-    // S = (r + k * a) mod L, k = SHA512(R || A || msg) mod L
-    const U256 k = challenge(key.pub, msg, sig);
-    const U256 a = sc_reduce_bytes(key.scalar.data(), 32);
-    sc_to_bytes(sig.data() + 32, sc_add(nonce[i].r, sc_mul(k, a)));
-  }
+  for (std::size_t i = 0; i < n; ++i) ge_compress(out[i].data(), big_r[i], zi[i]);
+  // S = (r + k * a) mod L, k = SHA512(R || A || msg) mod L
+  hash_each(
+      backend, n, [&](std::size_t i) { return challenge_parts(keys[i]->pub, msg, out[i]); },
+      [&](std::size_t i, const Digest512& kh) {
+        const U256 a = sc_reduce_bytes(keys[i]->scalar.data(), 32);
+        sc_to_bytes(out[i].data() + 32, sc_add(nonce[i].r, sc_mul(reduce_hash(kh), a)));
+      });
 }
 
 std::vector<bool> verify_batch_on(Backend backend, std::span<const VerifyItem> items) {

@@ -25,7 +25,9 @@ using SignatureBytes = std::array<std::uint8_t, 64>;
 /// A signing key expanded from its 32-byte seed (RFC 8032 §5.1.5):
 /// SHA-512(seed) split into the clamped secret scalar and the nonce
 /// prefix, plus the public key [scalar]B.  Expanding once per key
-/// leaves one base-point multiply and two SHA-512s per signature.
+/// leaves per signature one base-point multiply, one field inversion
+/// (shared by a batch) and two SHA-512s: the nonce H(prefix || M) and
+/// the challenge H(R || A || M).
 struct ExpandedKey {
   std::array<std::uint8_t, 32> scalar;  ///< clamped, little-endian
   std::array<std::uint8_t, 32> prefix;  ///< hashed with the message into the nonce
@@ -38,12 +40,16 @@ struct ExpandedKey {
 [[nodiscard]] SignatureBytes sign(const ExpandedKey& key, ByteView msg);
 
 /// Signs one `msg` with every key, as a chain's validators sign one
-/// commit: out[i] == sign(*keys[i], msg) byte for byte, and `out`
-/// holds keys.size() signatures.  On a CPU with AVX-512 IFMA the nonce
-/// multiplies [r]B run eight keys at a time, one per vector lane, and
-/// a remainder of r < 8 keys spreads each over 8 / r lanes; every R is
-/// then compressed with one shared field inversion.  `sign` is this
-/// call with one key.
+/// commit: out[i] == sign(*keys[i], msg) byte for byte.  Throws
+/// std::invalid_argument, before writing anything, unless `out` holds
+/// exactly keys.size() signatures.  On a CPU with AVX-512 IFMA the
+/// nonce multiplies [r]B run eight keys at a time, one per vector
+/// lane, and a remainder of r < 8 keys spreads each over 8 / r lanes;
+/// every R is then compressed with one shared field inversion.  The
+/// nonce hashes, while msg is at most 79 bytes, and the challenge
+/// hashes, while it is at most 47, run eight keys at a time on the
+/// lanes too (one SHA-512 block each); longer messages hash one by
+/// one.  `sign` is this call with one key.
 void sign_batch(std::span<const ExpandedKey* const> keys, ByteView msg,
                 std::span<SignatureBytes> out);
 
@@ -82,8 +88,9 @@ struct VerifyItem {
 /// inversion and compared with their R bytes.  On a CPU with AVX-512
 /// IFMA the warm items' comb multiplies run eight at a time, one per
 /// vector lane, and a remainder of r < 8 spreads each over 8 / r
-/// lanes (a lone item, as in `verify`, over all eight).  The other
-/// items check
+/// lanes (a lone item, as in `verify`, over all eight); the challenge
+/// hashes of all items, warm or not, whose message is at most 47 bytes
+/// run eight at a time on the lanes as well.  The other items check
 /// one random-linear-combination equation
 ///   [8][sum z_i S_i] B  ==  [8](sum [z_i] R_i + sum [z_i k_i] A_i)
 /// with per-item 128-bit coefficients z_i derived Fiat–Shamir style

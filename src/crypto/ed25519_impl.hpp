@@ -17,11 +17,12 @@ namespace bmg::crypto::ed25519::detail {
 void fe_invert_bytes(std::uint8_t out[32], const std::uint8_t in[32]);
 
 /// The backends of the comb multiplies in sign_batch and in
-/// verify_batch's warm path.  sign_batch and verify_batch take kIfma
-/// whenever the CPU has it; kScalar is always available.
+/// verify_batch's warm path, and of their one-block SHA-512s.
+/// sign_batch and verify_batch take kIfma whenever the CPU has it;
+/// kScalar is always available.
 enum class Backend : std::uint8_t {
   kScalar = 0,  ///< portable C++: the fallback and the oracle
-  kIfma = 1,    ///< eight lanes of AVX-512 IFMA
+  kIfma = 1,    ///< eight lanes of AVX-512 IFMA; SHA-512 on AVX-512F lanes
 };
 
 /// True if `backend` can run on this CPU.

@@ -1,5 +1,21 @@
 #include "crypto/sha512.hpp"
 
+#include <cstring>
+
+#include "crypto/sha512_impl.hpp"
+
+// The eight-lane compression is compiled for AVX-512F function by
+// function (BMG_SHA512_LANE_FN), so the rest of the build needs no -m
+// flags.  Other targets get a stub that is never reached.
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
+#define BMG_SHA512_LANES 1
+#include <immintrin.h>
+#define BMG_SHA512_LANE_FN __attribute__((target("avx512f")))
+#define BMG_SHA512_LANE_INLINE __attribute__((target("avx512f"), always_inline)) inline
+#else
+#define BMG_SHA512_LANES 0
+#endif
+
 namespace bmg::crypto {
 
 namespace {
@@ -31,7 +47,135 @@ constexpr std::uint64_t kRound[80] = {
     0x4cc5d4becb3e42b6ULL, 0x597f299cfc657e2aULL, 0x5fcb6fab3ad6faecULL, 0x6c44198c4a475817ULL};
 
 std::uint64_t rotr(std::uint64_t x, int n) noexcept { return (x >> n) | (x << (64 - n)); }
+
+// ---------------------------------------------------------------------------
+// Eight one-block messages at once, one per 64-bit lane of AVX-512F
+// (Gueron and Krasnov's multi-buffer layout).  Ed25519's nonces and
+// challenges of 32-byte digests are one block each, so a pass runs
+// the 80 rounds once for eight of them.  Each message is padded into
+// its own block, whose 16 big-endian words are written transposed:
+// words[j][lane], one vector load per word.
+// ---------------------------------------------------------------------------
+
+#if BMG_SHA512_LANES
+
+constexpr int kLanes = 8;
+
+// Rotations and shifts by a constant, written with vector operators:
+// GCC 12's _mm512_ror_epi64 and _mm512_srli_epi64 start from an
+// undefined vector and draw a false -Wmaybe-uninitialized.  GCC still
+// emits vprorq and vpsrlq.
+using U64x8 = std::uint64_t __attribute__((vector_size(64)));
+
+BMG_SHA512_LANE_INLINE __m512i lane_rotr(__m512i x, int n) {
+  const U64x8 v = (U64x8)x;
+  return (__m512i)((v >> n) | (v << (64 - n)));
+}
+
+BMG_SHA512_LANE_INLINE __m512i lane_shr(__m512i x, int n) { return (__m512i)((U64x8)x >> n); }
+
+// vpternlogq truth tables: a ^ b ^ c, Ch (a ? b : c) and Maj.
+BMG_SHA512_LANE_INLINE __m512i xor3(__m512i a, __m512i b, __m512i c) {
+  return _mm512_ternarylogic_epi64(a, b, c, 0x96);
+}
+
+BMG_SHA512_LANE_INLINE __m512i add(__m512i a, __m512i b) { return _mm512_add_epi64(a, b); }
+
+BMG_SHA512_LANE_INLINE __m512i splat(std::uint64_t x) {
+  return _mm512_set1_epi64(static_cast<long long>(x));
+}
+
+// state[j][lane] = word j of the SHA-512 state after compressing each
+// lane's block from the initial state.
+BMG_SHA512_LANE_FN void compress_lanes(const std::uint64_t words[16][kLanes],
+                                       std::uint64_t state[8][kLanes]) {
+  __m512i w[16];
+  for (int j = 0; j < 16; ++j) w[j] = _mm512_load_si512(words[j]);
+  __m512i a = splat(kInit[0]), b = splat(kInit[1]), c = splat(kInit[2]), d = splat(kInit[3]);
+  __m512i e = splat(kInit[4]), f = splat(kInit[5]), g = splat(kInit[6]), h = splat(kInit[7]);
+  for (int r = 0; r < 80; r += 16) {
+#pragma GCC unroll 16
+    for (int j = 0; j < 16; ++j) {
+      if (r > 0) {
+        // w[j] becomes word r + j: w[j] holds word r + j - 16 and
+        // w[(j + k) % 16] holds word r + j - 16 + k.
+        const __m512i w15 = w[(j + 1) & 15], w2 = w[(j + 14) & 15];
+        const __m512i s0 = xor3(lane_rotr(w15, 1), lane_rotr(w15, 8), lane_shr(w15, 7));
+        const __m512i s1 = xor3(lane_rotr(w2, 19), lane_rotr(w2, 61), lane_shr(w2, 6));
+        w[j] = add(add(w[j], s0), add(w[(j + 9) & 15], s1));
+      }
+      const __m512i big_s1 = xor3(lane_rotr(e, 14), lane_rotr(e, 18), lane_rotr(e, 41));
+      const __m512i ch = _mm512_ternarylogic_epi64(e, f, g, 0xCA);
+      const __m512i t1 = add(add(h, big_s1), add(ch, add(splat(kRound[r + j]), w[j])));
+      const __m512i big_s0 = xor3(lane_rotr(a, 28), lane_rotr(a, 34), lane_rotr(a, 39));
+      const __m512i maj = _mm512_ternarylogic_epi64(a, b, c, 0xE8);
+      h = g;
+      g = f;
+      f = e;
+      e = add(d, t1);
+      d = c;
+      c = b;
+      b = a;
+      a = add(t1, add(big_s0, maj));
+    }
+  }
+  const __m512i out[8] = {a, b, c, d, e, f, g, h};
+  for (int j = 0; j < 8; ++j) _mm512_store_si512(state[j], add(out[j], splat(kInit[j])));
+}
+
+#endif  // BMG_SHA512_LANES
+
 }  // namespace
+
+#if BMG_SHA512_LANES
+
+bool detail::cpu_has_avx512f() noexcept {
+  static const bool ok = [] {
+    __builtin_cpu_init();
+    return __builtin_cpu_supports("avx512f") != 0;
+  }();
+  return ok;
+}
+
+// Words are byte-swapped with memcpy and __builtin_bswap64: GCC 12 at
+// -O2 leaves a byte loop as a loop, which tripled the cost of a pass.
+void detail::sha512_lanes(std::span<const Sha512Parts> msgs, Digest512* out) noexcept {
+  alignas(64) std::uint64_t words[16][kLanes] = {};
+  for (std::size_t lane = 0; lane < msgs.size(); ++lane) {
+    std::uint8_t block[128] = {};
+    std::size_t len = 0;
+    for (const ByteView part : msgs[lane]) {
+      if (!part.empty()) std::memcpy(block + len, part.data(), part.size());
+      len += part.size();
+    }
+    block[len] = 0x80;
+    const std::uint64_t bits = __builtin_bswap64(static_cast<std::uint64_t>(len) * 8);
+    std::memcpy(block + 120, &bits, 8);
+    for (int j = 0; j < 16; ++j) {
+      std::uint64_t v = 0;
+      std::memcpy(&v, block + 8 * j, 8);
+      words[j][lane] = __builtin_bswap64(v);
+    }
+  }
+  alignas(64) std::uint64_t state[8][kLanes];
+  compress_lanes(words, state);
+  for (std::size_t lane = 0; lane < msgs.size(); ++lane) {
+    for (int j = 0; j < 8; ++j) {
+      const std::uint64_t v = __builtin_bswap64(state[j][lane]);
+      std::memcpy(out[lane].data() + 8 * j, &v, 8);
+    }
+  }
+}
+
+#else  // !BMG_SHA512_LANES
+
+bool detail::cpu_has_avx512f() noexcept { return false; }
+
+void detail::sha512_lanes(std::span<const Sha512Parts>, Digest512*) noexcept {
+  __builtin_trap();
+}
+
+#endif  // BMG_SHA512_LANES
 
 void Sha512::reset() noexcept {
   for (int i = 0; i < 8; ++i) state_[static_cast<std::size_t>(i)] = kInit[i];

@@ -649,6 +649,97 @@ TEST(Ed25519, UnavailableBackendThrows) {
   EXPECT_THROW(detail::sign_batch_with(detail::Backend::kIfma, {}, {}, {}), std::runtime_error);
 }
 
+// n fresh keys from `rng`.
+std::vector<ExpandedKey> random_keys(XorShift& rng, std::size_t n) {
+  std::vector<ExpandedKey> keys(n);
+  for (ExpandedKey& k : keys) {
+    Seed seed{};
+    rng.fill(seed.data(), seed.size());
+    k = expand(seed);
+  }
+  return keys;
+}
+
+// sign_batch writes one signature per key, so an `out` of any other
+// size is refused before anything is written, on every backend.
+TEST(Ed25519, SignBatchRejectsMismatchedOutput) {
+  XorShift rng{0x510e527fade682d1ULL};
+  const std::vector<ExpandedKey> keys = random_keys(rng, 3);
+  const std::vector<const ExpandedKey*> ptrs = {&keys[0], &keys[1], &keys[2]};
+  const Bytes msg = bytes_of("a counterparty commit digest....");
+  for (const std::size_t size : {1, 4}) {
+    std::vector<SignatureBytes> out(size);
+    EXPECT_THROW(sign_batch(ptrs, msg, out), std::invalid_argument) << "size " << size;
+    for (const detail::Backend backend : {detail::Backend::kScalar, detail::Backend::kIfma}) {
+      if (!detail::backend_available(backend)) continue;
+      EXPECT_THROW(detail::sign_batch_with(backend, ptrs, msg, out), std::invalid_argument)
+          << "size " << size << " backend " << static_cast<int>(backend);
+    }
+    EXPECT_EQ(out, std::vector<SignatureBytes>(size)) << "size " << size;
+  }
+}
+
+// The lane backend hashes a nonce, SHA512(prefix || M), on the lanes
+// while |M| <= 79 and a challenge, SHA512(R || A || M), while |M| <= 47;
+// longer messages take the scalar hash.  Each length below sits on
+// one side of a limit, so a batch runs both hashes on the lanes (0, 32,
+// 47), only the nonces (48, 79) or neither (80, 300).  Every signature
+// must equal the scalar backend's.
+TEST(Ed25519, LanesSignBatchMatchesScalarAcrossBlockLimits) {
+  if (!lanes_available()) GTEST_SKIP() << kNoLanes;
+  XorShift rng{0x1f83d9abfb41bd6bULL};
+  const std::vector<ExpandedKey> keys = random_keys(rng, 9);
+  std::vector<const ExpandedKey*> ptrs;
+  for (const ExpandedKey& k : keys) ptrs.push_back(&k);
+  for (const std::size_t len : {0, 32, 47, 48, 79, 80, 300}) {
+    Bytes msg(len);
+    rng.fill(msg.data(), msg.size());
+    for (const std::size_t n : {1, 3, 8, 9}) {
+      std::vector<SignatureBytes> lanes(n), scalar(n);
+      detail::sign_batch_with(detail::Backend::kIfma, std::span{ptrs}.first(n), msg, lanes);
+      detail::sign_batch_with(detail::Backend::kScalar, std::span{ptrs}.first(n), msg, scalar);
+      for (std::size_t i = 0; i < n; ++i)
+        EXPECT_EQ(to_hex(ByteView{lanes[i]}), to_hex(ByteView{scalar[i]}))
+            << "length " << len << " n " << n << " key " << i;
+    }
+  }
+}
+
+// One batch whose messages cycle through 32, 47, 48 and 200 bytes, so
+// its challenges mix lane passes and scalar hashes, with one tampered
+// signature: run with every key cold (the combined equation), then
+// with every key warm (the combs).  Verdicts must equal verify's and
+// the scalar backend's.
+TEST(Ed25519, LanesVerifyBatchMixesBlockLimits) {
+  if (!lanes_available()) GTEST_SKIP() << kNoLanes;
+  constexpr std::size_t kItems = 17;
+  constexpr std::size_t kTampered = 6;
+  constexpr std::size_t kLengths[] = {32, 47, 48, 200};
+  XorShift rng{0x5be0cd19137e2179ULL};
+  const std::vector<ExpandedKey> keys = random_keys(rng, kItems);
+  std::vector<Bytes> msgs(kItems);
+  std::vector<VerifyItem> items(kItems);
+  for (std::size_t i = 0; i < kItems; ++i) {
+    msgs[i].resize(kLengths[i % 4]);
+    rng.fill(msgs[i].data(), msgs[i].size());
+    items[i] = {keys[i].pub, ByteView{msgs[i]}, sign(keys[i], msgs[i])};
+  }
+  items[kTampered].sig[40] ^= 0x20;
+  std::vector<bool> expected(kItems, true);
+  expected[kTampered] = false;
+
+  for (const bool warm : {false, true}) {
+    for (std::size_t i = 0; i < kItems; ++i) {
+      EXPECT_EQ(detail::has_comb(items[i].pub), warm) << "item " << i;
+      EXPECT_EQ(verify(items[i].pub, items[i].msg, items[i].sig), expected[i]) << "item " << i;
+    }
+    EXPECT_EQ(detail::verify_batch_with(detail::Backend::kScalar, items), expected) << warm;
+    EXPECT_EQ(detail::verify_batch_with(detail::Backend::kIfma, items), expected) << warm;
+    for (const VerifyItem& it : items)
+      for (std::size_t u = 0; u < kWarmKeyUses; ++u) (void)verify(it.pub, it.msg, it.sig);
+  }
+}
+
 // A field element as four little-endian 64-bit words.
 using Words = std::array<std::uint64_t, 4>;
 

@@ -2,9 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <string>
 
 #include "common/bytes.hpp"
+#include "crypto/sha512_impl.hpp"
 
 namespace bmg::crypto {
 namespace {
@@ -53,6 +55,35 @@ TEST(Sha512, PaddingBoundaries) {
     split.update(ByteView{data.data(), len / 3});
     split.update(ByteView{data.data() + len / 3, len - len / 3});
     EXPECT_EQ(whole.finish(), split.finish()) << "len=" << len;
+  }
+}
+
+// The eight-lane one-block compression against Sha512::digest: every
+// lane count n in 1..8 and every length 0..111, each lane at its own
+// length and content so that a lane mix-up shows, and each message cut
+// into three parts at its own points.
+TEST(Sha512, LanesMatchDigest) {
+  if (!detail::cpu_has_avx512f()) GTEST_SKIP() << "no AVX-512F on this CPU";
+  constexpr std::size_t kLengths = detail::kSha512OneBlockMax + 1;
+  for (std::size_t n = 1; n <= 8; ++n) {
+    for (std::size_t len = 0; len < kLengths; ++len) {
+      std::array<Bytes, 8> msgs;
+      std::array<detail::Sha512Parts, 8> parts;
+      for (std::size_t lane = 0; lane < n; ++lane) {
+        Bytes& m = msgs[lane];
+        m.resize((len + 37 * lane) % kLengths);
+        for (std::size_t b = 0; b < m.size(); ++b)
+          m[b] = static_cast<std::uint8_t>(31 * b + 97 * lane + n);
+        const std::size_t cut1 = m.size() * lane / 16, cut2 = m.size() - m.size() * n / 16;
+        const ByteView all{m};
+        parts[lane] = {all.subspan(0, cut1), all.subspan(cut1, cut2 - cut1), all.subspan(cut2)};
+      }
+      std::array<Digest512, 8> out{};
+      detail::sha512_lanes(std::span{parts}.first(n), out.data());
+      for (std::size_t lane = 0; lane < n; ++lane)
+        EXPECT_EQ(to_hex(ByteView{out[lane]}), to_hex(ByteView{Sha512::digest(msgs[lane])}))
+            << "n " << n << " lane " << lane << " length " << msgs[lane].size();
+    }
   }
 }
 

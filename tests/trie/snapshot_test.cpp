@@ -104,7 +104,7 @@ TEST(TrieSnapshot, OutlivesTheTrie) {
   EXPECT_EQ(vo.kind, VerifyOutcome::Kind::kFound);
 }
 
-TEST(TrieSnapshot, ReleasingSnapshotsReclaimsParkedPages) {
+TEST(TrieSnapshot, SnapshotKeepsOverwrittenNodesUntilReleased) {
   SealableTrie t;
   for (int i = 0; i < 400; ++i) t.set(key_of(std::to_string(i)), val("a"));
   t.commit();
@@ -252,7 +252,7 @@ Bytes insertable_key(const SealableTrie& t, const std::string& tag) {
   }
 }
 
-TEST(TrieSnapshot, CloneIsAnIndependentDeepCopy) {
+TEST(TrieSnapshot, CloneSharesNodesButIsolatesWrites) {
   // A clone shares every node with its source, yet must behave as a
   // deep copy: each side copies what it writes.
   for (int round = 0; round < 12; ++round) {

@@ -91,7 +91,7 @@ Hash32 workload_digest(std::size_t steps, std::uint64_t seed, std::size_t clone_
   return crypto::Sha256::digest(transcript);
 }
 
-TEST(TriePages, WorkloadDigestIsPinned) {
+TEST(TrieWorkload, DigestIsPinned) {
   // Pinned to the digest this workload (6,000 steps, seed 42) gave on
   // the earlier paged node store, at 2 KiB and 16 KiB pages, in RAM
   // and file-backed.  Roots and proof bytes depend on the operations
