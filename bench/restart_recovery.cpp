@@ -28,7 +28,6 @@ struct RunResult {
   double recovery_s = 0;   ///< restart -> packet delivered on the guest
   double downtime_s = 0;   ///< crash -> restart
   bool delivered = false;
-  std::uint64_t redriven = 0;
 };
 
 RunResult run_once(int phase_pct, std::uint64_t seed) {
@@ -74,7 +73,6 @@ RunResult run_once(int phase_pct, std::uint64_t seed) {
   const double restarted_at = d.sim().now();
   out.delivered = d.run_until(delivered, 3600.0);
   out.recovery_s = d.sim().now() - restarted_at;
-  out.redriven = r.pipeline().redriven_total();
 
   if (!audited.auditor.clean())
     throw std::runtime_error("restart_recovery: " + audited.auditor.report());
@@ -85,7 +83,7 @@ RunResult run_once(int phase_pct, std::uint64_t seed) {
 void BM_RestartRecovery(benchmark::State& state) {
   const int phase = static_cast<int>(state.range(0));
   double recovery_sum = 0, downtime_sum = 0;
-  std::uint64_t runs = 0, delivered = 0, redriven = 0;
+  std::uint64_t runs = 0, delivered = 0;
   std::uint64_t seed = 42;
   for (auto _ : state) {
     const RunResult r = run_once(phase, seed++);
@@ -93,14 +91,12 @@ void BM_RestartRecovery(benchmark::State& state) {
     recovery_sum += r.recovery_s;
     downtime_sum += r.downtime_s;
     delivered += r.delivered ? 1 : 0;
-    redriven += r.redriven;
     ++runs;
   }
   const double n = static_cast<double>(runs);
   state.counters["recovery_s"] = recovery_sum / n;
   state.counters["downtime_s"] = downtime_sum / n;
   state.counters["delivery_rate"] = static_cast<double>(delivered) / n;
-  state.counters["redriven"] = static_cast<double>(redriven) / n;
 }
 BENCHMARK(BM_RestartRecovery)->Arg(0)->Arg(50)->Arg(90)->Iterations(1)
     ->Unit(benchmark::kMillisecond);

@@ -78,6 +78,6 @@ int main(int argc, char** argv) {
   std::printf("guest account usage : %zu bytes of the 10 MiB cap\n",
               d.guest().account_bytes());
   std::printf("failed tx sequences : %llu\n",
-              (unsigned long long)d.relayer().failed_sequences());
+              (unsigned long long)d.relayer().pipeline().sequences_failed());
   return 0;
 }

@@ -12,13 +12,16 @@ namespace bmg::adversary {
 namespace {
 constexpr std::uint64_t kGrieferStream = 0x6121'EF3A'11B2ull;
 constexpr std::size_t kReplayAmmo = 8;
+constexpr double kPollS = 1.0;
+/// Bundle tip per transaction — the griefer buys inclusion priority.
+const host::FeePolicy kFee = host::FeePolicy::bundle(host::usd_to_lamports(0.01));
 }  // namespace
 
 GriefingRelayerAgent::GriefingRelayerAgent(
     sim::Simulation& sim, host::Chain& host, guest::GuestContract& contract,
     counterparty::CounterpartyChain& cp, ibc::ClientId guest_client_on_cp,
     crypto::PublicKey payer, const host::FaultPlan& plan, AdversaryCounters& counters,
-    std::uint64_t seed, GrieferConfig cfg)
+    std::uint64_t seed)
     : CrashableAgent(sim, "griefing-relayer"),
       host_(host),
       contract_(contract),
@@ -27,17 +30,15 @@ GriefingRelayerAgent::GriefingRelayerAgent(
       payer_(std::move(payer)),
       plan_(plan),
       counters_(counters),
-      cfg_(std::move(cfg)),
       rng_(crypto::fold_key(seed ^ kGrieferStream, payer_)),
       pipeline_(sim, host,
-                Rng(crypto::fold_key(seed ^ kGrieferStream, payer_) ^ 0xA1B2ull),
-                cfg_.pipeline) {}
+                Rng(crypto::fold_key(seed ^ kGrieferStream, payer_) ^ 0xA1B2ull)) {}
 
 void GriefingRelayerAgent::start() { schedule_poll(); }
 
 void GriefingRelayerAgent::schedule_poll() {
   sim_.after_cancellable(
-      cfg_.poll_s,
+      kPollS,
       [this] {
         if (!running()) return;
         poll();
@@ -101,21 +102,19 @@ void GriefingRelayerAgent::try_clobber(double t) {
   // permanent wedge (the honest rebuild budget must win in the end).
   const std::uint64_t buffer_id = next_buffer_++;
   std::vector<host::Transaction> txs = guest::ix::staged_call(
-      payer_, cfg_.fee, buffer_id, guest::ix::client_update_payload(cp_.header_at(target)),
+      payer_, kFee, buffer_id, guest::ix::client_update_payload(cp_.header_at(target)),
       guest::ix::begin_client_update(buffer_id), "griefer:clobber",
-      "griefer:clobber:chunk", cfg_.host_max_tx_size);
+      "griefer:clobber:chunk", host_.max_tx_size());
 
   clobber_in_flight_ = true;
-  pipeline_.submit_sequence(
-      std::move(txs),
-      [this, target](const relayer::SequenceOutcome& out) {
-        clobber_in_flight_ = false;
-        if (out.ok) {
-          ++counters_.updates_clobbered;
-          last_clobbered_ = target;
-        }
-      },
-      "griefer-clobber");
+  pipeline_.submit_sequence(std::move(txs),
+                            [this, target](const relayer::SequenceOutcome& out) {
+                              clobber_in_flight_ = false;
+                              if (out.ok) {
+                                ++counters_.updates_clobbered;
+                                last_clobbered_ = target;
+                              }
+                            });
 }
 
 void GriefingRelayerAgent::scan_front_run_targets(double /*t*/, double delay_s) {
@@ -198,8 +197,7 @@ void GriefingRelayerAgent::release_ack(const Withheld& w) {
     return;  // acked or timed out through some other path
   const ibc::Height gh = contract_.last_finalised_height();
   if (gh == 0) {
-    withheld_pending_requeue_.push_back(
-        Withheld{p, sim_.now() + cfg_.poll_s});
+    withheld_pending_requeue_.push_back(Withheld{p, sim_.now() + kPollS});
     return;
   }
   const auto key = ibc::packet_key(ibc::KeyKind::kPacketAck, p.dest_port,
@@ -214,7 +212,7 @@ void GriefingRelayerAgent::release_ack(const Withheld& w) {
   }
   const auto ack = contract_.ibc().ack_for(p.dest_port, p.dest_channel, p.sequence);
   if (!provable || !ack) {
-    withheld_pending_requeue_.push_back(Withheld{p, sim_.now() + cfg_.poll_s});
+    withheld_pending_requeue_.push_back(Withheld{p, sim_.now() + kPollS});
     return;
   }
   // The counterparty's guest client may not know this height yet (the
@@ -228,7 +226,7 @@ void GriefingRelayerAgent::release_ack(const Withheld& w) {
     cp_.ibc().acknowledge_packet(p, *ack, gh, proof);
     ++counters_.acks_released;
   } catch (const std::exception&) {
-    withheld_pending_requeue_.push_back(Withheld{p, sim_.now() + 2.0 * cfg_.poll_s});
+    withheld_pending_requeue_.push_back(Withheld{p, sim_.now() + 2.0 * kPollS});
   }
 }
 
@@ -262,16 +260,14 @@ void GriefingRelayerAgent::submit_recv_sequence(const ibc::Packet& packet,
   }
   const std::uint64_t buffer_id = next_buffer_++;
   std::vector<host::Transaction> txs = guest::ix::staged_call(
-      payer_, cfg_.fee, buffer_id,
+      payer_, kFee, buffer_id,
       guest::ix::packet_proof_payload(packet, nullptr, proof_height, proof),
-      guest::ix::receive_packet(buffer_id), label, label + ":chunk", cfg_.host_max_tx_size);
+      guest::ix::receive_packet(buffer_id), label, label + ":chunk", host_.max_tx_size());
 
-  pipeline_.submit_sequence(
-      std::move(txs),
-      [done = std::move(done)](const relayer::SequenceOutcome& out) {
-        if (done) done(out.ok);
-      },
-      label);
+  pipeline_.submit_sequence(std::move(txs),
+                            [done = std::move(done)](const relayer::SequenceOutcome& out) {
+                              if (done) done(out.ok);
+                            });
 }
 
 }  // namespace bmg::adversary

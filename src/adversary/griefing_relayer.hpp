@@ -49,14 +49,6 @@
 
 namespace bmg::adversary {
 
-struct GrieferConfig {
-  double poll_s = 1.0;
-  /// Bundle tip per transaction — the griefer buys inclusion priority.
-  host::FeePolicy fee = host::FeePolicy::bundle(host::usd_to_lamports(0.01));
-  std::size_t host_max_tx_size = host::kMaxTransactionSize;
-  relayer::PipelineConfig pipeline;
-};
-
 class GriefingRelayerAgent final : public sim::CrashableAgent {
  public:
   GriefingRelayerAgent(sim::Simulation& sim, host::Chain& host,
@@ -64,7 +56,7 @@ class GriefingRelayerAgent final : public sim::CrashableAgent {
                        counterparty::CounterpartyChain& cp,
                        ibc::ClientId guest_client_on_cp, crypto::PublicKey payer,
                        const host::FaultPlan& plan, AdversaryCounters& counters,
-                       std::uint64_t seed, GrieferConfig cfg = {});
+                       std::uint64_t seed);
 
   void start();
 
@@ -98,7 +90,6 @@ class GriefingRelayerAgent final : public sim::CrashableAgent {
   crypto::PublicKey payer_;
   const host::FaultPlan& plan_;
   AdversaryCounters& counters_;
-  GrieferConfig cfg_;
   Rng rng_;
   relayer::TxPipeline pipeline_;
 

@@ -109,6 +109,9 @@ class Chain {
   /// Submits a transaction.  The result handler fires when the tx is
   /// executed or dropped.  Oversized transactions fail immediately.
   void submit(Transaction tx, ResultHandler on_result = {});
+  /// Largest transaction wire size submit() accepts; relayers chunk
+  /// staged payloads to it.
+  [[nodiscard]] std::size_t max_tx_size() const noexcept { return cfg_.max_tx_size; }
 
   /// Processed subscription: `handler` sees each event inline at
   /// execution, and again whenever a reorg replays its transaction.

@@ -82,7 +82,6 @@ Deployment::Deployment(DeploymentConfig cfg)
       client_payer_(crypto::PrivateKey::from_label("client-payer").public_key()),
       service_payer_(crypto::PrivateKey::from_label("service-payer").public_key()) {
   if (cfg_.validators.empty()) cfg_.validators = paper_validators();
-  cfg_.relayer.host_max_tx_size = cfg_.host.max_tx_size;
 
   // Genesis validator set of the guest chain.
   std::vector<ibc::ValidatorInfo> genesis;
@@ -222,11 +221,10 @@ void Deployment::guest_handshake_call(ByteView payload) {
   bool done = false, ok = false;
   auto txs = relayer_->staged_call(payload, guest::ix::handshake, "handshake");
   for (auto& tx : txs) tx.payer = service_payer_;
-  relayer_->submit_sequence(std::move(txs),
-                            [&](const RelayerAgent::SequenceOutcome& out) {
-                              done = true;
-                              ok = out.ok;
-                            });
+  relayer_->pipeline().submit_sequence(std::move(txs), [&](const SequenceOutcome& out) {
+    done = true;
+    ok = out.ok;
+  });
   if (!run_until([&] { return done; }, 300.0) || !ok)
     throw std::runtime_error("deployment: handshake transaction failed");
 }

@@ -51,15 +51,14 @@ class GossipBus {
 class FishermanAgent final : public sim::CrashableAgent {
  public:
   FishermanAgent(sim::Simulation& sim, host::Chain& host, guest::GuestContract& contract,
-                 GossipBus& bus, crypto::PublicKey payer, PipelineConfig pipeline_cfg = {})
+                 GossipBus& bus, crypto::PublicKey payer)
       : CrashableAgent(sim, "fisherman"),
         host_(host),
         contract_(contract),
         bus_(bus),
         payer_(std::move(payer)),
         // A stream distinct from the relayers'.
-        pipeline_(sim, host, Rng(crypto::fold_key(0xF15'4E12'3A5Eull, payer_)),
-                  pipeline_cfg) {}
+        pipeline_(sim, host, Rng(crypto::fold_key(0xF15'4E12'3A5Eull, payer_))) {}
 
   void start() {
     bus_.subscribe([this](const SignatureGossip& g) {
@@ -80,7 +79,7 @@ class FishermanAgent final : public sim::CrashableAgent {
     if (it == first_detect_.end()) return std::nullopt;
     return it->second;
   }
-  /// Pipeline state (retries, dead letters, structured errors).
+  /// The evidence submission pipeline (retries per cause, failures).
   [[nodiscard]] const TxPipeline& pipeline() const { return pipeline_; }
 
  private:
@@ -166,23 +165,21 @@ class FishermanAgent final : public sim::CrashableAgent {
     const std::uint64_t buffer_id = next_buffer_++;
     std::vector<host::Transaction> txs = guest::ix::staged_call(
         payer_, host::FeePolicy::base(), buffer_id, guest::ix::evidence_payload(ev),
-        guest::ix::submit_evidence(buffer_id), "fisherman:evidence", "fisherman:chunk");
+        guest::ix::submit_evidence(buffer_id), "fisherman:evidence", "fisherman:chunk",
+        host_.max_tx_size());
     txs.back().sig_verifies = sig_verifies(ev);
     ++submitted_;
     // Evidence must survive drops and blackholes: a fisherman that
     // gives up on the first lost transaction lets a double-signer keep
     // its stake.  The pipeline retries with backoff and fee escalation
-    // until the sequence lands or the budget dead-letters it.
+    // until the sequence lands or its retry budget runs out.
     submit(std::move(txs));
   }
 
   void submit(std::vector<host::Transaction> txs) {
-    pipeline_.submit_sequence(
-        std::move(txs),
-        [this](const SequenceOutcome& out) {
-          if (out.ok) ++accepted_;
-        },
-        "fisherman");
+    pipeline_.submit_sequence(std::move(txs), [this](const SequenceOutcome& out) {
+      if (out.ok) ++accepted_;
+    });
   }
 
   /// Post-crash recovery: the chain remembers what this process forgot.

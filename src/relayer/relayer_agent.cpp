@@ -6,6 +6,19 @@
 
 namespace bmg::relayer {
 
+namespace {
+
+/// Seed of the pipeline's backoff-jitter stream, mixed with the payer
+/// key so co-deployed relayers draw independent streams.
+constexpr std::uint64_t kPipelineSeed = 0x5EED'0F'9E3779B9ull;
+/// Network latency for calls into the counterparty chain.
+constexpr double kCounterpartyLatencyS = 0.5;
+/// How many times update_guest_client rebuilds a failed update
+/// sequence from a fresh staging buffer.
+constexpr int kUpdateRebuilds = 8;
+
+}  // namespace
+
 RelayerAgent::RelayerAgent(sim::Simulation& sim, host::Chain& host,
                            guest::GuestContract& contract,
                            counterparty::CounterpartyChain& cp,
@@ -18,8 +31,7 @@ RelayerAgent::RelayerAgent(sim::Simulation& sim, host::Chain& host,
       guest_client_on_cp_(std::move(guest_client_on_cp)),
       payer_(std::move(payer)),
       cfg_(cfg),
-      pipeline_(sim, host, Rng(crypto::fold_key(cfg.pipeline_seed, payer_)),
-                cfg.pipeline) {
+      pipeline_(sim, host, Rng(crypto::fold_key(kPipelineSeed, payer_)), cfg.pipeline) {
   // With no signature per transaction an update sequence never ends.
   if (cfg_.sigs_per_update_tx < 1)
     throw std::invalid_argument("relayer: sigs_per_update_tx must be at least 1");
@@ -70,17 +82,9 @@ void RelayerAgent::on_crash() {
   queued_updates_.clear();
   guest_update_in_flight_ = false;
   next_buffer_id_ = 1;
-  pipeline_.errors().push(RelayError{RelayErrorKind::kCrashRestart,
-                                     "agent:" + agent_name(), "process killed",
-                                     sim_.now(), 0});
 }
 
-void RelayerAgent::on_restart() {
-  pipeline_.errors().push(RelayError{RelayErrorKind::kCrashRestart,
-                                     "agent:" + agent_name(), "process restarted",
-                                     sim_.now(), 0});
-  resync();
-}
+void RelayerAgent::on_restart() { resync(); }
 
 trie::Proof RelayerAgent::cp_proof(ibc::Height h, ByteView key) const {
   const trie::TrieSnapshot snap = cp_.snapshot_at(h);
@@ -130,8 +134,8 @@ void RelayerAgent::redeliver_guest_packet_to_cp(const ibc::Packet& packet,
           cp_.ibc().recv_packet(packet, gh, proof, cp_.height(), cp_.now());
       ++to_cp_packets_;
       cp_acks_.emplace_back(packet, ack, cp_.height() + 1);
-    } catch (const std::exception& e) {
-      note_cp_reject("resync-recv#" + std::to_string(packet.sequence), e.what());
+    } catch (const std::exception&) {
+      // Already delivered by another relayer or invalid; skip.
     }
   });
 }
@@ -196,24 +200,11 @@ void RelayerAgent::resync() {
 
 // --- transaction sequencing ---------------------------------------------------
 
-void RelayerAgent::submit_sequence(std::vector<host::Transaction> txs, SequenceDone done) {
-  pipeline_.submit_sequence(std::move(txs),
-                            [this, done = std::move(done)](const SequenceOutcome& out) {
-                              if (!out.ok) ++failed_sequences_;
-                              if (done) done(out);
-                            });
-}
-
-void RelayerAgent::note_cp_reject(const std::string& label, const std::string& what) {
-  pipeline_.errors().push(
-      RelayError{RelayErrorKind::kCounterpartyReject, label, what, sim_.now(), 0});
-}
-
 std::vector<host::Transaction> RelayerAgent::staged_call(
     ByteView payload, host::Instruction (*op)(std::uint64_t), const std::string& label) {
   const std::uint64_t buffer_id = next_buffer_id_++;
   return guest::ix::staged_call(payer_, cfg_.fee, buffer_id, payload, op(buffer_id), label,
-                                label + ":chunk", cfg_.host_max_tx_size);
+                                label + ":chunk", host_.max_tx_size());
 }
 
 std::vector<host::Transaction> RelayerAgent::build_update_sequence(
@@ -270,16 +261,15 @@ void RelayerAgent::append_update_signatures(std::vector<host::Transaction>& txs,
 void RelayerAgent::push_guest_header_to_cp(ibc::Height guest_height,
                                            std::function<void()> done) {
   sim_.after_cancellable(
-      cfg_.counterparty_latency_s,
+      kCounterpartyLatencyS,
       [this, guest_height, done = std::move(done)] {
         try {
           const guest::GuestBlock& block = contract_.block_at(guest_height);
           cp_.ibc().update_client(guest_client_on_cp_,
                                   block.to_signed_header().encode());
-        } catch (const ibc::IbcError& e) {
+        } catch (const ibc::IbcError&) {
           // Another relayer (or an explicit handshake push) already
           // submitted this height; duplicates are harmless.
-          note_cp_reject("push#" + std::to_string(guest_height), e.what());
         }
         if (done) done();
       },
@@ -345,9 +335,8 @@ void RelayerAgent::on_guest_block_finalised(ibc::Height height) {
         ++to_cp_packets_;
         // The ack becomes provable at the next cp block.
         cp_acks_.emplace_back(packet, ack, cp_.height() + 1);
-      } catch (const std::exception& e) {
+      } catch (const std::exception&) {
         // Already delivered by another relayer or invalid; skip.
-        note_cp_reject("recv#" + std::to_string(packet.sequence), e.what());
       }
     }
     // Relay guest-side acks back to the counterparty.
@@ -371,7 +360,7 @@ void RelayerAgent::on_guest_block_finalised(ibc::Height height) {
 void RelayerAgent::on_cp_block(ibc::Height) { pump_cp_to_guest(); }
 
 void RelayerAgent::update_guest_client(ibc::Height cp_height, std::function<void()> done) {
-  update_guest_client_attempt(cp_height, std::move(done), cfg_.update_retry_budget);
+  update_guest_client_attempt(cp_height, std::move(done), kUpdateRebuilds);
 }
 
 void RelayerAgent::update_guest_client_attempt(ibc::Height cp_height,
@@ -388,10 +377,10 @@ void RelayerAgent::update_guest_client_attempt(ibc::Height cp_height,
   }
   const ibc::SignedQuorumHeader& sh = cp_.header_at(cp_height);
   // Resume a half-verified update the contract already holds for this
-  // exact height (left behind by a crash or a dead-lettered sequence)
-  // instead of re-uploading chunks and resetting verified signatures.
-  // With no crashes and no dead letters the pending slot is always
-  // empty here, so the steady-state tx stream is unchanged.
+  // exact height (left behind by a crash or a failed sequence) instead
+  // of re-uploading chunks and resetting verified signatures.  With no
+  // crashes and no failed sequences the pending slot is always empty
+  // here, so the steady-state tx stream is unchanged.
   std::vector<host::Transaction> txs;
   const auto pending = contract_.pending_update_info();
   if (pending && pending->height == cp_height)
@@ -399,7 +388,7 @@ void RelayerAgent::update_guest_client_attempt(ibc::Height cp_height,
   else
     txs = build_update_sequence(sh);
   guest_update_in_flight_ = true;
-  submit_sequence(
+  pipeline_.submit_sequence(
       std::move(txs),
       [this, cp_height, done = std::move(done), rebuilds_left](
           const SequenceOutcome& out) mutable {
@@ -411,7 +400,7 @@ void RelayerAgent::update_guest_client_attempt(ibc::Height cp_height,
           if (done) done();
         } else if (rebuilds_left > 0 &&
                    contract_.counterparty_client().latest_height() < cp_height) {
-          // The pipeline dead-lettered the sequence (an outage or
+          // The pipeline gave up on the sequence (an outage or
           // congestion window outlasted the per-tx budget).  Rebuild
           // from a fresh staging buffer — the old one may hold a
           // partial upload — and try again.
@@ -436,7 +425,7 @@ void RelayerAgent::deliver_packet_to_guest(const ibc::Packet& packet,
   auto txs =
       staged_call(guest::ix::packet_proof_payload(packet, nullptr, proof_height, proof),
                   guest::ix::receive_packet, "recv-packet");
-  submit_sequence(
+  pipeline_.submit_sequence(
       std::move(txs),
       [this, packet, proof_height, done = std::move(done)](const SequenceOutcome& out) {
         if (out.ok) {
@@ -447,8 +436,8 @@ void RelayerAgent::deliver_packet_to_guest(const ibc::Packet& packet,
         } else if (!contract_.ibc().packet_received(packet.dest_port,
                                                     packet.dest_channel,
                                                     packet.sequence)) {
-          // Dead-lettered but still undelivered (and no other relayer
-          // got it in): requeue so the next cp block pumps it again.
+          // Failed and still undelivered (and no other relayer got it
+          // in): requeue so the next cp block pumps it again.
           cp_outgoing_.emplace_back(packet, proof_height);
         }
         if (done) done(out);
@@ -463,7 +452,7 @@ void RelayerAgent::deliver_ack_to_guest(const ibc::Packet& packet,
   const trie::Proof proof = cp_proof(proof_height, key);
   auto txs = staged_call(guest::ix::packet_proof_payload(packet, &ack, proof_height, proof),
                          guest::ix::acknowledge_packet, "ack-packet");
-  submit_sequence(
+  pipeline_.submit_sequence(
       std::move(txs),
       [this, packet, ack, proof_height, done = std::move(done)](
           const SequenceOutcome& out) {
@@ -483,7 +472,7 @@ void RelayerAgent::deliver_timeout_to_guest(const ibc::Packet& packet,
   const auto key = ibc::packet_key(ibc::KeyKind::kPacketReceipt, packet.dest_port,
                                    packet.dest_channel, packet.sequence);
   const trie::Proof proof = cp_proof(proof_height, key);
-  submit_sequence(
+  pipeline_.submit_sequence(
       staged_call(guest::ix::packet_proof_payload(packet, nullptr, proof_height, proof),
                   guest::ix::timeout_packet, "timeout-packet"),
       std::move(done));

@@ -34,19 +34,8 @@ struct RelayerConfig {
   int sigs_per_update_tx = 4;
   /// Event-polling latency before the relayer reacts.
   double poll_latency_s = 0.3;
-  /// Host transaction size limit used for chunking (Solana default).
-  std::size_t host_max_tx_size = host::kMaxTransactionSize;
-  /// Network latency for calls into the counterparty chain.
-  double counterparty_latency_s = 0.5;
   /// Retry/backoff/fee-escalation policy of the submission pipeline.
   PipelineConfig pipeline;
-  /// Seed for the pipeline's backoff-jitter stream (mixed with the
-  /// payer key so co-deployed relayers draw independent streams).
-  std::uint64_t pipeline_seed = 0x5EED'0F'9E3779B9ull;
-  /// How many times update_guest_client rebuilds a failed update
-  /// sequence from scratch (fresh staging buffer) after the pipeline
-  /// dead-letters it.
-  int update_retry_budget = 8;
   /// Agent name matched (by prefix) against FaultPlan crash windows.
   std::string name = "relayer";
 };
@@ -77,15 +66,14 @@ class RelayerAgent final : public sim::CrashableAgent {
   /// Per ReceivePacket delivery into the guest (§V-A, §V-B).
   [[nodiscard]] const Series& recv_tx_counts() const { return recv_txs_; }
   [[nodiscard]] const Series& recv_costs_usd() const { return recv_costs_; }
-  [[nodiscard]] std::uint64_t failed_sequences() const { return failed_sequences_; }
   [[nodiscard]] std::uint64_t packets_relayed_to_cp() const { return to_cp_packets_; }
   [[nodiscard]] std::uint64_t packets_relayed_to_guest() const { return to_guest_packets_; }
 
   [[nodiscard]] const crypto::PublicKey& payer() const { return payer_; }
 
-  /// Structured relay-error log (bounded ring; replaces the old
-  /// unbounded error string) and full pipeline state.
-  [[nodiscard]] const ErrorLog& relay_errors() const { return pipeline_.errors(); }
+  /// The submission pipeline every host transaction of this relayer
+  /// goes through (per-tx deadlines, backoff, fee escalation,
+  /// mid-sequence resumption); its counters are the relay-error record.
   [[nodiscard]] const TxPipeline& pipeline() const { return pipeline_; }
   [[nodiscard]] TxPipeline& pipeline() { return pipeline_; }
 
@@ -93,13 +81,9 @@ class RelayerAgent final : public sim::CrashableAgent {
   using SequenceOutcome = relayer::SequenceOutcome;
   using SequenceDone = relayer::SequenceDone;
 
-  /// Submits transactions strictly one after another through the
-  /// resilient pipeline (per-tx deadlines, backoff, fee escalation,
-  /// mid-sequence resumption), reporting aggregate cost and timing.
-  void submit_sequence(std::vector<host::Transaction> txs, SequenceDone done);
-
   /// guest::ix::staged_call of `payload` into a fresh staging buffer
-  /// with this relayer's payer, fee and transaction size, ending in
+  /// with this relayer's payer and fee, chunked to the host's
+  /// transaction size limit, ending in
   /// `op(buffer id)`: chunks labelled `<label>:chunk`, the final
   /// transaction `label`.
   [[nodiscard]] std::vector<host::Transaction> staged_call(
@@ -149,7 +133,6 @@ class RelayerAgent final : public sim::CrashableAgent {
   void pump_cp_to_guest();
   void update_guest_client_attempt(ibc::Height cp_height, std::function<void()> done,
                                    int rebuilds_left);
-  void note_cp_reject(const std::string& label, const std::string& what);
   /// Appends one VerifyUpdateSignatures transaction per
   /// `sigs_per_update_tx` signatures of `sh` whose signer is not in
   /// `seen` (sorted), then the FinishClientUpdate transaction.
@@ -192,7 +175,6 @@ class RelayerAgent final : public sim::CrashableAgent {
 
   Series update_txs_, update_durations_, update_costs_;
   Series recv_txs_, recv_costs_;
-  std::uint64_t failed_sequences_ = 0;
 
   TxPipeline pipeline_;
 

@@ -5,55 +5,12 @@
 
 namespace bmg::relayer {
 
-const char* to_string(RelayErrorKind kind) {
-  switch (kind) {
-    case RelayErrorKind::kDropped:
-      return "dropped";
-    case RelayErrorKind::kExecFailed:
-      return "exec-failed";
-    case RelayErrorKind::kTimeout:
-      return "timeout";
-    case RelayErrorKind::kBudgetExhausted:
-      return "budget-exhausted";
-    case RelayErrorKind::kCounterpartyReject:
-      return "counterparty-reject";
-    case RelayErrorKind::kCrashRestart:
-      return "crash-restart";
-    case RelayErrorKind::kReorgedOut:
-      return "reorged-out";
-    default:
-      return "unknown";
-  }
-}
+namespace {
 
-// --- ErrorLog ---------------------------------------------------------------
+/// Total resubmissions allowed across a whole sequence.
+constexpr int kMaxRetriesPerSequence = 48;
 
-ErrorLog::ErrorLog(std::size_t capacity) : ring_(std::max<std::size_t>(capacity, 1)) {}
-
-void ErrorLog::push(RelayError e) {
-  ++total_;
-  ++kind_totals_[static_cast<std::size_t>(e.kind)];
-  ring_[head_] = std::move(e);
-  head_ = (head_ + 1) % ring_.size();
-  size_ = std::min(size_ + 1, ring_.size());
-}
-
-std::uint64_t ErrorLog::total_of(RelayErrorKind kind) const {
-  return kind_totals_[static_cast<std::size_t>(kind)];
-}
-
-const RelayError& ErrorLog::at(std::size_t i) const {
-  // Oldest retained entry sits `size_` slots behind the write head.
-  const std::size_t idx = (head_ + ring_.size() - size_ + i) % ring_.size();
-  return ring_[idx];
-}
-
-std::vector<RelayError> ErrorLog::snapshot() const {
-  std::vector<RelayError> out;
-  out.reserve(size_);
-  for (std::size_t i = 0; i < size_; ++i) out.push_back(at(i));
-  return out;
-}
+}  // namespace
 
 // --- retry policy -----------------------------------------------------------
 
@@ -97,72 +54,33 @@ host::FeePolicy escalate_fee(const host::FeePolicy& original, int attempt) {
 
 TxPipeline::TxPipeline(sim::Simulation& sim, host::Chain& host, Rng rng,
                        PipelineConfig cfg)
-    : sim_(sim), host_(host), rng_(rng), cfg_(cfg), errors_(cfg.error_log_capacity) {}
+    : sim_(sim), host_(host), rng_(rng), cfg_(cfg) {}
 
 void TxPipeline::submit_sequence(std::vector<host::Transaction> txs, SequenceDone done,
                                  std::string label) {
-  submit_sequence_carrying(std::move(txs), std::move(done), std::move(label), 0, 0.0,
-                           std::nullopt);
-}
-
-void TxPipeline::submit_sequence_carrying(std::vector<host::Transaction> txs,
-                                          SequenceDone done, std::string label,
-                                          int carried_retries, double carried_cost,
-                                          std::optional<double> carried_start) {
   auto s = std::make_shared<Seq>();
-  if (label.empty() && !txs.empty()) label = txs.back().label;
   s->label = std::move(label);
   s->txs = std::move(txs);
+  s->incarnation = incarnation_;
   s->outcome.txs = static_cast<int>(s->txs.size());
-  s->outcome.retries = carried_retries;
-  s->outcome.cost_usd = carried_cost;
-  s->outcome.started_at = carried_start;
   s->done = std::move(done);
   ++in_flight_;
   if (s->txs.empty()) {
     finish(s, true);
     return;
   }
-  // Track for reset(); prune stale entries before they accumulate.
-  if (live_.size() >= 64)
-    std::erase_if(live_, [](const std::weak_ptr<Seq>& w) {
-      const auto sp = w.lock();
-      return !sp || sp->finished;
-    });
-  live_.push_back(s);
   submit_current(s);
 }
 
 void TxPipeline::reset() {
-  for (const auto& w : live_) {
-    const auto s = w.lock();
-    if (!s || s->finished) continue;
-    // Mark finished so pending host results, backoff timers and
-    // deadlines for this sequence all no-op; the done callback is
-    // deliberately *not* invoked — the process that owned it is gone.
-    s->finished = true;
-    sim_.cancel(s->deadline);
-    s->deadline = 0;
-    if (s->rooted_wait != 0) {
-      host_.cancel_rooted(s->rooted_wait);
-      s->rooted_wait = 0;
-    }
-    --in_flight_;
-    ++sequences_reset_;
-  }
-  live_.clear();
-  dead_letters_.clear();
+  ++incarnation_;
+  in_flight_ = 0;
 }
 
-std::size_t TxPipeline::redrive(SequenceDone done) {
-  std::vector<DeadLetter> dead = std::move(dead_letters_);
-  dead_letters_.clear();
-  for (DeadLetter& dl : dead) {
-    ++redriven_total_;
-    submit_sequence_carrying(std::move(dl.remaining), done, dl.label + ":redrive",
-                             dl.retries_spent, dl.cost_usd, dl.started_at);
-  }
-  return dead.size();
+std::uint64_t TxPipeline::retries_total() const noexcept {
+  std::uint64_t total = 0;
+  for (const std::uint64_t n : retries_) total += n;
+  return total;
 }
 
 void TxPipeline::submit_current(const std::shared_ptr<Seq>& s) {
@@ -174,8 +92,9 @@ void TxPipeline::submit_current(const std::shared_ptr<Seq>& s) {
   const std::uint64_t id = ++s->attempt_id;
   const std::size_t idx = s->next;
   if (cfg_.tx_deadline_s > 0) {
-    s->deadline = sim_.after_cancellable(cfg_.tx_deadline_s,
-                                         [this, s, id] { on_deadline(s, id); });
+    s->deadline = sim_.after_cancellable(cfg_.tx_deadline_s, [this, s, id] {
+      if (!stale(*s, id)) retry(s, RelayErrorKind::kTimeout);
+    });
   }
   host_.submit(std::move(tx), [this, s, idx, id](const host::TxResult& res) {
     on_result(s, idx, id, res);
@@ -184,17 +103,22 @@ void TxPipeline::submit_current(const std::shared_ptr<Seq>& s) {
 
 void TxPipeline::on_result(const std::shared_ptr<Seq>& s, std::size_t idx,
                            std::uint64_t id, const host::TxResult& res) {
+  // The process that submitted a dead incarnation's transactions is
+  // gone; its restart resyncs from chain state instead.
+  if (s->incarnation != incarnation_) return;
   // Reorged-out notifications refer to a *past* execution the pipeline
   // has usually already advanced past — they must bypass the stale
-  // guard below.
+  // guard below.  A retracted *failure* had no effects to restore, and
+  // its retry (if any) was already scheduled when the failure first
+  // reported.
   if (res.reorged_out) {
-    on_reorged_out(s, idx, id, res);
+    if (res.success) on_reorged_out(s, idx, id);
     return;
   }
   // Stale: a deadline or retry superseded this attempt, or the sequence
-  // was already dead-lettered.  Winning-fork re-executions of already
-  // delivered transactions land here too and are idempotently ignored.
-  if (s->finished || id != s->attempt_id) return;
+  // already finished.  Winning-fork re-executions of already delivered
+  // transactions land here too and are idempotently ignored.
+  if (stale(*s, id)) return;
   if (s->holding) {
     // Rooted mode, tx re-executed while held (it survived a reorg onto
     // the winning fork): the fresh result replaces the held one; the
@@ -215,31 +139,21 @@ void TxPipeline::on_result(const std::shared_ptr<Seq>& s, std::size_t idx,
       s->rooted_wait = host_.when_rooted(res.slot, [this, s, id] { on_rooted(s, id); });
       return;
     }
-    if (!s->outcome.started_at) s->outcome.started_at = res.time;
-    s->outcome.finished_at = res.time;
-    s->outcome.cost_usd += res.fee.usd();
-    s->attempt = 0;
-    ++s->next;
-    if (s->next >= s->txs.size()) {
-      finish(s, true);
-      return;
-    }
-    // Same-event-turn submission: on the all-success path this is
-    // byte-identical to the naive sequential submitter.
-    submit_current(s);
+    advance(s, res);
     return;
   }
 
-  retry(s, res.executed ? RelayErrorKind::kExecFailed : RelayErrorKind::kDropped,
-        res.error);
+  retry(s, res.executed ? RelayErrorKind::kExecFailed : RelayErrorKind::kDropped);
 }
 
 void TxPipeline::on_rooted(const std::shared_ptr<Seq>& s, std::uint64_t id) {
-  if (s->finished || !s->holding || id != s->attempt_id) return;
+  if (stale(*s, id) || !s->holding) return;
   s->rooted_wait = 0;
   s->holding = false;
-  const host::TxResult res = s->held;
-  s->outcome.rooted_at = sim_.now();
+  advance(s, s->held);
+}
+
+void TxPipeline::advance(const std::shared_ptr<Seq>& s, const host::TxResult& res) {
   if (!s->outcome.started_at) s->outcome.started_at = res.time;
   s->outcome.finished_at = res.time;
   s->outcome.cost_usd += res.fee.usd();
@@ -249,28 +163,21 @@ void TxPipeline::on_rooted(const std::shared_ptr<Seq>& s, std::uint64_t id) {
     finish(s, true);
     return;
   }
+  // Same-event-turn submission: on the all-success path this is
+  // byte-identical to the naive sequential submitter.
   submit_current(s);
 }
 
 void TxPipeline::on_reorged_out(const std::shared_ptr<Seq>& s, std::size_t idx,
-                                std::uint64_t id, const host::TxResult& res) {
-  // A retracted *failure* had no effects to restore, and its retry (if
-  // any) was already scheduled when the failure first reported.
-  if (!res.success) return;
+                                std::uint64_t id) {
   ++reorged_out_total_;
-  ++s->outcome.reorged_out;
-  errors_.push(RelayError{RelayErrorKind::kReorgedOut,
-                          s->label + "#" + std::to_string(idx),
-                          "execution retracted by host reorg", sim_.now(),
-                          s->attempt});
-
-  if (!s->finished && s->holding && id == s->attempt_id) {
+  if (!stale(*s, id) && s->holding) {
     // Rooted mode: the held (not yet counted) tx died — retry in place,
     // carrying the sequence's retry/fee state across forks.
     host_.cancel_rooted(s->rooted_wait);
     s->rooted_wait = 0;
     s->holding = false;
-    retry(s, RelayErrorKind::kReorgedOut, "retracted before rooting");
+    retry(s, RelayErrorKind::kReorgedOut);
     return;
   }
 
@@ -279,46 +186,17 @@ void TxPipeline::on_reorged_out(const std::shared_ptr<Seq>& s, std::size_t idx,
   // Rewinding `next` would double-submit everything in between, so the
   // lost tx is repaired off-band as a fresh single-tx sequence.
   ++reorg_repairs_;
-  std::vector<host::Transaction> repair{s->txs[idx]};
-  submit_sequence_carrying(std::move(repair), {},
-                           s->label + "#" + std::to_string(idx) + ":reorg-repair", 0,
-                           0.0, std::nullopt);
+  submit_sequence({s->txs[idx]}, {});
 }
 
-void TxPipeline::on_deadline(const std::shared_ptr<Seq>& s, std::uint64_t id) {
-  if (s->finished || id != s->attempt_id) return;
-  ++timeouts_total_;
-  retry(s, RelayErrorKind::kTimeout, "no result within deadline");
-}
-
-void TxPipeline::retry(const std::shared_ptr<Seq>& s, RelayErrorKind kind,
-                       std::string detail) {
-  errors_.push(RelayError{kind, s->label + "#" + std::to_string(s->next),
-                          std::move(detail), sim_.now(), s->attempt});
-
+void TxPipeline::retry(const std::shared_ptr<Seq>& s, RelayErrorKind kind) {
+  ++retries_[static_cast<std::size_t>(kind)];
   ++s->attempt;
   s->outcome.retries += 1;
-  ++retries_total_;
 
   const int limit = kind == RelayErrorKind::kExecFailed ? cfg_.max_exec_failures
                                                         : cfg_.max_attempts_per_tx;
-  if (s->attempt >= limit || s->outcome.retries > cfg_.max_retries_per_sequence) {
-    DeadLetter dl;
-    dl.label = s->label;
-    dl.failed_index = s->next;
-    dl.total_txs = s->txs.size();
-    dl.attempts = s->attempt;
-    dl.last_error = RelayError{kind, s->label + "#" + std::to_string(s->next),
-                               "retry budget exhausted", sim_.now(), s->attempt};
-    dl.remaining.assign(s->txs.begin() + static_cast<std::ptrdiff_t>(s->next),
-                        s->txs.end());
-    dl.retries_spent = s->outcome.retries;
-    dl.cost_usd = s->outcome.cost_usd;
-    dl.started_at = s->outcome.started_at;
-    dead_letters_.push_back(std::move(dl));
-    errors_.push(RelayError{RelayErrorKind::kBudgetExhausted,
-                            s->label + "#" + std::to_string(s->next),
-                            "sequence dead-lettered", sim_.now(), s->attempt});
+  if (s->attempt >= limit || s->outcome.retries > kMaxRetriesPerSequence) {
     finish(s, false);
     return;
   }
@@ -328,8 +206,7 @@ void TxPipeline::retry(const std::shared_ptr<Seq>& s, RelayErrorKind kind,
   const std::uint64_t rid = ++s->attempt_id;
   const double delay = backoff_delay(cfg_, s->attempt, rng_.uniform());
   sim_.after(delay, [this, s, rid] {
-    if (s->finished || s->attempt_id != rid) return;
-    submit_current(s);
+    if (!stale(*s, rid)) submit_current(s);
   });
 }
 
@@ -337,10 +214,7 @@ void TxPipeline::finish(const std::shared_ptr<Seq>& s, bool ok) {
   s->finished = true;
   s->outcome.ok = ok;
   if (!ok || !s->outcome.started_at) s->outcome.finished_at = sim_.now();
-  if (ok)
-    ++sequences_ok_;
-  else
-    ++sequences_failed_;
+  if (!ok) ++sequences_failed_;
   --in_flight_;
   if (s->done) s->done(s->outcome);
 }

@@ -978,11 +978,21 @@ std::string verdict_digest(const std::vector<VerifyItem>& items) {
 // corpus, so that digest checks some keys on combs and the rest on the
 // memo's tables.  Last, the corpus runs on four threads at once, each
 // with its own memo and all sharing the combs.
+//
+// The corpus is signed by the build under test, so a hash fault that
+// signing and verifying share would leave every verdict unchanged.
+// kSignatures pins the SHA-256 of its 2,040 signatures, in corpus order
+// and after the mutations, as computed at commit 630b4d6.
 TEST(Ed25519, VerdictsMatchParentDigest) {
   static_assert(VerdictCorpus::kKeys > kKeyMemoCapacity);
   constexpr std::string_view kParent =
       "b63321e82887d0b811420b580f282eae8101ea968f70f502f8a3f436bc9ba14f";
+  constexpr std::string_view kSignatures =
+      "5a27a35d4c07218971fc672d608b8bec91dbbb840f7adde3361a023b042f08e7";
   const VerdictCorpus c = make_verdict_corpus();
+  Bytes sigs;
+  for (const VerifyItem& it : c.items) sigs.insert(sigs.end(), it.sig.begin(), it.sig.end());
+  EXPECT_EQ(to_hex(Sha256::digest(sigs).view()), kSignatures);
   EXPECT_EQ(verdict_digest(c.items), kParent) << "cold";
   EXPECT_EQ(verdict_digest(c.items), kParent) << "memoized";
 

@@ -67,11 +67,10 @@ TEST_F(MaliciousRelayer, ForgedPacketRejectedByGuest) {
 
   bool done = false, ok = true;
   std::string error;
-  d_.relayer().submit_sequence(std::move(txs),
-                               [&](const RelayerAgent::SequenceOutcome& out) {
-                                 done = true;
-                                 ok = out.ok;
-                               });
+  d_.relayer().pipeline().submit_sequence(std::move(txs), [&](const SequenceOutcome& out) {
+    done = true;
+    ok = out.ok;
+  });
   ASSERT_TRUE(d_.run_until([&] { return done; }, 600.0));
   EXPECT_FALSE(ok);  // the ReceivePacket transaction failed
   EXPECT_EQ(d_.guest().bank().balance(
@@ -111,11 +110,10 @@ TEST_F(MaliciousRelayer, ForgedHeaderRejectedByUpdateMachinery) {
   for (auto& tx : txs) tx.payer = evil_;
 
   bool done = false, ok = true;
-  d_.relayer().submit_sequence(std::move(txs),
-                               [&](const RelayerAgent::SequenceOutcome& out) {
-                                 done = true;
-                                 ok = out.ok;
-                               });
+  d_.relayer().pipeline().submit_sequence(std::move(txs), [&](const SequenceOutcome& out) {
+    done = true;
+    ok = out.ok;
+  });
   ASSERT_TRUE(d_.run_until([&] { return done; }, 600.0));
   EXPECT_FALSE(ok);
   EXPECT_LT(d_.guest().counterparty_client().latest_height(), forged.height);

@@ -118,7 +118,6 @@ TEST(Chaos, EventualDeliveryUnderComposedFaults) {
   const TxPipeline& pipe = d.relayer().pipeline();
   EXPECT_EQ(pipe.in_flight(), 0u);
   EXPECT_LT(pipe.retries_total(), 300u);  // bounded, not runaway
-  EXPECT_EQ(d.relayer().failed_sequences(), pipe.sequences_failed());
 
   // Every invariant held at every block throughout the fault schedule.
   auditor.check_now("final");
@@ -158,9 +157,7 @@ TEST(Chaos, EmptyPlanMeansZeroFaultsAndZeroRetries) {
   EXPECT_EQ(total_faults(d.host().fault_counters()), 0u);
   const TxPipeline& pipe = d.relayer().pipeline();
   EXPECT_EQ(pipe.retries_total(), 0u);
-  EXPECT_EQ(pipe.timeouts_total(), 0u);
   EXPECT_EQ(pipe.escalations_total(), 0u);
-  EXPECT_TRUE(pipe.dead_letters().empty());
   EXPECT_EQ(pipe.sequences_failed(), 0u);
   EXPECT_EQ(pipe.in_flight(), 0u);
 }
@@ -200,7 +197,7 @@ TEST(Chaos, FishermanEvidenceSurvivesBlackhole) {
   EXPECT_EQ(d.guest().stake_of(offender), 0u);
   EXPECT_GE(fisherman.evidence_submitted(), 1u);
   EXPECT_GE(fisherman.evidence_accepted(), 1u);
-  EXPECT_GE(fisherman.pipeline().timeouts_total(), 1u);
+  EXPECT_GE(fisherman.pipeline().retries_of(RelayErrorKind::kTimeout), 1u);
   EXPECT_GE(d.host().fault_counters().blackholed, 1u);
   EXPECT_EQ(fisherman.pipeline().in_flight(), 0u);
 }

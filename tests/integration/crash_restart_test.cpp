@@ -2,8 +2,8 @@
 //
 // Kills agents at adversarially-chosen points of the relaying
 // protocol and asserts the system converges after restart: every
-// transfer still delivers (possibly via pipeline redrive), the
-// restarted relayer resyncs from nothing but on-chain state, and the
+// transfer still delivers, the restarted relayer resyncs from nothing
+// but on-chain state, and the
 // invariant auditor — conservation, sequence monotonicity, commit
 // roots, client heights — stays clean throughout.  The convergence
 // tests additionally require the post-recovery token state to be

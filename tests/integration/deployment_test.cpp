@@ -47,7 +47,7 @@ TEST(Deployment, IbcHandshakeOpensBothEnds) {
   auto txs = d.relayer().staged_call(e.out(), guest::ix::handshake, "handshake");
   bool done = false;
   bool ok = true;
-  d.relayer().submit_sequence(std::move(txs), [&](const SequenceOutcome& out) {
+  d.relayer().pipeline().submit_sequence(std::move(txs), [&](const SequenceOutcome& out) {
     done = true;
     ok = out.ok;
   });

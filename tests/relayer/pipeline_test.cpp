@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <deque>
+
 #include "host/chain.hpp"
 #include "host/constants.hpp"
 
@@ -81,47 +83,40 @@ TEST(EscalateFee, BundleDoublingIsOverflowSafe) {
   }
 }
 
-// --- ErrorLog ----------------------------------------------------------------
-
-TEST(ErrorLog, RingIsBoundedButTotalsKeepCounting) {
-  ErrorLog log(4);
-  for (int i = 0; i < 10; ++i)
-    log.push(RelayError{RelayErrorKind::kDropped, "tx#" + std::to_string(i), "", 0, 0});
-  EXPECT_EQ(log.size(), 4u);
-  EXPECT_EQ(log.capacity(), 4u);
-  EXPECT_EQ(log.total_recorded(), 10u);
-  EXPECT_EQ(log.total_of(RelayErrorKind::kDropped), 10u);
-  EXPECT_EQ(log.total_of(RelayErrorKind::kTimeout), 0u);
-  // Oldest retained entry is #6 (0..5 were overwritten).
-  EXPECT_EQ(log.at(0).label, "tx#6");
-  EXPECT_EQ(log.at(3).label, "tx#9");
-  const auto snap = log.snapshot();
-  ASSERT_EQ(snap.size(), 4u);
-  EXPECT_EQ(snap.front().label, "tx#6");
-  EXPECT_EQ(snap.back().label, "tx#9");
-}
-
 // --- TxPipeline against a faulty chain ---------------------------------------
 
+/// Counts successful executions.  Fork-capable, so it also runs on a
+/// fork-aware host, where `count` rolls back with the chain.
 class FlakyProgram : public host::Program {
  public:
   void execute(host::TxContext&, ByteView data) override {
     if (!data.empty() && data[0] == 1) throw host::TxError("deterministic failure");
     ++count;
   }
+  [[nodiscard]] bool fork_supported() const override { return true; }
+  void fork_checkpoint() override { saved_ = count; }
+  void fork_rollback() override { count = saved_; }
   int count = 0;
+
+ private:
+  int saved_ = 0;
 };
 
 class PipelineTest : public ::testing::Test {
  protected:
-  void make_chain(host::FaultPlan plan) {
+  /// `fork_aware` arms the host's fork machinery (rooted lag 32), so
+  /// reorg windows can be added after start().
+  void make_chain(host::FaultPlan plan, bool fork_aware = false) {
     host::ChainConfig cfg;
     cfg.fault = std::move(plan);
+    cfg.fork_aware = fork_aware;
     chain_ = std::make_unique<host::Chain>(sim_, Rng(77), cfg);
     chain_->register_program("flaky", std::make_unique<FlakyProgram>());
     chain_->airdrop(payer_, 100 * host::kLamportsPerSol);
     chain_->start();
   }
+
+  [[nodiscard]] int flaky_count() { return chain_->program_as<FlakyProgram>("flaky").count; }
 
   host::Transaction make_tx(std::string label, bool fail = false) {
     host::Transaction tx;
@@ -155,7 +150,7 @@ TEST_F(PipelineTest, DroppedTxIsRetriedWithEscalatedFeeUntilSuccess) {
   EXPECT_GE(out.retries, 1);  // the base-fee attempt expired at ~60 s
   EXPECT_GE(pipe.retries_total(), 1u);
   EXPECT_GE(pipe.escalations_total(), 1u);
-  EXPECT_GE(pipe.errors().total_of(RelayErrorKind::kDropped), 1u);
+  EXPECT_GE(pipe.retries_of(RelayErrorKind::kDropped), 1u);
   EXPECT_EQ(pipe.in_flight(), 0u);
   ASSERT_TRUE(out.started_at.has_value());
   EXPECT_GE(*out.started_at, 100.0);
@@ -179,8 +174,7 @@ TEST_F(PipelineTest, BlackholeFiresDeadlineAndRetries) {
   sim_.run_until(200.0);
   ASSERT_TRUE(done);
   EXPECT_TRUE(out.ok);
-  EXPECT_GE(pipe.timeouts_total(), 1u);
-  EXPECT_GE(pipe.errors().total_of(RelayErrorKind::kTimeout), 1u);
+  EXPECT_GE(pipe.retries_of(RelayErrorKind::kTimeout), 1u);
   EXPECT_GE(chain_->fault_counters().blackholed, 1u);
 }
 
@@ -206,10 +200,6 @@ TEST_F(PipelineTest, BudgetExhaustionDeadLetters) {
   ASSERT_TRUE(done);
   EXPECT_FALSE(out.ok);
   EXPECT_FALSE(out.started_at.has_value());  // nothing ever executed
-  ASSERT_EQ(pipe.dead_letters().size(), 1u);
-  EXPECT_EQ(pipe.dead_letters()[0].label, "doomed-seq");
-  EXPECT_EQ(pipe.dead_letters()[0].failed_index, 0u);
-  EXPECT_GE(pipe.errors().total_of(RelayErrorKind::kBudgetExhausted), 1u);
   EXPECT_EQ(pipe.sequences_failed(), 1u);
   EXPECT_EQ(pipe.in_flight(), 0u);
 }
@@ -229,10 +219,9 @@ TEST_F(PipelineTest, DeterministicExecFailureStopsAfterFewAttempts) {
   ASSERT_TRUE(done);
   EXPECT_FALSE(out.ok);
   // Deterministic failures are capped well below the drop budget.
-  EXPECT_EQ(pipe.errors().total_of(RelayErrorKind::kExecFailed),
+  EXPECT_EQ(pipe.retries_of(RelayErrorKind::kExecFailed),
             static_cast<std::uint64_t>(pipe.config().max_exec_failures));
-  ASSERT_EQ(pipe.dead_letters().size(), 1u);
-  EXPECT_EQ(pipe.dead_letters()[0].failed_index, 1u);  // tx #0 landed
+  EXPECT_EQ(flaky_count(), 1);  // tx #0 landed
 }
 
 TEST_F(PipelineTest, MidSequenceResumptionRetriesOnlyTheFailedTx) {
@@ -257,7 +246,7 @@ TEST_F(PipelineTest, MidSequenceResumptionRetriesOnlyTheFailedTx) {
   EXPECT_GE(out.retries, 1);
   // Each of the three transactions executed exactly once: the retries
   // resubmitted only the blackholed one, never the whole sequence.
-  EXPECT_EQ(chain_->program_as<FlakyProgram>("flaky").count, 3);
+  EXPECT_EQ(flaky_count(), 3);
   EXPECT_EQ(chain_->executed_count(), 3u);
 }
 
@@ -277,52 +266,7 @@ TEST_F(PipelineTest, EmptySequenceCompletesImmediately) {
   EXPECT_EQ(pipe.in_flight(), 0u);
 }
 
-// --- crash-restart surface: redrive() / reset() ------------------------------
-
-TEST_F(PipelineTest, RedriveResumesDeadLetterWhereItFailed) {
-  host::FaultPlan plan;
-  plan.blackhole(0.0, 60.0, 1.0, "mid");  // the middle tx vanishes until t = 60
-  make_chain(std::move(plan));
-  PipelineConfig cfg;
-  cfg.tx_deadline_s = 5.0;
-  cfg.backoff_base_s = 1.0;
-  cfg.max_attempts_per_tx = 3;  // exhausts well inside the blackhole window
-  TxPipeline pipe(sim_, *chain_, Rng(7), cfg);
-
-  bool first_done = false;
-  pipe.submit_sequence({make_tx("head"), make_tx("mid"), make_tx("tail")},
-                       [&](const SequenceOutcome&) { first_done = true; },
-                       "update");
-  sim_.run_until(50.0);
-  ASSERT_TRUE(first_done);
-  ASSERT_EQ(pipe.dead_letters().size(), 1u);
-  const DeadLetter& dl = pipe.dead_letters()[0];
-  EXPECT_EQ(dl.label, "update");
-  EXPECT_EQ(dl.failed_index, 1u);  // "head" landed, "mid" did not
-  ASSERT_EQ(dl.remaining.size(), 2u);
-  EXPECT_EQ(dl.remaining[0].label, "mid");
-  const int spent = dl.retries_spent;
-  EXPECT_GE(spent, 1);
-
-  SequenceOutcome out;
-  bool done = false;
-  EXPECT_EQ(pipe.redrive([&](const SequenceOutcome& o) {
-              out = o;
-              done = true;
-            }),
-            1u);
-  EXPECT_TRUE(pipe.dead_letters().empty());
-  sim_.run_until(400.0);  // blackhole lifts at t = 60; redrive succeeds
-  ASSERT_TRUE(done);
-  EXPECT_TRUE(out.ok);
-  // The redriven outcome accounts for the sequence's whole life, not
-  // just its second one.
-  EXPECT_GE(out.retries, spent);
-  EXPECT_EQ(pipe.redriven_total(), 1u);
-  // Each of the three txs executed exactly once: redrive resumed from
-  // the failed index instead of replaying the delivered head.
-  EXPECT_EQ(chain_->program_as<FlakyProgram>("flaky").count, 3);
-}
+// --- crash-restart surface: reset() -------------------------------------------
 
 TEST_F(PipelineTest, ResetDropsInFlightWorkWithoutCallbacks) {
   host::FaultPlan plan;
@@ -341,13 +285,12 @@ TEST_F(PipelineTest, ResetDropsInFlightWorkWithoutCallbacks) {
 
   pipe.reset();  // the "process" died mid-flight
   EXPECT_EQ(pipe.in_flight(), 0u);
-  EXPECT_EQ(pipe.sequences_reset(), 1u);
 
   sim_.run_until(2000.0);
   // The dead incarnation's continuation must never fire, even after
   // the blackhole lifts and any straggler results come back.
   EXPECT_FALSE(done);
-  EXPECT_EQ(pipe.sequences_ok() + pipe.sequences_failed(), 0u);
+  EXPECT_EQ(pipe.sequences_failed(), 0u);
 
   // The pipeline is immediately reusable by the next incarnation.
   SequenceOutcome out;
@@ -362,28 +305,64 @@ TEST_F(PipelineTest, ResetDropsInFlightWorkWithoutCallbacks) {
   EXPECT_EQ(pipe.in_flight(), 0u);
 }
 
-TEST_F(PipelineTest, ResetClearsDeadLetters) {
-  host::FaultPlan plan;
-  plan.blackhole(0.0, 10'000.0, 1.0);
-  make_chain(std::move(plan));
-  PipelineConfig cfg;
-  cfg.tx_deadline_s = 5.0;
-  cfg.backoff_base_s = 1.0;
-  cfg.max_attempts_per_tx = 2;
-  TxPipeline pipe(sim_, *chain_, Rng(9), cfg);
+TEST_F(PipelineTest, ResetPipelineLaunchesNoRepairs) {
+  make_chain(host::FaultPlan{}, /*fork_aware=*/true);
+  // Submits one 1-tx sequence on a pipeline of its own and, from the
+  // moment the tx executes, runs a 4 s reorg storm that retracts every
+  // execution (survival 0).  With `crash` the pipeline is reset() in
+  // between, as a crashed agent's is.  Each pipeline and its completion
+  // flag outlive the runs after it, which could still deliver results.
+  struct Run {
+    std::uint64_t repairs, reorged_out, retries;
+    bool done;
+    int landed;  ///< executions of the tx left on the winning fork
+  };
+  std::deque<TxPipeline> pipes;
+  std::deque<bool> dones;
+  const auto storm = [&](host::Commitment commitment, bool crash) {
+    PipelineConfig cfg;
+    cfg.commitment = commitment;
+    TxPipeline& pipe = pipes.emplace_back(sim_, *chain_, Rng(10 + pipes.size()), cfg);
+    bool& done = dones.emplace_back(false);
+    const int before = flaky_count();
+    pipe.submit_sequence({make_tx("landed")},
+                         [&done](const SequenceOutcome& o) { done = o.ok; });
+    while (flaky_count() == before && sim_.step()) {
+    }
+    EXPECT_EQ(flaky_count(), before + 1) << "the tx never executed";
+    if (crash) pipe.reset();
+    const double now = sim_.now();
+    chain_->fault_plan().reorg(now, now + 4.0, 8, 1.0, 0.0);
+    sim_.run_until(now + 300.0);
+    EXPECT_EQ(pipe.in_flight(), 0u);
+    return Run{pipe.reorg_repairs(), pipe.reorged_out_total(), pipe.retries_total(), done,
+               flaky_count() - before};
+  };
 
-  pipe.submit_sequence({make_tx("doomed")}, [](const SequenceOutcome&) {});
-  sim_.run_until(100.0);
-  ASSERT_EQ(pipe.dead_letters().size(), 1u);
-  pipe.reset();
-  // A restarted agent rebuilds its work queue from on-chain state; the
-  // old incarnation's dead letters are not replayable.
-  EXPECT_TRUE(pipe.dead_letters().empty());
-  EXPECT_EQ(pipe.redrive(), 0u);
-}
+  // Optimistic mode: the sequence finished before the storm.  A live
+  // pipeline repairs the retracted tx off-band; a dead one must not.
+  const Run live = storm(host::Commitment::kProcessed, false);
+  EXPECT_TRUE(live.done);
+  EXPECT_GE(live.repairs, 1u);
+  EXPECT_EQ(live.landed, 1);
+  const Run dead = storm(host::Commitment::kProcessed, true);
+  EXPECT_TRUE(dead.done);
+  EXPECT_EQ(dead.repairs, 0u);
+  EXPECT_EQ(dead.reorged_out, 0u);
+  EXPECT_EQ(dead.landed, 0);
 
-TEST(RelayErrorKindNames, CrashRestartHasAStableLabel) {
-  EXPECT_STREQ(to_string(RelayErrorKind::kCrashRestart), "crash-restart");
+  // Rooted mode: the executed tx is held when the storm (or the crash)
+  // hits.  A live pipeline retries it in place; a dead one does nothing.
+  const Run held = storm(host::Commitment::kRooted, false);
+  EXPECT_TRUE(held.done);
+  EXPECT_GE(held.retries, 1u);
+  EXPECT_EQ(held.repairs, 0u);
+  EXPECT_EQ(held.landed, 1);
+  const Run dead_held = storm(host::Commitment::kRooted, true);
+  EXPECT_FALSE(dead_held.done);
+  EXPECT_EQ(dead_held.repairs, 0u);
+  EXPECT_EQ(dead_held.retries, 0u);
+  EXPECT_EQ(dead_held.landed, 0);
 }
 
 }  // namespace

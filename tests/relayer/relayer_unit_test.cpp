@@ -59,7 +59,7 @@ TEST_F(RelayerUnit, SubmitSequenceRunsInOrderAndAggregates) {
   for (int i = 0; i < 5; ++i) txs.push_back(noop_tx());
   RelayerAgent::SequenceOutcome outcome;
   bool done = false;
-  d_.relayer().submit_sequence(std::move(txs), [&](const auto& out) {
+  d_.relayer().pipeline().submit_sequence(std::move(txs), [&](const auto& out) {
     outcome = out;
     done = true;
   });
@@ -85,7 +85,7 @@ TEST_F(RelayerUnit, SubmitSequenceAbortsOnFailure) {
   const std::uint64_t executed_before = d_.host().executed_count();
   RelayerAgent::SequenceOutcome outcome;
   bool done = false;
-  d_.relayer().submit_sequence(std::move(txs), [&](const auto& out) {
+  d_.relayer().pipeline().submit_sequence(std::move(txs), [&](const auto& out) {
     outcome = out;
     done = true;
   });
@@ -93,7 +93,7 @@ TEST_F(RelayerUnit, SubmitSequenceAbortsOnFailure) {
   EXPECT_FALSE(outcome.ok);
   // Exactly one successful execution (the first); the third never ran.
   EXPECT_EQ(d_.host().executed_count(), executed_before + 1);
-  EXPECT_EQ(d_.relayer().failed_sequences(), 1u);
+  EXPECT_EQ(d_.relayer().pipeline().sequences_failed(), 1u);
 }
 
 TEST_F(RelayerUnit, ChunkedCallSplitsLargePayloads) {

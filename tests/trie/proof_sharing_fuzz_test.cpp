@@ -39,9 +39,9 @@ Bytes seq_key(std::uint64_t tag, std::uint64_t seq) {
   return e.take();
 }
 
-class PagedProofFuzz : public ::testing::TestWithParam<std::uint64_t> {};
+class ProofSharingFuzz : public ::testing::TestWithParam<std::uint64_t> {};
 
-TEST_P(PagedProofFuzz, ProofsVerifyAcrossPageSplits) {
+TEST_P(ProofSharingFuzz, ProofsVerifyFromEverySnapshot) {
   // A snapshot of every step stays alive, so each step's inserts copy
   // the spines they touch; every older snapshot keeps proving its own
   // keys at its own root.
@@ -81,7 +81,7 @@ TEST_P(PagedProofFuzz, ProofsVerifyAcrossPageSplits) {
   }
 }
 
-TEST_P(PagedProofFuzz, SealedRegionEdgesStayProvable) {
+TEST_P(ProofSharingFuzz, SealedRegionEdgesStayProvable) {
   // Monotonic subspace churn: sealing frees the nodes behind the
   // window while neighbouring (unsealed) entries keep proving.  This
   // is the sealed-region *edge* case — the proof path touches branches
@@ -124,7 +124,7 @@ TEST_P(PagedProofFuzz, SealedRegionEdgesStayProvable) {
   }
 }
 
-TEST_P(PagedProofFuzz, SnapshotAndLiveDivergenceKeepsBothProvable) {
+TEST_P(ProofSharingFuzz, SnapshotAndLiveDivergenceKeepsBothProvable) {
   Rng rng(GetParam() * 31 + 5);
   SealableTrie t;
   for (std::uint64_t i = 0; i < 80; ++i) t.set(key_of(i), val(i));
@@ -166,7 +166,7 @@ TEST_P(PagedProofFuzz, SnapshotAndLiveDivergenceKeepsBothProvable) {
   }
 }
 
-TEST_P(PagedProofFuzz, SerializedProofsRejectTruncationAndBitFlips) {
+TEST_P(ProofSharingFuzz, SerializedProofsRejectTruncationAndBitFlips) {
   Rng rng(GetParam() * 131 + 17);
   SealableTrie t;
   for (std::uint64_t i = 0; i < 128; ++i) t.set(key_of(i), val(i));
@@ -214,7 +214,7 @@ TEST_P(PagedProofFuzz, SerializedProofsRejectTruncationAndBitFlips) {
   }
 }
 
-TEST_P(PagedProofFuzz, SharingHistoriesAgreeByteForByte) {
+TEST_P(ProofSharingFuzz, SharingHistoriesAgreeByteForByte) {
   // The same operations on three tries that share nodes differently:
   // a plain trie; one snapshotted after every operation, so every
   // write copies a path; and one replaced by its own clone every 20
@@ -265,7 +265,7 @@ TEST_P(PagedProofFuzz, SharingHistoriesAgreeByteForByte) {
   ASSERT_EQ(cloned.stats(), plain.stats());
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, PagedProofFuzz, ::testing::Values(11, 22, 33, 44));
+INSTANTIATE_TEST_SUITE_P(Seeds, ProofSharingFuzz, ::testing::Values(11, 22, 33, 44));
 
 }  // namespace
 }  // namespace bmg::trie

@@ -137,12 +137,10 @@ TEST_P(TrieModelTest, LongRandomRunAgreesWithModel) {
   run_long_random_model(GetParam(), trie, false);
 }
 
-TEST_P(TrieModelTest, LongRandomRunAgreesWithModelTinyPages) {
+TEST_P(TrieModelTest, LongRandomRunAgreesWithModelWithSharedNodes) {
   // Same model sweep while snapshots and clones share the trie's
   // nodes, so nearly every write copies a path.  It must agree with
-  // the model and end on the plain run's root and counters.  (The
-  // name dates from the paged node store, when this variant ran on
-  // 1 KiB pages.)
+  // the model and end on the plain run's root and counters.
   SealableTrie shared, plain;
   run_long_random_model(GetParam(), shared, true);
   run_long_random_model(GetParam(), plain, false);
