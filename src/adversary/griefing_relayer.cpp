@@ -5,6 +5,7 @@
 #include "guest/instructions.hpp"
 #include "ibc/commitment.hpp"
 #include "trie/node.hpp"
+#include "trie/snapshot.hpp"
 #include "trie/trie.hpp"
 
 namespace bmg::adversary {
@@ -120,6 +121,7 @@ void GriefingRelayerAgent::try_clobber(double t) {
 void GriefingRelayerAgent::scan_front_run_targets(double /*t*/, double delay_s) {
   const ibc::Height gh = contract_.counterparty_client().latest_height();
   if (gh == 0) return;
+  const trie::TrieSnapshot snap = cp_.snapshot_at(gh);
   for (const auto& [port, chan] : cp_.ibc().channels()) {
     if (port != "transfer") continue;
     for (const std::uint64_t seq : cp_.ibc().pending_send_sequences(port, chan)) {
@@ -137,14 +139,7 @@ void GriefingRelayerAgent::scan_front_run_targets(double /*t*/, double delay_s) 
       // caught up past the commitment.
       const auto key =
           ibc::packet_key(ibc::KeyKind::kPacketCommitment, port, chan, seq);
-      bool provable = false;
-      try {
-        const trie::Proof proof = cp_.prove_at(gh, key);
-        provable = trie::verify_proof(cp_.header_at(gh).header.state_root, key,
-                                      proof).kind == trie::VerifyOutcome::Kind::kFound;
-      } catch (const std::exception&) {
-      }
-      if (!provable) continue;
+      if (!snap.valid() || snap.get(key) != trie::Lookup::kFound) continue;
       handled_.insert(seq);
       front_run(*p, delay_s);
     }
@@ -202,19 +197,13 @@ void GriefingRelayerAgent::release_ack(const Withheld& w) {
   }
   const auto key = ibc::packet_key(ibc::KeyKind::kPacketAck, p.dest_port,
                                    p.dest_channel, p.sequence);
-  bool provable = false;
-  trie::Proof proof;
-  try {
-    proof = contract_.prove_at(gh, key);
-    provable = trie::verify_proof(contract_.block_at(gh).header.state_root, key,
-                                  proof).kind == trie::VerifyOutcome::Kind::kFound;
-  } catch (const std::exception&) {
-  }
+  const trie::TrieSnapshot snap = contract_.snapshot_at(gh);
   const auto ack = contract_.ibc().ack_for(p.dest_port, p.dest_channel, p.sequence);
-  if (!provable || !ack) {
+  if (!snap.valid() || snap.get(key) != trie::Lookup::kFound || !ack) {
     withheld_pending_requeue_.push_back(Withheld{p, sim_.now() + kPollS});
     return;
   }
+  const trie::Proof proof = snap.prove(key);
   // The counterparty's guest client may not know this height yet (the
   // honest relayer only pushes headers it has relay duty for).
   try {

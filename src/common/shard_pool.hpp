@@ -5,9 +5,9 @@
 // simulation (scheduler, chains, agents, RNG streams) and shares no
 // mutable state with any other cell.  The shard pool runs those cells
 // on persistent worker threads, one whole simulation per cell, and
-// each cell runs every kernel (batch verify, batch SHA-256, trie
-// commit, batch proving) serially on its worker.  Worker count comes
-// from BMG_SHARD_WORKERS / --shard-workers.
+// each cell runs every kernel (signing, batch verify, trie commit,
+// proving) serially on its worker.  Worker count comes from
+// BMG_SHARD_WORKERS / --shard-workers.
 //
 // Determinism.  Cells are dealt out of an atomic counter (which
 // *worker* runs which cell is the only scheduling freedom), every cell

@@ -7,6 +7,12 @@
 
 namespace bmg::counterparty {
 
+namespace {
+/// Every counterparty validator carries the same stake, so quorum is a
+/// head count.
+constexpr std::uint64_t kStakePerValidator = 1'000;
+}  // namespace
+
 CounterpartyChain::CounterpartyChain(sim::Simulation& sim, Rng rng, Config cfg)
     : sim_(sim),
       rng_(rng),
@@ -16,7 +22,7 @@ CounterpartyChain::CounterpartyChain(sim::Simulation& sim, Rng rng, Config cfg)
   for (int i = 0; i < cfg_.num_validators; ++i) {
     validator_keys_.push_back(
         crypto::PrivateKey::from_label(cfg_.chain_id + "-validator-" + std::to_string(i)));
-    validator_set_.add(validator_keys_.back().public_key(), cfg_.stake_per_validator);
+    validator_set_.add(validator_keys_.back().public_key(), kStakePerValidator);
   }
 
   module_.set_self_identity(cfg_.chain_id, [this] { return validator_set_.hash(); });

@@ -34,7 +34,6 @@ struct Config {
   /// Validator-set size; drives commit size and therefore the cost and
   /// latency of light client updates on the host.
   int num_validators = 60;
-  std::uint64_t stake_per_validator = 1'000;
   /// Number of non-IBC key-value pairs seeded into the provable store.
   /// A real Cosmos chain's state is dominated by application data, so
   /// IBC membership proofs are several levels deep (~2 KB) — which is

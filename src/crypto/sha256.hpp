@@ -35,7 +35,8 @@ class Sha256 {
 [[nodiscard]] Hash32 sha256_pair(const Hash32& a, const Hash32& b) noexcept;
 
 /// Hashes `n` independent messages into `out[0..n)`, each with
-/// `Sha256::digest`.
+/// `Sha256::digest`.  No library code calls it; it stays while
+/// perfbench wraps it by its mangled name.
 void sha256_batch(const ByteView* msgs, std::size_t n, Hash32* out);
 
 /// Testing/benchmark hooks: force a specific backend.  Throws

@@ -16,20 +16,28 @@ constexpr std::uint64_t kCuSignOps = 25'000;
 constexpr std::uint64_t kCuSendPacket = 60'000;
 constexpr std::uint64_t kCuRecvBase = 90'000;
 constexpr std::uint64_t kCuStakeOps = 15'000;
+
+/// Least stake that makes a candidate eligible for the validator set.
+constexpr std::uint64_t kMinStakeLamports = 1;
+/// collect_fees() of Alg. 1 — flat guest-layer fee per sent packet.
+constexpr std::uint64_t kSendFeeLamports = 50'000;
+/// Share of slashed stake awarded to the reporting fisherman.
+constexpr double kSlashReporterFraction = 0.5;
 }  // namespace
 
 GuestContract::GuestContract(GuestConfig cfg,
                              std::vector<ibc::ValidatorInfo> genesis_validators,
+                             std::string counterparty_chain_id,
                              ibc::ValidatorSet counterparty_validators)
     : cfg_(std::move(cfg)),
-      module_(store_, cfg_.ack_seal_lag),
+      module_(store_),
       transfer_(module_, bank_, "transfer"),
       treasury_(crypto::PrivateKey::from_label(cfg_.chain_id + ":treasury").public_key()),
       vault_(crypto::PrivateKey::from_label(cfg_.chain_id + ":stake-vault").public_key()),
       burn_(crypto::PrivateKey::from_label(cfg_.chain_id + ":burn").public_key()) {
   // Light client of the counterparty, embedded in the contract.
   auto client = std::make_unique<ibc::QuorumLightClient>(
-      cfg_.counterparty_chain_id, std::move(counterparty_validators));
+      std::move(counterparty_chain_id), std::move(counterparty_validators));
   counterparty_client_ = client.get();
   counterparty_client_id_ = module_.add_client(std::move(client));
   module_.set_self_identity(cfg_.chain_id, [this] { return epoch_->hash(); });
@@ -99,43 +107,51 @@ void GuestContract::execute(host::TxContext& ctx, ByteView instruction_data) {
   if (terminated_) throw host::TxError("guest: chain has self-destructed");
   Decoder d(instruction_data);
   const auto op = static_cast<Op>(d.u8());
-  switch (op) {
-    case Op::kGenerateBlock:
-      return op_generate_block(ctx);
-    case Op::kSign:
-      return op_sign(ctx, d);
-    case Op::kSendPacket:
-      return op_send_packet(ctx, d);
-    case Op::kSendTransfer:
-      return op_send_transfer(ctx, d);
-    case Op::kChunkUpload:
-      return op_chunk_upload(ctx, d);
-    case Op::kReceivePacket:
-      return op_receive_packet(ctx, d);
-    case Op::kAcknowledgePacket:
-      return op_acknowledge_packet(ctx, d);
-    case Op::kTimeoutPacket:
-      return op_timeout_packet(ctx, d);
-    case Op::kBeginClientUpdate:
-      return op_begin_client_update(ctx, d);
-    case Op::kVerifyUpdateSignatures:
-      return op_verify_update_signatures(ctx);
-    case Op::kFinishClientUpdate:
-      return op_finish_client_update(ctx);
-    case Op::kStake:
-      return op_stake(ctx, d);
-    case Op::kUnstake:
-      return op_unstake(ctx, d);
-    case Op::kWithdrawStake:
-      return op_withdraw_stake(ctx);
-    case Op::kSubmitEvidence:
-      return op_submit_evidence(ctx, d);
-    case Op::kHandshake:
-      return op_handshake(ctx, d);
-    case Op::kFreezeClient:
-      return op_freeze_client(ctx, d);
-    case Op::kSelfDestruct:
-      return op_self_destruct(ctx);
+  // The one place an IBC or trie library error becomes a failed
+  // transaction.
+  try {
+    switch (op) {
+      case Op::kGenerateBlock:
+        return op_generate_block(ctx);
+      case Op::kSign:
+        return op_sign(ctx, d);
+      case Op::kSendPacket:
+        return op_send_packet(ctx, d);
+      case Op::kSendTransfer:
+        return op_send_transfer(ctx, d);
+      case Op::kChunkUpload:
+        return op_chunk_upload(ctx, d);
+      case Op::kReceivePacket:
+        return op_receive_packet(ctx, d);
+      case Op::kAcknowledgePacket:
+        return op_acknowledge_packet(ctx, d);
+      case Op::kTimeoutPacket:
+        return op_timeout_packet(ctx, d);
+      case Op::kBeginClientUpdate:
+        return op_begin_client_update(ctx, d);
+      case Op::kVerifyUpdateSignatures:
+        return op_verify_update_signatures(ctx);
+      case Op::kFinishClientUpdate:
+        return op_finish_client_update(ctx);
+      case Op::kStake:
+        return op_stake(ctx, d);
+      case Op::kUnstake:
+        return op_unstake(ctx, d);
+      case Op::kWithdrawStake:
+        return op_withdraw_stake(ctx);
+      case Op::kSubmitEvidence:
+        return op_submit_evidence(ctx, d);
+      case Op::kHandshake:
+        return op_handshake(ctx, d);
+      case Op::kFreezeClient:
+        return op_freeze_client(ctx, d);
+      case Op::kSelfDestruct:
+        return op_self_destruct(ctx);
+    }
+  } catch (const ibc::IbcError& e) {
+    throw host::TxError(e.what());
+  } catch (const trie::TrieError& e) {
+    throw host::TxError(e.what());
   }
   throw host::TxError("guest: unknown instruction");
 }
@@ -145,7 +161,7 @@ void GuestContract::execute(host::TxContext& ctx, ByteView instruction_data) {
 ibc::ValidatorSet GuestContract::select_validators() const {
   std::vector<ibc::ValidatorInfo> sorted;
   for (const auto& [key, cand] : candidates_) {
-    if (cand.stake >= cfg_.min_stake_lamports && banned_.count(key) == 0)
+    if (cand.stake >= kMinStakeLamports && banned_.count(key) == 0)
       sorted.push_back({key, cand.stake});
   }
   std::sort(sorted.begin(), sorted.end(), [](const auto& a, const auto& b) {
@@ -278,8 +294,8 @@ void GuestContract::op_sign(host::TxContext& ctx, Decoder& d) {
 // --- packet flow ----------------------------------------------------------------
 
 void GuestContract::collect_send_fee(host::TxContext& ctx) {
-  ctx.transfer_from_payer(treasury_, cfg_.send_fee_lamports);
-  fees_collected_ += cfg_.send_fee_lamports;
+  ctx.transfer_from_payer(treasury_, kSendFeeLamports);
+  fees_collected_ += kSendFeeLamports;
 }
 
 void GuestContract::record_sent_packet(host::TxContext& ctx, const ibc::Packet& packet) {
@@ -297,13 +313,8 @@ void GuestContract::op_send_packet(host::TxContext& ctx, Decoder& d) {
   Bytes data = d.bytes();
   const ibc::Height timeout_height = d.u64();
   const auto timeout_ts = static_cast<double>(d.u64()) / 1e6;
-  try {
-    const ibc::Packet packet =
-        module_.send_packet(port, channel, std::move(data), timeout_height, timeout_ts);
-    record_sent_packet(ctx, packet);
-  } catch (const ibc::IbcError& e) {
-    throw host::TxError(e.what());
-  }
+  record_sent_packet(
+      ctx, module_.send_packet(port, channel, std::move(data), timeout_height, timeout_ts));
 }
 
 void GuestContract::op_send_transfer(host::TxContext& ctx, Decoder& d) {
@@ -316,13 +327,8 @@ void GuestContract::op_send_transfer(host::TxContext& ctx, Decoder& d) {
   const std::string receiver = d.str();
   const ibc::Height timeout_height = d.u64();
   const auto timeout_ts = static_cast<double>(d.u64()) / 1e6;
-  try {
-    const ibc::Packet packet = transfer_.send_transfer(channel, denom, amount, sender,
-                                                       receiver, timeout_height, timeout_ts);
-    record_sent_packet(ctx, packet);
-  } catch (const ibc::IbcError& e) {
-    throw host::TxError(e.what());
-  }
+  record_sent_packet(ctx, transfer_.send_transfer(channel, denom, amount, sender, receiver,
+                                                  timeout_height, timeout_ts));
 }
 
 Bytes GuestContract::take_buffer(host::TxContext& ctx, std::uint64_t buffer_id) {
@@ -356,14 +362,8 @@ void GuestContract::op_receive_packet(host::TxContext& ctx, Decoder& d) {
   // Proof verification is a chain of sha256 syscalls on Solana.
   ctx.consume_cu(kCuRecvBase + 2 * static_cast<std::uint64_t>(p.proof.byte_size()));
 
-  try {
-    (void)module_.recv_packet(packet, p.proof_height, p.proof, head().header.height + 1,
-                              ctx.time());
-  } catch (const ibc::IbcError& e) {
-    throw host::TxError(e.what());
-  } catch (const trie::TrieError& e) {
-    throw host::TxError(e.what());
-  }
+  (void)module_.recv_packet(packet, p.proof_height, p.proof, head().header.height + 1,
+                            ctx.time());
   Encoder ev(8);
   ev.u64(packet.sequence);
   ctx.emit_event(kEvPacketReceived, ev.take());
@@ -373,26 +373,14 @@ void GuestContract::op_acknowledge_packet(host::TxContext& ctx, Decoder& d) {
   const Bytes blob = take_buffer(ctx, d.u64());
   const ix::PacketProof p = ix::decode_packet_proof(blob, /*with_ack=*/true);
   ctx.consume_cu(kCuRecvBase + 2 * static_cast<std::uint64_t>(p.proof.byte_size()));
-  try {
-    module_.acknowledge_packet(p.packet, *p.ack, p.proof_height, p.proof);
-  } catch (const ibc::IbcError& e) {
-    throw host::TxError(e.what());
-  } catch (const trie::TrieError& e) {
-    throw host::TxError(e.what());
-  }
+  module_.acknowledge_packet(p.packet, *p.ack, p.proof_height, p.proof);
 }
 
 void GuestContract::op_timeout_packet(host::TxContext& ctx, Decoder& d) {
   const Bytes blob = take_buffer(ctx, d.u64());
   const ix::PacketProof p = ix::decode_packet_proof(blob, /*with_ack=*/false);
   ctx.consume_cu(kCuRecvBase + 2 * static_cast<std::uint64_t>(p.proof.byte_size()));
-  try {
-    module_.timeout_packet(p.packet, p.proof_height, p.proof);
-  } catch (const ibc::IbcError& e) {
-    throw host::TxError(e.what());
-  } catch (const trie::TrieError& e) {
-    throw host::TxError(e.what());
-  }
+  module_.timeout_packet(p.packet, p.proof_height, p.proof);
 }
 
 // --- chunked light client updates -------------------------------------------------
@@ -405,7 +393,7 @@ void GuestContract::op_begin_client_update(host::TxContext& ctx, Decoder& d) {
   upd.header = std::move(u.header);
   upd.next_validators = std::move(u.next_validators);
 
-  if (upd.header.chain_id != cfg_.counterparty_chain_id)
+  if (upd.header.chain_id != counterparty_client_->chain_id())
     throw host::TxError("client_update: wrong chain id");
   if (upd.header.height <= counterparty_client_->latest_height())
     throw host::TxError("client_update: stale header");
@@ -450,11 +438,7 @@ void GuestContract::op_finish_client_update(host::TxContext& ctx) {
   ibc::SignedQuorumHeader sh;
   sh.header = pending_update_->header;
   sh.next_validators = pending_update_->next_validators;
-  try {
-    counterparty_client_->accept_verified(sh);
-  } catch (const ibc::IbcError& e) {
-    throw host::TxError(e.what());
-  }
+  counterparty_client_->accept_verified(sh);
   module_.refresh_client_state(counterparty_client_id_);
   last_client_update_time_ = ctx.time();
   pending_update_.reset();
@@ -508,8 +492,7 @@ void GuestContract::slash(host::TxContext& ctx, const crypto::PublicKey& offende
   const std::uint64_t backed = std::min<std::uint64_t>(stake, ctx.balance(vault_));
   std::uint64_t reward = 0;
   if (backed > 0) {
-    reward = static_cast<std::uint64_t>(static_cast<double>(backed) *
-                                        cfg_.slash_reporter_fraction);
+    reward = static_cast<std::uint64_t>(static_cast<double>(backed) * kSlashReporterFraction);
     if (reward > 0) ctx.transfer(vault_, ctx.payer(), reward);
     if (backed > reward) ctx.transfer(vault_, burn_, backed - reward);
   }
@@ -575,115 +558,111 @@ void GuestContract::op_handshake(host::TxContext& ctx, Decoder& d) {
   ctx.consume_cu(40'000 + blob.size());
   Decoder b(blob);
   const auto op = static_cast<HandshakeOp>(b.u8());
-  try {
-    switch (op) {
-      case HandshakeOp::kConnOpenInit: {
-        const ibc::ClientId client = b.str();
-        const ibc::ClientId counterparty_client = b.str();
-        b.expect_done();
-        const ibc::ConnectionId id = module_.conn_open_init(client, counterparty_client);
-        ctx.emit_event("ConnOpenInit", bytes_of(id));
-        return;
-      }
-      case HandshakeOp::kConnOpenTry: {
-        const ibc::ClientId client = b.str();
-        const ibc::ClientId counterparty_client = b.str();
-        const ibc::ConnectionId counterparty_conn = b.str();
-        const auto end = ibc::ConnectionEnd::decode(b.bytes());
-        const ibc::Height h = b.u64();
-        const auto proof = trie::Proof::deserialize(b.bytes());
-        std::optional<ibc::ClientStateCommitment> client_state;
-        trie::Proof client_proof;
-        if (b.boolean()) {
-          client_state = ibc::ClientStateCommitment::decode(b.bytes());
-          client_proof = trie::Proof::deserialize(b.bytes());
-        }
-        b.expect_done();
-        const ibc::ConnectionId id =
-            module_.conn_open_try(client, counterparty_client, counterparty_conn, end,
-                                  h, proof, client_state, client_proof);
-        ctx.emit_event("ConnOpenTry", bytes_of(id));
-        return;
-      }
-      case HandshakeOp::kConnOpenAck: {
-        const ibc::ConnectionId conn = b.str();
-        const ibc::ConnectionId counterparty_conn = b.str();
-        const auto end = ibc::ConnectionEnd::decode(b.bytes());
-        const ibc::Height h = b.u64();
-        const auto proof = trie::Proof::deserialize(b.bytes());
-        std::optional<ibc::ClientStateCommitment> client_state;
-        trie::Proof client_proof;
-        if (b.boolean()) {
-          client_state = ibc::ClientStateCommitment::decode(b.bytes());
-          client_proof = trie::Proof::deserialize(b.bytes());
-        }
-        b.expect_done();
-        module_.conn_open_ack(conn, counterparty_conn, end, h, proof, client_state,
-                              client_proof);
-        return;
-      }
-      case HandshakeOp::kConnOpenConfirm: {
-        const ibc::ConnectionId conn = b.str();
-        const auto end = ibc::ConnectionEnd::decode(b.bytes());
-        const ibc::Height h = b.u64();
-        const auto proof = trie::Proof::deserialize(b.bytes());
-        b.expect_done();
-        module_.conn_open_confirm(conn, end, h, proof);
-        return;
-      }
-      case HandshakeOp::kChanOpenInit: {
-        const ibc::PortId port = b.str();
-        const ibc::ConnectionId conn = b.str();
-        const ibc::PortId cp_port = b.str();
-        if (b.u8() != ibc::kUnorderedChannel)
-          throw host::TxError("handshake: only unordered channels are supported");
-        b.expect_done();
-        const ibc::ChannelId id = module_.chan_open_init(port, conn, cp_port);
-        ctx.emit_event("ChanOpenInit", bytes_of(id));
-        return;
-      }
-      case HandshakeOp::kChanOpenTry: {
-        const ibc::PortId port = b.str();
-        const ibc::ConnectionId conn = b.str();
-        const ibc::PortId cp_port = b.str();
-        const ibc::ChannelId cp_chan = b.str();
-        const auto end = ibc::ChannelEnd::decode(b.bytes());
-        const ibc::Height h = b.u64();
-        const auto proof = trie::Proof::deserialize(b.bytes());
-        if (b.u8() != ibc::kUnorderedChannel)
-          throw host::TxError("handshake: only unordered channels are supported");
-        b.expect_done();
-        const ibc::ChannelId id =
-            module_.chan_open_try(port, conn, cp_port, cp_chan, end, h, proof);
-        ctx.emit_event("ChanOpenTry", bytes_of(id));
-        return;
-      }
-      case HandshakeOp::kChanOpenAck: {
-        const ibc::PortId port = b.str();
-        const ibc::ChannelId chan = b.str();
-        const ibc::ChannelId cp_chan = b.str();
-        const auto end = ibc::ChannelEnd::decode(b.bytes());
-        const ibc::Height h = b.u64();
-        const auto proof = trie::Proof::deserialize(b.bytes());
-        b.expect_done();
-        module_.chan_open_ack(port, chan, cp_chan, end, h, proof);
-        return;
-      }
-      case HandshakeOp::kChanOpenConfirm: {
-        const ibc::PortId port = b.str();
-        const ibc::ChannelId chan = b.str();
-        const auto end = ibc::ChannelEnd::decode(b.bytes());
-        const ibc::Height h = b.u64();
-        const auto proof = trie::Proof::deserialize(b.bytes());
-        b.expect_done();
-        module_.chan_open_confirm(port, chan, end, h, proof);
-        return;
-      }
+  switch (op) {
+    case HandshakeOp::kConnOpenInit: {
+      const ibc::ClientId client = b.str();
+      const ibc::ClientId counterparty_client = b.str();
+      b.expect_done();
+      const ibc::ConnectionId id = module_.conn_open_init(client, counterparty_client);
+      ctx.emit_event("ConnOpenInit", bytes_of(id));
+      return;
     }
-    throw host::TxError("handshake: unknown sub-operation");
-  } catch (const ibc::IbcError& e) {
-    throw host::TxError(e.what());
+    case HandshakeOp::kConnOpenTry: {
+      const ibc::ClientId client = b.str();
+      const ibc::ClientId counterparty_client = b.str();
+      const ibc::ConnectionId counterparty_conn = b.str();
+      const auto end = ibc::ConnectionEnd::decode(b.bytes());
+      const ibc::Height h = b.u64();
+      const auto proof = trie::Proof::deserialize(b.bytes());
+      std::optional<ibc::ClientStateCommitment> client_state;
+      trie::Proof client_proof;
+      if (b.boolean()) {
+        client_state = ibc::ClientStateCommitment::decode(b.bytes());
+        client_proof = trie::Proof::deserialize(b.bytes());
+      }
+      b.expect_done();
+      const ibc::ConnectionId id =
+          module_.conn_open_try(client, counterparty_client, counterparty_conn, end,
+                                h, proof, client_state, client_proof);
+      ctx.emit_event("ConnOpenTry", bytes_of(id));
+      return;
+    }
+    case HandshakeOp::kConnOpenAck: {
+      const ibc::ConnectionId conn = b.str();
+      const ibc::ConnectionId counterparty_conn = b.str();
+      const auto end = ibc::ConnectionEnd::decode(b.bytes());
+      const ibc::Height h = b.u64();
+      const auto proof = trie::Proof::deserialize(b.bytes());
+      std::optional<ibc::ClientStateCommitment> client_state;
+      trie::Proof client_proof;
+      if (b.boolean()) {
+        client_state = ibc::ClientStateCommitment::decode(b.bytes());
+        client_proof = trie::Proof::deserialize(b.bytes());
+      }
+      b.expect_done();
+      module_.conn_open_ack(conn, counterparty_conn, end, h, proof, client_state,
+                            client_proof);
+      return;
+    }
+    case HandshakeOp::kConnOpenConfirm: {
+      const ibc::ConnectionId conn = b.str();
+      const auto end = ibc::ConnectionEnd::decode(b.bytes());
+      const ibc::Height h = b.u64();
+      const auto proof = trie::Proof::deserialize(b.bytes());
+      b.expect_done();
+      module_.conn_open_confirm(conn, end, h, proof);
+      return;
+    }
+    case HandshakeOp::kChanOpenInit: {
+      const ibc::PortId port = b.str();
+      const ibc::ConnectionId conn = b.str();
+      const ibc::PortId cp_port = b.str();
+      if (b.u8() != ibc::kUnorderedChannel)
+        throw host::TxError("handshake: only unordered channels are supported");
+      b.expect_done();
+      const ibc::ChannelId id = module_.chan_open_init(port, conn, cp_port);
+      ctx.emit_event("ChanOpenInit", bytes_of(id));
+      return;
+    }
+    case HandshakeOp::kChanOpenTry: {
+      const ibc::PortId port = b.str();
+      const ibc::ConnectionId conn = b.str();
+      const ibc::PortId cp_port = b.str();
+      const ibc::ChannelId cp_chan = b.str();
+      const auto end = ibc::ChannelEnd::decode(b.bytes());
+      const ibc::Height h = b.u64();
+      const auto proof = trie::Proof::deserialize(b.bytes());
+      if (b.u8() != ibc::kUnorderedChannel)
+        throw host::TxError("handshake: only unordered channels are supported");
+      b.expect_done();
+      const ibc::ChannelId id =
+          module_.chan_open_try(port, conn, cp_port, cp_chan, end, h, proof);
+      ctx.emit_event("ChanOpenTry", bytes_of(id));
+      return;
+    }
+    case HandshakeOp::kChanOpenAck: {
+      const ibc::PortId port = b.str();
+      const ibc::ChannelId chan = b.str();
+      const ibc::ChannelId cp_chan = b.str();
+      const auto end = ibc::ChannelEnd::decode(b.bytes());
+      const ibc::Height h = b.u64();
+      const auto proof = trie::Proof::deserialize(b.bytes());
+      b.expect_done();
+      module_.chan_open_ack(port, chan, cp_chan, end, h, proof);
+      return;
+    }
+    case HandshakeOp::kChanOpenConfirm: {
+      const ibc::PortId port = b.str();
+      const ibc::ChannelId chan = b.str();
+      const auto end = ibc::ChannelEnd::decode(b.bytes());
+      const ibc::Height h = b.u64();
+      const auto proof = trie::Proof::deserialize(b.bytes());
+      b.expect_done();
+      module_.chan_open_confirm(port, chan, end, h, proof);
+      return;
+    }
   }
+  throw host::TxError("handshake: unknown sub-operation");
 }
 
 void GuestContract::op_freeze_client(host::TxContext& ctx, Decoder& d) {
@@ -696,11 +675,7 @@ void GuestContract::op_freeze_client(host::TxContext& ctx, Decoder& d) {
   const auto ha = ibc::SignedQuorumHeader::decode(b.bytes());
   const auto hb = ibc::SignedQuorumHeader::decode(b.bytes());
   b.expect_done();
-  try {
-    counterparty_client_->submit_misbehaviour(ha, hb);
-  } catch (const ibc::IbcError& e) {
-    throw host::TxError(e.what());
-  }
+  counterparty_client_->submit_misbehaviour(ha, hb);
   ctx.emit_event("ClientFrozen", {});
 }
 

@@ -31,26 +31,19 @@ namespace bmg::guest {
 
 struct GuestConfig {
   std::string chain_id = "guest-1";
-  std::string counterparty_chain_id = "picasso-1";
   /// Δ — maximum age before an empty block is generated (paper: 1 h).
   double delta_seconds = 3600.0;
   /// Epoch length in host slots (paper: 100k slots ≈ 12 h).
   std::uint64_t epoch_length_host_slots = 100'000;
   /// Validator-set size cap (paper's deployment had 24).
   std::size_t max_validators = 24;
-  std::uint64_t min_stake_lamports = 1;
   /// Stake held after exit (paper: one week).
   double unstake_hold_seconds = 7.0 * 24 * 3600;
-  /// collect_fees() of Alg. 1 — flat guest-layer fee per sent packet.
-  std::uint64_t send_fee_lamports = 50'000;
-  /// Share of slashed stake awarded to the reporting fisherman.
-  double slash_reporter_fraction = 0.5;
   /// Share of the treasury (accumulated send fees) paid out to a
   /// block's signers when it finalises, split pro rata by stake.  The
   /// paper's deployment lacked automatic rewards (§V-C) and attributes
   /// validator disengagement to it; this completes the incentive loop.
   double signer_reward_fraction = 0.0;
-  std::uint64_t ack_seal_lag = 64;
   /// §VI-C: minimum host-time between accepted counterparty light
   /// client updates (0 disables).  Rate limiting gives honest actors
   /// time to react to a counterparty compromise.
@@ -68,7 +61,10 @@ struct GuestConfig {
 
 class GuestContract final : public host::Program {
  public:
+  /// The embedded counterparty light client tracks
+  /// `counterparty_chain_id` from `counterparty_validators`.
   GuestContract(GuestConfig cfg, std::vector<ibc::ValidatorInfo> genesis_validators,
+                std::string counterparty_chain_id,
                 ibc::ValidatorSet counterparty_validators);
   ~GuestContract() override;
 
@@ -114,8 +110,8 @@ class GuestContract final : public host::Program {
 
   /// The immutable state snapshot published with the block at `h`
   /// (what prove_at proves against); an invalid snapshot once pruned.
-  /// Relayers hold these to batch proof generation off-thread while
-  /// the contract commits the next block.
+  /// Relayers hold one to test and prove a block's keys after the
+  /// contract has committed (and pruned) past it.
   [[nodiscard]] trie::TrieSnapshot snapshot_at(ibc::Height h) const;
 
   /// §VI-A: true once the contract has self-destructed.

@@ -5,6 +5,12 @@
 
 namespace bmg::host {
 
+namespace {
+/// Seed of the dedicated RNG stream for reorg trigger/depth/survival
+/// draws, so arming forks never perturbs the inclusion or fault streams.
+constexpr std::uint64_t kReorgSeed = 0x4E0'26F0'5CA1'D21Bull;
+}  // namespace
+
 void TxContext::emit_event(std::string name, Bytes data) {
   chain_.tx_event_buffer_.push_back(
       Event{slot_, time_, /*program=*/"", std::move(name), std::move(data)});
@@ -32,7 +38,7 @@ Chain::Chain(sim::Simulation& sim, Rng rng, ChainConfig cfg)
     : sim_(sim),
       rng_(rng),
       fault_rng_(cfg.fault_seed),
-      reorg_rng_(cfg.reorg_seed),
+      reorg_rng_(kReorgSeed),
       cfg_(std::move(cfg)) {}
 
 void Chain::register_program(const std::string& name, std::unique_ptr<Program> program) {
@@ -111,7 +117,7 @@ void Chain::submit(Transaction tx, ResultHandler on_result) {
   }
 
   // First slot at which the transaction is visible to block producers.
-  const double visible_at = sim_.now() + cfg_.mempool_latency_s;
+  const double visible_at = sim_.now() + kMempoolLatencySeconds;
   const auto first_slot =
       static_cast<std::uint64_t>(std::ceil(visible_at / cfg_.slot_seconds));
 
@@ -343,7 +349,7 @@ TxResult Chain::execute_tx_at(PendingTx& ptx, std::uint64_t slot, double time,
       Program& prog = program(ins.program);
       touched_program = ins.program;
       prog.execute(ctx, ins.data);
-      if (prog.account_bytes() > cfg_.max_account_size) throw AccountSizeExceeded();
+      if (prog.account_bytes() > kMaxAccountSize) throw AccountSizeExceeded();
     }
     res.success = true;
   } catch (const TxError& e) {

@@ -45,8 +45,6 @@ struct ChainConfig {
   double p_include_base = 0.55;
   double p_include_priority = 0.92;
   double p_include_bundle = 0.97;
-  /// Network propagation delay from submit to mempool visibility.
-  double mempool_latency_s = 0.15;
 
   // Host-chain parameters (defaults are Solana's — §IV).  The paper's
   // §VI-D argues the guest design ports to other hosts (TRON, NEAR);
@@ -55,7 +53,6 @@ struct ChainConfig {
   std::uint64_t max_compute_units = kMaxComputeUnits;
   std::uint64_t block_compute_units = kBlockComputeUnits;
   double slot_seconds = kSlotSeconds;
-  std::size_t max_account_size = kMaxAccountSize;
 
   /// Scheduled fault injection (empty = faithful chain, bit-identical
   /// to a chain built before faults existed).  Fault randomness draws
@@ -74,9 +71,6 @@ struct ChainConfig {
   /// Slots behind the optimistic tip at which a slot roots (becomes
   /// irreversible); bounds every reorg depth to rooted_lag_slots - 1.
   std::uint64_t rooted_lag_slots = 32;
-  /// Dedicated RNG stream for reorg trigger/depth/survival draws, so
-  /// arming forks never perturbs the inclusion or fault streams.
-  std::uint64_t reorg_seed = 0x4E0'26F0'5CA1'D21Bull;
 };
 
 class Chain {

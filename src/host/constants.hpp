@@ -25,6 +25,9 @@ inline constexpr std::size_t kMaxAccountSize = 10ull * 1024 * 1024;
 /// Slot (block) time in seconds — Solana's sub-second cadence.
 inline constexpr double kSlotSeconds = 0.4;
 
+/// Network propagation delay from submit to mempool visibility.
+inline constexpr double kMempoolLatencySeconds = 0.15;
+
 inline constexpr std::uint64_t kLamportsPerSol = 1'000'000'000ull;
 
 /// Evaluation's price assumption: 1 SOL = 200 USD (§V).

@@ -23,8 +23,7 @@ Hash32 ClientStateCommitment::commitment() const {
   return crypto::Sha256::digest(encode());
 }
 
-IbcModule::IbcModule(trie::SealableTrie& store, std::uint64_t ack_seal_lag)
-    : store_(store), ack_seal_lag_(ack_seal_lag) {}
+IbcModule::IbcModule(trie::SealableTrie& store) : store_(store) {}
 
 void IbcModule::set_self_identity(std::string chain_id,
                                   std::function<Hash32()> current_validator_set_hash) {
@@ -129,7 +128,6 @@ void IbcModule::store_channel(const PortId& port, const ChannelId& id,
   auto it = channels_.find({port, id});
   if (it == channels_.end()) {
     ChannelRecord rec;
-    rec.acks = SeqTracker(ack_seal_lag_);
     rec.end = end;
     channels_.emplace(std::make_pair(port, id), std::move(rec));
   } else {

@@ -57,12 +57,14 @@ struct ClientStateCommitment {
       default;
 };
 
+/// How many sequences behind the receipt watermark acknowledgement
+/// entries are sealed: they must stay provable until the relayer has
+/// shipped them to the counterparty.
+inline constexpr std::uint64_t kAckSealLag = 64;
+
 class IbcModule {
  public:
-  /// `ack_seal_lag`: how many sequences behind the receipt watermark
-  /// acknowledgement entries are sealed (they must stay provable until
-  /// the relayer has shipped them to the counterparty).
-  explicit IbcModule(trie::SealableTrie& store, std::uint64_t ack_seal_lag = 64);
+  explicit IbcModule(trie::SealableTrie& store);
 
   /// Declares this chain's own identity: its chain id and a getter
   /// for the hash of its *current* validator set.  Once set, incoming
@@ -233,7 +235,7 @@ class IbcModule {
     std::uint64_t next_send = 1;
     SeqTracker resolved_commitments;  ///< acked or timed-out outgoing packets
     SeqTracker receipts;              ///< delivered incoming packets
-    SeqTracker acks;                  ///< written acknowledgements (lagged sealing)
+    SeqTracker acks{kAckSealLag};     ///< written acknowledgements (lagged sealing)
   };
 
   [[nodiscard]] ChannelRecord& channel_record(const PortId& port, const ChannelId& id);
@@ -270,7 +272,6 @@ class IbcModule {
   std::function<Hash32()> self_validator_set_hash_;
 
   trie::SealableTrie& store_;
-  std::uint64_t ack_seal_lag_;
   std::function<void(const Packet&)> packet_listener_;
   std::map<ClientId, std::unique_ptr<LightClient>> clients_;
   std::map<ConnectionId, ConnectionEnd> connections_;

@@ -35,7 +35,6 @@ class CrashController {
   /// (crashing retroactively is meaningless).  Returns windows armed.
   std::size_t schedule(const host::FaultPlan& plan);
 
-  [[nodiscard]] std::size_t agent_count() const noexcept { return agents_.size(); }
   /// Total kill / restart actions actually applied to agents.
   [[nodiscard]] std::uint64_t crashes() const noexcept { return crashes_; }
   [[nodiscard]] std::uint64_t restarts() const noexcept { return restarts_; }

@@ -92,7 +92,7 @@ Deployment::Deployment(DeploymentConfig cfg)
   }
 
   auto contract = std::make_unique<guest::GuestContract>(cfg_.guest, genesis,
-                                                         cp_.validators());
+                                                         cp_.chain_id(), cp_.validators());
   guest_ = contract.get();
   host_.register_program(guest::kProgramName, std::move(contract));
 

@@ -86,44 +86,24 @@ void RelayerAgent::on_crash() {
 
 void RelayerAgent::on_restart() { resync(); }
 
-trie::Proof RelayerAgent::cp_proof(ibc::Height h, ByteView key) const {
-  const trie::TrieSnapshot snap = cp_.snapshot_at(h);
-  if (!snap.valid())
-    throw ibc::IbcError("relayer: no cp snapshot at height " + std::to_string(h));
-  return snap.prove(key);
-}
-
 ibc::Height RelayerAgent::cp_ready_height(ByteView key) const {
   const ibc::Height h = cp_.height();
   if (h == 0) return 1;
-  try {
-    const trie::Proof proof = cp_proof(h, key);
-    if (trie::verify_proof(cp_.header_at(h).header.state_root, key, proof).kind ==
-        trie::VerifyOutcome::Kind::kFound)
-      return h;
-  } catch (const std::exception&) {
-  }
-  return h + 1;
+  const trie::TrieSnapshot snap = cp_.snapshot_at(h);
+  return snap.valid() && snap.get(key) == trie::Lookup::kFound ? h : h + 1;
 }
 
 void RelayerAgent::redeliver_guest_packet_to_cp(const ibc::Packet& packet,
                                                 ibc::Height gh) {
   const auto key = ibc::packet_key(ibc::KeyKind::kPacketCommitment, packet.source_port,
                                    packet.source_channel, packet.sequence);
-  // One snapshot handle serves both the provability check here and the
+  // One snapshot handle serves both the membership check here and the
   // delivery proof in the deferred callback (the snapshot pins its
   // nodes, so the proof stays byte-identical even after pruning).
   const trie::TrieSnapshot snap = contract_.snapshot_at(gh);
-  bool provable = false;
-  try {
-    const trie::Proof proof = snap.prove(key);
-    provable = trie::verify_proof(contract_.block_at(gh).header.state_root, key,
-                                  proof).kind == trie::VerifyOutcome::Kind::kFound;
-  } catch (const std::exception&) {
-  }
   // Not yet committed in a finalised block: the normal FinalisedBlock
   // path will relay it once the block containing it finalises.
-  if (!provable) return;
+  if (!snap.valid() || snap.get(key) != trie::Lookup::kFound) return;
   push_guest_header_to_cp(gh, [this, gh, packet, snap] {
     const auto key = ibc::packet_key(ibc::KeyKind::kPacketCommitment,
                                      packet.source_port, packet.source_channel,
@@ -293,14 +273,7 @@ void RelayerAgent::on_guest_block_finalised(ibc::Height height) {
   for (const ibc::Packet& p : guest_acks_pending_) {
     const auto key = ibc::packet_key(ibc::KeyKind::kPacketAck, p.dest_port,
                                      p.dest_channel, p.sequence);
-    bool provable = false;
-    try {
-      const trie::Proof proof = snap.prove(key);
-      provable = trie::verify_proof(block.header.state_root, key, proof).kind ==
-                 trie::VerifyOutcome::Kind::kFound;
-    } catch (const trie::TrieError&) {
-      provable = false;
-    }
+    const bool provable = snap.valid() && snap.get(key) == trie::Lookup::kFound;
     (provable ? ready : still_pending).push_back(p);
   }
   guest_acks_pending_ = std::move(still_pending);
@@ -309,27 +282,13 @@ void RelayerAgent::on_guest_block_finalised(ibc::Height height) {
 
   push_guest_header_to_cp(height, [this, height, snap, ready = std::move(ready)] {
     const guest::GuestBlock& blk = contract_.block_at(height);
-    // Deliver the block's packets to the counterparty (Alg. 2, 7-10).
-    // Their commitment proofs are generated as one batch against the
-    // snapshot, sharded across the worker pool when it is free.
-    std::vector<Bytes> keys;
-    keys.reserve(blk.packets.size());
-    for (const ibc::Packet& packet : blk.packets)
-      keys.push_back(ibc::packet_key(ibc::KeyKind::kPacketCommitment,
-                                     packet.source_port, packet.source_channel,
-                                     packet.sequence)
-                         .to_bytes());
-    std::vector<trie::Proof> proofs;
-    try {
-      proofs = trie::ProofService::prove_batch(snap, keys);
-    } catch (const trie::TrieError&) {
-      proofs.clear();  // fall back to per-packet proving below
-    }
-    for (std::size_t i = 0; i < blk.packets.size(); ++i) {
-      const ibc::Packet& packet = blk.packets[i];
+    // Deliver the block's packets to the counterparty (Alg. 2, 7-10),
+    // each proven against the block's snapshot.
+    for (const ibc::Packet& packet : blk.packets) {
       try {
         const trie::Proof proof =
-            i < proofs.size() ? proofs[i] : snap.prove(keys[i]);
+            snap.prove(ibc::packet_key(ibc::KeyKind::kPacketCommitment, packet.source_port,
+                                       packet.source_channel, packet.sequence));
         const ibc::Acknowledgement ack = cp_.ibc().recv_packet(
             packet, height, proof, cp_.height(), cp_.now());
         ++to_cp_packets_;
@@ -421,7 +380,7 @@ void RelayerAgent::deliver_packet_to_guest(const ibc::Packet& packet,
                                            ibc::Height proof_height, SequenceDone done) {
   const auto key = ibc::packet_key(ibc::KeyKind::kPacketCommitment, packet.source_port,
                                    packet.source_channel, packet.sequence);
-  const trie::Proof proof = cp_proof(proof_height, key);
+  const trie::Proof proof = cp_.prove_at(proof_height, key);
   auto txs =
       staged_call(guest::ix::packet_proof_payload(packet, nullptr, proof_height, proof),
                   guest::ix::receive_packet, "recv-packet");
@@ -449,7 +408,7 @@ void RelayerAgent::deliver_ack_to_guest(const ibc::Packet& packet,
                                         ibc::Height proof_height, SequenceDone done) {
   const auto key = ibc::packet_key(ibc::KeyKind::kPacketAck, packet.dest_port,
                                    packet.dest_channel, packet.sequence);
-  const trie::Proof proof = cp_proof(proof_height, key);
+  const trie::Proof proof = cp_.prove_at(proof_height, key);
   auto txs = staged_call(guest::ix::packet_proof_payload(packet, &ack, proof_height, proof),
                          guest::ix::acknowledge_packet, "ack-packet");
   pipeline_.submit_sequence(
@@ -471,7 +430,7 @@ void RelayerAgent::deliver_timeout_to_guest(const ibc::Packet& packet,
                                             ibc::Height proof_height, SequenceDone done) {
   const auto key = ibc::packet_key(ibc::KeyKind::kPacketReceipt, packet.dest_port,
                                    packet.dest_channel, packet.sequence);
-  const trie::Proof proof = cp_proof(proof_height, key);
+  const trie::Proof proof = cp_.prove_at(proof_height, key);
   pipeline_.submit_sequence(
       staged_call(guest::ix::packet_proof_payload(packet, nullptr, proof_height, proof),
                   guest::ix::timeout_packet, "timeout-packet"),

@@ -139,12 +139,9 @@ class RelayerAgent final : public sim::CrashableAgent {
   void append_update_signatures(std::vector<host::Transaction>& txs,
                                 const ibc::SignedQuorumHeader& sh,
                                 const std::vector<crypto::PublicKey>& seen);
-  /// First cp height whose snapshot proves `key`: the latest block if
+  /// First cp height whose snapshot holds `key`: the latest block if
   /// it already does, else the next one.
   [[nodiscard]] ibc::Height cp_ready_height(ByteView key) const;
-  /// Proof for `key` from the cp snapshot at `h`; throws IbcError when
-  /// the snapshot has been pruned (matching the chain's prove_at).
-  [[nodiscard]] trie::Proof cp_proof(ibc::Height h, ByteView key) const;
   /// Re-delivers a guest-sent packet whose FinalisedBlock event was
   /// missed while down, proving against the latest finalised block.
   void redeliver_guest_packet_to_cp(const ibc::Packet& packet, ibc::Height gh);

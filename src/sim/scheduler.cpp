@@ -15,8 +15,7 @@ void Simulation::check_pump_thread() {
   if (pump_thread_ != self) {
     std::fprintf(stderr,
                  "sim: Simulation pumped from a second thread — a scheduler is "
-                 "being shared across shard cells (rebind_pump_thread() is the "
-                 "explicit hand-off)\n");
+                 "being shared across shard cells\n");
     std::abort();
   }
 }

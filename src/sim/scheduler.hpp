@@ -64,16 +64,13 @@ class Simulation {
   [[nodiscard]] bool timer_pending(TimerId id) const;
 
   /// Runs the next event.  Returns false when the queue is empty.
-  bool step();
-
   /// A Simulation is single-threaded by contract: the first step()
   /// binds it to the calling thread and any later step() from another
   /// thread aborts with a diagnostic.  Shard workers run one complete
   /// simulation per grid cell, so a cross-thread pump means two shards
   /// are sharing a scheduler — a determinism bug, never a data race to
-  /// tolerate.  rebind_pump_thread() is the explicit hand-off for the
-  /// legitimate case (built on one thread, run inside a shard cell).
-  void rebind_pump_thread() noexcept { pump_thread_ = std::thread::id{}; }
+  /// tolerate.
+  bool step();
 
   /// Runs all events with timestamp <= `t`; afterwards now() == t.
   void run_until(SimTime t);
@@ -124,8 +121,7 @@ class Simulation {
   [[nodiscard]] const PendingTimer* find_pending(TimerId id) const;
   /// Tombstones `id` if live; returns whether it was live.
   bool erase_pending(TimerId id);
-  /// Thread the first step() ran on; id{} until then (see
-  /// rebind_pump_thread()).
+  /// Thread the first step() ran on; id{} until then.
   std::thread::id pump_thread_{};
   void check_pump_thread();
   SimTime now_ = 0;

@@ -17,12 +17,14 @@ namespace bmg::trie {
 
 /// A sequence of nibbles, one per byte (values 0..15), stored inline
 /// up to 64 entries — enough for a 32-byte (hashed) key, which is the
-/// longest path the IBC layer ever inserts.  Trie nodes embed a
-/// Nibbles each, so the inline buffer is what lets a whole-trie copy
-/// (the per-block proof snapshot) run without one heap allocation per
-/// node.  Longer paths (only reachable by decoding an adversarial
-/// proof, whose u16 count field can claim up to 65535) move to the
-/// heap and keep working.
+/// longest path the IBC layer ever inserts.  Every key walk (get, set,
+/// seal, prove, verify_proof) expands its key into one, and each leaf
+/// and extension node of a proof carries one, so the inline buffer
+/// keeps key walks and proof building, decoding and verification free
+/// of a heap allocation per path.  (Trie nodes themselves embed the
+/// fixed-size PathRec.)  Longer paths (only reachable by decoding an
+/// adversarial proof, whose u16 count field can claim up to 65535)
+/// move to the heap and keep working.
 class Nibbles {
  public:
   static constexpr std::size_t kInline = 64;

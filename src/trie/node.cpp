@@ -21,6 +21,24 @@ std::size_t append_nibbles(std::uint8_t* out, ByteView n) {
   std::copy(n.begin(), n.end(), out + 2);
   return 2 + n.size();
 }
+
+/// Leaf and extension preimages: tag, length-prefixed nibbles, hash.
+/// Proof nodes decoded from outside input can carry paths too long for
+/// the stack buffer; those take a heap buffer instead.
+Hash32 hash_tagged_path(std::uint8_t tag, ByteView nibbles, const Hash32& tail) {
+  const std::size_t len = 3 + nibbles.size() + 32;
+  std::uint8_t inline_buf[kInlinePreimage];
+  Bytes heap;
+  std::uint8_t* buf = inline_buf;
+  if (len > sizeof(inline_buf)) {
+    heap.resize(len);
+    buf = heap.data();
+  }
+  buf[0] = tag;
+  const std::size_t off = 1 + append_nibbles(buf + 1, nibbles);
+  std::copy(tail.bytes.begin(), tail.bytes.end(), buf + off);
+  return crypto::Sha256::digest(ByteView{buf, len});
+}
 }  // namespace
 
 // The hash_* functions are the trie's three fixed-shape one-shot
@@ -29,17 +47,7 @@ std::size_t append_nibbles(std::uint8_t* out, ByteView n) {
 // heap allocation and the streaming-update state machine.
 
 Hash32 hash_leaf(ByteView suffix_nibbles, const Hash32& value) {
-  std::uint8_t buf[kInlinePreimage];
-  if (3 + suffix_nibbles.size() + 32 <= sizeof(buf)) {
-    buf[0] = kTagLeaf;
-    std::size_t len = 1 + append_nibbles(buf + 1, suffix_nibbles);
-    std::copy(value.bytes.begin(), value.bytes.end(), buf + len);
-    len += 32;
-    return crypto::Sha256::digest(ByteView{buf, len});
-  }
-  Bytes pre;
-  append_leaf_preimage(pre, suffix_nibbles, value);
-  return crypto::Sha256::digest(pre);
+  return hash_tagged_path(kTagLeaf, suffix_nibbles, value);
 }
 
 Hash32 hash_leaf(const Nibbles& suffix, const Hash32& value) {
@@ -64,49 +72,11 @@ Hash32 hash_branch(const std::array<std::optional<Hash32>, 16>& children) {
 }
 
 Hash32 hash_extension(ByteView path_nibbles, const Hash32& child) {
-  std::uint8_t buf[kInlinePreimage];
-  if (3 + path_nibbles.size() + 32 <= sizeof(buf)) {
-    buf[0] = kTagExtension;
-    std::size_t len = 1 + append_nibbles(buf + 1, path_nibbles);
-    std::copy(child.bytes.begin(), child.bytes.end(), buf + len);
-    len += 32;
-    return crypto::Sha256::digest(ByteView{buf, len});
-  }
-  Bytes pre;
-  append_extension_preimage(pre, path_nibbles, child);
-  return crypto::Sha256::digest(pre);
+  return hash_tagged_path(kTagExtension, path_nibbles, child);
 }
 
 Hash32 hash_extension(const Nibbles& path, const Hash32& child) {
   return hash_extension(ByteView{path.data(), path.size()}, child);
-}
-
-void append_leaf_preimage(Bytes& out, ByteView suffix_nibbles, const Hash32& value) {
-  out.push_back(kTagLeaf);
-  out.push_back(static_cast<std::uint8_t>(suffix_nibbles.size() >> 8));
-  out.push_back(static_cast<std::uint8_t>(suffix_nibbles.size()));
-  out.insert(out.end(), suffix_nibbles.begin(), suffix_nibbles.end());
-  out.insert(out.end(), value.bytes.begin(), value.bytes.end());
-}
-
-void append_branch_preimage(Bytes& out,
-                            const std::array<std::optional<Hash32>, 16>& children) {
-  out.push_back(kTagBranch);
-  std::uint16_t bitmap = 0;
-  for (std::size_t i = 0; i < 16; ++i)
-    if (children[i]) bitmap = static_cast<std::uint16_t>(bitmap | (1u << i));
-  out.push_back(static_cast<std::uint8_t>(bitmap >> 8));
-  out.push_back(static_cast<std::uint8_t>(bitmap));
-  for (std::size_t i = 0; i < 16; ++i)
-    if (children[i]) out.insert(out.end(), children[i]->bytes.begin(), children[i]->bytes.end());
-}
-
-void append_extension_preimage(Bytes& out, ByteView path_nibbles, const Hash32& child) {
-  out.push_back(kTagExtension);
-  out.push_back(static_cast<std::uint8_t>(path_nibbles.size() >> 8));
-  out.push_back(static_cast<std::uint8_t>(path_nibbles.size()));
-  out.insert(out.end(), path_nibbles.begin(), path_nibbles.end());
-  out.insert(out.end(), child.bytes.begin(), child.bytes.end());
 }
 
 Hash32 hash_proof_node(const ProofNode& node) {

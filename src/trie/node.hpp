@@ -31,14 +31,6 @@ namespace bmg::trie {
 [[nodiscard]] Hash32 hash_leaf(ByteView suffix_nibbles, const Hash32& value);
 [[nodiscard]] Hash32 hash_extension(ByteView path_nibbles, const Hash32& child);
 
-/// Append the canonical hash preimage (the exact bytes the hashers
-/// above digest) to `out`.  The trie's deferred commit() uses these to
-/// build a level's worth of preimages and hash them as one batch.
-void append_branch_preimage(Bytes& out,
-                            const std::array<std::optional<Hash32>, 16>& children);
-void append_leaf_preimage(Bytes& out, ByteView suffix_nibbles, const Hash32& value);
-void append_extension_preimage(Bytes& out, ByteView path_nibbles, const Hash32& child);
-
 /// Proof node mirroring a trie node's hash preimage.
 struct ProofLeaf {
   Nibbles suffix;

@@ -12,6 +12,8 @@
 //
 // ProofService::prove_batch proves a batch of keys against one
 // snapshot on the calling thread and returns the proofs in key order.
+// No library code calls it (the relayer proves key by key); it stays
+// while perfbench wraps it by its mangled name.
 #pragma once
 
 #include <vector>

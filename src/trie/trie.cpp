@@ -5,7 +5,6 @@
 #include <utility>
 #include <vector>
 
-#include "crypto/sha256.hpp"
 #include "trie/snapshot.hpp"
 
 namespace bmg::trie {
@@ -30,25 +29,6 @@ std::array<std::optional<Hash32>, 16> child_hashes(const BranchNode& n) {
   for (std::size_t i = 0; i < 16; ++i)
     if (!n.children[i].is_empty()) kids[i] = n.children[i].hash;
   return kids;
-}
-
-/// Canonical hash preimage of a node.
-void append_node_preimage(Bytes& out, const Node& node) {
-  switch (node.kind) {
-    case kLeaf: {
-      const auto& n = as<LeafNode>(node);
-      append_leaf_preimage(out, n.suffix.view(), n.value);
-      break;
-    }
-    case kBranch:
-      append_branch_preimage(out, child_hashes(as<BranchNode>(node)));
-      break;
-    case kExt: {
-      const auto& n = as<ExtNode>(node);
-      append_extension_preimage(out, n.path.view(), n.child.hash);
-      break;
-    }
-  }
 }
 
 Hash32 node_hash(const Node& node) {
@@ -441,73 +421,27 @@ void SealableTrie::seal(ByteView key) {
 // commit
 
 void SealableTrie::commit() {
-  if (!root_.dirty()) return;
+  if (root_.dirty()) hash_dirty(root_);
+}
 
-  // Collect every dirty ref with its depth, owning each dirty interior
-  // node on the way down: its child refs receive hashes below, and a
-  // clone() shares uncommitted nodes.  Leaves are only read.
-  std::vector<std::vector<RefRec*>> levels;
-  struct Pending {
-    RefRec* ref;
-    std::uint32_t depth;
-  };
-  std::vector<Pending> stack;
-  stack.push_back({&root_, 0});
-  while (!stack.empty()) {
-    const Pending it = stack.back();
-    stack.pop_back();
-    if (levels.size() <= it.depth) levels.resize(it.depth + 1);
-    levels[it.depth].push_back(it.ref);
-    switch (it.ref->node->kind) {
-      case kBranch:
-        for (RefRec& c : own<BranchNode>(*it.ref).children)
-          if (c.dirty()) stack.push_back({&c, it.depth + 1});
-        break;
-      case kExt: {
-        RefRec& c = own<ExtNode>(*it.ref).child;
-        if (c.dirty()) stack.push_back({&c, it.depth + 1});
-        break;
-      }
-      default:
-        break;
+void SealableTrie::hash_dirty(RefRec& ref) {
+  // Own each dirty interior node: its child refs receive hashes below,
+  // and a clone() shares uncommitted nodes.  Leaves are only read.
+  switch (ref.node->kind) {
+    case kBranch:
+      for (RefRec& c : own<BranchNode>(ref).children)
+        if (c.dirty()) hash_dirty(c);
+      break;
+    case kExt: {
+      RefRec& c = own<ExtNode>(ref).child;
+      if (c.dirty()) hash_dirty(c);
+      break;
     }
+    default:
+      break;
   }
-
-  // Deepest level first, so every child hash is final before its
-  // parent's preimage is built.  Nodes within one level are
-  // independent — siblings or cousins — so a level is hashed in one
-  // sha256_batch call.
-  Bytes scratch;
-  std::vector<std::pair<std::size_t, std::size_t>> spans;
-  std::vector<ByteView> views;
-  std::vector<Hash32> hashes;
-  for (std::size_t depth = levels.size(); depth-- > 0;) {
-    const std::vector<RefRec*>& level = levels[depth];
-    const std::size_t n = level.size();
-    if (n == 1) {
-      // Lone node on this level: the fixed-shape one-shot hasher
-      // (stack preimage) beats building a batch of one.
-      level[0]->hash = node_hash(*level[0]->node);
-      level[0]->set_dirty(false);
-      continue;
-    }
-    scratch.clear();
-    spans.clear();
-    for (const RefRec* ref : level) {
-      const std::size_t off = scratch.size();
-      append_node_preimage(scratch, *ref->node);
-      spans.emplace_back(off, scratch.size() - off);
-    }
-    views.resize(n);
-    hashes.resize(n);
-    for (std::size_t i = 0; i < n; ++i)
-      views[i] = ByteView{scratch.data() + spans[i].first, spans[i].second};
-    crypto::sha256_batch(views.data(), n, hashes.data());
-    for (std::size_t i = 0; i < n; ++i) {
-      level[i]->hash = hashes[i];
-      level[i]->set_dirty(false);
-    }
-  }
+  ref.hash = node_hash(*ref.node);
+  ref.set_dirty(false);
 }
 
 // ---------------------------------------------------------------------------

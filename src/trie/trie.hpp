@@ -12,12 +12,12 @@
 // double-delivery guard: `assert ph ∉ trie` fails for a sealed ph.
 //
 // Writes are committed lazily: `set()` and `seal()` only mark the
-// modified spine dirty, and `commit()` recomputes the dirty hashes
-// bottom-up, hashing the independent nodes of each depth in one
-// `sha256_batch` call.  This mirrors the paper's Alg. 1, where the state
-// root is committed once per guest block (GenerateBlock), not once
-// per write.  `root_hash()` and `prove()` auto-commit, so callers can
-// stay oblivious; batch writers get the speedup for free.
+// modified spine dirty, and `commit()` recomputes the dirty hashes in
+// one post-order pass, each node hashed once however many writes
+// touched it.  This mirrors the paper's Alg. 1, where the state root is
+// committed once per guest block (GenerateBlock), not once per write.
+// `root_hash()` and `prove()` auto-commit, so callers can stay
+// oblivious.
 //
 // Nodes are reference-counted copy-on-write heap objects, each stamped
 // with the epoch of the trie that created it.  A trie writes a node in
@@ -223,9 +223,9 @@ class SealableTrie {
   /// SealedError if already sealed.
   void seal(ByteView key);
 
-  /// Recomputes every dirty node hash bottom-up, hashing independent
-  /// siblings per level as one SHA-256 batch.  No-op when clean.  The
-  /// guest contract calls this once per generated block (Alg. 1).
+  /// Recomputes every dirty node hash, children before parents.  No-op
+  /// when clean.  The guest contract calls this once per generated
+  /// block (Alg. 1).
   void commit();
 
   /// True if there are writes whose hashes have not been committed.
@@ -278,6 +278,10 @@ class SealableTrie {
   void seal_ref(RefRec& ref);
 
   RefRec set_rec(RefRec ref, ByteView path, std::size_t pos, const Hash32& value);
+  /// commit()'s post-order pass over the dirty subtree under `ref`
+  /// (live and dirty).  Recursion depth is bounded by the 64-nibble key
+  /// limit: at most one branch and one extension per nibble.
+  void hash_dirty(RefRec& ref);
   void ensure_committed() const;
 
   RefRec root_;

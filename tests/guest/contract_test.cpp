@@ -36,7 +36,7 @@ class GuestContractTest : public ::testing::Test {
     cfg.delta_seconds = 100.0;
     cfg.epoch_length_host_slots = 1'000'000;  // no rotation unless a test wants it
     cfg.unstake_hold_seconds = 50.0;
-    auto contract = std::make_unique<GuestContract>(cfg, genesis_, cp_set_);
+    auto contract = std::make_unique<GuestContract>(cfg, genesis_, "picasso-1", cp_set_);
     contract_ = contract.get();
     chain_.register_program(kProgramName, std::move(contract));
 
@@ -264,7 +264,7 @@ TEST_F(GuestContractTest, EpochRotationSelectsTopStake) {
   cfg.delta_seconds = 100.0;
   cfg.epoch_length_host_slots = 10;
   cfg.max_validators = 4;
-  auto fresh = std::make_unique<GuestContract>(cfg, genesis_, cp_set_);
+  auto fresh = std::make_unique<GuestContract>(cfg, genesis_, "picasso-1", cp_set_);
   GuestContract* contract = fresh.get();
   chain_.register_program("guest2", std::move(fresh));
 
@@ -553,7 +553,7 @@ TEST_F(GuestContractTest, OldBlockRecordsArePruned) {
   cfg.delta_seconds = 100.0;
   cfg.epoch_length_host_slots = 1'000'000;
   cfg.block_history_window = 3;
-  auto fresh = std::make_unique<GuestContract>(cfg, genesis_, cp_set_);
+  auto fresh = std::make_unique<GuestContract>(cfg, genesis_, "picasso-1", cp_set_);
   GuestContract* contract = fresh.get();
   chain_.register_program("pruned", std::move(fresh));
 

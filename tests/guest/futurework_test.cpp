@@ -37,7 +37,7 @@ class FutureWorkTest : public ::testing::Test {
   }
 
   GuestContract* install(GuestConfig cfg, const std::string& name = "guest") {
-    auto contract = std::make_unique<GuestContract>(cfg, genesis_, cp_set_);
+    auto contract = std::make_unique<GuestContract>(cfg, genesis_, "picasso-1", cp_set_);
     GuestContract* ptr = contract.get();
     chain_.register_program(name, std::move(contract));
     chain_.airdrop(ptr->stake_vault(), 400);

@@ -107,6 +107,21 @@ TEST(Deployment, CounterpartyToGuestTransfer) {
   EXPECT_EQ(d.cp().bank().balance("bob", "PICA"), 1'000'000u - 777u);
 }
 
+// The guest's counterparty client takes its chain id from the
+// counterparty itself, so a non-default id still opens IBC and relays.
+TEST(Deployment, CounterpartyChainIdComesFromTheCounterparty) {
+  DeploymentConfig cfg = fast_config(2);
+  cfg.counterparty.chain_id = "osmosis-1";
+  Deployment d(cfg);
+  d.open_ibc();
+  EXPECT_EQ(d.guest().counterparty_client().chain_id(), "osmosis-1");
+
+  d.send_transfer_from_cp(777);
+  const std::string voucher = "transfer/" + d.guest_channel() + "/PICA";
+  ASSERT_TRUE(d.run_until(
+      [&] { return d.guest().bank().balance("alice", voucher) == 777; }, 1200.0));
+}
+
 TEST(Deployment, RoundTripConservesSupply) {
   Deployment d(fast_config(3));
   d.open_ibc();

@@ -9,6 +9,7 @@
 // and cross-check three invariants:
 //
 //   1. membership/non-membership proofs verify at every churn step,
+//      and a snapshot's get() finds exactly the keys it proves present,
 //   2. serialized proofs reject truncation and single-byte flips,
 //   3. roots and proof bytes are identical across sharing histories.
 #include <gtest/gtest.h>
@@ -37,6 +38,17 @@ Bytes seq_key(std::uint64_t tag, std::uint64_t seq) {
   Encoder e;
   e.u64(tag).u64(seq);
   return e.take();
+}
+
+// The prove-then-verify membership check, the oracle for get(): a
+// SealedError from prove() counts as not found.
+bool proves_found(const TrieSnapshot& snap, ByteView key) {
+  try {
+    return verify_proof(snap.root_hash(), key, snap.prove(key)).kind ==
+           VerifyOutcome::Kind::kFound;
+  } catch (const SealedError&) {
+    return false;
+  }
 }
 
 class ProofSharingFuzz : public ::testing::TestWithParam<std::uint64_t> {};
@@ -78,6 +90,13 @@ TEST_P(ProofSharingFuzz, ProofsVerifyFromEverySnapshot) {
       const VerifyOutcome vo = verify_proof(root, kb, snaps[s].prove(kb));
       ASSERT_NE(vo.kind, VerifyOutcome::Kind::kInvalid) << "snapshot " << s << " key " << k;
     }
+    // Keys inserted up to this snapshot are present, later ones and
+    // never-inserted ones absent: get() and the proof agree on each.
+    for (std::uint64_t k = 0; k < next + 8; ++k) {
+      const Bytes kb = key_of(k);
+      ASSERT_EQ(snaps[s].get(kb) == Lookup::kFound, proves_found(snaps[s], kb))
+          << "snapshot " << s << " key " << k;
+    }
   }
 }
 
@@ -108,6 +127,16 @@ TEST_P(ProofSharingFuzz, SealedRegionEdgesStayProvable) {
       ASSERT_LT(t.stats().node_count(), before) << "step " << step;
     }
     if (step % 25 != 0) continue;
+    // The held snapshot predates the seals and inserts since: its
+    // sealed, present and not-yet-inserted keys must agree between
+    // get() and the proof.
+    if (held.valid()) {
+      for (std::uint64_t k = 0; k <= next; ++k) {
+        const Bytes kb = seq_key(5, k);
+        ASSERT_EQ(held.get(kb) == Lookup::kFound, proves_found(held, kb))
+            << "step " << step << " key " << k;
+      }
+    }
     held = t.snapshot();
     const Hash32 root = t.root_hash();
     // Unsealed window entries all prove; sealed ones all refuse.
