@@ -11,6 +11,10 @@ namespace {
 /// Every counterparty validator carries the same stake, so quorum is a
 /// head count.
 constexpr std::uint64_t kStakePerValidator = 1'000;
+/// Heights whose snapshot (and signed header) stay in memory.
+constexpr std::size_t kRecentHeights = 256;
+/// Heights whose commit stays, so header_at can still sign them.
+constexpr std::size_t kCommitHeights = 4096;
 }  // namespace
 
 CounterpartyChain::CounterpartyChain(sim::Simulation& sim, Rng rng, Config cfg)
@@ -56,7 +60,7 @@ void CounterpartyChain::produce_block() {
   // Sample the commit: each validator participates with probability
   // `signature_participation`; top up deterministically if the sample
   // fell short of quorum (Tendermint commits always carry >2/3).
-  PendingCommit commit;
+  Commit commit;
   commit.header.chain_id = cfg_.chain_id;
   commit.header.height = height_;
   commit.header.timestamp = sim_.now();
@@ -84,13 +88,13 @@ void CounterpartyChain::produce_block() {
   for (std::size_t i = 0; i < validator_keys_.size(); ++i)
     if (in_commit[i]) commit.signer_indices.push_back(i);
 
-  unsigned_headers_[height_] = std::move(commit);
-  while (unsigned_headers_.size() > 4096)
-    unsigned_headers_.erase(unsigned_headers_.begin());
-  while (headers_.size() > 4096) headers_.erase(headers_.begin());
-  // Historical proof basis: one root copy per block.
+  commits_[height_] = std::move(commit);
+  while (commits_.size() > kCommitHeights) commits_.erase(commits_.begin());
+  // Historical proof basis: one root copy per block.  Signed headers
+  // are cached for the same window of heights.
   snapshots_[height_] = store_.snapshot();
-  while (snapshots_.size() > 256) snapshots_.erase(snapshots_.begin());
+  while (snapshots_.size() > kRecentHeights) snapshots_.erase(snapshots_.begin());
+  headers_.erase(headers_.begin(), headers_.lower_bound(snapshots_.begin()->first));
 
   for (const auto& cb : block_callbacks_) cb(height_);
 
@@ -101,21 +105,22 @@ const ibc::SignedQuorumHeader& CounterpartyChain::header_at(ibc::Height h) const
   const auto it = headers_.find(h);
   if (it != headers_.end()) return it->second;
 
-  const auto pending = unsigned_headers_.find(h);
-  if (pending == unsigned_headers_.end())
+  const auto commit = commits_.find(h);
+  if (commit == commits_.end())
     throw ibc::IbcError("counterparty: no header at height " + std::to_string(h));
 
+  // Ed25519 signing is deterministic, so re-signing an evicted height
+  // rebuilds its header byte for byte.
   ibc::SignedQuorumHeader sh;
-  sh.header = pending->second.header;
+  sh.header = commit->second.header;
   const Hash32 digest = sh.signing_digest();
-  const std::vector<std::size_t>& signers = pending->second.signer_indices;
+  const std::vector<std::size_t>& signers = commit->second.signer_indices;
   std::vector<const crypto::PrivateKey*> keys(signers.size());
   for (std::size_t j = 0; j < signers.size(); ++j) keys[j] = &validator_keys_[signers[j]];
   const std::vector<crypto::Signature> sigs = crypto::sign_all(keys, digest.view());
   sh.signatures.reserve(signers.size());
   for (std::size_t j = 0; j < signers.size(); ++j)
     sh.signatures.emplace_back(keys[j]->public_key(), sigs[j]);
-  unsigned_headers_.erase(pending);
   return headers_.emplace(h, std::move(sh)).first->second;
 }
 

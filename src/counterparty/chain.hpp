@@ -71,7 +71,9 @@ class CounterpartyChain {
   /// The signed header (with its quorum commit) for a finalised
   /// height; relayers ship these to the guest light client.  Commit
   /// signatures are materialized lazily on first request (a pure
-  /// simulation optimization — the header contents are identical).
+  /// simulation optimization — the header contents are identical) and
+  /// cached for the last 256 heights; an older height is signed again.
+  /// The reference is valid until the next block.
   [[nodiscard]] const ibc::SignedQuorumHeader& header_at(ibc::Height h) const;
 
   /// Registers a callback invoked after each new block.
@@ -100,13 +102,14 @@ class CounterpartyChain {
   std::vector<crypto::PrivateKey> validator_keys_;
   ibc::ValidatorSet validator_set_;
 
-  struct PendingCommit {
+  struct Commit {
     ibc::QuorumHeader header;
     std::vector<std::size_t> signer_indices;
   };
 
   ibc::Height height_ = 0;
-  mutable std::map<ibc::Height, PendingCommit> unsigned_headers_;
+  std::map<ibc::Height, Commit> commits_;
+  /// Signed-header cache; header_at fills it, produce_block evicts it.
   mutable std::map<ibc::Height, ibc::SignedQuorumHeader> headers_;
   /// Recent per-block state snapshots for historical proofs (each is
   /// one root copy sharing the trie's nodes, not a deep trie copy).

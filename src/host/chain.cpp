@@ -9,6 +9,7 @@ namespace {
 /// Seed of the dedicated RNG stream for reorg trigger/depth/survival
 /// draws, so arming forks never perturbs the inclusion or fault streams.
 constexpr std::uint64_t kReorgSeed = 0x4E0'26F0'5CA1'D21Bull;
+constexpr const char* kExpiredError = "transaction expired (blockhash too old)";
 }  // namespace
 
 void TxContext::emit_event(std::string name, Bytes data) {
@@ -52,32 +53,19 @@ Program& Chain::program(const std::string& name) {
 }
 
 void Chain::airdrop(const crypto::PublicKey& who, std::uint64_t lamports) {
-  balances_[who] += lamports;
+  ledger_.balances[who] += lamports;
 }
 
 std::uint64_t Chain::balance(const crypto::PublicKey& who) const {
-  const auto it = balances_.find(who);
-  return it == balances_.end() ? 0 : it->second;
-}
-
-void Chain::charge_rent(const crypto::PublicKey& payer, std::size_t bytes) {
-  const std::uint64_t deposit = kRentLamportsPerByte * bytes;
-  auto& bal = balances_[payer];
-  if (bal < deposit) throw std::runtime_error("charge_rent: insufficient funds");
-  bal -= deposit;
-  rent_deposits_[payer] += deposit;
-}
-
-std::uint64_t Chain::rent_deposits(const crypto::PublicKey& payer) const {
-  const auto it = rent_deposits_.find(payer);
-  return it == rent_deposits_.end() ? 0 : it->second;
+  const auto it = ledger_.balances.find(who);
+  return it == ledger_.balances.end() ? 0 : it->second;
 }
 
 void Chain::start() {
   if (started_) return;
+  fork_mode_ = armed();
   started_ = true;
-  if (cfg_.fork_aware || cfg_.fault.has_reorg_windows()) {
-    fork_mode_ = true;
+  if (fork_mode_) {
     // Every registered program must be rollback-capable before the
     // first transaction executes; arming mid-run is not supported.
     for (auto& [name, prog] : programs_) {
@@ -105,52 +93,17 @@ double Chain::inclusion_probability(const FeePolicy& fee) const {
 
 void Chain::submit(Transaction tx, ResultHandler on_result) {
   if (tx.wire_size() > cfg_.max_tx_size) {
-    TxResult res;
-    res.executed = false;
-    res.success = false;
-    res.error = "transaction too large (" + std::to_string(tx.wire_size()) + " > " +
-                std::to_string(cfg_.max_tx_size) + " bytes)";
-    res.label = tx.label;
-    if (on_result)
-      sim_.after(0, [on_result = std::move(on_result), res] { on_result(res); });
+    report_unexecuted(std::move(on_result), tx.label,
+                      "transaction too large (" + std::to_string(tx.wire_size()) + " > " +
+                          std::to_string(cfg_.max_tx_size) + " bytes)",
+                      sim_.now());
     return;
   }
 
-  // First slot at which the transaction is visible to block producers.
-  const double visible_at = sim_.now() + kMempoolLatencySeconds;
-  const auto first_slot =
-      static_cast<std::uint64_t>(std::ceil(visible_at / cfg_.slot_seconds));
-
-  if (cfg_.fault.has_chain_faults()) {
-    submit_with_faults(std::move(tx), std::move(on_result), first_slot);
-    return;
-  }
-
-  // Geometric inclusion delay driven by the fee policy.
-  const double p = inclusion_probability(tx.fee);
-  std::uint64_t extra = 0;
-  while (!rng_.chance(p) && extra <= kTxExpirySlots) ++extra;
-
-  if (extra > kTxExpirySlots) {
-    ++dropped_;
-    TxResult res;
-    res.executed = false;
-    res.success = false;
-    res.error = "transaction expired (blockhash too old)";
-    res.label = tx.label;
-    const double expiry_time =
-        static_cast<double>(first_slot + kTxExpirySlots) * cfg_.slot_seconds;
-    if (on_result)
-      sim_.at(expiry_time, [on_result = std::move(on_result), res] { on_result(res); });
-    return;
-  }
-
-  const std::uint64_t target = std::max(first_slot + extra, slot_ + 1);
-  pending_[target].push_back(PendingTx{std::move(tx), std::move(on_result)});
-}
-
-void Chain::submit_with_faults(Transaction tx, ResultHandler on_result,
-                               std::uint64_t first_slot) {
+  // Fault randomness never perturbs the inclusion stream: a plan with
+  // chain faults draws everything from fault_rng_, any other from rng_.
+  const bool faults = cfg_.fault.has_chain_faults();
+  Rng& rng = faults ? fault_rng_ : rng_;
   const double now = sim_.now();
 
   // Blackhole: the tx vanishes between the submitter and the cluster;
@@ -162,30 +115,37 @@ void Chain::submit_with_faults(Transaction tx, ResultHandler on_result,
     return;
   }
 
-  // Per-slot inclusion scan: each candidate slot applies the congestion
-  // multiplier active at that slot's wall time, and outage slots
-  // include nothing at all.
+  // Per-slot inclusion scan from the first slot at which the tx is
+  // visible to block producers until its blockhash expires.  Each slot
+  // draws with the fee policy's probability, times the congestion
+  // multiplier active at that slot's wall time; outage slots include
+  // nothing.
   const double p0 = inclusion_probability(tx.fee);
+  const auto first_slot = static_cast<std::uint64_t>(
+      std::ceil((now + kMempoolLatencySeconds) / cfg_.slot_seconds));
   const std::uint64_t expiry_slot = first_slot + kTxExpirySlots;
-  std::uint64_t chosen = 0;
-  bool included = false;
+  std::uint64_t chosen = 0;  // slot 0 is never produced: 0 = not included
   bool congested = false;
   bool waited_out_outage = false;
   for (std::uint64_t s = std::max(first_slot, slot_ + 1); s <= expiry_slot; ++s) {
-    const double t = static_cast<double>(s) * cfg_.slot_seconds;
-    if (cfg_.fault.in_outage(t)) {
-      waited_out_outage = true;
-      continue;
+    double m = 1.0;
+    if (faults) {
+      const double t = static_cast<double>(s) * cfg_.slot_seconds;
+      if (cfg_.fault.in_outage(t)) {
+        waited_out_outage = true;
+        continue;
+      }
+      m = cfg_.fault.congestion_multiplier(t, tx.label);
     }
-    const double m = cfg_.fault.congestion_multiplier(t, tx.label);
     const double p = std::min(p0 * m, 1.0);
-    if (p <= 0) {
+    // Under faults a slot nothing can land in is skipped undrawn; the
+    // fault-free stream draws at every slot, even at p = 0.
+    if (faults && p <= 0) {
       congested = true;
       continue;
     }
-    if (fault_rng_.chance(p)) {
+    if (rng.chance(p)) {
       chosen = s;
-      included = true;
       break;
     }
     if (m < 1.0) congested = true;
@@ -193,17 +153,15 @@ void Chain::submit_with_faults(Transaction tx, ResultHandler on_result,
   if (congested) ++fault_counters_.congestion_delayed;
   if (waited_out_outage) ++fault_counters_.outage_deferred;
 
-  if (!included) {
+  if (chosen == 0) {
+    // One draw past the window (153 for 152 slots) on the fault-free
+    // stream: the geometric delay this scan replaced took it, and every
+    // fault-free transcript pinned since depends on it.
+    if (!faults) (void)rng_.chance(p0);
     ++dropped_;
     if (waited_out_outage) ++fault_counters_.outage_expired;
-    TxResult res;
-    res.executed = false;
-    res.success = false;
-    res.error = "transaction expired (blockhash too old)";
-    res.label = tx.label;
-    const double expiry_time = static_cast<double>(expiry_slot) * cfg_.slot_seconds;
-    if (on_result)
-      sim_.at(expiry_time, [on_result = std::move(on_result), res] { on_result(res); });
+    report_unexecuted(std::move(on_result), std::move(tx.label), kExpiredError,
+                      static_cast<double>(expiry_slot) * cfg_.slot_seconds);
     return;
   }
 
@@ -222,37 +180,14 @@ void Chain::on_slot() {
   ++slot_;
   if (fork_mode_) maybe_trigger_reorg();
 
-  if (cfg_.fault.has_chain_faults() && cfg_.fault.in_outage(sim_.now())) {
-    // Outage slot: produced, but includes nothing.  Defer everything to
-    // the next slot, expiring transactions whose blockhash aged out.
-    const auto it = pending_.find(slot_);
-    if (it != pending_.end()) {
-      std::vector<PendingTx> batch = std::move(it->second);
-      pending_.erase(it);
-      for (auto& ptx : batch) {
-        if (slot_ >= ptx.expiry_slot) {
-          ++fault_counters_.outage_expired;
-          ++dropped_;
-          if (ptx.on_result) {
-            TxResult res;
-            res.executed = false;
-            res.success = false;
-            res.error = "transaction expired (blockhash too old)";
-            res.label = ptx.tx.label;
-            sim_.after(0, [on_result = std::move(ptx.on_result), res] { on_result(res); });
-          }
-          continue;
-        }
-        ++fault_counters_.outage_deferred;
-        pending_[slot_ + 1].push_back(std::move(ptx));
-      }
-    }
-  } else {
-    const auto it = pending_.find(slot_);
-    if (it != pending_.end()) {
-      std::vector<PendingTx> batch = std::move(it->second);
-      pending_.erase(it);
-
+  const auto it = pending_.find(slot_);
+  if (it != pending_.end()) {
+    std::vector<PendingTx> batch = std::move(it->second);
+    pending_.erase(it);
+    // An outage slot is produced but includes nothing: its transactions
+    // wait for the next slot unless their blockhash aged out.
+    const bool outage = cfg_.fault.has_chain_faults() && cfg_.fault.in_outage(sim_.now());
+    if (!outage) {
       // Block producer ordering: bundles first, then priority fee by
       // price, then base-fee FIFO.
       std::stable_sort(batch.begin(), batch.end(),
@@ -271,15 +206,21 @@ void Chain::on_slot() {
         if (ra != rb) return ra < rb;
         return a.tx.fee.cu_price_microlamports > b.tx.fee.cu_price_microlamports;
       });
+    }
 
-      std::uint64_t block_cu = 0;
-      for (auto& ptx : batch) {
-        if (block_cu >= cfg_.block_compute_units) {
-          // Block full: spill to the next slot.
-          pending_[slot_ + 1].push_back(std::move(ptx));
-          continue;
-        }
-        execute_tx(ptx);
+    std::uint64_t block_cu = 0;
+    for (auto& ptx : batch) {
+      if (outage && slot_ >= ptx.expiry_slot) {
+        ++fault_counters_.outage_expired;
+        ++dropped_;
+        report_unexecuted(std::move(ptx.on_result), std::move(ptx.tx.label), kExpiredError,
+                          sim_.now());
+      } else if (outage || block_cu >= cfg_.block_compute_units) {
+        // Outage or full block: spill to the next slot.
+        if (outage) ++fault_counters_.outage_deferred;
+        pending_[slot_ + 1].push_back(std::move(ptx));
+      } else {
+        (void)execute_tx_at(ptx, slot_, sim_.now(), ExecMode::kLive, true);
         block_cu += cfg_.max_compute_units;  // conservative per-tx reservation
       }
     }
@@ -292,6 +233,15 @@ void Chain::on_slot() {
   sim_.after(cfg_.slot_seconds, [this] { on_slot(); });
 }
 
+void Chain::report_unexecuted(ResultHandler on_result, std::string label, std::string error,
+                              double when) {
+  if (!on_result) return;
+  TxResult res;
+  res.label = std::move(label);
+  res.error = std::move(error);
+  sim_.at(when, [on_result = std::move(on_result), res = std::move(res)] { on_result(res); });
+}
+
 FeeBreakdown compute_fee(const Transaction& tx, std::uint64_t cu_used) {
   FeeBreakdown fee;
   fee.base_lamports =
@@ -300,10 +250,6 @@ FeeBreakdown compute_fee(const Transaction& tx, std::uint64_t cu_used) {
     fee.priority_lamports = tx.fee.cu_price_microlamports * cu_used / 1'000'000;
   if (tx.fee.kind == FeePolicy::Kind::kBundle) fee.tip_lamports = tx.fee.tip_lamports;
   return fee;
-}
-
-void Chain::execute_tx(PendingTx& ptx) {
-  (void)execute_tx_at(ptx, slot_, sim_.now(), ExecMode::kLive, true);
 }
 
 TxResult Chain::execute_tx_at(PendingTx& ptx, std::uint64_t slot, double time,
@@ -380,22 +326,22 @@ TxResult Chain::execute_tx_at(PendingTx& ptx, std::uint64_t slot, double time,
 
   // Charge fees (saturating — a payer going broke is an operator
   // problem, not a simulator crash).
-  auto& bal = balances_[tx.payer];
+  auto& bal = ledger_.balances[tx.payer];
   bal -= std::min(bal, res.fee.total());
-  auto& stats = payer_stats_[tx.payer];
+  auto& stats = ledger_.payer_stats[tx.payer];
   stats.fees_lamports += res.fee.total();
   stats.tx_count += 1;
   stats.sig_count += 1 + tx.sig_verifies.size();
 
   std::vector<Event> events;
   if (res.success) {
-    ++executed_;
+    ++ledger_.executed;
     // Apply buffered transfers, then flush events to subscribers.
     for (const auto& [from, to, amount] : tx_transfer_buffer_) {
-      auto& src = balances_[from];
+      auto& src = ledger_.balances[from];
       const std::uint64_t moved = std::min(src, amount);
       src -= moved;
-      balances_[to] += moved;
+      ledger_.balances[to] += moved;
     }
     events = std::move(tx_event_buffer_);
     tx_event_buffer_.clear();
@@ -408,7 +354,7 @@ TxResult Chain::execute_tx_at(PendingTx& ptx, std::uint64_t slot, double time,
       }
     }
   } else {
-    ++failed_;
+    ++ledger_.failed;
     tx_event_buffer_.clear();
     tx_transfer_buffer_.clear();
   }
@@ -429,11 +375,7 @@ void Chain::subscribe(const std::string& program, EventHandler handler) {
 }
 
 void Chain::subscribe_rooted(const std::string& program, EventHandler handler) {
-  // Armed now, or guaranteed to arm at start() — subscriptions are
-  // routinely registered before slot production begins.
-  const bool armed = fork_mode_ || (!started_ && (cfg_.fork_aware ||
-                                                  cfg_.fault.has_reorg_windows()));
-  if (!armed) {
+  if (!armed()) {
     subscribers_[program].push_back(std::move(handler));
     return;
   }
@@ -442,9 +384,7 @@ void Chain::subscribe_rooted(const std::string& program, EventHandler handler) {
 }
 
 Chain::RootedWaitId Chain::when_rooted(std::uint64_t slot, std::function<void()> fn) {
-  const bool armed = fork_mode_ || (!started_ && (cfg_.fork_aware ||
-                                                  cfg_.fault.has_reorg_windows()));
-  if (!armed || slot <= rooted_slot()) {
+  if (!armed() || slot <= rooted_slot()) {
     // Linear chains root instantly; already-rooted slots fire inline.
     if (fn) fn();
     return 0;
@@ -568,11 +508,7 @@ void Chain::perform_reorg(std::uint64_t depth) {
 
 void Chain::take_checkpoint(std::uint64_t slot) {
   checkpoint_.slot = slot;
-  checkpoint_.balances = balances_;
-  checkpoint_.rent_deposits = rent_deposits_;
-  checkpoint_.payer_stats = payer_stats_;
-  checkpoint_.executed = executed_;
-  checkpoint_.failed = failed_;
+  checkpoint_.ledger = ledger_;
   checkpoint_.fee_spiked = fault_counters_.fee_spiked;
   for (auto& [name, prog] : programs_) prog->fork_checkpoint();
 }
@@ -580,11 +516,7 @@ void Chain::take_checkpoint(std::uint64_t slot) {
 void Chain::rollback_to_checkpoint() {
   // Moved, not copied: perform_reorg re-checkpoints before the next
   // rollback can happen.
-  balances_ = std::move(checkpoint_.balances);
-  rent_deposits_ = std::move(checkpoint_.rent_deposits);
-  payer_stats_ = std::move(checkpoint_.payer_stats);
-  executed_ = checkpoint_.executed;
-  failed_ = checkpoint_.failed;
+  ledger_ = std::move(checkpoint_.ledger);
   fault_counters_.fee_spiked = checkpoint_.fee_spiked;
   for (auto& [name, prog] : programs_) prog->fork_rollback();
 }
@@ -617,8 +549,8 @@ void Chain::prune_journal() {
 
 const Chain::PayerStats& Chain::payer_stats(const crypto::PublicKey& who) const {
   static const PayerStats kEmpty{};
-  const auto it = payer_stats_.find(who);
-  return it == payer_stats_.end() ? kEmpty : it->second;
+  const auto it = ledger_.payer_stats.find(who);
+  return it == ledger_.payer_stats.end() ? kEmpty : it->second;
 }
 
 }  // namespace bmg::host

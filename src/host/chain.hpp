@@ -91,17 +91,13 @@ class Chain {
   void airdrop(const crypto::PublicKey& who, std::uint64_t lamports);
   [[nodiscard]] std::uint64_t balance(const crypto::PublicKey& who) const;
 
-  /// Charges the rent-exempt deposit for `bytes` of account data from
-  /// `payer` and records it as recoverable (§V-D).
-  void charge_rent(const crypto::PublicKey& payer, std::size_t bytes);
-  [[nodiscard]] std::uint64_t rent_deposits(const crypto::PublicKey& payer) const;
-
   /// Begins slot production (call once after setup).
   void start();
 
   // -- usage ----------------------------------------------------------
-  /// Submits a transaction.  The result handler fires when the tx is
-  /// executed or dropped.  Oversized transactions fail immediately.
+  /// Submits a transaction, drawing here the slot it lands in (or its
+  /// expiry).  The result handler fires when the tx is executed or
+  /// dropped; oversized transactions fail immediately.
   void submit(Transaction tx, ResultHandler on_result = {});
   /// Largest transaction wire size submit() accepts; relayers chunk
   /// staged payloads to it.
@@ -145,8 +141,8 @@ class Chain {
     std::uint64_t sig_count = 0;  ///< tx signature + pre-compile sigs
   };
   [[nodiscard]] const PayerStats& payer_stats(const crypto::PublicKey& who) const;
-  [[nodiscard]] std::uint64_t executed_count() const noexcept { return executed_; }
-  [[nodiscard]] std::uint64_t failed_count() const noexcept { return failed_; }
+  [[nodiscard]] std::uint64_t executed_count() const noexcept { return ledger_.executed; }
+  [[nodiscard]] std::uint64_t failed_count() const noexcept { return ledger_.failed; }
   [[nodiscard]] std::uint64_t dropped_count() const noexcept { return dropped_; }
 
   // -- fault injection ------------------------------------------------
@@ -162,8 +158,8 @@ class Chain {
   struct PendingTx {
     Transaction tx;
     ResultHandler on_result;
-    /// Slot after which the blockhash is too old (fault path only; the
-    /// fault-free path pre-draws inclusion and never consults this).
+    /// Slot after which the blockhash is too old (only an outage slot
+    /// consults it: every other slot includes what it holds).
     std::uint64_t expiry_slot = UINT64_MAX;
   };
 
@@ -197,16 +193,20 @@ class Chain {
   };
 
   void on_slot();
-  void execute_tx(PendingTx& ptx);
-  /// Core execution at explicit (slot, time) coordinates; replay modes
-  /// reuse the journalled pre-compile verdict instead of re-verifying.
+  /// Executes at explicit (slot, time) coordinates; replay modes reuse
+  /// the journalled pre-compile verdict instead of re-verifying.
   TxResult execute_tx_at(PendingTx& ptx, std::uint64_t slot, double time,
                          ExecMode mode, bool journaled_sig_ok);
   [[nodiscard]] double inclusion_probability(const FeePolicy& fee) const;
-  /// Fault-aware half of submit(): per-slot inclusion scan honouring
-  /// congestion/outage windows, blackholes and duplicate replays.
-  void submit_with_faults(Transaction tx, ResultHandler on_result,
-                          std::uint64_t first_slot);
+  /// Delivers the result of a transaction that never executes
+  /// (oversize or expired) at sim time `when`.
+  void report_unexecuted(ResultHandler on_result, std::string label, std::string error,
+                         double when);
+  /// Armed now, or will arm at start(): subscriptions are routinely
+  /// registered before slot production begins.
+  [[nodiscard]] bool armed() const noexcept {
+    return fork_mode_ || (!started_ && (cfg_.fork_aware || cfg_.fault.has_reorg_windows()));
+  }
 
   // --- fork machinery (armed chains only) ------------------------------
   void maybe_trigger_reorg();
@@ -236,17 +236,22 @@ class Chain {
 
   std::unordered_map<std::string, std::unique_ptr<Program>> programs_;
   std::unordered_map<std::string, std::vector<EventHandler>> subscribers_;
-  std::map<crypto::PublicKey, std::uint64_t> balances_;
-  std::map<crypto::PublicKey, std::uint64_t> rent_deposits_;
-  std::map<crypto::PublicKey, PayerStats> payer_stats_;
+
+  /// Everything transactions change outside the programs: the state a
+  /// reorg restores beside each program's own.
+  struct Ledger {
+    std::map<crypto::PublicKey, std::uint64_t> balances;
+    std::map<crypto::PublicKey, PayerStats> payer_stats;
+    std::uint64_t executed = 0;
+    std::uint64_t failed = 0;
+  };
+  Ledger ledger_;
 
   /// Transactions keyed by the slot chosen for their inclusion.
   std::map<std::uint64_t, std::vector<PendingTx>> pending_;
 
   std::uint64_t slot_ = 0;
   bool started_ = false;
-  std::uint64_t executed_ = 0;
-  std::uint64_t failed_ = 0;
   std::uint64_t dropped_ = 0;
 
   // --- fork state ------------------------------------------------------
@@ -266,11 +271,7 @@ class Chain {
   /// reorg, so a rollback replays only what rooted since the last one.
   struct Checkpoint {
     std::uint64_t slot = 0;
-    std::map<crypto::PublicKey, std::uint64_t> balances;
-    std::map<crypto::PublicKey, std::uint64_t> rent_deposits;
-    std::map<crypto::PublicKey, PayerStats> payer_stats;
-    std::uint64_t executed = 0;
-    std::uint64_t failed = 0;
+    Ledger ledger;
     std::uint64_t fee_spiked = 0;
   };
   Checkpoint checkpoint_;

@@ -19,13 +19,13 @@
 // collusion clique, a griefing relayer, a fee attacker).  A shipped
 // scenario is a named FaultPlan (adversary/scenarios.hpp).
 //
-// All chain randomness is drawn from a dedicated RNG stream owned by
-// the chain (never the inclusion stream), and every fault query is
-// gated on `has_chain_faults()` — a plan with no chain-level windows
-// leaves the chain bit-identical to a chain built without one.  Crash,
-// reorg and participant windows are *not* chain faults: a plan holding
-// only those keeps the submit path and its RNG streams byte-identical
-// to a faultless run.
+// A plan with chain-level windows draws every inclusion, blackhole and
+// duplicate decision from a dedicated RNG stream owned by the chain;
+// any other plan draws from the chain's own stream and never consults
+// outage or congestion windows, leaving the chain bit-identical to one
+// built without a plan.  Crash, reorg and participant windows are *not*
+// chain faults: a plan holding only those keeps the submit path and its
+// RNG streams byte-identical to a faultless run.
 #pragma once
 
 #include <cstdint>
@@ -172,9 +172,9 @@ class FaultPlan {
   [[nodiscard]] bool empty() const noexcept { return windows_.empty(); }
   [[nodiscard]] std::size_t size() const noexcept { return windows_.size(); }
   /// Whether any window targets the *chain* (kCongestion .. kFeeSpike).
-  /// The chain gates its fault machinery — and its fault RNG draws —
-  /// on this, so crash-only and participant-only plans stay
-  /// byte-identical to no plan.
+  /// Only then does the chain draw from its fault RNG and consult
+  /// outage, congestion and fee-spike windows, so crash-only and
+  /// participant-only plans stay byte-identical to no plan.
   [[nodiscard]] bool has_chain_faults() const noexcept { return chain_windows_ > 0; }
   /// Whether any *effective* (max_depth >= 1) kReorg window exists.
   /// The chain arms its fork machinery — journalling, deferred

@@ -353,11 +353,7 @@ std::shared_ptr<Deployment::SendRecord> Deployment::send_transfer_from_guest(
     std::uint64_t amount, host::FeePolicy fee, double timeout_after_s) {
   auto record = std::make_shared<SendRecord>();
   record->submitted_at = sim_.now();
-  // Sequence the module will assign.
-  const std::uint64_t seq =
-      guest_->ibc().next_send_sequence("transfer", guest_channel_);
-  record->sequence = seq;
-  sent_[seq] = record;
+  record->sequence = guest_->ibc().next_send_sequence("transfer", guest_channel_);
 
   host::Transaction tx;
   tx.payer = client_payer_;
@@ -365,7 +361,7 @@ std::shared_ptr<Deployment::SendRecord> Deployment::send_transfer_from_guest(
   tx.label = "send-transfer";
   tx.instructions.push_back(guest::ix::send_transfer(
       guest_channel_, "SOL", amount, "alice", "bob", 0, sim_.now() + timeout_after_s));
-  host_.submit(std::move(tx), [record](const host::TxResult& res) {
+  host_.submit(std::move(tx), [this, record](const host::TxResult& res) {
     if (res.reorged_out) {
       // The execution was retracted by a host reorg and did not
       // survive onto the winning fork.  Clients do not resubmit: the
@@ -379,6 +375,13 @@ std::shared_ptr<Deployment::SendRecord> Deployment::send_transfer_from_guest(
     record->failed = !record->executed;
     record->executed_at = res.time;
     record->fee_usd = res.fee.usd();
+    if (record->executed) {
+      // Handlers run inline right after their own transaction, so its
+      // packet holds the newest sequence.  The one read at submit time
+      // is shared by every send in flight with this one.
+      record->sequence = guest_->ibc().next_send_sequence("transfer", guest_channel_) - 1;
+      sent_[record->sequence] = record;
+    }
   });
   return record;
 }

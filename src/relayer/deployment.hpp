@@ -110,6 +110,8 @@ class Deployment {
     /// linear host; trails by the rooted lag on a fork-aware one).
     double rooted_at = 0;
     double fee_usd = 0;
+    /// The packet's sequence once the send executes (until then, the
+    /// next free one at submit time).
     std::uint64_t sequence = 0;
     bool executed = false;
     bool failed = false;
@@ -162,7 +164,7 @@ class Deployment {
   crypto::PublicKey client_payer_;
   crypto::PublicKey service_payer_;
 
-  /// seq -> send record (finalisation tracking for Fig. 2).
+  /// seq -> executed send's record (finalisation tracking for Fig. 2).
   std::map<std::uint64_t, std::shared_ptr<SendRecord>> sent_;
   std::string last_event_id_;  ///< latest handshake event payload
   bool started_ = false;

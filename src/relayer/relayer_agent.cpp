@@ -16,6 +16,11 @@ constexpr double kCounterpartyLatencyS = 0.5;
 /// How many times update_guest_client rebuilds a failed update
 /// sequence from a fresh staging buffer.
 constexpr int kUpdateRebuilds = 8;
+/// Fee policy of the relayer's host transactions (paper §V-B: the
+/// default fee model; the pipeline escalates it on retries).
+const host::FeePolicy kFee = host::FeePolicy::base();
+/// Agent name matched (by prefix) against FaultPlan crash windows.
+constexpr const char* kAgentName = "relayer";
 
 }  // namespace
 
@@ -24,7 +29,7 @@ RelayerAgent::RelayerAgent(sim::Simulation& sim, host::Chain& host,
                            counterparty::CounterpartyChain& cp,
                            ibc::ClientId guest_client_on_cp, crypto::PublicKey payer,
                            RelayerConfig cfg)
-    : CrashableAgent(sim, cfg.name),
+    : CrashableAgent(sim, kAgentName),
       host_(host),
       contract_(contract),
       cp_(cp),
@@ -183,7 +188,7 @@ void RelayerAgent::resync() {
 std::vector<host::Transaction> RelayerAgent::staged_call(
     ByteView payload, host::Instruction (*op)(std::uint64_t), const std::string& label) {
   const std::uint64_t buffer_id = next_buffer_id_++;
-  return guest::ix::staged_call(payer_, cfg_.fee, buffer_id, payload, op(buffer_id), label,
+  return guest::ix::staged_call(payer_, kFee, buffer_id, payload, op(buffer_id), label,
                                 label + ":chunk", host_.max_tx_size());
 }
 
@@ -218,7 +223,7 @@ void RelayerAgent::append_update_signatures(std::vector<host::Transaction>& txs,
     if (in_tx == per_tx) {
       host::Transaction& tx = txs.emplace_back();
       tx.payer = payer_;
-      tx.fee = cfg_.fee;
+      tx.fee = kFee;
       tx.label = "lc-update:sigs";
       tx.instructions.push_back(guest::ix::verify_update_signatures());
       tx.sig_verifies.reserve(std::min(per_tx, sh.signatures.size() - i));
@@ -230,7 +235,7 @@ void RelayerAgent::append_update_signatures(std::vector<host::Transaction>& txs,
 
   host::Transaction fin;
   fin.payer = payer_;
-  fin.fee = cfg_.fee;
+  fin.fee = kFee;
   fin.label = "lc-update:finish";
   fin.instructions.push_back(guest::ix::finish_client_update());
   txs.push_back(std::move(fin));

@@ -25,8 +25,6 @@
 namespace bmg::relayer {
 
 struct RelayerConfig {
-  /// Fee policy for host transactions (paper §V-B: default fee model).
-  host::FeePolicy fee = host::FeePolicy::base();
   /// Ed25519 pre-compile verifications per host transaction.  Real
   /// Tendermint commits sign per-validator vote payloads (~200 bytes
   /// each), which caps this near 4 within the 1232-byte limit.  The
@@ -36,8 +34,6 @@ struct RelayerConfig {
   double poll_latency_s = 0.3;
   /// Retry/backoff/fee-escalation policy of the submission pipeline.
   PipelineConfig pipeline;
-  /// Agent name matched (by prefix) against FaultPlan crash windows.
-  std::string name = "relayer";
 };
 
 class RelayerAgent final : public sim::CrashableAgent {

@@ -68,6 +68,19 @@ TEST(Counterparty, HeaderAtUnknownHeightThrows) {
   EXPECT_THROW((void)chain.header_at(99), ibc::IbcError);
 }
 
+TEST(Counterparty, EvictedHeaderIsSignedAgainByteForByte) {
+  sim::Simulation sim;
+  CounterpartyChain chain(sim, Rng(1), small_config());
+  chain.start();
+  sim.run_until(12.0);
+  const ibc::Height h = chain.height();
+  const Bytes first = chain.header_at(h).encode();
+  // 300 more blocks push height h out of the 256-height header cache.
+  sim.run_until(12.0 + 300 * small_config().block_interval_s);
+  ASSERT_GE(chain.height(), h + 300);
+  EXPECT_EQ(chain.header_at(h).encode(), first);
+}
+
 TEST(Counterparty, HistoricalProofsMatchBlockRoots) {
   sim::Simulation sim;
   CounterpartyChain chain(sim, Rng(1), small_config());

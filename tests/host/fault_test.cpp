@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+
 #include "common/codec.hpp"
+#include "crypto/sha256.hpp"
 #include "host/chain.hpp"
 #include "host/constants.hpp"
 
@@ -334,6 +337,108 @@ TEST_F(FaultChainTest, CrashOnlyPlanLeavesChainByteIdentical) {
   const auto without = run_once(false);
   EXPECT_EQ(with.first, without.first);
   EXPECT_EQ(with.second, without.second);
+}
+
+// --- Pinned host transcript --------------------------------------------------
+
+/// Refuses an instruction whose first byte is 1, accepts any other.
+class RefusingProgram : public Program {
+ public:
+  void execute(TxContext&, ByteView data) override {
+    if (!data.empty() && data[0] == 1) throw TxError("refused");
+  }
+};
+
+struct Transcript {
+  std::string digest;  ///< first 16 hex digits of the SHA-256
+  FaultCounters counters;
+};
+
+/// 300 submissions under `cfg` — mixed fees and labels, a burst of 40
+/// bundles at 140 s that overfills a block, every 37th transaction
+/// oversize and every 11th refused by the program — hashed with every
+/// result in arrival order (label, executed, success, slot, time, fee,
+/// error), the executed/failed/dropped counts, the events processed
+/// and every fault counter.  `appended_at_100s` joins the plan mid-run,
+/// so transactions already waiting meet it in their slot.
+Transcript host_transcript(ChainConfig cfg, const FaultPlan& appended_at_100s = {}) {
+  sim::Simulation sim;
+  Chain chain(sim, Rng(4242), std::move(cfg));
+  chain.register_program("test", std::make_unique<RefusingProgram>());
+  const PublicKey payer = PrivateKey::from_label("payer").public_key();
+  chain.airdrop(payer, 100 * kLamportsPerSol);
+  chain.start();
+  if (!appended_at_100s.empty())
+    sim.at(100.0, [&] { chain.fault_plan().append(appended_at_100s); });
+
+  Encoder out;
+  for (int i = 0; i < 300; ++i) {
+    const bool burst = i >= 200 && i < 240;
+    sim.at(burst ? 140.0 : 0.7 * i, [&, i, burst] {
+      Transaction tx;
+      tx.payer = payer;
+      tx.label = (i % 3 == 0 ? "relay:" : "client:") + std::to_string(i);
+      Bytes data{static_cast<std::uint8_t>(i % 11 == 3 ? 1 : 0)};
+      if (i % 37 == 5) data.resize(kMaxTransactionSize);
+      tx.instructions.push_back(Instruction{"test", std::move(data)});
+      tx.fee = burst || i % 4 == 3 ? FeePolicy::bundle(5'000)
+               : i % 4 == 2        ? FeePolicy::priority(2'000'000)
+                                   : FeePolicy::base();
+      chain.submit(std::move(tx), [&](const TxResult& r) {
+        out.str(r.label).boolean(r.executed).boolean(r.success).u64(r.slot);
+        out.u64(std::bit_cast<std::uint64_t>(r.time));
+        out.u64(r.fee.base_lamports).u64(r.fee.priority_lamports).u64(r.fee.tip_lamports);
+        out.str(r.error);
+      });
+    });
+  }
+  sim.run_until(400.0);
+
+  const FaultCounters& fc = chain.fault_counters();
+  for (const std::uint64_t v :
+       {chain.executed_count(), chain.failed_count(), chain.dropped_count(),
+        sim.events_processed(), fc.congestion_delayed, fc.outage_deferred,
+        fc.outage_expired, fc.blackholed, fc.duplicated, fc.fee_spiked,
+        fc.reorgs_triggered, fc.slots_rolled_back, fc.txs_replayed, fc.txs_reorged_out})
+    out.u64(v);
+  return {crypto::Sha256::digest(out.out()).hex().substr(0, 16), fc};
+}
+
+TEST_F(FaultChainTest, TranscriptIsPinned) {
+  // The fault tests above check each kind's effect; this pins the exact
+  // draws of both RNG streams: which slot every transaction lands in,
+  // which expire, and which are blackholed or replayed.
+  ChainConfig fault_free;
+  fault_free.p_include_base = 0.02;  // a few base-fee transactions expire
+  EXPECT_EQ(host_transcript(fault_free).digest, "a96007761f4c1e3d");
+
+  ChainConfig mixed;
+  mixed.fault.congestion(0.0, 120.0, 0.25, "relay")
+      .congestion(150.0, 175.0, 0.0)
+      .blackhole(20.0, 100.0, 0.15)
+      .outage(60.0, 150.0)
+      .duplicate(0.0, 250.0, 0.1)
+      .fee_spike(100.0, 250.0, 3.0);
+  const Transcript m = host_transcript(mixed);
+  EXPECT_EQ(m.digest, "e0da5bfac1d8ae33");
+  EXPECT_GT(m.counters.congestion_delayed, 0u);
+  EXPECT_GT(m.counters.outage_deferred, 0u);
+  EXPECT_GT(m.counters.outage_expired, 0u);
+  EXPECT_GT(m.counters.blackholed, 0u);
+  EXPECT_GT(m.counters.duplicated, 0u);
+  EXPECT_GT(m.counters.fee_spiked, 0u);
+
+  // A 70 s outage scripted mid-run under congestion: transactions
+  // already bound for its slots wait it out in the slot loop, and
+  // those whose blockhash ages out meanwhile expire there.
+  ChainConfig congested;
+  congested.fault.congestion(0.0, 400.0, 0.5);
+  FaultPlan outage;
+  outage.outage(100.0, 170.0);
+  const Transcript c = host_transcript(congested, outage);
+  EXPECT_EQ(c.digest, "9d961db1d7b455df");
+  EXPECT_GT(c.counters.outage_deferred, 0u);
+  EXPECT_GT(c.counters.outage_expired, 0u);
 }
 
 }  // namespace

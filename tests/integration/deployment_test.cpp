@@ -83,6 +83,20 @@ TEST(Deployment, GuestToCounterpartyTransfer) {
       1200.0));
 }
 
+TEST(Deployment, SendsInFlightTogetherAreTrackedApart) {
+  // Both sends are submitted before either executes, so both see the
+  // same next sequence at submit time; each record must still finalise
+  // under the sequence its own execution took.
+  Deployment d(fast_config(3));
+  d.open_ibc();
+  const auto first = d.send_transfer_from_guest(100, host::FeePolicy::priority(5'000'000));
+  const auto second = d.send_transfer_from_guest(200, host::FeePolicy::priority(5'000'000));
+  ASSERT_TRUE(d.run_until([&] { return first->finalised && second->finalised; }, 600.0));
+  EXPECT_NE(first->sequence, second->sequence);
+  EXPECT_GT(first->finalised_at, first->executed_at);
+  EXPECT_GT(second->finalised_at, second->executed_at);
+}
+
 TEST(Deployment, CounterpartyToGuestTransfer) {
   Deployment d(fast_config(2));
   d.open_ibc();
