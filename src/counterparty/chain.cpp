@@ -15,6 +15,15 @@ constexpr std::uint64_t kStakePerValidator = 1'000;
 constexpr std::size_t kRecentHeights = 256;
 /// Heights whose commit stays, so header_at can still sign them.
 constexpr std::size_t kCommitHeights = 4096;
+
+/// The ring entry for height `h` (heights start at 1 and are
+/// contiguous, so the ring grows until it wraps).
+template <typename T>
+T& ring_slot(std::vector<T>& ring, std::size_t capacity, ibc::Height h) {
+  const std::size_t i = (h - 1) % capacity;
+  if (i == ring.size()) ring.emplace_back();
+  return ring[i];
+}
 }  // namespace
 
 CounterpartyChain::CounterpartyChain(sim::Simulation& sim, Rng rng, Config cfg)
@@ -60,41 +69,31 @@ void CounterpartyChain::produce_block() {
   // Sample the commit: each validator participates with probability
   // `signature_participation`; top up deterministically if the sample
   // fell short of quorum (Tendermint commits always carry >2/3).
-  Commit commit;
+  Commit& commit = ring_slot(commits_, kCommitHeights, height_);
   commit.header.chain_id = cfg_.chain_id;
   commit.header.height = height_;
   commit.header.timestamp = sim_.now();
   commit.header.state_root = store_.root_hash();
   commit.header.validator_set_hash = validator_set_.hash();
+  const std::size_t n = validator_keys_.size();
+  commit.signers.assign((n + 63) / 64, 0);
   std::uint64_t power = 0;
+  const auto add = [&](std::size_t i) {
+    commit.signers[i / 64] |= std::uint64_t{1} << (i % 64);
+    power += validator_set_.entries()[i].stake;
+  };
   const double participation =
       rng_.uniform(cfg_.participation_min, cfg_.participation_max);
-  in_commit_scratch_.assign(validator_keys_.size(), false);
-  std::vector<bool>& in_commit = in_commit_scratch_;
-  for (std::size_t i = 0; i < validator_keys_.size(); ++i) {
-    if (rng_.chance(participation)) {
-      in_commit[i] = true;
-      power += validator_set_.entries()[i].stake;
-    }
-  }
-  for (std::size_t i = 0; i < validator_keys_.size() && power < validator_set_.quorum_stake();
-       ++i) {
-    if (!in_commit[i]) {
-      in_commit[i] = true;
-      power += validator_set_.entries()[i].stake;
-    }
-  }
-  commit.signer_indices.reserve(validator_keys_.size());
-  for (std::size_t i = 0; i < validator_keys_.size(); ++i)
-    if (in_commit[i]) commit.signer_indices.push_back(i);
+  for (std::size_t i = 0; i < n; ++i)
+    if (rng_.chance(participation)) add(i);
+  for (std::size_t i = 0; i < n && power < validator_set_.quorum_stake(); ++i)
+    if (!commit.signed_by(i)) add(i);
 
-  commits_[height_] = std::move(commit);
-  while (commits_.size() > kCommitHeights) commits_.erase(commits_.begin());
   // Historical proof basis: one root copy per block.  Signed headers
   // are cached for the same window of heights.
-  snapshots_[height_] = store_.snapshot();
-  while (snapshots_.size() > kRecentHeights) snapshots_.erase(snapshots_.begin());
-  headers_.erase(headers_.begin(), headers_.lower_bound(snapshots_.begin()->first));
+  ring_slot(snapshots_, kRecentHeights, height_) = store_.snapshot();
+  const ibc::Height oldest_recent = height_ >= kRecentHeights ? height_ - kRecentHeights + 1 : 1;
+  headers_.erase(headers_.begin(), headers_.lower_bound(oldest_recent));
 
   for (const auto& cb : block_callbacks_) cb(height_);
 
@@ -105,21 +104,22 @@ const ibc::SignedQuorumHeader& CounterpartyChain::header_at(ibc::Height h) const
   const auto it = headers_.find(h);
   if (it != headers_.end()) return it->second;
 
-  const auto commit = commits_.find(h);
-  if (commit == commits_.end())
+  if (!recent(h, kCommitHeights))
     throw ibc::IbcError("counterparty: no header at height " + std::to_string(h));
+  const Commit& commit = commits_[(h - 1) % kCommitHeights];
 
-  // Ed25519 signing is deterministic, so re-signing an evicted height
-  // rebuilds its header byte for byte.
+  // Ed25519 signing is deterministic, and the signers are taken in
+  // ascending validator order, so re-signing an evicted height rebuilds
+  // its header byte for byte.
   ibc::SignedQuorumHeader sh;
-  sh.header = commit->second.header;
+  sh.header = commit.header;
   const Hash32 digest = sh.signing_digest();
-  const std::vector<std::size_t>& signers = commit->second.signer_indices;
-  std::vector<const crypto::PrivateKey*> keys(signers.size());
-  for (std::size_t j = 0; j < signers.size(); ++j) keys[j] = &validator_keys_[signers[j]];
+  std::vector<const crypto::PrivateKey*> keys;
+  for (std::size_t i = 0; i < validator_keys_.size(); ++i)
+    if (commit.signed_by(i)) keys.push_back(&validator_keys_[i]);
   const std::vector<crypto::Signature> sigs = crypto::sign_all(keys, digest.view());
-  sh.signatures.reserve(signers.size());
-  for (std::size_t j = 0; j < signers.size(); ++j)
+  sh.signatures.reserve(keys.size());
+  for (std::size_t j = 0; j < keys.size(); ++j)
     sh.signatures.emplace_back(keys[j]->public_key(), sigs[j]);
   return headers_.emplace(h, std::move(sh)).first->second;
 }
@@ -129,16 +129,14 @@ void CounterpartyChain::on_new_block(std::function<void(ibc::Height)> cb) {
 }
 
 trie::Proof CounterpartyChain::prove_at(ibc::Height h, ByteView key) const {
-  const auto it = snapshots_.find(h);
-  if (it == snapshots_.end())
+  if (!recent(h, kRecentHeights))
     throw ibc::IbcError("counterparty: no snapshot at height " + std::to_string(h));
-  return it->second.prove(key);
+  return snapshots_[(h - 1) % kRecentHeights].prove(key);
 }
 
 trie::TrieSnapshot CounterpartyChain::snapshot_at(ibc::Height h) const {
-  const auto it = snapshots_.find(h);
-  if (it == snapshots_.end()) return {};
-  return it->second;
+  if (!recent(h, kRecentHeights)) return {};
+  return snapshots_[(h - 1) % kRecentHeights];
 }
 
 }  // namespace bmg::counterparty

@@ -69,11 +69,13 @@ class CounterpartyChain {
   }
 
   /// The signed header (with its quorum commit) for a finalised
-  /// height; relayers ship these to the guest light client.  Commit
-  /// signatures are materialized lazily on first request (a pure
-  /// simulation optimization — the header contents are identical) and
-  /// cached for the last 256 heights; an older height is signed again.
-  /// The reference is valid until the next block.
+  /// height; relayers ship these to the guest light client.  A block
+  /// keeps only its header and which validators signed it; the
+  /// signatures are made on first request (a pure simulation
+  /// optimization — the header is identical) and cached for the last
+  /// 256 heights; an older height of the last 4,096 is signed again,
+  /// byte for byte.  Throws for any other height.  The reference is
+  /// valid until the next block.
   [[nodiscard]] const ibc::SignedQuorumHeader& header_at(ibc::Height h) const;
 
   /// Registers a callback invoked after each new block.
@@ -102,21 +104,32 @@ class CounterpartyChain {
   std::vector<crypto::PrivateKey> validator_keys_;
   ibc::ValidatorSet validator_set_;
 
+  /// A block's commit: its header and one bit per validator that
+  /// signed it (validator i is bit i % 64 of word i / 64).
   struct Commit {
     ibc::QuorumHeader header;
-    std::vector<std::size_t> signer_indices;
+    std::vector<std::uint64_t> signers;
+
+    [[nodiscard]] bool signed_by(std::size_t i) const noexcept {
+      return (signers[i / 64] >> (i % 64)) & 1;
+    }
   };
 
+  /// Whether height `h` is among the last `window` blocks.
+  [[nodiscard]] bool recent(ibc::Height h, std::size_t window) const noexcept {
+    return h >= 1 && h <= height_ && height_ - h < window;
+  }
+
   ibc::Height height_ = 0;
-  std::map<ibc::Height, Commit> commits_;
-  /// Signed-header cache; header_at fills it, produce_block evicts it.
-  mutable std::map<ibc::Height, ibc::SignedQuorumHeader> headers_;
+  /// Rings indexed by height: height h sits at (h - 1) % capacity, and
+  /// heights are contiguous, so the last `capacity` blocks are held.
+  std::vector<Commit> commits_;
   /// Recent per-block state snapshots for historical proofs (each is
   /// one root copy sharing the trie's nodes, not a deep trie copy).
-  std::map<ibc::Height, trie::TrieSnapshot> snapshots_;
+  std::vector<trie::TrieSnapshot> snapshots_;
+  /// Signed-header cache; header_at fills it, produce_block evicts it.
+  mutable std::map<ibc::Height, ibc::SignedQuorumHeader> headers_;
   std::vector<std::function<void(ibc::Height)>> block_callbacks_;
-  /// Per-block participation bitmap, reused across produce_block calls.
-  std::vector<bool> in_commit_scratch_;
   bool started_ = false;
 };
 

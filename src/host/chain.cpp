@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
+#include <optional>
 
 namespace bmg::host {
 
@@ -76,7 +78,76 @@ void Chain::start() {
     }
     take_checkpoint(0);
   }
-  sim_.after(cfg_.slot_seconds, [this] { on_slot(); });
+  clock_ = {0, sim_.now()};
+  schedule_next();
+}
+
+Chain::Boundary Chain::passed() const {
+  if (started_)
+    for (Boundary b = next(clock_); b.time <= sim_.now(); b = next(b)) clock_ = b;
+  return clock_;
+}
+
+double Chain::boundary_at_or_after(double t) const {
+  if (!started_) return std::numeric_limits<double>::infinity();
+  Boundary b = passed();
+  while (b.time < t) b = next(b);
+  return b.time;
+}
+
+void Chain::wake_at(double t) {
+  if (fork_mode_ || !started_) return;
+  t = std::max(t, sim_.now());
+  Boundary b = passed();
+  if (b.slot == slot_) b = next(b);  // produced already
+  while (b.time < t) b = next(b);
+  pending_.try_emplace(b.slot);
+  schedule_slot(b.slot);
+}
+
+void Chain::on_slot_end(std::function<void()> fn) { slot_end_hooks_.push_back(std::move(fn)); }
+
+void Chain::schedule_next() {
+  if (fork_mode_)
+    schedule_slot(slot_ + 1);
+  else if (!pending_.empty())
+    schedule_slot(pending_.begin()->first);
+}
+
+void Chain::schedule_slot(std::uint64_t k) {
+  if (!started_ || in_slot_ || (next_slot_ != 0 && next_slot_ <= k)) return;
+  next_slot_ = k;
+  // Slot k, then its slot-end hooks as the very next event: a caller
+  // pumping the simulation event by event can act between the two.
+  const auto queue = [this, gen = ++slot_gen_, k](double t) {
+    sim_.at(t, [this, gen] {
+      if (gen == slot_gen_) on_slot(next_slot_);
+    });
+    if (slot_end_hooks_.empty()) return;
+    sim_.at(t, [this, k] {
+      if (slot_ != k) return;  // superseded: slot k was not produced
+      // Index loop: a hook may register another.
+      for (std::size_t i = 0; i < slot_end_hooks_.size(); ++i) slot_end_hooks_[i]();
+    });
+  };
+  const Boundary now = passed();
+  if (k <= now.slot + 1) {  // the next boundary, or a wake's at now()
+    queue(k == now.slot ? now.time : next(now).time);
+    return;
+  }
+  // Slot k-1 is idle.  Had it been produced, it would have queued slot
+  // k at its own boundary, after every event queued for that instant
+  // so far: an arm event there keeps slot k in that place among the
+  // events of its own instant (DESIGN §8).
+  std::optional<double>& arm = pending_[k].arm_time;
+  if (!arm) {
+    Boundary b = now;
+    while (b.slot + 1 < k) b = next(b);
+    arm = b.time;
+  }
+  sim_.at(*arm, [this, gen = slot_gen_, queue, t = *arm + cfg_.slot_seconds] {
+    if (gen == slot_gen_) queue(t);
+  });
 }
 
 double Chain::inclusion_probability(const FeePolicy& fee) const {
@@ -127,7 +198,7 @@ void Chain::submit(Transaction tx, ResultHandler on_result) {
   std::uint64_t chosen = 0;  // slot 0 is never produced: 0 = not included
   bool congested = false;
   bool waited_out_outage = false;
-  for (std::uint64_t s = std::max(first_slot, slot_ + 1); s <= expiry_slot; ++s) {
+  for (std::uint64_t s = std::max(first_slot, slot() + 1); s <= expiry_slot; ++s) {
     double m = 1.0;
     if (faults) {
       const double t = static_cast<double>(s) * cfg_.slot_seconds;
@@ -170,19 +241,23 @@ void Chain::submit(Transaction tx, ResultHandler on_result) {
   const double p_dup = cfg_.fault.duplicate_probability(now, tx.label);
   if (p_dup > 0 && fault_rng_.chance(p_dup)) {
     ++fault_counters_.duplicated;
-    pending_[chosen + 1].push_back(PendingTx{tx, {}, expiry_slot});
+    pending_[chosen + 1].txs.push_back(PendingTx{tx, {}, expiry_slot});
   }
 
-  pending_[chosen].push_back(PendingTx{std::move(tx), std::move(on_result), expiry_slot});
+  pending_[chosen].txs.push_back(PendingTx{std::move(tx), std::move(on_result), expiry_slot});
+  schedule_slot(chosen);
 }
 
-void Chain::on_slot() {
-  ++slot_;
+void Chain::on_slot(std::uint64_t k) {
+  slot_ = k;
+  clock_ = {k, sim_.now()};
+  next_slot_ = 0;
+  in_slot_ = true;
   if (fork_mode_) maybe_trigger_reorg();
 
   const auto it = pending_.find(slot_);
   if (it != pending_.end()) {
-    std::vector<PendingTx> batch = std::move(it->second);
+    std::vector<PendingTx> batch = std::move(it->second.txs);
     pending_.erase(it);
     // An outage slot is produced but includes nothing: its transactions
     // wait for the next slot unless their blockhash aged out.
@@ -218,7 +293,7 @@ void Chain::on_slot() {
       } else if (outage || block_cu >= cfg_.block_compute_units) {
         // Outage or full block: spill to the next slot.
         if (outage) ++fault_counters_.outage_deferred;
-        pending_[slot_ + 1].push_back(std::move(ptx));
+        pending_[slot_ + 1].txs.push_back(std::move(ptx));
       } else {
         (void)execute_tx_at(ptx, slot_, sim_.now(), ExecMode::kLive, true);
         block_cu += cfg_.max_compute_units;  // conservative per-tx reservation
@@ -230,7 +305,8 @@ void Chain::on_slot() {
     deliver_rooted();
     fire_rooted_waits();
   }
-  sim_.after(cfg_.slot_seconds, [this] { on_slot(); });
+  in_slot_ = false;
+  schedule_next();
 }
 
 void Chain::report_unexecuted(ResultHandler on_result, std::string label, std::string error,

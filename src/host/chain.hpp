@@ -9,6 +9,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -91,7 +92,9 @@ class Chain {
   void airdrop(const crypto::PublicKey& who, std::uint64_t lamports);
   [[nodiscard]] std::uint64_t balance(const crypto::PublicKey& who) const;
 
-  /// Begins slot production (call once after setup).
+  /// Begins slot production (call once after setup).  Slot k's
+  /// boundary is T(k) = T(k-1) + slot_seconds, T(0) the start time; an
+  /// unarmed chain produces only the slots with work (DESIGN §8).
   void start();
 
   // -- usage ----------------------------------------------------------
@@ -102,6 +105,19 @@ class Chain {
   /// Largest transaction wire size submit() accepts; relayers chunk
   /// staged payloads to it.
   [[nodiscard]] std::size_t max_tx_size() const noexcept { return cfg_.max_tx_size; }
+  [[nodiscard]] double slot_seconds() const noexcept { return cfg_.slot_seconds; }
+
+  /// Runs `fn` at the end of every produced slot, as the event right
+  /// after the slot's own: every state change of the slot is visible.
+  /// Register before start(); a slot queued earlier skips it.
+  void on_slot_end(std::function<void()> fn);
+  /// Produces the first unproduced slot whose boundary is at or after
+  /// max(t, now()), so an on_slot_end callback runs there.  A no-op
+  /// on an armed chain, which produces every slot.
+  void wake_at(double t);
+  /// The first slot boundary at or after `t`, for `t` at or after
+  /// now(), produced or not (+infinity before start()).
+  [[nodiscard]] double boundary_at_or_after(double t) const;
 
   /// Processed subscription: `handler` sees each event inline at
   /// execution, and again whenever a reorg replays its transaction.
@@ -132,7 +148,9 @@ class Chain {
   RootedWaitId when_rooted(std::uint64_t slot, std::function<void()> fn);
   void cancel_rooted(RootedWaitId id);
 
-  [[nodiscard]] std::uint64_t slot() const noexcept { return slot_; }
+  /// The current slot: on an armed chain the last one produced, on
+  /// any other the number of slot boundaries at or before now().
+  [[nodiscard]] std::uint64_t slot() const { return fork_mode_ ? slot_ : passed().slot; }
 
   // -- accounting -----------------------------------------------------
   struct PayerStats {
@@ -192,7 +210,23 @@ class Chain {
     kVisibleReplay,  ///< winning-fork re-execution: dispatch + notify + journal
   };
 
-  void on_slot();
+  /// A slot boundary: slot `slot` begins at `time`.
+  struct Boundary {
+    std::uint64_t slot = 0;
+    double time = 0;
+  };
+  /// The next boundary, by the same addition every slot has always
+  /// made, so every slot time is the same double however it is reached.
+  [[nodiscard]] Boundary next(Boundary b) const noexcept {
+    return {b.slot + 1, b.time + cfg_.slot_seconds};
+  }
+  /// The last boundary at or before now() (slot 0 before start()).
+  [[nodiscard]] Boundary passed() const;
+  /// Queues the next slot with work (on an armed chain, the next slot).
+  void schedule_next();
+  /// Queues slot `k` unless an earlier slot is already queued.
+  void schedule_slot(std::uint64_t k);
+  void on_slot(std::uint64_t k);
   /// Executes at explicit (slot, time) coordinates; replay modes reuse
   /// the journalled pre-compile verdict instead of re-verifying.
   TxResult execute_tx_at(PendingTx& ptx, std::uint64_t slot, double time,
@@ -247,10 +281,27 @@ class Chain {
   };
   Ledger ledger_;
 
-  /// Transactions keyed by the slot chosen for their inclusion.
-  std::map<std::uint64_t, std::vector<PendingTx>> pending_;
+  /// A slot with work: the transactions chosen for it (none for a
+  /// wake), and the boundary of the slot before it once an arm event
+  /// needed it — walked to once, however often the slot is queued.
+  struct SlotWork {
+    std::vector<PendingTx> txs;
+    std::optional<double> arm_time;
+  };
+  /// Keyed by slot: the slots with work.  An unarmed chain produces no
+  /// other.
+  std::map<std::uint64_t, SlotWork> pending_;
+  std::vector<std::function<void()>> slot_end_hooks_;
 
-  std::uint64_t slot_ = 0;
+  std::uint64_t slot_ = 0;  ///< last slot produced
+  /// Cursor for passed(): a boundary at or before now(), at or after
+  /// the last slot produced; it only moves forward.
+  mutable Boundary clock_;
+  /// The slot queued to be produced next (0: none), and the generation
+  /// of its event: a superseded event fires as a no-op.
+  std::uint64_t next_slot_ = 0;
+  std::uint64_t slot_gen_ = 0;
+  bool in_slot_ = false;
   bool started_ = false;
   std::uint64_t dropped_ = 0;
 

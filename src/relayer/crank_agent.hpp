@@ -1,12 +1,17 @@
 // Block-production crank.
 //
 // GenerateBlock "can be invoked by anyone (e.g. whenever a host block
-// is produced)" (paper §III-A).  This agent polls the contract state
-// each host slot and submits a GenerateBlock transaction when the head
-// is finalised and either there are pending state changes or the head
-// aged past Δ.  The contract also accepts GenerateBlock once an epoch
-// rotation is due, but the crank does not check for that: an epoch
-// rotates only with the next block one of the two triggers produces.
+// is produced)" (paper §III-A).  This agent checks the contract state
+// at the end of every host slot the chain produces and submits a
+// GenerateBlock transaction when the head is finalised and either
+// there are pending state changes or the head aged past Δ.  It keeps
+// no timer: state changes only inside a produced slot, and for the
+// two things that happen outside one — the head ageing and a
+// GenerateBlock that never executed — it asks the host to produce the
+// slot where it must look again (DESIGN §10).  The contract also
+// accepts GenerateBlock once an epoch rotation is due, but the crank
+// does not check for that: an epoch rotates only with the next block
+// one of the two triggers produces.
 #pragma once
 
 #include <string>
@@ -25,39 +30,42 @@ class CrankAgent final : public sim::CrashableAgent {
       : CrashableAgent(sim, "crank"),
         host_(host),
         contract_(contract),
-        payer_(std::move(payer)) {}
+        payer_(std::move(payer)) {
+    // Before the host starts, so that its first slot carries the check.
+    host_.on_slot_end([this] {
+      if (started_ && running()) check();
+    });
+  }
 
-  void start() { schedule_poll(); }
+  /// Checks at every slot the host produces from its next one on.
+  void start() {
+    started_ = true;
+    host_.wake_at(sim_.now());
+  }
 
   [[nodiscard]] std::uint64_t blocks_triggered() const { return triggered_; }
 
  private:
-  /// The crank is stateless beyond its poll loop: restart just starts
-  /// polling again.  A pre-crash submission may still land, so the
-  /// worst case is one duplicate GenerateBlock the contract rejects.
+  /// The crank is stateless beyond its in-flight flag: a restarted
+  /// process checks at the next slot boundary.  A pre-crash submission
+  /// may still land, so the worst case is one duplicate GenerateBlock
+  /// the contract rejects.
   void on_restart() override {
     in_flight_ = false;
-    schedule_poll();
+    host_.wake_at(sim_.now());
   }
 
-  void schedule_poll() {
-    sim_.after_cancellable(
-        host::kSlotSeconds,
-        [this] {
-          poll();
-          schedule_poll();
-        },
-        timer_owner());
-  }
-
-  void poll() {
+  void check() {
     if (in_flight_) return;
     const auto& head = contract_.head();
     if (!head.finalised) return;
     const bool root_changed =
         head.header.state_root != contract_.store().root_hash();
     const bool aged = sim_.now() - head.header.timestamp >= contract_.delta_seconds();
-    if (!root_changed && !aged) return;
+    if (!root_changed && !aged) {
+      wake_to_age(head.header.timestamp);
+      return;
+    }
 
     in_flight_ = true;
     host::Transaction tx;
@@ -69,13 +77,31 @@ class CrankAgent final : public sim::CrashableAgent {
       if (life != crash_count()) return;  // process died meanwhile
       in_flight_ = false;
       if (res.executed && res.success) ++triggered_;
+      // An expiry is reported outside any slot: look at the next one.
+      if (!res.executed) host_.wake_at(sim_.now());
     });
+  }
+
+  /// In doubles, `now - ts >= Δ` can hold one slot before
+  /// `now >= ts + Δ` does, so the crank wakes a slot early and then
+  /// checks every slot until the head ages.  The early wake is asked
+  /// for once per head: its slot stays pending until produced.
+  void wake_to_age(double head_timestamp) {
+    const double due = head_timestamp + contract_.delta_seconds() - host_.slot_seconds();
+    if (sim_.now() >= due) {
+      host_.wake_at(sim_.now());
+    } else if (due != aging_wake_) {
+      aging_wake_ = due;
+      host_.wake_at(due);
+    }
   }
 
   host::Chain& host_;
   guest::GuestContract& contract_;
   crypto::PublicKey payer_;
+  bool started_ = false;
   bool in_flight_ = false;
+  double aging_wake_ = -1;
   std::uint64_t triggered_ = 0;
 };
 

@@ -184,9 +184,18 @@ void Deployment::run_for(double seconds) { sim_.run_until(sim_.now() + seconds);
 
 bool Deployment::run_until(const std::function<bool()>& pred, double timeout_s) {
   const double deadline = sim_.now() + timeout_s;
-  while (sim_.now() < deadline) {
+  while (sim_.now() < deadline && sim_.pending() > 0) {
     if (pred()) return true;
-    if (!sim_.step()) break;
+    // Past the deadline, nothing runs beyond the host's next slot
+    // boundary, whether or not the host produces that slot.
+    if (sim_.next_time() >= deadline) {
+      const double boundary = host_.boundary_at_or_after(deadline);
+      if (sim_.next_time() > boundary) {
+        sim_.run_until(boundary);
+        break;
+      }
+    }
+    sim_.step();
   }
   return pred();
 }

@@ -129,7 +129,9 @@ class Deployment {
 
   // --- simulation pumping ---------------------------------------------------
   void run_for(double seconds);
-  /// Pumps until `pred()` or timeout; returns whether pred held.
+  /// Pumps until `pred()` or timeout; returns whether pred held.  The
+  /// wait ends after the first event at or past the deadline, or at the
+  /// host's first slot boundary at or after it, whichever comes first.
   bool run_until(const std::function<bool()>& pred, double timeout_s);
 
  private:

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 
 namespace bmg::sim {
 
@@ -105,6 +106,10 @@ bool Simulation::step() {
   ++processed_;
   ev.fn();
   return true;
+}
+
+SimTime Simulation::next_time() const noexcept {
+  return queue_.empty() ? std::numeric_limits<SimTime>::infinity() : queue_.front().time;
 }
 
 void Simulation::run_until(SimTime t) {

@@ -1,8 +1,8 @@
 // Deterministic discrete-event simulation kernel.
 //
-// Everything time-dependent in the reproduction — host slots,
-// counterparty blocks, validator signing delays, relayer polling —
-// runs as events on this scheduler.  Events at equal timestamps fire
+// Everything time-dependent in the reproduction — host slots that
+// have work, counterparty blocks, validator signing delays, relayer
+// timers — runs as events on this scheduler.  Events at equal timestamps fire
 // in scheduling order (FIFO), which makes runs bit-reproducible.
 #pragma once
 
@@ -81,6 +81,9 @@ class Simulation {
   [[nodiscard]] std::uint64_t events_processed() const noexcept { return processed_; }
   /// Queue length, including cancelled-but-not-yet-popped timers.
   [[nodiscard]] std::size_t pending() const noexcept { return queue_.size(); }
+  /// Time of the event the next step() pops (a cancelled timer's too);
+  /// +infinity when the queue is empty.
+  [[nodiscard]] SimTime next_time() const noexcept;
 
  private:
   struct Event {
@@ -107,8 +110,8 @@ class Simulation {
   /// keeps the vector sorted and lookups are binary searches; erasing
   /// tombstones in place (owner := kCancelledOwner) and the vector is
   /// compacted when tombstones dominate.  A node-based map here costs
-  /// one heap allocation per scheduled timer — this is the relayer
-  /// poll path, the hottest allocation site in the whole simulation.
+  /// one heap allocation per scheduled timer, and every agent timer
+  /// (relayer, validators, pipeline deadlines) passes through here.
   struct PendingTimer {
     TimerId id;
     AgentId owner;

@@ -69,16 +69,25 @@ TEST(Counterparty, HeaderAtUnknownHeightThrows) {
 }
 
 TEST(Counterparty, EvictedHeaderIsSignedAgainByteForByte) {
-  sim::Simulation sim;
-  CounterpartyChain chain(sim, Rng(1), small_config());
-  chain.start();
-  sim.run_until(12.0);
-  const ibc::Height h = chain.height();
-  const Bytes first = chain.header_at(h).encode();
-  // 300 more blocks push height h out of the 256-height header cache.
-  sim.run_until(12.0 + 300 * small_config().block_interval_s);
-  ASSERT_GE(chain.height(), h + 300);
-  EXPECT_EQ(chain.header_at(h).encode(), first);
+  // 160 validators span three words of the signer bitmap.  The digests
+  // pin the signed headers to the chain that kept signer index lists.
+  for (const auto& [validators, digest] :
+       {std::pair<int, const char*>{8, "3e8a28047146e808"}, {160, "f95d69587d44048e"}}) {
+    Config cfg = small_config();
+    cfg.num_validators = validators;
+    cfg.participation_min = 0.7;
+    sim::Simulation sim;
+    CounterpartyChain chain(sim, Rng(1), cfg);
+    chain.start();
+    sim.run_until(12.0);
+    const ibc::Height h = chain.height();
+    const Bytes first = chain.header_at(h).encode();
+    EXPECT_EQ(crypto::Sha256::digest(first).hex().substr(0, 16), digest) << validators;
+    // 300 more blocks push height h out of the 256-height header cache.
+    sim.run_until(12.0 + 300 * cfg.block_interval_s);
+    ASSERT_GE(chain.height(), h + 300);
+    EXPECT_EQ(chain.header_at(h).encode(), first) << validators;
+  }
 }
 
 TEST(Counterparty, HistoricalProofsMatchBlockRoots) {

@@ -352,14 +352,16 @@ class RefusingProgram : public Program {
 struct Transcript {
   std::string digest;  ///< first 16 hex digits of the SHA-256
   FaultCounters counters;
+  std::uint64_t events = 0;  ///< scheduler events, pinned apart from the digest
 };
 
 /// 300 submissions under `cfg` — mixed fees and labels, a burst of 40
 /// bundles at 140 s that overfills a block, every 37th transaction
 /// oversize and every 11th refused by the program — hashed with every
 /// result in arrival order (label, executed, success, slot, time, fee,
-/// error), the executed/failed/dropped counts, the events processed
-/// and every fault counter.  `appended_at_100s` joins the plan mid-run,
+/// error), the executed/failed/dropped counts and every fault counter.
+/// The scheduler's event count is returned beside the digest: it
+/// measures how the chain is driven, not what it does.  `appended_at_100s` joins the plan mid-run,
 /// so transactions already waiting meet it in their slot.
 Transcript host_transcript(ChainConfig cfg, const FaultPlan& appended_at_100s = {}) {
   sim::Simulation sim;
@@ -397,11 +399,11 @@ Transcript host_transcript(ChainConfig cfg, const FaultPlan& appended_at_100s = 
   const FaultCounters& fc = chain.fault_counters();
   for (const std::uint64_t v :
        {chain.executed_count(), chain.failed_count(), chain.dropped_count(),
-        sim.events_processed(), fc.congestion_delayed, fc.outage_deferred,
+        fc.congestion_delayed, fc.outage_deferred,
         fc.outage_expired, fc.blackholed, fc.duplicated, fc.fee_spiked,
         fc.reorgs_triggered, fc.slots_rolled_back, fc.txs_replayed, fc.txs_reorged_out})
     out.u64(v);
-  return {crypto::Sha256::digest(out.out()).hex().substr(0, 16), fc};
+  return {crypto::Sha256::digest(out.out()).hex().substr(0, 16), fc, sim.events_processed()};
 }
 
 TEST_F(FaultChainTest, TranscriptIsPinned) {
@@ -410,7 +412,9 @@ TEST_F(FaultChainTest, TranscriptIsPinned) {
   // which expire, and which are blackholed or replayed.
   ChainConfig fault_free;
   fault_free.p_include_base = 0.02;  // a few base-fee transactions expire
-  EXPECT_EQ(host_transcript(fault_free).digest, "a96007761f4c1e3d");
+  const Transcript f = host_transcript(fault_free);
+  EXPECT_EQ(f.digest, "e7d06a5476b853f7");
+  EXPECT_EQ(f.events, 694u);
 
   ChainConfig mixed;
   mixed.fault.congestion(0.0, 120.0, 0.25, "relay")
@@ -420,7 +424,8 @@ TEST_F(FaultChainTest, TranscriptIsPinned) {
       .duplicate(0.0, 250.0, 0.1)
       .fee_spike(100.0, 250.0, 3.0);
   const Transcript m = host_transcript(mixed);
-  EXPECT_EQ(m.digest, "e0da5bfac1d8ae33");
+  EXPECT_EQ(m.digest, "afd208751df5dc1e");
+  EXPECT_EQ(m.events, 577u);
   EXPECT_GT(m.counters.congestion_delayed, 0u);
   EXPECT_GT(m.counters.outage_deferred, 0u);
   EXPECT_GT(m.counters.outage_expired, 0u);
@@ -436,7 +441,8 @@ TEST_F(FaultChainTest, TranscriptIsPinned) {
   FaultPlan outage;
   outage.outage(100.0, 170.0);
   const Transcript c = host_transcript(congested, outage);
-  EXPECT_EQ(c.digest, "9d961db1d7b455df");
+  EXPECT_EQ(c.digest, "493b49432b553751");
+  EXPECT_EQ(c.events, 765u);
   EXPECT_GT(c.counters.outage_deferred, 0u);
   EXPECT_GT(c.counters.outage_expired, 0u);
 }

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include "bench_common.hpp"
 #include "common/codec.hpp"
 #include "guest/instructions.hpp"
 
@@ -250,6 +251,46 @@ TEST(Deployment, TimeoutRefundsOnGuestSide) {
   ASSERT_TRUE(d.run_until([&] { return timed_out; }, 600.0));
   // Refund applied.
   EXPECT_EQ(d.guest().bank().balance("alice", "SOL"), 1'000'000u);
+}
+
+TEST(Deployment, RunUntilTimesOutAtTheFirstSlotBoundaryPastItsDeadline) {
+  DeploymentConfig cfg = fast_config(5);
+  cfg.guest.delta_seconds = 3600.0;  // an idle guest: nothing between counterparty blocks
+  Deployment d(cfg);
+  d.open_ibc();
+  d.run_for(300.0);
+  const ibc::Height h = d.cp().height();
+  ASSERT_TRUE(d.run_until([&] { return d.cp().height() > h; }, 60.0));
+  // The next counterparty block is 6 s away; a timer 1 s past the
+  // deadline must not end the wait.
+  const double deadline = d.sim().now() + 2.0;
+  bool fired = false;
+  d.sim().at(deadline + 1.0, [&] { fired = true; });
+  EXPECT_FALSE(d.run_until([&] { return fired; }, 2.0));
+  EXPECT_GE(d.sim().now(), deadline);
+  EXPECT_LT(d.sim().now(), deadline + host::kSlotSeconds);
+}
+
+TEST(Deployment, IdleHourCostsFewEvents) {
+  // About 1,200 of them are the counterparty's blocks and the relayer's
+  // timer after each: the host produces no idle slot, and the crank
+  // keeps no timer.
+  Deployment d(bench::paper_config(7));
+  d.open_ibc();
+  const std::uint64_t before = d.sim().events_processed();
+  d.run_for(3600.0);
+  EXPECT_LE(d.sim().events_processed() - before, 1500u);
+}
+
+TEST(Crank, AgedBlocksLandWherePollingPutThem) {
+  // Pinned from the crank that checked every 0.4 s slot: the Δ-aged
+  // blocks of four idle hours, and the last one's timestamp.
+  Deployment d(bench::paper_config(7));
+  d.open_ibc();
+  d.run_for(4 * 3600.0);
+  EXPECT_EQ(d.guest().block_count(), 9u);
+  // The slot time as accumulated, 36,251 slots in.
+  EXPECT_EQ(d.guest().head().header.timestamp, 14500.399999991194);
 }
 
 TEST(Deployment, DeterministicForSameSeed) {

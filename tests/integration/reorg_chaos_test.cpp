@@ -338,9 +338,12 @@ TEST(ReorgChaos, LossyStormTranscriptIsPinned) {
   const host::FaultCounters& fc = d.host().fault_counters();
   ASSERT_GE(fc.reorgs_triggered, 200u);
   ASSERT_GT(fc.txs_reorged_out, 0u);
+  // The scheduler's event count measures how the chains are driven,
+  // not what they do: it is pinned apart from the digest.
+  EXPECT_EQ(d.sim().events_processed(), 5154u);
   std::string transcript;
   for (const std::uint64_t v :
-       {d.sim().events_processed(), fc.congestion_delayed, fc.outage_deferred,
+       {fc.congestion_delayed, fc.outage_deferred,
         fc.outage_expired, fc.blackholed, fc.duplicated, fc.fee_spiked,
         fc.reorgs_triggered, fc.slots_rolled_back, fc.txs_replayed,
         fc.txs_reorged_out, d.host().fork_epoch(),
@@ -351,7 +354,7 @@ TEST(ReorgChaos, LossyStormTranscriptIsPinned) {
     transcript += std::to_string(v) + ",";
   transcript += d.guest().store().root_hash().hex() + "," + banks_digest(d);
   EXPECT_EQ(crypto::Sha256::digest(bytes_of(transcript)).hex().substr(0, 16),
-            "6cbda36ecfee03ae")
+            "8bbb6055fa153663")
       << transcript;
 }
 
