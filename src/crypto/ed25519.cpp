@@ -1563,6 +1563,8 @@ ExpandedKey expand(const Seed& seed) {
   ExpandedKey key{};
   std::memcpy(key.scalar.data(), h.data(), 32);
   clamp(key.scalar.data());
+  const U256 a = sc_reduce_bytes(key.scalar.data(), 32);
+  std::copy(a.w, a.w + 4, key.scalar_mod_l.begin());
   std::memcpy(key.prefix.data(), h.data() + 32, 32);
   ge_compress(key.pub.data(), ge_scalarmult_base(key.scalar.data()));
   return key;
@@ -2059,7 +2061,8 @@ void sign_batch_on(Backend backend, std::span<const ExpandedKey* const> keys, By
   hash_each(
       backend, n, [&](std::size_t i) { return challenge_parts(keys[i]->pub, msg, out[i]); },
       [&](std::size_t i, const Digest512& kh) {
-        const U256 a = sc_reduce_bytes(keys[i]->scalar.data(), 32);
+        const auto& w = keys[i]->scalar_mod_l;
+        const U256 a = {{w[0], w[1], w[2], w[3]}};
         sc_to_bytes(out[i].data() + 32, sc_add(nonce[i].r, sc_mul(reduce_hash(kh), a)));
       });
 }

@@ -30,6 +30,9 @@ using SignatureBytes = std::array<std::uint8_t, 64>;
 /// the challenge H(R || A || M).
 struct ExpandedKey {
   std::array<std::uint8_t, 32> scalar;  ///< clamped, little-endian
+  /// `scalar` mod L as little-endian 64-bit words, reduced once here
+  /// rather than at every signature.
+  std::array<std::uint64_t, 4> scalar_mod_l;
   std::array<std::uint8_t, 32> prefix;  ///< hashed with the message into the nonce
   PublicKeyBytes pub;
 };

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <memory>
 #include <stdexcept>
-#include <tuple>
 #include <utility>
 
 namespace bmg::guest {
@@ -52,58 +51,57 @@ GuestContract::GuestContract(GuestConfig cfg,
   GuestBlock genesis = GuestBlock::make(cfg_.chain_id, 0, 0.0, store_.root_hash(),
                                         Hash32{}, 0, epoch_);
   genesis.finalised = true;
-  blocks_.push_back(std::move(genesis));
+  push_block(std::move(genesis));
   snapshots_[0] = store_.snapshot();
 }
 
 GuestContract::~GuestContract() = default;
 
-// --- fork checkpoints ---------------------------------------------------------
+// --- undo records -------------------------------------------------------------
 
-namespace {
-/// std::tuple<T...> for a std::tie result std::tuple<T&...>.
-template <typename Tied>
-struct ValuesOf;
-template <typename... T>
-struct ValuesOf<std::tuple<T&...>> {
-  using type = std::tuple<T...>;
-};
-}  // namespace
-
-struct GuestContract::Checkpoint {
-  trie::SealableTrie store;
-  ibc::IbcModule::State ibc;
-  ValuesOf<decltype(std::declval<GuestContract&>().tx_members())>::type members;
-  /// blocks_ is saved as an undo log instead of a copy: its length at
-  /// the checkpoint, plus the original of every older record changed
-  /// since (mutable_block), so a checkpoint costs O(1) however long
-  /// the chain grows.
-  std::size_t block_count = 0;
-  std::map<ibc::Height, GuestBlock> changed_blocks;
-};
-
-void GuestContract::fork_checkpoint() {
-  checkpoint_ = std::make_unique<Checkpoint>(Checkpoint{
-      store_.clone(), module_.checkpoint(), tx_members(), blocks_.size(), {}});
+void GuestContract::save_store() {
+  if (!recording(undo_) || store_slot_ == undo_->slot()) return;
+  // Snapshots published since keep their nodes alive, so they stay
+  // readable after the clone moves back in.
+  undo_->record([this, old = std::make_shared<trie::SealableTrie>(store_.clone()),
+                 slot = store_slot_] {
+    store_ = std::move(*old);
+    store_slot_ = slot;
+  });
+  store_slot_ = undo_->slot();
 }
 
-void GuestContract::fork_rollback() {
-  if (!checkpoint_) throw std::logic_error("guest: fork rollback without a checkpoint");
-  // module_ and transfer_ hold references to store_ and bank_, so both
-  // are assigned in place: member addresses never change, and agents
-  // and the deployment hold references into this contract too.
-  store_ = std::move(checkpoint_->store);
-  module_.restore(std::move(checkpoint_->ibc));
-  tx_members() = std::move(checkpoint_->members);
-  blocks_.erase(blocks_.begin() + static_cast<std::ptrdiff_t>(checkpoint_->block_count),
-                blocks_.end());
-  for (auto& [h, block] : checkpoint_->changed_blocks) blocks_[h] = std::move(block);
-  checkpoint_.reset();
-  counterparty_client_ =
-      &dynamic_cast<ibc::QuorumLightClient&>(module_.client(counterparty_client_id_));
+void GuestContract::push_block(GuestBlock block) {
+  if (recording(undo_))
+    undo_->record([this, bytes = block_bytes_] {
+      blocks_.pop_back();
+      block_bytes_ = bytes;
+    });
+  block_bytes_ += block.byte_size();
+  blocks_.push_back(std::move(block));
+}
+
+template <typename Edit>
+void GuestContract::edit_block(ibc::Height h, Edit edit) {
+  GuestBlock& block = blocks_[h];
+  if (recording(undo_))
+    undo_->record([this, h, old = block, bytes = block_bytes_]() mutable {
+      blocks_[h] = std::move(old);
+      block_bytes_ = bytes;
+    });
+  block_bytes_ -= block.byte_size();
+  edit(block);
+  block_bytes_ += block.byte_size();
 }
 
 void GuestContract::execute(host::TxContext& ctx, ByteView instruction_data) {
+  if (undo_ == nullptr && ctx.undo() != nullptr) {
+    undo_ = ctx.undo();
+    module_.set_undo(undo_);
+    counterparty_client_->set_undo(undo_);
+    bank_.set_undo(undo_);
+  }
+  save_store();
   if (terminated_) throw host::TxError("guest: chain has self-destructed");
   Decoder d(instruction_data);
   const auto op = static_cast<Op>(d.u8());
@@ -196,37 +194,39 @@ void GuestContract::op_generate_block(host::TxContext& ctx) {
     ibc::ValidatorSet next = select_validators();
     if (!next.empty()) block.next_validators = std::move(next);
   }
-  block.packets = std::move(pending_packets_);
-  pending_packets_.clear();
+  block.packets = std::exchange(save(undo_, pending_packets_), {});
 
+  save_entry(undo_, snapshots_, block.header.height);
   snapshots_[block.header.height] = store_.snapshot();
-  while (snapshots_.size() > 256) snapshots_.erase(snapshots_.begin());
+  while (snapshots_.size() > 256) {
+    save_entry(undo_, snapshots_, snapshots_.begin()->first);
+    snapshots_.erase(snapshots_.begin());
+  }
 
   // Prune old block records down to their headers: signer sets and
   // packet lists of long-finalised blocks are dead weight in the
   // contract account (§V-D).
   if (block.header.height > cfg_.block_history_window) {
     const ibc::Height limit = block.header.height - cfg_.block_history_window;
-    while (pruned_below_ < limit) {
-      GuestBlock& old = mutable_block(pruned_below_);
-      old.signers.clear();
-      old.packets.clear();
-      old.packets.shrink_to_fit();
-      ++pruned_below_;
+    for (ibc::Height& h = save(undo_, pruned_below_); h < limit; ++h) {
+      edit_block(h, [](GuestBlock& old) {
+        old.signers.clear();
+        old.packets.clear();
+        old.packets.shrink_to_fit();
+      });
     }
   }
 
   Encoder ev(8);
   ev.u64(block.header.height);
-  blocks_.push_back(std::move(block));
+  push_block(std::move(block));
   ctx.emit_event(kEvNewBlock, ev.take());
 }
 
-void GuestContract::finalise_block(host::TxContext& ctx, GuestBlock& block) {
-  block.finalised = true;
+void GuestContract::finalise_block(host::TxContext& ctx, const GuestBlock& block) {
   if (block.next_validators) {
-    epoch_ = std::make_shared<const ibc::ValidatorSet>(*block.next_validators);
-    epoch_start_host_slot_ = block.host_height;
+    save(undo_, epoch_) = std::make_shared<const ibc::ValidatorSet>(*block.next_validators);
+    save(undo_, epoch_start_host_slot_) = block.host_height;
   }
 
   // Signing rewards (§V-C incentives): a slice of the treasury's
@@ -244,7 +244,7 @@ void GuestContract::finalise_block(host::TxContext& ctx, GuestBlock& block) {
         const std::uint64_t share = pool * *stake / signed_stake;
         if (share > 0) {
           ctx.transfer(treasury_, key, share);
-          rewards_paid_ += share;
+          save(undo_, rewards_paid_) += share;
         }
       }
     }
@@ -284,21 +284,24 @@ void GuestContract::op_sign(host::TxContext& ctx, Decoder& d) {
   }
   if (found == nullptr) throw host::TxError("sign: no verified signature for block");
 
-  GuestBlock& signed_block = mutable_block(height);
-  signed_block.signers.emplace(pubkey, *found);
-  if (!signed_block.finalised &&
-      signed_block.signed_stake() >= signed_block.signing_set->quorum_stake())
-    finalise_block(ctx, signed_block);
+  bool finalises = false;
+  edit_block(height, [&](GuestBlock& b) {
+    b.signers.emplace(pubkey, *found);
+    finalises = !b.finalised && b.signed_stake() >= b.signing_set->quorum_stake();
+    b.finalised = b.finalised || finalises;
+  });
+  if (finalises) finalise_block(ctx, blocks_[height]);
 }
 
 // --- packet flow ----------------------------------------------------------------
 
 void GuestContract::collect_send_fee(host::TxContext& ctx) {
   ctx.transfer_from_payer(treasury_, kSendFeeLamports);
-  fees_collected_ += kSendFeeLamports;
+  save(undo_, fees_collected_) += kSendFeeLamports;
 }
 
 void GuestContract::record_sent_packet(host::TxContext& ctx, const ibc::Packet& packet) {
+  if (recording(undo_)) undo_->record([this] { pending_packets_.pop_back(); });
   pending_packets_.push_back(packet);
   Encoder ev(8);
   ev.u64(packet.sequence);
@@ -335,6 +338,7 @@ Bytes GuestContract::take_buffer(host::TxContext& ctx, std::uint64_t buffer_id) 
   const auto key = std::make_pair(ctx.payer().hex(), buffer_id);
   const auto it = buffers_.find(key);
   if (it == buffers_.end()) throw host::TxError("guest: no such staging buffer");
+  save_entry(undo_, buffers_, key);
   Bytes data = std::move(it->second);
   buffers_.erase(it);
   return data;
@@ -349,7 +353,13 @@ void GuestContract::op_chunk_upload(host::TxContext& ctx, Decoder& d) {
   // account could ever hold.
   if (offset + data.size() > host::kMaxAccountSize)
     throw host::TxError("chunk_upload: buffer exceeds account size");
-  Bytes& buf = buffers_[{ctx.payer().hex(), buffer_id}];
+  const auto key = std::make_pair(ctx.payer().hex(), buffer_id);
+  const auto it = buffers_.find(key);
+  if (it == buffers_.end() || offset < it->second.size())
+    save_entry(undo_, buffers_, key);
+  else if (recording(undo_))  // an append records the old length, not the bytes
+    undo_->record([this, key, n = it->second.size()] { buffers_[key].resize(n); });
+  Bytes& buf = buffers_[key];
   if (buf.size() < offset + data.size()) buf.resize(offset + data.size());
   std::copy(data.begin(), data.end(), buf.begin() + offset);
 }
@@ -401,13 +411,14 @@ void GuestContract::op_begin_client_update(host::TxContext& ctx, Decoder& d) {
     throw host::TxError("client_update: unknown validator set");
 
   upd.digest = upd.header.signing_digest();
-  pending_update_ = std::move(upd);
+  save(undo_, pending_update_) = std::move(upd);
 }
 
 void GuestContract::op_verify_update_signatures(host::TxContext& ctx) {
   if (!pending_update_) throw host::TxError("client_update: no pending update");
   ctx.consume_cu(5'000);
   const ibc::ValidatorSet& set = counterparty_client_->validators();
+  save(undo_, pending_update_);
   std::size_t matched = 0;
   for (const auto& sv : ctx.verified_signatures()) {
     if (!ct_equal(sv.message.view(), pending_update_->digest.view())) continue;
@@ -440,8 +451,8 @@ void GuestContract::op_finish_client_update(host::TxContext& ctx) {
   sh.next_validators = pending_update_->next_validators;
   counterparty_client_->accept_verified(sh);
   module_.refresh_client_state(counterparty_client_id_);
-  last_client_update_time_ = ctx.time();
-  pending_update_.reset();
+  save(undo_, last_client_update_time_) = ctx.time();
+  save(undo_, pending_update_).reset();
 }
 
 // --- staking / slashing -------------------------------------------------------------
@@ -452,6 +463,7 @@ void GuestContract::op_stake(host::TxContext& ctx, Decoder& d) {
   if (lamports == 0) throw host::TxError("stake: zero amount");
   if (banned_.count(ctx.payer()) > 0) throw host::TxError("stake: validator banned");
   ctx.transfer_from_payer(vault_, lamports);
+  save_entry(undo_, candidates_, ctx.payer());
   candidates_[ctx.payer()].stake += lamports;
 }
 
@@ -461,14 +473,16 @@ void GuestContract::op_unstake(host::TxContext& ctx, Decoder& d) {
   auto it = candidates_.find(ctx.payer());
   if (it == candidates_.end() || it->second.stake < lamports)
     throw host::TxError("unstake: insufficient stake");
+  save_entry(undo_, candidates_, ctx.payer());
   it->second.stake -= lamports;
   if (it->second.stake == 0) candidates_.erase(it);
-  withdrawals_.push_back(
+  save(undo_, withdrawals_).push_back(
       {ctx.payer(), lamports, ctx.time() + cfg_.unstake_hold_seconds});
 }
 
 void GuestContract::op_withdraw_stake(host::TxContext& ctx) {
   ctx.consume_cu(kCuStakeOps);
+  save(undo_, withdrawals_);
   std::uint64_t total = 0;
   for (auto it = withdrawals_.begin(); it != withdrawals_.end();) {
     if (it->who == ctx.payer() && it->available_at <= ctx.time()) {
@@ -485,7 +499,9 @@ void GuestContract::op_withdraw_stake(host::TxContext& ctx) {
 void GuestContract::slash(host::TxContext& ctx, const crypto::PublicKey& offender) {
   const auto it = candidates_.find(offender);
   const std::uint64_t stake = it == candidates_.end() ? 0 : it->second.stake;
+  save_entry(undo_, candidates_, offender);
   if (it != candidates_.end()) candidates_.erase(it);
+  save_entry(undo_, banned_, offender);
   banned_.insert(offender);
   // Genesis validators' stake may not be vault-backed in tests;
   // transfer what the vault actually holds.
@@ -703,19 +719,13 @@ void GuestContract::op_self_destruct(host::TxContext& ctx) {
     const std::uint64_t share = total == 0 ? 0 : vault_funds * w.lamports / total;
     if (share > 0) ctx.transfer(vault_, w.who, share);
   }
-  candidates_.clear();
-  withdrawals_.clear();
-  terminated_ = true;
+  save(undo_, candidates_).clear();
+  save(undo_, withdrawals_).clear();
+  save(undo_, terminated_) = true;
   ctx.emit_event("SelfDestructed", {});
 }
 
 // --- introspection ----------------------------------------------------------------------
-
-GuestBlock& GuestContract::mutable_block(ibc::Height h) {
-  if (checkpoint_ && h < checkpoint_->block_count)
-    checkpoint_->changed_blocks.try_emplace(h, blocks_[h]);
-  return blocks_[h];
-}
 
 const GuestBlock& GuestContract::block_at(ibc::Height h) const {
   if (h >= blocks_.size())
@@ -793,8 +803,7 @@ bool GuestContract::is_banned(const crypto::PublicKey& validator) const {
 }
 
 std::size_t GuestContract::account_bytes() const {
-  std::size_t n = store_.stats().byte_size;
-  for (const auto& b : blocks_) n += b.byte_size();
+  std::size_t n = store_.stats().byte_size + block_bytes_;
   for (const auto& [key, buf] : buffers_) n += buf.size() + 48;
   n += candidates_.size() * 48 + withdrawals_.size() * 56;
   return n;

@@ -14,7 +14,6 @@
 #include <memory>
 #include <optional>
 #include <set>
-#include <tuple>
 #include <vector>
 
 #include "guest/block.hpp"
@@ -71,19 +70,17 @@ class GuestContract final : public host::Program {
   // host::Program:
   void execute(host::TxContext& ctx, ByteView instruction_data) override;
   [[nodiscard]] std::size_t account_bytes() const override;
+  /// Records every transaction write (DESIGN §15), and hands the
+  /// recorder to the IBC module, the light client and the bank.
   [[nodiscard]] bool fork_supported() const override { return true; }
-  /// Copies the trie (SealableTrie::clone, one root copy), the IBC
-  /// module's transaction-mutable state and every member tx_members()
-  /// ties, and starts an undo log for the block records.
-  void fork_checkpoint() override;
-  /// Moves the checkpoint back in.  Snapshots published since keep
-  /// their nodes alive, so they stay readable.
-  void fork_rollback() override;
 
   // --- off-chain read API (account reads are free on the host) --------
   [[nodiscard]] const GuestBlock& head() const { return blocks_.back(); }
   [[nodiscard]] const GuestBlock& block_at(ibc::Height h) const;
   [[nodiscard]] std::size_t block_count() const { return blocks_.size(); }
+  /// Sum of byte_size() over every block record, kept as records are
+  /// pushed and edited (account_bytes() reads it).
+  [[nodiscard]] std::size_t block_bytes() const noexcept { return block_bytes_; }
   /// Δ: the head age at which GenerateBlock is accepted with no state
   /// change.
   [[nodiscard]] double delta_seconds() const noexcept { return cfg_.delta_seconds; }
@@ -116,6 +113,14 @@ class GuestContract final : public host::Program {
 
   /// §VI-A: true once the contract has self-destructed.
   [[nodiscard]] bool terminated() const noexcept { return terminated_; }
+  /// Packets sent since the head block; the next block carries them.
+  [[nodiscard]] const auto& pending_packets() const noexcept { return pending_packets_; }
+  /// Heights below this keep only their headers (§V-D pruning).
+  [[nodiscard]] ibc::Height pruned_below() const noexcept { return pruned_below_; }
+  /// Host slot at which the active epoch began.
+  [[nodiscard]] std::uint64_t epoch_start_slot() const noexcept { return epoch_start_host_slot_; }
+  /// Host time of the last accepted light-client update (§VI-C).
+  [[nodiscard]] double last_client_update_time() const noexcept { return last_client_update_time_; }
 
   // --- crash-restart resync surface -----------------------------------
   // Everything a relayer needs to rebuild its in-memory state after a
@@ -214,10 +219,18 @@ class GuestContract final : public host::Program {
 
   [[nodiscard]] Bytes take_buffer(host::TxContext& ctx, std::uint64_t buffer_id);
   [[nodiscard]] ibc::ValidatorSet select_validators() const;
-  /// blocks_[h] for writing.  While a fork checkpoint exists, first
-  /// saves the record's checkpoint-time original into its undo log.
-  [[nodiscard]] GuestBlock& mutable_block(ibc::Height h);
-  void finalise_block(host::TxContext& ctx, GuestBlock& block);
+  /// Records the trie, as one clone, before the first transaction of
+  /// each slot can write it.
+  void save_store();
+  /// Appends a block record; records its removal.
+  void push_block(GuestBlock block);
+  /// Applies `edit` to blocks_[h], recording the record's original.
+  /// Every write to an existing record goes through here, which keeps
+  /// block_bytes_.
+  template <typename Edit>
+  void edit_block(ibc::Height h, Edit edit);
+  /// The effects of `block` reaching quorum, which marked it finalised.
+  void finalise_block(host::TxContext& ctx, const GuestBlock& block);
   void collect_send_fee(host::TxContext& ctx);
   void record_sent_packet(host::TxContext& ctx, const ibc::Packet& packet);
   void slash(host::TxContext& ctx, const crypto::PublicKey& offender);
@@ -232,9 +245,10 @@ class GuestContract final : public host::Program {
   ibc::QuorumLightClient* counterparty_client_ = nullptr;
   ibc::ClientId counterparty_client_id_;
 
-  /// Block records.  Every write to an existing record goes through
-  /// mutable_block(), which the fork checkpoint's undo log relies on.
+  /// Block records, appended by push_block() and changed only through
+  /// edit_block().
   std::vector<GuestBlock> blocks_;
+  std::size_t block_bytes_ = 0;
   ibc::Height pruned_below_ = 0;  ///< heights below this hold headers only
   /// Copy-on-write snapshots per committed block: each is one root
   /// copy sharing the trie's nodes, not a deep trie copy.
@@ -262,18 +276,11 @@ class GuestContract final : public host::Program {
   double last_client_update_time_ = -1e18;  ///< §VI-C rate limiting
   bool terminated_ = false;                 ///< §VI-A self-destruction
 
-  /// Every member a transaction can change besides store_, module_ and
-  /// blocks_ (which the checkpoint handles separately), tied in one
-  /// place so the fork checkpoint copies all of them.  New
-  /// transaction-mutable state belongs here.
-  auto tx_members() {
-    return std::tie(bank_, pruned_below_, snapshots_, pending_packets_, epoch_,
-                    epoch_start_host_slot_, candidates_, banned_, withdrawals_,
-                    pending_update_, buffers_, fees_collected_, rewards_paid_,
-                    last_client_update_time_, terminated_);
-  }
-  struct Checkpoint;
-  std::unique_ptr<Checkpoint> checkpoint_;
+  /// The host's recorder on an armed chain (null on any other): every
+  /// write a transaction makes to a member above is recorded first.
+  UndoRecorder* undo_ = nullptr;
+  /// The slot whose first transaction recorded the trie (0: none).
+  std::uint64_t store_slot_ = 0;
 };
 
 }  // namespace bmg::guest

@@ -19,6 +19,10 @@ void TxContext::emit_event(std::string name, Bytes data) {
       Event{slot_, time_, /*program=*/"", std::move(name), std::move(data)});
 }
 
+UndoRecorder* TxContext::undo() const noexcept {
+  return chain_.fork_mode_ ? &chain_.undo_ : nullptr;
+}
+
 std::uint64_t TxContext::balance(const crypto::PublicKey& who) const {
   return chain_.balance(who);
 }
@@ -68,7 +72,7 @@ void Chain::start() {
   fork_mode_ = armed();
   started_ = true;
   if (fork_mode_) {
-    // Every registered program must be rollback-capable before the
+    // Every registered program must record its writes before the
     // first transaction executes; arming mid-run is not supported.
     for (auto& [name, prog] : programs_) {
       if (!prog->fork_supported())
@@ -76,7 +80,6 @@ void Chain::start() {
                                  "' does not support fork mode "
                                  "(fork_supported() == false)");
     }
-    take_checkpoint(0);
   }
   clock_ = {0, sim_.now()};
   schedule_next();
@@ -295,7 +298,7 @@ void Chain::on_slot(std::uint64_t k) {
         if (outage) ++fault_counters_.outage_deferred;
         pending_[slot_ + 1].txs.push_back(std::move(ptx));
       } else {
-        (void)execute_tx_at(ptx, slot_, sim_.now(), ExecMode::kLive, true);
+        execute_tx_at(ptx, slot_, sim_.now());
         block_cu += cfg_.max_compute_units;  // conservative per-tx reservation
       }
     }
@@ -304,6 +307,7 @@ void Chain::on_slot(std::uint64_t k) {
   if (fork_mode_) {
     deliver_rooted();
     fire_rooted_waits();
+    prune_rooted();
   }
   in_slot_ = false;
   schedule_next();
@@ -328,8 +332,8 @@ FeeBreakdown compute_fee(const Transaction& tx, std::uint64_t cu_used) {
   return fee;
 }
 
-TxResult Chain::execute_tx_at(PendingTx& ptx, std::uint64_t slot, double time,
-                              ExecMode mode, bool journaled_sig_ok) {
+void Chain::execute_tx_at(PendingTx& ptx, std::uint64_t slot, double time,
+                          std::optional<bool> journaled_sig_ok) {
   const Transaction& tx = ptx.tx;
   TxResult res;
   res.executed = true;
@@ -339,6 +343,7 @@ TxResult Chain::execute_tx_at(PendingTx& ptx, std::uint64_t slot, double time,
 
   tx_event_buffer_.clear();
   tx_transfer_buffer_.clear();
+  if (fork_mode_) undo_.open(undo_logs_[slot], slot);
 
   TxContext ctx(*this, tx, slot, time, cfg_.max_compute_units);
   std::string touched_program;
@@ -346,25 +351,22 @@ TxResult Chain::execute_tx_at(PendingTx& ptx, std::uint64_t slot, double time,
   try {
     // Ed25519 pre-compile runs before the programs.  All signatures of
     // a transaction are checked as one batch (real runtimes verify the
-    // whole packet's signatures up front, too).  Fork replays charge
-    // the same compute but reuse the journalled verdict — the bytes
+    // whole packet's signatures up front, too).  A re-execution charges
+    // the same compute but reuses the journalled verdict — the bytes
     // are unchanged, so re-verifying would only burn wall clock.
     ctx.consume_cu(kCuEd25519PerSig * tx.sig_verifies.size());
     if (!tx.sig_verifies.empty()) {
-      if (mode == ExecMode::kLive) {
+      if (!journaled_sig_ok) {
         std::vector<crypto::ed25519::VerifyItem> items;
         items.reserve(tx.sig_verifies.size());
         for (const auto& sv : tx.sig_verifies)
           items.push_back({sv.pubkey.raw(), sv.message.view(), sv.signature.raw()});
         for (const bool good : crypto::ed25519::verify_batch(items))
-          if (!good) {
-            sig_ok = false;
-            throw TxError("ed25519 pre-compile: invalid signature");
-          }
-      } else if (!journaled_sig_ok) {
-        sig_ok = false;
-        throw TxError("ed25519 pre-compile: invalid signature");
+          if (!good) sig_ok = false;
+      } else {
+        sig_ok = *journaled_sig_ok;
       }
+      if (!sig_ok) throw TxError("ed25519 pre-compile: invalid signature");
     }
     for (const auto& ins : tx.instructions) {
       ctx.consume_cu(kCuInstructionBase);
@@ -388,62 +390,58 @@ TxResult Chain::execute_tx_at(PendingTx& ptx, std::uint64_t slot, double time,
   if (cfg_.fault.has_chain_faults()) {
     // Fee spike: the market components (priority fee, bundle tip) cost
     // a multiple of their quoted price; the protocol base fee is fixed.
-    // Replays evaluate the multiplier at the original execution time,
-    // reproducing the journalled charge exactly.
+    // Re-executions evaluate the multiplier at the original execution
+    // time, reproducing the journalled charge exactly.
     const double m = cfg_.fault.fee_multiplier(time);
     if (m != 1.0 && (res.fee.priority_lamports > 0 || res.fee.tip_lamports > 0)) {
       res.fee.priority_lamports =
           static_cast<std::uint64_t>(static_cast<double>(res.fee.priority_lamports) * m);
       res.fee.tip_lamports =
           static_cast<std::uint64_t>(static_cast<double>(res.fee.tip_lamports) * m);
-      ++fault_counters_.fee_spiked;
+      add_delta(&undo_, fault_counters_.fee_spiked, 1);
     }
   }
 
   // Charge fees (saturating — a payer going broke is an operator
-  // problem, not a simulator crash).
+  // problem, not a simulator crash), then apply buffered transfers.
+  // The ledger records deltas, so a credit made outside any transaction
+  // (an airdrop) survives a reorg.
   auto& bal = ledger_.balances[tx.payer];
-  bal -= std::min(bal, res.fee.total());
+  add_delta(&undo_, bal, 0 - std::min(bal, res.fee.total()));
   auto& stats = ledger_.payer_stats[tx.payer];
-  stats.fees_lamports += res.fee.total();
-  stats.tx_count += 1;
-  stats.sig_count += 1 + tx.sig_verifies.size();
-
-  std::vector<Event> events;
+  add_delta(&undo_, stats.fees_lamports, res.fee.total());
+  add_delta(&undo_, stats.tx_count, 1);
+  add_delta(&undo_, stats.sig_count, 1 + tx.sig_verifies.size());
+  add_delta(&undo_, res.success ? ledger_.executed : ledger_.failed, 1);
   if (res.success) {
-    ++ledger_.executed;
-    // Apply buffered transfers, then flush events to subscribers.
     for (const auto& [from, to, amount] : tx_transfer_buffer_) {
       auto& src = ledger_.balances[from];
       const std::uint64_t moved = std::min(src, amount);
-      src -= moved;
-      ledger_.balances[to] += moved;
+      add_delta(&undo_, src, 0 - moved);
+      add_delta(&undo_, ledger_.balances[to], moved);
     }
-    events = std::move(tx_event_buffer_);
-    tx_event_buffer_.clear();
-    for (Event& ev : events) ev.program = touched_program;
-    if (mode != ExecMode::kSilentReplay) {
-      for (const Event& ev : events) {
-        const auto sub = subscribers_.find(ev.program);
-        if (sub != subscribers_.end())
-          for (const auto& handler : sub->second) handler(ev);
-      }
-    }
-  } else {
-    ++ledger_.failed;
-    tx_event_buffer_.clear();
-    tx_transfer_buffer_.clear();
   }
+  tx_transfer_buffer_.clear();
+  undo_.close();
 
-  if (mode != ExecMode::kSilentReplay && ptx.on_result) ptx.on_result(res);
+  // Flush events to subscribers, then notify the submitter.
+  std::vector<Event> events;
+  if (res.success) {
+    events = std::move(tx_event_buffer_);
+    for (Event& ev : events) ev.program = touched_program;
+    for (const Event& ev : events) {
+      const auto sub = subscribers_.find(ev.program);
+      if (sub != subscribers_.end())
+        for (const auto& handler : sub->second) handler(ev);
+    }
+  }
+  tx_event_buffer_.clear();
+  if (ptx.on_result) ptx.on_result(res);
 
-  // Journal the execution for fork replay and rooted delivery.  Silent
-  // replays reconstruct state for entries already in the journal; live
-  // and winning-fork executions (re)append theirs.
-  if (fork_mode_ && mode != ExecMode::kSilentReplay)
+  // Journal the execution for re-execution and rooted delivery.
+  if (fork_mode_)
     journal_[slot].push_back(JournalTx{std::move(ptx.tx), std::move(ptx.on_result),
                                        res, std::move(events), sig_ok});
-  return res;
 }
 
 void Chain::subscribe(const std::string& program, EventHandler handler) {
@@ -542,27 +540,17 @@ void Chain::perform_reorg(std::uint64_t depth) {
     it = journal_.erase(it);
   }
 
-  // 4. Rewind the ledger and every program to the checkpoint, taken at
-  // a rooted slot C no reorg can reach.
-  rollback_to_checkpoint();
+  // 4. Unwind the retracted slots' undo logs, newest first: the ledger
+  // and every program are back at the end of slot first_retracted - 1.
+  const auto keep = undo_logs_.lower_bound(first_retracted);
+  for (auto it = undo_logs_.end(); it != keep;) (--it)->second.unwind();
+  undo_logs_.erase(keep, undo_logs_.end());
 
-  // 5. Silent replay of the surviving journal.  (C, R] brings the state
-  // to the newest rooted slot R, where the checkpoint moves forward and
-  // the journal behind it is pruned; (R, first_retracted) then rebuilds
-  // the unrooted prefix the winning fork extends.  A reorg thus replays
-  // the slots rooted since the previous one plus fewer than
-  // rooted_lag_slots more, which keeps a run's replay linear in
-  // simulated time.
-  const std::uint64_t rooted = rooted_slot();
-  replay_journal(checkpoint_.slot + 1, rooted);
-  take_checkpoint(rooted);
-  prune_journal();
-  replay_journal(rooted + 1, first_retracted - 1);
-
-  // 6. Winning fork: per-tx survival draw; survivors re-execute
-  // visibly at their original coordinates (their events and result
-  // handlers fire again — consumers are stale-guarded), deaths notify
-  // their submitters once with reorged_out set.
+  // 5. Winning fork: per-tx survival draw; survivors re-execute
+  // visibly at their original coordinates, recording into their
+  // original slots' logs (their events and result handlers fire again
+  // — consumers are stale-guarded), deaths notify their submitters
+  // once with reorged_out set.
   for (auto& [s, txs] : retracted) {
     for (JournalTx& jt : txs) {
       const double survival = cfg_.fault.reorg_survival(now, jt.tx.label);
@@ -570,8 +558,7 @@ void Chain::perform_reorg(std::uint64_t depth) {
       if (survives) {
         ++fault_counters_.txs_replayed;
         PendingTx ptx{std::move(jt.tx), std::move(jt.on_result), UINT64_MAX};
-        (void)execute_tx_at(ptx, jt.result.slot, jt.result.time,
-                            ExecMode::kVisibleReplay, jt.sig_ok);
+        execute_tx_at(ptx, jt.result.slot, jt.result.time, jt.sig_ok);
       } else {
         ++fault_counters_.txs_reorged_out;
         TxResult res = jt.result;
@@ -582,43 +569,12 @@ void Chain::perform_reorg(std::uint64_t depth) {
   }
 }
 
-void Chain::take_checkpoint(std::uint64_t slot) {
-  checkpoint_.slot = slot;
-  checkpoint_.ledger = ledger_;
-  checkpoint_.fee_spiked = fault_counters_.fee_spiked;
-  for (auto& [name, prog] : programs_) prog->fork_checkpoint();
-}
-
-void Chain::rollback_to_checkpoint() {
-  // Moved, not copied: perform_reorg re-checkpoints before the next
-  // rollback can happen.
-  ledger_ = std::move(checkpoint_.ledger);
-  fault_counters_.fee_spiked = checkpoint_.fee_spiked;
-  for (auto& [name, prog] : programs_) prog->fork_rollback();
-}
-
-void Chain::replay_journal(std::uint64_t first, std::uint64_t last) {
-  // Identical inputs against identical state must reproduce the
-  // journalled outcome; any divergence means the rollback itself is
-  // broken, so fail loud.
-  for (auto it = journal_.lower_bound(first); it != journal_.end() && it->first <= last;
-       ++it) {
-    for (const JournalTx& jt : it->second) {
-      PendingTx ptx{jt.tx, {}, UINT64_MAX};
-      const TxResult r = execute_tx_at(ptx, jt.result.slot, jt.result.time,
-                                       ExecMode::kSilentReplay, jt.sig_ok);
-      if (r.success != jt.result.success || r.cu_used != jt.result.cu_used)
-        throw std::logic_error("chain: fork replay diverged from journal at slot " +
-                               std::to_string(it->first));
-    }
-  }
-}
-
-void Chain::prune_journal() {
-  // Nothing at or behind the checkpoint is replayed again; an entry
-  // survives only while some rooted subscriber's cursor has not
-  // passed it.
-  std::uint64_t keep_from = checkpoint_.slot + 1;
+void Chain::prune_rooted() {
+  // No reorg reaches a rooted slot; a journal entry survives only while
+  // some rooted subscriber's cursor has not passed it.
+  const std::uint64_t rooted = rooted_slot();
+  undo_logs_.erase(undo_logs_.begin(), undo_logs_.upper_bound(rooted));
+  std::uint64_t keep_from = rooted + 1;
   for (const RootedSub& sub : rooted_subs_) keep_from = std::min(keep_from, sub.cursor);
   journal_.erase(journal_.begin(), journal_.lower_bound(keep_from));
 }

@@ -89,6 +89,7 @@ class Chain {
     return dynamic_cast<T&>(program(name));
   }
 
+  /// Credits `who` outside any transaction: no reorg takes it back.
   void airdrop(const crypto::PublicKey& who, std::uint64_t lamports);
   [[nodiscard]] std::uint64_t balance(const crypto::PublicKey& who) const;
 
@@ -120,7 +121,7 @@ class Chain {
   [[nodiscard]] double boundary_at_or_after(double t) const;
 
   /// Processed subscription: `handler` sees each event inline at
-  /// execution, and again whenever a reorg replays its transaction.
+  /// execution, and again whenever a reorg re-executes its transaction.
   void subscribe(const std::string& program, EventHandler handler);
   /// Rooted subscription.  On a non-fork-aware chain it is a processed
   /// one (blocks are final the instant they are produced); on a
@@ -181,15 +182,15 @@ class Chain {
     std::uint64_t expiry_slot = UINT64_MAX;
   };
 
-  /// One executed transaction as recorded for fork replay: enough to
-  /// re-execute it silently (rebuilding program state bit-for-bit) or
-  /// visibly (winning fork), and to feed rooted delivery.
+  /// One executed transaction as journalled on an armed chain: enough
+  /// to re-execute it on the winning fork of a reorg, and to feed
+  /// rooted delivery.
   struct JournalTx {
     Transaction tx;
     ResultHandler on_result;
     TxResult result;            ///< as delivered on the current fork
     std::vector<Event> events;  ///< dispatched events (empty on failure)
-    bool sig_ok = true;         ///< pre-compile verdict (replay skips crypto)
+    bool sig_ok = true;         ///< pre-compile verdict (re-execution skips crypto)
   };
 
   /// A rooted subscriber on an armed chain, with its delivery cursor.
@@ -202,12 +203,6 @@ class Chain {
   struct RootedWait {
     std::uint64_t slot = 0;
     std::function<void()> fn;
-  };
-
-  enum class ExecMode : std::uint8_t {
-    kLive,           ///< normal execution: dispatch, notify, journal
-    kSilentReplay,   ///< state reconstruction only: no events, no handlers
-    kVisibleReplay,  ///< winning-fork re-execution: dispatch + notify + journal
   };
 
   /// A slot boundary: slot `slot` begins at `time`.
@@ -227,10 +222,11 @@ class Chain {
   /// Queues slot `k` unless an earlier slot is already queued.
   void schedule_slot(std::uint64_t k);
   void on_slot(std::uint64_t k);
-  /// Executes at explicit (slot, time) coordinates; replay modes reuse
-  /// the journalled pre-compile verdict instead of re-verifying.
-  TxResult execute_tx_at(PendingTx& ptx, std::uint64_t slot, double time,
-                         ExecMode mode, bool journaled_sig_ok);
+  /// Executes at explicit (slot, time) coordinates, recording into the
+  /// slot's undo log on an armed chain.  A re-execution passes the
+  /// journalled pre-compile verdict instead of verifying again.
+  void execute_tx_at(PendingTx& ptx, std::uint64_t slot, double time,
+                     std::optional<bool> journaled_sig_ok = std::nullopt);
   [[nodiscard]] double inclusion_probability(const FeePolicy& fee) const;
   /// Delivers the result of a transaction that never executes
   /// (oversize or expired) at sim time `when`.
@@ -244,17 +240,13 @@ class Chain {
 
   // --- fork machinery (armed chains only) ------------------------------
   void maybe_trigger_reorg();
+  /// Retracts the last `depth` slots: unwinds their undo logs newest
+  /// first, then re-executes the survivors of the survival draw.
   void perform_reorg(std::uint64_t depth);
-  /// Checkpoints the ledger and every program as of the end of `slot`.
-  void take_checkpoint(std::uint64_t slot);
-  /// Restores the ledger and every program to the last checkpoint.
-  void rollback_to_checkpoint();
-  /// Silently re-executes the journal over slots [first, last], failing
-  /// loud if any transaction's outcome differs from its journal entry.
-  void replay_journal(std::uint64_t first, std::uint64_t last);
-  /// Drops journal entries behind the checkpoint that every rooted
-  /// subscriber has already been delivered.
-  void prune_journal();
+  /// Drops the undo logs of rooted slots, and the journal entries that
+  /// every rooted subscriber has been delivered.  At the end of every
+  /// slot, reorg or not.
+  void prune_rooted();
   /// Deliver journal events of newly rooted slots to rooted
   /// subscribers, then fire matured rooted waits.  Inline at the end of
   /// every slot.
@@ -272,7 +264,7 @@ class Chain {
   std::unordered_map<std::string, std::vector<EventHandler>> subscribers_;
 
   /// Everything transactions change outside the programs: the state a
-  /// reorg restores beside each program's own.
+  /// reorg unwinds beside each program's own.
   struct Ledger {
     std::map<crypto::PublicKey, std::uint64_t> balances;
     std::map<crypto::PublicKey, PayerStats> payer_stats;
@@ -309,23 +301,16 @@ class Chain {
   bool fork_mode_ = false;
   std::uint64_t fork_epoch_ = 0;
   /// Per-slot execution journal (armed chains only): every transaction
-  /// executed after the checkpoint, which a rollback replays, plus older
-  /// entries a rooted subscriber has not been delivered
-  /// yet.  Pruned behind the checkpoint on every reorg (DESIGN §15).
+  /// of an unrooted slot, which a reorg re-executes, plus rooted
+  /// entries a rooted subscriber has not been delivered yet (DESIGN §15).
   std::map<std::uint64_t, std::vector<JournalTx>> journal_;
+  /// What the transactions of each unrooted slot wrote to the ledger
+  /// and to every program (armed chains only).
+  UndoRecorder undo_;
+  std::map<std::uint64_t, UndoRecorder::Log> undo_logs_;
   std::vector<RootedSub> rooted_subs_;
   std::map<RootedWaitId, RootedWait> rooted_waits_;
   RootedWaitId next_rooted_wait_ = 1;
-  /// Ledger half of the fork checkpoint (each program keeps its own):
-  /// the state as of the end of `slot`, a rooted slot.  Taken at
-  /// start() (slot 0) and moved forward to the rooted slot on every
-  /// reorg, so a rollback replays only what rooted since the last one.
-  struct Checkpoint {
-    std::uint64_t slot = 0;
-    Ledger ledger;
-    std::uint64_t fee_spiked = 0;
-  };
-  Checkpoint checkpoint_;
 
   friend class TxContext;
   /// Event/transfer buffers for the transaction being executed.

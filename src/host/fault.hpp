@@ -77,7 +77,7 @@ struct FaultWindow {
   /// draw applies to (non-matching txs always survive the fork).
   std::string label_prefix;
   /// kReorg only: probability that a retracted transaction reappears
-  /// on the winning fork (1.0 = pure rollback-and-replay; lower values
+  /// on the winning fork (1.0 = every one re-executes; lower values
   /// kill txs, forcing submitters to resubmit across the fork).
   double survival = 1.0;
   /// kEquivocate / kForkSign: Byzantine validator count.

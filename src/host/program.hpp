@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "common/bytes.hpp"
+#include "common/undo.hpp"
 #include "crypto/keys.hpp"
 #include "host/constants.hpp"
 #include "host/transaction.hpp"
@@ -61,6 +62,11 @@ class TxContext {
   [[nodiscard]] std::uint64_t slot() const noexcept { return slot_; }
   [[nodiscard]] double time() const noexcept { return time_; }
 
+  /// The chain's recorder of transaction writes, open on this slot;
+  /// null on an unarmed chain.  A program may keep the pointer and
+  /// hand it to what it owns.
+  [[nodiscard]] UndoRecorder* undo() const noexcept;
+
   /// Emits an on-chain event visible to off-chain agents.
   void emit_event(std::string name, Bytes data);
 
@@ -100,22 +106,11 @@ class Program {
   /// enforces kMaxAccountSize after every successful transaction.
   [[nodiscard]] virtual std::size_t account_bytes() const { return 0; }
 
-  // --- fork/reorg support (host fork-aware mode) -----------------------
-  /// Whether this program can be rolled back across a host fork.  A
-  /// chain armed with reorg windows refuses to start with programs
-  /// that cannot (Chain::start throws).
+  /// Whether this program records every write a transaction makes,
+  /// through TxContext::undo(), before making it.  A chain armed with
+  /// reorg windows refuses to start with a program that does not
+  /// (Chain::start throws).
   [[nodiscard]] virtual bool fork_supported() const { return false; }
-  /// Save an independent copy of all program state: transactions
-  /// executed afterwards must not change it.  An armed chain calls this
-  /// at Chain::start(), before any transaction executes, and again
-  /// during every reorg once replay has brought the state to the newest
-  /// rooted slot.
-  virtual void fork_checkpoint() {}
-  /// Restore the state saved by the last fork_checkpoint().  The chain
-  /// then silently re-executes the journal behind the checkpoint and
-  /// checkpoints again before it can roll back again, so this may move
-  /// the saved state back instead of copying it.
-  virtual void fork_rollback() {}
 };
 
 }  // namespace bmg::host

@@ -6,6 +6,7 @@
 #include <map>
 #include <string>
 
+#include "common/undo.hpp"
 #include "ibc/types.hpp"
 
 namespace bmg::ibc {
@@ -14,6 +15,11 @@ class Bank {
  public:
   using Denom = std::string;
   using Account = std::string;
+
+  /// Records every later write into `undo` (null: none).  Amounts
+  /// unwind as deltas, so a mint made outside any transaction
+  /// survives a reorg.
+  void set_undo(UndoRecorder* undo) noexcept { undo_ = undo; }
 
   void mint(const Account& to, const Denom& denom, std::uint64_t amount);
   /// Throws IbcError on insufficient balance.
@@ -37,6 +43,7 @@ class Bank {
  private:
   std::map<std::pair<Account, Denom>, std::uint64_t> balances_;
   std::map<Denom, std::uint64_t> supply_;
+  UndoRecorder* undo_ = nullptr;
 };
 
 }  // namespace bmg::ibc

@@ -119,6 +119,7 @@ void IbcModule::verify_non_membership(const ConnectionEnd& conn, Height proof_he
 }
 
 void IbcModule::store_connection(const ConnectionId& id, const ConnectionEnd& end) {
+  save_entry(undo_, connections_, id);
   connections_[id] = end;
   store_.set(connection_key(id), end.commitment());
 }
@@ -127,11 +128,12 @@ void IbcModule::store_channel(const PortId& port, const ChannelId& id,
                               const ChannelEnd& end) {
   auto it = channels_.find({port, id});
   if (it == channels_.end()) {
+    save_entry(undo_, channels_, {port, id});
     ChannelRecord rec;
     rec.end = end;
     channels_.emplace(std::make_pair(port, id), std::move(rec));
   } else {
-    it->second.end = end;
+    save(undo_, it->second.end) = end;
   }
   store_.set(channel_key(port, id), end.commitment());
 }
@@ -141,7 +143,7 @@ void IbcModule::store_channel(const PortId& port, const ChannelId& id,
 ConnectionId IbcModule::conn_open_init(const ClientId& client_id,
                                        const ClientId& counterparty_client) {
   (void)client(client_id);  // must exist
-  const ConnectionId id = "connection-" + std::to_string(next_connection_++);
+  const ConnectionId id = "connection-" + std::to_string(save(undo_, next_connection_)++);
   ConnectionEnd end;
   end.state = ConnectionState::kInit;
   end.client_id = client_id;
@@ -173,7 +175,7 @@ ConnectionId IbcModule::conn_open_try(const ClientId& client_id,
   validate_self_client(self, proof_height, counterparty_end.client_id,
                        counterparty_client_state, client_state_proof);
 
-  const ConnectionId id = "connection-" + std::to_string(next_connection_++);
+  const ConnectionId id = "connection-" + std::to_string(save(undo_, next_connection_)++);
   store_connection(id, self);
   return id;
 }
@@ -231,7 +233,7 @@ ChannelId IbcModule::chan_open_init(const PortId& port, const ConnectionId& conn
   const ConnectionEnd& conn = connection(connection_id);
   if (conn.state != ConnectionState::kOpen)
     throw IbcError("chan_open_init: connection not open");
-  const ChannelId id = "channel-" + std::to_string(next_channel_++);
+  const ChannelId id = "channel-" + std::to_string(save(undo_, next_channel_)++);
   ChannelEnd end;
   end.state = ChannelState::kInit;
   end.connection = connection_id;
@@ -257,7 +259,7 @@ ChannelId IbcModule::chan_open_try(const PortId& port, const ConnectionId& conne
                     channel_key(counterparty_port, counterparty_channel),
                     counterparty_end.commitment(), "chan_open_try");
 
-  const ChannelId id = "channel-" + std::to_string(next_channel_++);
+  const ChannelId id = "channel-" + std::to_string(save(undo_, next_channel_)++);
   ChannelEnd end;
   end.state = ChannelState::kTryOpen;
   end.connection = connection_id;
@@ -322,7 +324,7 @@ Packet IbcModule::send_packet(const PortId& port, const ChannelId& channel_id,
     throw IbcError("send_packet: a timeout must be set");
 
   Packet packet;
-  packet.sequence = rec.next_send++;
+  packet.sequence = save(undo_, rec).next_send++;
   packet.source_port = port;
   packet.source_channel = channel_id;
   packet.dest_port = rec.end.counterparty_port;
@@ -335,7 +337,9 @@ Packet IbcModule::send_packet(const PortId& port, const ChannelId& channel_id,
              packet.commitment());
   // Keep the body queryable until the commitment resolves — the replay
   // source for any relayer (re)building its queues from chain state.
-  sent_packets_.emplace(std::make_tuple(port, channel_id, packet.sequence), packet);
+  const auto sent_key = std::make_tuple(port, channel_id, packet.sequence);
+  save_entry(undo_, sent_packets_, sent_key);
+  sent_packets_.emplace(sent_key, packet);
   if (packet_listener_) packet_listener_(packet);
   return packet;
 }
@@ -383,9 +387,10 @@ Acknowledgement IbcModule::recv_packet(const Packet& packet, Height proof_height
   store_.set(packet_key(KeyKind::kPacketAck, packet.dest_port, packet.dest_channel,
                         packet.sequence),
              ack.commitment());
-  ack_log_[std::make_tuple(packet.dest_port, packet.dest_channel, packet.sequence)] =
-      ack;
-  rec.receipts.mark(packet.sequence);
+  const auto ack_key = std::make_tuple(packet.dest_port, packet.dest_channel, packet.sequence);
+  save_entry(undo_, ack_log_, ack_key);
+  ack_log_[ack_key] = ack;
+  save(undo_, rec).receipts.mark(packet.sequence);
   for (const std::uint64_t seq : rec.receipts.drain_sealable())
     store_.seal(packet_key(KeyKind::kPacketReceipt, packet.dest_port,
                            packet.dest_channel, seq));
@@ -427,10 +432,11 @@ void IbcModule::acknowledge_packet(const Packet& packet, const Acknowledgement& 
                                packet.dest_channel, packet.sequence),
                     ack.commitment(), "acknowledge_packet");
 
-  rec.resolved_commitments.mark(packet.sequence);
+  save(undo_, rec).resolved_commitments.mark(packet.sequence);
   seal_resolved(packet.source_port, packet.source_channel, rec);
-  sent_packets_.erase(
-      std::make_tuple(packet.source_port, packet.source_channel, packet.sequence));
+  const auto sent = std::make_tuple(packet.source_port, packet.source_channel, packet.sequence);
+  save_entry(undo_, sent_packets_, sent);
+  sent_packets_.erase(sent);
   app_for(packet.source_port).on_acknowledge(packet, ack);
 }
 
@@ -462,10 +468,11 @@ void IbcModule::timeout_packet(const Packet& packet, Height proof_height,
                                    packet.dest_channel, packet.sequence),
                         "timeout_packet");
 
-  rec.resolved_commitments.mark(packet.sequence);
+  save(undo_, rec).resolved_commitments.mark(packet.sequence);
   seal_resolved(packet.source_port, packet.source_channel, rec);
-  sent_packets_.erase(
-      std::make_tuple(packet.source_port, packet.source_channel, packet.sequence));
+  const auto sent = std::make_tuple(packet.source_port, packet.source_channel, packet.sequence);
+  save_entry(undo_, sent_packets_, sent);
+  sent_packets_.erase(sent);
   app_for(packet.source_port).on_timeout(packet);
 }
 
@@ -570,30 +577,6 @@ IbcModule::ChannelSequences IbcModule::sequences(const PortId& port,
   s.receipts_watermark = rec.receipts.watermark();
   s.acks_watermark = rec.acks.watermark();
   return s;
-}
-
-IbcModule::State IbcModule::checkpoint() const {
-  State s;
-  for (const auto& [id, client] : clients_) s.clients.emplace(id, client->clone());
-  s.connections = connections_;
-  s.channels = channels_;
-  s.sent_packets = sent_packets_;
-  s.ack_log = ack_log_;
-  s.next_client = next_client_;
-  s.next_connection = next_connection_;
-  s.next_channel = next_channel_;
-  return s;
-}
-
-void IbcModule::restore(State state) {
-  clients_ = std::move(state.clients);
-  connections_ = std::move(state.connections);
-  channels_ = std::move(state.channels);
-  sent_packets_ = std::move(state.sent_packets);
-  ack_log_ = std::move(state.ack_log);
-  next_client_ = state.next_client;
-  next_connection_ = state.next_connection;
-  next_channel_ = state.next_channel;
 }
 
 }  // namespace bmg::ibc

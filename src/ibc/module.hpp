@@ -19,6 +19,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/undo.hpp"
 #include "ibc/client.hpp"
 #include "ibc/commitment.hpp"
 #include "ibc/handshake.hpp"
@@ -74,7 +75,12 @@ class IbcModule {
   void set_self_identity(std::string chain_id,
                          std::function<Hash32()> current_validator_set_hash);
 
+  /// Records every later write into `undo` (null: none), but to the
+  /// store, which its owner records, and to the clients.
+  void set_undo(UndoRecorder* undo) noexcept { undo_ = undo; }
+
   // -- clients ---------------------------------------------------------
+  /// Setup only: a client added inside a transaction is not recorded.
   ClientId add_client(std::unique_ptr<LightClient> client);
   [[nodiscard]] LightClient& client(const ClientId& id);
   [[nodiscard]] const LightClient& client(const ClientId& id) const;
@@ -215,20 +221,6 @@ class IbcModule {
   [[nodiscard]] ChannelSequences sequences(const PortId& port,
                                            const ChannelId& channel) const;
 
-  // -- fork checkpoints ----------------------------------------------------
-  /// Everything a transaction can change in the module: clients,
-  /// connection and channel ends, sent packets, the ack log and the id
-  /// counters.  The store reference, port bindings, self identity and
-  /// packet listener are not part of it; they stay bound to the live
-  /// chain.
-  struct State;
-  /// Independent deep copy of the transaction-mutable state (light
-  /// clients through LightClient::clone()).
-  [[nodiscard]] State checkpoint() const;
-  /// Replaces the transaction-mutable state with `state`.  References
-  /// into the old clients and records are invalidated.
-  void restore(State state);
-
  private:
   struct ChannelRecord {
     ChannelEnd end;
@@ -284,17 +276,7 @@ class IbcModule {
   std::uint64_t next_client_ = 0;
   std::uint64_t next_connection_ = 0;
   std::uint64_t next_channel_ = 0;
-};
-
-struct IbcModule::State {
-  std::map<ClientId, std::unique_ptr<LightClient>> clients;
-  std::map<ConnectionId, ConnectionEnd> connections;
-  std::map<std::pair<PortId, ChannelId>, ChannelRecord> channels;
-  std::map<std::tuple<PortId, ChannelId, std::uint64_t>, Packet> sent_packets;
-  std::map<std::tuple<PortId, ChannelId, std::uint64_t>, Acknowledgement> ack_log;
-  std::uint64_t next_client = 0;
-  std::uint64_t next_connection = 0;
-  std::uint64_t next_channel = 0;
+  UndoRecorder* undo_ = nullptr;
 };
 
 }  // namespace bmg::ibc

@@ -204,10 +204,11 @@ std::uint64_t QuorumLightClient::verify_signatures(const SignedQuorumHeader& sh,
 }
 
 void QuorumLightClient::apply(const SignedQuorumHeader& sh) {
+  save_entry(undo_, states_, sh.header.height);
   states_[sh.header.height] =
       ConsensusState{sh.header.state_root, sh.header.timestamp};
-  latest_ = std::max(latest_, sh.header.height);
-  if (sh.next_validators) validators_ = *sh.next_validators;
+  save(undo_, latest_) = std::max(latest_, sh.header.height);
+  if (sh.next_validators) save(undo_, validators_) = *sh.next_validators;
 }
 
 void QuorumLightClient::update(ByteView header) {
@@ -256,7 +257,7 @@ void QuorumLightClient::submit_misbehaviour(const SignedQuorumHeader& a,
   if (verify_signatures(a, validators_) < validators_.quorum_stake() ||
       verify_signatures(b, validators_) < validators_.quorum_stake())
     throw IbcError("misbehaviour: headers lack quorum signatures");
-  frozen_ = true;
+  save(undo_, frozen_) = true;
 }
 
 Height QuorumLightClient::latest_height() const { return latest_; }

@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "common/bytes.hpp"
+#include "common/undo.hpp"
 #include "crypto/keys.hpp"
 #include "ibc/client.hpp"
 #include "ibc/types.hpp"
@@ -154,9 +155,8 @@ class QuorumLightClient final : public LightClient {
   [[nodiscard]] Hash32 tracked_validator_set_hash() const override {
     return validators_.hash();
   }
-  [[nodiscard]] std::unique_ptr<LightClient> clone() const override {
-    return std::make_unique<QuorumLightClient>(*this);
-  }
+  /// Records every later update and freeze into `undo` (null: none).
+  void set_undo(UndoRecorder* undo) noexcept { undo_ = undo; }
 
   [[nodiscard]] const ValidatorSet& validators() const noexcept { return validators_; }
   [[nodiscard]] const std::string& chain_id() const noexcept { return chain_id_; }
@@ -182,6 +182,7 @@ class QuorumLightClient final : public LightClient {
   std::map<Height, ConsensusState> states_;
   Height latest_ = 0;
   bool frozen_ = false;
+  UndoRecorder* undo_ = nullptr;
 };
 
 }  // namespace bmg::ibc

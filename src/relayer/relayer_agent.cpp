@@ -381,13 +381,28 @@ void RelayerAgent::update_guest_client_attempt(ibc::Height cp_height,
       });
 }
 
+std::optional<trie::Proof> RelayerAgent::cp_proof(ibc::Height h, ByteView key) {
+  // These run inside host result handlers: a proof failure must not
+  // escape into the host's slot.
+  try {
+    return cp_.prove_at(h, key);
+  } catch (const std::exception&) {
+    ++proofs_skipped_;
+    return std::nullopt;
+  }
+}
+
 void RelayerAgent::deliver_packet_to_guest(const ibc::Packet& packet,
                                            ibc::Height proof_height, SequenceDone done) {
   const auto key = ibc::packet_key(ibc::KeyKind::kPacketCommitment, packet.source_port,
                                    packet.source_channel, packet.sequence);
-  const trie::Proof proof = cp_.prove_at(proof_height, key);
+  const auto proof = cp_proof(proof_height, key);
+  if (!proof) {
+    if (done) done(SequenceOutcome{});
+    return;
+  }
   auto txs =
-      staged_call(guest::ix::packet_proof_payload(packet, nullptr, proof_height, proof),
+      staged_call(guest::ix::packet_proof_payload(packet, nullptr, proof_height, *proof),
                   guest::ix::receive_packet, "recv-packet");
   pipeline_.submit_sequence(
       std::move(txs),
@@ -413,8 +428,14 @@ void RelayerAgent::deliver_ack_to_guest(const ibc::Packet& packet,
                                         ibc::Height proof_height, SequenceDone done) {
   const auto key = ibc::packet_key(ibc::KeyKind::kPacketAck, packet.dest_port,
                                    packet.dest_channel, packet.sequence);
-  const trie::Proof proof = cp_.prove_at(proof_height, key);
-  auto txs = staged_call(guest::ix::packet_proof_payload(packet, &ack, proof_height, proof),
+  // An ack the counterparty sealed in the block that wrote it (more
+  // than kAckSealLag packets delivered at once) is skipped.
+  const auto proof = cp_proof(proof_height, key);
+  if (!proof) {
+    if (done) done(SequenceOutcome{});
+    return;
+  }
+  auto txs = staged_call(guest::ix::packet_proof_payload(packet, &ack, proof_height, *proof),
                          guest::ix::acknowledge_packet, "ack-packet");
   pipeline_.submit_sequence(
       std::move(txs),
@@ -435,9 +456,13 @@ void RelayerAgent::deliver_timeout_to_guest(const ibc::Packet& packet,
                                             ibc::Height proof_height, SequenceDone done) {
   const auto key = ibc::packet_key(ibc::KeyKind::kPacketReceipt, packet.dest_port,
                                    packet.dest_channel, packet.sequence);
-  const trie::Proof proof = cp_.prove_at(proof_height, key);
+  const auto proof = cp_proof(proof_height, key);
+  if (!proof) {
+    if (done) done(SequenceOutcome{});
+    return;
+  }
   pipeline_.submit_sequence(
-      staged_call(guest::ix::packet_proof_payload(packet, nullptr, proof_height, proof),
+      staged_call(guest::ix::packet_proof_payload(packet, nullptr, proof_height, *proof),
                   guest::ix::timeout_packet, "timeout-packet"),
       std::move(done));
 }

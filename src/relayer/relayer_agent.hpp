@@ -64,6 +64,10 @@ class RelayerAgent final : public sim::CrashableAgent {
   [[nodiscard]] const Series& recv_costs_usd() const { return recv_costs_; }
   [[nodiscard]] std::uint64_t packets_relayed_to_cp() const { return to_cp_packets_; }
   [[nodiscard]] std::uint64_t packets_relayed_to_guest() const { return to_guest_packets_; }
+  /// Packets, acks and timeouts not relayed into the guest because the
+  /// counterparty could no longer prove them (the key was sealed, or
+  /// the height left its snapshot window).
+  [[nodiscard]] std::uint64_t proofs_skipped() const { return proofs_skipped_; }
 
   [[nodiscard]] const crypto::PublicKey& payer() const { return payer_; }
 
@@ -138,6 +142,9 @@ class RelayerAgent final : public sim::CrashableAgent {
   /// First cp height whose snapshot holds `key`: the latest block if
   /// it already does, else the next one.
   [[nodiscard]] ibc::Height cp_ready_height(ByteView key) const;
+  /// The counterparty's proof of `key` at `h`, or nullopt, counted in
+  /// proofs_skipped(), when it has none.
+  [[nodiscard]] std::optional<trie::Proof> cp_proof(ibc::Height h, ByteView key);
   /// Re-delivers a guest-sent packet whose FinalisedBlock event was
   /// missed while down, proving against the latest finalised block.
   void redeliver_guest_packet_to_cp(const ibc::Packet& packet, ibc::Height gh);
@@ -173,6 +180,7 @@ class RelayerAgent final : public sim::CrashableAgent {
 
   std::uint64_t to_cp_packets_ = 0;
   std::uint64_t to_guest_packets_ = 0;
+  std::uint64_t proofs_skipped_ = 0;
 };
 
 }  // namespace bmg::relayer

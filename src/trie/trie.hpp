@@ -250,8 +250,9 @@ class SealableTrie {
 
   /// Copy of the live trie, uncommitted writes included.  The copy and
   /// this trie share every node until one of them writes it, and a
-  /// write to either never shows in the other.  The guest contract's
-  /// fork checkpoint takes one.
+  /// write to either never shows in the other.  The guest contract
+  /// records one per slot on a fork-aware host, as the trie's undo
+  /// record.
   [[nodiscard]] SealableTrie clone() const;
 
   [[nodiscard]] TrieStats stats() const { return stats_; }

@@ -5,7 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <map>
 #include <sstream>
+#include <string>
 
 #include "audit/auditor.hpp"
 #include "guest/instructions.hpp"
@@ -619,129 +622,248 @@ TEST_F(GuestContractTest, BannedValidatorCannotStake) {
   EXPECT_FALSE(res.success);
 }
 
-// --- fork checkpoint round trip ---------------------------------------------
+// --- reorg unwinding ---------------------------------------------------------
 
-/// Every off-chain read surface of the contract, one line each.
-std::string read_surfaces(relayer::Deployment& d, const std::vector<PublicKey>& accounts,
-                          ibc::Height max_height) {
+/// Every off-chain read surface of the contract, and the host ledger of
+/// `accounts`, one line each.  Block records, snapshots and consensus
+/// states are read for the newest 300 heights only.
+std::string read_surfaces(relayer::Deployment& d, const std::vector<PublicKey>& accounts) {
   GuestContract& g = d.guest();
+  const host::Chain& host = d.host();
   std::ostringstream out;
   out << "root " << g.store().root_hash().hex() << "\nhead " << g.head().hash().hex()
-      << "\nfinalised " << g.last_finalised_height() << "\n";
-  for (ibc::Height h = 0; h < g.block_count(); ++h)
-    out << "block " << h << " finalised " << g.block_at(h).finalised << " signers "
-        << g.block_at(h).signers.size() << "\n";
+      << "\nfinalised " << g.last_finalised_height() << " pruned " << g.pruned_below()
+      << " epoch " << g.epoch_validators().hash().hex() << " from " << g.epoch_start_slot()
+      << "\nbytes " << g.account_bytes() << " " << g.block_bytes() << "\nupdated "
+      << std::hexfloat << g.last_client_update_time() << std::defaultfloat << "\npending";
+  for (const ibc::Packet& p : g.pending_packets()) out << " " << p.commitment().hex();
+  out << "\n";
+  const ibc::Height recent = g.block_count() > 300 ? g.block_count() - 300 : 0;
+  for (ibc::Height h = recent; h < g.block_count(); ++h)
+    out << "block " << h << " " << g.block_at(h).hash().hex() << " finalised "
+        << g.block_at(h).finalised << " signers " << g.block_at(h).signers.size()
+        << " packets " << g.block_at(h).packets.size() << "\n";
   if (const auto upd = g.pending_update_info()) {
     out << "update " << upd->height << " power " << upd->verified_power;
     for (const PublicKey& k : upd->seen) out << " " << k.hex();
     out << "\n";
   }
   for (const PublicKey& who : accounts) {
-    out << "account " << who.hex() << " stake " << g.stake_of(who) << " buffers";
+    const auto& stats = host.payer_stats(who);
+    out << "account " << who.hex() << " lamports " << host.balance(who) << " fees "
+        << stats.fees_lamports << " txs " << stats.tx_count << " sigs " << stats.sig_count
+        << " stake " << g.stake_of(who) << " banned " << g.is_banned(who) << " buffers";
     for (const std::uint64_t id : g.staging_buffers_of(who))
-      out << " " << id << ":" << g.staging_buffer_size(who, id).value_or(0);
+      out << " " << id << ":" << to_hex(*g.staging_buffer_bytes(who, id));
     out << "\n";
   }
-  out << "fees " << g.fees_collected() << " rewards " << g.rewards_paid() << "\nbank "
-      << audit::token_state_digest(g.bank()) << "\nclient "
-      << g.counterparty_client().latest_height() << "\n";
-  const auto seq = g.ibc().sequences("transfer", d.guest_channel());
+  out << "host " << host.executed_count() << " " << host.failed_count() << " spiked "
+      << host.fault_counters().fee_spiked << "\nfees "
+      << g.fees_collected() << " rewards " << g.rewards_paid() << "\nbank "
+      << audit::token_state_digest(g.bank()) << "\n";
+  const ibc::QuorumLightClient& client = g.counterparty_client();
+  out << "client " << client.latest_height() << " " << client.frozen() << " "
+      << client.validators().hash().hex() << " states";
+  for (ibc::Height h = client.latest_height() > 300 ? client.latest_height() - 300 : 0;
+       h <= client.latest_height() + 64; ++h)
+    if (const auto cs = client.consensus_at(h)) out << " " << h << ":" << cs->state_root.hex();
+  out << "\n";
+  const ibc::IbcModule& m = g.ibc();
+  const auto seq = m.sequences("transfer", d.guest_channel());
   out << "seq " << seq.next_send << " " << seq.resolved_watermark
       << " " << seq.receipts_watermark << " " << seq.acks_watermark << "\n";
-  const ibc::IbcModule& m = g.ibc();
-  for (std::uint64_t n = 1; n <= 16; ++n) {
+  for (std::uint64_t n = 1; n <= 256; ++n) {
     if (const auto ack = m.ack_for("transfer", d.guest_channel(), n))
       out << "module ack " << n << " " << to_hex(ack->encode()) << "\n";
     out << "packet " << n << " received " << m.packet_received("transfer", d.guest_channel(), n)
         << " pending " << m.packet_pending("transfer", d.guest_channel(), n) << " sent "
         << (m.sent_packet("transfer", d.guest_channel(), n) != nullptr) << "\n";
   }
-  for (ibc::Height h = 0; h <= max_height; ++h)
+  for (ibc::Height h = recent; h <= g.block_count() + 8; ++h)
     if (const auto r = g.snapshot_root_at(h)) out << "snapshot " << h << " " << r->hex() << "\n";
   return out.str();
 }
 
-TEST(GuestCheckpoint, RollbackRestoresEveryReadSurface) {
-  // Traffic, then a checkpoint taken mid light-client update, then a
-  // send, a receive, client-update chunks, staking, staging uploads and
-  // block generation and signing.  fork_rollback() must put every read
-  // surface back.  The host's replay self-check compares only success
-  // and CU per transaction, so this is what catches a member the
-  // checkpoint forgets.
-  relayer::DeploymentConfig cfg;
-  cfg.seed = 31;
-  cfg.guest.delta_seconds = 60.0;
-  for (int i = 0; i < 4; ++i) {
-    relayer::ValidatorProfile p;
-    p.name = "ckpt-val-" + std::to_string(i);
-    p.stake = 100;
-    // The last validator signs well after the other three reach
-    // quorum, so finalised blocks keep taking late signatures.
-    p.latency = i < 3 ? sim::LatencyProfile::from_quantiles(2.0, 3.0, 0.4)
-                      : sim::LatencyProfile::from_quantiles(200.0, 250.0, 100.0);
-    p.fee = host::FeePolicy::priority(1'000'000);
-    cfg.validators.push_back(std::move(p));
-  }
-  cfg.counterparty.num_validators = 10;
-  cfg.counterparty.block_interval_s = 6.0;
-  relayer::Deployment d(cfg);
-  d.open_ibc();
-  GuestContract& g = d.guest();
+/// An armed deployment that first grows past the 256 snapshots the
+/// contract keeps, then runs a storm, under a fee spike, in which every
+/// retracted transaction dies but the signatures of validators other
+/// than unwind-val-6, which survive: a validator never signs a block
+/// twice, so more lost signatures would stall the guest.  unwind-val-6
+/// usually signs seventh, the signature that finalises a block.  Over
+/// the storm it sends both ways (receives, acks and client updates
+/// follow), returns vouchers (a burn), generates and signs blocks,
+/// prunes old block records, rotates the epoch at every block with
+/// changing stake, pays signer rewards, stakes, unstakes and withdraws,
+/// and uploads staging chunks that append and that overwrite.
+/// `on_slot_end` runs at the end of every slot of the storm, `on_event`
+/// at every guest event.
+struct UnwindStorm {
+  relayer::Deployment d;
+  PrivateKey staker = PrivateKey::from_label("unwind-staker");
+  std::vector<PublicKey> accounts;
 
-  const PrivateKey staker = PrivateKey::from_label("ckpt-staker");
-  d.host().airdrop(staker.public_key(), 10 * host::kLamportsPerSol);
-  const auto submit = [&](host::Instruction ix) {
+  UnwindStorm() : d(config()) {
+    d.host().airdrop(staker.public_key(), 10 * host::kLamportsPerSol);
+    d.open_ibc();
+    accounts = {staker.public_key(), d.relayer().payer(), d.guest().treasury(),
+                d.guest().stake_vault()};
+    for (const auto& v : d.validators()) accounts.push_back(v->pubkey());
+  }
+
+  static relayer::DeploymentConfig config() {
+    relayer::DeploymentConfig cfg;
+    cfg.seed = 31;
+    cfg.host.fork_aware = true;
+    cfg.guest.delta_seconds = 3.0;
+    cfg.guest.epoch_length_host_slots = 100;
+    cfg.guest.block_history_window = 4;
+    cfg.guest.signer_reward_fraction = 0.01;
+    cfg.guest.unstake_hold_seconds = 15.0;
+    // Ten validators: a quorum survives the signatures the storm kills.
+    for (int i = 0; i < 10; ++i) {
+      relayer::ValidatorProfile p;
+      p.name = "unwind-val-" + std::to_string(i);
+      p.stake = 100;
+      p.latency = i < 6    ? sim::LatencyProfile::from_quantiles(4.0, 6.0, 0.4)
+                  : i == 6 ? sim::LatencyProfile::from_quantiles(12.0, 13.0, 10.0)
+                           : sim::LatencyProfile::from_quantiles(30.0, 40.0, 20.0);
+      p.fee = host::FeePolicy::priority(1'000'000);
+      cfg.validators.push_back(std::move(p));
+    }
+    cfg.counterparty.num_validators = 10;
+    cfg.counterparty.block_interval_s = 6.0;
+    return cfg;
+  }
+
+  void submit(host::Instruction ix) {
     host::Transaction tx;
     tx.payer = staker.public_key();
+    tx.label = "staker";
     tx.instructions.push_back(std::move(ix));
     tx.fee = host::FeePolicy::bundle(host::usd_to_lamports(1.0));
     d.host().submit(std::move(tx));
+  }
+
+  void run(const std::function<void()>& on_slot_end,
+           const std::function<void()>& on_event) {
+    constexpr double kStormS = 1800.0;
+    ASSERT_TRUE(d.run_until([&] { return d.guest().block_count() > 270; }, 20'000.0));
+    const double start = d.sim().now();
+    host::FaultPlan& plan = d.host().fault_plan();
+    plan.reorg(start, start + kStormS, /*max_depth=*/4, /*probability=*/0.12);
+    plan.fee_spike(start, start + kStormS, 1.5);
+    for (const char* label : {"staker", "send-transfer", "generate-block", "lc-update",
+                              "recv-packet", "ack-packet", "timeout-packet",
+                              "sign:unwind-val-6"})
+      plan.reorg(start, start + kStormS, 4, /*probability=*/0.0, /*survival=*/0.0, label);
+    d.host().on_slot_end(on_slot_end);
+    d.host().subscribe(kProgramName, [&](const host::Event&) { on_event(); });
+    for (int i = 0; i < 180; ++i) {
+      d.sim().at(start + 10.0 * i, [this, i] {
+        if (i % 3 == 0) {
+          (void)d.send_transfer_from_guest(10 + i, host::FeePolicy::priority(5'000'000));
+          (void)d.send_transfer_from_cp(20 + i);
+        }
+        switch (i % 6) {
+          case 0:
+            submit(ix::stake(1 + i));
+            break;
+          case 1:
+            submit(ix::unstake(1));
+            break;
+          case 2:
+            submit(ix::chunk_upload(i, 0, bytes_of("staged " + std::to_string(i))));
+            break;
+          case 3:  // the unstake's hold has passed
+            submit(ix::withdraw_stake());
+            break;
+          case 4:  // overwrites the tail of buffer i - 2 and appends
+            submit(ix::chunk_upload(i - 2, 4, bytes_of("rewritten " + std::to_string(i))));
+            break;
+          default:
+            submit(ix::send_transfer(d.guest_channel(),
+                                     "transfer/" + d.guest_channel() + "/PICA", 1, "alice",
+                                     "bob", 0, d.sim().now() + 3600.0));
+            break;
+        }
+      });
+    }
+    d.run_for(kStormS + 60.0);
+  }
+};
+
+TEST(GuestUnwind, ReorgRestoresEveryReadSurface) {
+  // At the end of a slot k that reorged the slots from F onward, where
+  // no retracted transaction survived and k executed nothing itself,
+  // every read surface must be what it was at the end of F - 1:
+  // whatever differs is a write no record put back.
+  UnwindStorm s;
+  GuestContract& g = s.d.guest();
+  const host::Chain& host = s.d.host();
+  struct Surfaces {
+    std::string text;
+    std::uint64_t txs = 0;  ///< transactions executed on the current fork
   };
-  submit(ix::stake(1'000));
-  submit(ix::chunk_upload(1, 0, bytes_of("staged before")));
-  (void)d.send_transfer_from_guest(20, host::FeePolicy::priority(5'000'000));
-  (void)d.send_transfer_from_cp(10);
-  d.run_for(60.0);
-  (void)d.send_transfer_from_cp(11);
-  // Checkpoint while a client update is half done and the head block
-  // still waits for signatures, so both change afterwards.
-  ASSERT_TRUE(d.run_until(
+  std::map<std::uint64_t, Surfaces> at_slot;  // end-of-slot surfaces on the current fork
+  std::uint64_t epoch = host.fork_epoch();
+  std::uint64_t rolled = host.fault_counters().slots_rolled_back;
+  std::uint64_t reorged_out = host.fault_counters().txs_reorged_out;
+  std::uint64_t replayed = host.fault_counters().txs_replayed;
+  int checked = 0, checked_with_deaths = 0;
+  s.run(
       [&] {
-        return g.pending_update_info().has_value() &&
-               g.head().signers.size() < cfg.validators.size();
+        const std::uint64_t k = host.slot();
+        Surfaces now{read_surfaces(s.d, s.accounts),
+                     host.executed_count() + host.failed_count()};
+        const auto& fc = host.fault_counters();
+        if (host.fork_epoch() != epoch) {
+          const std::uint64_t first = k - (fc.slots_rolled_back - rolled);
+          const auto base = at_slot.find(first - 1);
+          if (fc.txs_replayed == replayed && base != at_slot.end()) {
+            // With no survivor, the slots [first, k - 1] of the winning
+            // fork end as first - 1 did.
+            for (std::uint64_t r = first; r < k; ++r) at_slot[r] = base->second;
+            if (now.txs == base->second.txs) {
+              ++checked;
+              if (fc.txs_reorged_out > reorged_out) ++checked_with_deaths;
+              EXPECT_EQ(now.text, base->second.text)
+                  << "slot " << k << " reorged from " << first;
+            }
+          } else {
+            // Survivors re-executed: what those slots hold now is not
+            // recorded, so no later reorg compares against them.
+            at_slot.erase(at_slot.lower_bound(first), at_slot.end());
+          }
+        }
+        epoch = host.fork_epoch();
+        rolled = fc.slots_rolled_back;
+        reorged_out = fc.txs_reorged_out;
+        replayed = fc.txs_replayed;
+        at_slot[k] = std::move(now);
+        at_slot.erase(at_slot.begin(), at_slot.lower_bound(host.rooted_slot()));
       },
-      600.0));
+      [] {});
+  EXPECT_GT(checked, 100);
+  EXPECT_GT(checked_with_deaths, 30);
+  // Sends resolved on the guest, so acks and receipts went through it.
+  const auto& m = g.ibc();
+  EXPECT_GT(m.next_send_sequence("transfer", s.d.guest_channel()) -
+                m.pending_send_sequences("transfer", s.d.guest_channel()).size(),
+            10u);
+}
 
-  std::vector<PublicKey> accounts{staker.public_key(), d.relayer().payer()};
-  for (const auto& v : d.validators()) accounts.push_back(v->pubkey());
-  const ibc::Height horizon = g.block_count() + 64;
-  const std::string at_checkpoint = read_surfaces(d, accounts, horizon);
-  const auto seq = g.ibc().sequences("transfer", d.guest_channel());
-  const std::size_t blocks = g.block_count();
-  const ibc::Height client = g.counterparty_client().latest_height();
-  const ibc::Height head = g.head().header.height;
-  g.fork_checkpoint();
-
-  submit(ix::stake(2'000));
-  submit(ix::chunk_upload(2, 0, bytes_of("staged after")));
-  (void)d.send_transfer_from_guest(30, host::FeePolicy::priority(5'000'000));
-  ASSERT_TRUE(d.run_until(
-      [&] {
-        const auto now = g.ibc().sequences("transfer", d.guest_channel());
-        return now.next_send > seq.next_send &&
-               now.receipts_watermark > seq.receipts_watermark &&
-               g.counterparty_client().latest_height() > client &&
-               g.last_finalised_height() > blocks &&
-               g.block_at(head).signers.size() == cfg.validators.size() &&
-               g.stake_of(staker.public_key()) > 1'000 &&
-               g.staging_buffers_of(staker.public_key()).size() == 2 &&
-               !g.pending_update_info().has_value();
-      },
-      3000.0));
-  ASSERT_NE(read_surfaces(d, accounts, horizon), at_checkpoint);
-
-  g.fork_rollback();
-  EXPECT_EQ(read_surfaces(d, accounts, horizon), at_checkpoint);
+TEST(GuestUnwind, BlockBytesMatchFullSum) {
+  // The running total of block-record bytes equals the full sum at
+  // every guest event and at the end of every slot, unwinds included.
+  UnwindStorm s;
+  GuestContract& g = s.d.guest();
+  const auto check = [&] {
+    std::size_t sum = 0;
+    for (ibc::Height h = 0; h < g.block_count(); ++h) sum += g.block_at(h).byte_size();
+    ASSERT_EQ(g.block_bytes(), sum) << "at slot " << s.d.host().slot();
+  };
+  s.run(check, check);
+  EXPECT_GT(s.d.host().fault_counters().txs_reorged_out, 0u);
 }
 
 }  // namespace

@@ -4,6 +4,9 @@
 // (§VI-A).
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <sstream>
+
 #include "guest/contract.hpp"
 #include "guest/instructions.hpp"
 #include "host/chain.hpp"
@@ -16,7 +19,7 @@ using crypto::PublicKey;
 
 class FutureWorkTest : public ::testing::Test {
  protected:
-  FutureWorkTest() : chain_(sim_, Rng(3), fast()) {
+  explicit FutureWorkTest(bool fork_aware = false) : chain_(sim_, Rng(3), fast(fork_aware)) {
     for (int i = 0; i < 4; ++i) {
       validator_keys_.push_back(PrivateKey::from_label("fw-val-" + std::to_string(i)));
       genesis_.push_back({validator_keys_.back().public_key(), 100});
@@ -30,9 +33,10 @@ class FutureWorkTest : public ::testing::Test {
     chain_.start();
   }
 
-  static host::ChainConfig fast() {
+  static host::ChainConfig fast(bool fork_aware) {
     host::ChainConfig cfg;
     cfg.p_include_base = 1.0;
+    cfg.fork_aware = fork_aware;
     return cfg;
   }
 
@@ -339,6 +343,154 @@ TEST_F(FutureWorkTest, SelfDestructIncludesQueuedWithdrawals) {
   ASSERT_TRUE(submit(ix::self_destruct()).success);
   // The queued withdrawal was released by the wind-down.
   EXPECT_GE(chain_.balance(staker.public_key()), before + 390);
+}
+
+// --- reorgs unwind the §VI instructions ------------------------------------
+
+/// The same fixture on a fork-aware host.
+class ArmedFutureWorkTest : public FutureWorkTest {
+ protected:
+  ArmedFutureWorkTest() : FutureWorkTest(/*fork_aware=*/true) {}
+
+  /// Executes `ix` alone in one slot, then reorgs that slot away with
+  /// no survivor; returns the execution's result.
+  host::TxResult execute_then_retract(host::Instruction ix,
+                                      std::vector<host::SigVerify> sigs = {}) {
+    ix.program = "guest";
+    host::Transaction tx;
+    tx.payer = payer_;
+    tx.instructions.push_back(std::move(ix));
+    tx.sig_verifies = std::move(sigs);
+    std::optional<host::TxResult> out;
+    chain_.submit(std::move(tx), [&](const host::TxResult& r) {
+      if (!out) out = r;
+    });
+    while (!out && sim_.step()) {
+    }
+    const std::uint64_t dead = chain_.fault_counters().txs_reorged_out;
+    // The next slot boundary is 0.4 s on: it forks one slot deep.
+    chain_.fault_plan().reorg(sim_.now() + 0.2, sim_.now() + 0.6, /*max_depth=*/1,
+                              /*probability=*/1.0, /*survival=*/0.0);
+    sim_.run_until(sim_.now() + 1.0);
+    EXPECT_EQ(chain_.fault_counters().txs_reorged_out, dead + 1);
+    return out.value_or(host::TxResult{});
+  }
+
+  /// Every read surface these instructions change.
+  std::string surfaces(const GuestContract& c) const {
+    std::ostringstream out;
+    out << c.counterparty_client().frozen() << " " << c.counterparty_client().latest_height()
+        << " " << c.terminated() << " " << c.account_bytes() << " " << c.fees_collected()
+        << " " << c.rewards_paid() << " epoch " << c.epoch_validators().hash().hex() << " "
+        << c.epoch_start_slot() << " head " << c.head().hash().hex() << " "
+        << c.head().finalised << " " << c.head().signers.size() << " " << c.block_bytes()
+        << " buffers";
+    for (const std::uint64_t id : c.staging_buffers_of(payer_)) out << " " << id;
+    for (const auto& k : validator_keys_)
+      out << "\n" << k.public_key().hex() << " " << c.stake_of(k.public_key()) << " "
+          << c.is_banned(k.public_key()) << " " << chain_.balance(k.public_key());
+    out << "\nvault " << chain_.balance(c.stake_vault()) << " payer " << chain_.balance(payer_);
+    return out.str();
+  }
+};
+
+TEST_F(ArmedFutureWorkTest, ReorgUnwindsFreezeSlashAndSelfDestruct) {
+  // Each instruction, retracted with its slot, leaves every read
+  // surface as it was before it executed.
+  GuestConfig cfg;
+  cfg.self_destruct_after_s = 500.0;
+  cfg.delta_seconds = 1e9;
+  GuestContract* c = install(cfg);
+
+  Encoder fork;
+  fork.bytes(cp_header(10, 0xAA).encode());
+  fork.bytes(cp_header(10, 0xBB).encode());
+  upload(1, fork.out());
+  std::string before = surfaces(*c);
+  ASSERT_TRUE(execute_then_retract(ix::freeze_client(1)).success);
+  EXPECT_EQ(surfaces(*c), before);
+
+  const PrivateKey& offender = validator_keys_[1];
+  const GuestBlock a = GuestBlock::make("guest-1", 9, 1.0, Hash32{}, Hash32{}, 1,
+                                        c->epoch_validators());
+  const GuestBlock b = GuestBlock::make("guest-1", 9, 2.0, Hash32{}, Hash32{}, 1,
+                                        c->epoch_validators());
+  Encoder ev;
+  ev.raw(offender.public_key().view());
+  ev.u8(2);
+  ev.bytes(a.header.encode());
+  ev.bytes(b.header.encode());
+  upload(2, ev.out());
+  before = surfaces(*c);
+  const Hash32 da = a.hash(), db = b.hash();
+  ASSERT_TRUE(execute_then_retract(
+                  ix::submit_evidence(2),
+                  {host::SigVerify{offender.public_key(), da, offender.sign(da.view())},
+                   host::SigVerify{offender.public_key(), db, offender.sign(db.view())}})
+                  .success);
+  EXPECT_EQ(surfaces(*c), before);
+
+  sim_.run_until(600.0);
+  before = surfaces(*c);
+  ASSERT_TRUE(execute_then_retract(ix::self_destruct()).success);
+  EXPECT_EQ(surfaces(*c), before);
+  EXPECT_FALSE(c->terminated());
+}
+
+TEST_F(ArmedFutureWorkTest, ReorgUnwindsAFinalisingSignature) {
+  // The signature that reaches quorum finalises the last block of an
+  // epoch, rotating the set (a new staker joins it) and paying signer
+  // rewards.  Retracted with its slot, it leaves every surface as it
+  // was.
+  GuestConfig cfg;
+  cfg.delta_seconds = 50.0;
+  cfg.signer_reward_fraction = 0.5;
+  cfg.epoch_length_host_slots = 10;
+  GuestContract* c = install(cfg);
+  chain_.airdrop(c->treasury(), 1'000'000);
+  ASSERT_TRUE(submit(ix::stake(50)).success);
+  sim_.run_until(60.0);
+  ASSERT_TRUE(submit(ix::generate_block()).success);
+  const ibc::Height h = c->head().header.height;
+  ASSERT_TRUE(c->head().last_in_epoch());
+  const auto sign = [&](int i) {
+    const PrivateKey& key = validator_keys_[static_cast<std::size_t>(i)];
+    const Hash32 digest = c->block_at(h).hash();
+    return std::make_pair(ix::sign_block(h, key.public_key()),
+                          std::vector<host::SigVerify>{
+                              {key.public_key(), digest, key.sign(digest.view())}});
+  };
+  for (int i = 0; i < 2; ++i) {
+    auto [ix, sigs] = sign(i);
+    ASSERT_TRUE(submit(std::move(ix), std::move(sigs)).success);
+  }
+  ASSERT_FALSE(c->head().finalised);
+  const std::string before = surfaces(*c);
+  auto [ix, sigs] = sign(2);
+  ASSERT_TRUE(execute_then_retract(std::move(ix), std::move(sigs)).success);
+  EXPECT_EQ(surfaces(*c), before);
+  EXPECT_FALSE(c->head().finalised);
+  EXPECT_EQ(c->rewards_paid(), 0u);
+}
+
+TEST_F(ArmedFutureWorkTest, ReorgUnwindsStakingAndWithdrawal) {
+  // A stake, an unstake and a withdrawal, each retracted with its slot.
+  GuestConfig cfg;
+  cfg.delta_seconds = 1e9;
+  cfg.unstake_hold_seconds = 50.0;
+  GuestContract* c = install(cfg);
+  std::string before = surfaces(*c) + std::to_string(c->stake_of(payer_));
+  ASSERT_TRUE(execute_then_retract(ix::stake(400)).success);
+  EXPECT_EQ(surfaces(*c) + std::to_string(c->stake_of(payer_)), before);
+  ASSERT_TRUE(submit(ix::stake(400)).success);
+  before = surfaces(*c) + std::to_string(c->stake_of(payer_));
+  ASSERT_TRUE(execute_then_retract(ix::unstake(400)).success);
+  EXPECT_EQ(surfaces(*c) + std::to_string(c->stake_of(payer_)), before);
+  ASSERT_TRUE(submit(ix::unstake(400)).success);
+  sim_.run_until(sim_.now() + 60.0);
+  before = surfaces(*c);
+  ASSERT_TRUE(execute_then_retract(ix::withdraw_stake()).success);
+  EXPECT_EQ(surfaces(*c), before);
 }
 
 }  // namespace

@@ -18,22 +18,20 @@ namespace {
 using crypto::PrivateKey;
 using crypto::PublicKey;
 
-/// Rollback-capable counter: every call emits a "tick" event, and a
+/// Fork-capable counter: every call emits a "tick" event, and a
 /// payload of 1 is refused.
 class SlotProgram : public Program {
  public:
   void execute(TxContext& ctx, ByteView data) override {
     if (!data.empty() && data[0] == 1) throw TxError("refused");
+    save(ctx.undo(), counter_);
     ++counter_;
     ctx.emit_event("tick", bytes_of("x"));
   }
   [[nodiscard]] bool fork_supported() const override { return true; }
-  void fork_checkpoint() override { saved_ = counter_; }
-  void fork_rollback() override { counter_ = saved_; }
 
  private:
   int counter_ = 0;
-  int saved_ = 0;
 };
 
 /// One scripted run of a bare chain, hashed: every result (each

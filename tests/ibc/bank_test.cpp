@@ -59,5 +59,25 @@ TEST(Bank, SelfTransferIsIdempotent) {
   EXPECT_EQ(b.balance("alice", "SOL"), 10u);
 }
 
+TEST(Bank, RecordedWritesUnwindAsDeltas) {
+  // A mint made while no transaction records survives the unwinding of
+  // the recorded writes around it.
+  Bank b;
+  b.mint("alice", "SOL", 100);
+  UndoRecorder undo;
+  UndoRecorder::Log log;
+  b.set_undo(&undo);
+  undo.open(log, 1);
+  b.mint("bob", "SOL", 30);
+  b.transfer("alice", "bob", "SOL", 40);
+  b.burn("bob", "SOL", 50);
+  undo.close();
+  b.mint("alice", "SOL", 7);
+  log.unwind();
+  EXPECT_EQ(b.balance("alice", "SOL"), 107u);
+  EXPECT_EQ(b.balance("bob", "SOL"), 0u);
+  EXPECT_EQ(b.total_supply("SOL"), 107u);
+}
+
 }  // namespace
 }  // namespace bmg::ibc

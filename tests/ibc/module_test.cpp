@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+
 #include "ibc/transfer.hpp"
 
 namespace bmg::ibc {
@@ -375,6 +377,135 @@ TEST_F(ModulePair, BidirectionalTraffic) {
   EXPECT_TRUE(ack_a.success);
   EXPECT_EQ(app_b.received.size(), 1u);
   EXPECT_EQ(app_a.received.size(), 1u);
+}
+
+// --- undo records ----------------------------------------------------------
+
+/// One run of the pair, with or without a middle phase that records
+/// into an undo log and is unwound.
+class UnwindRun final : public ModulePair {
+ public:
+  void TestBody() override {}
+
+  /// Open connection and channel, and a second channel half open; A
+  /// sends packets 1-4, B receives 1, 3 and 4, A gets 4's ack: both
+  /// sides hold trackers with gaps.
+  void before() {
+    open_connection();
+    open_channel();
+    half_a = module_a.chan_open_init("transfer", conn_a, "transfer");
+    const Height h = sync();
+    half_b = module_b.chan_open_try("transfer", conn_b, "transfer", half_a,
+                                    module_a.channel("transfer", half_a), h,
+                                    store_a.prove(channel_key("transfer", half_a)));
+    for (int i = 0; i < 4; ++i)
+      sent.push_back(module_a.send_packet("transfer", chan_a, bytes_of("p"), 1000, 0));
+    acks.resize(sent.size());
+    for (const std::size_t i : {0, 2, 3}) acks[i] = relay_to_b(sent[i]);
+    relay_ack_to_a(sent[3], acks[3]);
+  }
+
+  /// Recorded, then unwound: the half-open channel's last two steps, a
+  /// second connection and channel, the packet that fills both
+  /// trackers' gaps with their acks, sends both ways and a delivery to
+  /// A.  The stores are their owners' to record,
+  /// as the guest contract records its trie.
+  void middle() {
+    UndoRecorder undo;
+    UndoRecorder::Log log;
+    module_a.set_undo(&undo);
+    module_b.set_undo(&undo);
+    undo.open(log, 1);
+    undo.record([this, a = std::make_shared<trie::SealableTrie>(store_a.clone()),
+                 b = std::make_shared<trie::SealableTrie>(store_b.clone())] {
+      store_a = std::move(*a);
+      store_b = std::move(*b);
+    });
+    Height h = sync();
+    module_a.chan_open_ack("transfer", half_a, half_b, module_b.channel("transfer", half_b), h,
+                           store_b.prove(channel_key("transfer", half_b)));
+    h = sync();
+    module_b.chan_open_confirm("transfer", half_b, module_a.channel("transfer", half_a), h,
+                               store_a.prove(channel_key("transfer", half_a)));
+    const ConnectionId first_a = conn_a, first_b = conn_b;
+    const ChannelId first_chan_a = chan_a, first_chan_b = chan_b;
+    open_connection();
+    open_channel();
+    conn_a = first_a, conn_b = first_b, chan_a = first_chan_a, chan_b = first_chan_b;
+    acks[1] = relay_to_b(sent[1]);
+    for (const std::size_t i : {0, 1, 2}) relay_ack_to_a(sent[i], acks[i]);
+    (void)module_a.send_packet("transfer", chan_a, bytes_of("q"), 1000, 0);
+    const Packet back = module_b.send_packet("transfer", chan_b, bytes_of("r"), 1000, 0);
+    h = sync();
+    (void)module_a.recv_packet(
+        back, h,
+        store_b.prove(packet_key(KeyKind::kPacketCommitment, "transfer", chan_b, 1)), 1, 1.0);
+    undo.close();
+    log.unwind();
+    module_a.set_undo(nullptr);
+    module_b.set_undo(nullptr);
+  }
+
+  /// The same deliveries and acks, a fifth packet, and a new
+  /// connection and channel.
+  void after() {
+    acks[1] = relay_to_b(sent[1]);
+    for (const std::size_t i : {0, 1, 2}) relay_ack_to_a(sent[i], acks[i]);
+    const Packet p5 = module_a.send_packet("transfer", chan_a, bytes_of("s"), 1000, 0);
+    relay_ack_to_a(p5, relay_to_b(p5));
+    open_connection();
+    open_channel();
+  }
+
+  /// Both modules' read surfaces and store roots.
+  std::string state() {
+    std::string out;
+    for (IbcModule* m : {&module_a, &module_b}) {
+      out += m->store().root_hash().hex() + "\n";
+      for (int i = 0; i < 4; ++i) {
+        const ConnectionId id = "connection-" + std::to_string(i);
+        try {
+          out += id + " " + m->connection(id).commitment().hex() + "\n";
+        } catch (const IbcError&) {
+        }
+      }
+      for (const auto& [port, chan] : m->channels()) {
+        const auto s = m->sequences(port, chan);
+        out += chan + " " + m->channel(port, chan).commitment().hex() + " " +
+               std::to_string(s.next_send) + " " + std::to_string(s.resolved_watermark) + " " +
+               std::to_string(s.receipts_watermark) + " " + std::to_string(s.acks_watermark);
+        for (const std::uint64_t seq : m->pending_send_sequences(port, chan))
+          out += " p" + std::to_string(seq);
+        for (std::uint64_t seq = 1; seq <= 8; ++seq) {
+          out += " " + std::to_string(m->packet_received(port, chan, seq)) +
+                 std::to_string(m->packet_pending(port, chan, seq)) +
+                 std::to_string(m->sent_packet(port, chan, seq) != nullptr);
+          if (const auto ack = m->ack_for(port, chan, seq)) out += ack->commitment().hex();
+        }
+        out += "\n";
+      }
+    }
+    return out;
+  }
+
+  ChannelId half_a, half_b;
+  std::vector<Packet> sent;
+  std::vector<Acknowledgement> acks;
+};
+
+TEST(ModuleUndo, UnwoundPhaseLeavesNoTrace) {
+  // Unwinding the recorded phase restores both modules exactly, and
+  // what runs next matches a run that never had the phase, store roots
+  // included: the trackers' gaps, watermarks and seals came back.
+  UnwindRun plain, unwound;
+  plain.before();
+  unwound.before();
+  const std::string at_start = unwound.state();
+  unwound.middle();
+  EXPECT_EQ(unwound.state(), at_start);
+  plain.after();
+  unwound.after();
+  EXPECT_EQ(unwound.state(), plain.state());
 }
 
 }  // namespace

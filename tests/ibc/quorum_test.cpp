@@ -302,5 +302,36 @@ TEST(SignedHeaderTest, ByteSizeMatchesEncodingWithoutNextValidators) {
   EXPECT_EQ(hd.byte_size(), hd.encode().size());
 }
 
+TEST(QuorumClient, RecordedUpdatesUnwind) {
+  // Updates (one rotating the set) and a freeze, recorded, unwind to
+  // the client as it was; the same update then applies again.
+  const ValidatorSet set = make_set(4);
+  QuorumLightClient client("testchain", set);
+  client.update(sign_header(make_header(1, set), 3).encode());
+  UndoRecorder undo;
+  UndoRecorder::Log log;
+  client.set_undo(&undo);
+  undo.open(log, 1);
+  SignedQuorumHeader rotate = sign_header(make_header(2, set), 3);
+  rotate.next_validators = make_set(3);
+  client.update(rotate.encode());
+  client.update(sign_header(make_header(3, make_set(3)), 3).encode());
+  SignedQuorumHeader fork = sign_header(make_header(3, make_set(3)), 3);
+  fork.header.state_root.bytes[1] = 1;
+  fork = sign_header(fork.header, 3);
+  client.submit_misbehaviour(sign_header(make_header(3, make_set(3)), 3), fork);
+  ASSERT_TRUE(client.frozen());
+  undo.close();
+  log.unwind();
+  EXPECT_FALSE(client.frozen());
+  EXPECT_EQ(client.latest_height(), 1u);
+  EXPECT_EQ(client.validators(), set);
+  EXPECT_TRUE(client.consensus_at(1).has_value());
+  EXPECT_FALSE(client.consensus_at(2).has_value());
+  EXPECT_FALSE(client.consensus_at(3).has_value());
+  client.update(rotate.encode());
+  EXPECT_EQ(client.latest_height(), 2u);
+}
+
 }  // namespace
 }  // namespace bmg::ibc

@@ -12,9 +12,12 @@
 // CI runs this suite under several fixed seeds via BMG_CHAOS_SEED.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <limits>
+#include <memory>
 #include <string>
+#include <vector>
 
 #include "adversary/byzantine.hpp"
 #include "audit/auditor.hpp"
@@ -289,6 +292,53 @@ TEST(CrashChaos, CrashWindowsOverEveryAgentTypeStillDeliver) {
   auditor.check_now("final");
   EXPECT_TRUE(auditor.clean()) << auditor.report();
   EXPECT_EQ(d.relayer().pipeline().in_flight(), 0u);
+}
+
+TEST(CrashChaos, AcksSealedOnArrivalAreSkipped) {
+  // Two of four validators down for 20 minutes: no guest block can
+  // finalise, so every guest send of the outage piles into one block.
+  // Once it finalises, the relayer delivers more than kAckSealLag of
+  // its packets to the counterparty between two counterparty blocks,
+  // and the counterparty seals the oldest acks in the block that writes
+  // them.  No height proves those acks: the relayer skips them and
+  // relays the rest, and the process lives on.
+  Deployment d(crash_config(chaos_seed() + 29));
+  audit::InvariantAuditor auditor(d.sim(), d.host(), d.guest(), d.cp());
+  auditor.start();
+  d.open_ibc();
+  auditor.watch_client(d.guest_client_on_cp());
+  auditor.watch_transfer_lane(
+      audit::TransferLane{d.guest_channel(), d.cp_channel(), "SOL", "PICA"});
+  const double t0 = d.sim().now();
+  d.host()
+      .fault_plan()
+      .crash(t0 + 5.0, t0 + 1200.0, "crash-val-0")
+      .crash(t0 + 5.0, t0 + 1200.0, "crash-val-1");
+  ASSERT_EQ(d.schedule_crashes(), 2u);
+
+  constexpr int kSends = 80;
+  std::vector<std::shared_ptr<Deployment::SendRecord>> sends;
+  for (int i = 0; i < kSends; ++i) {
+    d.run_for(14.0);
+    sends.push_back(d.send_transfer_from_guest(1 + i, host::FeePolicy::priority(5'000'000)));
+  }
+  ASSERT_TRUE(d.run_until(
+      [&] {
+        for (const auto& rec : sends)
+          if (!d.cp().ibc().packet_received("transfer", d.cp_channel(), rec->sequence))
+            return false;
+        return true;
+      },
+      6000.0));
+  std::size_t largest = 0;
+  for (ibc::Height h = 0; h < d.guest().block_count(); ++h)
+    largest = std::max(largest, d.guest().block_at(h).packets.size());
+  EXPECT_GT(largest, ibc::kAckSealLag + 1);
+  d.run_for(600.0);
+
+  EXPECT_GT(d.relayer().proofs_skipped(), 0u);
+  auditor.check_now("final");
+  EXPECT_TRUE(auditor.clean()) << auditor.report();
 }
 
 TEST(CrashChaos, ValidatorCrashWithinQuorumSlackKeepsFinalising) {

@@ -123,10 +123,10 @@ TEST(ReorgChaos, EmptyAndDepthZeroPlansByteIdenticalToSeed) {
 // --- convergence -----------------------------------------------------------
 
 TEST(ReorgChaos, StormConvergesToReorgFreeTokenState) {
-  // Full-survival storm: every retracted transaction is replayed on
+  // Full-survival storm: every retracted transaction re-executes on
   // the winning fork, so once the workload drains, both banks must be
-  // byte-identical to a reorg-free run — the rollback/replay journal
-  // loses nothing.
+  // byte-identical to a reorg-free run — unwinding and re-execution
+  // lose nothing.
   const auto run_once = [](bool storm) {
     Deployment d(reorg_config(chaos_seed(), /*fork_aware=*/storm));
     audit::InvariantAuditor auditor(d.sim(), d.host(), d.guest(), d.cp());
@@ -318,10 +318,10 @@ TEST(ReorgChaos, SameSeedReproducesIdenticalStormTrace) {
 TEST(ReorgChaos, LossyStormTranscriptIsPinned) {
   // Fixed seed, deliberately independent of BMG_CHAOS_SEED: a lossy
   // storm long enough for hundreds of reorgs, folded into one digest of
-  // everything a rollback rebuilds or steers.  The constant was
-  // computed with the genesis-replay rollback that preceded the rolling
-  // checkpoint, so it pins that the checkpoint path reproduces the old
-  // transcript exactly.
+  // everything a reorg restores or steers.  The constant was computed
+  // with the genesis-replay rollback, and held through the rooted
+  // checkpoint and the per-slot undo records that followed it, so it
+  // pins that each reproduces the old transcript exactly.
   Deployment d(reorg_config(/*seed=*/7331, /*fork_aware=*/true));
   d.open_ibc();
   const double t0 = d.sim().now();

@@ -86,20 +86,16 @@ TEST(EscalateFee, BundleDoublingIsOverflowSafe) {
 // --- TxPipeline against a faulty chain ---------------------------------------
 
 /// Counts successful executions.  Fork-capable, so it also runs on a
-/// fork-aware host, where `count` rolls back with the chain.
+/// fork-aware host, where a reorg unwinds `count` with the chain.
 class FlakyProgram : public host::Program {
  public:
-  void execute(host::TxContext&, ByteView data) override {
+  void execute(host::TxContext& ctx, ByteView data) override {
     if (!data.empty() && data[0] == 1) throw host::TxError("deterministic failure");
+    save(ctx.undo(), count);
     ++count;
   }
   [[nodiscard]] bool fork_supported() const override { return true; }
-  void fork_checkpoint() override { saved_ = count; }
-  void fork_rollback() override { count = saved_; }
   int count = 0;
-
- private:
-  int saved_ = 0;
 };
 
 class PipelineTest : public ::testing::Test {
