@@ -116,61 +116,10 @@ int main() {
   ParameterRegistry registry(d.guest().ibc());
   Dao dao(d.cp().ibc());
 
-  // Open a second channel (port "gov") over the existing connection —
-  // counterparty-initiated this time, exercising the mirror handshake.
-  const auto& guest_conn = d.guest().ibc().connection(
-      d.guest().ibc().channel("transfer", d.guest_channel()).connection);
-  (void)guest_conn;
+  // Open a second channel (port "gov") over the existing connection,
+  // through the same guest-initiated handshake as "transfer".
   std::printf("opening a dedicated 'gov' channel...\n");
-
-  // Counterparty initiates.
-  const ibc::ConnectionId cp_conn =
-      d.cp().ibc().channel("transfer", d.cp_channel()).connection;
-  const ibc::ChannelId gov_cp = d.cp().ibc().chan_open_init("gov", cp_conn, "gov");
-
-  // Relay INIT to the guest: push a cp header, then ChanOpenTry on the
-  // guest via chunked handshake transactions.
-  bool updated = false;
-  ibc::Height cp_h = 0;
-  d.run_for(7.0);  // let a cp block commit the channel
-  cp_h = d.cp().height();
-  d.relayer().update_guest_client(cp_h, [&] { updated = true; });
-  if (!d.run_until([&] { return updated; }, 600.0)) return 1;
-
-  // Guest-side TRY (direct module call through the contract is what a
-  // relayer's handshake txs do; for brevity use the deployment helper
-  // pattern from open_ibc via raw module access on the guest).
-  const ibc::ConnectionId guest_conn_id =
-      d.guest().ibc().channel("transfer", d.guest_channel()).connection;
-  const ibc::ChannelId gov_guest = d.guest().ibc().chan_open_try(
-      "gov", guest_conn_id, "gov", gov_cp, d.cp().ibc().channel("gov", gov_cp), cp_h,
-      d.cp().prove_at(cp_h, ibc::channel_key("gov", gov_cp)));
-
-  // Finish the handshake on the counterparty (ACK) and guest (CONFIRM).
-  bool pushed = false;
-  // The guest channel end must be committed in a finalised guest block.
-  if (!d.run_until(
-          [&] {
-            const auto& head = d.guest().head();
-            return head.finalised &&
-                   head.header.state_root == d.guest().store().root_hash();
-          },
-          600.0))
-    return 1;
-  const ibc::Height gh = d.guest().head().header.height;
-  d.relayer().push_guest_header_to_cp(gh, [&] { pushed = true; });
-  if (!d.run_until([&] { return pushed; }, 60.0)) return 1;
-  d.cp().ibc().chan_open_ack("gov", gov_cp, gov_guest,
-                             d.guest().ibc().channel("gov", gov_guest), gh,
-                             d.guest().prove_at(gh, ibc::channel_key("gov", gov_guest)));
-  d.run_for(7.0);
-  const ibc::Height cp_h2 = d.cp().height();
-  updated = false;
-  d.relayer().update_guest_client(cp_h2, [&] { updated = true; });
-  if (!d.run_until([&] { return updated; }, 600.0)) return 1;
-  d.guest().ibc().chan_open_confirm(
-      "gov", gov_guest, d.cp().ibc().channel("gov", gov_cp), cp_h2,
-      d.cp().prove_at(cp_h2, ibc::channel_key("gov", gov_cp)));
+  const auto [gov_guest, gov_cp] = d.open_channel("gov");
   std::printf("gov channel open: cp %s <-> guest %s\n\n", gov_cp.c_str(),
               gov_guest.c_str());
 

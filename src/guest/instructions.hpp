@@ -49,15 +49,15 @@ enum class Op : std::uint8_t {
   kSelfDestruct = 18,
 };
 
+/// The guest initiates every handshake, so it runs only the
+/// initiator's two steps of each; the counterparty runs TRY and
+/// CONFIRM.  The values keep the wire bytes of the full eight-step
+/// numbering.
 enum class HandshakeOp : std::uint8_t {
   kConnOpenInit = 1,
-  kConnOpenTry = 2,
   kConnOpenAck = 3,
-  kConnOpenConfirm = 4,
   kChanOpenInit = 5,
-  kChanOpenTry = 6,
   kChanOpenAck = 7,
-  kChanOpenConfirm = 8,
 };
 
 namespace ix {

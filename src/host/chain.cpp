@@ -120,17 +120,10 @@ void Chain::schedule_next() {
 void Chain::schedule_slot(std::uint64_t k) {
   if (!started_ || in_slot_ || (next_slot_ != 0 && next_slot_ <= k)) return;
   next_slot_ = k;
-  // Slot k, then its slot-end hooks as the very next event: a caller
-  // pumping the simulation event by event can act between the two.
-  const auto queue = [this, gen = ++slot_gen_, k](double t) {
+  // One event per slot: on_slot runs the slot-end hooks itself.
+  const auto queue = [this, gen = ++slot_gen_](double t) {
     sim_.at(t, [this, gen] {
       if (gen == slot_gen_) on_slot(next_slot_);
-    });
-    if (slot_end_hooks_.empty()) return;
-    sim_.at(t, [this, k] {
-      if (slot_ != k) return;  // superseded: slot k was not produced
-      // Index loop: a hook may register another.
-      for (std::size_t i = 0; i < slot_end_hooks_.size(); ++i) slot_end_hooks_[i]();
     });
   };
   const Boundary now = passed();
@@ -311,6 +304,8 @@ void Chain::on_slot(std::uint64_t k) {
   }
   in_slot_ = false;
   schedule_next();
+  // Index loop: a hook may register another.
+  for (std::size_t i = 0; i < slot_end_hooks_.size(); ++i) slot_end_hooks_[i]();
 }
 
 void Chain::report_unexecuted(ResultHandler on_result, std::string label, std::string error,

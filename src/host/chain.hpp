@@ -108,9 +108,9 @@ class Chain {
   [[nodiscard]] std::size_t max_tx_size() const noexcept { return cfg_.max_tx_size; }
   [[nodiscard]] double slot_seconds() const noexcept { return cfg_.slot_seconds; }
 
-  /// Runs `fn` at the end of every produced slot, as the event right
-  /// after the slot's own: every state change of the slot is visible.
-  /// Register before start(); a slot queued earlier skips it.
+  /// Runs `fn` at the end of every produced slot, inside the slot's own
+  /// event after its transactions: every state change of the slot is
+  /// visible, and no other event runs between the slot and its hooks.
   void on_slot_end(std::function<void()> fn);
   /// Produces the first unproduced slot whose boundary is at or after
   /// max(t, now()), so an on_slot_end callback runs there.  A no-op

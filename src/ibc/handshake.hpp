@@ -32,8 +32,8 @@ enum class ChannelState : std::uint8_t { kInit = 1, kTryOpen = 2, kOpen = 3 };
 /// ICS-4 order byte of an unordered channel, the only kind this stack
 /// opens: the paper deploys one unordered ICS-20 channel, which
 /// delivers packets in any order and guards replays with receipts.
-/// Channel ends and the guest's ChanOpenInit / ChanOpenTry instruction
-/// data still carry the byte; their decoders reject any other value.
+/// Channel ends and the guest's ChanOpenInit instruction data still
+/// carry the byte; their decoders reject any other value.
 inline constexpr std::uint8_t kUnorderedChannel = 1;
 
 struct ChannelEnd {

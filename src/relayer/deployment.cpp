@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <tuple>
 
 namespace bmg::relayer {
 
@@ -142,8 +143,7 @@ void Deployment::wire_finalisation_tracker() {
           it->second->finalised_at = ev.time;
         }
       }
-    } else if (ev.name == "ConnOpenInit" || ev.name == "ConnOpenTry" ||
-               ev.name == "ChanOpenInit" || ev.name == "ChanOpenTry") {
+    } else if (ev.name == "ConnOpenInit" || ev.name == "ChanOpenInit") {
       last_event_id_.assign(ev.data.begin(), ev.data.end());
     }
   });
@@ -200,7 +200,7 @@ bool Deployment::run_until(const std::function<bool()>& pred, double timeout_s) 
   return pred();
 }
 
-ibc::Height Deployment::wait_guest_commit() {
+ibc::Height Deployment::relay_guest_commit() {
   const Hash32 target = guest_->store().root_hash();
   const bool ok = run_until(
       [&] {
@@ -209,21 +209,25 @@ ibc::Height Deployment::wait_guest_commit() {
       },
       600.0);
   if (!ok) throw std::runtime_error("deployment: guest block did not finalise in time");
-  // Find the first finalised block committing the target root.
-  for (ibc::Height h = guest_->head().header.height;; --h) {
-    const auto& b = guest_->block_at(h);
-    if (b.header.state_root == target && b.finalised) {
-      if (h == 0 || guest_->block_at(h - 1).header.state_root != target) return h;
-    }
-    if (h == 0) break;
-  }
-  return guest_->head().header.height;
+  // The first finalised block committing the target root.
+  ibc::Height h = guest_->head().header.height;
+  while (h > 0 && guest_->block_at(h - 1).header.state_root == target) --h;
+  bool pushed = false;
+  relayer_->push_guest_header_to_cp(h, [&] { pushed = true; });
+  if (!run_until([&] { return pushed; }, 30.0))
+    throw std::runtime_error("deployment: header push failed");
+  return h;
 }
 
-ibc::Height Deployment::wait_cp_block() {
+ibc::Height Deployment::relay_cp_block() {
   const ibc::Height current = cp_.height();
   (void)run_until([&] { return cp_.height() > current; }, 60.0);
-  return cp_.height();
+  const ibc::Height h = cp_.height();
+  bool updated = false;
+  relayer_->update_guest_client(h, [&] { updated = true; });
+  if (!run_until([&] { return updated; }, 600.0))
+    throw std::runtime_error("deployment: guest client update failed");
+  return h;
 }
 
 void Deployment::guest_handshake_call(ByteView payload) {
@@ -242,8 +246,7 @@ void Deployment::open_ibc() {
   start();
   run_for(2.0);
 
-  // --- connection handshake -------------------------------------------
-  // 1. ConnOpenInit on the guest.
+  // Connection handshake.  INIT on the guest.
   {
     Encoder e;
     e.u8(static_cast<std::uint8_t>(guest::HandshakeOp::kConnOpenInit));
@@ -251,18 +254,11 @@ void Deployment::open_ibc() {
     guest_handshake_call(e.out());
     guest_conn_ = last_event_id_;
   }
-  ibc::Height gh = wait_guest_commit();
-  {
-    bool pushed = false;
-    relayer_->push_guest_header_to_cp(gh, [&] { pushed = true; });
-    if (!run_until([&] { return pushed; }, 30.0))
-      throw std::runtime_error("deployment: header push failed");
-  }
 
-  // 2. ConnOpenTry on the counterparty (direct chain call).  The
-  // counterparty validates the guest's client of it — chain id and
-  // validator set — against a proven client-state commitment
-  // (validate_self_client).
+  // TRY on the counterparty, which validates the guest's client of it
+  // (chain id and validator set) against a proven client-state
+  // commitment (validate_self_client).
+  ibc::Height gh = relay_guest_commit();
   const ibc::ClientStateCommitment guest_client_state{
       guest_->counterparty_client().tracked_chain_id(),
       guest_->counterparty_client().tracked_validator_set_hash()};
@@ -272,20 +268,16 @@ void Deployment::open_ibc() {
       guest_->prove_at(gh, ibc::connection_key(guest_conn_)), guest_client_state,
       guest_->prove_at(gh, ibc::client_key(guest_->counterparty_client_id())));
 
-  // 3. ConnOpenAck on the guest (needs the cp client updated first).
-  ibc::Height ch = wait_cp_block();
+  // ACK on the guest, which validates the counterparty's client of the
+  // guest chain the same way.
   {
-    bool updated = false;
-    relayer_->update_guest_client(ch, [&] { updated = true; });
-    if (!run_until([&] { return updated; }, 600.0))
-      throw std::runtime_error("deployment: guest client update failed");
+    const ibc::Height ch = relay_cp_block();
     Encoder e;
     e.u8(static_cast<std::uint8_t>(guest::HandshakeOp::kConnOpenAck));
     e.str(guest_conn_).str(cp_conn_);
     e.bytes(cp_.ibc().connection(cp_conn_).encode());
     e.u64(ch);
     e.bytes(cp_.prove_at(ch, ibc::connection_key(cp_conn_)).serialize());
-    // The guest validates the counterparty's client of the guest chain.
     const auto& cp_guest_client = cp_.ibc().client(guest_client_on_cp_);
     const ibc::ClientStateCommitment cp_client_state{
         cp_guest_client.tracked_chain_id(),
@@ -296,66 +288,44 @@ void Deployment::open_ibc() {
     guest_handshake_call(e.out());
   }
 
-  // 4. ConnOpenConfirm on the counterparty.
-  gh = wait_guest_commit();
-  {
-    bool pushed = false;
-    relayer_->push_guest_header_to_cp(gh, [&] { pushed = true; });
-    (void)run_until([&] { return pushed; }, 30.0);
-  }
+  // CONFIRM on the counterparty.
+  gh = relay_guest_commit();
   cp_.ibc().conn_open_confirm(cp_conn_, guest_->ibc().connection(guest_conn_), gh,
                               guest_->prove_at(gh, ibc::connection_key(guest_conn_)));
 
-  // --- channel handshake -------------------------------------------------
-  // 5. ChanOpenInit on the guest.
-  {
-    Encoder e;
-    e.u8(static_cast<std::uint8_t>(guest::HandshakeOp::kChanOpenInit));
-    e.str("transfer").str(guest_conn_).str("transfer");
-    e.u8(ibc::kUnorderedChannel);
-    guest_handshake_call(e.out());
-    guest_channel_ = last_event_id_;
-  }
-  gh = wait_guest_commit();
-  {
-    bool pushed = false;
-    relayer_->push_guest_header_to_cp(gh, [&] { pushed = true; });
-    (void)run_until([&] { return pushed; }, 30.0);
-  }
+  std::tie(guest_channel_, cp_channel_) = open_channel("transfer");
+}
 
-  // 6. ChanOpenTry on the counterparty.
-  cp_channel_ = cp_.ibc().chan_open_try(
-      "transfer", cp_conn_, "transfer", guest_channel_,
-      guest_->ibc().channel("transfer", guest_channel_), gh,
-      guest_->prove_at(gh, ibc::channel_key("transfer", guest_channel_)));
+std::pair<ibc::ChannelId, ibc::ChannelId> Deployment::open_channel(const ibc::PortId& port) {
+  // INIT on the guest.
+  Encoder init;
+  init.u8(static_cast<std::uint8_t>(guest::HandshakeOp::kChanOpenInit));
+  init.str(port).str(guest_conn_).str(port);
+  init.u8(ibc::kUnorderedChannel);
+  guest_handshake_call(init.out());
+  const ibc::ChannelId guest_channel = last_event_id_;
 
-  // 7. ChanOpenAck on the guest.
-  ch = wait_cp_block();
-  {
-    bool updated = false;
-    relayer_->update_guest_client(ch, [&] { updated = true; });
-    if (!run_until([&] { return updated; }, 600.0))
-      throw std::runtime_error("deployment: guest client update failed");
-    Encoder e;
-    e.u8(static_cast<std::uint8_t>(guest::HandshakeOp::kChanOpenAck));
-    e.str("transfer").str(guest_channel_).str(cp_channel_);
-    e.bytes(cp_.ibc().channel("transfer", cp_channel_).encode());
-    e.u64(ch);
-    e.bytes(cp_.prove_at(ch, ibc::channel_key("transfer", cp_channel_)).serialize());
-    guest_handshake_call(e.out());
-  }
+  // TRY on the counterparty.
+  ibc::Height gh = relay_guest_commit();
+  const ibc::ChannelId cp_channel = cp_.ibc().chan_open_try(
+      port, cp_conn_, port, guest_channel, guest_->ibc().channel(port, guest_channel), gh,
+      guest_->prove_at(gh, ibc::channel_key(port, guest_channel)));
 
-  // 8. ChanOpenConfirm on the counterparty.
-  gh = wait_guest_commit();
-  {
-    bool pushed = false;
-    relayer_->push_guest_header_to_cp(gh, [&] { pushed = true; });
-    (void)run_until([&] { return pushed; }, 30.0);
-  }
-  cp_.ibc().chan_open_confirm("transfer", cp_channel_,
-                              guest_->ibc().channel("transfer", guest_channel_), gh,
-                              guest_->prove_at(
-                                  gh, ibc::channel_key("transfer", guest_channel_)));
+  // ACK on the guest.
+  const ibc::Height ch = relay_cp_block();
+  Encoder ack;
+  ack.u8(static_cast<std::uint8_t>(guest::HandshakeOp::kChanOpenAck));
+  ack.str(port).str(guest_channel).str(cp_channel);
+  ack.bytes(cp_.ibc().channel(port, cp_channel).encode());
+  ack.u64(ch);
+  ack.bytes(cp_.prove_at(ch, ibc::channel_key(port, cp_channel)).serialize());
+  guest_handshake_call(ack.out());
+
+  // CONFIRM on the counterparty.
+  gh = relay_guest_commit();
+  cp_.ibc().chan_open_confirm(port, cp_channel, guest_->ibc().channel(port, guest_channel),
+                              gh, guest_->prove_at(gh, ibc::channel_key(port, guest_channel)));
+  return {guest_channel, cp_channel};
 }
 
 std::shared_ptr<Deployment::SendRecord> Deployment::send_transfer_from_guest(

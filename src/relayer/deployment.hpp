@@ -10,6 +10,7 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "counterparty/chain.hpp"
@@ -63,11 +64,18 @@ class Deployment {
   /// Starts chains and agents.  Called by open_ibc() if needed.
   void start();
 
-  /// Runs the full IBC handshake (connection + channel) across the
-  /// real stack: guest-side steps as chunked host transactions,
-  /// counterparty steps as chain calls, light client updates relayed
-  /// in both directions.  Blocks (pumps the simulation) until open.
+  /// Runs the connection handshake, then opens the "transfer" channel
+  /// with open_channel.  The guest initiates: its INIT and ACK steps
+  /// are chunked host transactions, the counterparty's TRY and CONFIRM
+  /// are chain calls, and light client updates are relayed in both
+  /// directions.  Blocks (pumps the simulation) until open.
   void open_ibc();
+
+  /// Opens an unordered channel between `port` on both chains over the
+  /// connection open_ibc() opened, guest-initiated like it, and returns
+  /// {guest channel, counterparty channel}.  Blocks until open; throws
+  /// std::runtime_error if a step does not complete in time.
+  std::pair<ibc::ChannelId, ibc::ChannelId> open_channel(const ibc::PortId& port);
 
   // --- accessors ---------------------------------------------------------
   [[nodiscard]] sim::Simulation& sim() noexcept { return sim_; }
@@ -137,10 +145,12 @@ class Deployment {
  private:
   void wire_finalisation_tracker();
   /// Waits until the guest head is finalised and commits the current
-  /// store root; returns that height.
-  ibc::Height wait_guest_commit();
-  /// Waits for the next counterparty block; returns its height.
-  ibc::Height wait_cp_block();
+  /// store root, then pushes the first block that commits it to the
+  /// counterparty's guest client; returns that height.
+  ibc::Height relay_guest_commit();
+  /// Waits for the next counterparty block, then updates the guest's
+  /// client to it; returns its height.
+  ibc::Height relay_cp_block();
   /// Submits a chunked handshake call and pumps until it executes.
   void guest_handshake_call(ByteView payload);
 

@@ -146,5 +146,21 @@ TEST(HostSlots, WakeProducesTheFirstSlotAtOrAfterItsTime) {
   EXPECT_LT(ends[1], 100.0 + kSlotSeconds);
 }
 
+TEST(HostSlots, ArmedChainRunsItsHooksInsideEachSlot) {
+  // An armed chain produces every slot, idle or not; its slot-end hooks
+  // add no event of their own.
+  sim::Simulation sim;
+  ChainConfig cfg;
+  cfg.fork_aware = true;
+  Chain chain(sim, Rng(1), cfg);
+  std::uint64_t ends = 0;
+  chain.on_slot_end([&] { ++ends; });
+  chain.start();
+  sim.run_until(3600.0);
+  ASSERT_GT(chain.slot(), 8'000u);
+  EXPECT_EQ(ends, chain.slot());
+  EXPECT_EQ(sim.events_processed(), chain.slot());
+}
+
 }  // namespace
 }  // namespace bmg::host
