@@ -119,6 +119,10 @@ class GuestContract final : public host::Program {
   [[nodiscard]] ibc::Height pruned_below() const noexcept { return pruned_below_; }
   /// Host slot at which the active epoch began.
   [[nodiscard]] std::uint64_t epoch_start_slot() const noexcept { return epoch_start_host_slot_; }
+  /// First host slot at which GenerateBlock rotates the epoch.
+  [[nodiscard]] std::uint64_t epoch_end_slot() const noexcept {
+    return epoch_start_host_slot_ + cfg_.epoch_length_host_slots;
+  }
   /// Host time of the last accepted light-client update (§VI-C).
   [[nodiscard]] double last_client_update_time() const noexcept { return last_client_update_time_; }
 
