@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "ibc/module.hpp"
+#include "trusting_client.hpp"
 
 namespace bmg::ibc {
 namespace {

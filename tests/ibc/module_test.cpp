@@ -8,6 +8,7 @@
 #include <memory>
 
 #include "ibc/transfer.hpp"
+#include "trusting_client.hpp"
 
 namespace bmg::ibc {
 namespace {

@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include "trusting_client.hpp"
+
 namespace bmg::ibc {
 namespace {
 
